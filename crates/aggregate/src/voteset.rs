@@ -227,13 +227,16 @@ impl VoteSet {
             Repr::Exact { words, .. } => words,
             Repr::Counted { .. } => &[],
         };
+        // walk set bits only: the continuous service enumerates every
+        // publisher's contributors each epoch, mostly over empty words
         words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| {
-                if w & (1u64 << b) != 0 {
-                    Some(wi * 64 + b)
-                } else {
-                    None
-                }
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    wi * 64 + b
+                })
             })
         })
     }

@@ -1,7 +1,8 @@
 //! Phase profile — where does incompleteness come from?
 //!
-//! Drives the engine loop manually to keep the per-member [`PhaseTrace`]
-//! instrumentation, then reports, per phase: how many members finished
+//! Runs one simulation, takes the protocol instances back to read the
+//! per-member [`PhaseTrace`] instrumentation, then reports, per phase:
+//! how many members finished
 //! it missing components, the mean votes covered, and the phase-end
 //! round distribution. This is the diagnostic that motivated the
 //! reactive-reply exchange (DESIGN.md §6).
@@ -11,15 +12,15 @@
 use gridagg_aggregate::Average;
 use gridagg_bench::{base_seed, print_table, sci, write_csv};
 use gridagg_core::hiergossip::{HierGossip, HierGossipConfig};
-use gridagg_core::protocol::{AggregationProtocol, Ctx, Outbox};
+use gridagg_core::protocol::AggregationProtocol;
 use gridagg_core::scope::ScopeIndex;
-use gridagg_core::Payload;
+use gridagg_core::Simulation;
+use gridagg_group::failure::{FailureModel, FailureProcess};
 use gridagg_group::view::View;
-use gridagg_group::{GroupBuilder, MemberId, VoteDistribution};
+use gridagg_group::{GroupBuilder, VoteDistribution};
 use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
 use gridagg_simnet::loss::UniformLoss;
 use gridagg_simnet::network::{NetworkConfig, SimNetwork};
-use gridagg_simnet::rng::DetRng;
 
 fn main() {
     let n = 200usize;
@@ -30,46 +31,18 @@ fn main() {
         .build();
     let h = Hierarchy::for_group(4, n).unwrap();
     let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, seed));
-    let mut protos: Vec<HierGossip<Average>> = group
+    let protos: Vec<HierGossip<Average>> = group
         .members()
         .iter()
         .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
         .collect();
-    let mut net: SimNetwork<Payload<Average>> = SimNetwork::new(
+    let net = SimNetwork::new(
         NetworkConfig::default().with_loss(UniformLoss::new(0.25).expect("valid")),
         seed,
     );
-    let root = DetRng::seeded(seed).fork(0x6D62_7273);
-    let mut rngs: Vec<DetRng> = (0..n).map(|i| root.fork(i as u64)).collect();
-    let mut out = Outbox::new();
-    for round in 0..500u64 {
-        for env in net.drain(round) {
-            let to = env.to.index();
-            let mut ctx = Ctx::new(round, &mut rngs[to]);
-            protos[to].on_message(env.from, env.payload, &mut ctx, &mut out);
-            for (t, p) in out.drain() {
-                let b = p.wire_size();
-                net.send(round, env.to, t, p, b);
-            }
-        }
-        let mut live = false;
-        for (i, proto) in protos.iter_mut().enumerate() {
-            if proto.is_done() {
-                continue;
-            }
-            live = true;
-            let mut ctx = Ctx::new(round, &mut rngs[i]);
-            proto.on_round(&mut ctx, &mut out);
-            let me = MemberId(i as u32);
-            for (t, p) in out.drain() {
-                let b = p.wire_size();
-                net.send(round, me, t, p, b);
-            }
-        }
-        if !live {
-            break;
-        }
-    }
+    let failure = FailureProcess::new(FailureModel::None, n, seed);
+    let truth = (n as f64 - 1.0) / 2.0; // mean of 0..n-1
+    let (_, protos) = Simulation::new(net, protos, failure, seed, truth, 500).run_returning();
 
     let phases = h.phases();
     let mut rows = Vec::new();

@@ -113,10 +113,9 @@ pub fn bench_budget_ms() -> u64 {
 /// `max_iters`), then the mean per-iteration duration and the number of
 /// timed iterations are returned.
 ///
-/// This is the core of [`time_it`], exposed separately so callers that
-/// *record* timings (e.g. `bench_baseline`) can bound cost with a hard
-/// iteration cap — pass [`runs()`] so `GRIDAGG_RUNS=2` keeps a CI smoke
-/// run cheap — and format the result themselves.
+/// Callers that *record* timings (e.g. `bench_baseline`) bound cost
+/// with the hard iteration cap — pass [`runs()`] so `GRIDAGG_RUNS=2`
+/// keeps a CI smoke run cheap — and format the result themselves.
 pub fn time_mean(
     budget_ms: u64,
     max_iters: u32,
@@ -133,15 +132,6 @@ pub fn time_mean(
         f();
     }
     (start.elapsed() / iters, iters)
-}
-
-/// Minimal timing harness used by the `benches/` targets (they run with
-/// `harness = false`): one warm-up call calibrates an iteration count
-/// targeting ~300ms of work, then the mean per-iteration time is
-/// printed. `GRIDAGG_BENCH_MS` overrides the time budget per benchmark.
-pub fn time_it(group: &str, name: &str, f: impl FnMut()) {
-    let (per, iters) = time_mean(bench_budget_ms(), 1_000_000, f);
-    println!("{group}/{name:<44} {per:>12?}  ({iters} iters)");
 }
 
 /// Format a float in compact scientific-ish notation for tables.

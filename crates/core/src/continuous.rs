@@ -1,11 +1,14 @@
-//! Continuous aggregation under churn — the service layer over
-//! [`crate::periodic`].
+//! Continuous aggregation under churn — the repo's one epoch service.
 //!
 //! The paper's protocol is one-shot over a fixed group with
-//! crash-without-recovery failures (§7). A production deployment of its
-//! §2 extension ("periodically calculate the global aggregate") instead
-//! faces *churn*: members join, leave, crash, and recover between
-//! aggregation epochs. [`run_continuous`] drives that scenario:
+//! crash-without-recovery failures (§7). Its §2 extension ("periodically
+//! calculate the global aggregate") is a sequence of epochs, and a
+//! production deployment of it faces *churn*: members join, leave,
+//! crash, and recover between epochs. [`run_continuous`] drives both:
+//! with [`ChurnModel::none`] and `recovery = 0` it is exactly the
+//! paper's periodic mode — crashed members stay crashed, the hierarchy
+//! is re-derived over the survivors each epoch, and a group that dies
+//! out is surfaced as [`PeriodicTermination::GroupCollapsed`]. In full:
 //!
 //! 1. A [`MembershipProcess`] evolves the group between epochs —
 //!    joins append fresh member ids, leaves/crashes take members down,
@@ -26,8 +29,7 @@
 //!
 //! * [`ContinuousProtocol::HierGossipRestart`] — the paper's answer to
 //!   churn: restart a one-shot Hierarchical Gossiping run per epoch
-//!   over the current membership (densely reindexed, as in
-//!   [`crate::periodic::run_periodic`]).
+//!   over the current membership (densely reindexed).
 //! * [`ContinuousProtocol::FlowUpdating`] — the mass-conserving
 //!   baseline ([`crate::baselines::flowupdate`]): protocol state
 //!   *persists across epochs*; churn is absorbed by flow reclaim and
@@ -527,22 +529,94 @@ mod tests {
     }
 
     #[test]
-    fn no_churn_hier_tracks_like_periodic() {
-        let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
-        opts.epochs = 3;
-        let out = run_continuous(&base(64), &opts, 5);
-        assert_eq!(out.termination, PeriodicTermination::Completed);
-        assert_eq!(out.epochs.len(), 3);
-        for e in &out.epochs {
-            assert_eq!(e.up, 64);
-            assert!(
-                e.completeness > 0.9,
-                "epoch {} cpl {}",
-                e.epoch,
-                e.completeness
-            );
-            assert!(e.tracking_error() < 1.0, "err {}", e.tracking_error());
+    fn no_churn_hier_is_the_periodic_mode() {
+        // fixed votes keep the truth fixed, a drift moves it up ~rate per
+        // epoch and the estimate follows, a random walk moves it at all
+        let drift = VoteProcess::Drift {
+            rate: 2.0,
+            noise: 0.1,
+        };
+        let walk = VoteProcess::RandomWalk { sigma: 5.0 };
+        for (votes, max_err) in [
+            (VoteProcess::Fixed, 1.0),
+            (drift, 2.0),
+            (walk, f64::INFINITY),
+        ] {
+            let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
+            opts.epochs = 5;
+            opts.votes = votes;
+            let out = run_continuous(&base(64), &opts, 5);
+            assert_eq!(out.termination, PeriodicTermination::Completed);
+            assert_eq!(out.epochs.len(), 5);
+            for e in &out.epochs {
+                assert_eq!(e.up, 64);
+                assert!(
+                    e.completeness > 0.9,
+                    "{votes:?} epoch {} cpl {}",
+                    e.epoch,
+                    e.completeness
+                );
+                let err = e.tracking_error();
+                assert!(err < max_err, "{votes:?} epoch {} err {err}", e.epoch);
+            }
+            let truths: Vec<f64> = out.epochs.iter().map(|e| e.true_value).collect();
+            let moved = |by: f64| truths.windows(2).filter(|w| w[1] - w[0] > by).count();
+            match votes {
+                VoteProcess::Fixed => assert!(truths.iter().all(|&t| t == truths[0])),
+                VoteProcess::Drift { .. } => assert_eq!(moved(1.0), 4, "{truths:?}"),
+                VoteProcess::RandomWalk { .. } => {
+                    assert!(truths.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9));
+                }
+            }
         }
+    }
+
+    #[test]
+    fn no_churn_crashes_are_permanent_until_the_group_collapses() {
+        // the paper's periodic mode: with no churn and no within-epoch
+        // recovery, nobody ever comes back, so the up-population only
+        // shrinks — and a group that dies out says so instead of
+        // silently returning fewer epochs than requested
+        for (n, pf, epochs, seed, collapses) in [(128, 0.01, 4, 11, false), (16, 0.35, 12, 7, true)]
+        {
+            let mut cfg = base(n);
+            cfg.pf = pf;
+            let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
+            opts.epochs = epochs;
+            let out = run_continuous(&cfg, &opts, seed);
+            let ups: Vec<usize> = out.epochs.iter().map(|e| e.up).collect();
+            assert!(out.epochs.iter().all(|e| e.recoveries == 0 && e.joins == 0));
+            assert!(ups.windows(2).all(|w| w[1] <= w[0]), "{ups:?}");
+            assert_eq!(out.collapsed(), collapses);
+            match out.termination {
+                PeriodicTermination::GroupCollapsed { epoch, survivors } => {
+                    assert!(out.epochs.len() < epochs, "group should have collapsed");
+                    assert_eq!(epoch, out.epochs.len(), "collapse at first unrun epoch");
+                    assert!(survivors < 2);
+                }
+                PeriodicTermination::Completed => {
+                    assert_eq!(out.epochs.len(), epochs);
+                    assert!(ups[epochs - 1] < ups[0], "pf={pf} must crash someone");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn even_count_median_averages_middle_pair() {
+        // median of {1, 3, 5, 7} is 4, not the upper-middle 5; odd
+        // counts return the middle element
+        for (values, median) in [
+            (&[5.0, 1.0, 7.0, 3.0][..], 4.0),
+            (&[5.0, 1.0, 7.0][..], 5.0),
+        ] {
+            let mut acc = EpochAccumulator::new(values.len());
+            for &v in values {
+                acc.publish(v, values.len());
+            }
+            assert_eq!(acc.median_estimate(), median);
+        }
+        assert!(EpochAccumulator::new(4).median_estimate().is_nan());
     }
 
     #[test]
@@ -631,8 +705,8 @@ mod tests {
     #[test]
     fn per_round_with_recovery_reachable_end_to_end() {
         // pf > 0 with recovery > 0 drives PerRoundWithRecovery through
-        // the full runner stack — previously unreachable from any
-        // runner (run_periodic maps pf > 0 to PerRound only)
+        // the full runner stack (the baseline runners map pf > 0 to
+        // PerRound only)
         let mut cfg = base(48);
         cfg.pf = 0.01;
         let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
@@ -677,7 +751,6 @@ mod tests {
         opts.epochs = 0;
         let _ = run_continuous(&base(16), &opts, 1);
     }
-    // temporary probe test, appended to continuous.rs tests then removed
 
     #[test]
     fn fu_epoch_restarts_do_not_amplify_extremes() {

@@ -1,30 +1,18 @@
-//! Periodic aggregation — the paper's §2 extension.
+//! Periodic aggregation — the vocabulary of the paper's §2 extension.
 //!
 //! "Our discussion considers only one run of the aggregation protocol,
 //! but this can be extended to one which periodically calculate\[s\] the
-//! global aggregate." [`run_periodic`] does exactly that: a sequence of
-//! *epochs*, each a fresh one-shot Hierarchical Gossiping run over the
-//! members' current votes, with votes evolving between epochs. The
-//! result is a tracking series — how well the group-wide estimate
-//! follows a drifting global quantity (e.g. a slowly heating wing).
-//!
-//! Crashed members stay crashed across epochs (the §7 no-recovery
-//! model); each epoch's hierarchy is re-derived from the *surviving*
-//! population estimate, exercising the approximate-`N` tolerance.
+//! global aggregate." The epoch service itself is
+//! [`crate::continuous::run_continuous`]; run without churn and without
+//! within-epoch recovery it *is* the paper's periodic mode (crashed
+//! members stay crashed, each epoch's hierarchy is re-derived over the
+//! survivors). This module holds what every epoch shares: how votes
+//! evolve between epochs, how a run of epochs ends, and the dense
+//! re-indexing of the members that are up.
 
-use gridagg_aggregate::wire::WireAggregate;
-use gridagg_group::failure::{FailureModel, FailureProcess};
-use gridagg_group::view::View;
 use gridagg_group::MemberId;
 use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
-use gridagg_simnet::network::SimNetwork;
 use gridagg_simnet::rng::DetRng;
-
-use crate::config::ExperimentConfig;
-use crate::engine::Simulation;
-use crate::hiergossip::HierGossip;
-use crate::metrics::RunReport;
-use crate::scope::ScopeIndex;
 
 /// How member votes evolve between epochs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,55 +51,13 @@ impl VoteProcess {
     }
 }
 
-/// One epoch's outcome in a periodic run.
-#[derive(Debug, Clone)]
-pub struct EpochReport {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// True aggregate over the votes of *surviving* members this epoch.
-    pub true_value: f64,
-    /// The one-shot run report for this epoch.
-    pub report: RunReport,
-}
-
-impl EpochReport {
-    /// Median completed estimate for the epoch (`NaN` if nobody
-    /// completed).
-    pub fn median_estimate(&self) -> f64 {
-        let mut values: Vec<f64> = self
-            .report
-            .outcomes
-            .iter()
-            .filter_map(|o| match o {
-                crate::metrics::MemberOutcome::Completed { value, .. } => Some(*value),
-                _ => None,
-            })
-            .collect();
-        if values.is_empty() {
-            return f64::NAN;
-        }
-        values.sort_by(f64::total_cmp);
-        let mid = values.len() / 2;
-        if values.len().is_multiple_of(2) {
-            (values[mid - 1] + values[mid]) / 2.0
-        } else {
-            values[mid]
-        }
-    }
-
-    /// Absolute tracking error of the median estimate.
-    pub fn tracking_error(&self) -> f64 {
-        (self.median_estimate() - self.true_value).abs()
-    }
-}
-
-/// How a periodic run ended.
+/// How a run of epochs ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeriodicTermination {
     /// All requested epochs ran.
     Completed,
-    /// The surviving population fell below 2 before `epoch` could run;
-    /// the outcome carries fewer epochs than requested.
+    /// The up-population fell below 2 before `epoch` could run; the
+    /// outcome carries fewer epochs than requested.
     GroupCollapsed {
         /// The epoch that could not run.
         epoch: usize,
@@ -120,153 +66,10 @@ pub enum PeriodicTermination {
     },
 }
 
-/// The outcome of a periodic run: the per-epoch reports plus how the
-/// run ended. A run that outlives its group is truncated — check
-/// [`PeriodicOutcome::termination`] rather than inferring it from
-/// `epochs.len()`.
-#[derive(Debug, Clone)]
-pub struct PeriodicOutcome {
-    /// One report per completed epoch (possibly fewer than requested).
-    pub epochs: Vec<EpochReport>,
-    /// Why the run stopped.
-    pub termination: PeriodicTermination,
-}
-
-impl PeriodicOutcome {
-    /// Whether the group collapsed before the requested epoch count.
-    pub fn collapsed(&self) -> bool {
-        matches!(self.termination, PeriodicTermination::GroupCollapsed { .. })
-    }
-}
-
-/// Run `epochs` consecutive one-shot aggregations while votes evolve
-/// according to `process` and members crash (without recovery) at the
-/// configured `pf` *between* epochs as well as during them.
-///
-/// If crashes reduce the surviving population below 2, the run stops
-/// early and the returned [`PeriodicOutcome::termination`] says so.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation or `epochs == 0`.
-pub fn run_periodic<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    process: VoteProcess,
-    epochs: usize,
-    seed: u64,
-) -> PeriodicOutcome {
-    cfg.validate().expect("invalid experiment config");
-    assert!(epochs > 0, "need at least one epoch");
-
-    let mut vote_rng = DetRng::seeded(seed).fork(0x7065_7269); // "peri"
-    let base_group = crate::runner::build_group_for(cfg, seed);
-    let mut votes: Vec<f64> = base_group.votes();
-    let mut alive: Vec<bool> = vec![true; cfg.n];
-    let mut out = Vec::with_capacity(epochs);
-    let mut termination = PeriodicTermination::Completed;
-
-    for epoch in 0..epochs {
-        // evolve votes
-        if epoch > 0 {
-            for v in votes.iter_mut() {
-                *v = process.step(*v, &mut vote_rng);
-            }
-        }
-
-        let survivors: Vec<usize> = (0..cfg.n).filter(|&i| alive[i]).collect();
-        if survivors.len() < 2 {
-            // group effectively dead — surface it instead of silently
-            // returning fewer epochs than requested
-            termination = PeriodicTermination::GroupCollapsed {
-                epoch,
-                survivors: survivors.len(),
-            };
-            break;
-        }
-
-        // hierarchy re-derived from the surviving population estimate
-        let hierarchy = Hierarchy::for_group(cfg.k, survivors.len().max(2)).expect("validated k");
-        let placement = FairHashPlacement::new(hierarchy, seed ^ (epoch as u64) << 8);
-
-        // ground truth over survivors
-        let mut truth_acc: Option<A> = None;
-        for &i in &survivors {
-            let v = A::from_vote(votes[i]);
-            match &mut truth_acc {
-                None => truth_acc = Some(v),
-                Some(acc) => acc.merge(&v),
-            }
-        }
-        let true_value = truth_acc
-            .as_ref()
-            .map_or(f64::NAN, gridagg_aggregate::Aggregate::summary);
-
-        // NOTE: protocols are indexed densely by the engine, so build a
-        // dense sub-simulation over survivors only — the epoch's single
-        // scope index.
-        let epoch_seed = seed.wrapping_add(1 + epoch as u64);
-        let dense_index = {
-            // reindex survivors densely: survivor j gets dense id j
-            let dense_view = View::complete(survivors.len());
-            let dense_placement = DensePlacement {
-                hierarchy,
-                inner: placement,
-                survivors: survivors.clone(),
-            };
-            ScopeIndex::build(&dense_view, &dense_placement)
-        };
-        let protocols: Vec<HierGossip<A>> = survivors
-            .iter()
-            .enumerate()
-            .map(|(dense, &orig)| {
-                HierGossip::new(
-                    MemberId(dense as u32),
-                    votes[orig],
-                    dense_index.clone(),
-                    cfg.hier_config(),
-                )
-            })
-            .collect();
-        let net = SimNetwork::new(crate::runner::network_config_for(cfg, None), epoch_seed);
-        let model = if cfg.pf > 0.0 {
-            FailureModel::PerRound { pf: cfg.pf }
-        } else {
-            FailureModel::None
-        };
-        let failure = FailureProcess::new(model, survivors.len(), epoch_seed);
-        let report = Simulation::new(
-            net,
-            protocols,
-            failure,
-            epoch_seed,
-            true_value,
-            cfg.max_rounds(),
-        )
-        .run();
-
-        // members that crashed during the epoch stay crashed
-        for (dense, outcome) in report.outcomes.iter().enumerate() {
-            if matches!(outcome, crate::metrics::MemberOutcome::Crashed) {
-                alive[survivors[dense]] = false;
-            }
-        }
-
-        out.push(EpochReport {
-            epoch,
-            true_value,
-            report,
-        });
-    }
-    PeriodicOutcome {
-        epochs: out,
-        termination,
-    }
-}
-
 /// Placement over densely reindexed survivors: dense id `j` maps to the
-/// original member `survivors[j]`, placed by the epoch's fair hash.
-/// Shared with the continuous service ([`crate::continuous`]), which
-/// densifies the up-membership the same way.
+/// original member `survivors[j]`, placed by the epoch's fair hash. The
+/// engine indexes protocols densely, so each epoch runs a dense
+/// sub-simulation over the members that are up.
 #[derive(Debug)]
 pub(crate) struct DensePlacement {
     pub(crate) hierarchy: Hierarchy,
@@ -282,161 +85,5 @@ impl gridagg_hierarchy::Placement for DensePlacement {
 
     fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gridagg_aggregate::Average;
-
-    fn base(n: usize) -> ExperimentConfig {
-        let mut c = ExperimentConfig::paper_defaults()
-            .with_n(n)
-            .with_ucastl(0.1);
-        c.pf = 0.0;
-        c
-    }
-
-    #[test]
-    fn fixed_votes_track_exactly_on_reliable_network() {
-        let mut cfg = base(64);
-        cfg.ucastl = 0.0;
-        let outcome = run_periodic::<Average>(&cfg, VoteProcess::Fixed, 3, 5);
-        assert_eq!(outcome.termination, PeriodicTermination::Completed);
-        let epochs = outcome.epochs;
-        assert_eq!(epochs.len(), 3);
-        let first = epochs[0].true_value;
-        for e in &epochs {
-            assert_eq!(e.true_value, first, "fixed votes keep the truth fixed");
-            assert!(e.tracking_error() < 1.0, "error {}", e.tracking_error());
-        }
-    }
-
-    #[test]
-    fn drift_is_tracked() {
-        let cfg = base(64);
-        let epochs = run_periodic::<Average>(
-            &cfg,
-            VoteProcess::Drift {
-                rate: 2.0,
-                noise: 0.1,
-            },
-            5,
-            9,
-        )
-        .epochs;
-        assert_eq!(epochs.len(), 5);
-        // the true value drifts upward ~2.0/epoch and the estimate follows
-        for w in epochs.windows(2) {
-            assert!(w[1].true_value > w[0].true_value + 1.0);
-        }
-        for e in &epochs {
-            assert!(
-                e.tracking_error() < 2.0,
-                "epoch {} error {}",
-                e.epoch,
-                e.tracking_error()
-            );
-        }
-    }
-
-    #[test]
-    fn random_walk_changes_truth() {
-        let cfg = base(32);
-        let epochs =
-            run_periodic::<Average>(&cfg, VoteProcess::RandomWalk { sigma: 5.0 }, 4, 3).epochs;
-        let truths: Vec<f64> = epochs.iter().map(|e| e.true_value).collect();
-        let distinct = truths.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9);
-        assert!(distinct, "random walk must move the truth: {truths:?}");
-    }
-
-    #[test]
-    fn crashes_accumulate_across_epochs() {
-        let mut cfg = base(128);
-        cfg.pf = 0.01;
-        let epochs = run_periodic::<Average>(&cfg, VoteProcess::Fixed, 4, 11).epochs;
-        let populations: Vec<usize> = epochs.iter().map(|e| e.report.n).collect();
-        assert!(
-            populations.windows(2).all(|w| w[1] <= w[0]),
-            "population must shrink monotonically: {populations:?}"
-        );
-        assert!(
-            populations[populations.len() - 1] < populations[0],
-            "some members should have crashed over 4 epochs at pf=0.01"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one epoch")]
-    fn zero_epochs_rejected() {
-        let _ = run_periodic::<Average>(&base(16), VoteProcess::Fixed, 0, 1);
-    }
-
-    #[test]
-    fn even_count_median_averages_middle_pair() {
-        use crate::metrics::{MemberOutcome, RunReport};
-        use gridagg_simnet::stats::NetworkStats;
-        let completed = |value: f64| MemberOutcome::Completed {
-            completeness: 1.0,
-            value,
-            at: 1,
-        };
-        // four completed members: median of {1, 3, 5, 7} is 4, not the
-        // upper-middle 5 the old indexing returned
-        let report = RunReport {
-            n: 4,
-            rounds: 2,
-            outcomes: vec![
-                completed(5.0),
-                completed(1.0),
-                completed(7.0),
-                completed(3.0),
-            ],
-            true_value: 4.0,
-            net: NetworkStats::default(),
-            protocol_steps: 0,
-        };
-        let e = EpochReport {
-            epoch: 0,
-            true_value: 4.0,
-            report,
-        };
-        assert_eq!(e.median_estimate(), 4.0);
-        assert_eq!(e.tracking_error(), 0.0);
-
-        // odd counts still return the middle element
-        let report = RunReport {
-            n: 3,
-            rounds: 2,
-            outcomes: vec![completed(5.0), completed(1.0), completed(7.0)],
-            true_value: 5.0,
-            net: NetworkStats::default(),
-            protocol_steps: 0,
-        };
-        let e = EpochReport {
-            epoch: 0,
-            true_value: 5.0,
-            report,
-        };
-        assert_eq!(e.median_estimate(), 5.0);
-    }
-
-    #[test]
-    fn group_collapse_is_surfaced_not_silent() {
-        // pf high enough that a 16-member group dies within a few
-        // epochs; the truncation must be visible in the termination
-        let mut cfg = base(16);
-        cfg.pf = 0.35;
-        let outcome = run_periodic::<Average>(&cfg, VoteProcess::Fixed, 12, 7);
-        assert!(outcome.epochs.len() < 12, "group should have collapsed");
-        assert!(outcome.collapsed());
-        match outcome.termination {
-            PeriodicTermination::GroupCollapsed { epoch, survivors } => {
-                assert_eq!(epoch, outcome.epochs.len(), "collapse at first unrun epoch");
-                assert!(survivors < 2);
-            }
-            PeriodicTermination::Completed => unreachable!("checked above"),
-        }
     }
 }

@@ -8,14 +8,16 @@
 use std::sync::Arc;
 
 use gridagg_aggregate::wire::WireAggregate;
-use gridagg_aggregate::Aggregate;
-use gridagg_group::failure::{FailureModel, FailureProcess};
+use gridagg_group::failure::FailureProcess;
+use gridagg_group::membership::MembershipProcess;
 use gridagg_group::view::View;
 use gridagg_group::{Group, GroupBuilder};
 use gridagg_hierarchy::{FairHashPlacement, Hierarchy, TopologicalPlacement};
 use gridagg_simnet::loss::{PartitionLoss, Perfect, UniformLoss};
 use gridagg_simnet::network::{NetworkConfig, SimNetwork};
+use gridagg_simnet::rng::DetRng;
 use gridagg_simnet::topology::FieldKind;
+use gridagg_simnet::Round;
 
 use crate::baselines::{
     Centralized, CentralizedConfig, FlatGossip, FlatGossipConfig, Flood, FloodConfig,
@@ -25,6 +27,7 @@ use crate::config::ExperimentConfig;
 use crate::engine::Simulation;
 use crate::hiergossip::HierGossip;
 use crate::metrics::RunReport;
+use crate::protocol::AggregationProtocol;
 use crate::scope::ScopeIndex;
 use crate::trace::RunTrace;
 
@@ -67,15 +70,6 @@ pub(crate) fn network_config_for(
     net_cfg
 }
 
-/// Build the network for a config.
-fn build_network<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    group: &Group,
-    seed: u64,
-) -> SimNetwork<crate::message::Payload<A>> {
-    SimNetwork::new(network_config_for(cfg, group.positions()), seed)
-}
-
 /// Build the scope index (fair hash or topologically aware placement).
 fn build_index(cfg: &ExperimentConfig, group: &Group, seed: u64) -> Arc<ScopeIndex> {
     let hierarchy = Hierarchy::for_group(cfg.k, cfg.n_estimate.unwrap_or(cfg.n))
@@ -91,17 +85,41 @@ fn build_index(cfg: &ExperimentConfig, group: &Group, seed: u64) -> Arc<ScopeInd
     }
 }
 
-fn failure(cfg: &ExperimentConfig, seed: u64) -> FailureProcess {
-    let model = if cfg.pf > 0.0 {
-        FailureModel::PerRound { pf: cfg.pf }
-    } else {
-        FailureModel::None
-    };
-    FailureProcess::new(model, cfg.n, seed)
+/// Assemble the stack every runner shares: validate the config, build
+/// the group, let `members` turn it into the protocol instances and
+/// their round cap, and wire them to the configured network, failure
+/// process and engine thread count.
+fn assemble<A: WireAggregate, P: AggregationProtocol<A> + Send>(
+    cfg: &ExperimentConfig,
+    seed: u64,
+    members: impl FnOnce(&Group) -> (Vec<P>, Round),
+) -> Simulation<A, P> {
+    cfg.validate().expect("invalid experiment config");
+    let group = build_group_for(cfg, seed);
+    let (protocols, max_rounds) = members(&group);
+    // crash-without-recovery, the paper's §7 model
+    let model = MembershipProcess::within_epoch_model(cfg.pf, 0.0);
+    Simulation::new(
+        SimNetwork::new(network_config_for(cfg, group.positions()), seed),
+        protocols,
+        FailureProcess::new(model, cfg.n, seed),
+        seed,
+        group.true_aggregate::<A>().summary(),
+        max_rounds,
+    )
+    .with_engine_jobs(cfg.engine_jobs)
 }
 
-fn truth<A: Aggregate>(group: &Group) -> f64 {
-    group.true_aggregate::<A>().summary()
+/// Run `sim` with an in-memory [`RunTrace`] recorder attached. The
+/// report is identical to the untraced run of the same simulation —
+/// tracing observes the run without perturbing it.
+fn traced<A: WireAggregate, P: AggregationProtocol<A> + Send>(
+    cfg: &ExperimentConfig,
+    sim: Simulation<A, P>,
+) -> (RunReport, RunTrace) {
+    let mut trace = RunTrace::for_group(cfg.n);
+    let report = sim.run_with(&mut trace);
+    (report, trace)
 }
 
 /// Run the **Hierarchical Gossiping** protocol (the paper's §6.3
@@ -114,10 +132,8 @@ pub fn run_hiergossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> Ru
     build_hiergossip_sim::<A>(cfg, seed).run()
 }
 
-/// Run hierarchical gossip once with an in-memory [`RunTrace`] recorder
-/// attached, returning both the report and the collected trace. The
-/// report is identical to what [`run_hiergossip`] returns for the same
-/// `(cfg, seed)` — tracing observes the run without perturbing it.
+/// [`run_hiergossip`] with an in-memory [`RunTrace`] recorder attached,
+/// returning both the report and the collected trace.
 ///
 /// # Panics
 ///
@@ -126,51 +142,42 @@ pub fn run_hiergossip_traced<A: WireAggregate>(
     cfg: &ExperimentConfig,
     seed: u64,
 ) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_hiergossip_sim::<A>(cfg, seed).run_with(&mut trace);
-    (report, trace)
+    traced(cfg, build_hiergossip_sim::<A>(cfg, seed))
 }
 
 fn build_hiergossip_sim<A: WireAggregate>(
     cfg: &ExperimentConfig,
     seed: u64,
 ) -> Simulation<A, HierGossip<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let index = build_index(cfg, &group, seed);
-    let mut view_rng = gridagg_simnet::rng::DetRng::seeded(seed).fork(0x7669_6577); // "view"
-    let protocols: Vec<HierGossip<A>> = group
-        .members()
-        .iter()
-        .map(|m| {
-            let p = HierGossip::new(m.id, m.vote, index.clone(), cfg.hier_config());
-            match cfg.partial_view {
-                Some(size) => {
-                    let view = View::sampled(m.id, cfg.n, size, &mut view_rng);
-                    p.with_view(view.members().to_vec())
+    let sim = assemble(cfg, seed, |group| {
+        let index = build_index(cfg, group, seed);
+        let mut view_rng = DetRng::seeded(seed).fork(0x7669_6577); // "view"
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| {
+                let p = HierGossip::new(m.id, m.vote, index.clone(), cfg.hier_config());
+                match cfg.partial_view {
+                    Some(size) => {
+                        let view = View::sampled(m.id, cfg.n, size, &mut view_rng);
+                        p.with_view(view.members().to_vec())
+                    }
+                    None => p,
                 }
-                None => p,
-            }
-        })
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    let mut sim = Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        cfg.max_rounds(),
-    )
-    .with_engine_jobs(cfg.engine_jobs);
-    if let Some(spread) = cfg.start_spread {
-        let mut start_rng = gridagg_simnet::rng::DetRng::seeded(seed).fork(0x7374_6172); // "star"
-        let starts = (0..cfg.n)
-            .map(|_| start_rng.below(spread.max(1) as usize) as u64)
+            })
             .collect();
-        sim = sim.with_start_rounds(starts);
+        (protocols, cfg.max_rounds())
+    });
+    match cfg.start_spread {
+        Some(spread) => {
+            let mut start_rng = DetRng::seeded(seed).fork(0x7374_6172); // "star"
+            let starts = (0..cfg.n)
+                .map(|_| start_rng.below(spread.max(1) as usize) as u64)
+                .collect();
+            sim.with_start_rounds(starts)
+        }
+        None => sim,
     }
-    sim
 }
 
 /// Run the §4 fully distributed (flood) baseline once.
@@ -196,9 +203,7 @@ pub fn run_flood_traced<A: WireAggregate>(
     flood_cfg: FloodConfig,
     seed: u64,
 ) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_flood_sim::<A>(cfg, flood_cfg, seed).run_with(&mut trace);
-    (report, trace)
+    traced(cfg, build_flood_sim::<A>(cfg, flood_cfg, seed))
 }
 
 fn build_flood_sim<A: WireAggregate>(
@@ -206,25 +211,15 @@ fn build_flood_sim<A: WireAggregate>(
     flood_cfg: FloodConfig,
     seed: u64,
 ) -> Simulation<A, Flood<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let protocols: Vec<Flood<A>> = group
-        .members()
-        .iter()
-        .map(|m| Flood::new(m.id, m.vote, cfg.n, flood_cfg))
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    let max_rounds =
-        (cfg.n as u64).div_ceil(flood_cfg.per_round.max(1) as u64) + flood_cfg.grace as u64 + 8;
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        max_rounds,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
+    assemble(cfg, seed, |group| {
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| Flood::new(m.id, m.vote, cfg.n, flood_cfg))
+            .collect();
+        let sweep = (cfg.n as u64).div_ceil(flood_cfg.per_round.max(1) as u64);
+        (protocols, sweep + flood_cfg.grace as u64 + 8)
+    })
 }
 
 /// Run the §5 centralized-leader baseline once.
@@ -250,9 +245,7 @@ pub fn run_centralized_traced<A: WireAggregate>(
     central_cfg: CentralizedConfig,
     seed: u64,
 ) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_centralized_sim::<A>(cfg, central_cfg, seed).run_with(&mut trace);
-    (report, trace)
+    traced(cfg, build_centralized_sim::<A>(cfg, central_cfg, seed))
 }
 
 fn build_centralized_sim<A: WireAggregate>(
@@ -260,24 +253,14 @@ fn build_centralized_sim<A: WireAggregate>(
     central_cfg: CentralizedConfig,
     seed: u64,
 ) -> Simulation<A, Centralized<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let protocols: Vec<Centralized<A>> = group
-        .members()
-        .iter()
-        .map(|m| Centralized::new(m.id, m.vote, cfg.n, central_cfg))
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    let max_rounds = central_cfg.deadline(cfg.n) + 8;
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        max_rounds,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
+    assemble(cfg, seed, |group| {
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| Centralized::new(m.id, m.vote, cfg.n, central_cfg))
+            .collect();
+        (protocols, central_cfg.deadline(cfg.n) + 8)
+    })
 }
 
 /// Run the §6.2 hierarchical leader-election baseline once.
@@ -304,9 +287,7 @@ pub fn run_leader_election_traced<A: WireAggregate>(
     le_cfg: LeaderElectionConfig,
     seed: u64,
 ) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_leader_sim::<A>(cfg, le_cfg, seed).run_with(&mut trace);
-    (report, trace)
+    traced(cfg, build_leader_sim::<A>(cfg, le_cfg, seed))
 }
 
 fn build_leader_sim<A: WireAggregate>(
@@ -314,26 +295,17 @@ fn build_leader_sim<A: WireAggregate>(
     le_cfg: LeaderElectionConfig,
     seed: u64,
 ) -> Simulation<A, LeaderElection<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let index = build_index(cfg, &group, seed);
-    let directory = LeaderDirectory::build(&index, &le_cfg);
-    let protocols: Vec<LeaderElection<A>> = group
-        .members()
-        .iter()
-        .map(|m| LeaderElection::new(m.id, m.vote, index.clone(), directory.clone(), le_cfg))
-        .collect();
-    let max_rounds = protocols[0].schedule_rounds() + 8;
-    let net = build_network::<A>(cfg, &group, seed);
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        max_rounds,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
+    assemble(cfg, seed, |group| {
+        let index = build_index(cfg, group, seed);
+        let directory = LeaderDirectory::build(&index, &le_cfg);
+        let protocols: Vec<LeaderElection<A>> = group
+            .members()
+            .iter()
+            .map(|m| LeaderElection::new(m.id, m.vote, index.clone(), directory.clone(), le_cfg))
+            .collect();
+        let max_rounds = protocols[0].schedule_rounds() + 8;
+        (protocols, max_rounds)
+    })
 }
 
 /// Run the flat-gossip (no hierarchy) ablation once, with the same round
@@ -355,53 +327,27 @@ pub fn run_flatgossip_traced<A: WireAggregate>(
     cfg: &ExperimentConfig,
     seed: u64,
 ) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_flatgossip_sim::<A>(cfg, seed).run_with(&mut trace);
-    (report, trace)
+    traced(cfg, build_flatgossip_sim::<A>(cfg, seed))
 }
 
 fn build_flatgossip_sim<A: WireAggregate>(
     cfg: &ExperimentConfig,
     seed: u64,
 ) -> Simulation<A, FlatGossip<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let hierarchy = Hierarchy::for_group(cfg.k, cfg.n).expect("validated");
-    let budget = hierarchy.phases() as u32 * cfg.hier_config().rounds_per_phase(cfg.n);
-    let fg_cfg = FlatGossipConfig {
-        fanout: cfg.fanout,
-        total_rounds: budget,
-    };
-    let protocols: Vec<FlatGossip<A>> = group
-        .members()
-        .iter()
-        .map(|m| FlatGossip::new(m.id, m.vote, cfg.n, fg_cfg))
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        budget as u64 + 8,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
-}
-
-/// Run only the *first phase* of hierarchical gossip and report the
-/// phase-1 completeness — the simulation cross-check for the analytic
-/// `C_1(N, K, b)` of Figures 4 and 5.
-pub fn run_phase1_only<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> RunReport {
-    // A depth-1 hierarchy has exactly 2 phases; restricting the sweep to
-    // phase 1 means: run the full protocol but score each member's *box*
-    // aggregate. Simplest faithful proxy: run with phase1_early_exit off
-    // (full-length phase 1) and K boxes only — here we instead reuse the
-    // full run and let the caller compare shapes. Kept as an explicit
-    // helper so benches read clearly.
-    let mut c = *cfg;
-    c.rounds_per_phase = Some(c.hier_config().rounds_per_phase(c.n));
-    run_hiergossip::<A>(&c, seed)
+    assemble(cfg, seed, |group| {
+        let hierarchy = Hierarchy::for_group(cfg.k, cfg.n).expect("validated");
+        let budget = hierarchy.phases() as u32 * cfg.hier_config().rounds_per_phase(cfg.n);
+        let fg_cfg = FlatGossipConfig {
+            fanout: cfg.fanout,
+            total_rounds: budget,
+        };
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| FlatGossip::new(m.id, m.vote, cfg.n, fg_cfg))
+            .collect();
+        (protocols, budget as u64 + 8)
+    })
 }
 
 #[cfg(test)]

@@ -149,7 +149,7 @@ mod tests {
     use super::*;
     use crate::Waived;
 
-    fn budget_json(counts: &[usize; 9]) -> String {
+    fn budget_json(counts: &[usize; 8]) -> String {
         let mut s = String::from("{\n");
         for (i, rule) in ALL_RULES.iter().enumerate() {
             s.push_str(&format!(
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn parse_roundtrip_and_missing_rule() {
-        let b = parse_budget(&budget_json(&[1, 2, 0, 3, 0, 0, 0, 0, 4])).unwrap();
+        let b = parse_budget(&budget_json(&[1, 2, 0, 3, 0, 0, 0, 4])).unwrap();
         assert_eq!(b.allowance(Rule::D002), 2);
         assert_eq!(b.allowance(Rule::D009), 4);
         let err = parse_budget("{\"D001\": 1}").unwrap_err();
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn overrun_and_slack() {
-        let b = parse_budget(&budget_json(&[0, 2, 0, 0, 0, 0, 0, 0, 0])).unwrap();
+        let b = parse_budget(&budget_json(&[0, 2, 0, 0, 0, 0, 0, 0])).unwrap();
         let c = check(&b, &findings_with_waivers(Rule::D002, 3));
         assert!(!c.ok());
         assert_eq!(c.overruns, vec![(Rule::D002, 3, 2)]);

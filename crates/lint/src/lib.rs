@@ -32,12 +32,6 @@
 //!   `aggregate` crate). Conversions go through the audited helpers in
 //!   `gridagg_aggregate`'s `conv` module, which carry exactness and
 //!   range assertions under `strict-invariants`.
-//! - **D005** — no `unsafe` blocks or unchecked indexing
-//!   (`.get_unchecked`/`.get_unchecked_mut`) in protocol-state crates.
-//!   The struct-of-arrays member storage is addressed by raw `u32`
-//!   indexes into dense `Vec`s; every access must stay bounds-checked
-//!   so an index bug surfaces as a panic in CI, not silent memory
-//!   corruption at N=10^6.
 //! - **D006** — wire-schema completeness (cross-file). Every `Payload`
 //!   variant must have an `encode` arm and a `decode` arm in the wire
 //!   codec, and be handled or explicitly ignored in every protocol's
@@ -106,8 +100,6 @@ pub enum Rule {
     D003,
     /// Bare `as` float↔int casts in aggregate math.
     D004,
-    /// `unsafe` / unchecked indexing in protocol-state crates.
-    D005,
     /// Wire-schema completeness for `Payload` (cross-file).
     D006,
     /// Counted-set constructors outside deduping protocols.
@@ -119,12 +111,11 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 9] = [
+pub const ALL_RULES: [Rule; 8] = [
     Rule::D001,
     Rule::D002,
     Rule::D003,
     Rule::D004,
-    Rule::D005,
     Rule::D006,
     Rule::D007,
     Rule::D008,
@@ -139,7 +130,6 @@ impl Rule {
             Rule::D002 => "D002",
             Rule::D003 => "D003",
             Rule::D004 => "D004",
-            Rule::D005 => "D005",
             Rule::D006 => "D006",
             Rule::D007 => "D007",
             Rule::D008 => "D008",
@@ -154,9 +144,6 @@ impl Rule {
             Rule::D002 => "wall clock / OS thread / process state outside runtime+bench",
             Rule::D003 => "panicking call in decode/on_* handler path",
             Rule::D004 => "bare `as` float<->int cast in aggregate math (use the conv module)",
-            Rule::D005 => {
-                "unsafe / unchecked indexing in protocol-state crate (keep SoA state bounds-checked)"
-            }
             Rule::D006 => {
                 "wire-schema completeness: every Payload variant needs codec + handler arms, no wildcards"
             }
@@ -661,28 +648,6 @@ fn f() {
         assert_eq!(f.bad_waivers.len(), 1);
         assert_eq!(f.violations.len(), 1, "violation must survive");
         assert!(!f.is_clean());
-    }
-
-    #[test]
-    fn d005_fires_on_unsafe_and_unchecked_indexing() {
-        let src = "\
-fn f(v: &[u32], i: usize) -> u32 {
-    unsafe { *v.get_unchecked(i) }
-}
-";
-        let f = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(f.violations.len(), 1, "{:?}", f.violations);
-        assert_eq!(f.violations[0].rule, Rule::D005);
-        assert_eq!(f.violations[0].line, 2);
-        // Out of scope in non-protocol crates.
-        assert!(lint_source("crates/bench/src/x.rs", src)
-            .violations
-            .is_empty());
-        // Identifiers merely containing the keyword don't match.
-        let ident = "fn g() { let unsafe_count = 1; let _ = unsafe_count; }\n";
-        assert!(lint_source("crates/core/src/x.rs", ident)
-            .violations
-            .is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Pass-2 rule implementations.
 //!
-//! Per-file rules (D001–D005, D007–D009) scan one file's lexed lines
+//! Per-file rules (D001–D004, D007–D009) scan one file's lexed lines
 //! against its [`FileIndex`]; the cross-file rule D006 runs over the
 //! whole workspace's analyses at once (it needs the `Payload` enum's
 //! variant list next to every codec fn and protocol handler).
@@ -10,9 +10,10 @@ use crate::lexer::{contains_word, LexedLine};
 use crate::{FileAnalysis, Rule, Violation};
 
 /// Crates whose state machines must stay deterministic (D001), whose
-/// handler paths must stay panic-free (D003), that may not hold
-/// `unsafe` (D005), whose `Payload` matches may not wildcard (D006),
-/// and whose instrumentation may not perturb the RNG stream (D008).
+/// handler paths must stay panic-free (D003), whose `Payload` matches
+/// may not wildcard (D006), and whose instrumentation may not perturb
+/// the RNG stream (D008). All of them inherit the workspace
+/// `unsafe_code = "deny"`, so rustc itself keeps them free of `unsafe`.
 pub const PROTOCOL_STATE_CRATES: &[&str] = &["core", "simnet", "hierarchy", "group", "aggregate"];
 
 /// Crates allowed to touch wall clocks, OS threads, process state and
@@ -62,11 +63,6 @@ const D004_INT_CASTS: &[&str] = &[
     " as i128",
     " as isize",
 ];
-
-/// D005 unchecked-access tokens. `.get_unchecked` also matches
-/// `.get_unchecked_mut`; the raw-parts constructors cover hand-rolled
-/// slice aliasing.
-const D005_PATTERNS: &[&str] = &[".get_unchecked", "from_raw_parts"];
 
 /// The wire enum whose variants D006 audits for codec and handler
 /// completeness.
@@ -149,7 +145,6 @@ pub(crate) fn scan_file(
     let d002 = !D002_EXEMPT_CRATES.contains(&krate);
     let d003 = PROTOCOL_STATE_CRATES.contains(&krate);
     let d004 = krate == "aggregate";
-    let d005 = PROTOCOL_STATE_CRATES.contains(&krate);
     // The runtime crate hosts protocol state machines on real sockets,
     // so the counted-set constructor restriction applies there too.
     let d007 = (PROTOCOL_STATE_CRATES.contains(&krate) || krate == "runtime")
@@ -230,13 +225,6 @@ pub(crate) fn scan_file(
                     "bare `as` float<->int cast; use the audited conv module".to_string(),
                     &mut out,
                 );
-            }
-        }
-        if d005 {
-            if contains_word(code, "unsafe") {
-                fire(Rule::D005, lineno, "`unsafe` block".to_string(), &mut out);
-            } else if let Some(pat) = D005_PATTERNS.iter().find(|p| code.contains(*p)) {
-                fire(Rule::D005, lineno, format!("`{pat}`"), &mut out);
             }
         }
         if d008 && ix.gated_for_line[idx] {

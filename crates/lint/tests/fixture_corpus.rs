@@ -7,7 +7,7 @@
 //! `UPDATE_EXPECT=1` to regenerate the snapshots after an intentional
 //! rule change.
 //!
-//! The corpus seeds one violation per rule D001–D009 plus the waiver
+//! The corpus seeds one violation per rule plus the waiver
 //! edge cases (exact scoping, stale waivers), so a regression in any
 //! rule or in waiver bookkeeping shows up as a snapshot diff in the
 //! normal test suite.
@@ -85,7 +85,7 @@ fn fixture_files() -> Vec<PathBuf> {
         .collect();
     files.sort();
     assert!(
-        files.len() >= 12,
+        files.len() >= 11,
         "fixture corpus looks incomplete: {files:?}"
     );
     files

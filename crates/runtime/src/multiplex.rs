@@ -151,17 +151,51 @@ pub(crate) struct Worker<A> {
     outbox: Outbox<A>,
     dirty: Vec<u32>,
     due: Vec<u32>,
-    /// Per-destination-socket datagram under construction.
-    out_bufs: Vec<Vec<u8>>,
-    /// Frames coalesced into each `out_bufs` entry so far.
-    out_frames: Vec<u32>,
-    /// Completed datagrams awaiting the wire: `(dest socket index, bytes)`.
-    ready: Vec<(usize, Vec<u8>)>,
+    coalesce: Coalescer,
     /// Datagrams sequenced (possibly reordered) for sending.
     wire: Vec<(SocketAddr, Vec<u8>)>,
+    recv_buf: Vec<u8>,
+}
+
+/// Per-destination-socket datagram coalescing: frames accumulate in one
+/// buffer per destination socket, which is sealed into `ready` when the
+/// next frame would overflow `max_datagram` (and at every flush).
+struct Coalescer {
+    max_datagram: usize,
+    /// Per-destination-socket datagram under construction.
+    bufs: Vec<Vec<u8>>,
+    /// Frames coalesced into each `bufs` entry so far.
+    frames: Vec<u32>,
+    /// Completed datagrams awaiting the wire: `(dest socket index, bytes)`.
+    ready: Vec<(usize, Vec<u8>)>,
     /// Recycled datagram buffers.
     spare: Vec<Vec<u8>>,
-    recv_buf: Vec<u8>,
+}
+
+impl Coalescer {
+    // lint:hot — one call per frame sent, fresh or retried.
+    fn enqueue_frame(&mut self, to: u32, src: u32, bytes: &[u8], stats: &mut WorkerStats) {
+        let sock = to as usize % self.bufs.len();
+        let buf = &self.bufs[sock];
+        if !buf.is_empty() && buf.len() + frame_len(bytes.len()) > self.max_datagram {
+            self.seal(sock, stats);
+        }
+        push_frame(&mut self.bufs[sock], to, src, bytes);
+        self.frames[sock] += 1;
+        stats.frames_sent += 1;
+    }
+
+    /// Move `sock`'s datagram under construction to `ready` and start a
+    /// fresh (recycled) buffer.
+    fn seal(&mut self, sock: usize, stats: &mut WorkerStats) {
+        let fresh = self.spare.pop().unwrap_or_default();
+        let full = std::mem::replace(&mut self.bufs[sock], fresh);
+        self.ready.push((sock, full));
+        if self.frames[sock] > 1 {
+            stats.batched_sends += 1;
+        }
+        self.frames[sock] = 0;
+    }
 }
 
 impl<A: WireAggregate> Worker<A> {
@@ -210,6 +244,13 @@ impl<A: WireAggregate> Worker<A> {
             wheel.schedule(epoch + interval, local);
         }
         let live = slots.len();
+        let coalesce = Coalescer {
+            max_datagram: cfg.max_datagram,
+            bufs: (0..n_sockets).map(|_| Vec::new()).collect(),
+            frames: vec![0; n_sockets],
+            ready: Vec::new(),
+            spare: Vec::new(),
+        };
         let faults = FaultInjector::new(
             cfg.loss.clone(),
             cfg.reorder,
@@ -233,11 +274,8 @@ impl<A: WireAggregate> Worker<A> {
             outbox: Outbox::new(),
             dirty: Vec::new(),
             due: Vec::new(),
-            out_bufs: (0..n_sockets).map(|_| Vec::new()).collect(),
-            out_frames: vec![0; n_sockets],
-            ready: Vec::new(),
+            coalesce,
             wire: Vec::new(),
-            spare: Vec::new(),
             recv_buf: vec![0u8; 64 * 1024],
         }
     }
@@ -425,20 +463,8 @@ impl<A: WireAggregate> Worker<A> {
                 self.stats.injected_drops += 1;
                 continue;
             }
-            let sock = to.index() % self.n_sockets;
-            let need = frame_len(bytes.len());
-            let buf = &mut self.out_bufs[sock];
-            if !buf.is_empty() && buf.len() + need > self.cfg.max_datagram {
-                let full = std::mem::replace(buf, self.spare.pop().unwrap_or_default());
-                self.ready.push((sock, full));
-                if self.out_frames[sock] > 1 {
-                    self.stats.batched_sends += 1;
-                }
-                self.out_frames[sock] = 0;
-            }
-            push_frame(&mut self.out_bufs[sock], to.0, slot.id.0, bytes);
-            self.out_frames[sock] += 1;
-            self.stats.frames_sent += 1;
+            self.coalesce
+                .enqueue_frame(to.0, slot.id.0, bytes, &mut self.stats);
         }
         if retry && !slot.proto.is_done() && slot.last_frames_len > 0 {
             for i in 0..slot.last_frames_len {
@@ -447,20 +473,8 @@ impl<A: WireAggregate> Worker<A> {
                     self.stats.injected_drops += 1;
                     continue;
                 }
-                let sock = to as usize % self.n_sockets;
-                let need = frame_len(bytes.len());
-                let buf = &mut self.out_bufs[sock];
-                if !buf.is_empty() && buf.len() + need > self.cfg.max_datagram {
-                    let full = std::mem::replace(buf, self.spare.pop().unwrap_or_default());
-                    self.ready.push((sock, full));
-                    if self.out_frames[sock] > 1 {
-                        self.stats.batched_sends += 1;
-                    }
-                    self.out_frames[sock] = 0;
-                }
-                push_frame(&mut self.out_bufs[sock], to, slot.id.0, bytes);
-                self.out_frames[sock] += 1;
-                self.stats.frames_sent += 1;
+                self.coalesce
+                    .enqueue_frame(to, slot.id.0, bytes, &mut self.stats);
                 self.stats.retries += 1;
             }
         }
@@ -471,23 +485,14 @@ impl<A: WireAggregate> Worker<A> {
     // lint:hot — one call per wakeup; sends the whole coalesced batch.
     fn flush_ready(&mut self) {
         for sock in 0..self.n_sockets {
-            if self.out_bufs[sock].is_empty() {
-                continue;
+            if !self.coalesce.bufs[sock].is_empty() {
+                self.coalesce.seal(sock, &mut self.stats);
             }
-            let full = std::mem::replace(
-                &mut self.out_bufs[sock],
-                self.spare.pop().unwrap_or_default(),
-            );
-            self.ready.push((sock, full));
-            if self.out_frames[sock] > 1 {
-                self.stats.batched_sends += 1;
-            }
-            self.out_frames[sock] = 0;
         }
-        if self.ready.is_empty() {
+        if self.coalesce.ready.is_empty() {
             return;
         }
-        for (sock, bytes) in self.ready.drain(..) {
+        for (sock, bytes) in self.coalesce.ready.drain(..) {
             let dest = self.addrs[sock];
             if self.faults.sequence(dest, bytes, &mut self.wire) {
                 self.stats.reordered += 1;
@@ -503,7 +508,7 @@ impl<A: WireAggregate> Worker<A> {
             let _ = self.sockets[0].1.send_to(&bytes, dest);
             let mut recycled = bytes;
             recycled.clear();
-            self.spare.push(recycled);
+            self.coalesce.spare.push(recycled);
             // Backpressure: reading our own sockets mid-burst stops the
             // kernel receive queues from overflowing (see
             // DRAIN_EVERY_BYTES). Received frames wait in mailboxes for

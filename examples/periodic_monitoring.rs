@@ -1,7 +1,7 @@
-//! Periodic aggregation: tracking a drifting global quantity — first
-//! with the paper's monotone-shrink periodic mode, then with the
-//! churn-tolerant continuous service (members join, leave, crash, and
-//! recover between epochs).
+//! Periodic aggregation: tracking a drifting global quantity with the
+//! continuous service — first without churn, which is the paper's
+//! monotone-shrink periodic mode, then with members joining, leaving,
+//! crashing, and recovering between epochs.
 //!
 //! §2: "Our discussion considers only one run of the aggregation
 //! protocol, but this can be extended to one which periodically
@@ -14,7 +14,7 @@
 //! Run with: `cargo run --release --example periodic_monitoring`
 
 use gridagg::core::continuous::{run_continuous, ContinuousOptions, ContinuousProtocol};
-use gridagg::core::periodic::{run_periodic, EpochReport, VoteProcess};
+use gridagg::core::periodic::VoteProcess;
 use gridagg::group::membership::ChurnModel;
 use gridagg::prelude::*;
 
@@ -30,8 +30,11 @@ fn main() {
         noise: 0.5,
     };
 
-    // --- the paper's periodic mode: crash-without-recovery only ---
-    let outcome = run_periodic::<Average>(&cfg, drift, 8, 42);
+    // --- the paper's periodic mode: no churn, crash-without-recovery ---
+    let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
+    opts.epochs = 8;
+    opts.votes = drift;
+    let outcome = run_continuous(&cfg, &opts, 42);
     println!("periodic (crash-only, §7 model):");
     println!(
         "{:>6} {:>6} {:>10} {:>10} {:>9} {:>14}",
@@ -41,30 +44,27 @@ fn main() {
         println!(
             "{:>6} {:>6} {:>10.3} {:>10.3} {:>9.4} {:>14.4}",
             e.epoch,
-            e.report.n,
+            e.up,
             e.true_value,
-            e.median_estimate(),
+            e.estimate,
             e.tracking_error(),
-            e.report.mean_completeness().unwrap_or(0.0),
+            e.completeness,
         );
     }
     let max_err = outcome
         .epochs
         .iter()
-        .map(EpochReport::tracking_error)
+        .map(ChurnEpochReport::tracking_error)
         .fold(0.0f64, f64::max);
     println!(
         "\nthe estimate follows a +1.5°/epoch drift with max error {max_err:.3}° while \n\
          the population shrinks from {} to {} members (collapsed early: {})\n",
-        outcome.epochs.first().map_or(0, |e| e.report.n),
-        outcome.epochs.last().map_or(0, |e| e.report.n),
+        outcome.epochs.first().map_or(0, |e| e.up),
+        outcome.epochs.last().map_or(0, |e| e.up),
         outcome.collapsed(),
     );
 
     // --- the continuous service: joins, leaves, crashes, recoveries ---
-    let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
-    opts.epochs = 8;
-    opts.votes = drift;
     opts.churn = ChurnModel {
         join_rate: 2.0,
         leave_prob: 0.01,

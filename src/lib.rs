@@ -63,7 +63,7 @@ pub mod prelude {
     pub use gridagg_core::continuous::{
         run_continuous, ChurnEpochReport, ContinuousOptions, ContinuousOutcome, ContinuousProtocol,
     };
-    pub use gridagg_core::periodic::{run_periodic, EpochReport, PeriodicOutcome, VoteProcess};
+    pub use gridagg_core::periodic::VoteProcess;
     pub use gridagg_core::runner::{
         run_centralized, run_flatgossip, run_flood, run_hiergossip, run_leader_election,
     };
