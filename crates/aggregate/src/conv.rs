@@ -1,35 +1,43 @@
 //! Centralized, audited float↔int conversions for aggregate math.
 //!
-//! Rule D004 of the in-repo linter (`gridagg-lint`) bans ad-hoc `as`
-//! float↔int casts in this crate: a stray `as u64` silently truncates
-//! and saturates, a stray `as f64` silently rounds above 2^53 — exactly
-//! the class of quiet numeric bug a mass-conserving aggregation protocol
-//! cannot absorb. Every conversion the aggregate functions need goes
-//! through this module instead, where the precondition is stated once,
-//! checked under `strict-invariants`, and waivered once.
+//! The crate denies clippy's lossy-cast lints (`cast_precision_loss`,
+//! `cast_possible_truncation`, `cast_sign_loss`; see `lib.rs`): a stray
+//! `as u64` silently truncates and saturates, a stray `as f64` silently
+//! rounds above 2^53 — exactly the class of quiet numeric bug a
+//! mass-conserving aggregation protocol cannot absorb. Every conversion
+//! the aggregate functions need goes through this module instead, where
+//! the precondition is stated once, checked under `strict-invariants`,
+//! and `#[expect]`ed once.
 
 /// A vote/bucket count as an `f64`.
 ///
 /// Exact for counts up to 2^53 — astronomically above any group size
 /// this simulator runs; checked under `strict-invariants`.
 #[inline]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "the audited widening this module exists for; exact below 2^53"
+)]
 pub(crate) fn count_to_f64(c: u64) -> f64 {
     crate::strict_assert!(
         c <= (1u64 << 53),
         "strict-invariants: count {c} exceeds f64's exact-integer range"
     );
-    // lint:allow(D004) the audited widening this module exists for; exact below 2^53
     c as f64
 }
 
 /// A finite, non-negative `f64` truncated to a count.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the audited truncation this module exists for; callers pass finite non-negatives"
+)]
 pub(crate) fn f64_to_count(x: f64) -> u64 {
     crate::strict_assert!(
         x.is_finite() && x >= 0.0,
         "strict-invariants: {x} is not a valid count"
     );
-    // lint:allow(D004) the audited truncation this module exists for; callers pass finite non-negatives
     x.trunc() as u64
 }
 
@@ -38,8 +46,12 @@ pub(crate) fn f64_to_count(x: f64) -> u64 {
 /// Mirrors `as` cast semantics for the edge cases: `NaN` maps to bucket
 /// 0, out-of-range positions saturate into the first/last bucket.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "audited float-to-index truncation; the result is clamped to the bucket range"
+)]
 pub(crate) fn f64_to_bucket(pos: f64, buckets: usize) -> usize {
-    // lint:allow(D004) audited float-to-index truncation; the result is clamped to the bucket range
     let idx = pos.floor() as i64;
     idx.clamp(0, buckets as i64 - 1) as usize
 }

@@ -35,6 +35,17 @@
 //! ```
 
 #![warn(missing_docs)]
+// Aggregate math converts between floats and integers only through the
+// audited helpers in `conv` (each an `#[expect]` with its precondition).
+// Test code casts loop indices to votes freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )
+)]
 #![warn(rustdoc::broken_intra_doc_links)]
 pub(crate) mod conv;
 pub mod funcs;

@@ -119,7 +119,7 @@ impl<A: Aggregate> Tagged<A> {
             return Err(DoubleCount);
         }
         #[cfg(feature = "strict-invariants")]
-        let expected_len = self.votes.len() + other.votes.len();
+        let expected_len = self.votes.len().saturating_add(other.votes.len());
         match (&mut self.agg, &other.agg) {
             (_, None) => {}
             (Some(mine), Some(theirs)) => mine.merge(theirs),

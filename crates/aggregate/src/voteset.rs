@@ -7,9 +7,11 @@
 //! *measure* completeness ("the percentage of member votes included in a
 //! final global aggregate evaluation").
 //!
-//! This is simulation instrumentation: the protocol's correctness never
-//! depends on shipping the set, and the wire codec ([`crate::wire`])
-//! serializes only the constant-size aggregate value.
+//! This is local instrumentation: the protocol's correctness never
+//! depends on shipping the set, and it is never encoded. The wire codec
+//! ([`crate::wire`]) serializes the constant-size aggregate value plus
+//! the contributor *count*, so a set that crossed a socket is counted
+//! and merging it into an exact set degrades the result to counted.
 //!
 //! # Exact vs counted representation
 //!
@@ -199,7 +201,8 @@ impl VoteSet {
     /// In-place union. The caller is responsible for checking
     /// disjointness first when the no-double-counting constraint applies
     /// (see [`crate::Tagged::try_merge`]). A union involving a counted
-    /// side degrades to a counted sum.
+    /// side degrades to a counted sum, saturating: a count can arrive
+    /// from outside the program.
     pub fn union_with(&mut self, other: &VoteSet) {
         match (&mut self.repr, &other.repr) {
             (Repr::Exact { words, len }, Repr::Exact { words: b, .. }) => {
@@ -213,7 +216,7 @@ impl VoteSet {
             }
             _ => {
                 self.repr = Repr::Counted {
-                    count: self.len() + other.len(),
+                    count: self.len().saturating_add(other.len()),
                 };
             }
         }
@@ -239,24 +242,6 @@ impl VoteSet {
                 })
             })
         })
-    }
-
-    /// The raw 64-bit words backing the set (for serialization). Empty
-    /// for counted sets — the tagged codec writes their count instead.
-    pub fn words(&self) -> &[u64] {
-        match &self.repr {
-            Repr::Exact { words, .. } => words,
-            Repr::Counted { .. } => &[],
-        }
-    }
-
-    /// Rebuild an exact set from raw words (inverse of
-    /// [`VoteSet::words`]).
-    pub fn from_words(words: Vec<u64>) -> Self {
-        let len = words.iter().map(|w| w.count_ones() as usize).sum();
-        VoteSet {
-            repr: Repr::Exact { words, len },
-        }
     }
 
     /// Fraction of a group of `n` members covered by this set.
@@ -368,14 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn words_roundtrip() {
-        let s: VoteSet = [1, 64, 300].into_iter().collect();
-        let back = VoteSet::from_words(s.words().to_vec());
-        assert_eq!(back, s);
-        assert_eq!(back.len(), 3);
-    }
-
-    #[test]
     fn singleton_grows_past_capacity() {
         let s = VoteSet::singleton(64, 64);
         assert!(s.contains(64));
@@ -420,7 +397,6 @@ mod tests {
         assert!(!s.is_exact());
         assert!(!s.contains(0));
         assert_eq!(s.iter().count(), 0);
-        assert!(s.words().is_empty());
         assert_eq!(s.len(), 4);
     }
 
@@ -434,5 +410,8 @@ mod tests {
         c.union_with(&VoteSet::singleton(9, 16));
         assert!(!c.is_exact());
         assert_eq!(c.len(), 2);
+        // a forged count saturates instead of overflowing
+        c.union_with(&VoteSet::counted(usize::MAX));
+        assert_eq!(c.len(), usize::MAX);
     }
 }

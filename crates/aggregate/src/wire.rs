@@ -7,9 +7,22 @@
 //! serializes to at most [`MAX_AGGREGATE_WIRE_SIZE`] bytes, independent
 //! of the group size — and the tests enforce it.
 //!
-//! Note the contributor [`crate::VoteSet`] is deliberately *not*
-//! encodable: it is simulation instrumentation, and would be O(N) on the
-//! wire.
+//! A contributor [`crate::VoteSet`] is never encoded: it is local
+//! instrumentation and would be O(N) on the wire. [`encode_tagged`]
+//! ships the aggregate value plus the contributor *count* — 9 bytes of
+//! instrumentation per aggregate (presence flag + `u64`), the same at
+//! every group size.
+
+// Decoding input from outside the program never panics.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use bytes::{Buf, BufMut};
 
@@ -141,7 +154,7 @@ impl WireAggregate for Max {
 impl WireAggregate for Count {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         // the raw count, not `summary() as u64`: no float round-trip on
-        // the wire (lint rule D004)
+        // the wire
         buf.put_u64(self.value());
     }
 
@@ -183,6 +196,10 @@ impl WireAggregate for Histogram16 {
 
 impl WireAggregate for TopK {
     fn encode<B: BufMut>(&self, buf: &mut B) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a TopK holds at most TOP_K = 4 items"
+        )]
         buf.put_u8(self.items().len() as u8);
         for &v in self.items() {
             buf.put_f64(v);
@@ -402,50 +419,39 @@ mod tests {
 
     #[test]
     fn tagged_roundtrips_exact_and_counted() {
+        // both local representations cross the wire as value + count,
+        // in the same bytes, however many contributors there are
         let n = crate::EXACT_TRACK_MAX + 1;
-        let mut counted = crate::Tagged::<Average>::from_vote_for_scale(3, 5.0, n);
-        counted
-            .try_merge(&crate::Tagged::from_vote_for_scale(9, 7.0, n))
-            .unwrap();
-        assert!(!counted.votes().is_exact());
-        let mut exact = crate::Tagged::<Average>::from_vote(3, 5.0, 128);
-        exact
-            .try_merge(&crate::Tagged::from_vote(9, 7.0, 128))
-            .unwrap();
-        for t in [&exact, &counted] {
-            let mut buf = BytesMut::new();
-            encode_tagged(t, &mut buf);
-            let back: crate::Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
-            assert_eq!(&back, t);
-            assert_eq!(back.vote_count(), 2);
-        }
-        // the counted encoding is count-only: constant size
-        let mut big = crate::Tagged::<Average>::empty_for_scale(n);
+        let mut counted = crate::Tagged::<Average>::empty_for_scale(n);
+        let mut exact = crate::Tagged::<Average>::empty(n);
         for m in 0..100 {
-            big.try_merge(&crate::Tagged::from_vote_for_scale(m, 1.0, n))
+            let vote = m as f64;
+            counted
+                .try_merge(&crate::Tagged::from_vote_for_scale(m, vote, n))
+                .unwrap();
+            exact
+                .try_merge(&crate::Tagged::from_vote(m, vote, n))
                 .unwrap();
         }
+        assert!(exact.votes().is_exact() && !counted.votes().is_exact());
         let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
-        encode_tagged(&counted, &mut a);
-        encode_tagged(&big, &mut b);
-        assert_eq!(a.len(), b.len());
+        encode_tagged(&exact, &mut a);
+        encode_tagged(&counted, &mut b);
+        assert_eq!(a, b, "one wire form for both representations");
+        assert_eq!(a.len(), 1 + 16 + 8);
+        let back: crate::Tagged<Average> = decode_tagged(&mut a.freeze()).unwrap();
+        assert_eq!(back, counted);
     }
 }
 
-/// Encode a [`Tagged`](crate::Tagged) aggregate *including its
-/// contributor set*.
+/// Encode a [`Tagged`](crate::Tagged) aggregate as
+/// `[present u8][value][count u64]`: the constant-size
+/// [`WireAggregate`] value followed by how many votes it contains.
 ///
-/// The contributor bitmap is O(N/8) bytes, so this codec intentionally
-/// exceeds the constant-size wire model — it exists for the real-network
-/// runtime and test transports, where exact completeness measurement is
-/// worth the bytes. A production deployment would ship only the
-/// [`WireAggregate`] value (see the module docs).
-///
-/// Counted contributor sets (see [`crate::VoteSet::for_scale`]) have no
-/// bitmap; they are written as the sentinel word count `u16::MAX`
-/// followed by the `u64` contributor count. Exact sets never reach the
-/// sentinel: they are capped at [`crate::EXACT_TRACK_MAX`] members
-/// (256 words) at every `for_scale` construction site.
+/// Contributor identity stays with the sender — exact sets are an
+/// instrument of the simulator and of each runtime member's own phase-1
+/// composition, and a receiver gets [`crate::VoteSet::counted`]. The
+/// frame is therefore the same size at every group size.
 pub fn encode_tagged<A: WireAggregate, B: BufMut>(tagged: &crate::Tagged<A>, buf: &mut B) {
     match tagged.aggregate() {
         Some(agg) => {
@@ -454,21 +460,11 @@ pub fn encode_tagged<A: WireAggregate, B: BufMut>(tagged: &crate::Tagged<A>, buf
         }
         None => buf.put_u8(0),
     }
-    let votes = tagged.votes();
-    if votes.is_exact() {
-        let words = votes.words();
-        buf.put_u16(words.len() as u16);
-        for &w in words {
-            buf.put_u64(w);
-        }
-    } else {
-        buf.put_u16(u16::MAX);
-        buf.put_u64(votes.len() as u64);
-    }
+    buf.put_u64(tagged.vote_count() as u64);
 }
 
 /// Decode a [`Tagged`](crate::Tagged) aggregate written by
-/// [`encode_tagged`].
+/// [`encode_tagged`]; its contributor set is counted.
 ///
 /// # Errors
 ///
@@ -482,29 +478,8 @@ pub fn decode_tagged<A: WireAggregate, B: Buf>(buf: &mut B) -> Result<crate::Tag
         1 => Some(A::decode(buf)?),
         _ => return Err(WireError::Malformed),
     };
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    let n_words = buf.get_u16() as usize;
-    let votes = if n_words == u16::MAX as usize {
-        // counted contributor set: sentinel word count, then the count
-        if buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        let count = buf.get_u64();
-        let count = usize::try_from(count).map_err(|_| WireError::Malformed)?;
-        crate::VoteSet::counted(count)
-    } else {
-        if buf.remaining() < n_words * 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(buf.get_u64());
-        }
-        crate::VoteSet::from_words(words)
-    };
-    crate::Tagged::from_parts(agg, votes).map_err(|_| WireError::Malformed)
+    let count = usize::try_from(get_u64(buf)?).map_err(|_| WireError::Malformed)?;
+    crate::Tagged::from_parts(agg, crate::VoteSet::counted(count)).map_err(|_| WireError::Malformed)
 }
 
 /// Memoizes the encoded wire form of a value until the value changes.
@@ -645,7 +620,7 @@ mod tagged_wire_tests {
         encode_tagged(&t, &mut buf);
         let back: Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
         assert_eq!(back.vote_count(), 2);
-        assert!(back.votes().contains(3) && back.votes().contains(200));
+        assert!(!back.votes().is_exact(), "identity stays with the sender");
         assert_eq!(back.aggregate().unwrap().summary(), 20.0);
     }
 
@@ -661,12 +636,11 @@ mod tagged_wire_tests {
 
     #[test]
     fn mismatched_value_and_set_rejected() {
-        // a tagged with a value but fabricated empty voteset decodes
-        // fine; a voteset without a value is rejected by from_parts
+        // a tagged with a value but a fabricated zero count decodes
+        // fine; a count without a value is rejected by from_parts
         let mut buf = BytesMut::new();
         buf.put_u8(0); // no value
-        buf.put_u16(1);
-        buf.put_u64(0b1); // ...but one contributor
+        buf.put_u64(1); // ...but one contributor
         let r: Result<Tagged<Average>, _> = decode_tagged(&mut buf.freeze());
         assert_eq!(r.unwrap_err(), WireError::Malformed);
     }

@@ -21,7 +21,9 @@
 //! `--check` gate holds the *structural* results: every member
 //! reports, completeness does not fall below the committed baseline
 //! (minus a small noise margin), the runtime stays ≥ the in-run
-//! simulator reference, and datagram coalescing does not regress.
+//! simulator reference, a wire frame stays within a constant of the
+//! simulator's bytes per message, and datagram coalescing does not
+//! regress.
 //! Throughput (`frames_per_sec`) sits between the two: a loose floor
 //! ratio catches an event-loop collapse without firing on ordinary
 //! machine variance.
@@ -48,7 +50,18 @@ use gridagg_core::runner::run_hiergossip;
 use gridagg_core::scope::ScopeIndex;
 use gridagg_group::view::View;
 use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
+use gridagg_runtime::endpoint::FRAME_HEADER_LEN;
 use gridagg_runtime::{run_cluster, RuntimeConfig};
+
+/// Grid-box fan-in `K` of the hierarchy every preset runs on.
+const K: u8 = 4;
+
+/// Sim-vs-wire byte parity: a frame is the demux header plus what the
+/// simulator charges (`Payload::wire_size`) plus a constant of the
+/// message's shape — at most a batch of `K` aggregates, each carrying a
+/// presence flag and a contributor count (9 B), plus the batch's reply
+/// flag — plus one byte of slack for the means' different message mix.
+const WIRE_OVER_SIM_BYTES: f64 = (FRAME_HEADER_LEN + 9 * K as usize + 2) as f64;
 
 /// Noise margin for the completeness-vs-baseline gate: loopback runs
 /// are wall-clock scheduled, so completeness varies run to run.
@@ -76,11 +89,6 @@ struct Preset {
     workers: usize,
     round_interval: Duration,
     loss: f64,
-    /// Datagram coalescing cap. At N = 10,000 exact contributor sets
-    /// make one frame ≈ 1.3 KB, so an MTU-sized cap degenerates to one
-    /// frame per datagram and the per-socket bursts overflow kernel
-    /// receive buffers; loopback carries 64 KB datagrams happily.
-    max_datagram: usize,
 }
 
 const PRESETS: [Preset; 3] = [
@@ -91,7 +99,6 @@ const PRESETS: [Preset; 3] = [
         workers: 0,
         round_interval: Duration::from_millis(5),
         loss: 0.10,
-        max_datagram: 1400,
     },
     // The full round interval is sized so one worker core can tick all
     // 10,000 members (plus deliveries) inside a round: a too-short
@@ -104,7 +111,6 @@ const PRESETS: [Preset; 3] = [
         workers: 0,
         round_interval: Duration::from_millis(100),
         loss: 0.10,
-        max_datagram: 32 * 1024,
     },
     // Same grid, pinned to 4 workers: each worker owns 16 of the 64
     // sockets, so the sharded event loop's cross-worker handoff paths
@@ -117,7 +123,6 @@ const PRESETS: [Preset; 3] = [
         workers: 4,
         round_interval: Duration::from_millis(100),
         loss: 0.10,
-        max_datagram: 32 * 1024,
     },
 ];
 
@@ -138,9 +143,11 @@ struct Cell {
     mean_completeness: f64,
     min_completeness: f64,
     frames_per_datagram: f64,
+    bytes_per_frame: f64,
     // Simulator reference at matching n and loss:
     sim_mean_completeness: f64,
     sim_rounds: u64,
+    sim_bytes_per_msg: f64,
     // Context (informational):
     mean_rounds: f64,
     max_rounds_seen: u64,
@@ -176,11 +183,16 @@ impl ToJson for Cell {
                 "frames_per_datagram".into(),
                 Json::Num(self.frames_per_datagram),
             ),
+            ("bytes_per_frame".into(), Json::Num(self.bytes_per_frame)),
             (
                 "sim_mean_completeness".into(),
                 Json::Num(self.sim_mean_completeness),
             ),
             ("sim_rounds".into(), Json::Num(self.sim_rounds as f64)),
+            (
+                "sim_bytes_per_msg".into(),
+                Json::Num(self.sim_bytes_per_msg),
+            ),
             ("mean_rounds".into(), Json::Num(self.mean_rounds)),
             (
                 "max_rounds_seen".into(),
@@ -236,13 +248,12 @@ fn measure(preset: &Preset, seed: u64) -> Cell {
         preset.loss * 100.0
     );
 
-    let h = Hierarchy::for_group(4, n).expect("hierarchy shape");
+    let h = Hierarchy::for_group(K, n).expect("hierarchy shape");
     let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, seed));
     let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let mut rt_cfg = RuntimeConfig {
         sockets: preset.sockets,
         round_interval: preset.round_interval,
-        max_datagram: preset.max_datagram,
         seed,
         ..Default::default()
     }
@@ -277,8 +288,10 @@ fn measure(preset: &Preset, seed: u64) -> Cell {
         mean_completeness: r.mean_completeness,
         min_completeness: r.min_completeness,
         frames_per_datagram: r.frames_per_datagram(),
+        bytes_per_frame: r.stats.bytes_sent as f64 / r.stats.frames_sent.max(1) as f64,
         sim_mean_completeness: sim.mean_completeness().unwrap_or(0.0),
         sim_rounds: sim.rounds,
+        sim_bytes_per_msg: sim.net.bytes_sent as f64 / sim.net.sent.max(1) as f64,
         mean_rounds: r.mean_rounds,
         max_rounds_seen: r.max_rounds_seen,
         frames_sent: r.stats.frames_sent,
@@ -305,6 +318,8 @@ fn report_table(cells: &[Cell]) {
                 format!("{:.4}", c.mean_completeness),
                 format!("{:.4}", c.sim_mean_completeness),
                 format!("{:.2}", c.frames_per_datagram),
+                format!("{:.1}", c.bytes_per_frame),
+                format!("{:.1}", c.sim_bytes_per_msg),
                 format!("{:.0}", c.frames_per_sec),
                 c.retries.to_string(),
                 c.injected_drops.to_string(),
@@ -321,6 +336,8 @@ fn report_table(cells: &[Cell]) {
             "completeness",
             "sim ref",
             "frames/dgram",
+            "B/frame",
+            "sim B/msg",
             "frames/s",
             "retries",
             "drops",
@@ -363,6 +380,14 @@ fn check_against(cells: &[Cell], path: &str) -> usize {
                 "REGRESSION {}: cluster completeness {:.4} fell below the simulator's \
                  {:.4} at matching loss (margin {SIM_MARGIN})",
                 c.preset, c.mean_completeness, c.sim_mean_completeness
+            );
+            failures += 1;
+        }
+        if c.bytes_per_frame > c.sim_bytes_per_msg + WIRE_OVER_SIM_BYTES {
+            eprintln!(
+                "REGRESSION {}: {:.1} B per wire frame against {:.1} B per simulated message \
+                 (allowed gap {WIRE_OVER_SIM_BYTES} B: frames must stay constant in N)",
+                c.preset, c.bytes_per_frame, c.sim_bytes_per_msg
             );
             failures += 1;
         }
@@ -469,6 +494,6 @@ fn main() {
             eprintln!("cluster_10k: {failures} regression(s) vs {path}");
             std::process::exit(1);
         }
-        println!("cluster_10k: completeness and coalescing hold against {path}");
+        println!("cluster_10k: completeness, byte parity and coalescing hold against {path}");
     }
 }

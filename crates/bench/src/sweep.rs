@@ -7,7 +7,7 @@
 //! order**, so the output of a sweep is byte-identical no matter how
 //! many workers ran it (proven by the `sweep_parallel_determinism`
 //! test and the CI `jobs=1` vs `jobs=4` diff gate). Threads are legal
-//! here: `bench` is on the `gridagg-lint` D002 exemption list, because
+//! here: `bench` carries no `clippy.toml` thread/clock ban, because
 //! nothing in this crate is protocol state — determinism is preserved
 //! structurally, by keying every cell with a stable id and never
 //! letting completion order reach the output.

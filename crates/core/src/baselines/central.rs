@@ -120,6 +120,12 @@ impl<A: Aggregate> Centralized<A> {
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 impl<A: Aggregate> AggregationProtocol<A> for Centralized<A> {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         if self.done_at.is_some() {
@@ -135,7 +141,7 @@ impl<A: Aggregate> AggregationProtocol<A> for Centralized<A> {
             }
             // disseminate (clones below are Arc bumps, not deep copies);
             // the result was just materialized above, so the else arm is
-            // unreachable — but handlers never panic (lint rule D003)
+            // unreachable — but handlers never panic
             let Some(result) = self.result.clone() else {
                 return;
             };

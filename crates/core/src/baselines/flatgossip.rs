@@ -6,9 +6,10 @@
 //! messages, so coverage per vote collapses as `N` grows — the
 //! quantitative argument for the hierarchy.
 
+use std::collections::BTreeSet;
+
 use gridagg_aggregate::{Aggregate, Tagged};
 use gridagg_group::MemberId;
-use gridagg_simnet::detcol::DetSet;
 use gridagg_simnet::Round;
 
 use crate::message::Payload;
@@ -41,7 +42,7 @@ pub struct FlatGossip<A> {
     n: usize,
     cfg: FlatGossipConfig,
     known: Vec<(MemberId, f64)>,
-    have: DetSet<u32>,
+    have: BTreeSet<u32>,
     rounds: u32,
     done_at: Option<Round>,
     estimate: Option<Tagged<A>>,
@@ -52,7 +53,7 @@ pub struct FlatGossip<A> {
 impl<A: Aggregate> FlatGossip<A> {
     /// Create the instance for member `me` of a group of `n`.
     pub fn new(me: MemberId, vote: f64, n: usize, cfg: FlatGossipConfig) -> Self {
-        let mut have = DetSet::new();
+        let mut have = BTreeSet::new();
         have.insert(me.0);
         FlatGossip {
             me,
@@ -73,6 +74,12 @@ impl<A: Aggregate> FlatGossip<A> {
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         if self.done_at.is_some() {
@@ -89,7 +96,7 @@ impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
                 // `have` dedupes inserts into `known`, so these merges
                 // are disjoint; if that ever broke, dropping the
                 // duplicate (try_merge leaves `acc` untouched on error)
-                // beats panicking in a handler (lint rule D003).
+                // beats panicking in a handler.
                 let _ = acc.try_merge(&Tagged::from_vote_for_scale(m.index(), v, self.n));
             }
             self.estimate = Some(acc);
@@ -98,7 +105,7 @@ impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
         }
         // The known set always holds at least the member's own vote, so
         // an empty choice is unreachable; bail instead of panicking in a
-        // handler (lint rule D003).
+        // handler.
         let Some(&(member, value)) = ctx.rng.choose(&self.known) else {
             return;
         };
@@ -197,7 +204,7 @@ mod tests {
         let mut p: FlatGossip<Average> = FlatGossip::new(MemberId(4), 3.0, 10, cfg);
         let mut rng = DetRng::seeded(1);
         let mut out = Outbox::new();
-        let mut seen = DetSet::new();
+        let mut seen = BTreeSet::new();
         for round in 0..50 {
             let mut ctx = Ctx::new(round, &mut rng);
             p.on_round(&mut ctx, &mut out);

@@ -67,6 +67,12 @@ impl<A: Aggregate> Flood<A> {
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 impl<A: Aggregate> AggregationProtocol<A> for Flood<A> {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         if self.done_at.is_some() {

@@ -209,12 +209,18 @@ impl FlowUpdating {
         // influence set always contains `me`, so the aggregate is
         // present whenever votes are — from_parts cannot fail here, but
         // degrade to "no estimate" rather than panicking in a protocol
-        // handler (lint rule D003)
+        // handler
         self.published = Tagged::from_parts(Some(est), self.influenced.clone()).ok();
         self.done_at = Some(round);
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 impl AggregationProtocol<Average> for FlowUpdating {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<Average>) {
         if self.done_at.is_some() {
@@ -318,6 +324,12 @@ impl FlowUpdating {
     /// the midpoint-adjusted flow. The parameter list mirrors the
     /// wire fields one-to-one.
     #[allow(clippy::too_many_arguments)]
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )]
     fn on_flow(
         &mut self,
         from: MemberId,

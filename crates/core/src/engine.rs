@@ -40,8 +40,6 @@
 //! count. See DESIGN.md §16.
 
 use std::collections::BTreeMap;
-// lint:allow(D002) scoped fork-join over disjoint member ranges; the ordered replay keeps every run byte-identical at any thread count (tests/engine_forkjoin.rs)
-use std::thread::scope as thread_scope;
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_group::failure::{FailureProcess, LivenessEvent};
@@ -332,6 +330,12 @@ struct Schedule {
     protocol_steps: u64,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 impl Schedule {
     fn new(
         n: usize,
@@ -845,7 +849,11 @@ where
         hi: impl Fn(usize) -> usize,
         work: impl Fn(usize, Members<'_, P>, &mut ShardBuf<A>) + Sync,
     ) {
-        thread_scope(|scope| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "scoped fork-join over disjoint member ranges; the ordered replay keeps every run byte-identical at any thread count (tests/engine_forkjoin.rs)"
+        )]
+        std::thread::scope(|scope| {
             let mut rest = members;
             for (w, buf) in shards.iter_mut().enumerate() {
                 let (mine, tail) = rest.split_at(hi(w));

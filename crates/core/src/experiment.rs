@@ -71,13 +71,19 @@ pub fn run_many<F>(runs: usize, base_seed: u64, f: F) -> Vec<RunReport>
 where
     F: Fn(u64) -> RunReport + Sync,
 {
-    // lint:allow(D002) thread count only partitions seed-ordered work; results are scheduling-independent (run_many_matches_sequential_execution)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "thread count only partitions seed-ordered work; results are scheduling-independent (run_many_matches_sequential_execution)"
+    )]
     let threads = std::thread::available_parallelism()
         .map_or(4, std::num::NonZero::get)
         .min(runs.max(1));
     let mut reports: Vec<Option<RunReport>> = (0..runs).map(|_| None).collect();
     let chunk = runs.div_ceil(threads.max(1));
-    // lint:allow(D002) scoped fan-out over per-seed runs; each run is a pure function of its seed
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "scoped fan-out over per-seed runs; each run is a pure function of its seed"
+    )]
     std::thread::scope(|scope| {
         for (t, slot) in reports.chunks_mut(chunk.max(1)).enumerate() {
             let f = &f;

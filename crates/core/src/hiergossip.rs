@@ -411,7 +411,7 @@ impl<A: Aggregate> HierGossip<A> {
         // height-(i−1) subtree immediately after phase (i−1) concludes."
         // When a more complete evaluation of the same subtree was already
         // received from a faster peer, keep that one (see `upgrade`).
-        Self::upgrade(&mut self.aggs, self.scope, Arc::new(composed));
+        Self::upgrade(&mut self.aggs, self.scope, &Arc::new(composed));
 
         // the scope (and possibly `aggs`) just changed: both cached
         // gossip bodies are stale
@@ -521,6 +521,8 @@ impl<A: Aggregate> HierGossip<A> {
 
     /// Store an aggregate for `key`, keeping whichever version covers
     /// more votes when two evaluations of the same subtree collide.
+    /// Returns whether it stored; the `Arc` is cloned (a reference-count
+    /// bump, shared with any in-flight payload) only then.
     ///
     /// Different members legitimately compute different vote subsets for
     /// the same subtree (their phases saw different gossip); all versions
@@ -528,15 +530,16 @@ impl<A: Aggregate> HierGossip<A> {
     /// preserves the no-double-counting invariant while letting complete
     /// evaluations displace partial ones as they spread — the same
     /// convergence rule Astrolabe-style systems use.
-    fn upgrade(aggs: &mut AddrSlab<Arc<Tagged<A>>>, key: Addr, agg: Arc<Tagged<A>>) {
+    fn upgrade(aggs: &mut AddrSlab<Arc<Tagged<A>>>, key: Addr, agg: &Arc<Tagged<A>>) -> bool {
         match aggs.get_mut(&key) {
-            Some(existing) => {
-                if agg.vote_count() > existing.vote_count() {
-                    *existing = agg;
-                }
+            Some(existing) if agg.vote_count() > existing.vote_count() => {
+                *existing = agg.clone();
+                true
             }
+            Some(_) => false,
             None => {
-                aggs.insert(key, agg);
+                aggs.insert(key, agg.clone());
+                true
             }
         }
     }
@@ -558,10 +561,7 @@ impl<A: Aggregate> HierGossip<A> {
     }
 
     /// Record a received subtree aggregate if it is relevant. Returns
-    /// whether the stored state changed (new subtree, or a more complete
-    /// evaluation displacing a partial one). Adopting a received
-    /// aggregate is a reference-count bump — the `Arc` is shared with
-    /// the payload, never deep-copied.
+    /// whether the stored state changed (see [`Self::upgrade`]).
     fn learn_agg(&mut self, subtree: Addr, agg: &Arc<Tagged<A>>) -> bool {
         if !self.relevant(&subtree) {
             return false;
@@ -581,22 +581,7 @@ impl<A: Aggregate> HierGossip<A> {
                  outside that subtree"
             );
         }
-        let changed = match self.aggs.get_mut(&subtree) {
-            None => {
-                self.aggs.insert(subtree, agg.clone());
-                true
-            }
-            Some(existing) => {
-                // same replace-if-more-complete rule as `upgrade`; the
-                // vote count changes exactly when the entry does
-                if agg.vote_count() > existing.vote_count() {
-                    *existing = agg.clone();
-                    true
-                } else {
-                    false
-                }
-            }
-        };
+        let changed = Self::upgrade(&mut self.aggs, subtree, agg);
         if changed {
             self.agg_batch = None; // cached gossip body is stale
         }
@@ -696,6 +681,12 @@ impl<A: Aggregate> HierGossip<A> {
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 impl<A: Aggregate> AggregationProtocol<A> for HierGossip<A> {
     // lint:hot — the per-round protocol step for every member.
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {

@@ -5,9 +5,11 @@
 //! paper's constant-message-size assumption is honoured: a message
 //! carries one vote, one subtree aggregate, one final result, or a
 //! *bounded* batch — at most `K` child aggregates, or the votes of one
-//! grid box (expected `K`) — never anything that grows with `N`. (The
-//! `Tagged` contributor bitset is simulation instrumentation and is
-//! excluded from wire-size accounting; see `gridagg-aggregate::wire`.)
+//! grid box (expected `K`) — never anything that grows with `N`.
+//! Contributor sets are local instrumentation and are never encoded:
+//! [`Payload::wire_size`] charges the protocol bytes, and [`codec`]
+//! adds each set's *count* (9 B per carried `Tagged`; see
+//! `gridagg_aggregate::wire::encode_tagged`).
 
 use std::sync::Arc;
 
@@ -72,8 +74,8 @@ pub enum Payload<A> {
     /// mass-conserving averaging baseline; see
     /// [`crate::baselines::FlowUpdating`]). Constant-size in `N` — the
     /// `influenced` contributor set is simulation instrumentation for
-    /// completeness scoring, excluded from wire accounting exactly like
-    /// the `Tagged` bitsets.
+    /// completeness scoring; like the `Tagged` sets it is excluded from
+    /// wire accounting and crosses the codec as a count.
     Flow {
         /// Flow the sender currently assigns to the (sender → receiver)
         /// edge.
@@ -211,10 +213,23 @@ mod tests {
 
 /// Binary codec for protocol payloads — used by the real-network
 /// runtime (`gridagg-runtime`) and by transport tests. Aggregate values
-/// use their constant-size [`WireAggregate`] form; `Tagged` contributor
-/// sets ride along for exact completeness measurement (see
-/// `gridagg_aggregate::wire::encode_tagged` for the size caveat).
+/// use their constant-size [`WireAggregate`] form and every contributor
+/// set is written as its `u64` count, so `encode(p).len()` exceeds
+/// [`Payload::wire_size`] by a constant of the message's shape — 9 B
+/// per carried `Tagged` (presence flag + count), 8 B for `Flow`, 1 B
+/// for a batch's reply flag — never by anything that grows with `N`.
 pub mod codec {
+    // Decoding input from outside the program never panics.
+    #![cfg_attr(
+        not(test),
+        deny(
+            clippy::unwrap_used,
+            clippy::expect_used,
+            clippy::panic,
+            clippy::unreachable
+        )
+    )]
+
     use std::sync::Arc;
 
     use bytes::{Buf, BufMut};
@@ -235,7 +250,7 @@ pub mod codec {
     /// context — a bare [`WireError`] can't tell a clipped vote batch
     /// from a clipped aggregate, which is the first thing a transport
     /// bug report needs. Malformed input is an error value, never a
-    /// panic (lint rule D003 covers the decode paths).
+    /// panic (`decode` denies clippy's `unwrap_used`/`expect_used`/`panic`).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum DecodeError {
         /// The buffer ended before the named variant was complete.
@@ -354,11 +369,7 @@ pub mod codec {
                 buf.put_u8(u8::from(*reply));
                 buf.put_f64(*flow);
                 buf.put_f64(*estimate);
-                let words = influenced.words();
-                buf.put_u16(words.len() as u16);
-                for &w in words {
-                    buf.put_u64(w);
-                }
+                buf.put_u64(influenced.len() as u64);
             }
         }
     }
@@ -432,25 +443,19 @@ pub mod codec {
                 })
             }
             TAG_FLOW => {
-                if buf.remaining() < 19 {
+                if buf.remaining() < 25 {
                     return Err(DecodeError::Truncated { variant: "flow" });
                 }
                 let reply = buf.get_u8() != 0;
                 let flow = buf.get_f64();
                 let estimate = buf.get_f64();
-                let n_words = buf.get_u16() as usize;
-                if buf.remaining() < n_words * 8 {
-                    return Err(DecodeError::Truncated { variant: "flow" });
-                }
-                let mut words = Vec::with_capacity(n_words);
-                for _ in 0..n_words {
-                    words.push(buf.get_u64());
-                }
+                let count = usize::try_from(buf.get_u64())
+                    .map_err(|_| DecodeError::Malformed { variant: "flow" })?;
                 Ok(Payload::Flow {
                     flow,
                     estimate,
                     reply,
-                    influenced: Arc::new(gridagg_aggregate::VoteSet::from_words(words)),
+                    influenced: Arc::new(gridagg_aggregate::VoteSet::counted(count)),
                 })
             }
             tag => Err(DecodeError::UnknownTag(tag)),
@@ -462,49 +467,136 @@ pub mod codec {
         use super::*;
         use gridagg_aggregate::{Average, Tagged};
 
-        fn roundtrip(p: Payload<Average>) {
+        /// `sent` must decode as `expect`: the same values, every
+        /// contributor set reduced to its count.
+        fn crosses_as(sent: Payload<Average>, expect: Payload<Average>) {
             let mut buf = Vec::new();
-            encode(&p, &mut buf);
+            encode(&sent, &mut buf);
             let back: Payload<Average> = decode(&mut buf.as_slice()).expect("decode");
-            assert_eq!(back, p);
+            assert_eq!(back, expect);
+        }
+
+        fn roundtrip(p: Payload<Average>) {
+            crosses_as(p.clone(), p);
         }
 
         #[test]
         fn all_variants_roundtrip() {
+            use gridagg_aggregate::VoteSet;
             let addr = Addr::from_digits(4, &[2, 1]).unwrap();
             let mut tagged = Tagged::<Average>::from_vote(5, 2.5, 64);
             tagged.try_merge(&Tagged::from_vote(9, 7.5, 64)).unwrap();
+            // what a receiver gets: value and count, no identity
+            let counted =
+                Tagged::from_parts(tagged.aggregate().cloned(), VoteSet::counted(2)).unwrap();
+            let (tagged, counted) = (Arc::new(tagged), Arc::new(counted));
             roundtrip(Payload::Vote {
                 member: MemberId(7),
                 value: -1.25,
-            });
-            roundtrip(Payload::Agg {
-                subtree: addr,
-                agg: Arc::new(tagged.clone()),
-            });
-            roundtrip(Payload::Final {
-                agg: Arc::new(tagged.clone()),
             });
             roundtrip(Payload::VoteBatch {
                 votes: Arc::new(vec![(MemberId(1), 1.0), (MemberId(2), 2.0)]),
                 reply: true,
             });
-            roundtrip(Payload::AggBatch {
-                aggs: Arc::new(vec![(addr, Arc::new(tagged))]),
-                reply: false,
-            });
-            roundtrip(Payload::Flow {
-                flow: -3.25,
-                estimate: 41.5,
-                reply: false,
-                influenced: Arc::new([2usize, 9, 63].into_iter().collect()),
-            });
-            roundtrip(Payload::Flow {
-                flow: 7.5,
-                estimate: -0.25,
-                reply: true,
-                influenced: Arc::new([0usize].into_iter().collect()),
-            });
+            type Shape = fn(Addr, Arc<Tagged<Average>>) -> Payload<Average>;
+            let carrying: [Shape; 3] = [
+                |subtree, agg| Payload::Agg { subtree, agg },
+                |_, agg| Payload::Final { agg },
+                |subtree, agg| Payload::AggBatch {
+                    aggs: Arc::new(vec![(subtree, agg)]),
+                    reply: false,
+                },
+            ];
+            for shape in carrying {
+                crosses_as(shape(addr, tagged.clone()), shape(addr, counted.clone()));
+            }
+            for (flow, estimate, reply) in [(-3.25, 41.5, false), (7.5, -0.25, true)] {
+                let with = |influenced: VoteSet| Payload::Flow {
+                    flow,
+                    estimate,
+                    reply,
+                    influenced: Arc::new(influenced),
+                };
+                crosses_as(
+                    with([2usize, 9, 63].into_iter().collect()),
+                    with(VoteSet::counted(3)),
+                );
+            }
+        }
+
+        /// The sample after `prev` in declaration order, built for a
+        /// group of `n`, with the bytes its *shape* adds to
+        /// [`Payload::wire_size`]. Exhaustive on purpose: a new variant
+        /// does not compile until it has a sample and a gap here.
+        fn next_sample(
+            prev: Option<&Payload<Average>>,
+            n: usize,
+        ) -> Option<(Payload<Average>, usize)> {
+            // contributors spread over the whole id range, so an exact
+            // bitmap is as long as it gets at this `n`
+            let members = || (0..40).map(|i| i * (n - 1) / 39);
+            let mut agg = Tagged::<Average>::empty_for_scale(n);
+            let mut influenced = gridagg_aggregate::VoteSet::for_scale(n);
+            for m in members() {
+                agg.try_merge(&Tagged::from_vote_for_scale(m, m as f64, n))
+                    .unwrap();
+                influenced.insert(m);
+            }
+            let (agg, influenced) = (Arc::new(agg), Arc::new(influenced));
+            let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
+            let (member, value, reply) = (MemberId(n as u32 - 1), -1.25, false);
+            Some(match prev {
+                None => (Payload::Vote { member, value }, 0),
+                Some(Payload::Vote { .. }) => (Payload::Agg { subtree, agg }, 9),
+                Some(Payload::Agg { .. }) => (Payload::Final { agg }, 9),
+                Some(Payload::Final { .. }) => {
+                    let votes = Arc::new(members().map(|m| (MemberId(m as u32), 1.0)).collect());
+                    (Payload::VoteBatch { votes, reply }, 1)
+                }
+                Some(Payload::VoteBatch { .. }) => {
+                    let aggs = Arc::new(vec![(subtree, agg); 4]);
+                    (Payload::AggBatch { aggs, reply }, 1 + 4 * 9)
+                }
+                Some(Payload::AggBatch { .. }) => {
+                    let (flow, estimate) = (0.5, -2.0);
+                    let flow = Payload::Flow {
+                        flow,
+                        estimate,
+                        reply,
+                        influenced,
+                    };
+                    (flow, 8)
+                }
+                Some(Payload::Flow { .. }) => return None,
+            })
+        }
+
+        /// The one place the sim-vs-wire byte relation is written down:
+        /// for every variant, `encode(p).len()` is `p.wire_size()` plus
+        /// 9 B per carried `Tagged` (presence flag + count), 8 B for
+        /// `Flow`'s count, 1 B for a batch's reply flag — at every group
+        /// size, on both sides of `EXACT_TRACK_MAX`.
+        #[test]
+        fn encoded_length_is_wire_size_plus_a_constant_of_the_shape_at_every_n() {
+            let sizes = [64usize, 4096, 65536];
+            assert!(sizes[1] <= gridagg_aggregate::EXACT_TRACK_MAX);
+            assert!(sizes[2] > gridagg_aggregate::EXACT_TRACK_MAX);
+            let mut lens: Vec<Vec<usize>> = Vec::new();
+            for n in sizes {
+                let mut row = Vec::new();
+                let mut prev = None;
+                while let Some((p, gap)) = next_sample(prev.as_ref(), n) {
+                    let mut buf = Vec::new();
+                    encode(&p, &mut buf);
+                    assert_eq!(buf.len(), p.wire_size() as usize + gap, "n = {n}: {p:?}");
+                    row.push(buf.len());
+                    prev = Some(p);
+                }
+                assert_eq!(row.len(), 6, "one sample per variant");
+                lens.push(row);
+            }
+            assert_eq!(lens[0], lens[1], "frames grew between N = 64 and 4096");
+            assert_eq!(lens[1], lens[2], "frames grew between N = 4096 and 65536");
         }
 
         #[test]

@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn crashes_are_permanent_without_recovery() {
         let mut p = FailureProcess::new(FailureModel::PerRound { pf: 0.5 }, 100, 3);
-        let mut dead = std::collections::HashSet::new();
+        let mut dead = std::collections::BTreeSet::new();
         for r in 0..20 {
             for e in p.step(r) {
                 match e {

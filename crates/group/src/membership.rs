@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn leavers_never_return() {
         let mut p = MembershipProcess::new(50, model(0.0, 0.5, 0.0, 1.0), 4);
-        let mut left = std::collections::HashSet::new();
+        let mut left = std::collections::BTreeSet::new();
         for _ in 0..20 {
             for e in p.epoch_step() {
                 match e {

@@ -12,7 +12,7 @@
 //! first, then digits lexicographically — trailing digits beyond `len`
 //! are zero, so the derived comparison reduces to `(len, index)`).
 //! Iterating a dense table in id order therefore visits addresses in
-//! the same order a `DetMap<Addr, _>` would, which is what keeps the
+//! the same order a `BTreeMap<Addr, _>` would, which is what keeps the
 //! frozen goldens byte-identical after the map → slab migration.
 //!
 //! Two flavors are provided:
@@ -129,7 +129,7 @@ impl AddrInterner {
 ///
 /// Slot order equals [`Addr`] `Ord` order over the chain sub-universe
 /// (shorter first, then by last digit — the shared ancestor digits tie),
-/// so [`AddrSlab::iter`] visits entries exactly as a `DetMap<Addr, _>`
+/// so [`AddrSlab::iter`] visits entries exactly as a `BTreeMap<Addr, _>`
 /// restricted to the chain would.
 #[derive(Debug, Clone)]
 pub struct AddrSlab<T> {

@@ -5,7 +5,7 @@
 //! exactly one unused-waiver finding at the comment line.
 
 fn clean() {
-    // lint:allow(D001) fixture: nothing below violates D001
+    // lint:allow(D009) fixture: nothing below violates D009
     let x = 1u32;
     let _ = x;
 }

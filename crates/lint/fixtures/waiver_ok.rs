@@ -1,10 +1,11 @@
 //@path crates/core/src/fixture.rs
-//! Waiver fixture: the same D001 pattern as the d001 fixture, but
+//! Waiver fixture: the same D009 pattern as the d009 fixture, but
 //! suppressed by a `lint:allow` comment with a reason. Must produce
 //! zero violations and exactly one tallied waiver.
 
-fn protocol_state() {
-    // lint:allow(D001) fixture demonstrating the waiver syntax; not protocol state
-    let members = std::collections::HashMap::<u32, u32>::new();
-    let _ = members;
+// lint:hot
+fn hot_step() {
+    // lint:allow(D009) fixture demonstrating the waiver syntax; not a round loop
+    let scratch: Vec<u32> = Vec::new();
+    let _ = scratch;
 }

@@ -3,9 +3,10 @@
 //! exactly the next line. The second identical violation two lines
 //! below is NOT covered and must still fire — one waiver, one site.
 
-fn protocol_state() {
-    // lint:allow(D001) fixture: this waiver covers only the next line
-    let covered = std::collections::HashMap::<u32, u32>::new();
-    let uncovered = std::collections::HashMap::<u32, u32>::new();
+// lint:hot
+fn hot_step() {
+    // lint:allow(D009) fixture: this waiver covers only the next line
+    let covered: Vec<u32> = Vec::new();
+    let uncovered: Vec<u32> = Vec::new();
     let _ = (covered, uncovered);
 }

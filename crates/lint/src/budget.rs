@@ -27,7 +27,7 @@ impl Budget {
 }
 
 /// Parse `lint_budget.json`: a flat object with exactly one integer
-/// entry per rule, e.g. `{"D001": 0, ..., "D009": 4}`. Every rule must
+/// entry per rule, e.g. `{"D006": 0, ..., "D009": 4}`. Every rule must
 /// be present — a new rule without a budget line is a config error,
 /// not an implicit zero, so adding a rule forces a budget decision.
 pub fn parse_budget(text: &str) -> Result<Budget, String> {
@@ -149,7 +149,7 @@ mod tests {
     use super::*;
     use crate::Waived;
 
-    fn budget_json(counts: &[usize; 8]) -> String {
+    fn budget_json(counts: &[usize; 4]) -> String {
         let mut s = String::from("{\n");
         for (i, rule) in ALL_RULES.iter().enumerate() {
             s.push_str(&format!(
@@ -178,30 +178,30 @@ mod tests {
 
     #[test]
     fn parse_roundtrip_and_missing_rule() {
-        let b = parse_budget(&budget_json(&[1, 2, 0, 3, 0, 0, 0, 4])).unwrap();
-        assert_eq!(b.allowance(Rule::D002), 2);
+        let b = parse_budget(&budget_json(&[1, 2, 0, 4])).unwrap();
+        assert_eq!(b.allowance(Rule::D007), 2);
         assert_eq!(b.allowance(Rule::D009), 4);
-        let err = parse_budget("{\"D001\": 1}").unwrap_err();
-        assert!(err.contains("no entry for D002"), "{err}");
+        let err = parse_budget("{\"D006\": 1}").unwrap_err();
+        assert!(err.contains("no entry for D007"), "{err}");
         let err = parse_budget("{\"D042\": 1}").unwrap_err();
         assert!(err.contains("unknown rule id"), "{err}");
     }
 
     #[test]
     fn overrun_and_slack() {
-        let b = parse_budget(&budget_json(&[0, 2, 0, 0, 0, 0, 0, 0])).unwrap();
-        let c = check(&b, &findings_with_waivers(Rule::D002, 3));
+        let b = parse_budget(&budget_json(&[0, 0, 0, 2])).unwrap();
+        let c = check(&b, &findings_with_waivers(Rule::D009, 3));
         assert!(!c.ok());
-        assert_eq!(c.overruns, vec![(Rule::D002, 3, 2)]);
-        let c = check(&b, &findings_with_waivers(Rule::D002, 1));
+        assert_eq!(c.overruns, vec![(Rule::D009, 3, 2)]);
+        let c = check(&b, &findings_with_waivers(Rule::D009, 1));
         assert!(c.ok());
-        assert_eq!(c.slack, vec![(Rule::D002, 1, 2)]);
-        assert!(render_check(&c).contains("slack D002: 1 waiver(s) under a budget of 2"));
+        assert_eq!(c.slack, vec![(Rule::D009, 1, 2)]);
+        assert!(render_check(&c).contains("slack D009: 1 waiver(s) under a budget of 2"));
     }
 
     #[test]
     fn duplicate_entry_rejected() {
-        let err = parse_budget("{\"D001\": 1, \"D001\": 2}").unwrap_err();
+        let err = parse_budget("{\"D009\": 1, \"D009\": 2}").unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
     }
 }

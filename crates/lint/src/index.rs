@@ -4,7 +4,7 @@
 //! `#[cfg(test)]` regions, enclosing functions, `enum` bodies, `match`
 //! expressions (scrutinee → arm patterns → arm bodies), call sites,
 //! `// lint:hot` annotations, and instrumentation-gated blocks. The
-//! result is a [`FileIndex`] that pass-2 rules (D003, D006–D009)
+//! result is a [`FileIndex`] that pass-2 rules (D006–D009)
 //! query without re-walking the source.
 //!
 //! The walk is token-shaped, not a real parser: it recognizes
@@ -70,8 +70,6 @@ pub struct FileIndex {
     pub in_test: Vec<bool>,
     /// Function definitions, in source order (test regions excluded).
     pub fns: Vec<FnDef>,
-    /// Per line: index into `fns` of the innermost enclosing function.
-    pub fn_for_line: Vec<Option<usize>>,
     /// Per line: inside a function annotated `// lint:hot`.
     pub hot_for_line: Vec<bool>,
     /// Per line: inside an instrumentation-gated block (or carrying a
@@ -136,7 +134,6 @@ pub fn build_index(lines: &[LexedLine], gate_patterns: &[&str]) -> FileIndex {
     let n = lines.len();
     let mut ix = FileIndex {
         in_test: vec![false; n],
-        fn_for_line: vec![None; n],
         hot_for_line: vec![false; n],
         gated_for_line: vec![false; n],
         ..FileIndex::default()
@@ -164,7 +161,6 @@ pub fn build_index(lines: &[LexedLine], gate_patterns: &[&str]) -> FileIndex {
         let lineno = idx + 1;
         let code = lexed.code.as_str();
         let in_test_at_start = test_region.is_some();
-        let mut line_fn: Option<usize> = fn_stack.last().map(|&(f, _)| f);
         let mut line_hot = fn_stack.iter().any(|&(f, _)| ix.fns[f].hot);
         let mut line_gated = !gate_stack.is_empty();
 
@@ -355,7 +351,6 @@ pub fn build_index(lines: &[LexedLine], gate_patterns: &[&str]) -> FileIndex {
                                 hot: pending_hot,
                             });
                             fn_stack.push((f, depth));
-                            line_fn = Some(f);
                             line_hot |= pending_hot;
                         }
                         pending_hot = false;
@@ -456,7 +451,6 @@ pub fn build_index(lines: &[LexedLine], gate_patterns: &[&str]) -> FileIndex {
 
         pending_gate = false; // a gate must open its block on its own line
         ix.in_test[idx] = in_test_at_start || test_region.is_some();
-        ix.fn_for_line[idx] = line_fn;
         ix.hot_for_line[idx] = line_hot;
         ix.gated_for_line[idx] = line_gated || !gate_stack.is_empty();
     }

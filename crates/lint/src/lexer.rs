@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn doc_comments_are_not_captured() {
         let src =
-            "/// lint:allow(D001) doc example\n//! lint:allow(D002) inner doc\n// real comment\n";
+            "/// lint:allow(D008) doc example\n//! lint:allow(D009) inner doc\n// real comment\n";
         let lines = lex(src);
         assert!(lines[0].comment.is_none());
         assert!(lines[1].comment.is_none());

@@ -11,27 +11,14 @@
 //!
 //! # Rules
 //!
-//! - **D001** — no `HashMap`/`HashSet` in protocol-state crates
-//!   (`core`, `simnet`, `hierarchy`, `group`, `aggregate`) outside
-//!   tests. Iteration order of the std hash collections is randomized
-//!   per process, which silently breaks the repo's byte-identical
-//!   golden-run guarantees. Use
-//!   `gridagg_simnet::detcol::{DetMap, DetSet}`.
-//! - **D002** — no wall-clock reads (`SystemTime::now`,
-//!   `Instant::now`), OS threading (`std::thread`), process state
-//!   (`std::process`, `std::env`) or entropy-seeded randomness outside
-//!   the `runtime` and `bench` crates (and this linter). Simulated
-//!   time and `DetRng` are the only clocks and dice the protocol
-//!   crates may roll.
-//! - **D003** — no `.unwrap()` / `.expect(` / `panic!` /
-//!   `unreachable!` / `todo!` inside message-decode paths (`fn decode*`)
-//!   and protocol event handlers (`fn on_*`) of the protocol-state
-//!   crates. A malformed or unexpected message must surface as an
-//!   error or be dropped, never crash the process.
-//! - **D004** — no bare `as` float↔int casts in aggregate math (the
-//!   `aggregate` crate). Conversions go through the audited helpers in
-//!   `gridagg_aggregate`'s `conv` module, which carry exactness and
-//!   range assertions under `strict-invariants`.
+//! Only what needs cross-file knowledge or a repo-specific marker lives
+//! here. Hash collections, clocks/threads/process state, panicking
+//! handlers and lossy casts are clippy's job: the per-crate
+//! `clippy.toml` files (`disallowed-types`, `disallowed-methods`),
+//! `#[deny(clippy::unwrap_used, ..)]` on the protocol handler impls and
+//! codec modules, and the cast lints denied in `aggregate`, all under
+//! `cargo clippy -- -D warnings`.
+//!
 //! - **D006** — wire-schema completeness (cross-file). Every `Payload`
 //!   variant must have an `encode` arm and a `decode` arm in the wire
 //!   codec, and be handled or explicitly ignored in every protocol's
@@ -59,7 +46,7 @@
 //! A rule can be suppressed at a single site with a comment:
 //!
 //! ```text
-//! // lint:allow(D002) reason why this site is sound
+//! // lint:allow(D009) reason why this site is sound
 //! ```
 //!
 //! The reason is mandatory; a reasonless waiver is itself reported.
@@ -84,7 +71,7 @@ pub mod report;
 pub mod rules;
 
 pub use report::{render_json, render_report};
-pub use rules::{crate_of, D002_EXEMPT_CRATES, PROTOCOL_STATE_CRATES};
+pub use rules::{crate_of, PROTOCOL_STATE_CRATES};
 
 use index::FileIndex;
 use lexer::LexedLine;
@@ -92,14 +79,6 @@ use lexer::LexedLine;
 /// The rule set, in the order they are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Hash collections in protocol-state crates.
-    D001,
-    /// Wall clocks, OS threads, process/env state outside runtime/bench.
-    D002,
-    /// Panicking calls in decode/handler paths.
-    D003,
-    /// Bare `as` float↔int casts in aggregate math.
-    D004,
     /// Wire-schema completeness for `Payload` (cross-file).
     D006,
     /// Counted-set constructors outside deduping protocols.
@@ -111,25 +90,12 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 8] = [
-    Rule::D001,
-    Rule::D002,
-    Rule::D003,
-    Rule::D004,
-    Rule::D006,
-    Rule::D007,
-    Rule::D008,
-    Rule::D009,
-];
+pub const ALL_RULES: [Rule; 4] = [Rule::D006, Rule::D007, Rule::D008, Rule::D009];
 
 impl Rule {
-    /// The rule identifier as written in waivers, e.g. `"D001"`.
+    /// The rule identifier as written in waivers, e.g. `"D009"`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D001 => "D001",
-            Rule::D002 => "D002",
-            Rule::D003 => "D003",
-            Rule::D004 => "D004",
             Rule::D006 => "D006",
             Rule::D007 => "D007",
             Rule::D008 => "D008",
@@ -140,10 +106,6 @@ impl Rule {
     /// One-line human summary used in reports.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::D001 => "hash collection in protocol-state crate (use detcol::DetMap/DetSet)",
-            Rule::D002 => "wall clock / OS thread / process state outside runtime+bench",
-            Rule::D003 => "panicking call in decode/on_* handler path",
-            Rule::D004 => "bare `as` float<->int cast in aggregate math (use the conv module)",
             Rule::D006 => {
                 "wire-schema completeness: every Payload variant needs codec + handler arms, no wildcards"
             }
@@ -157,7 +119,7 @@ impl Rule {
         }
     }
 
-    /// Parse a rule id (`"D001"`..`"D009"`).
+    /// Parse a rule id (`"D006"`..`"D009"`).
     pub fn parse(s: &str) -> Option<Rule> {
         ALL_RULES.iter().copied().find(|r| r.id() == s)
     }
@@ -498,78 +460,34 @@ mod tests {
     #[test]
     fn cfg_test_regions_are_skipped() {
         let src = "\
+// lint:hot
 fn live() {
-    let m = std::collections::HashMap::<u32, u32>::new();
+    let m: Vec<u32> = Vec::new();
     let _ = m;
 }
 
 #[cfg(test)]
 mod tests {
+    // lint:hot
     fn helper() {
-        let m = std::collections::HashMap::<u32, u32>::new();
+        let m: Vec<u32> = Vec::new();
         let _ = m;
     }
 }
 ";
         let f = lint_source("crates/core/src/x.rs", src);
         assert_eq!(f.violations.len(), 1, "{:?}", f.violations);
-        assert_eq!(f.violations[0].line, 2);
-    }
-
-    #[test]
-    fn d003_only_fires_in_handler_fns() {
-        let src = "\
-fn compose(x: Option<u32>) -> u32 {
-    x.expect(\"invariant\")
-}
-fn on_round(x: Option<u32>) -> u32 {
-    x.expect(\"boom\")
-}
-fn decode_tag(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-";
-        let f = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(f.violations.len(), 2, "{:?}", f.violations);
-        assert!(f.violations.iter().all(|v| v.rule == Rule::D003));
-        assert_eq!(f.violations[0].line, 5);
-        assert_eq!(f.violations[1].line, 8);
-    }
-
-    #[test]
-    fn crate_scoping() {
-        let src = "fn t() { let _ = std::time::Instant::now(); }\n";
-        assert_eq!(lint_source("crates/core/src/x.rs", src).violations.len(), 1);
-        assert_eq!(
-            lint_source("crates/runtime/src/x.rs", src).violations.len(),
-            0
-        );
-        assert_eq!(
-            lint_source("crates/bench/src/bin/x.rs", src)
-                .violations
-                .len(),
-            0
-        );
-        let cast = "fn c(n: u64) -> f64 { n as f64 }\n";
-        assert_eq!(
-            lint_source("crates/aggregate/src/x.rs", cast)
-                .violations
-                .len(),
-            1
-        );
-        assert_eq!(
-            lint_source("crates/core/src/x.rs", cast).violations.len(),
-            0
-        );
+        assert_eq!(f.violations[0].line, 3);
     }
 
     #[test]
     fn waiver_same_line_and_preceding_line() {
         let src = "\
+// lint:hot
 fn f() {
-    // lint:allow(D002) reason one
-    let a = std::time::Instant::now();
-    let b = std::time::Instant::now(); // lint:allow(D002) reason two
+    // lint:allow(D009) reason one
+    let a: Vec<u32> = Vec::new();
+    let b: Vec<u32> = Vec::new(); // lint:allow(D009) reason two
     let _ = (a, b);
 }
 ";
@@ -587,60 +505,66 @@ fn f() {
         // both L and L+1 and could be reused across sites. It must
         // cover exactly one violation on exactly its target line.
         let src = "\
+// lint:hot
 fn f() {
-    // lint:allow(D002) only the first site is justified
-    let a = std::time::Instant::now();
-    let b = std::time::Instant::now();
+    // lint:allow(D009) only the first site is justified
+    let a: Vec<u32> = Vec::new();
+    let b: Vec<u32> = Vec::new();
+    let _ = (a, b);
+}
+";
+        let f = lint_source("crates/core/src/x.rs", src);
+        assert_eq!(f.waived.len(), 1);
+        assert_eq!(f.waived[0].line, 4);
+        assert_eq!(f.violations.len(), 1, "{:?}", f.violations);
+        assert_eq!(f.violations[0].line, 5, "second site must not ride along");
+    }
+
+    #[test]
+    fn trailing_waiver_does_not_leak_to_next_line() {
+        let src = "\
+// lint:hot
+fn f() {
+    let a: Vec<u32> = Vec::new(); // lint:allow(D009) this line only
+    let b: Vec<u32> = Vec::new();
     let _ = (a, b);
 }
 ";
         let f = lint_source("crates/core/src/x.rs", src);
         assert_eq!(f.waived.len(), 1);
         assert_eq!(f.waived[0].line, 3);
-        assert_eq!(f.violations.len(), 1, "{:?}", f.violations);
-        assert_eq!(f.violations[0].line, 4, "second site must not ride along");
-    }
-
-    #[test]
-    fn trailing_waiver_does_not_leak_to_next_line() {
-        let src = "\
-fn f() {
-    let a = std::time::Instant::now(); // lint:allow(D002) this line only
-    let b = std::time::Instant::now();
-    let _ = (a, b);
-}
-";
-        let f = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(f.waived.len(), 1);
-        assert_eq!(f.waived[0].line, 2);
         assert_eq!(f.violations.len(), 1);
-        assert_eq!(f.violations[0].line, 3);
+        assert_eq!(f.violations[0].line, 4);
     }
 
     #[test]
     fn two_rules_one_line_need_two_waivers() {
         let src = "\
-fn f() {
-    // lint:allow(D001) det map justified lint:allow(D002) clock justified
-    let m: HashMap<u32, std::thread::ThreadId> = make();
-    let _ = m;
+// lint:hot
+fn on_round(&mut self, ctx: &mut Ctx) {
+    if self.cfg.phase_trace {
+        // lint:allow(D008) draw justified lint:allow(D009) alloc justified
+        let v = vec![ctx.rng.unit()];
+        self.trace.push(v);
+    }
 }
 ";
         let f = lint_source("crates/core/src/x.rs", src);
         assert!(f.violations.is_empty(), "{:?}", f.violations);
         assert_eq!(f.waived.len(), 2);
         let rules: Vec<Rule> = f.waived.iter().map(|w| w.rule).collect();
-        assert_eq!(rules, vec![Rule::D001, Rule::D002]);
-        assert_eq!(f.waived[0].reason, "det map justified");
-        assert_eq!(f.waived[1].reason, "clock justified");
+        assert_eq!(rules, vec![Rule::D008, Rule::D009]);
+        assert_eq!(f.waived[0].reason, "draw justified");
+        assert_eq!(f.waived[1].reason, "alloc justified");
     }
 
     #[test]
     fn reasonless_waiver_is_malformed() {
         let src = "\
+// lint:hot
 fn f() {
-    // lint:allow(D002)
-    let a = std::time::Instant::now();
+    // lint:allow(D009)
+    let a: Vec<u32> = Vec::new();
     let _ = a;
 }
 ";
@@ -652,10 +576,10 @@ fn f() {
 
     #[test]
     fn unused_waiver_is_fatal() {
-        let src = "// lint:allow(D001) nothing here actually uses it\nfn f() {}\n";
+        let src = "// lint:allow(D009) nothing here actually uses it\nfn f() {}\n";
         let f = lint_source("crates/core/src/x.rs", src);
         assert_eq!(f.unused_waivers.len(), 1);
-        assert_eq!(f.unused_waivers[0].rule, Rule::D001);
+        assert_eq!(f.unused_waivers[0].rule, Rule::D009);
         assert_eq!(f.unused_waivers[0].line, 1);
         assert!(!f.is_clean(), "stale waivers must fail the build");
     }

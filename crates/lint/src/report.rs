@@ -186,11 +186,11 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_escaped() {
-        let src = "fn f() { let m = std::collections::HashMap::<u32, &str>::new(); let _ = m; }\n";
+        let src = "// lint:hot\nfn f() { let m: Vec<&str> = Vec::new(); let _ = m; }\n";
         let a = render_json(&lint_source("crates/core/src/x.rs", src));
         let b = render_json(&lint_source("crates/core/src/x.rs", src));
         assert_eq!(a, b, "JSON must be byte-identical across runs");
-        assert!(a.contains("\"rule\": \"D001\""));
+        assert!(a.contains("\"rule\": \"D009\""));
         assert!(a.contains("\"schema\": 1"));
         // the excerpt contains `&str` — no raw quotes may leak unescaped
         for line in a.lines() {
@@ -208,6 +208,6 @@ mod tests {
         };
         let j = render_json(&f);
         assert!(j.contains("\"violations\": [],"));
-        assert!(j.contains("\"waiver_counts\": {\"D001\": 0"));
+        assert!(j.contains("\"waiver_counts\": {\"D006\": 0"));
     }
 }

@@ -1,7 +1,7 @@
 //! Pass-2 rule implementations.
 //!
-//! Per-file rules (D001–D004, D007–D009) scan one file's lexed lines
-//! against its [`FileIndex`]; the cross-file rule D006 runs over the
+//! Per-file rules (D007–D009) scan one file's lexed lines against its
+//! [`FileIndex`]; the cross-file rule D006 runs over the
 //! whole workspace's analyses at once (it needs the `Payload` enum's
 //! variant list next to every codec fn and protocol handler).
 
@@ -9,60 +9,11 @@ use crate::index::FileIndex;
 use crate::lexer::{contains_word, LexedLine};
 use crate::{FileAnalysis, Rule, Violation};
 
-/// Crates whose state machines must stay deterministic (D001), whose
-/// handler paths must stay panic-free (D003), whose `Payload` matches
-/// may not wildcard (D006), and whose instrumentation may not perturb
-/// the RNG stream (D008). All of them inherit the workspace
-/// `unsafe_code = "deny"`, so rustc itself keeps them free of `unsafe`.
+/// Crates whose `Payload` matches may not wildcard (D006) and whose
+/// instrumentation may not perturb the RNG stream (D008). The same five
+/// carry a `clippy.toml` banning hash collections, clocks and threads,
+/// and inherit the workspace `unsafe_code = "deny"`.
 pub const PROTOCOL_STATE_CRATES: &[&str] = &["core", "simnet", "hierarchy", "group", "aggregate"];
-
-/// Crates allowed to touch wall clocks, OS threads, process state and
-/// entropy (rule D002). `runtime` bridges to real sockets and clocks,
-/// `bench` measures them, and the linter itself is a CLI tool.
-pub const D002_EXEMPT_CRATES: &[&str] = &["runtime", "bench", "lint"];
-
-/// D002 patterns: wall clocks, OS threads, process/env state, entropy.
-const D002_PATTERNS: &[&str] = &[
-    "SystemTime::now",
-    "Instant::now",
-    "std::thread",
-    "std::process",
-    "std::env",
-    "thread_rng",
-    "from_entropy",
-    "RandomState",
-];
-
-/// D003 patterns: calls that can panic on malformed input.
-const D003_PATTERNS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-];
-
-/// Line markers indicating a float-valued expression feeding a `as
-/// u*`/`as i*` cast (the D004 float→int direction).
-const D004_FLOAT_MARKERS: &[&str] = &[
-    ".ceil()", ".floor()", ".round()", ".trunc()", ".sqrt()", ": f64", ": f32",
-];
-
-/// Integer-target cast tokens for D004's float→int direction.
-const D004_INT_CASTS: &[&str] = &[
-    " as u8",
-    " as u16",
-    " as u32",
-    " as u64",
-    " as u128",
-    " as usize",
-    " as i8",
-    " as i16",
-    " as i32",
-    " as i64",
-    " as i128",
-    " as isize",
-];
 
 /// The wire enum whose variants D006 audits for codec and handler
 /// completeness.
@@ -141,10 +92,6 @@ pub(crate) fn scan_file(
     ix: &FileIndex,
 ) -> Vec<Violation> {
     let krate = crate_of(path);
-    let d001 = PROTOCOL_STATE_CRATES.contains(&krate);
-    let d002 = !D002_EXEMPT_CRATES.contains(&krate);
-    let d003 = PROTOCOL_STATE_CRATES.contains(&krate);
-    let d004 = krate == "aggregate";
     // The runtime crate hosts protocol state machines on real sockets,
     // so the counted-set constructor restriction applies there too.
     let d007 = (PROTOCOL_STATE_CRATES.contains(&krate) || krate == "runtime")
@@ -173,60 +120,6 @@ pub(crate) fn scan_file(
             continue;
         }
 
-        if d001 {
-            for pat in ["HashMap", "HashSet"] {
-                if code.contains(pat) {
-                    fire(
-                        Rule::D001,
-                        lineno,
-                        format!(
-                            "`{pat}` has per-process iteration order; use detcol::DetMap/DetSet"
-                        ),
-                        &mut out,
-                    );
-                    break;
-                }
-            }
-        }
-        if d002 {
-            if let Some(pat) = D002_PATTERNS.iter().find(|p| code.contains(*p)) {
-                fire(
-                    Rule::D002,
-                    lineno,
-                    format!("`{pat}` outside the runtime/bench crates"),
-                    &mut out,
-                );
-            }
-        }
-        if d003 {
-            let handler = ix.fn_for_line[idx]
-                .map(|f| ix.fns[f].name.as_str())
-                .filter(|n| n.starts_with("on_") || n.starts_with("decode"));
-            if let Some(name) = handler {
-                let name = name.to_string();
-                if let Some(pat) = D003_PATTERNS.iter().find(|p| code.contains(*p)) {
-                    fire(
-                        Rule::D003,
-                        lineno,
-                        format!("`{pat}` can panic inside handler `{name}`"),
-                        &mut out,
-                    );
-                }
-            }
-        }
-        if d004 {
-            let int_to_float = code.contains(" as f64") || code.contains(" as f32");
-            let float_to_int = D004_INT_CASTS.iter().any(|c| code.contains(c))
-                && D004_FLOAT_MARKERS.iter().any(|m| code.contains(m));
-            if int_to_float || float_to_int {
-                fire(
-                    Rule::D004,
-                    lineno,
-                    "bare `as` float<->int cast; use the audited conv module".to_string(),
-                    &mut out,
-                );
-            }
-        }
         if d008 && ix.gated_for_line[idx] {
             let word_hit = D008_RNG_WORDS.iter().find(|w| contains_word(code, w));
             let call_hit = D008_RNG_CALLS.iter().find(|p| code.contains(*p));

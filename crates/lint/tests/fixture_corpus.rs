@@ -85,7 +85,7 @@ fn fixture_files() -> Vec<PathBuf> {
         .collect();
     files.sort();
     assert!(
-        files.len() >= 11,
+        files.len() >= 7,
         "fixture corpus looks incomplete: {files:?}"
     );
     files
@@ -153,9 +153,6 @@ fn fixtures_only_fire_in_scope() {
     // The same sources are clean when placed in crates the rules
     // don't cover: crate scoping, not pattern luck, drives the rules.
     let reloc = [
-        ("d001.rs", "crates/runtime/src/fixture.rs"),
-        ("d002.rs", "crates/bench/src/fixture.rs"),
-        ("d004.rs", "crates/core/src/fixture.rs"),
         ("d006.rs", "crates/runtime/src/fixture.rs"),
         ("d007.rs", "crates/core/src/hiergossip.rs"),
         ("d008.rs", "crates/runtime/src/fixture.rs"),
@@ -202,7 +199,7 @@ fn workspace_tree_lints_clean() {
     );
     assert!(
         !f.waived.is_empty(),
-        "the audited conv/experiment/hot-path waivers should appear in the tally"
+        "the audited hot-path waivers should appear in the tally"
     );
 }
 

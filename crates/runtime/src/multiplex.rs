@@ -79,7 +79,8 @@ pub struct WorkerStats {
     pub injected_drops: u64,
     /// Datagrams held back and swapped by the reorder injector.
     pub reordered: u64,
-    /// Frames or payloads rejected by the decoders (`DecodeError`s).
+    /// Frames or payloads rejected by the decoders (`DecodeError`s), or
+    /// claiming more contributors than the group has members.
     pub decode_errors: u64,
     /// Well-formed frames addressed to members this worker does not own.
     pub stray_frames: u64,
@@ -195,6 +196,18 @@ impl Coalescer {
             stats.batched_sends += 1;
         }
         self.frames[sock] = 0;
+    }
+}
+
+/// The largest contributor count any set carried by `payload` claims.
+fn claimed_votes<A: WireAggregate>(payload: &Payload<A>) -> usize {
+    match payload {
+        Payload::Vote { .. } | Payload::VoteBatch { .. } => 0,
+        Payload::Agg { agg, .. } | Payload::Final { agg } => agg.vote_count(),
+        Payload::AggBatch { aggs, .. } => {
+            aggs.iter().map(|(_, a)| a.vote_count()).max().unwrap_or(0)
+        }
+        Payload::Flow { influenced, .. } => influenced.len(),
     }
 }
 
@@ -327,9 +340,12 @@ impl<A: WireAggregate> Worker<A> {
                         continue;
                     }
                     let mut bytes = frame.payload;
+                    // A count is the sender's word; more contributors
+                    // than the group has members can only be forged, and
+                    // would displace the real subtree aggregate.
                     let payload = match codec::decode::<A, _>(&mut bytes) {
-                        Ok(p) => p,
-                        Err(_) => {
+                        Ok(p) if claimed_votes(&p) <= self.n_members as usize => p,
+                        _ => {
                             self.stats.decode_errors += 1;
                             continue;
                         }

@@ -1,20 +1,23 @@
 //! Wire-path robustness under real-channel faults.
 //!
-//! Two properties the multiplexed runtime must hold on a live socket
+//! Three properties the multiplexed runtime must hold on a live socket
 //! pool: convergence survives injected loss *and* reorder together,
-//! and hostile datagrams (truncated, malformed, junk-payload) are
-//! rejected through the `DecodeError` path — counted, never a panic
-//! and never a wedge.
+//! hostile datagrams (truncated, malformed, junk-payload, forged
+//! contributor counts) are rejected through the `DecodeError` path —
+//! counted, never a panic and never a wedge — and frames stay
+//! constant-size: no contributor set rides in them.
 
 use std::net::UdpSocket;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gridagg_aggregate::Average;
+use gridagg_aggregate::{Aggregate, Average, Tagged, VoteSet};
 use gridagg_core::hiergossip::HierGossipConfig;
+use gridagg_core::message::codec;
 use gridagg_core::scope::ScopeIndex;
+use gridagg_core::Payload;
 use gridagg_group::view::View;
-use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
+use gridagg_hierarchy::{Addr, FairHashPlacement, Hierarchy};
 use gridagg_runtime::endpoint::push_frame;
 use gridagg_runtime::{run_cluster, Cluster, RuntimeConfig};
 
@@ -49,6 +52,31 @@ fn converges_under_loss_and_reorder_together() {
 }
 
 #[test]
+fn frames_carry_no_contributor_sets() {
+    // the `cluster_10k` smoke shape; with N/8-byte bitmaps in every
+    // aggregate this run averaged 165 B a frame
+    let n = 512;
+    let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let cfg = RuntimeConfig {
+        sockets: 16,
+        seed: 2001,
+        ..Default::default()
+    }
+    .with_uniform_loss(0.10);
+    let run = run_cluster::<Average>(votes, index(n), HierGossipConfig::default(), cfg)
+        .expect("cluster runs");
+    let r = &run.report;
+    assert_eq!(r.reported, n);
+    let per_frame = r.stats.bytes_sent as f64 / r.stats.frames_sent as f64;
+    assert!(
+        per_frame < 110.0,
+        "{per_frame:.1} B per frame ({} B / {} frames)",
+        r.stats.bytes_sent,
+        r.stats.frames_sent
+    );
+}
+
+#[test]
 fn hostile_datagrams_rejected_via_decode_error_not_panic() {
     let n = 16;
     let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -62,11 +90,38 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
         .expect("launch");
     let targets: Vec<_> = cluster.addrs().to_vec();
 
+    // (d) well-formed `Agg` frames claiming `u64::MAX` contributors,
+    // one per child of the root, so every member finds one relevant:
+    // "whichever covers more votes" would let it displace the real
+    // subtree aggregate.
+    let agg = Tagged::from_parts(Some(Average::from_vote(1e9)), VoteSet::counted(usize::MAX))
+        .expect("value with count");
+    let agg = Arc::new(agg);
+    let forged: Vec<Vec<u8>> = (0..4u8)
+        .map(|d| {
+            let subtree = Addr::from_digits(4, &[d]).expect("root child");
+            let agg = agg.clone();
+            let mut bytes = Vec::new();
+            codec::encode(&Payload::Agg { subtree, agg }, &mut bytes);
+            bytes
+        })
+        .collect();
+
     // An outsider throws garbage at every pool socket while the
-    // cluster is live: truncated headers, out-of-range member ids, and
-    // well-framed junk payloads the codec must reject.
+    // cluster is live: truncated headers, out-of-range member ids,
+    // well-framed junk payloads the codec must reject, and forged
+    // contributor counts.
     let attacker = UdpSocket::bind(("127.0.0.1", 0)).expect("attacker socket");
+    let (mut garbage, mut forged_sent) = (0u64, 0u64);
     for burst in 0..5 {
+        for member in 0..n as u32 {
+            let mut framed = Vec::new();
+            for bytes in &forged {
+                push_frame(&mut framed, member, 0, bytes);
+                forged_sent += 1;
+            }
+            let _ = attacker.send_to(&framed, targets[member as usize % targets.len()]);
+        }
         for addr in &targets {
             // (a) shorter than one frame header
             let _ = attacker.send_to(&[0xAA; 5], addr);
@@ -76,6 +131,7 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
             let mut framed = Vec::new();
             push_frame(&mut framed, burst % n as u32, 0, &[0xEE; 9]);
             let _ = attacker.send_to(&framed, addr);
+            garbage += 3;
         }
         std::thread::sleep(Duration::from_millis(3));
     }
@@ -86,7 +142,21 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
         r.stats.decode_errors > 0,
         "hostile datagrams must surface as counted DecodeErrors"
     );
+    assert!(
+        r.stats.decode_errors > garbage && forged_sent > garbage,
+        "forged counts must be counted too: {} errors for {garbage} garbage datagrams \
+         and {forged_sent} forged frames",
+        r.stats.decode_errors
+    );
     assert_eq!(r.reported, n, "garbage must not wedge the cluster");
+    for o in &run.outcomes {
+        assert!(
+            o.completeness(n) <= 1.0,
+            "member {:?} reports completeness {}",
+            o.member,
+            o.completeness(n)
+        );
+    }
     assert!(
         r.mean_completeness > 0.9,
         "garbage disturbed convergence: {}",

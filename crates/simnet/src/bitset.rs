@@ -2,10 +2,10 @@
 //!
 //! The struct-of-arrays engine keeps per-member flags (started, active,
 //! pending deliveries) and per-member dedup sets (votes seen, keyed by
-//! box position) as [`DenseBitSet`]s instead of sorted-vec `DetSet`s:
+//! box position) as [`DenseBitSet`]s instead of `BTreeSet<u32>`s:
 //! membership tests and inserts are O(1) word operations, iteration is
 //! in ascending index order (so it is deterministic and matches what a
-//! `DetSet<u32>` would produce), and a million members cost 128 KiB per
+//! `BTreeSet<u32>` would produce), and a million members cost 128 KiB per
 //! set instead of a pointer-chasing collection.
 
 /// A bitset over dense indices `0..capacity`, iterating in ascending

@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn splitmix_is_bijective_sample() {
         // distinct inputs -> distinct outputs (spot check)
-        let outs: std::collections::HashSet<u64> = (0..10_000u64).map(splitmix64).collect();
+        let outs: std::collections::BTreeSet<u64> = (0..10_000u64).map(splitmix64).collect();
         assert_eq!(outs.len(), 10_000);
     }
 
