@@ -4,13 +4,22 @@
 //! members whose votes it contains, enforcing the paper's *no double
 //! counting* constraint at merge time and enabling exact completeness
 //! measurement at the end of a run.
+//!
+//! Two folds: [`Tagged::try_merge`] composes two partial aggregates
+//! (one pass over the bitmaps when both sides are exact, O(1) when
+//! either is counted), and [`Tagged::try_add_vote`] folds in a single
+//! member's vote in O(1) without building a singleton to merge. The
+//! `*_for_scale` constructors pick the counted representation in a
+//! default build and the exact shadow in a `strict-invariants` one; see
+//! the [`crate::voteset`] module docs.
 
 use crate::voteset::VoteSet;
 use crate::Aggregate;
 
-/// Error returned by [`Tagged::try_merge`] when the two aggregates share
-/// at least one contributing member — merging them would count a vote
-/// twice, which the paper's problem statement forbids.
+/// Error returned by [`Tagged::try_merge`] and [`Tagged::try_add_vote`]
+/// when the two sides share at least one contributing member — merging
+/// them would count a vote twice, which the paper's problem statement
+/// forbids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoubleCount;
 
@@ -52,8 +61,9 @@ impl<A: Aggregate> Tagged<A> {
     }
 
     /// An empty aggregate in the contributor representation
-    /// [`VoteSet::for_scale`] picks for `n`: exact up to
-    /// [`crate::EXACT_TRACK_MAX`], counted above it.
+    /// [`VoteSet::for_scale`] picks for `n`: counted, or the exact
+    /// shadow up to [`crate::EXACT_TRACK_MAX`] in a `strict-invariants`
+    /// build.
     ///
     /// Only for protocols whose merges are structurally disjoint; see
     /// the [`crate::voteset`] module docs.
@@ -138,6 +148,28 @@ impl<A: Aggregate> Tagged<A> {
         );
         Ok(())
     }
+
+    /// Fold in one member's vote: the same value operations, in the
+    /// same order, as `try_merge(&Tagged::from_vote(member, vote, n))`,
+    /// without allocating the singleton — one bit test on an exact set,
+    /// one increment on a counted one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DoubleCount`] (leaving `self` unchanged) if an exact
+    /// set already contains `member`. A counted set cannot tell and
+    /// trusts the caller's structural dedup.
+    pub fn try_add_vote(&mut self, member: usize, vote: f64) -> Result<(), DoubleCount> {
+        if !self.votes.insert(member) {
+            return Err(DoubleCount);
+        }
+        let theirs = A::from_vote(vote);
+        match &mut self.agg {
+            Some(mine) => mine.merge(&theirs),
+            mine @ None => *mine = Some(theirs),
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +233,34 @@ mod tests {
         let direct = votes.iter().sum::<f64>() / votes.len() as f64;
         assert!((left.aggregate().unwrap().summary() - direct).abs() < 1e-12);
         assert_eq!(left.completeness(n), 1.0);
+    }
+
+    #[test]
+    fn add_vote_rejects_a_repeated_member_on_an_exact_set() {
+        let mut a = Tagged::<Average>::empty(4);
+        a.try_add_vote(0, 10.0).unwrap();
+        a.try_add_vote(1, 30.0).unwrap();
+        assert_eq!(a.aggregate().unwrap().summary(), 20.0);
+        let before = a.clone();
+        assert_eq!(a.try_add_vote(1, 99.0), Err(DoubleCount));
+        assert_eq!(a, before, "failed fold must not mutate");
+        // past the sized capacity the set grows, as a merged singleton would
+        a.try_add_vote(200, 20.0).unwrap();
+        assert!(a.votes().contains(200));
+        assert_eq!(a.vote_count(), 3);
+    }
+
+    #[test]
+    fn add_vote_on_a_counted_set_adds_one() {
+        let mut a =
+            Tagged::<Average>::from_parts(Some(Average::from_vote(10.0)), VoteSet::counted(1))
+                .unwrap();
+        // no identity to dedup by: the caller's structural dedup is trusted
+        a.try_add_vote(7, 30.0).unwrap();
+        a.try_add_vote(7, 50.0).unwrap();
+        assert_eq!(a.vote_count(), 3);
+        assert!(!a.votes().is_exact());
+        assert_eq!(a.aggregate().unwrap().summary(), 30.0);
     }
 
     #[test]

@@ -70,7 +70,9 @@ use std::cell::Cell as StdCell;
 
 use gridagg_aggregate::Average;
 use gridagg_bench::sweep::Sweep;
-use gridagg_bench::{base_seed, bench_budget_ms, print_table, runs, time_mean, write_json};
+use gridagg_bench::{
+    base_seed, bench_budget_ms, host_cores, host_json, print_table, runs, time_mean, write_json,
+};
 use gridagg_core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::json::{Json, ToJson};
@@ -282,6 +284,7 @@ impl ToJson for Baseline {
                 "schema".into(),
                 Json::Str("gridagg-bench-baseline-v1".into()),
             ),
+            ("host".into(), host_json()),
             (
                 "cells".into(),
                 Json::Arr(self.cells.iter().map(ToJson::to_json).collect()),
@@ -486,6 +489,7 @@ const PEAK_HEAP_TOLERANCE: f64 = 1.25;
 /// did not measure (e.g. the committed threads-ladder rows during an
 /// ordinary serial run) are skipped, not failed: the counters are
 /// identical at every thread count, so checking one count checks all.
+/// So are cells at more threads than this host has cores.
 fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usize {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("bench_baseline: cannot read baseline {path}: {e}"));
@@ -502,6 +506,7 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
             as u64
     };
 
+    let cores = host_cores();
     let mut regressions = 0;
     for base in base_cells {
         let proto = base
@@ -529,6 +534,15 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
                 );
                 continue;
             }
+        }
+        if threads > cores {
+            // a thread-scaled row says nothing on a host that cannot
+            // run its threads in parallel
+            eprintln!(
+                "skipping baseline cell {proto}/N={n}/threads={threads}: this host has \
+                 {cores} core(s)"
+            );
+            continue;
         }
         if !cells.iter().any(|c| c.threads == threads) {
             eprintln!(

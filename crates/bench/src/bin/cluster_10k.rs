@@ -37,12 +37,14 @@
 //! * `cluster_10k --check <path>` — additionally compare against a
 //!   committed baseline JSON and exit non-zero on a regression.
 //!   Baseline cells whose preset this run did not measure are skipped,
-//!   so the CI smoke job checks only the smoke cell.
+//!   so the CI smoke job checks only the smoke cell; so is a cell
+//!   recorded on more workers than this host has cores, and
+//!   `frames_per_datagram` is compared only at equal worker counts.
 
 use std::time::Duration;
 
 use gridagg_aggregate::Average;
-use gridagg_bench::{base_seed, print_table, write_json};
+use gridagg_bench::{base_seed, host_cores, host_json, print_table, write_json};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::hiergossip::HierGossipConfig;
 use gridagg_core::json::{Json, ToJson};
@@ -160,6 +162,7 @@ struct Cell {
     decode_errors: u64,
     mailbox_high_water: u64,
     wakeups: u64,
+    backpressure_drains: u64,
 }
 
 impl ToJson for Cell {
@@ -216,6 +219,10 @@ impl ToJson for Cell {
                 Json::Num(self.mailbox_high_water as f64),
             ),
             ("wakeups".into(), Json::Num(self.wakeups as f64)),
+            (
+                "backpressure_drains".into(),
+                Json::Num(self.backpressure_drains as f64),
+            ),
         ])
     }
 }
@@ -231,6 +238,7 @@ impl ToJson for Runtime {
                 "schema".into(),
                 Json::Str("gridagg-bench-runtime-v1".into()),
             ),
+            ("host".into(), host_json()),
             (
                 "cells".into(),
                 Json::Arr(self.cells.iter().map(ToJson::to_json).collect()),
@@ -303,6 +311,7 @@ fn measure(preset: &Preset, seed: u64) -> Cell {
         decode_errors: r.stats.decode_errors,
         mailbox_high_water: r.stats.mailbox_high_water,
         wakeups: r.stats.wakeups,
+        backpressure_drains: r.stats.backpressure_drains,
     }
 }
 
@@ -323,6 +332,7 @@ fn report_table(cells: &[Cell]) {
                 format!("{:.0}", c.frames_per_sec),
                 c.retries.to_string(),
                 c.injected_drops.to_string(),
+                c.backpressure_drains.to_string(),
             ]
         })
         .collect();
@@ -341,6 +351,7 @@ fn report_table(cells: &[Cell]) {
             "frames/s",
             "retries",
             "drops",
+            "bp drains",
         ],
         &rows,
     );
@@ -363,6 +374,7 @@ fn check_against(cells: &[Cell], path: &str) -> usize {
             .unwrap_or_else(|| panic!("cluster_10k: baseline cell missing `{key}`"))
     };
 
+    let cores = host_cores();
     let mut failures = 0;
 
     // In-run structural gates: these hold for every measured cell
@@ -402,6 +414,16 @@ fn check_against(cells: &[Cell], path: &str) -> usize {
             eprintln!("skipping baseline cell {preset}: not measured by this run");
             continue;
         };
+        // A workers-scaled row is only comparable on a host that can
+        // run that many workers in parallel.
+        let base_workers = num(base, "workers") as usize;
+        if base_workers > cores {
+            eprintln!(
+                "skipping baseline cell {preset}: recorded on {base_workers} workers, \
+                 this host has {cores} core(s)"
+            );
+            continue;
+        }
         let base_completeness = num(base, "mean_completeness");
         if cur.mean_completeness < base_completeness - COMPLETENESS_MARGIN {
             eprintln!(
@@ -411,8 +433,17 @@ fn check_against(cells: &[Cell], path: &str) -> usize {
             );
             failures += 1;
         }
+        // Coalescing falls with worker count (fewer frames share a
+        // destination socket per worker), so the floor only means
+        // something against a row with the same number of workers.
         let base_coalesce = num(base, "frames_per_datagram");
-        if cur.frames_per_datagram < base_coalesce * COALESCE_RATIO_FLOOR {
+        if cur.workers != base_workers {
+            eprintln!(
+                "note {preset}: frames_per_datagram {base_coalesce:.2} ({base_workers} workers) \
+                 vs {:.2} ({} workers) — not compared",
+                cur.frames_per_datagram, cur.workers
+            );
+        } else if cur.frames_per_datagram < base_coalesce * COALESCE_RATIO_FLOOR {
             eprintln!(
                 "REGRESSION {preset}: frames_per_datagram {base_coalesce:.2} -> {:.2} \
                  (floor x{COALESCE_RATIO_FLOOR})",

@@ -99,6 +99,35 @@ pub fn write_json<T: gridagg_core::json::ToJson>(name: &str, value: &T) {
     }
 }
 
+/// Cores available to this process.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// The measuring host as `{cores, cpu, os}`, recorded in both bench
+/// baselines: a wall-clock or thread-scaled row without its host is
+/// not comparable to anything.
+pub fn host_json() -> gridagg_core::json::Json {
+    use gridagg_core::json::Json;
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let release = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map_or_else(|_| "unknown".to_string(), |s| s.trim().to_string());
+    Json::Obj(vec![
+        ("cores".into(), Json::Num(host_cores() as f64)),
+        ("cpu".into(), Json::Str(cpu)),
+        (
+            "os".into(),
+            Json::Str(format!("{} {release}", std::env::consts::OS)),
+        ),
+    ])
+}
+
 /// Time budget per benchmark in milliseconds (`GRIDAGG_BENCH_MS`,
 /// default 300).
 pub fn bench_budget_ms() -> u64 {

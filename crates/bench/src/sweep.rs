@@ -245,7 +245,7 @@ pub fn jobs() -> usize {
     {
         return n.max(1);
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+    crate::host_cores()
 }
 
 /// In-run engine thread count: `--engine-jobs N` / `--engine-jobs=N`
@@ -281,8 +281,7 @@ pub fn engine_jobs(sweep_jobs: usize) -> usize {
     if sweep_jobs <= 1 {
         return requested;
     }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    requested.min((cores / sweep_jobs).max(1))
+    requested.min((crate::host_cores() / sweep_jobs).max(1))
 }
 
 #[cfg(test)]

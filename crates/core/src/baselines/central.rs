@@ -204,11 +204,7 @@ impl<A: Aggregate> AggregationProtocol<A> for Centralized<A> {
                         return; // implosion: dropped at the leader
                     }
                 }
-                let before = self.acc.vote_count();
-                let _ = self
-                    .acc
-                    .try_merge(&Tagged::from_vote(member.index(), value, self.n));
-                if self.acc.vote_count() != before {
+                if self.acc.try_add_vote(member.index(), value).is_ok() {
                     let me = self.me;
                     let round = ctx.round;
                     let votes = self.acc.vote_count() as u64;

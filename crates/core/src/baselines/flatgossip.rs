@@ -88,16 +88,16 @@ impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
         if self.rounds >= self.cfg.total_rounds {
             let mut votes = self.known.clone();
             votes.sort_unstable_by_key(|(m, _)| *m);
-            // `for_scale`: counted contributor sets above the exact
-            // threshold are safe here because `have` dedupes inserts
-            // into `known`, so the merges are structurally disjoint.
+            // `for_scale`: counted contributor sets are safe here
+            // because `have` dedupes inserts into `known`, so the folds
+            // are structurally disjoint.
             let mut acc = Tagged::<A>::empty_for_scale(self.n);
             for (m, v) in votes {
-                // `have` dedupes inserts into `known`, so these merges
+                // `have` dedupes inserts into `known`, so these folds
                 // are disjoint; if that ever broke, dropping the
-                // duplicate (try_merge leaves `acc` untouched on error)
-                // beats panicking in a handler.
-                let _ = acc.try_merge(&Tagged::from_vote_for_scale(m.index(), v, self.n));
+                // duplicate (try_add_vote leaves `acc` untouched on
+                // error) beats panicking in a handler.
+                let _ = acc.try_add_vote(m.index(), v);
             }
             self.estimate = Some(acc);
             self.done_at = Some(ctx.round);

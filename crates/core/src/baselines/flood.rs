@@ -119,11 +119,7 @@ impl<A: Aggregate> AggregationProtocol<A> for Flood<A> {
             Payload::Vote { member, value } => {
                 // each member floods its own vote exactly once, but be
                 // robust to duplicates anyway
-                let before = self.acc.vote_count();
-                let _ = self
-                    .acc
-                    .try_merge(&Tagged::from_vote(member.index(), value, self.n));
-                if self.acc.vote_count() != before {
+                if self.acc.try_add_vote(member.index(), value).is_ok() {
                     let me = self.me;
                     let round = ctx.round;
                     let votes = self.acc.vote_count() as u64;

@@ -201,28 +201,23 @@ impl<A: Aggregate> LeaderElection<A> {
         if let Some(a) = self.aggs.get(&prefix) {
             return a.clone();
         }
-        // `for_scale`: counted contributor sets above the exact
-        // threshold are safe here because `have_vote` dedupes committee
-        // votes and child slots adopt first-reception-wins, so merges
-        // are structurally disjoint.
-        let composed = if len == self.depth() {
+        // `for_scale`: counted contributor sets are safe here because
+        // `have_vote` dedupes committee votes and child slots adopt
+        // first-reception-wins, so merges are structurally disjoint.
+        let mut composed = Tagged::<A>::empty_for_scale(self.n);
+        if len == self.depth() {
             let mut votes = self.votes.clone();
             votes.sort_unstable_by_key(|(m, _)| *m);
-            let mut acc = Tagged::<A>::empty_for_scale(self.n);
             for (m, v) in votes {
-                acc.try_merge(&Tagged::from_vote_for_scale(m.index(), v, self.n))
-                    .expect("unique votes");
+                composed.try_add_vote(m.index(), v).expect("unique votes");
             }
-            acc
         } else {
-            let mut acc = Tagged::<A>::empty_for_scale(self.n);
             for child in prefix.children() {
                 if let Some(a) = self.aggs.get(&child) {
-                    acc.try_merge(a).expect("disjoint children");
+                    composed.try_merge(a).expect("disjoint children");
                 }
             }
-            acc
-        };
+        }
         self.aggs.insert(prefix, composed.clone());
         composed
     }

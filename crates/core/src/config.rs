@@ -145,7 +145,7 @@ pub struct ExperimentConfig {
     /// ([`crate::hiergossip::HierGossip::trace`]). Pure instrumentation
     /// — never affects protocol behavior or proxy counters — but costs
     /// O(phases) heap per member, so the scale bench turns it off above
-    /// the exact-tracking threshold.
+    /// the frozen grid (N = 16384).
     pub phase_trace: bool,
     /// Engine threads *inside* each run: the round loop forks the
     /// delivery and visit phases across this many scoped threads and

@@ -343,30 +343,30 @@ impl<A: Aggregate> HierGossip<A> {
     /// Close out the current phase: compose this scope's aggregate from
     /// the known components and advance.
     fn finish_phase(&mut self, round: Round) {
-        // `for_scale` constructors: above the exact-tracking threshold
-        // the contributor sets are counted, which is exact here because
-        // `have_vote` dedups phase-1 votes and child subtrees are
-        // disjoint by construction (see the voteset module docs).
-        let composed = if self.phase == 1 {
+        // `for_scale` constructors: the contributor sets are counted
+        // (exact shadows only under strict-invariants), which is exact
+        // here because `have_vote` dedups phase-1 votes and child
+        // subtrees are disjoint by construction (see the voteset module
+        // docs).
+        let mut composed = Tagged::<A>::empty_for_scale(self.n);
+        if self.phase == 1 {
             // deterministic fold order: by member id
             let mut votes = self.known_votes.clone();
             votes.sort_unstable_by_key(|(m, _)| *m);
-            let mut acc = Tagged::<A>::empty_for_scale(self.n);
             for (m, v) in votes {
-                acc.try_merge(&Tagged::from_vote_for_scale(m.index(), v, self.n))
+                composed
+                    .try_add_vote(m.index(), v)
                     .expect("votes are unique per member");
             }
-            acc
         } else {
-            let mut acc = Tagged::<A>::empty_for_scale(self.n);
             for child in &self.children {
                 if let Some(a) = self.aggs.get(child) {
-                    acc.try_merge(a)
+                    composed
+                        .try_merge(a)
                         .expect("child subtrees are disjoint by construction");
                 }
             }
-            acc
-        };
+        }
         if self.cfg.phase_trace {
             let (known, expected) = if self.phase == 1 {
                 (self.known_votes.len(), self.index.count_in(&self.my_box))

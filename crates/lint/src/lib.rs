@@ -28,10 +28,11 @@
 //! - **D007** — counted-set discipline. The
 //!   `for_scale`/`singleton_for_scale`/`empty_for_scale`/
 //!   `from_vote_for_scale` constructors trade exact contributor
-//!   tracking for counts, which is only sound in structurally-deduping
-//!   protocols (hiergossip/flatgossip/leader). Flood and centralized
-//!   rely on exact `try_merge` DoubleCount rejection for correctness,
-//!   so any other call site is flagged.
+//!   tracking for counts — at every group size in a default build —
+//!   which is only sound in structurally-deduping protocols
+//!   (hiergossip/flatgossip/leader). Flood and centralized rely on
+//!   exact `DoubleCount` rejection for correctness, so any other call
+//!   site is flagged.
 //! - **D008** — instrumentation purity. No RNG draws inside blocks
 //!   gated by trace/instrumentation flags (`phase_trace`,
 //!   `S::ENABLED`, `is_traced()`): toggling tracing must never change

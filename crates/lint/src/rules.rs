@@ -19,10 +19,12 @@ pub const PROTOCOL_STATE_CRATES: &[&str] = &["core", "simnet", "hierarchy", "gro
 /// completeness.
 const WIRE_ENUM: &str = "Payload";
 
-/// D007: the counted-set constructors. Counted `VoteSet`s drop exact
-/// contributor tracking above `EXACT_TRACK_MAX`, which is only sound
-/// for protocols that dedupe structurally; flood/centralized rely on
-/// exact `try_merge` DoubleCount rejection for correctness.
+/// D007: the counted-set constructors. They drop contributor identity
+/// at every group size in a default build (the exact shadow exists
+/// only under `strict-invariants`), which is only sound for protocols
+/// that dedupe structurally; flood/centralized rely on exact
+/// `DoubleCount` rejection for correctness, so a stray call site is
+/// wrong at any N.
 const D007_CONSTRUCTORS: &[&str] = &[
     "for_scale",
     "singleton_for_scale",

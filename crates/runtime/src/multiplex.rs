@@ -84,6 +84,9 @@ pub struct WorkerStats {
     pub decode_errors: u64,
     /// Well-formed frames addressed to members this worker does not own.
     pub stray_frames: u64,
+    /// Mid-burst receive drains: times a flush had put
+    /// `DRAIN_EVERY_BYTES` on the wire since it last read its sockets.
+    pub backpressure_drains: u64,
 }
 
 impl WorkerStats {
@@ -102,6 +105,7 @@ impl WorkerStats {
         self.reordered += other.reordered;
         self.decode_errors += other.decode_errors;
         self.stray_frames += other.stray_frames;
+        self.backpressure_drains += other.backpressure_drains;
     }
 }
 
@@ -531,6 +535,7 @@ impl<A: WireAggregate> Worker<A> {
             // the next delivery pass.
             if since_drain >= DRAIN_EVERY_BYTES {
                 since_drain = 0;
+                self.stats.backpressure_drains += 1;
                 self.drain_sockets();
             }
         }
@@ -554,12 +559,14 @@ mod tests {
             datagrams_sent: 4,
             mailbox_high_water: 2,
             frames_recv: 9,
+            backpressure_drains: 2,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.datagrams_sent, 7);
         assert_eq!(a.mailbox_high_water, 5);
         assert_eq!(a.frames_recv, 9);
+        assert_eq!(a.backpressure_drains, 2);
     }
 
     #[test]

@@ -124,6 +124,49 @@ fn tagged_rejects_any_overlap() {
     }
 }
 
+/// `try_add_vote(m, v)` is `try_merge(&Tagged::from_vote(m, v, n))`
+/// without the singleton: same float operations in the same order, so
+/// the summaries agree to the bit, on exact and counted sets alike.
+#[test]
+fn add_vote_is_bit_identical_to_merging_a_singleton() {
+    fn check<A: Aggregate>(label: u64) {
+        let mut rng = rng_for(label);
+        for case in 0..CASES {
+            let votes = random_votes(&mut rng);
+            let n = votes.len();
+            for for_scale in [false, true] {
+                let empty = || {
+                    if for_scale {
+                        Tagged::<A>::empty_for_scale(n)
+                    } else {
+                        Tagged::<A>::empty(n)
+                    }
+                };
+                let (mut added, mut merged) = (empty(), empty());
+                for (m, &v) in votes.iter().enumerate() {
+                    let single = if for_scale {
+                        Tagged::from_vote_for_scale(m, v, n)
+                    } else {
+                        Tagged::from_vote(m, v, n)
+                    };
+                    added.try_add_vote(m, v).unwrap();
+                    merged.try_merge(&single).unwrap();
+                    assert_eq!(
+                        added.aggregate().unwrap().summary().to_bits(),
+                        merged.aggregate().unwrap().summary().to_bits(),
+                        "case {case}, vote {m}"
+                    );
+                    assert_eq!(added.vote_count(), merged.vote_count());
+                }
+                assert_eq!(added, merged, "case {case}");
+            }
+        }
+    }
+    check::<Average>(12);
+    check::<MeanVar>(13);
+    check::<TopK>(14);
+}
+
 #[test]
 fn voteset_union_is_idempotent_and_monotone() {
     let mut rng = rng_for(11);

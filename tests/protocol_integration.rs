@@ -361,3 +361,64 @@ fn complexity_predictions_bracket_measurements() {
         predicted_msgs
     );
 }
+
+/// The three structurally-deduping protocols carry counted contributor
+/// sets on the data path in a default build; a `strict-invariants`
+/// build swaps in the exact shadow, and then every contributor it names
+/// is a member of the group.
+#[test]
+fn deduping_protocols_report_counted_sets_unless_built_strict() {
+    use gridagg::core::scope::ScopeIndex;
+    use gridagg::group::failure::FailureProcess;
+
+    fn check<P: AggregationProtocol<Average> + Send>(name: &str, protocols: Vec<P>, truth: f64) {
+        let n = protocols.len();
+        let (report, protocols) = Simulation::new(
+            SimNetwork::new(NetworkConfig::default(), 9),
+            protocols,
+            FailureProcess::new(FailureModel::None, n, 9),
+            9,
+            truth,
+            2000,
+        )
+        .run_returning();
+        assert_eq!(report.completed(), n, "{name}");
+        for p in &protocols {
+            let est = p.estimate().expect("completed members hold an estimate");
+            assert!((1..=n).contains(&est.vote_count()), "{name}");
+            assert_eq!(
+                est.votes().is_exact(),
+                cfg!(feature = "strict-invariants"),
+                "{name}"
+            );
+            assert!(est.votes().iter().all(|m| m < n), "{name}");
+        }
+    }
+
+    let n = 1024;
+    let group = GroupBuilder::new(n)
+        .votes(VoteDistribution::Index)
+        .seed(9)
+        .build();
+    let truth = group.true_aggregate::<Average>().summary();
+    let hierarchy = Hierarchy::for_group(4, n).unwrap();
+    let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(hierarchy, 9));
+    let members = group.members();
+
+    let hier = members
+        .iter()
+        .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()));
+    check("hiergossip", hier.collect(), truth);
+
+    let flat = members
+        .iter()
+        .map(|m| FlatGossip::new(m.id, m.vote, n, FlatGossipConfig::default()));
+    check("flatgossip", flat.collect(), truth);
+
+    let le_cfg = LeaderElectionConfig::default();
+    let directory = LeaderDirectory::build(&index, &le_cfg);
+    let leader = members
+        .iter()
+        .map(|m| LeaderElection::new(m.id, m.vote, index.clone(), directory.clone(), le_cfg));
+    check("leader", leader.collect(), truth);
+}
