@@ -607,10 +607,12 @@ where
             sink,
         };
         let mut out = Outbox::new();
-        // Delivery and visit scratch, reused every round: `drain_into`
-        // and `begin_visits` refill them in place, so the steady state
-        // is zero per-round allocation.
-        let mut delivery = Vec::new(); // lint:allow(D009) per-run scratch, refilled in place each round
+        // Delivery and visit scratch, reused every round. `drain_into`
+        // exchanges `delivery` for the network's due bucket and keeps
+        // the emptied one for the next round's sends, so the run
+        // cycles two delivery buffers; `begin_visits` refills `visit`
+        // in place. The steady state is zero per-round allocation.
+        let mut delivery = Vec::new(); // lint:allow(D009) per-run scratch, exchanged with the network each round
         let mut visit: Vec<u32> = Vec::new(); // lint:allow(D009) per-run scratch, reused across rounds
         let mut round: Round = 0;
 

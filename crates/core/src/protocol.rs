@@ -34,14 +34,20 @@ impl<A> Outbox<A> {
         self.msgs.push((to, payload));
     }
 
-    /// Queue the same payload to several destinations (gossip fanout).
+    /// Queue the same payload to several destinations (gossip fanout),
+    /// in iteration order. The last destination takes `payload` itself,
+    /// so a fan-out of `k` costs `k - 1` clones.
     pub fn send_many(&mut self, to: impl IntoIterator<Item = MemberId>, payload: Payload<A>)
     where
         A: Clone,
     {
-        for dest in to {
+        let mut to = to.into_iter();
+        let Some(mut dest) = to.next() else { return };
+        for next in to {
             self.msgs.push((dest, payload.clone()));
+            dest = next;
         }
+        self.msgs.push((dest, payload));
     }
 
     /// Drain the queued messages.
@@ -172,9 +178,29 @@ mod tests {
         );
         assert_eq!(out.len(), 3);
         let drained: Vec<_> = out.drain().collect();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[1].0, MemberId(2));
+        let dests: Vec<_> = drained.iter().map(|(to, _)| *to).collect();
+        assert_eq!(dests, [MemberId(1), MemberId(2), MemberId(3)]);
         assert!(out.is_empty());
+
+        // the last destination takes the original, so exactly one
+        // reference per destination is queued: a single destination
+        // holds the only one, an empty fan-out queues nothing
+        let agg = || std::sync::Arc::new(Tagged::<Average>::from_vote(0, 1.0, 4));
+        out.send_many([MemberId(5)], Payload::Final { agg: agg() });
+        out.send_many([], Payload::Final { agg: agg() });
+        out.send_many([MemberId(6), MemberId(7)], Payload::Final { agg: agg() });
+        let counts: Vec<_> = out
+            .drain()
+            .map(|(to, p)| match p {
+                Payload::Final { agg } => (to, std::sync::Arc::strong_count(&agg)),
+                other => panic!("queued {other:?}"),
+            })
+            .collect();
+        // drained one at a time, so the pair's first sees both references
+        assert_eq!(
+            counts,
+            [(MemberId(5), 1), (MemberId(6), 2), (MemberId(7), 1)]
+        );
     }
 
     #[test]

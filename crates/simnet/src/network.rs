@@ -2,17 +2,23 @@
 //!
 //! [`SimNetwork`] accepts `send` calls during round `t` and, after loss,
 //! bandwidth-cap, and delay decisions, queues survivors for delivery at
-//! round `t + delay`. The engine calls [`SimNetwork::drain`] at the start
-//! of each round to collect due messages.
+//! round `t + delay`. The engine calls [`SimNetwork::drain_into`] at the
+//! start of each round to collect due messages.
 //!
 //! In-flight messages live in a **ring of per-round buckets** indexed by
 //! `delivery_round - head_round` rather than a `BTreeMap<Round, Vec<_>>`:
 //! the hot send path is an index plus a push (no tree rebalancing or
-//! node allocation), and drained buckets stay in the ring with their
-//! capacity intact, so the steady state allocates nothing per round.
-//! Rounds are expected to advance monotonically (each `drain` moves the
-//! head forward); a send targeting a round at or before the head is
-//! clamped to the next drain.
+//! node allocation). Rounds are expected to advance monotonically (each
+//! `drain` moves the head forward); a send targeting a round at or
+//! before the head is clamped to the next drain.
+//!
+//! A ring slot owns an allocation only while it holds messages: the
+//! drain **hands the due bucket over** in exchange for the caller's
+//! cleared buffer, which waits in a spare pool until `send` needs one.
+//! A round loop that reuses one buffer therefore cycles (delay span + 1)
+//! allocations — two under the next-round delay — and allocates nothing
+//! per round. (Left in its slot, every bucket grew to the peak round's
+//! size as the head rotated past it: 8 × peak for one bucket in use.)
 
 use crate::delay::{DelayModel, NextRound};
 use crate::loss::{LossModel, Perfect};
@@ -141,10 +147,13 @@ pub struct SimNetwork<P> {
     /// Ring of per-round delivery buckets. `ring[(ring_base + off) &
     /// (len - 1)]` holds messages due at `head_round + off`; the length
     /// is always a power of two and grows (rarely) when a delay model
-    /// reaches past the current horizon. Drained buckets stay in place,
-    /// empty but with capacity, for reuse.
+    /// reaches past the current horizon. An empty slot has no capacity:
+    /// the drain moves every emptied allocation to `spare`.
     ring: Vec<Vec<Envelope<P>>>,
     ring_base: usize,
+    /// Emptied buffers (capacity > 0) for `send` to fill next; never
+    /// more than were once in use at the same time.
+    spare: Vec<Vec<Envelope<P>>>,
     /// Earliest round the ring can still hold: one past the last
     /// drained round.
     head_round: Round,
@@ -169,6 +178,7 @@ impl<P> SimNetwork<P> {
             cfg,
             ring,
             ring_base: 0,
+            spare: Vec::new(),
             head_round: 0,
             stats: NetworkStats::default(),
             rng: DetRng::seeded(seed).fork(0x6E65_7477), // "netw"
@@ -190,8 +200,8 @@ impl<P> SimNetwork<P> {
     /// round according to the loss, bandwidth, and delay models.
     /// `wire_bytes` is the serialized size used for byte accounting.
     /// Returns the message's fate; plain senders may ignore it.
-    // lint:hot — called once per message; the delay ring reuses its
-    // buckets in place.
+    // lint:hot — called once per message; a slot without a buffer takes
+    // one from the spare pool before it allocates.
     pub fn send(
         &mut self,
         round: Round,
@@ -243,7 +253,13 @@ impl<P> SimNetwork<P> {
             self.grow_ring(off + 1);
         }
         let idx = (self.ring_base + off) & (self.ring.len() - 1);
-        self.ring[idx].push(Envelope {
+        let bucket = &mut self.ring[idx];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
+        bucket.push(Envelope {
             from,
             to,
             sent_at: round,
@@ -277,11 +293,16 @@ impl<P> SimNetwork<P> {
         due
     }
 
-    /// Like [`SimNetwork::drain`], but appends into a caller-provided
-    /// buffer (cleared first) so a round-loop can reuse one allocation
-    /// for the whole run. Emptied per-round queues are recycled for
-    /// future sends.
-    // lint:hot — the per-round delivery drain; must stay append-into.
+    /// Like [`SimNetwork::drain`], but into a caller-provided buffer so a
+    /// round loop can cycle the same allocations for the whole run.
+    /// `due` is cleared, then **exchanged** with the due bucket — O(1),
+    /// no envelope is copied; only the second and later buckets of a
+    /// drain spanning several rounds are appended — and the caller's old
+    /// allocation is kept for future sends. A buffer without capacity
+    /// (a fresh `Vec::new()`) is never kept: popping it would save no
+    /// send its allocation.
+    // lint:hot — the per-round delivery drain; allocation-free, and
+    // copy-free for a single due bucket.
     pub fn drain_into(&mut self, round: Round, due: &mut Vec<Envelope<P>>) {
         due.clear();
         if round < self.head_round {
@@ -293,7 +314,18 @@ impl<P> SimNetwork<P> {
         let span = (round - self.head_round + 1).min(len as Round) as usize;
         for off in 0..span {
             let idx = (self.ring_base + off) & (len - 1);
-            due.append(&mut self.ring[idx]);
+            let bucket = &mut self.ring[idx];
+            if bucket.is_empty() {
+                continue; // an empty slot owns no allocation
+            }
+            if due.is_empty() {
+                std::mem::swap(due, bucket);
+            } else {
+                due.append(bucket);
+            }
+            if bucket.capacity() > 0 {
+                self.spare.push(std::mem::take(bucket));
+            }
         }
         self.ring_base = (self.ring_base + span) & (len - 1);
         self.head_round = round + 1;
@@ -302,12 +334,20 @@ impl<P> SimNetwork<P> {
 
     /// Number of messages currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.ring.iter().map(Vec::len).sum()
+        self.in_flight_now as usize
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
+    }
+
+    /// `(buffers, envelopes)`: how many allocations the ring and the
+    /// spare pool own, and their total capacity.
+    #[cfg(test)]
+    fn owned(&self) -> (usize, usize) {
+        let caps = self.ring.iter().chain(&self.spare).map(Vec::capacity);
+        (caps.clone().filter(|&c| c > 0).count(), caps.sum())
     }
 }
 
@@ -501,6 +541,187 @@ mod tests {
         assert_eq!(due.len(), 2); // rounds 5 and 6 still held messages
         net.send(100, NodeId(0), NodeId(1), 99, 8);
         assert_eq!(net.drain(102).len(), 1);
+    }
+
+    #[test]
+    fn in_flight_is_the_maintained_count() {
+        let cfg = NetworkConfig::default()
+            .with_delay(UniformDelay::new(1, 3))
+            .with_loss(UniformLoss::new(0.3).unwrap());
+        let mut net: SimNetwork<u32> = SimNetwork::new(cfg, 7);
+        let mut expect = 0;
+        for i in 0..200 {
+            if let SendOutcome::Queued { .. } = net.send(0, NodeId(0), NodeId(1), i, 8) {
+                expect += 1;
+            }
+            assert_eq!(net.in_flight(), expect);
+        }
+        assert!(net.stats().dropped_loss > 0); // drops were never counted in
+        assert_eq!(net.in_flight() as u64, net.stats().delivered);
+        // a send stamped far ahead of the head grows the ring
+        let ring_len = net.ring.len();
+        while net.ring.len() == ring_len {
+            net.send(40, NodeId(0), NodeId(1), 0, 8);
+        }
+        let queued = net.in_flight();
+        assert_eq!(queued as u64, net.stats().delivered);
+        // a multi-round drain takes out exactly what it returns
+        let due = net.drain(2);
+        assert!(!due.is_empty() && due.len() < queued);
+        assert_eq!(net.in_flight(), queued - due.len());
+        let rest = net.drain(100);
+        assert_eq!(rest.len(), queued - due.len());
+        assert_eq!(net.in_flight(), 0);
+    }
+
+    /// What the ring, the hand-over and the spare pool must be
+    /// indistinguishable from: a map from delivery round to the
+    /// messages due then, in send order.
+    #[test]
+    fn matches_a_btreemap_reference_under_mixed_traffic() {
+        use std::collections::BTreeMap;
+        // (1, 5) stays inside the initial ring unless a send is stamped
+        // ahead; (1, 12) reaches past it on its own
+        for (seed, max_delay) in [(1u64, 5u64), (2, 12), (3, 5), (4, 12)] {
+            let cfg = NetworkConfig::default()
+                .with_delay(UniformDelay::new(1, max_delay))
+                .with_loss(UniformLoss::new(0.2).unwrap());
+            let mut net: SimNetwork<u32> = SimNetwork::new(cfg, seed);
+            let mut model: BTreeMap<Round, Vec<Envelope<u32>>> = BTreeMap::new();
+            let mut want = NetworkStats::default();
+            let mut in_flight = 0u64;
+            let mut rng = DetRng::seeded(seed ^ 0xBEEF);
+            let mut reused = Vec::new();
+            let mut round: Round = 0;
+            let mut next_payload = 0u32;
+            for step in 0..400 {
+                // sends of this round; now and then one stamped ahead,
+                // which forces `grow_ring` whatever the delay model
+                for _ in 0..rng.below(40) {
+                    let ahead = if rng.chance(0.02) {
+                        rng.below(30) as Round
+                    } else {
+                        0
+                    };
+                    let (from, to) = (NodeId(rng.below(9) as u32), NodeId(rng.below(9) as u32));
+                    let bytes = 1 + rng.below(64) as u32;
+                    let sent_at = round + ahead;
+                    want.sent += 1;
+                    want.bytes_sent += bytes as u64;
+                    match net.send(sent_at, from, to, next_payload, bytes) {
+                        SendOutcome::Queued { at } => {
+                            assert!(at > round && at <= sent_at + max_delay);
+                            want.delivered += 1;
+                            want.bytes_delivered += bytes as u64;
+                            in_flight += 1;
+                            want.peak_in_flight = want.peak_in_flight.max(in_flight);
+                            model.entry(at).or_default().push(Envelope {
+                                from,
+                                to,
+                                sent_at,
+                                payload: next_payload,
+                            });
+                        }
+                        SendOutcome::DroppedLoss => want.dropped_loss += 1,
+                        SendOutcome::DroppedBandwidth => unreachable!("no cap configured"),
+                    }
+                    next_payload += 1;
+                }
+                // drain, sometimes skipping rounds; alternate a reused
+                // buffer with a fresh one (which has nothing to give back)
+                round += 1 + if rng.chance(0.2) {
+                    rng.below(4) as Round
+                } else {
+                    0
+                };
+                let later = model.split_off(&(round + 1));
+                let expect: Vec<_> = std::mem::replace(&mut model, later)
+                    .into_values()
+                    .flatten()
+                    .collect();
+                let fresh;
+                let got = if step % 3 == 0 {
+                    fresh = net.drain(round);
+                    &fresh
+                } else {
+                    net.drain_into(round, &mut reused);
+                    &reused
+                };
+                assert_eq!(got, &expect, "seed {seed} round {round}");
+                in_flight -= got.len() as u64;
+                assert_eq!(net.in_flight() as u64, in_flight);
+            }
+            assert!(net.ring.len() > INITIAL_RING, "growth was exercised");
+            assert!(want.dropped_loss > 0 && want.delivered > 1000);
+            assert_eq!(net.stats(), &want);
+        }
+    }
+
+    #[test]
+    fn network_owns_span_buffers_not_a_ring_of_them() {
+        // next-round delay, one reused delivery buffer: one bucket
+        // filling, one buffer spare or in the caller's hands. Kept in
+        // place, all 8 slots would each grow to 1,024.
+        let mut net = perfect_net();
+        let mut due = Vec::new();
+        for r in 0..64 {
+            for i in 0..1000 {
+                net.send(r, NodeId(0), NodeId(1), i, 8);
+            }
+            let (buffers, envelopes) = net.owned();
+            assert!(
+                buffers <= 2 && envelopes <= 2 * 1024,
+                "round {r}: {buffers} / {envelopes}"
+            );
+            net.drain_into(r + 1, &mut due);
+            assert_eq!(due.len(), 1000);
+            assert!(
+                net.owned().0 <= 1,
+                "round {r}: the drained bucket left the ring"
+            );
+        }
+        // a delay spread over 3 rounds: at most 3 buckets filling, and
+        // span + 1 buffers in all, counting the caller's
+        let cfg = NetworkConfig::default().with_delay(UniformDelay::new(1, 3));
+        let mut net: SimNetwork<u32> = SimNetwork::new(cfg, 7);
+        for r in 0..64 {
+            for i in 0..1000 {
+                net.send(r, NodeId(0), NodeId(1), i, 8);
+            }
+            net.drain_into(r + 1, &mut due);
+            let held = net.owned().0 + usize::from(due.capacity() > 0);
+            assert!(held <= 4, "round {r}: {held} buffers");
+        }
+    }
+
+    #[test]
+    fn drain_with_fresh_buffers_pools_nothing() {
+        // `drain()` hands each due bucket to the caller for good and has
+        // no allocation to give back: the pool stays empty, and never
+        // holds a zero-capacity Vec a later send would pop for nothing
+        let cfg = NetworkConfig::default().with_delay(UniformDelay::new(1, 2));
+        let mut net: SimNetwork<u32> = SimNetwork::new(cfg, 7);
+        for r in 0..32 {
+            for i in 0..50 {
+                net.send(r, NodeId(0), NodeId(1), i, 8);
+            }
+            let due = net.drain(r + 1);
+            assert!(!due.is_empty());
+            assert!(net.spare.is_empty());
+            // every allocation the network still owns holds messages
+            let filling = net.ring.iter().filter(|b| !b.is_empty()).count();
+            assert_eq!(net.owned().0, filling);
+        }
+        // a drain spanning two buckets hands the first over, appends
+        // the second and keeps only that one's allocation
+        for i in 0..50 {
+            net.send(32, NodeId(0), NodeId(1), i, 8);
+        }
+        let queued = net.in_flight();
+        assert_eq!(net.drain(100).len(), queued);
+        assert!(net.ring.iter().all(|b| b.capacity() == 0));
+        assert_eq!(net.spare.len(), 1);
+        assert!(net.spare[0].is_empty() && net.spare[0].capacity() > 0);
     }
 
     #[test]
