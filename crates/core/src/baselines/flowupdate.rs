@@ -531,7 +531,7 @@ mod tests {
         for round in 0..=5 {
             let mut ctx = Ctx::new(round, &mut rng);
             p.on_round(&mut ctx, &mut out);
-            out.drain();
+            out.drain().for_each(drop);
         }
         assert!(p.is_done());
         assert_eq!(p.completed_at(), Some(5));
@@ -562,18 +562,18 @@ mod tests {
             &mut ctx,
             &mut out,
         );
-        out.drain(); // discard the pairwise answer
+        out.drain().for_each(drop); // discard the pairwise answer
         {
             let mut ctx = Ctx::new(1, &mut rng);
             p.on_round(&mut ctx, &mut out);
-            out.drain();
+            out.drain().for_each(drop);
         }
         assert!(p.local_estimate() < 10.0, "mass flowed towards neighbour");
         // then it goes silent past the timeout: rounds 2..=4
         for round in 2..=4 {
             let mut ctx = Ctx::new(round, &mut rng);
             p.on_round(&mut ctx, &mut out);
-            out.drain();
+            out.drain().for_each(drop);
         }
         assert_eq!(p.local_estimate(), 10.0, "flow reclaimed after timeout");
     }

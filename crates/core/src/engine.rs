@@ -835,8 +835,7 @@ where
                 completeness: proto.estimate().map_or(0.0, |est| est.completeness(n)),
             });
         }
-        for (to, payload) in out.drain() {
-            let bytes = payload.wire_size();
+        for (to, payload, bytes) in out.drain_sized() {
             fx.send(round, me, to, payload, bytes);
         }
         now_done

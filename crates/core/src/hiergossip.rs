@@ -411,7 +411,11 @@ impl<A: Aggregate> HierGossip<A> {
         // height-(i−1) subtree immediately after phase (i−1) concludes."
         // When a more complete evaluation of the same subtree was already
         // received from a faster peer, keep that one (see `upgrade`).
-        Self::upgrade(&mut self.aggs, self.scope, &Arc::new(composed));
+        let own = self
+            .aggs
+            .entry(&self.scope)
+            .expect("own scope is in the chain");
+        Self::upgrade(own, &Arc::new(composed));
 
         // the scope (and possibly `aggs`) just changed: both cached
         // gossip bodies are stale
@@ -519,10 +523,11 @@ impl<A: Aggregate> HierGossip<A> {
         );
     }
 
-    /// Store an aggregate for `key`, keeping whichever version covers
-    /// more votes when two evaluations of the same subtree collide.
-    /// Returns whether it stored; the `Arc` is cloned (a reference-count
-    /// bump, shared with any in-flight payload) only then.
+    /// Store an aggregate in `entry` (a subtree's slot in the slab),
+    /// keeping whichever version covers more votes when two evaluations
+    /// of the same subtree collide. Returns whether it stored; the
+    /// `Arc` is cloned (a reference-count bump, shared with any
+    /// in-flight payload) only then.
     ///
     /// Different members legitimately compute different vote subsets for
     /// the same subtree (their phases saw different gossip); all versions
@@ -530,15 +535,11 @@ impl<A: Aggregate> HierGossip<A> {
     /// preserves the no-double-counting invariant while letting complete
     /// evaluations displace partial ones as they spread — the same
     /// convergence rule Astrolabe-style systems use.
-    fn upgrade(aggs: &mut AddrSlab<Arc<Tagged<A>>>, key: Addr, agg: &Arc<Tagged<A>>) -> bool {
-        match aggs.get_mut(&key) {
-            Some(existing) if agg.vote_count() > existing.vote_count() => {
-                *existing = agg.clone();
-                true
-            }
-            Some(_) => false,
-            None => {
-                aggs.insert(key, agg.clone());
+    fn upgrade(entry: &mut Option<Arc<Tagged<A>>>, agg: &Arc<Tagged<A>>) -> bool {
+        match entry {
+            Some(existing) if agg.vote_count() <= existing.vote_count() => false,
+            _ => {
+                *entry = Some(agg.clone());
                 true
             }
         }
@@ -563,9 +564,15 @@ impl<A: Aggregate> HierGossip<A> {
     /// Record a received subtree aggregate if it is relevant. Returns
     /// whether the stored state changed (see [`Self::upgrade`]).
     fn learn_agg(&mut self, subtree: Addr, agg: &Arc<Tagged<A>>) -> bool {
-        if !self.relevant(&subtree) {
+        // Relevant when it names a child of one of this member's phase
+        // scopes — exactly the chain-local slab's slot condition, minus
+        // the root (the root aggregate is never gossiped).
+        if subtree.is_empty() {
             return false;
         }
+        let Some(entry) = self.aggs.entry(&subtree) else {
+            return false;
+        };
         // Addr consistency: a received subtree aggregate must only cover
         // members of that subtree, or adopting it would double-count
         // once sibling aggregates are composed. (Counted sets carry no
@@ -581,7 +588,7 @@ impl<A: Aggregate> HierGossip<A> {
                  outside that subtree"
             );
         }
-        let changed = Self::upgrade(&mut self.aggs, subtree, agg);
+        let changed = Self::upgrade(entry, agg);
         if changed {
             self.agg_batch = None; // cached gossip body is stale
         }
@@ -645,14 +652,6 @@ impl<A: Aggregate> HierGossip<A> {
                 }
             }
         }
-    }
-
-    /// Whether an incoming aggregate for `prefix` is relevant to this
-    /// member: it must name a child of one of this member's phase scopes
-    /// — exactly the chain-local slab's slot condition, minus the root
-    /// (the root aggregate is never gossiped).
-    fn relevant(&self, prefix: &Addr) -> bool {
-        !prefix.is_empty() && self.aggs.slot(prefix).is_some()
     }
 
     /// Narrate a phase transition that just happened: the phase entered
@@ -951,6 +950,16 @@ mod tests {
             &mut out,
         );
         assert_eq!(p.known_votes.len(), 1);
+    }
+
+    #[test]
+    fn addresses_cost_eight_bytes_wherever_they_are_stored() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Addr>(), 8);
+        // a batch entry is an address and a pointer, nothing else
+        assert_eq!(size_of::<(Addr, Arc<Tagged<Average>>)>(), 16);
+        // 408 B when an address was an 18-byte digit string
+        assert_eq!(size_of::<HierGossip<Average>>(), 376);
     }
 
     #[test]

@@ -303,7 +303,7 @@ pub mod codec {
     fn put_addr<B: BufMut>(addr: &Addr, buf: &mut B) {
         buf.put_u8(addr.base());
         buf.put_u8(addr.len() as u8);
-        for &d in addr.digits() {
+        for d in addr.digits() {
             buf.put_u8(d);
         }
     }
@@ -317,11 +317,13 @@ pub mod codec {
         if buf.remaining() < len {
             return Err(WireError::Truncated);
         }
-        let mut digits = Vec::with_capacity(len);
+        // fold the digits straight into the address: a bad base, a
+        // digit >= base or an address past capacity is malformed
+        let mut addr = Addr::root(base).map_err(|_| WireError::Malformed)?;
         for _ in 0..len {
-            digits.push(buf.get_u8());
+            addr = addr.child(buf.get_u8()).map_err(|_| WireError::Malformed)?;
         }
-        Addr::from_digits(base, &digits).map_err(|_| WireError::Malformed)
+        Ok(addr)
     }
 
     /// Serialize a payload.

@@ -9,6 +9,7 @@
 //!
 //! [`estimate`]: AggregationProtocol::estimate
 
+use gridagg_aggregate::wire::WireAggregate;
 use gridagg_aggregate::Tagged;
 use gridagg_group::MemberId;
 use gridagg_simnet::rng::DetRng;
@@ -20,7 +21,9 @@ use crate::trace::{DynSink, TraceEvent};
 /// Messages a member wants to send this round.
 #[derive(Debug)]
 pub struct Outbox<A> {
-    msgs: Vec<(MemberId, Payload<A>)>,
+    /// `(to, payload, shared)`; `shared` marks a [`Outbox::send_many`]
+    /// copy of the payload queued just before it
+    msgs: Vec<(MemberId, Payload<A>, bool)>,
 }
 
 impl<A> Outbox<A> {
@@ -31,7 +34,7 @@ impl<A> Outbox<A> {
 
     /// Queue a message to `to`.
     pub fn send(&mut self, to: MemberId, payload: Payload<A>) {
-        self.msgs.push((to, payload));
+        self.msgs.push((to, payload, false));
     }
 
     /// Queue the same payload to several destinations (gossip fanout),
@@ -43,16 +46,32 @@ impl<A> Outbox<A> {
     {
         let mut to = to.into_iter();
         let Some(mut dest) = to.next() else { return };
+        let mut shared = false;
         for next in to {
-            self.msgs.push((dest, payload.clone()));
-            dest = next;
+            self.msgs.push((dest, payload.clone(), shared));
+            (dest, shared) = (next, true);
         }
-        self.msgs.push((dest, payload));
+        self.msgs.push((dest, payload, shared));
     }
 
     /// Drain the queued messages.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, (MemberId, Payload<A>)> {
-        self.msgs.drain(..)
+    pub fn drain(&mut self) -> impl Iterator<Item = (MemberId, Payload<A>)> + '_ {
+        self.msgs.drain(..).map(|(to, payload, _)| (to, payload))
+    }
+
+    /// Drain the queued messages with their [`Payload::wire_size`],
+    /// computed once per [`Outbox::send_many`] fan-out.
+    pub fn drain_sized(&mut self) -> impl Iterator<Item = (MemberId, Payload<A>, u32)> + '_
+    where
+        A: WireAggregate,
+    {
+        let mut bytes = 0;
+        self.msgs.drain(..).map(move |(to, payload, shared)| {
+            if !shared {
+                bytes = payload.wire_size();
+            }
+            (to, payload, bytes)
+        })
     }
 
     /// Number of queued messages.
@@ -201,6 +220,29 @@ mod tests {
             counts,
             [(MemberId(5), 1), (MemberId(6), 2), (MemberId(7), 1)]
         );
+    }
+
+    #[test]
+    fn drain_sized_charges_every_message_its_own_wire_size() {
+        let mut out: Outbox<Average> = Outbox::new();
+        let batch = |n: u32| Payload::VoteBatch {
+            votes: std::sync::Arc::new((0..n).map(|i| (MemberId(i), 1.0)).collect()),
+            reply: false,
+        };
+        // fan-outs of different sizes back to back, singles in between
+        out.send_many([MemberId(1), MemberId(2), MemberId(3)], batch(4));
+        out.send_many([MemberId(4), MemberId(5)], batch(1));
+        out.send(MemberId(6), batch(9));
+        out.send_many([MemberId(7)], batch(2));
+        out.send_many([], batch(3));
+        let sized: Vec<_> = out.drain_sized().collect();
+        assert_eq!(sized.len(), 7);
+        for (to, payload, bytes) in &sized {
+            assert_eq!(*bytes, payload.wire_size(), "to {to:?}");
+        }
+        let bytes: Vec<u32> = sized.iter().map(|(_, _, b)| *b).collect();
+        assert_eq!(bytes, [51, 51, 51, 15, 15, 111, 27]);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -139,9 +139,14 @@ impl ScopeIndex {
     /// or `None` if it is not there.
     pub fn position_in(&self, prefix: &Addr, id: MemberId) -> Option<usize> {
         let slice = self.members_in(prefix);
+        let home = self.box_of(id);
+        if home == *prefix {
+            // `id`'s own box (what every carried vote asks): sorted by id
+            return slice.binary_search(&id).ok();
+        }
         // Each box slice is sorted by id, and boxes are ordered by index,
         // so (box index, id) is the sort key.
-        let key = (self.box_of(id).index(), id);
+        let key = (home.index(), id);
         slice
             .binary_search_by(|&m| (self.box_of(m).index(), m).cmp(&key))
             .ok()
@@ -226,6 +231,20 @@ mod tests {
             // also within its own box
             let b = idx.box_of(m);
             assert!(idx.position_in(&b, m).is_some());
+        }
+    }
+
+    #[test]
+    fn position_in_agrees_with_a_linear_scan_for_every_member_and_prefix() {
+        let idx = index(200, 4);
+        let universe = idx.interner();
+        for prefix in (0..universe.len() as u32).map(|id| universe.resolve(id)) {
+            let slice = idx.members_in(&prefix);
+            for m in (0..200).map(MemberId) {
+                let scan = slice.iter().position(|&x| x == m);
+                assert_eq!(idx.position_in(&prefix, m), scan, "{m:?} in {prefix}");
+                assert_eq!(scan.is_some(), prefix.contains(&idx.box_of(m)));
+            }
         }
     }
 

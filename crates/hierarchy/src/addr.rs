@@ -8,8 +8,13 @@
 //! grid box.
 //!
 //! One type, [`Addr`], represents both: `len == depth` means a grid box,
-//! `len < depth` a proper subtree. Digits are stored most significant
-//! first.
+//! `len < depth` a proper subtree. The digit string is stored as the
+//! number it spells — `(base, len, index)`, 8 bytes — so [`Addr::index`]
+//! is a field read, a prefix or a digit one divide by a power of the
+//! base, a containment test one multiply. The `u32` index bounds the
+//! capacity: `len <= MAX_DEPTH` **and** `base^len <= u32::MAX`. On the
+//! wire an address is still its digits, one byte each (see
+//! `gridagg_core::message::codec`).
 
 /// Maximum supported address depth (digits). `K^16` boxes at `K = 2` is
 /// 65 536 boxes — far beyond the paper's group sizes.
@@ -25,7 +30,8 @@ pub enum AddrError {
         /// The base it must be below.
         base: u8,
     },
-    /// More than [`MAX_DEPTH`] digits requested.
+    /// More than [`MAX_DEPTH`] digits requested, or `base^len` does not
+    /// fit the `u32` index.
     TooDeep {
         /// The requested length.
         len: usize,
@@ -43,9 +49,10 @@ impl std::fmt::Display for AddrError {
             AddrError::DigitOutOfRange { digit, base } => {
                 write!(f, "digit {digit} out of range for base {base}")
             }
-            AddrError::TooDeep { len } => {
-                write!(f, "address length {len} exceeds maximum depth {MAX_DEPTH}")
-            }
+            AddrError::TooDeep { len } => write!(
+                f,
+                "address length {len} exceeds capacity (at most {MAX_DEPTH} digits, base^len <= u32::MAX)"
+            ),
             AddrError::BadBase { base } => write!(f, "base {base} must be at least 2"),
         }
     }
@@ -54,11 +61,37 @@ impl std::fmt::Display for AddrError {
 impl std::error::Error for AddrError {}
 
 /// A base-`K` grid box address or subtree prefix (see module docs).
+/// Ordered by `(base, len, index)`: shorter prefixes first, then the
+/// digit strings' lexicographic order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr {
     base: u8,
     len: u8,
-    digits: [u8; MAX_DEPTH],
+    index: u32,
+}
+
+/// `MAX_LEN[base]`: the most digits an address in that base can have —
+/// [`MAX_DEPTH`], or fewer where `base^len` would pass `u32::MAX`.
+const MAX_LEN: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut base = 2;
+    while base < 256 {
+        let fits = u32::MAX.ilog(base as u32) as usize;
+        table[base] = if fits < MAX_DEPTH { fits } else { MAX_DEPTH } as u8;
+        base += 1;
+    }
+    table
+};
+
+/// Whether an address of `len` digits in `base` exists.
+fn check(base: u8, len: usize) -> Result<(), AddrError> {
+    if base < 2 {
+        return Err(AddrError::BadBase { base });
+    }
+    if len > MAX_LEN[base as usize] as usize {
+        return Err(AddrError::TooDeep { len });
+    }
+    Ok(())
 }
 
 impl Addr {
@@ -69,14 +102,7 @@ impl Addr {
     ///
     /// Returns [`AddrError::BadBase`] for `base < 2`.
     pub fn root(base: u8) -> Result<Self, AddrError> {
-        if base < 2 {
-            return Err(AddrError::BadBase { base });
-        }
-        Ok(Addr {
-            base,
-            len: 0,
-            digits: [0; MAX_DEPTH],
-        })
+        Addr::from_index(base, 0, 0)
     }
 
     /// Build an address from explicit digits (most significant first).
@@ -92,27 +118,12 @@ impl Addr {
     ///
     /// # Errors
     ///
-    /// Returns an error if the base is `< 2`, too many digits are given,
-    /// or any digit is `>= base`.
+    /// Returns an error if the base is `< 2`, the digits exceed the
+    /// capacity (see [`AddrError::TooDeep`]), or any digit is `>= base`.
     pub fn from_digits(base: u8, digits: &[u8]) -> Result<Self, AddrError> {
-        if base < 2 {
-            return Err(AddrError::BadBase { base });
-        }
-        if digits.len() > MAX_DEPTH {
-            return Err(AddrError::TooDeep { len: digits.len() });
-        }
-        let mut d = [0u8; MAX_DEPTH];
-        for (i, &digit) in digits.iter().enumerate() {
-            if digit >= base {
-                return Err(AddrError::DigitOutOfRange { digit, base });
-            }
-            d[i] = digit;
-        }
-        Ok(Addr {
-            base,
-            len: digits.len() as u8,
-            digits: d,
-        })
+        check(base, digits.len())?;
+        let root = Addr::root(base)?;
+        digits.iter().try_fold(root, |addr, &d| addr.child(d))
     }
 
     /// Build a full-length address from a box index in `[0, base^len)`,
@@ -120,43 +131,28 @@ impl Addr {
     ///
     /// # Errors
     ///
-    /// Returns an error for a bad base or excessive length.
+    /// Returns an error for a bad base or a length beyond the capacity
+    /// (see [`AddrError::TooDeep`]).
     ///
     /// # Panics
     ///
     /// Panics if `index >= base^len`.
     pub fn from_index(base: u8, len: usize, index: u64) -> Result<Self, AddrError> {
-        if base < 2 {
-            return Err(AddrError::BadBase { base });
-        }
-        if len > MAX_DEPTH {
-            return Err(AddrError::TooDeep { len });
-        }
-        let capacity = (base as u64)
-            .checked_pow(len as u32)
-            .expect("base^len overflows u64");
+        check(base, len)?;
         assert!(
-            index < capacity,
+            index < (base as u64).pow(len as u32),
             "box index {index} out of range for {base}^{len} boxes"
         );
-        let mut digits = [0u8; MAX_DEPTH];
-        let mut rest = index;
-        for slot in (0..len).rev() {
-            digits[slot] = (rest % base as u64) as u8;
-            rest /= base as u64;
-        }
         Ok(Addr {
             base,
             len: len as u8,
-            digits,
+            index: index as u32,
         })
     }
 
     /// The numeric index of this address among same-length addresses.
     pub fn index(&self) -> u64 {
-        self.digits[..self.len as usize]
-            .iter()
-            .fold(0u64, |acc, &d| acc * self.base as u64 + d as u64)
+        self.index as u64
     }
 
     /// The digit base `K`.
@@ -174,9 +170,25 @@ impl Addr {
         self.len == 0
     }
 
+    /// `base^e` for `e <= len`: in range because `base^len` is.
+    fn pow(&self, e: usize) -> u32 {
+        (self.base as u32).pow(e as u32)
+    }
+
+    /// The address of `len` digits spelling `index` in this base.
+    fn with(&self, len: usize, index: u32) -> Addr {
+        let (base, len) = (self.base, len as u8);
+        Addr { base, len, index }
+    }
+
     /// The digits, most significant first.
-    pub fn digits(&self) -> &[u8] {
-        &self.digits[..self.len as usize]
+    pub fn digits(&self) -> impl Iterator<Item = u8> {
+        let (base, mut rest) = (self.base as u32, self.index);
+        let mut digits = [0u8; MAX_DEPTH];
+        for digit in digits[..self.len()].iter_mut().rev() {
+            (*digit, rest) = ((rest % base) as u8, rest / base);
+        }
+        digits.into_iter().take(self.len())
     }
 
     /// The digit at position `i` (0 = most significant).
@@ -185,8 +197,8 @@ impl Addr {
     ///
     /// Panics if `i >= self.len()`.
     pub fn digit(&self, i: usize) -> u8 {
-        assert!(i < self.len as usize, "digit index {i} out of range");
-        self.digits[i]
+        assert!(i < self.len(), "digit index {i} out of range");
+        (self.index / self.pow(self.len() - 1 - i) % self.base as u32) as u8
     }
 
     /// The prefix consisting of the first `len` digits.
@@ -195,39 +207,40 @@ impl Addr {
     ///
     /// Panics if `len > self.len()`.
     pub fn prefix(&self, len: usize) -> Addr {
-        assert!(len <= self.len as usize, "prefix longer than address");
-        let mut digits = [0u8; MAX_DEPTH];
-        digits[..len].copy_from_slice(&self.digits[..len]);
-        Addr {
-            base: self.base,
-            len: len as u8,
-            digits,
-        }
+        assert!(len <= self.len(), "prefix longer than address");
+        self.with(len, self.index / self.pow(self.len() - len))
+    }
+
+    /// The parent subtree and the last digit — the inverse of
+    /// [`Addr::child`] — or `None` at the root.
+    pub fn split_last(&self) -> Option<(Addr, u8)> {
+        let (len, base) = (self.len().checked_sub(1)?, self.base as u32);
+        Some((self.with(len, self.index / base), (self.index % base) as u8))
     }
 
     /// The parent subtree (one digit shorter), or `None` at the root.
     pub fn parent(&self) -> Option<Addr> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(self.prefix(self.len as usize - 1))
-        }
+        self.split_last().map(|(parent, _)| parent)
     }
 
     /// Whether this prefix contains `other` (i.e. `other` starts with it
     /// and uses the same base). A prefix contains itself.
     pub fn contains(&self, other: &Addr) -> bool {
-        self.base == other.base
-            && self.len <= other.len
-            && self.digits[..self.len as usize] == other.digits[..self.len as usize]
+        if self.base != other.base || self.len > other.len {
+            return false;
+        }
+        // the subtree is the index range [index·w, (index + 1)·w) at
+        // `other`'s length; the upper bound is at most base^other.len
+        let w = other.pow(other.len() - self.len());
+        other.index.wrapping_sub(self.index * w) < w
     }
 
     /// The child prefix obtained by appending `digit`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the digit is out of range or the address is
-    /// already [`MAX_DEPTH`] digits long.
+    /// Returns an error if the digit is out of range or the child would
+    /// exceed the capacity (see [`AddrError::TooDeep`]).
     pub fn child(&self, digit: u8) -> Result<Addr, AddrError> {
         if digit >= self.base {
             return Err(AddrError::DigitOutOfRange {
@@ -235,18 +248,8 @@ impl Addr {
                 base: self.base,
             });
         }
-        if self.len as usize >= MAX_DEPTH {
-            return Err(AddrError::TooDeep {
-                len: self.len as usize + 1,
-            });
-        }
-        let mut digits = self.digits;
-        digits[self.len as usize] = digit;
-        Ok(Addr {
-            base: self.base,
-            len: self.len + 1,
-            digits,
-        })
+        check(self.base, self.len() + 1)?;
+        Ok(self.with(self.len() + 1, self.index * self.base as u32 + digit as u32))
     }
 
     /// Iterate over the `K` children of this prefix.
@@ -257,17 +260,13 @@ impl Addr {
     /// Format with the given total depth, padding with `*` for the
     /// unconstrained digits, exactly like the paper's figures (`0*`, `**`).
     pub fn display_depth(&self, depth: usize) -> String {
-        let mut s = String::with_capacity(depth);
-        for i in 0..depth {
-            if i < self.len as usize {
-                // digits are < base <= 36; render 0-9 then a-z
-                let d = self.digits[i];
-                s.push(char::from_digit(d as u32, 36).unwrap_or('?'));
-            } else {
-                s.push('*');
-            }
-        }
-        if depth == 0 {
+        // digits are < base <= 36; render 0-9 then a-z
+        let mut s: String = self
+            .digits()
+            .take(depth)
+            .map(|d| char::from_digit(d as u32, 36).unwrap_or('?'))
+            .collect();
+        while s.len() < depth.max(1) {
             s.push('*');
         }
         s
@@ -276,13 +275,7 @@ impl Addr {
 
 impl std::fmt::Display for Addr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.len == 0 {
-            return f.write_str("*");
-        }
-        for &d in self.digits() {
-            write!(f, "{}", char::from_digit(d as u32, 36).unwrap_or('?'))?;
-        }
-        Ok(())
+        f.write_str(&self.display_depth(self.len()))
     }
 }
 
@@ -293,7 +286,7 @@ mod tests {
     #[test]
     fn from_digits_and_back() {
         let a = Addr::from_digits(4, &[1, 0, 3]).unwrap();
-        assert_eq!(a.digits(), &[1, 0, 3]);
+        assert_eq!(a.digits().collect::<Vec<_>>(), [1, 0, 3]);
         assert_eq!(a.len(), 3);
         assert_eq!(a.base(), 4);
         assert_eq!(a.to_string(), "103");
@@ -313,6 +306,43 @@ mod tests {
             Addr::from_digits(2, &[0; 17]),
             Err(AddrError::TooDeep { len: 17 })
         );
+    }
+
+    #[test]
+    fn capacity_overflow_is_an_error_not_a_panic() {
+        // 255^4 fits a u32, 255^5 does not; 16^8 is exactly 2^32
+        assert!(Addr::from_index(255, 4, 255u64.pow(4) - 1).is_ok());
+        assert_eq!(
+            Addr::from_index(255, 5, 0),
+            Err(AddrError::TooDeep { len: 5 })
+        );
+        assert_eq!(
+            Addr::from_index(16, 8, 0),
+            Err(AddrError::TooDeep { len: 8 })
+        );
+        assert_eq!(
+            Addr::from_digits(255, &[254; 16]),
+            Err(AddrError::TooDeep { len: 16 })
+        );
+        let widest = Addr::from_digits(255, &[254; 4]).unwrap();
+        assert_eq!(widest.index(), 255u64.pow(4) - 1);
+        assert_eq!(widest.child(0), Err(AddrError::TooDeep { len: 5 }));
+        assert_eq!(
+            Addr::from_index(2, 17, 0),
+            Err(AddrError::TooDeep { len: 17 })
+        );
+        // every base: a shape exists exactly when base^len fits
+        for base in 2..=255u8 {
+            for len in 0..=MAX_DEPTH + 1 {
+                let fits = len <= MAX_DEPTH && (base as u128).pow(len as u32) <= u32::MAX as u128;
+                assert_eq!(Addr::from_index(base, len, 0).is_ok(), fits, "{base}^{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn addr_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Addr>(), 8);
     }
 
     #[test]

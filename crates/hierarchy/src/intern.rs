@@ -9,8 +9,8 @@
 //! lookup.
 //!
 //! The id order is **exactly** the `Ord` order of [`Addr`] (length
-//! first, then digits lexicographically — trailing digits beyond `len`
-//! are zero, so the derived comparison reduces to `(len, index)`).
+//! first, then the numeric index, which is the digits' lexicographic
+//! order).
 //! Iterating a dense table in id order therefore visits addresses in
 //! the same order a `BTreeMap<Addr, _>` would, which is what keeps the
 //! frozen goldens byte-identical after the map → slab migration.
@@ -34,9 +34,9 @@ use crate::params::Hierarchy;
 /// universe (every prefix of length `0..=depth`).
 ///
 /// Ids are assigned in [`Addr`] `Ord` order: the root is 0, then the
-/// `K` length-1 prefixes by digit, and so on. `intern`/`resolve` are
-/// O(len) digit arithmetic — no table is materialized for the forward
-/// direction; only the per-length offsets are precomputed.
+/// `K` length-1 prefixes by digit, and so on. `intern` is one add
+/// (`offsets[len] + index`) and `resolve` a search of the `depth + 2`
+/// offsets — no per-address table is materialized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddrInterner {
     k: u8,
@@ -152,17 +152,12 @@ impl<T> AddrSlab<T> {
     /// member's chain (different base, too long, or its parent is not
     /// an ancestor of `my_box`). Doubles as the relevance check.
     pub fn slot(&self, addr: &Addr) -> Option<usize> {
-        if addr.base() != self.my_box.base() {
-            return None;
-        }
-        let len = addr.len();
-        if len == 0 {
-            return Some(0);
-        }
-        if len > self.my_box.len() || addr.digits()[..len - 1] != self.my_box.digits()[..len - 1] {
-            return None;
-        }
-        Some(1 + (len - 1) * self.my_box.base() as usize + addr.digit(len - 1) as usize)
+        let Some((parent, digit)) = addr.split_last() else {
+            return (addr.base() == self.my_box.base()).then_some(0);
+        };
+        parent
+            .contains(&self.my_box)
+            .then(|| 1 + parent.len() * addr.base() as usize + digit as usize)
     }
 
     /// Borrow the value stored for `addr` (`None` for empty slots *and*
@@ -171,12 +166,10 @@ impl<T> AddrSlab<T> {
         self.slot(addr).and_then(|s| self.slots[s].as_ref())
     }
 
-    /// Mutably borrow the value stored for `addr`.
-    pub fn get_mut(&mut self, addr: &Addr) -> Option<&mut T> {
-        match self.slot(addr) {
-            Some(s) => self.slots[s].as_mut(),
-            None => None,
-        }
+    /// The storage for `addr` (`Some(&mut None)` for an empty slot), or
+    /// `None` outside the chain: relevance check and lookup in one.
+    pub fn entry(&mut self, addr: &Addr) -> Option<&mut Option<T>> {
+        self.slot(addr).map(|s| &mut self.slots[s])
     }
 
     /// Whether a value is stored for `addr`.
@@ -192,10 +185,10 @@ impl<T> AddrSlab<T> {
     /// with the relevance check first, so an out-of-chain insert is a
     /// protocol logic error, not a recoverable condition.
     pub fn insert(&mut self, addr: Addr, value: T) -> Option<T> {
-        let slot = self
-            .slot(&addr)
-            .unwrap_or_else(|| panic!("AddrSlab: {addr} is outside the chain of {}", self.my_box));
-        self.slots[slot].replace(value)
+        match self.entry(&addr) {
+            Some(entry) => entry.replace(value),
+            None => panic!("AddrSlab: {addr} is outside the chain of {}", self.my_box),
+        }
     }
 
     /// Whether no value is stored.
@@ -324,8 +317,10 @@ mod tests {
         assert_eq!(slab.get(&scope), Some(&7));
         assert!(slab.contains_key(&scope));
         assert_eq!(slab.insert(scope, 9), Some(7));
-        *slab.get_mut(&scope).unwrap() += 1;
+        *slab.entry(&scope).unwrap() = Some(10);
         assert_eq!(slab.get(&scope), Some(&10));
+        assert_eq!(slab.entry(&scope.prefix(1)), Some(&mut None));
+        assert_eq!(slab.entry(&Addr::from_digits(4, &[3, 0]).unwrap()), None);
         assert_eq!(slab.len(), 1);
     }
 

@@ -13,7 +13,7 @@
 //! expected occupancy stays `≈ K` for any `N`. For `N = K^d` this equals
 //! the paper's `d − 1` digits exactly.
 
-use crate::addr::{Addr, MAX_DEPTH};
+use crate::addr::{Addr, AddrError};
 
 /// Errors from hierarchy construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,8 @@ pub enum HierarchyError {
         /// The requested size.
         n: usize,
     },
-    /// The derived depth exceeds [`MAX_DEPTH`].
+    /// No [`Addr`] can name a box: the depth exceeds
+    /// [`crate::addr::MAX_DEPTH`] or `K^depth` its `u32` index.
     TooDeep {
         /// The derived depth.
         depth: usize,
@@ -43,7 +44,7 @@ impl std::fmt::Display for HierarchyError {
                 write!(f, "group size {n} too small for a hierarchy")
             }
             HierarchyError::TooDeep { depth } => {
-                write!(f, "derived depth {depth} exceeds maximum {MAX_DEPTH}")
+                write!(f, "hierarchy depth: {}", AddrError::TooDeep { len: *depth })
             }
         }
     }
@@ -69,7 +70,7 @@ impl Hierarchy {
     /// # Errors
     ///
     /// Returns an error if `k < 2`, `n < 2`, or the derived depth would
-    /// exceed [`MAX_DEPTH`].
+    /// exceed the address capacity (see [`HierarchyError::TooDeep`]).
     pub fn for_group(k: u8, n: usize) -> Result<Self, HierarchyError> {
         if k < 2 {
             return Err(HierarchyError::BadK { k });
@@ -83,25 +84,21 @@ impl Hierarchy {
         } else {
             (ratio.ln() / (k as f64).ln()).round().max(1.0) as usize
         };
-        if depth > MAX_DEPTH {
-            return Err(HierarchyError::TooDeep { depth });
-        }
-        Ok(Hierarchy {
-            k,
-            depth: depth as u8,
-        })
+        Hierarchy::with_depth(k, depth)
     }
 
     /// Build a hierarchy with an explicit depth (digit count).
     ///
     /// # Errors
     ///
-    /// Returns an error if `k < 2`, `depth == 0`, or `depth > MAX_DEPTH`.
+    /// Returns an error if `k < 2`, `depth == 0`, or the depth exceeds
+    /// the address capacity (see [`HierarchyError::TooDeep`]).
     pub fn with_depth(k: u8, depth: usize) -> Result<Self, HierarchyError> {
         if k < 2 {
             return Err(HierarchyError::BadK { k });
         }
-        if depth == 0 || depth > MAX_DEPTH {
+        // a box address of this shape must exist
+        if depth == 0 || Addr::from_index(k, depth, 0).is_err() {
             return Err(HierarchyError::TooDeep { depth });
         }
         Ok(Hierarchy {
@@ -259,6 +256,25 @@ mod tests {
         assert!(Hierarchy::with_depth(2, 0).is_err());
         assert!(Hierarchy::with_depth(2, 17).is_err());
         assert!(Hierarchy::with_depth(2, 16).is_ok());
+    }
+
+    #[test]
+    fn box_count_beyond_the_address_capacity_is_an_error() {
+        // 255^4 boxes fit an address index, 255^5 and 16^8 = 2^32 do not
+        assert!(Hierarchy::with_depth(255, 4).is_ok());
+        for (k, depth) in [(255u8, 5usize), (16, 8), (4, 16)] {
+            assert_eq!(
+                Hierarchy::with_depth(k, depth),
+                Err(HierarchyError::TooDeep { depth })
+            );
+        }
+        // for_group derives depth 5 at K = 255 from N = 255^6
+        assert_eq!(
+            Hierarchy::for_group(255, 255usize.pow(6)),
+            Err(HierarchyError::TooDeep { depth: 5 })
+        );
+        let wide = Hierarchy::with_depth(255, 4).unwrap();
+        assert_eq!(wide.box_of_unit(1.0).index(), wide.num_boxes() - 1);
     }
 
     #[test]

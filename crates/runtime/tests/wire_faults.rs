@@ -3,9 +3,9 @@
 //! Three properties the multiplexed runtime must hold on a live socket
 //! pool: convergence survives injected loss *and* reorder together,
 //! hostile datagrams (truncated, malformed, junk-payload, forged
-//! contributor counts) are rejected through the `DecodeError` path —
-//! counted, never a panic and never a wedge — and frames stay
-//! constant-size: no contributor set rides in them.
+//! contributor counts, forged addresses) are rejected through the
+//! `DecodeError` path — counted, never a panic and never a wedge — and
+//! frames stay constant-size: no contributor set rides in them.
 
 use std::net::UdpSocket;
 use std::sync::Arc;
@@ -76,6 +76,34 @@ fn frames_carry_no_contributor_sets() {
     );
 }
 
+/// Well-framed `Agg` payloads whose subtree address no `Addr` can
+/// hold: 16 digits in base 255 (past the `u32` index), and a digit that
+/// is not below its base.
+fn forged_addresses() -> [Vec<u8>; 2] {
+    let mut valid = Vec::new();
+    let subtree = Addr::from_digits(4, &[3, 3]).expect("address");
+    let agg = Arc::new(Tagged::<Average>::from_vote(1, 1.0, 16));
+    codec::encode(&Payload::Agg { subtree, agg }, &mut valid);
+    assert_eq!(valid[1..5], [4, 2, 3, 3], "tag, then base, len, digits");
+    let mut too_wide = vec![valid[0], 255, 16];
+    too_wide.extend([254; 16]);
+    too_wide.extend(&valid[5..]);
+    let mut bad_digit = valid;
+    bad_digit[4] = 4;
+    [too_wide, bad_digit]
+}
+
+#[test]
+fn forged_addresses_decode_to_malformed() {
+    for bytes in forged_addresses() {
+        assert_eq!(
+            codec::decode::<Average, _>(&mut bytes.as_slice()),
+            Err(codec::DecodeError::Malformed { variant: "agg" }),
+            "{bytes:?}"
+        );
+    }
+}
+
 #[test]
 fn hostile_datagrams_rejected_via_decode_error_not_panic() {
     let n = 16;
@@ -109,8 +137,8 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
 
     // An outsider throws garbage at every pool socket while the
     // cluster is live: truncated headers, out-of-range member ids,
-    // well-framed junk payloads the codec must reject, and forged
-    // contributor counts.
+    // well-framed junk payloads the codec must reject, forged
+    // addresses, and forged contributor counts.
     let attacker = UdpSocket::bind(("127.0.0.1", 0)).expect("attacker socket");
     let (mut garbage, mut forged_sent) = (0u64, 0u64);
     for burst in 0..5 {
@@ -131,7 +159,13 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
             let mut framed = Vec::new();
             push_frame(&mut framed, burst % n as u32, 0, &[0xEE; 9]);
             let _ = attacker.send_to(&framed, addr);
-            garbage += 3;
+            // (e) valid demux header, an address no `Addr` can hold
+            for bytes in forged_addresses() {
+                let mut framed = Vec::new();
+                push_frame(&mut framed, burst % n as u32, 0, &bytes);
+                let _ = attacker.send_to(&framed, addr);
+            }
+            garbage += 5;
         }
         std::thread::sleep(Duration::from_millis(3));
     }
