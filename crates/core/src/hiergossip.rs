@@ -990,6 +990,22 @@ mod tests {
             &mut out,
         );
         assert!(p.aggs.is_empty());
+        // my own box plus one digit: its parent contains my box, but it
+        // is deeper than any slot — dropped, not indexed
+        let agg = Arc::new(Tagged::from_vote(1, 1.0, 64));
+        for subtree in my_box.children() {
+            let agg = agg.clone();
+            p.on_message(
+                MemberId(1),
+                Payload::Agg { subtree, agg },
+                &mut ctx,
+                &mut out,
+            );
+        }
+        let aggs = Arc::new(my_box.children().map(|c| (c, agg.clone())).collect());
+        let batch = Payload::AggBatch { aggs, reply: true };
+        p.on_message(MemberId(1), batch, &mut ctx, &mut out);
+        assert!(p.aggs.is_empty());
     }
 
     #[test]

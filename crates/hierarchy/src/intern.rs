@@ -155,8 +155,8 @@ impl<T> AddrSlab<T> {
         let Some((parent, digit)) = addr.split_last() else {
             return (addr.base() == self.my_box.base()).then_some(0);
         };
-        parent
-            .contains(&self.my_box)
+        // a prefix contains itself: a child of `my_box` is too long
+        (parent.len() < self.my_box.len() && parent.contains(&self.my_box))
             .then(|| 1 + parent.len() * addr.base() as usize + digit as usize)
     }
 
@@ -291,11 +291,13 @@ mod tests {
     fn slab_covers_exactly_the_chain() {
         let my_box = chain_box();
         let slab: AddrSlab<u32> = AddrSlab::new(my_box);
-        let it = interner(4, 3);
+        // one level deeper than the box: its children are out of chain
+        let it = interner(4, 4);
         let mut in_chain = 0;
         for id in 0..it.len() as u32 {
             let addr = it.resolve(id);
-            let relevant = addr.is_empty() || addr.parent().is_some_and(|p| p.contains(&my_box));
+            let relevant = addr.is_empty()
+                || addr.len() <= my_box.len() && addr.parent().is_some_and(|p| p.contains(&my_box));
             assert_eq!(slab.slot(&addr).is_some(), relevant, "addr {addr}");
             in_chain += usize::from(relevant);
         }
@@ -359,7 +361,14 @@ mod tests {
 
     #[test]
     fn slab_get_out_of_chain_is_none() {
-        let slab: AddrSlab<u32> = AddrSlab::new(chain_box());
+        let mut slab: AddrSlab<u32> = AddrSlab::new(chain_box());
+        // a child of the box itself is past the last slot, not in it
+        for too_long in chain_box().children() {
+            assert_eq!(slab.slot(&too_long), None);
+            assert_eq!(slab.get(&too_long), None);
+            assert_eq!(slab.entry(&too_long), None);
+            assert!(!slab.contains_key(&too_long));
+        }
         assert_eq!(slab.get(&Addr::from_digits(4, &[3, 0]).unwrap()), None);
         assert_eq!(slab.get(&Addr::root(2).unwrap()), None); // foreign base
     }

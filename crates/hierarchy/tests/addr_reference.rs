@@ -157,10 +157,21 @@ fn slab_slots_and_interned_ids_agree() {
         }
         let foreign = Addr::root(base + 1).unwrap();
         let boxes: Vec<_> = all.iter().filter(|(r, _)| r.len == DEPTH).collect();
-        for (my_ref, my_box) in boxes.iter().step_by(boxes.len().div_ceil(24)) {
+        for mine in boxes.iter().step_by(boxes.len().div_ceil(24)) {
+            let (my_ref, my_box) = mine;
             let slab: AddrSlab<()> = AddrSlab::new(*my_box);
             for (r, a) in &all {
                 assert_eq!(slab.slot(a), r.slot_for(my_ref), "{r:?} for {my_ref:?}");
+            }
+            // one digit past the depth: the children of a box — the
+            // member's own, and a stride of the others — are too long
+            for (r, a) in boxes.iter().step_by(7).chain([mine]) {
+                for (d, child) in a.children().enumerate() {
+                    let digits = [r.digits.as_slice(), &[d as u8]].concat();
+                    let child_ref = Reference::new(base, &digits);
+                    assert_eq!(child_ref.slot_for(my_ref), None);
+                    assert_eq!(slab.slot(&child), None, "{child_ref:?} for {my_ref:?}");
+                }
             }
             assert_eq!(slab.slot(&foreign), None);
         }

@@ -4,7 +4,8 @@
 //! pool: convergence survives injected loss *and* reorder together,
 //! hostile datagrams (truncated, malformed, junk-payload, forged
 //! contributor counts, forged addresses) are rejected through the
-//! `DecodeError` path — counted, never a panic and never a wedge — and
+//! `DecodeError` path or dropped as irrelevant (an address deeper than
+//! the receiver's box) — counted, never a panic and never a wedge — and
 //! frames stay constant-size: no contributor set rides in them.
 
 use std::net::UdpSocket;
@@ -17,6 +18,7 @@ use gridagg_core::message::codec;
 use gridagg_core::scope::ScopeIndex;
 use gridagg_core::Payload;
 use gridagg_group::view::View;
+use gridagg_group::MemberId;
 use gridagg_hierarchy::{Addr, FairHashPlacement, Hierarchy};
 use gridagg_runtime::endpoint::push_frame;
 use gridagg_runtime::{run_cluster, Cluster, RuntimeConfig};
@@ -114,8 +116,10 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
         seed: 9,
         ..Default::default()
     };
-    let cluster = Cluster::<Average>::launch(votes, index(n), HierGossipConfig::default(), cfg)
-        .expect("launch");
+    let index = index(n);
+    let cluster =
+        Cluster::<Average>::launch(votes, index.clone(), HierGossipConfig::default(), cfg)
+            .expect("launch");
     let targets: Vec<_> = cluster.addrs().to_vec();
 
     // (d) well-formed `Agg` frames claiming `u64::MAX` contributors,
@@ -135,10 +139,21 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
         })
         .collect();
 
+    // (f) a decodable `Agg` whose subtree is the receiver's own grid
+    // box plus one digit: its parent contains the box, yet it is deeper
+    // than anything the member stores — dropped as irrelevant.
+    let too_long = |member: u32| {
+        let subtree = index.box_of(MemberId(member)).child(0).expect("child");
+        let agg = Arc::new(Tagged::<Average>::from_vote(1, 1.0, n));
+        let mut bytes = Vec::new();
+        codec::encode(&Payload::Agg { subtree, agg }, &mut bytes);
+        bytes
+    };
+
     // An outsider throws garbage at every pool socket while the
     // cluster is live: truncated headers, out-of-range member ids,
     // well-framed junk payloads the codec must reject, forged
-    // addresses, and forged contributor counts.
+    // addresses, too-long addresses, and forged contributor counts.
     let attacker = UdpSocket::bind(("127.0.0.1", 0)).expect("attacker socket");
     let (mut garbage, mut forged_sent) = (0u64, 0u64);
     for burst in 0..5 {
@@ -148,6 +163,7 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
                 push_frame(&mut framed, member, 0, bytes);
                 forged_sent += 1;
             }
+            push_frame(&mut framed, member, 0, &too_long(member));
             let _ = attacker.send_to(&framed, targets[member as usize % targets.len()]);
         }
         for addr in &targets {
