@@ -206,6 +206,22 @@ impl VoteSet {
         }
     }
 
+    /// Whether every member of `other` is known to be in this set, so
+    /// that [`VoteSet::union_with`] would change nothing.
+    ///
+    /// When either side is counted, identity is unavailable (and a
+    /// union would add the counts), so a counted pair never reports a
+    /// superset.
+    pub fn is_superset(&self, other: &VoteSet) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Exact { words: a, .. }, Repr::Exact { words: b, .. }) => {
+                // equal widths too: a union would grow a shorter `a`
+                a.len() >= b.len() && a.iter().zip(b.iter()).all(|(a, b)| b & !a == 0)
+            }
+            _ => false,
+        }
+    }
+
     /// In-place union. The caller is responsible for checking
     /// disjointness first when the no-double-counting constraint applies
     /// (see [`crate::Tagged::try_merge`]). A union involving a counted
@@ -394,6 +410,41 @@ mod tests {
             assert_eq!(set.len(), expect.len(), "{a:?} ∪ {b:?}");
             assert_eq!(set.iter().collect::<Vec<_>>(), expect);
         }
+    }
+
+    #[test]
+    fn superset_means_a_union_changes_nothing() {
+        let sets: Vec<VoteSet> = vec![
+            VoteSet::new(0),
+            VoteSet::new(200),
+            [1, 2, 63, 64].into_iter().collect(),
+            [2, 64].into_iter().collect(),
+            [2, 64, 65].into_iter().collect(),
+            [1, 2, 63, 64, 700].into_iter().collect(),
+            VoteSet::singleton(2, 1000),
+            VoteSet::counted(0),
+            VoteSet::counted(3),
+        ];
+        for a in &sets {
+            for b in &sets {
+                let mut union = a.clone();
+                union.union_with(b);
+                // bit for bit: same members, same width, same repr. A
+                // counted side never claims it (an empty one would do
+                // no harm either way).
+                let exact = a.is_exact() && b.is_exact();
+                assert_eq!(a.is_superset(b), exact && union == *a, "{a:?} ⊇ {b:?}");
+            }
+        }
+        // exact sides: the members decide, not the order or the width
+        let big: VoteSet = [1, 2, 63, 64].into_iter().collect();
+        let small: VoteSet = [2, 64].into_iter().collect();
+        assert!(big.is_superset(&small) && !small.is_superset(&big));
+        assert!(big.is_superset(&big));
+        // counted sides: no identity, and a union adds the counts
+        assert!(!VoteSet::counted(5).is_superset(&VoteSet::counted(3)));
+        assert!(!VoteSet::counted(5).is_superset(&small));
+        assert!(!big.is_superset(&VoteSet::counted(1)));
     }
 
     #[test]

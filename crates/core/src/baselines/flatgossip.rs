@@ -46,8 +46,6 @@ pub struct FlatGossip<A> {
     rounds: u32,
     done_at: Option<Round>,
     estimate: Option<Tagged<A>>,
-    /// Scratch reused by gossipee sampling across rounds.
-    scratch_picks: Vec<usize>,
 }
 
 impl<A: Aggregate> FlatGossip<A> {
@@ -64,7 +62,6 @@ impl<A: Aggregate> FlatGossip<A> {
             rounds: 0,
             done_at: None,
             estimate: None,
-            scratch_picks: Vec::new(),
         }
     }
 
@@ -109,14 +106,12 @@ impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
         let Some(&(member, value)) = ctx.rng.choose(&self.known) else {
             return;
         };
-        ctx.rng.sample_distinct_into(
+        out.send_sampled(
+            ctx.rng,
             self.n,
             Some(self.me.index()),
             self.cfg.fanout as usize,
-            &mut self.scratch_picks,
-        );
-        out.send_many(
-            self.scratch_picks.iter().map(|&p| MemberId(p as u32)),
+            |p| MemberId(p as u32),
             Payload::Vote { member, value },
         );
         self.rounds += 1;

@@ -100,8 +100,10 @@ pub struct FlowUpdating {
     cfg: FlowUpdatingConfig,
     /// Overlay neighbours, sorted by id (deterministic iteration).
     neighbors: Vec<NeighborState>,
-    /// Members whose current-epoch state has influenced this estimate.
-    influenced: VoteSet,
+    /// Members whose current-epoch state has influenced this estimate:
+    /// the set every message ships by reference, written through
+    /// `Arc::make_mut` when a received set would add a member.
+    influenced: Arc<VoteSet>,
     rounds: u32,
     done_at: Option<Round>,
     published: Option<Tagged<Average>>,
@@ -157,7 +159,7 @@ impl FlowUpdating {
             vote,
             cfg,
             neighbors,
-            influenced: VoteSet::singleton(me.index(), universe),
+            influenced: Arc::new(VoteSet::singleton(me.index(), universe)),
             rounds: 0,
             done_at: None,
             published: None,
@@ -198,7 +200,7 @@ impl FlowUpdating {
             }
         }
         self.neighbors = next;
-        self.influenced = VoteSet::singleton(self.me.index(), self.universe);
+        self.influenced = Arc::new(VoteSet::singleton(self.me.index(), self.universe));
         self.rounds = 0;
         self.done_at = None;
         self.published = None;
@@ -210,7 +212,7 @@ impl FlowUpdating {
         // present whenever votes are — from_parts cannot fail here, but
         // degrade to "no estimate" rather than panicking in a protocol
         // handler
-        self.published = Tagged::from_parts(Some(est), self.influenced.clone()).ok();
+        self.published = Tagged::from_parts(Some(est), VoteSet::clone(&self.influenced)).ok();
         self.done_at = Some(round);
     }
 }
@@ -266,7 +268,7 @@ impl AggregationProtocol<Average> for FlowUpdating {
                     flow: s.flow,
                     estimate: self.local_estimate(),
                     reply: false,
-                    influenced: Arc::new(self.influenced.clone()),
+                    influenced: Arc::clone(&self.influenced),
                 },
             );
         }
@@ -336,7 +338,7 @@ impl FlowUpdating {
         flow: f64,
         estimate: f64,
         reply: bool,
-        influenced: &VoteSet,
+        influenced: &Arc<VoteSet>,
         ctx: &mut Ctx<'_>,
         out: &mut Outbox<Average>,
     ) {
@@ -349,8 +351,14 @@ impl FlowUpdating {
                 s.estimate = Some(estimate);
                 s.last_heard = Some(ctx.round);
             }
+            // most sets received add nobody: only one that does pays
+            // for the write (a copy while a sent message holds ours)
             let before = self.influenced.len();
-            self.influenced.union_with(influenced);
+            if !Arc::ptr_eq(&self.influenced, influenced)
+                && !self.influenced.is_superset(influenced)
+            {
+                Arc::make_mut(&mut self.influenced).union_with(influenced);
+            }
             if self.influenced.len() != before && ctx.is_traced() {
                 let me = self.me;
                 let round = ctx.round;
@@ -378,7 +386,7 @@ impl FlowUpdating {
                         flow: s.flow,
                         estimate: midpoint,
                         reply: true,
-                        influenced: Arc::new(self.influenced.clone()),
+                        influenced: Arc::clone(&self.influenced),
                     },
                 );
             }
@@ -596,6 +604,46 @@ mod tests {
         let _ = drive(&mut protos, 4);
         assert!(protos[0].influenced.contains(2), "transitive influence");
         assert_eq!(protos[0].influenced.len(), 3);
+    }
+
+    #[test]
+    fn influence_set_is_shipped_by_reference_and_copied_only_to_grow() {
+        let cfg = FlowUpdatingConfig::default();
+        let mut p = FlowUpdating::new(MemberId(0), 10.0, 8, vec![MemberId(1)], cfg);
+        let mut rng = DetRng::seeded(1);
+        let mut out = Outbox::new();
+        let mut ctx = Ctx::new(0, &mut rng);
+        let flow_from_1 = |influenced: Arc<VoteSet>| Payload::Flow {
+            flow: 0.0,
+            estimate: 1.0,
+            reply: false,
+            influenced,
+        };
+        let sent_set = |out: &mut Outbox<Average>| match out.drain().next() {
+            Some((_, Payload::Flow { influenced, .. })) => influenced,
+            other => panic!("expected one Flow, got {other:?}"),
+        };
+        p.on_round(&mut ctx, &mut out);
+        let sent = sent_set(&mut out);
+        assert!(Arc::ptr_eq(&sent, &p.influenced), "a send copies nothing");
+        // a set that adds nobody (a subset, or our own back) leaves the
+        // shared set alone, and the answer ships it again
+        for adds_nobody in [Arc::new(VoteSet::singleton(0, 8)), sent.clone()] {
+            p.on_message(MemberId(1), flow_from_1(adds_nobody), &mut ctx, &mut out);
+            assert!(Arc::ptr_eq(&sent_set(&mut out), &sent));
+        }
+        // one that adds a member is merged into a copy: `sent` is in flight
+        let one = Arc::new(VoteSet::singleton(1, 8));
+        p.on_message(MemberId(1), flow_from_1(one), &mut ctx, &mut out);
+        assert_eq!(sent.len(), 1, "the sent snapshot did not move");
+        assert_eq!(p.influenced.len(), 2);
+        // with nothing in flight the next one is merged in place
+        out.drain().for_each(drop);
+        let at = Arc::as_ptr(&p.influenced);
+        let two = Arc::new(VoteSet::singleton(2, 8));
+        p.on_message(MemberId(1), flow_from_1(two), &mut ctx, &mut out);
+        assert_eq!(Arc::as_ptr(&p.influenced), at);
+        assert_eq!(p.influenced.iter().collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]

@@ -28,16 +28,32 @@
 //! reactive reply that makes a contact a two-way exchange. Partial
 //! membership views ([`HierGossip::with_view`]) implement the §2
 //! relaxation.
+//!
+//! # One copy of the known set
+//!
+//! The set a phase gossips is held once, and that one copy is the
+//! message body. Phase 1's is the `Arc<[_]>` of known votes (a new vote
+//! makes a new list); phase `i ≥ 2`'s is the row of its scope's `K`
+//! children, an `Arc<[Option<Arc<Tagged>>]>` indexed by last digit with
+//! its entry count and wire bytes kept beside it — one row per proper
+//! ancestor of the member's box, allocated when the first aggregate is
+//! stored there. A gossip, and a reply at any level, clones the `Arc`;
+//! a learned aggregate is written through `Arc::make_mut`, in place
+//! when no sent copy is still in flight and into one copy otherwise, so
+//! a message keeps the snapshot it was sent with. Phase completion,
+//! "do I know more than this push carried" and a payload's wire size
+//! are reads of the counts. See DESIGN.md §6.
 
 use std::sync::Arc;
 
-use gridagg_aggregate::{Aggregate, Tagged};
+use gridagg_aggregate::wire::WireAggregate;
+use gridagg_aggregate::Tagged;
 use gridagg_group::MemberId;
-use gridagg_hierarchy::{Addr, AddrSlab};
+use gridagg_hierarchy::Addr;
 use gridagg_simnet::bitset::DenseBitSet;
 use gridagg_simnet::Round;
 
-use crate::message::Payload;
+use crate::message::{agg_entry_wire, ChildSlot, Payload};
 use crate::protocol::{AggregationProtocol, Ctx, Outbox};
 use crate::scope::ScopeIndex;
 use crate::trace::TraceEvent;
@@ -119,70 +135,119 @@ impl HierGossipConfig {
     }
 }
 
-/// A lazily built, `Arc`-shared batch of child-subtree aggregates —
-/// the body of a [`Payload::AggBatch`].
-type SharedAggBatch<A> = Arc<Vec<(Addr, Arc<Tagged<A>>)>>;
+/// The known aggregates of one subtree's children: storage and gossip
+/// body in one. `slots[d]` is the child with last digit `d`; `known`
+/// and `wire` are the count and the wire bytes of the present entries,
+/// kept in step by [`Row::store`] so sending never walks the slots.
+///
+/// The slice is shared with every [`Payload::AggBatch`] sent from it and
+/// written through `Arc::make_mut`: in place while no sent copy is in
+/// flight, one `K`-pointer copy otherwise, so a message keeps the
+/// snapshot it was sent with.
+#[derive(Debug)]
+struct Row<A> {
+    slots: Arc<[ChildSlot<A>]>,
+    known: u8,
+    wire: u32,
+}
+
+impl<A: WireAggregate> Row<A> {
+    fn empty(k: u8) -> Self {
+        Row {
+            slots: (0..k).map(|_| None).collect(),
+            known: 0,
+            wire: 0,
+        }
+    }
+
+    /// Put `agg` in slot `digit` of this row of `child_len`-digit
+    /// subtrees. The `Arc` is cloned: a reference-count bump, shared
+    /// with any in-flight payload.
+    fn store(&mut self, digit: usize, child_len: usize, agg: &Arc<Tagged<A>>) {
+        let slot = &mut Arc::make_mut(&mut self.slots)[digit];
+        match slot.replace(Arc::clone(agg)) {
+            Some(old) => self.wire -= agg_entry_wire(child_len, &old),
+            None => self.known += 1,
+        }
+        self.wire += agg_entry_wire(child_len, agg);
+    }
+
+    /// The present aggregates, in digit order.
+    fn aggs(&self) -> impl Iterator<Item = &Arc<Tagged<A>>> {
+        self.slots.iter().flatten()
+    }
+
+    /// This row as a message body: no copy, no recount.
+    fn payload(&self, parent: Addr, reply: bool) -> Payload<A> {
+        Payload::AggBatch {
+            parent,
+            known: self.known,
+            wire: self.wire,
+            slots: Arc::clone(&self.slots),
+            reply,
+        }
+    }
+}
+
+/// A partial membership view ("this can be relaxed in our final
+/// hierarchical gossiping solution", §2) and its cut to the current
+/// phase. Boxed: the members of a complete-view run do not carry it.
+#[derive(Debug)]
+struct PartialView {
+    /// The members this one knows of, sorted and deduplicated.
+    members: Vec<MemberId>,
+    /// This phase's gossipee candidates: `members ∩ scope`, without
+    /// the member itself.
+    in_scope: Vec<MemberId>,
+}
 
 /// One member's Hierarchical Gossiping state machine.
 #[derive(Debug)]
 pub struct HierGossip<A> {
     me: MemberId,
-    n: usize,
     index: Arc<ScopeIndex>,
     cfg: HierGossipConfig,
     rounds_per_phase: u32,
-    phases: usize,
     my_box: Addr,
 
-    /// Known votes of members in my grid box: parallel vec for
-    /// deterministic random selection (insertion order is part of the
-    /// protocol's RNG-visible behavior) + a fixed-size bitset for cheap
-    /// dedup, keyed by the member's dense position within the box slice
-    /// (see [`ScopeIndex::position_in`]) — O(box size / 8) bytes instead
-    /// of a sorted-vec set of raw ids.
-    known_votes: Vec<(MemberId, f64)>,
+    /// Known votes of members in my grid box, in insertion order (which
+    /// is part of the protocol's RNG-visible behavior): the list
+    /// [`Payload::VoteBatch`] ships by reference. A new vote makes a
+    /// new list, one allocation of exactly its size; a box holds `K`
+    /// members on average, so that happens a few times a run. A
+    /// fixed-size bitset keyed by the member's dense position within
+    /// the box slice (see [`ScopeIndex::position_in`]) dedups in
+    /// O(box size / 8) bytes.
+    known_votes: Arc<[(MemberId, f64)]>,
     have_vote: DenseBitSet,
 
-    /// Known subtree aggregates, keyed by subtree prefix (first
-    /// reception wins; own computations overwrite own-scope keys).
-    /// Values are `Arc`-shared with in-flight payloads: adopting a
-    /// received aggregate or staging one for gossip never copies the
-    /// contributor bitmap. Stored in a dense chain-local slab — every
-    /// relevant prefix is a child of one of this member's ancestors (or
-    /// the root), so lookups are O(1) slot arithmetic instead of a
-    /// B-tree walk on the per-round hot path.
-    aggs: AddrSlab<Arc<Tagged<A>>>,
+    /// Known subtree aggregates: `rows[l]` holds the children of this
+    /// member's ancestor of length `l`, so phase `i ≥ 2` gossips
+    /// `rows[scope.len()]`. First reception wins unless a later
+    /// evaluation covers more votes (see [`Self::learn_agg`]); values
+    /// are `Arc`-shared with in-flight payloads, so adopting one never
+    /// copies a contributor bitmap. A level is allocated when the first
+    /// aggregate is stored there. The root aggregate is never gossiped:
+    /// it is the member's `estimate`.
+    rows: Vec<Option<Row<A>>>,
 
     /// Current phase (1-based); `phases + 1` means terminated.
     phase: usize,
     rounds_in_phase: u32,
 
-    /// Partial membership view: when set, gossipees are drawn only from
-    /// `view ∩ scope` ("this can be relaxed in our final hierarchical
-    /// gossiping solution", §2). `None` = complete view.
-    my_view: Option<Vec<MemberId>>,
+    /// When set, gossipees are drawn only from `view ∩ scope`.
+    /// `None` = complete view.
+    view: Option<Box<PartialView>>,
 
     /// Cached for the current phase:
     scope: Addr,
     my_pos_in_scope: Option<usize>,
-    /// gossipee candidates this phase: `view ∩ scope` when a partial
-    /// view is set (empty and unused otherwise)
-    view_scope: Vec<MemberId>,
-    children: Vec<Addr>,
+    /// components the phase waits for: members of my box in phase 1,
+    /// children of `scope` that have members afterwards
+    expected: usize,
 
     done_at: Option<Round>,
     estimate: Option<Arc<Tagged<A>>>,
-
-    /// Arc-shared gossip bodies, built lazily and reused across sends
-    /// and rounds until the underlying state changes (new vote, new
-    /// aggregate, or phase transition). Fanning out to `M` gossipees is
-    /// then `M` reference-count bumps instead of `M` deep clones.
-    vote_batch: Option<Arc<Vec<(MemberId, f64)>>>,
-    agg_batch: Option<SharedAggBatch<A>>,
-    /// Scratch reused by gossipee sampling (indices) and One-mode
-    /// candidate selection (known child subtrees).
-    scratch_picks: Vec<usize>,
-    scratch_children: Vec<Addr>,
 
     /// Per-phase completion trace: `(phase, components_known,
     /// components_expected, votes_covered)` recorded at each phase end.
@@ -205,41 +270,33 @@ pub struct PhaseTrace {
     pub at: Round,
 }
 
-impl<A: Aggregate> HierGossip<A> {
+impl<A: WireAggregate> HierGossip<A> {
     /// Create the protocol instance for member `me` with vote `vote`.
     pub fn new(me: MemberId, vote: f64, index: Arc<ScopeIndex>, cfg: HierGossipConfig) -> Self {
-        let n = index.len();
-        let hierarchy = *index.hierarchy();
         let my_box = index.box_of(me);
         let my_pos = index.position_in(&my_box, me);
-        let mut have_vote = DenseBitSet::with_capacity(index.count_in(&my_box));
+        let expected = index.count_in(&my_box);
+        let mut have_vote = DenseBitSet::with_capacity(expected);
         if let Some(pos) = my_pos {
             have_vote.insert(pos);
         }
         HierGossip {
             me,
-            n,
+            rounds_per_phase: cfg.rounds_per_phase(index.len()),
             index,
             cfg,
-            rounds_per_phase: cfg.rounds_per_phase(n),
-            phases: hierarchy.phases(),
             my_box,
-            known_votes: vec![(me, vote)],
+            known_votes: [(me, vote)].into(),
             have_vote,
-            aggs: AddrSlab::new(my_box),
-            my_view: None,
+            rows: (0..my_box.len()).map(|_| None).collect(),
+            view: None,
             phase: 1,
             rounds_in_phase: 0,
             scope: my_box,
             my_pos_in_scope: my_pos,
-            view_scope: Vec::new(),
-            children: Vec::new(),
+            expected,
             done_at: None,
             estimate: None,
-            vote_batch: None,
-            agg_batch: None,
-            scratch_picks: Vec::new(),
-            scratch_children: Vec::new(),
             trace: Vec::new(),
         }
     }
@@ -252,24 +309,22 @@ impl<A: Aggregate> HierGossip<A> {
     pub fn with_view(mut self, mut view: Vec<MemberId>) -> Self {
         view.sort_unstable();
         view.dedup();
-        self.my_view = Some(view);
+        self.view = Some(Box::new(PartialView {
+            members: view,
+            in_scope: Vec::new(),
+        }));
         self.refresh_view_scope();
         self
     }
 
     /// Recompute `view ∩ scope` after a phase change.
     fn refresh_view_scope(&mut self) {
-        let Some(view) = &self.my_view else {
-            self.view_scope.clear();
-            return;
-        };
-        let me = self.me;
-        let scope = self.scope;
-        self.view_scope = view
-            .iter()
-            .copied()
-            .filter(|&m| m != me && scope.contains(&self.index.box_of(m)))
-            .collect();
+        let Some(view) = &mut self.view else { return };
+        let (me, scope, index) = (self.me, self.scope, &self.index);
+        let known = view.members.iter().copied();
+        view.in_scope.clear();
+        view.in_scope
+            .extend(known.filter(|&m| m != me && scope.contains(&index.box_of(m))));
     }
 
     /// The current phase (for tests and instrumentation).
@@ -282,17 +337,28 @@ impl<A: Aggregate> HierGossip<A> {
         self.rounds_per_phase
     }
 
-    fn hierarchy(&self) -> gridagg_hierarchy::Hierarchy {
-        *self.index.hierarchy()
+    /// The row a phase `≥ 2` gossips: the children of its scope.
+    fn current_row(&self) -> Option<&Row<A>> {
+        self.rows.get(self.scope.len())?.as_ref()
+    }
+
+    /// The child aggregates a phase `≥ 2` has so far, in digit order.
+    fn current_aggs(&self) -> impl Iterator<Item = &Arc<Tagged<A>>> {
+        self.current_row().into_iter().flat_map(Row::aggs)
+    }
+
+    /// Components of the current phase known so far.
+    fn known(&self) -> usize {
+        if self.phase == 1 {
+            self.known_votes.len()
+        } else {
+            self.current_row().map_or(0, |row| usize::from(row.known))
+        }
     }
 
     /// Whether every expected component of the current phase is known.
     fn phase_complete(&self) -> bool {
-        if self.phase == 1 {
-            self.known_votes.len() >= self.index.count_in(&self.my_box)
-        } else {
-            self.children.iter().all(|c| self.aggs.contains_key(c))
-        }
+        self.known() >= self.expected
     }
 
     /// Votes covered by this member's current best aggregate: what it
@@ -305,39 +371,8 @@ impl<A: Aggregate> HierGossip<A> {
             self.known_votes.len() as u64
         } else {
             // children are disjoint subtrees, so the sum is exact
-            self.children
-                .iter()
-                .filter_map(|c| self.aggs.get(c))
-                .map(|a| a.vote_count() as u64)
-                .sum()
+            self.current_aggs().map(|a| a.vote_count() as u64).sum()
         }
-    }
-
-    /// The shared phase-1 gossip body: every known vote of my box.
-    /// Rebuilt only after [`Self::learn_vote`] admits a new vote.
-    fn vote_batch(&mut self) -> Arc<Vec<(MemberId, f64)>> {
-        let known = &self.known_votes;
-        self.vote_batch
-            .get_or_insert_with(|| Arc::new(known.clone()))
-            .clone()
-    }
-
-    /// The shared phase-≥2 gossip body: the known child aggregates of
-    /// the current scope, in child order. Rebuilt only after a state
-    /// change ([`Self::learn_agg`] or a phase transition).
-    fn agg_batch(&mut self) -> SharedAggBatch<A> {
-        let children = &self.children;
-        let aggs = &self.aggs;
-        self.agg_batch
-            .get_or_insert_with(|| {
-                Arc::new(
-                    children
-                        .iter()
-                        .filter_map(|c| aggs.get(c).map(|a| (*c, a.clone())))
-                        .collect(),
-                )
-            })
-            .clone()
     }
 
     /// Close out the current phase: compose this scope's aggregate from
@@ -348,10 +383,10 @@ impl<A: Aggregate> HierGossip<A> {
         // here because `have_vote` dedups phase-1 votes and child
         // subtrees are disjoint by construction (see the voteset module
         // docs).
-        let mut composed = Tagged::<A>::empty_for_scale(self.n);
+        let mut composed = Tagged::<A>::empty_for_scale(self.index.len());
         if self.phase == 1 {
             // deterministic fold order: by member id
-            let mut votes = self.known_votes.clone();
+            let mut votes = self.known_votes.to_vec();
             votes.sort_unstable_by_key(|(m, _)| *m);
             for (m, v) in votes {
                 composed
@@ -359,30 +394,17 @@ impl<A: Aggregate> HierGossip<A> {
                     .expect("votes are unique per member");
             }
         } else {
-            for child in &self.children {
-                if let Some(a) = self.aggs.get(child) {
-                    composed
-                        .try_merge(a)
-                        .expect("child subtrees are disjoint by construction");
-                }
+            for a in self.current_aggs() {
+                composed
+                    .try_merge(a)
+                    .expect("child subtrees are disjoint by construction");
             }
         }
         if self.cfg.phase_trace {
-            let (known, expected) = if self.phase == 1 {
-                (self.known_votes.len(), self.index.count_in(&self.my_box))
-            } else {
-                (
-                    self.children
-                        .iter()
-                        .filter(|c| self.aggs.contains_key(c))
-                        .count(),
-                    self.children.len(),
-                )
-            };
             self.trace.push(PhaseTrace {
                 phase: self.phase,
-                known,
-                expected,
+                known: self.known(),
+                expected: self.expected,
                 votes: composed.vote_count(),
                 at: round,
             });
@@ -407,51 +429,40 @@ impl<A: Aggregate> HierGossip<A> {
             );
         }
 
-        // "M_j already knows about the aggregate value for its own
-        // height-(i−1) subtree immediately after phase (i−1) concludes."
-        // When a more complete evaluation of the same subtree was already
-        // received from a faster peer, keep that one (see `upgrade`).
-        let own = self
-            .aggs
-            .entry(&self.scope)
-            .expect("own scope is in the chain");
-        Self::upgrade(own, &Arc::new(composed));
-
-        // the scope (and possibly `aggs`) just changed: both cached
-        // gossip bodies are stale
-        self.vote_batch = None;
-        self.agg_batch = None;
-
         self.phase += 1;
         self.rounds_in_phase = 0;
         // Phase monotonicity: phases only ever advance by one and never
         // run past the terminal `phases + 1` state.
         gridagg_aggregate::strict_assert!(
-            self.phase <= self.phases + 1,
+            self.phase <= self.my_box.len() + 2,
             "strict-invariants: phase {} advanced past termination ({} phases)",
             self.phase,
-            self.phases
+            self.my_box.len() + 1
         );
-        if self.phase > self.phases {
-            let root = self.scope.prefix(0);
-            self.estimate = self.aggs.get(&root).cloned();
+        let composed = Arc::new(composed);
+        let Some((parent, digit)) = self.scope.split_last() else {
+            // the scope was the root: its aggregate is the estimate
+            self.estimate = Some(composed);
             self.done_at = Some(round);
             return;
-        }
-        let hierarchy = self.hierarchy();
-        self.scope = hierarchy.scope(&self.my_box, self.phase);
+        };
+        // "M_j already knows about the aggregate value for its own
+        // height-(i−1) subtree immediately after phase (i−1) concludes."
+        // When a more complete evaluation of the same subtree was already
+        // received from a faster peer, keep that one (see `learn_agg`).
+        self.learn_agg(parent, usize::from(digit), &composed);
+
+        self.scope = parent;
         self.my_pos_in_scope = self.index.position_in(&self.scope, self.me);
-        self.children.clear();
-        self.children
-            .extend_from_slice(self.index.nonempty_children(&self.scope));
+        self.expected = self.index.nonempty_children(&self.scope).len();
         self.refresh_view_scope();
     }
 
     /// One gossip emission: pick `M` gossipees in the current scope and
     /// send them the current-phase values (one random value or the full
     /// known set, per [`Exchange`]).
-    // lint:hot — every member gossips every round; batches and pick
-    // buffers are cached scratch, not rebuilt here.
+    // lint:hot — every member gossips every round; a batch is the
+    // member's own storage, the pick buffer is the outbox's.
     fn gossip(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         // The payload is built before gossipees are sampled (the RNG
         // draw order is part of the protocol's deterministic behavior).
@@ -464,85 +475,50 @@ impl<A: Aggregate> HierGossip<A> {
                 Payload::Vote { member, value }
             }
             (true, Exchange::Batch) => Payload::VoteBatch {
-                votes: self.vote_batch(),
+                votes: Arc::clone(&self.known_votes),
                 reply: false,
             },
-            (false, Exchange::One) => {
-                self.scratch_children.clear();
-                self.scratch_children.extend(
-                    self.children
-                        .iter()
-                        .filter(|c| self.aggs.contains_key(c))
-                        .copied(),
-                );
-                match ctx.rng.choose(&self.scratch_children) {
-                    Some(&subtree) => Payload::Agg {
-                        subtree,
-                        agg: self
-                            .aggs
-                            .get(&subtree)
-                            .expect("candidate filtered by presence")
-                            .clone(), // lint:allow(D009) Arc refcount bump, no heap allocation
-                    },
-                    None => return, // cannot happen: own child present
+            (false, exchange) => {
+                // cannot be absent: own child stored when its phase ended
+                let Some(row) = self.current_row() else {
+                    return;
+                };
+                match exchange {
+                    Exchange::Batch => row.payload(self.scope, false),
+                    Exchange::One => {
+                        // one known child, uniformly: the pick-th present slot
+                        let pick = ctx.rng.below(usize::from(row.known));
+                        let known = row.slots.iter().enumerate();
+                        let (digit, agg) = known
+                            .filter_map(|(d, slot)| Some((d, slot.as_ref()?)))
+                            .nth(pick)
+                            .expect("`known` counts the present slots");
+                        Payload::Agg {
+                            subtree: self
+                                .scope
+                                .child(digit as u8)
+                                .expect("slot digit is below the base"),
+                            agg: Arc::clone(agg),
+                        }
+                    }
                 }
             }
-            (false, Exchange::Batch) => Payload::AggBatch {
-                aggs: self.agg_batch(),
-                reply: false,
-            },
         };
-        if self.my_view.is_some() {
+        let fanout = self.cfg.fanout as usize;
+        if let Some(view) = &self.view {
             // partial view: gossip only to known members of the scope
-            if self.view_scope.is_empty() {
-                return;
+            let pool = &view.in_scope;
+            if !pool.is_empty() {
+                out.send_sampled(ctx.rng, pool.len(), None, fanout, |p| pool[p], payload);
             }
-            ctx.rng.sample_distinct_into(
-                self.view_scope.len(),
-                None,
-                self.cfg.fanout as usize,
-                &mut self.scratch_picks,
-            );
-            let view_scope = &self.view_scope;
-            out.send_many(self.scratch_picks.iter().map(|&p| view_scope[p]), payload);
             return;
         }
-        let scope_members = self.index.members_in(&self.scope);
-        if scope_members.len() <= 1 {
+        let pool = self.index.members_in(&self.scope);
+        if pool.len() <= 1 {
             return;
         }
-        ctx.rng.sample_distinct_into(
-            scope_members.len(),
-            self.my_pos_in_scope,
-            self.cfg.fanout as usize,
-            &mut self.scratch_picks,
-        );
-        out.send_many(
-            self.scratch_picks.iter().map(|&p| scope_members[p]),
-            payload,
-        );
-    }
-
-    /// Store an aggregate in `entry` (a subtree's slot in the slab),
-    /// keeping whichever version covers more votes when two evaluations
-    /// of the same subtree collide. Returns whether it stored; the
-    /// `Arc` is cloned (a reference-count bump, shared with any
-    /// in-flight payload) only then.
-    ///
-    /// Different members legitimately compute different vote subsets for
-    /// the same subtree (their phases saw different gossip); all versions
-    /// cover only that subtree's members, so *replacing* (never merging)
-    /// preserves the no-double-counting invariant while letting complete
-    /// evaluations displace partial ones as they spread — the same
-    /// convergence rule Astrolabe-style systems use.
-    fn upgrade(entry: &mut Option<Arc<Tagged<A>>>, agg: &Arc<Tagged<A>>) -> bool {
-        match entry {
-            Some(existing) if agg.vote_count() <= existing.vote_count() => false,
-            _ => {
-                *entry = Some(agg.clone());
-                true
-            }
-        }
+        let skip = self.my_pos_in_scope;
+        out.send_sampled(ctx.rng, pool.len(), skip, fanout, |p| pool[p], payload);
     }
 
     /// Record a received vote. Only votes of the member's own grid box
@@ -553,105 +529,73 @@ impl<A: Aggregate> HierGossip<A> {
     fn learn_vote(&mut self, member: MemberId, value: f64) -> bool {
         if let Some(pos) = self.index.position_in(&self.my_box, member) {
             if self.have_vote.insert(pos) {
-                self.known_votes.push((member, value));
-                self.vote_batch = None; // cached gossip body is stale
+                let known = self.known_votes.iter().copied();
+                self.known_votes = known.chain([(member, value)]).collect();
                 return true;
             }
         }
         false
     }
 
-    /// Record a received subtree aggregate if it is relevant. Returns
-    /// whether the stored state changed (see [`Self::upgrade`]).
-    fn learn_agg(&mut self, subtree: Addr, agg: &Arc<Tagged<A>>) -> bool {
-        // Relevant when it names a child of one of this member's phase
-        // scopes — exactly the chain-local slab's slot condition, minus
-        // the root (the root aggregate is never gossiped).
-        if subtree.is_empty() {
-            return false;
-        }
-        let Some(entry) = self.aggs.entry(&subtree) else {
-            return false;
-        };
-        // Addr consistency: a received subtree aggregate must only cover
-        // members of that subtree, or adopting it would double-count
-        // once sibling aggregates are composed. (Counted sets carry no
-        // identity to check.)
-        #[cfg(feature = "strict-invariants")]
-        if agg.votes().is_exact() {
-            let index = &self.index;
-            assert!(
-                agg.votes()
-                    .iter()
-                    .all(|m| subtree.contains(&index.box_of(MemberId(m as u32)))),
-                "strict-invariants: received aggregate for {subtree} covers a member \
-                 outside that subtree"
-            );
-        }
-        let changed = Self::upgrade(entry, agg);
-        if changed {
-            self.agg_batch = None; // cached gossip body is stale
-        }
-        changed
+    /// Whether `parent`'s children are what one of this member's phases
+    /// gossips, i.e. `parent` is a proper ancestor of its box — then
+    /// `rows[parent.len()]` is their row. Anything else is irrelevant:
+    /// another base, a foreign subtree, or the box itself (whose
+    /// children would be deeper than any slot).
+    fn is_chain_parent(&self, parent: &Addr) -> bool {
+        parent.len() < self.my_box.len() && parent.contains(&self.my_box)
     }
 
-    /// Answer a push at the given level (`None` = phase-1 votes,
-    /// `Some(len)` = aggregates with prefixes of length `len`) if we
-    /// know strictly more values there than the push carried.
-    fn reply_at_level(
-        &mut self,
-        from: MemberId,
-        level: Option<usize>,
-        carried: usize,
-        out: &mut Outbox<A>,
-    ) {
-        match level {
-            None => {
-                // phase-1 votes: only meaningful within the same box
-                if self.index.box_of(from) != self.my_box {
-                    return;
-                }
-                if self.known_votes.len() > carried {
-                    let votes = self.vote_batch();
-                    out.send(from, Payload::VoteBatch { votes, reply: true });
-                }
+    /// Record an aggregate for the child `digit` of the chain parent
+    /// `parent`, keeping whichever version covers more votes when two
+    /// evaluations of the same subtree collide. Returns whether the
+    /// stored state changed.
+    ///
+    /// Different members legitimately compute different vote subsets for
+    /// the same subtree (their phases saw different gossip); all versions
+    /// cover only that subtree's members, so *replacing* (never merging)
+    /// preserves the no-double-counting invariant while letting complete
+    /// evaluations displace partial ones as they spread — the same
+    /// convergence rule Astrolabe-style systems use.
+    fn learn_agg(&mut self, parent: Addr, digit: usize, agg: &Arc<Tagged<A>>) -> bool {
+        let level = parent.len();
+        let held = self.rows[level]
+            .as_ref()
+            .and_then(|row| row.slots[digit].as_ref());
+        if held.is_some_and(|held| agg.vote_count() <= held.vote_count()) {
+            return false;
+        }
+        if held.is_none() || cfg!(feature = "strict-invariants") {
+            let Ok(subtree) = parent.child(digit as u8) else {
+                return false;
+            };
+            // A child without members has no aggregate: nobody lives
+            // there to compute one, and a forged one would count towards
+            // `phase_complete`. Asked once per slot, when first filled.
+            if held.is_none() && self.index.count_in(&subtree) == 0 {
+                return false;
             }
-            Some(len) => {
-                if len == 0 || len > self.index.hierarchy().depth() {
-                    return;
-                }
-                let scope = self.my_box.prefix(len - 1);
-                // the sender gossips within its own scope at this level;
-                // answer only if we share it
-                if !scope.contains(&self.index.box_of(from)) {
-                    return;
-                }
-                // The common case — the push is at our current level —
-                // reuses the cached gossip body: `aggs` only ever holds
-                // children with members, so filtering `children()` by
-                // presence equals the cache built over
-                // `nonempty_children` (same child order).
-                let known = if scope == self.scope {
-                    self.agg_batch()
-                } else {
-                    Arc::new(
-                        scope
-                            .children()
-                            .filter_map(|c| self.aggs.get(&c).map(|a| (c, a.clone())))
-                            .collect(),
-                    )
-                };
-                if known.len() > carried {
-                    out.send(
-                        from,
-                        Payload::AggBatch {
-                            aggs: known,
-                            reply: true,
-                        },
-                    );
-                }
+            // Addr consistency: a received subtree aggregate must only
+            // cover members of that subtree, or adopting it would
+            // double-count once sibling aggregates are composed.
+            // (Counted sets carry no identity to check.)
+            #[cfg(feature = "strict-invariants")]
+            if agg.votes().is_exact() {
+                let index = &self.index;
+                assert!(
+                    agg.votes()
+                        .iter()
+                        .all(|m| subtree.contains(&index.box_of(MemberId(m as u32)))),
+                    "strict-invariants: received aggregate for {subtree} covers a member \
+                     outside that subtree"
+                );
             }
         }
+        let k = parent.base();
+        self.rows[level]
+            .get_or_insert_with(|| Row::empty(k))
+            .store(digit, level + 1, agg);
+        true
     }
 
     /// Narrate a phase transition that just happened: the phase entered
@@ -686,7 +630,7 @@ impl<A: Aggregate> HierGossip<A> {
     clippy::panic,
     clippy::unreachable
 )]
-impl<A: Aggregate> AggregationProtocol<A> for HierGossip<A> {
+impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
     // lint:hot — the per-round protocol step for every member.
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         if self.done_at.is_some() {
@@ -731,71 +675,83 @@ impl<A: Aggregate> AggregationProtocol<A> for HierGossip<A> {
         ctx: &mut Ctx<'_>,
         out: &mut Outbox<A>,
     ) {
-        // Is this a push we may answer? (Replies are never answered, so
-        // exchanges always terminate.) Record the level and how many
-        // values it carried before consuming the payload.
-        let answer = match &payload {
-            Payload::VoteBatch {
-                votes,
-                reply: false,
-            } => Some((None, votes.len())),
-            Payload::AggBatch { aggs, reply: false } => {
-                aggs.first().map(|(a, _)| (Some(a.len()), aggs.len()))
-            }
-            // Replies and the non-batch shapes never get an answer.
-            Payload::VoteBatch { reply: true, .. }
-            | Payload::AggBatch { reply: true, .. }
-            | Payload::Vote { .. }
-            | Payload::Agg { .. }
-            | Payload::Final { .. }
-            | Payload::Flow { .. } => None,
-        };
-
-        // Learn the content. Terminated members keep serving replies
-        // below but no longer update their (final) state.
-        if self.done_at.is_none() {
-            let changed = match &payload {
-                Payload::Vote { member, value } => self.learn_vote(*member, *value),
-                Payload::VoteBatch { votes, .. } => {
-                    let mut any = false;
+        // Learn the content (terminated members keep serving replies
+        // but no longer update their final state), then — "gossiping
+        // with" is an exchange — answer a push with our known set at
+        // its level if that holds strictly more values than the push
+        // carried. Replies are never answered, so exchanges always
+        // terminate. This is what lets members that progressed (or
+        // terminated) early keep rescuing stragglers: without it, phase
+        // laggards starve once their peers bump up (see DESIGN.md).
+        let learning = self.done_at.is_none();
+        let changed = match payload {
+            Payload::Vote { member, value } => learning && self.learn_vote(member, value),
+            Payload::VoteBatch { votes, reply } => {
+                let mut changed = false;
+                if learning {
                     for &(member, value) in votes.iter() {
-                        any |= self.learn_vote(member, value);
+                        changed |= self.learn_vote(member, value);
                     }
-                    any
                 }
-                Payload::Agg { subtree, agg } => self.learn_agg(*subtree, agg),
-                Payload::AggBatch { aggs, .. } => {
-                    let mut any = false;
-                    for (subtree, agg) in aggs.iter() {
-                        any |= self.learn_agg(*subtree, agg);
-                    }
-                    any
+                // phase-1 votes: only meaningful within the same box
+                if !reply
+                    && self.known_votes.len() > votes.len()
+                    && self.index.box_of(from) == self.my_box
+                {
+                    let votes = Arc::clone(&self.known_votes);
+                    out.send(from, Payload::VoteBatch { votes, reply: true });
                 }
-                Payload::Final { .. } | Payload::Flow { .. } => {
-                    // Hierarchical gossip never emits Final, and Flow
-                    // belongs to the Flow-Updating baseline; ignore.
-                    false
-                }
-            };
-            if changed && ctx.is_traced() {
-                let me = self.me;
-                let round = ctx.round;
-                let votes = self.current_coverage();
-                ctx.emit(|| TraceEvent::Coverage {
-                    member: me,
-                    round,
-                    votes,
-                });
+                changed
             }
-        }
-
-        // "Gossiping with" is an exchange: if we know strictly more at
-        // the push's level than it carried, answer with our known set.
-        // This is what lets members that progressed (or terminated)
-        // early keep rescuing stragglers — without it, phase laggards
-        // starve once their peers bump up (see DESIGN.md).
-        if let Some((level, carried)) = answer {
-            self.reply_at_level(from, level, carried, out);
+            Payload::Agg { subtree, agg } => match subtree.split_last() {
+                // the root aggregate is never gossiped
+                Some((parent, digit)) if learning && self.is_chain_parent(&parent) => {
+                    self.learn_agg(parent, usize::from(digit), &agg)
+                }
+                _ => false,
+            },
+            Payload::AggBatch {
+                parent,
+                known,
+                slots,
+                reply,
+                ..
+            } => {
+                // a row of another width cannot have come from a member
+                // of this hierarchy
+                if !self.is_chain_parent(&parent) || slots.len() != usize::from(parent.base()) {
+                    return;
+                }
+                let mut changed = false;
+                if learning {
+                    for (digit, agg) in slots.iter().enumerate() {
+                        if let Some(agg) = agg {
+                            changed |= self.learn_agg(parent, digit, agg);
+                        }
+                    }
+                }
+                // the sender gossips within its own scope at this
+                // level; answer only if we share it
+                if let (false, Some(row)) = (reply, &self.rows[parent.len()]) {
+                    if row.known > known && parent.contains(&self.index.box_of(from)) {
+                        out.send(from, row.payload(parent, true));
+                    }
+                }
+                changed
+            }
+            // Hierarchical gossip never emits Final, and Flow belongs to
+            // the Flow-Updating baseline; ignore.
+            Payload::Final { .. } | Payload::Flow { .. } => false,
+        };
+        if changed && ctx.is_traced() {
+            let me = self.me;
+            let round = ctx.round;
+            let votes = self.current_coverage();
+            ctx.emit(|| TraceEvent::Coverage {
+                member: me,
+                round,
+                votes,
+            });
         }
     }
 
@@ -815,7 +771,7 @@ impl<A: Aggregate> AggregationProtocol<A> for HierGossip<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridagg_aggregate::Average;
+    use gridagg_aggregate::{Aggregate, Average, VoteSet};
     use gridagg_group::view::View;
     use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
     use gridagg_simnet::rng::DetRng;
@@ -953,13 +909,41 @@ mod tests {
     }
 
     #[test]
-    fn addresses_cost_eight_bytes_wherever_they_are_stored() {
+    fn sizes_of_the_member_the_payload_and_the_envelope() {
         use std::mem::size_of;
         assert_eq!(size_of::<Addr>(), 8);
-        // a batch entry is an address and a pointer, nothing else
-        assert_eq!(size_of::<(Addr, Arc<Tagged<Average>>)>(), 16);
-        // 408 B when an address was an 18-byte digit string
-        assert_eq!(size_of::<HierGossip<Average>>(), 376);
+        // a slot is a pointer, a level a fat pointer with its two counts
+        assert_eq!(size_of::<ChildSlot<Average>>(), 8);
+        assert_eq!(size_of::<Option<Row<Average>>>(), 24);
+        // 376 B with the slab, the two cached batches, the `children`
+        // copy, the two scratch vectors and the view inline
+        assert_eq!(size_of::<HierGossip<Average>>(), 224);
+        assert_eq!(size_of::<Payload<Average>>(), 32);
+        assert_eq!(
+            size_of::<gridagg_simnet::network::Envelope<Payload<Average>>>(),
+            48
+        );
+    }
+
+    /// An aggregate as it arrives off the wire: a value and the count of
+    /// its contributors (no identity, so it fits any subtree under
+    /// `strict-invariants` too). Zero votes is the empty aggregate.
+    fn counted(votes: usize) -> Arc<Tagged<Average>> {
+        let value = (votes > 0).then(|| Average::from_vote(votes as f64));
+        Arc::new(Tagged::from_parts(value, VoteSet::counted(votes)).unwrap())
+    }
+
+    /// Every aggregate `p` holds, by subtree.
+    fn held(p: &HierGossip<Average>) -> Vec<(Addr, Arc<Tagged<Average>>)> {
+        let mut held = Vec::new();
+        for (len, row) in p.rows.iter().enumerate() {
+            let slots = row.iter().flat_map(|row| row.slots.iter().enumerate());
+            for (d, slot) in slots {
+                let subtree = p.my_box.prefix(len).child(d as u8).unwrap();
+                held.extend(slot.clone().map(|agg| (subtree, agg)));
+            }
+        }
+        held
     }
 
     #[test]
@@ -980,19 +964,28 @@ mod tests {
         let mut rng = ctx_rng();
         let mut out = Outbox::new();
         let mut ctx = Ctx::new(0, &mut rng);
+        let agg = counted(1);
+        let row_of = |parent: Addr, k: u8| -> Payload<Average> {
+            Payload::agg_batch(parent, (0..k).map(|_| Some(agg.clone())).collect(), false)
+        };
         p.on_message(
             MemberId(1),
             Payload::Agg {
                 subtree: foreign,
-                agg: Arc::new(Tagged::from_vote(1, 1.0, 64)),
+                agg: agg.clone(),
             },
             &mut ctx,
             &mut out,
         );
-        assert!(p.aggs.is_empty());
+        p.on_message(
+            MemberId(1),
+            row_of(foreign.parent().unwrap(), 2),
+            &mut ctx,
+            &mut out,
+        );
+        assert!(held(&p).is_empty());
         // my own box plus one digit: its parent contains my box, but it
         // is deeper than any slot — dropped, not indexed
-        let agg = Arc::new(Tagged::from_vote(1, 1.0, 64));
         for subtree in my_box.children() {
             let agg = agg.clone();
             p.on_message(
@@ -1002,10 +995,260 @@ mod tests {
                 &mut out,
             );
         }
-        let aggs = Arc::new(my_box.children().map(|c| (c, agg.clone())).collect());
-        let batch = Payload::AggBatch { aggs, reply: true };
-        p.on_message(MemberId(1), batch, &mut ctx, &mut out);
-        assert!(p.aggs.is_empty());
+        p.on_message(MemberId(1), row_of(my_box, 2), &mut ctx, &mut out);
+        // the root is nobody's child, and another base is another
+        // hierarchy
+        let root = Addr::root(2).unwrap();
+        p.on_message(
+            MemberId(1),
+            Payload::Agg {
+                subtree: root,
+                agg: agg.clone(),
+            },
+            &mut ctx,
+            &mut out,
+        );
+        p.on_message(
+            MemberId(1),
+            row_of(Addr::root(4).unwrap(), 4),
+            &mut ctx,
+            &mut out,
+        );
+        // a chain parent with a row that is not K wide (a codec would
+        // not build one; a hand-made payload can)
+        for k in [1, 3] {
+            p.on_message(MemberId(1), row_of(root, k), &mut ctx, &mut out);
+            p.on_message(MemberId(1), row_of(my_box.prefix(2), k), &mut ctx, &mut out);
+        }
+        assert!(held(&p).is_empty());
+        assert!(out.is_empty(), "an ignored push is not answered either");
+        // the same push, K wide, is learned
+        p.on_message(MemberId(1), row_of(root, 2), &mut ctx, &mut out);
+        assert_eq!(held(&p).len(), 2);
+    }
+
+    #[test]
+    fn an_aggregate_for_a_child_without_members_is_not_stored() {
+        // 10 members over 64 boxes: most subtrees are empty
+        let h = Hierarchy::with_depth(4, 3).unwrap();
+        let idx = ScopeIndex::build(&View::complete(10), &FairHashPlacement::new(h, 1));
+        let me = MemberId(0);
+        let my_box = idx.box_of(me);
+        let (parent, empty) = (0..3)
+            .map(|len| my_box.prefix(len))
+            .find_map(|p| Some((p, p.children().find(|c| idx.count_in(c) == 0)?)))
+            .expect("some chain level has an empty child");
+        let mut p: HierGossip<Average> =
+            HierGossip::new(me, 1.0, idx.clone(), HierGossipConfig::default());
+        let mut rng = ctx_rng();
+        let mut out = Outbox::new();
+        let mut ctx = Ctx::new(0, &mut rng);
+        let agg = counted(1);
+        let forged = Payload::Agg {
+            subtree: empty,
+            agg: agg.clone(),
+        };
+        p.on_message(MemberId(1), forged, &mut ctx, &mut out);
+        assert!(held(&p).is_empty());
+        // in a row, the populated children are learned and it is not
+        let row = Payload::agg_batch(parent, (0..4).map(|_| Some(agg.clone())).collect(), true);
+        p.on_message(MemberId(1), row, &mut ctx, &mut out);
+        let stored: Vec<Addr> = held(&p).into_iter().map(|(a, _)| a).collect();
+        assert_eq!(stored, idx.nonempty_children(&parent));
+    }
+
+    /// A member of an `n`-member, base-4 group driven alone until it
+    /// gossips child aggregates (phase 2), with its sends discarded.
+    fn in_phase_two(n: usize, me: MemberId) -> (HierGossip<Average>, DetRng, Outbox<Average>) {
+        let cfg = HierGossipConfig {
+            rounds_per_phase: Some(1),
+            ..Default::default()
+        };
+        let mut p = HierGossip::new(me, 1.0, index(n, 4), cfg);
+        let mut rng = ctx_rng();
+        let mut out = Outbox::new();
+        p.on_round(&mut Ctx::new(0, &mut rng), &mut out);
+        assert_eq!(p.phase(), 2);
+        out.drain().for_each(drop);
+        (p, rng, out)
+    }
+
+    /// The old per-entry wire formula, walked over the slots.
+    fn recount(parent: &Addr, slots: &[ChildSlot<Average>]) -> (u8, u32) {
+        let entry = |a: &Arc<Tagged<Average>>| {
+            2 + parent.len() as u32 + 1 + a.aggregate().map_or(0, |a| a.wire_size() as u32)
+        };
+        let present = slots.iter().flatten();
+        (present.clone().count() as u8, present.map(entry).sum())
+    }
+
+    #[test]
+    fn a_sent_batch_keeps_its_contents_when_the_member_adopts_later() {
+        let (mut p, mut rng, mut out) = in_phase_two(256, MemberId(0));
+        let mut ctx = Ctx::new(1, &mut rng);
+        p.gossip(&mut ctx, &mut out);
+        let (_, sent) = out.drain().next().expect("phase 2 gossips");
+        let mut before = Vec::new();
+        crate::message::codec::encode(&sent, &mut before);
+        let Payload::AggBatch {
+            parent,
+            known: 1,
+            slots,
+            ..
+        } = &sent
+        else {
+            panic!("expected the own child alone, got {sent:?}");
+        };
+        assert!(Arc::ptr_eq(slots, &p.current_row().unwrap().slots));
+
+        // a sibling arrives while `sent` is still in flight
+        let sibling = (0..4)
+            .find(|&d| slots[d].is_none() && p.index.count_in(&parent.child(d as u8).unwrap()) > 0)
+            .expect("a populated sibling");
+        let agg = counted(1);
+        let subtree = parent.child(sibling as u8).unwrap();
+        p.on_message(
+            MemberId(9),
+            Payload::Agg { subtree, agg },
+            &mut ctx,
+            &mut out,
+        );
+        let row = p.current_row().unwrap();
+        assert_eq!(row.known, 2);
+        assert!(!Arc::ptr_eq(slots, &row.slots), "the shared row was copied");
+        assert!(slots[sibling].is_none(), "the snapshot did not move");
+        let mut after = Vec::new();
+        crate::message::codec::encode(&sent, &mut after);
+        assert_eq!(before, after);
+
+        // with no copy in flight the next adoption writes in place
+        drop(sent);
+        let at = Arc::as_ptr(&p.current_row().unwrap().slots);
+        for agg in [counted(0), counted(2)] {
+            p.on_message(
+                MemberId(9),
+                Payload::Agg { subtree, agg },
+                &mut ctx,
+                &mut out,
+            );
+        }
+        let row = p.current_row().unwrap();
+        assert_eq!(Arc::as_ptr(&row.slots), at);
+        assert_eq!(row.slots[sibling].as_ref().unwrap().vote_count(), 2);
+        assert_eq!((row.known, row.wire), recount(&p.scope, &row.slots));
+    }
+
+    #[test]
+    fn a_reply_at_any_level_is_the_stored_row() {
+        // run alone to the end: every level holds the own child
+        let idx = index(256, 4);
+        let me = MemberId(0);
+        let cfg = HierGossipConfig {
+            rounds_per_phase: Some(1),
+            ..Default::default()
+        };
+        let mut p: HierGossip<Average> = HierGossip::new(me, 1.0, idx.clone(), cfg);
+        let mut rng = ctx_rng();
+        let mut out = Outbox::new();
+        for round in 0..8 {
+            p.on_round(&mut Ctx::new(round, &mut rng), &mut out);
+        }
+        assert!(p.is_done());
+        out.drain().for_each(drop);
+        let my_box = idx.box_of(me);
+        let mut ctx = Ctx::new(9, &mut rng);
+        for len in 0..my_box.len() {
+            let parent = my_box.prefix(len);
+            let peer = *idx.members_in(&parent).iter().find(|&&m| m != me).unwrap();
+            // a push that carries nothing we could learn, and less
+            // than we know: the codec never builds one, a test can
+            let push = Payload::agg_batch(parent, (0..4).map(|_| None).collect(), false);
+            p.on_message(peer, push, &mut ctx, &mut out);
+            let (to, reply) = out.drain().next().expect("a reply at every level");
+            assert_eq!(to, peer);
+            let stored = p.rows[len].as_ref().unwrap();
+            match &reply {
+                Payload::AggBatch {
+                    parent: of,
+                    known,
+                    wire,
+                    slots,
+                    reply: true,
+                } => {
+                    assert!(Arc::ptr_eq(slots, &stored.slots), "level {len} rebuilt");
+                    assert_eq!((*of, *known, *wire), (parent, stored.known, stored.wire));
+                }
+                other => panic!("expected a reply row, got {other:?}"),
+            }
+            // a push that carries as much as we know is not answered,
+            // nor is one from outside the subtree
+            p.on_message(peer, reply, &mut ctx, &mut out);
+            let outsider = (0..256)
+                .map(MemberId)
+                .find(|&m| !parent.contains(&idx.box_of(m)));
+            if let Some(outsider) = outsider {
+                let push = Payload::agg_batch(parent, (0..4).map(|_| None).collect(), false);
+                p.on_message(outsider, push, &mut ctx, &mut out);
+            }
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    fn carried_count_and_bytes_equal_a_recount_over_random_learn_sequences() {
+        for seed in 0..40 {
+            let mut draw = DetRng::seeded(0xA66 + seed);
+            let me = MemberId(draw.below(256) as u32);
+            let (mut p, mut rng, mut out) = in_phase_two(256, me);
+            let my_box = p.my_box;
+            let mut in_flight = Vec::new();
+            for step in 0..60 {
+                let mut ctx = Ctx::new(1, &mut rng);
+                // an aggregate of 0..=5 votes (0: the empty aggregate,
+                // which costs no value bytes) for a random child of a
+                // random chain level, alone or in a row
+                let parent = my_box.prefix(draw.below(my_box.len()));
+                let agg = counted(draw.below(6));
+                let payload = if draw.below(2) == 0 {
+                    let subtree = parent.child(draw.below(4) as u8).unwrap();
+                    Payload::Agg { subtree, agg }
+                } else {
+                    let slots = (0..4).map(|_| (draw.below(2) == 0).then(|| agg.clone()));
+                    Payload::agg_batch(parent, slots.collect(), draw.below(2) == 0)
+                };
+                p.on_message(MemberId(1), payload, &mut ctx, &mut out);
+                if step % 7 == 0 {
+                    // sent copies in flight force the copy-on-write path
+                    p.gossip(&mut ctx, &mut out);
+                }
+                in_flight.extend(out.drain().map(|(_, payload)| payload));
+                if in_flight.len() > 6 {
+                    in_flight.clear();
+                }
+                for (len, row) in p.rows.iter().enumerate() {
+                    let Some(row) = row else { continue };
+                    let parent = my_box.prefix(len);
+                    assert_eq!((row.known, row.wire), recount(&parent, &row.slots));
+                    let sent = row.payload(parent, false);
+                    assert_eq!(sent.wire_size(), 1 + 2 + row.wire);
+                    assert_eq!(sent, Payload::agg_batch(parent, row.slots.clone(), false));
+                }
+            }
+            // every message sent along the way still carries what it
+            // was sent with
+            for sent in &in_flight {
+                if let Payload::AggBatch {
+                    parent,
+                    known,
+                    wire,
+                    slots,
+                    ..
+                } = sent
+                {
+                    assert_eq!((*known, *wire), recount(parent, slots));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1139,7 +1382,7 @@ mod tests {
         p.on_message(
             mate,
             Payload::VoteBatch {
-                votes: Arc::new(vec![(mate, 2.0)]),
+                votes: [(mate, 2.0)].into(),
                 reply: false,
             },
             &mut ctx,
@@ -1176,7 +1419,7 @@ mod tests {
         p.on_message(
             mate,
             Payload::VoteBatch {
-                votes: Arc::new(vec![]),
+                votes: [].into(),
                 reply: true,
             },
             &mut ctx,
@@ -1214,7 +1457,7 @@ mod tests {
             p.on_message(
                 mate,
                 Payload::VoteBatch {
-                    votes: Arc::new(vec![]),
+                    votes: [].into(),
                     reply: false,
                 },
                 &mut ctx,

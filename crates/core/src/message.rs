@@ -10,6 +10,17 @@
 //! [`Payload::wire_size`] charges the protocol bytes, and [`codec`]
 //! adds each set's *count* (9 B per carried `Tagged`; see
 //! `gridagg_aggregate::wire::encode_tagged`).
+//!
+//! **A batch body is the sender's own storage.** [`Payload::VoteBatch`]
+//! holds the `Arc` of the member's known-vote list (a slice: a new vote
+//! makes a new list, a sent one never changes) and
+//! [`Payload::AggBatch`] the `Arc` of its row of child aggregates (one
+//! [`ChildSlot`] per last digit, with the row's entry count and wire
+//! bytes carried beside it), so sending or replying is a
+//! reference-count bump and [`Payload::wire_size`] a field read. The
+//! member writes its row through `Arc::make_mut`: a message in flight
+//! keeps the snapshot it was sent with. On the wire a batch is still
+//! its present entries, one `(address, aggregate)` each, in digit order.
 
 use std::sync::Arc;
 
@@ -17,6 +28,10 @@ use gridagg_aggregate::wire::WireAggregate;
 use gridagg_aggregate::Tagged;
 use gridagg_group::MemberId;
 use gridagg_hierarchy::Addr;
+
+/// One slot of a row of child aggregates: what is known for the child
+/// subtree with that last digit (see [`Payload::AggBatch`]).
+pub type ChildSlot<A> = Option<Arc<Tagged<A>>>;
 
 /// A protocol message payload.
 ///
@@ -54,18 +69,26 @@ pub enum Payload<A> {
     /// grid box size (expected `K`), so still constant-size in `N`.
     VoteBatch {
         /// `(owner, vote)` pairs.
-        votes: Arc<Vec<(MemberId, f64)>>,
+        votes: Arc<[(MemberId, f64)]>,
         /// Whether this is a reactive reply to a push (replies are never
         /// answered, so exchanges terminate).
         reply: bool,
     },
-    /// A batch of known child-subtree aggregates (phase ≥ 2 batch
-    /// gossip). Bounded by `K` entries — constant-size in `N`. Entries
-    /// are themselves `Arc`-shared so a receiver can adopt one without
+    /// The known aggregates of one subtree's children (phase ≥ 2 batch
+    /// gossip): the sender's row for that subtree, shared, not copied.
+    /// Bounded by `K` entries — constant-size in `N`. Entries are
+    /// themselves `Arc`-shared so a receiver can adopt one without
     /// copying its contributor bitmap.
     AggBatch {
-        /// `(subtree, aggregate)` pairs.
-        aggs: Arc<Vec<(Addr, Arc<Tagged<A>>)>>,
+        /// The subtree whose children the row describes.
+        parent: Addr,
+        /// Present slots, the entry count on the wire.
+        known: u8,
+        /// Wire bytes of the present entries ([`agg_entry_wire`] each).
+        wire: u32,
+        /// One slot per last digit: `slots[d]` is the aggregate of
+        /// `parent.child(d)`.
+        slots: Arc<[ChildSlot<A>]>,
         /// Whether this is a reactive reply to a push.
         reply: bool,
     },
@@ -92,7 +115,32 @@ pub enum Payload<A> {
     },
 }
 
+/// Wire bytes of one `(subtree, aggregate)` entry, `subtree` being
+/// `subtree_len` digits long: base, length, the digits, and the
+/// aggregate's [`WireAggregate::wire_size`]. An empty aggregate (which
+/// a real implementation would never ship) counts nothing.
+pub fn agg_entry_wire<A: WireAggregate>(subtree_len: usize, agg: &Tagged<A>) -> u32 {
+    2 + subtree_len as u32 + agg.aggregate().map_or(0, |a| a.wire_size() as u32)
+}
+
 impl<A: WireAggregate> Payload<A> {
+    /// An [`Payload::AggBatch`] over `slots`, the children of `parent`,
+    /// with `known` and `wire` counted from the slots: for a caller that
+    /// does not already keep the two beside its row. (A row wider than
+    /// any base is nobody's; its count saturates.)
+    pub fn agg_batch(parent: Addr, slots: Arc<[ChildSlot<A>]>, reply: bool) -> Self {
+        let entries = || slots.iter().flatten();
+        Payload::AggBatch {
+            parent,
+            known: u8::try_from(entries().count()).unwrap_or(u8::MAX),
+            wire: entries()
+                .map(|agg| agg_entry_wire(parent.len() + 1, agg))
+                .sum(),
+            slots,
+            reply,
+        }
+    }
+
     /// Serialized size in bytes, for network byte accounting: a one-byte
     /// discriminant plus the variant body. Aggregate bodies use their
     /// [`WireAggregate::wire_size`]; empty aggregates (which a real
@@ -100,19 +148,10 @@ impl<A: WireAggregate> Payload<A> {
     pub fn wire_size(&self) -> u32 {
         let body = match self {
             Payload::Vote { .. } => 4 + 8,
-            Payload::Agg { subtree, agg } => {
-                2 + subtree.len() as u32 + agg.aggregate().map_or(0, |a| a.wire_size() as u32)
-            }
+            Payload::Agg { subtree, agg } => agg_entry_wire(subtree.len(), agg),
             Payload::Final { agg } => agg.aggregate().map_or(0, |a| a.wire_size() as u32),
             Payload::VoteBatch { votes, .. } => 2 + votes.len() as u32 * 12,
-            Payload::AggBatch { aggs, .. } => {
-                2 + aggs
-                    .iter()
-                    .map(|(addr, agg)| {
-                        2 + addr.len() as u32 + agg.aggregate().map_or(0, |a| a.wire_size() as u32)
-                    })
-                    .sum::<u32>()
-            }
+            Payload::AggBatch { wire, .. } => 2 + wire,
             Payload::Flow { .. } => 8 + 8 + 1,
         };
         1 + body
@@ -161,19 +200,26 @@ mod tests {
     fn batch_sizes_bounded_by_entry_count() {
         let votes: Vec<(MemberId, f64)> = (0..4).map(|i| (MemberId(i), i as f64)).collect();
         let p: Payload<Average> = Payload::VoteBatch {
-            votes: Arc::new(votes),
+            votes: votes.into(),
             reply: false,
         };
         assert_eq!(p.wire_size(), 1 + 2 + 4 * 12);
-        let aggs = vec![
-            (addr(), Arc::new(Tagged::<Average>::from_vote(0, 1.0, 8))),
-            (addr(), Arc::new(Tagged::<Average>::from_vote(1, 2.0, 8))),
+        // two children of `12`: addresses of three digits
+        let slots = [
+            Some(Arc::new(Tagged::<Average>::from_vote(0, 1.0, 8))),
+            None,
+            Some(Arc::new(Tagged::<Average>::from_vote(1, 2.0, 8))),
+            None,
         ];
-        let p = Payload::AggBatch {
-            aggs: Arc::new(aggs),
-            reply: true,
-        };
-        assert_eq!(p.wire_size(), 1 + 2 + 2 * (2 + 2 + 16));
+        let p = Payload::agg_batch(addr(), Arc::new(slots), true);
+        assert!(matches!(p, Payload::AggBatch { known: 2, .. }));
+        assert_eq!(p.wire_size(), 1 + 2 + 2 * (2 + 3 + 16));
+    }
+
+    #[test]
+    fn a_payload_is_32_bytes() {
+        // the row's count and bytes ride in what was padding
+        assert_eq!(std::mem::size_of::<Payload<Average>>(), 32);
     }
 
     #[test]
@@ -237,7 +283,7 @@ pub mod codec {
     use gridagg_group::MemberId;
     use gridagg_hierarchy::Addr;
 
-    use super::Payload;
+    use super::{agg_entry_wire, ChildSlot, Payload};
 
     const TAG_VOTE: u8 = 1;
     const TAG_AGG: u8 = 2;
@@ -300,12 +346,17 @@ pub mod codec {
 
     impl std::error::Error for DecodeError {}
 
-    fn put_addr<B: BufMut>(addr: &Addr, buf: &mut B) {
-        buf.put_u8(addr.base());
-        buf.put_u8(addr.len() as u8);
-        for d in addr.digits() {
+    /// An address on the wire: base, length, then the digits.
+    fn put_digits<B: BufMut>(base: u8, len: usize, digits: impl Iterator<Item = u8>, buf: &mut B) {
+        buf.put_u8(base);
+        buf.put_u8(len as u8);
+        for d in digits {
             buf.put_u8(d);
         }
+    }
+
+    fn put_addr<B: BufMut>(addr: &Addr, buf: &mut B) {
+        put_digits(addr.base(), addr.len(), addr.digits(), buf);
     }
 
     fn get_addr<B: Buf>(buf: &mut B) -> Result<Addr, WireError> {
@@ -352,13 +403,23 @@ pub mod codec {
                     buf.put_f64(*v);
                 }
             }
-            Payload::AggBatch { aggs, reply } => {
+            Payload::AggBatch {
+                parent,
+                known,
+                slots,
+                reply,
+                ..
+            } => {
                 buf.put_u8(TAG_AGG_BATCH);
                 buf.put_u8(u8::from(*reply));
-                buf.put_u16(aggs.len() as u16);
-                for (addr, agg) in aggs.iter() {
-                    put_addr(addr, buf);
-                    encode_tagged(agg, buf);
+                buf.put_u16(u16::from(*known));
+                for (digit, agg) in slots.iter().enumerate() {
+                    if let Some(agg) = agg {
+                        // `parent.child(digit)`, without asking whether it exists
+                        let digits = parent.digits().chain([digit as u8]);
+                        put_digits(parent.base(), parent.len() + 1, digits, buf);
+                        encode_tagged(agg, buf);
+                    }
                 }
             }
             Payload::Flow {
@@ -421,7 +482,7 @@ pub mod codec {
                     votes.push((MemberId(buf.get_u32()), buf.get_f64()));
                 }
                 Ok(Payload::VoteBatch {
-                    votes: Arc::new(votes),
+                    votes: votes.into(),
                     reply,
                 })
             }
@@ -432,15 +493,38 @@ pub mod codec {
                     });
                 }
                 let reply = buf.get_u8() != 0;
-                let count = buf.get_u16() as usize;
-                let mut aggs = Vec::with_capacity(count.min(1024));
+                let count = buf.get_u16();
+                // The entries fill one row, a slot per last digit of
+                // the first entry's base (at most 255 slots whatever
+                // `count` says). They must be distinct children of one
+                // parent; an empty batch names no parent and is never
+                // sent (a member always knows its own child).
+                let malformed = DecodeError::Malformed {
+                    variant: "agg-batch",
+                };
+                let mut row: Option<(Addr, Arc<[ChildSlot<A>]>)> = None;
+                let (mut known, mut wire) = (0u8, 0);
                 for _ in 0..count {
                     let addr = get_addr(buf).map_err(DecodeError::from_wire("agg-batch"))?;
                     let agg = decode_tagged(buf).map_err(DecodeError::from_wire("agg-batch"))?;
-                    aggs.push((addr, Arc::new(agg)));
+                    let (parent, digit) = addr.split_last().ok_or(malformed)?;
+                    let (of, slots) = row
+                        .get_or_insert_with(|| (parent, (0..addr.base()).map(|_| None).collect()));
+                    let slot = Arc::get_mut(slots)
+                        .and_then(|slots| slots.get_mut(usize::from(digit)))
+                        .filter(|slot| *of == parent && slot.is_none())
+                        .ok_or(malformed)?;
+                    // a free slot was found: fewer than `base` are filled
+                    known += 1;
+                    wire += agg_entry_wire(addr.len(), &agg);
+                    *slot = Some(Arc::new(agg));
                 }
+                let (parent, slots) = row.ok_or(malformed)?;
                 Ok(Payload::AggBatch {
-                    aggs: Arc::new(aggs),
+                    parent,
+                    known,
+                    wire,
+                    slots,
                     reply,
                 })
             }
@@ -482,6 +566,14 @@ pub mod codec {
             crosses_as(p.clone(), p);
         }
 
+        /// The base-4 row of `parent` holding `agg` at each of `digits`.
+        fn batch(parent: Addr, digits: &[u8], agg: &Arc<Tagged<Average>>) -> Payload<Average> {
+            let slots = (0..4)
+                .map(|d| digits.contains(&d).then(|| agg.clone()))
+                .collect();
+            Payload::agg_batch(parent, slots, false)
+        }
+
         #[test]
         fn all_variants_roundtrip() {
             use gridagg_aggregate::VoteSet;
@@ -497,16 +589,16 @@ pub mod codec {
                 value: -1.25,
             });
             roundtrip(Payload::VoteBatch {
-                votes: Arc::new(vec![(MemberId(1), 1.0), (MemberId(2), 2.0)]),
+                votes: [(MemberId(1), 1.0), (MemberId(2), 2.0)].into(),
                 reply: true,
             });
             type Shape = fn(Addr, Arc<Tagged<Average>>) -> Payload<Average>;
             let carrying: [Shape; 3] = [
                 |subtree, agg| Payload::Agg { subtree, agg },
                 |_, agg| Payload::Final { agg },
-                |subtree, agg| Payload::AggBatch {
-                    aggs: Arc::new(vec![(subtree, agg)]),
-                    reply: false,
+                |subtree, agg| {
+                    let (parent, digit) = subtree.split_last().unwrap();
+                    batch(parent, &[digit], &agg)
                 },
             ];
             for shape in carrying {
@@ -552,13 +644,10 @@ pub mod codec {
                 Some(Payload::Vote { .. }) => (Payload::Agg { subtree, agg }, 9),
                 Some(Payload::Agg { .. }) => (Payload::Final { agg }, 9),
                 Some(Payload::Final { .. }) => {
-                    let votes = Arc::new(members().map(|m| (MemberId(m as u32), 1.0)).collect());
+                    let votes = members().map(|m| (MemberId(m as u32), 1.0)).collect();
                     (Payload::VoteBatch { votes, reply }, 1)
                 }
-                Some(Payload::VoteBatch { .. }) => {
-                    let aggs = Arc::new(vec![(subtree, agg); 4]);
-                    (Payload::AggBatch { aggs, reply }, 1 + 4 * 9)
-                }
+                Some(Payload::VoteBatch { .. }) => (batch(subtree, &[0, 1, 2, 3], &agg), 1 + 4 * 9),
                 Some(Payload::AggBatch { .. }) => {
                     let (flow, estimate) = (0.5, -2.0);
                     let flow = Payload::Flow {
@@ -611,15 +700,65 @@ pub mod codec {
         }
 
         #[test]
-        fn empty_batches_roundtrip() {
+        fn an_empty_vote_batch_roundtrips_and_an_empty_agg_batch_is_malformed() {
             roundtrip(Payload::VoteBatch {
-                votes: Arc::new(vec![]),
+                votes: [].into(),
                 reply: false,
             });
-            roundtrip(Payload::AggBatch {
-                aggs: Arc::new(vec![]),
-                reply: true,
+            // no entry, no parent to name: a member always knows its
+            // own child, so nobody sends this
+            let none = (0..4).map(|_| None).collect();
+            let empty: Payload<Average> = Payload::agg_batch(Addr::root(4).unwrap(), none, true);
+            let mut buf = Vec::new();
+            encode(&empty, &mut buf);
+            assert_eq!(buf, [TAG_AGG_BATCH, 1, 0, 0]);
+            assert_eq!(
+                decode::<Average, _>(&mut buf.as_slice()),
+                Err(DecodeError::Malformed {
+                    variant: "agg-batch"
+                })
+            );
+        }
+
+        #[test]
+        fn agg_batch_entries_must_be_distinct_children_of_one_parent() {
+            use gridagg_aggregate::VoteSet;
+            let agg = Arc::new(Tagged::<Average>::from_vote(5, 2.5, 64));
+            let entry = |digits: &[u8]| {
+                let mut buf = Vec::new();
+                put_addr(&Addr::from_digits(4, digits).unwrap(), &mut buf);
+                encode_tagged(&agg, &mut buf);
+                buf
+            };
+            let frame = |entries: &[Vec<u8>]| {
+                let mut buf = vec![TAG_AGG_BATCH, 0, 0, entries.len() as u8];
+                buf.extend(entries.concat());
+                decode::<Average, _>(&mut buf.as_slice())
+            };
+            let malformed = Err(DecodeError::Malformed {
+                variant: "agg-batch",
             });
+            // what an honest sender writes: digit order, one parent
+            let honest = frame(&[entry(&[2, 0]), entry(&[2, 3])]).unwrap();
+            let counted = Arc::new(
+                Tagged::from_parts(agg.aggregate().cloned(), VoteSet::counted(1)).unwrap(),
+            );
+            let parent = Addr::from_digits(4, &[2]).unwrap();
+            assert_eq!(honest, batch(parent, &[0, 3], &counted));
+            // any order decodes to the same row
+            assert_eq!(frame(&[entry(&[2, 3]), entry(&[2, 0])]).unwrap(), honest);
+            // two parents, a repeated digit, the root as a child
+            assert_eq!(frame(&[entry(&[2, 0]), entry(&[1, 3])]), malformed);
+            assert_eq!(frame(&[entry(&[2, 0]), entry(&[2, 0])]), malformed);
+            assert_eq!(frame(&[entry(&[])]), malformed);
+            // a digit that is not below the base
+            let mut bad_digit = entry(&[2, 3]);
+            bad_digit[3] = 4;
+            assert_eq!(frame(&[entry(&[2, 0]), bad_digit]), malformed);
+            // a count past the base cannot be distinct, however many
+            // entries follow: the row allocated is `base` slots
+            let five: Vec<_> = [0, 1, 2, 3, 0].iter().map(|&d| entry(&[2, d])).collect();
+            assert_eq!(frame(&five), malformed);
         }
 
         #[test]
@@ -627,10 +766,7 @@ pub mod codec {
             // truncate a real AggBatch encoding mid-aggregate: the error
             // must say which variant was being decoded
             let addr = Addr::from_digits(4, &[2, 1]).unwrap();
-            let p: Payload<Average> = Payload::AggBatch {
-                aggs: Arc::new(vec![(addr, Arc::new(Tagged::from_vote(5, 2.5, 64)))]),
-                reply: false,
-            };
+            let p = batch(addr, &[1], &Arc::new(Tagged::from_vote(5, 2.5, 64)));
             let mut buf = Vec::new();
             encode(&p, &mut buf);
             let cut = buf.len() - 4;
@@ -676,13 +812,10 @@ pub mod codec {
                     agg: Arc::new(tagged.clone()),
                 },
                 Payload::VoteBatch {
-                    votes: Arc::new(vec![(MemberId(1), 1.0), (MemberId(2), 2.0)]),
+                    votes: [(MemberId(1), 1.0), (MemberId(2), 2.0)].into(),
                     reply: true,
                 },
-                Payload::AggBatch {
-                    aggs: Arc::new(vec![(addr, Arc::new(tagged))]),
-                    reply: false,
-                },
+                batch(addr, &[0, 2], &Arc::new(tagged)),
                 Payload::Flow {
                     flow: 0.5,
                     estimate: -2.0,

@@ -18,18 +18,25 @@ use gridagg_simnet::Round;
 use crate::message::Payload;
 use crate::trace::{DynSink, TraceEvent};
 
-/// Messages a member wants to send this round.
+/// Messages a member wants to send this round. The engine (and each of
+/// its workers) keeps one and hands it to every step, so scratch that
+/// would otherwise sit in each of `N` members lives here.
 #[derive(Debug)]
 pub struct Outbox<A> {
     /// `(to, payload, shared)`; `shared` marks a [`Outbox::send_many`]
     /// copy of the payload queued just before it
     msgs: Vec<(MemberId, Payload<A>, bool)>,
+    /// Gossipee positions drawn by [`Outbox::send_sampled`].
+    picks: Vec<usize>,
 }
 
 impl<A> Outbox<A> {
     /// An empty outbox.
     pub fn new() -> Self {
-        Outbox { msgs: Vec::new() }
+        Outbox {
+            msgs: Vec::new(),
+            picks: Vec::new(),
+        }
     }
 
     /// Queue a message to `to`.
@@ -52,6 +59,28 @@ impl<A> Outbox<A> {
             (dest, shared) = (next, true);
         }
         self.msgs.push((dest, payload, shared));
+    }
+
+    /// Gossip fan-out: queue `payload` to up to `fanout` distinct
+    /// members drawn from positions `0..len` (never `skip`), `member`
+    /// naming the member at a position. One
+    /// [`DetRng::sample_distinct_into`] draw, then [`Outbox::send_many`]
+    /// in pick order.
+    pub fn send_sampled(
+        &mut self,
+        rng: &mut DetRng,
+        len: usize,
+        skip: Option<usize>,
+        fanout: usize,
+        member: impl Fn(usize) -> MemberId,
+        payload: Payload<A>,
+    ) where
+        A: Clone,
+    {
+        let mut picks = std::mem::take(&mut self.picks);
+        rng.sample_distinct_into(len, skip, fanout, &mut picks);
+        self.send_many(picks.iter().map(|&p| member(p)), payload);
+        self.picks = picks;
     }
 
     /// Drain the queued messages.
@@ -226,7 +255,7 @@ mod tests {
     fn drain_sized_charges_every_message_its_own_wire_size() {
         let mut out: Outbox<Average> = Outbox::new();
         let batch = |n: u32| Payload::VoteBatch {
-            votes: std::sync::Arc::new((0..n).map(|i| (MemberId(i), 1.0)).collect()),
+            votes: (0..n).map(|i| (MemberId(i), 1.0)).collect(),
             reply: false,
         };
         // fan-outs of different sizes back to back, singles in between
@@ -243,6 +272,28 @@ mod tests {
         let bytes: Vec<u32> = sized.iter().map(|(_, _, b)| *b).collect();
         assert_eq!(bytes, [51, 51, 51, 15, 15, 111, 27]);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn send_sampled_is_one_draw_then_send_many_in_pick_order() {
+        let vote = Payload::<Average>::Vote {
+            member: MemberId(0),
+            value: 1.0,
+        };
+        // both sampling paths: the small pool and rejection sampling
+        for (len, skip, fanout) in [(10, Some(3), 4), (10_000, Some(42), 2), (3, None, 8)] {
+            let (mut a, mut b) = (DetRng::seeded(21), DetRng::seeded(21));
+            let mut out: Outbox<Average> = Outbox::new();
+            for _ in 0..20 {
+                let picks = a.sample_distinct(len, skip, fanout);
+                let member = |p: usize| MemberId(p as u32 + 100);
+                out.send_sampled(&mut b, len, skip, fanout, member, vote.clone());
+                let sent: Vec<MemberId> = out.drain().map(|(to, _)| to).collect();
+                let expect: Vec<MemberId> = picks.into_iter().map(member).collect();
+                assert_eq!(sent, expect);
+            }
+            assert_eq!(a.raw().next_u64(), b.raw().next_u64(), "streams aligned");
+        }
     }
 
     #[test]

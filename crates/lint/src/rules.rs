@@ -61,7 +61,8 @@ const D008_RNG_CALLS: &[&str] = &[
 
 /// D009 allocation-causing patterns, flagged inside `// lint:hot`
 /// functions. `.clone()` is included because heap clones dominate the
-/// hazard class; cheap `Arc` refcount bumps take a reasoned waiver.
+/// hazard class; a cheap `Arc` refcount bump is spelled `Arc::clone(&x)`,
+/// which says what it is and is not matched (or takes a reasoned waiver).
 const D009_ALLOC_PATTERNS: &[&str] = &[
     "Vec::new",
     "vec![",

@@ -208,8 +208,9 @@ fn claimed_votes<A: WireAggregate>(payload: &Payload<A>) -> usize {
     match payload {
         Payload::Vote { .. } | Payload::VoteBatch { .. } => 0,
         Payload::Agg { agg, .. } | Payload::Final { agg } => agg.vote_count(),
-        Payload::AggBatch { aggs, .. } => {
-            aggs.iter().map(|(_, a)| a.vote_count()).max().unwrap_or(0)
+        Payload::AggBatch { slots, .. } => {
+            let aggs = slots.iter().flatten();
+            aggs.map(|a| a.vote_count()).max().unwrap_or(0)
         }
         Payload::Flow { influenced, .. } => influenced.len(),
     }

@@ -3,10 +3,11 @@
 //! Three properties the multiplexed runtime must hold on a live socket
 //! pool: convergence survives injected loss *and* reorder together,
 //! hostile datagrams (truncated, malformed, junk-payload, forged
-//! contributor counts, forged addresses) are rejected through the
-//! `DecodeError` path or dropped as irrelevant (an address deeper than
-//! the receiver's box) — counted, never a panic and never a wedge — and
-//! frames stay constant-size: no contributor set rides in them.
+//! contributor counts, forged addresses, forged aggregate batches) are
+//! rejected through the `DecodeError` path or dropped as irrelevant (an
+//! address deeper than the receiver's box, a row of another base) —
+//! counted, never a panic and never a wedge — and frames stay
+//! constant-size: no contributor set rides in them.
 
 use std::net::UdpSocket;
 use std::sync::Arc;
@@ -95,6 +96,64 @@ fn forged_addresses() -> [Vec<u8>; 2] {
     [too_wide, bad_digit]
 }
 
+/// `AggBatch` frames no honest member writes, as `(decodes, bytes)`:
+/// entries under two parents, a repeated digit, a digit that is not
+/// below its base and an empty batch are malformed; a batch of another
+/// base decodes (to a row that is not the receiver's `K` wide, under a
+/// parent of another base) and the member must ignore it.
+fn forged_batches() -> [(bool, Vec<u8>); 5] {
+    let agg = Arc::new(Tagged::<Average>::from_vote(1, 1e9, 16));
+    let entry = |base: u8, digits: &[u8]| {
+        let mut bytes = Vec::new();
+        let subtree = Addr::from_digits(base, digits).expect("address");
+        let agg = agg.clone();
+        codec::encode(&Payload::Agg { subtree, agg }, &mut bytes);
+        bytes.split_off(1) // the tag goes, address and aggregate stay
+    };
+    let batch = |entries: &[Vec<u8>]| {
+        let row = (0..4).map(|d| (d == 0).then(|| agg.clone())).collect();
+        let mut bytes = Vec::new();
+        let one = Payload::agg_batch(Addr::root(4).expect("root"), row, false);
+        codec::encode(&one, &mut bytes);
+        assert_eq!(bytes[1..4], [0, 0, 1], "tag, then reply flag and u16 count");
+        assert_eq!(
+            bytes[4..],
+            entry(4, &[0]),
+            "then the entries, as `Agg` writes them"
+        );
+        bytes.truncate(3);
+        bytes.push(entries.len() as u8);
+        bytes.extend(entries.concat());
+        bytes
+    };
+    let mut bad_digit = entry(4, &[3]);
+    bad_digit[2] = 4;
+    [
+        (false, batch(&[entry(4, &[0]), entry(4, &[1, 1])])),
+        (false, batch(&[entry(4, &[2]), entry(4, &[2])])),
+        (false, batch(&[entry(4, &[0]), bad_digit])),
+        (false, batch(&[])),
+        (true, batch(&[entry(2, &[0]), entry(2, &[1])])),
+    ]
+}
+
+#[test]
+fn forged_batches_decode_to_malformed_or_to_a_row_of_another_base() {
+    for (decodes, bytes) in forged_batches() {
+        match codec::decode::<Average, _>(&mut bytes.as_slice()) {
+            Ok(Payload::AggBatch { parent, slots, .. }) => {
+                assert!(decodes, "{bytes:?}");
+                assert_eq!((parent.base(), slots.len()), (2, 2));
+            }
+            other => {
+                let variant = "agg-batch";
+                assert_eq!(other, Err(codec::DecodeError::Malformed { variant }));
+                assert!(!decodes, "{bytes:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn forged_addresses_decode_to_malformed() {
     for bytes in forged_addresses() {
@@ -153,8 +212,10 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
     // An outsider throws garbage at every pool socket while the
     // cluster is live: truncated headers, out-of-range member ids,
     // well-framed junk payloads the codec must reject, forged
-    // addresses, too-long addresses, and forged contributor counts.
+    // addresses, too-long addresses, forged contributor counts, and
+    // (g) forged batches, each carrying an average of 1e9.
     let attacker = UdpSocket::bind(("127.0.0.1", 0)).expect("attacker socket");
+    let batches = forged_batches();
     let (mut garbage, mut forged_sent) = (0u64, 0u64);
     for burst in 0..5 {
         for member in 0..n as u32 {
@@ -164,6 +225,10 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
                 forged_sent += 1;
             }
             push_frame(&mut framed, member, 0, &too_long(member));
+            for (decodes, bytes) in &batches {
+                push_frame(&mut framed, member, 0, bytes);
+                forged_sent += u64::from(!decodes);
+            }
             let _ = attacker.send_to(&framed, targets[member as usize % targets.len()]);
         }
         for addr in &targets {
@@ -205,6 +270,14 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
             "member {:?} reports completeness {}",
             o.member,
             o.completeness(n)
+        );
+        // every forged value was 1e9; the votes are 0..16
+        let value = o.estimate.as_ref().and_then(|e| e.aggregate());
+        let value = value.expect("a reported estimate").summary();
+        assert!(
+            (0.0..n as f64).contains(&value),
+            "member {:?} adopted a forged value: {value}",
+            o.member
         );
     }
     assert!(
