@@ -31,8 +31,8 @@
 //! live heap bytes over one instrumented run, measured by the counting
 //! allocator. The mark is per-thread and the run is deterministic, so
 //! the value is reproducible for a given toolchain; `--check` gates it
-//! with a ±25% ratio tolerance (byte counts drift across toolchains,
-//! unlike the exactly-gated message counters).
+//! and `allocs_single_run` with a ±25% ratio tolerance (both drift
+//! across toolchains, unlike the exactly-gated message counters).
 //!
 //! Usage:
 //!
@@ -53,7 +53,8 @@
 //! * `bench_baseline --check <path>` — additionally compare the
 //!   deterministic counters against a committed baseline JSON and exit
 //!   non-zero if `messages_sent` or `bytes_sent` increased — or
-//!   `peak_heap_bytes` grew by more than 25% — for any compared cell.
+//!   `peak_heap_bytes` or `allocs_single_run` grew by more than 25% —
+//!   for any compared cell.
 //! * `bench_baseline --engine-jobs <T>` — run each cell's round loop
 //!   on `T` fork-join engine threads (`GRIDAGG_ENGINE_JOBS` works too;
 //!   default 1). Every deterministic counter is byte-identical at any
@@ -469,16 +470,19 @@ fn report_table(cells: &[Cell]) {
     );
 }
 
-/// Ratio tolerance for the `peak_heap_bytes` gate: byte counts are
-/// deterministic for one toolchain but drift across compiler and
-/// allocator versions, so the gate fires only on a >25% increase.
-const PEAK_HEAP_TOLERANCE: f64 = 1.25;
+/// Ratio tolerance for the `peak_heap_bytes` and `allocs_single_run`
+/// gates: both are deterministic for one toolchain but drift across
+/// compiler and standard-library versions, so the gates fire only on
+/// an increase above 25% — one stray allocation per message is ×3.7
+/// on hiergossip at N = 4096, one per member-round ×2.4.
+const HEAP_TOLERANCE: f64 = 1.25;
 
 /// Compare `cells` against a committed baseline file. Returns the
 /// number of regressions: a cell whose `messages_sent` or `bytes_sent`
-/// *increased* over the baseline, whose `peak_heap_bytes` grew by more
-/// than [`PEAK_HEAP_TOLERANCE`], or a baseline cell that this run
-/// should have measured but did not. Baseline cells outside the run's
+/// *increased* over the baseline, whose `peak_heap_bytes` or
+/// `allocs_single_run` grew by more than [`HEAP_TOLERANCE`], or a
+/// baseline cell that this run should have measured but did not.
+/// Baseline cells outside the run's
 /// `--min-n`/`--max-n` window (or a protocol's `max_n` cap) are
 /// skipped with a logged reason, so a windowed run can still check
 /// against the full committed ladder.
@@ -585,41 +589,41 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
                 );
             }
         }
-        // Peak-memory gate: ratio-tolerant (see PEAK_HEAP_TOLERANCE).
-        // Baselines recorded before the scale ladder have no
-        // peak_heap_bytes; those are reported, not failed.
-        match base.get("peak_heap_bytes").and_then(Json::as_f64) {
-            Some(base_peak) if base_peak > 0.0 => {
-                let ratio = cur.peak_heap_bytes as f64 / base_peak;
-                if ratio > PEAK_HEAP_TOLERANCE {
+        // Heap gates: ratio-tolerant (see HEAP_TOLERANCE). Baselines
+        // recorded before a field existed are reported, not failed.
+        for (key, cur_v) in [
+            ("peak_heap_bytes", cur.peak_heap_bytes),
+            ("allocs_single_run", cur.allocs_single_run),
+        ] {
+            match base.get(key).and_then(Json::as_f64) {
+                Some(base_v) if base_v > 0.0 => {
+                    let ratio = cur_v as f64 / base_v;
+                    if ratio > HEAP_TOLERANCE {
+                        eprintln!(
+                            "REGRESSION {proto}/N={n}: {key} {base_v:.0} -> {cur_v} \
+                             (x{ratio:.2}, tolerance x{HEAP_TOLERANCE})"
+                        );
+                        regressions += 1;
+                    } else if ratio < 1.0 / HEAP_TOLERANCE {
+                        eprintln!(
+                            "improved {proto}/N={n}: {key} {base_v:.0} -> {cur_v} \
+                             (consider refreshing the baseline)"
+                        );
+                    }
+                }
+                _ => {
                     eprintln!(
-                        "REGRESSION {proto}/N={n}: peak_heap_bytes {base_peak:.0} -> {} \
-                         (x{ratio:.2}, tolerance x{PEAK_HEAP_TOLERANCE})",
-                        cur.peak_heap_bytes
-                    );
-                    regressions += 1;
-                } else if ratio < 1.0 / PEAK_HEAP_TOLERANCE {
-                    eprintln!(
-                        "improved {proto}/N={n}: peak_heap_bytes {base_peak:.0} -> {} \
-                         (consider refreshing the baseline)",
-                        cur.peak_heap_bytes
+                        "note {proto}/N={n}: baseline has no {key} \
+                         (this run: {cur_v}) — not compared"
                     );
                 }
-            }
-            _ => {
-                eprintln!(
-                    "note {proto}/N={n}: baseline has no peak_heap_bytes \
-                     (this run: {}) — not compared",
-                    cur.peak_heap_bytes
-                );
             }
         }
         // Informational counters: also deterministic, but not gated
         // (a rounds or delivery-count shift may be a deliberate
         // protocol change). Any drift is still printed with both
         // values — a silent divergence here usually foreshadows a
-        // gated one. Allocation counters stay out entirely: they vary
-        // across toolchains.
+        // gated one.
         for (key, base_v, cur_v) in [
             ("rounds", counter(base, "rounds"), cur.rounds),
             ("delivered", counter(base, "delivered"), cur.delivered),

@@ -224,28 +224,53 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The count `flag N` / `flag=N` gives in `args`, else the `env`
+/// variable's, with whether the command line gave it; at least 1. A
+/// value that is not a count is an error naming the flag or variable:
+/// these binaries produce committed numbers, so `--jobs 2x` must not
+/// quietly take every core.
+fn flag_or_env(
+    args: impl IntoIterator<Item = String>,
+    flag: &str,
+    env: &str,
+) -> Result<Option<(usize, bool)>, String> {
+    let count = |name: &str, v: &str| match v.trim().parse::<usize>() {
+        Ok(n) => Ok(n.max(1)),
+        Err(_) => Err(format!("{name}: expected a count, got {v:?}")),
+    };
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        let value = if a == flag {
+            Some(args.next().unwrap_or_default())
+        } else {
+            a.strip_prefix(flag)
+                .and_then(|rest| rest.strip_prefix('='))
+                .map(str::to_string)
+        };
+        if let Some(v) = value {
+            return count(flag, &v).map(|n| Some((n, true)));
+        }
+    }
+    match std::env::var(env) {
+        Ok(v) => count(env, &v).map(|n| Some((n, false))),
+        Err(_) => Ok(None),
+    }
+}
+
+/// [`flag_or_env`] over this process's arguments; a malformed count
+/// prints the error and exits with status 2.
+fn process_count(flag: &str, env: &str) -> Option<(usize, bool)> {
+    flag_or_env(std::env::args(), flag, env).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// The sweep worker count: `--jobs N` / `--jobs=N` on the command
 /// line, else the `GRIDAGG_JOBS` environment variable, else
 /// [`std::thread::available_parallelism`]. Always at least 1.
 pub fn jobs() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let value = if a == "--jobs" {
-            args.next()
-        } else {
-            a.strip_prefix("--jobs=").map(str::to_string)
-        };
-        if let Some(n) = value.and_then(|v| v.trim().parse::<usize>().ok()) {
-            return n.max(1);
-        }
-    }
-    if let Some(n) = std::env::var("GRIDAGG_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    crate::host_cores()
+    process_count("--jobs", "GRIDAGG_JOBS").map_or_else(crate::host_cores, |(n, _)| n)
 }
 
 /// In-run engine thread count: `--engine-jobs N` / `--engine-jobs=N`
@@ -262,26 +287,11 @@ pub fn jobs() -> usize {
 /// Results are byte-identical at any value either way; this only
 /// affects wall-clock.
 pub fn engine_jobs(sweep_jobs: usize) -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let value = if a == "--engine-jobs" {
-            args.next()
-        } else {
-            a.strip_prefix("--engine-jobs=").map(str::to_string)
-        };
-        if let Some(n) = value.and_then(|v| v.trim().parse::<usize>().ok()) {
-            return n.max(1);
-        }
+    match process_count("--engine-jobs", "GRIDAGG_ENGINE_JOBS") {
+        Some((n, from_flag)) if from_flag || sweep_jobs <= 1 => n,
+        Some((n, _)) => n.min((crate::host_cores() / sweep_jobs).max(1)),
+        None => 1,
     }
-    let requested = std::env::var("GRIDAGG_ENGINE_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
-    if sweep_jobs <= 1 {
-        return requested;
-    }
-    requested.min((crate::host_cores() / sweep_jobs).max(1))
 }
 
 #[cfg(test)]
@@ -347,5 +357,18 @@ mod tests {
     #[test]
     fn jobs_is_at_least_one() {
         assert!(jobs() >= 1);
+    }
+
+    #[test]
+    fn a_count_comes_from_the_flag_then_the_environment_and_must_parse() {
+        let args = |line: &str| line.split(' ').map(str::to_string).collect::<Vec<_>>();
+        let read = |line: &str| flag_or_env(args(line), "--jobs", "GRIDAGG_NO_SUCH_VAR");
+        assert_eq!(read("bin --check x --jobs 3"), Ok(Some((3, true))));
+        assert_eq!(read("bin --jobs=0"), Ok(Some((1, true))));
+        assert_eq!(read("bin --jobs-extra=4 --engine-jobs 2"), Ok(None));
+        for bad in ["bin --jobs 2x", "bin --jobs=", "bin --jobs"] {
+            let err = read(bad).unwrap_err();
+            assert!(err.starts_with("--jobs: expected a count"), "{bad}: {err}");
+        }
     }
 }

@@ -124,7 +124,8 @@ impl<A: Aggregate> Centralized<A> {
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
 )]
 impl<A: Aggregate> AggregationProtocol<A> for Centralized<A> {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {

@@ -75,7 +75,8 @@ impl<A: Aggregate> FlatGossip<A> {
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
 )]
 impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
@@ -85,9 +86,10 @@ impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
         if self.rounds >= self.cfg.total_rounds {
             let mut votes = self.known.clone();
             votes.sort_unstable_by_key(|(m, _)| *m);
-            // `for_scale`: counted contributor sets are safe here
-            // because `have` dedupes inserts into `known`, so the folds
-            // are structurally disjoint.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "counted sets are exact here: `have` dedupes inserts into `known`, so the folds are structurally disjoint"
+            )]
             let mut acc = Tagged::<A>::empty_for_scale(self.n);
             for (m, v) in votes {
                 // `have` dedupes inserts into `known`, so these folds

@@ -201,9 +201,10 @@ impl<A: Aggregate> LeaderElection<A> {
         if let Some(a) = self.aggs.get(&prefix) {
             return a.clone();
         }
-        // `for_scale`: counted contributor sets are safe here because
-        // `have_vote` dedupes committee votes and child slots adopt
-        // first-reception-wins, so merges are structurally disjoint.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "counted sets are exact here: `have_vote` dedupes committee votes and child slots adopt first-reception-wins, so merges are structurally disjoint"
+        )]
         let mut composed = Tagged::<A>::empty_for_scale(self.n);
         if len == self.depth() {
             let mut votes = self.votes.clone();
@@ -227,7 +228,8 @@ impl<A: Aggregate> LeaderElection<A> {
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
 )]
 impl<A: Aggregate> AggregationProtocol<A> for LeaderElection<A> {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
@@ -241,6 +243,10 @@ impl<A: Aggregate> AggregationProtocol<A> for LeaderElection<A> {
         let up_rounds = self.phases() as Round * l;
 
         if round >= self.schedule_rounds() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the own-vote fallback is a singleton: one contributor, nothing to double count"
+            )]
             let estimate = self.result.clone().unwrap_or_else(|| {
                 Arc::new(Tagged::from_vote_for_scale(
                     self.me.index(),

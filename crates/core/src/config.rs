@@ -339,8 +339,8 @@ impl ExperimentConfig {
                 return Err(format!("partl={p} outside [0,1]"));
             }
         }
-        if self.round_factor <= 0.0 {
-            return Err(format!("C={} must be positive", self.round_factor));
+        if !(self.round_factor.is_finite() && self.round_factor > 0.0) {
+            return Err(format!("C={} must be finite and > 0", self.round_factor));
         }
         if let Some(est) = self.n_estimate {
             if est < 2 {
@@ -404,11 +404,13 @@ mod tests {
             .with_partl(2.0)
             .validate()
             .is_err());
-        let c = ExperimentConfig {
-            round_factor: 0.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
+        for round_factor in [0.0, f64::NAN, f64::INFINITY] {
+            let c = ExperimentConfig {
+                round_factor,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "C={round_factor}");
+        }
         let c = ExperimentConfig {
             k: 1,
             ..Default::default()

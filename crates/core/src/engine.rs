@@ -87,7 +87,7 @@ impl<A, S: TraceSink> Effects<A> for Direct<'_, A, S> {
         self.sink
     }
 
-    // lint:hot — the only place a message touches the network, so the
+    // The only place a message touches the network, so the
     // shared net RNG (loss + delay draws in `SimNetwork::send`) consumes
     // one stream whatever the schedule.
     fn send(
@@ -130,8 +130,8 @@ struct SendRec<A> {
 }
 
 /// Effects buffered on a worker thread until the ordered replay. Pure
-/// output — nothing reads it back during the phase, so D008 purity
-/// holds by construction.
+/// output — nothing reads it back during the phase, so recording
+/// cannot feed back into the protocol.
 #[derive(Debug)]
 struct Recorder<A> {
     events: Vec<TraceEvent>,
@@ -250,7 +250,7 @@ impl<A> ShardBuf<A> {
         rec
     }
 
-    // lint:hot — ordered replay: feed one recorded step's events, then
+    // Ordered replay: feed one recorded step's events, then
     // its sends, through `Direct`, exactly as the inline schedule would
     // have applied them.
     fn replay<S: TraceSink>(&mut self, round: Round, rec: StepRecord, fx: &mut Direct<'_, A, S>) {
@@ -580,6 +580,16 @@ where
         self.drive(sink)
     }
 
+    /// [`Simulation::run_with`], also reporting where each member's
+    /// random stream stands (its next draw): tracing must not move it,
+    /// and a protocol that never reads its stream shows it nowhere else.
+    #[cfg(test)]
+    pub(crate) fn run_with_streams<S: TraceSink>(mut self, sink: &mut S) -> (RunReport, Vec<u64>) {
+        let report = self.drive(sink);
+        let streams = self.rngs.iter_mut().map(|r| r.raw().next_u64());
+        (report, streams.collect())
+    }
+
     /// Run like [`Simulation::run`], but hand the protocol instances
     /// back alongside the report. The continuous aggregation service
     /// ([`crate::continuous`]) uses this to carry long-lived protocol
@@ -589,8 +599,8 @@ where
         (report, self.protocols)
     }
 
-    // lint:hot — the engine round loop: N=10^6 members visit this code
-    // every round, so allocations must be per-run scratch, not per-round.
+    // The engine round loop: N=10^6 members visit this code every
+    // round, so allocations must be per-run scratch, not per-round.
     fn drive<S: TraceSink>(&mut self, sink: &mut S) -> RunReport {
         let n = self.protocols.len();
         let mut sched = Schedule::new(n, &self.started, self.start_rounds.as_deref(), |i| {
@@ -612,8 +622,8 @@ where
         // the emptied one for the next round's sends, so the run
         // cycles two delivery buffers; `begin_visits` refills `visit`
         // in place. The steady state is zero per-round allocation.
-        let mut delivery = Vec::new(); // lint:allow(D009) per-run scratch, exchanged with the network each round
-        let mut visit: Vec<u32> = Vec::new(); // lint:allow(D009) per-run scratch, reused across rounds
+        let mut delivery = Vec::new();
+        let mut visit: Vec<u32> = Vec::new();
         let mut round: Round = 0;
 
         // Threaded-schedule scratch: one buffer set per engine thread
@@ -623,7 +633,7 @@ where
         let mut shards: Vec<ShardBuf<A>> = (0..if jobs > 1 { jobs } else { 0 })
             .map(|_| ShardBuf::new())
             .collect();
-        let mut owner: Vec<u8> = Vec::new(); // lint:allow(D009) per-run scratch, refilled in place each round
+        let mut owner: Vec<u8> = Vec::new();
 
         if S::ENABLED {
             for i in self.started.iter() {
@@ -780,7 +790,7 @@ where
             rounds: round,
             outcomes,
             true_value: self.true_value,
-            net: self.net.stats().clone(), // lint:allow(D009) once at end of run, building the report
+            net: self.net.stats().clone(),
             protocol_steps: sched.protocol_steps,
         }
     }
@@ -796,7 +806,7 @@ where
         }
     }
 
-    // lint:hot — the one protocol step of both schedules: deliver `msg`
+    // The one protocol step of both schedules: deliver `msg`
     // to `me` (or, with `None`, run its round timer), report a
     // termination, fan the outbox out. Returns the done state after the
     // call. Always inlined: each call site knows `msg` and the effect

@@ -378,11 +378,10 @@ impl<A: WireAggregate> HierGossip<A> {
     /// Close out the current phase: compose this scope's aggregate from
     /// the known components and advance.
     fn finish_phase(&mut self, round: Round) {
-        // `for_scale` constructors: the contributor sets are counted
-        // (exact shadows only under strict-invariants), which is exact
-        // here because `have_vote` dedups phase-1 votes and child
-        // subtrees are disjoint by construction (see the voteset module
-        // docs).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "counted sets (exact shadows only under strict-invariants) are exact here: `have_vote` dedups phase-1 votes and child subtrees are disjoint by construction (see the voteset module docs)"
+        )]
         let mut composed = Tagged::<A>::empty_for_scale(self.index.len());
         if self.phase == 1 {
             // deterministic fold order: by member id
@@ -461,8 +460,8 @@ impl<A: WireAggregate> HierGossip<A> {
     /// One gossip emission: pick `M` gossipees in the current scope and
     /// send them the current-phase values (one random value or the full
     /// known set, per [`Exchange`]).
-    // lint:hot — every member gossips every round; a batch is the
-    // member's own storage, the pick buffer is the outbox's.
+    // Every member gossips every round; a batch is the member's own
+    // storage, the pick buffer is the outbox's.
     fn gossip(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         // The payload is built before gossipees are sampled (the RNG
         // draw order is part of the protocol's deterministic behavior).
@@ -628,10 +627,10 @@ impl<A: WireAggregate> HierGossip<A> {
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
 )]
 impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
-    // lint:hot — the per-round protocol step for every member.
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         if self.done_at.is_some() {
             return;

@@ -265,14 +265,16 @@ mod tests {
 /// per carried `Tagged` (presence flag + count), 8 B for `Flow`, 1 B
 /// for a batch's reply flag — never by anything that grows with `N`.
 pub mod codec {
-    // Decoding input from outside the program never panics.
+    // Decoding input from outside the program never panics, and no
+    // `Payload` variant reaches a `_ =>` arm.
     #![cfg_attr(
         not(test),
         deny(
             clippy::unwrap_used,
             clippy::expect_used,
             clippy::panic,
-            clippy::unreachable
+            clippy::unreachable,
+            clippy::wildcard_enum_match_arm
         )
     )]
 
@@ -622,6 +624,10 @@ pub mod codec {
         /// group of `n`, with the bytes its *shape* adds to
         /// [`Payload::wire_size`]. Exhaustive on purpose: a new variant
         /// does not compile until it has a sample and a gap here.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the samples must carry the sets the build's protocols carry"
+        )]
         fn next_sample(
             prev: Option<&Payload<Average>>,
             n: usize,

@@ -447,16 +447,40 @@ mod tests {
         assert_eq!(a.rounds, b.rounds);
     }
 
+    /// Tracing perturbs no protocol: a trace-gated block that changed
+    /// state or drew from an RNG would move the traced run's counters,
+    /// or a member's random stream, off the plain run's. Over what each
+    /// `run_*` / `run_*_traced` pair wraps; lossy and crashing, as
+    /// `tests/engine_forkjoin.rs`.
     #[test]
     fn traced_runner_matches_plain_runner() {
-        let cfg = ExperimentConfig::default().with_n(48);
-        let plain = run_hiergossip::<Average>(&cfg, 7);
-        let (traced, trace) = run_hiergossip_traced::<Average>(&cfg, 7);
-        assert_eq!(plain.rounds, traced.rounds);
-        assert_eq!(plain.net, traced.net);
-        assert_eq!(plain.outcomes, traced.outcomes);
-        assert!(!trace.is_empty());
-        assert_eq!(trace.group_size(), 48);
+        fn check<P: AggregationProtocol<Average> + Send>(
+            name: &str,
+            sim: impl Fn() -> Simulation<Average, P>,
+        ) {
+            let (plain, plain_streams) = sim().run_with_streams(&mut crate::trace::NoTrace);
+            let mut trace = RunTrace::for_group(plain.n);
+            let (traced, traced_streams) = sim().run_with_streams(&mut trace);
+            assert_eq!(plain.rounds, traced.rounds, "{name}: rounds");
+            assert_eq!(plain.net, traced.net, "{name}: net");
+            assert_eq!(plain.outcomes, traced.outcomes, "{name}: outcomes");
+            assert!(
+                plain_streams == traced_streams,
+                "{name}: a random stream moved"
+            );
+            assert!(plain.crashed() > 0 && plain.net.dropped_loss > 0);
+            assert!(!trace.is_empty(), "{name}: nothing traced");
+        }
+        let (cfg, s) = (&ExperimentConfig::default().with_n(192).with_pf(0.01), 41);
+        let (flood, central) = (FloodConfig::default(), CentralizedConfig::for_group(192));
+        let leader = LeaderElectionConfig::default();
+        check("hiergossip", || build_hiergossip_sim::<Average>(cfg, s));
+        check("flatgossip", || build_flatgossip_sim::<Average>(cfg, s));
+        check("flood", || build_flood_sim::<Average>(cfg, flood, s));
+        check("centralized", || {
+            build_centralized_sim::<Average>(cfg, central, s)
+        });
+        check("leader", || build_leader_sim::<Average>(cfg, leader, s));
     }
 
     #[test]

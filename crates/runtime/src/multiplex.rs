@@ -178,7 +178,7 @@ struct Coalescer {
 }
 
 impl Coalescer {
-    // lint:hot — one call per frame sent, fresh or retried.
+    // One call per frame sent, fresh or retried.
     fn enqueue_frame(&mut self, to: u32, src: u32, bytes: &[u8], stats: &mut WorkerStats) {
         let sock = to as usize % self.bufs.len();
         let buf = &self.bufs[sock];
@@ -204,6 +204,7 @@ impl Coalescer {
 }
 
 /// The largest contributor count any set carried by `payload` claims.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn claimed_votes<A: WireAggregate>(payload: &Payload<A>) -> usize {
     match payload {
         Payload::Vote { .. } | Payload::VoteBatch { .. } => 0,
@@ -323,7 +324,7 @@ impl<A: WireAggregate> Worker<A> {
 
     /// Poll every owned socket dry, demultiplexing frames into member
     /// mailboxes.
-    // lint:hot — the receive path: every datagram of a 10k-member
+    // The receive path: every datagram of a 10k-member
     // cluster crosses this loop; scratch is reused, nothing allocates.
     fn drain_sockets(&mut self) {
         for (_, socket) in &self.sockets {
@@ -454,7 +455,7 @@ impl<A: WireAggregate> Worker<A> {
 
     /// Encode and coalesce one member's queued gossip; on `retry`,
     /// additionally resend the frames of its last non-empty flush.
-    // lint:hot — the send path: every protocol message is encoded,
+    // The send path: every protocol message is encoded,
     // loss-filtered, and coalesced here.
     fn flush_outbox(&mut self, local: u32, retry: bool) {
         let slot = &mut self.slots[local as usize];
@@ -471,7 +472,7 @@ impl<A: WireAggregate> Worker<A> {
             // send, whether or not the channel ate it.
             if slot.last_frames_len < RETRY_FRAME_CAP {
                 if slot.last_frames.len() == slot.last_frames_len {
-                    // lint:allow(D009) one-time retry-cache growth, bounded by RETRY_FRAME_CAP
+                    // one-time retry-cache growth, bounded by RETRY_FRAME_CAP
                     slot.last_frames.push((to.0, Vec::new()));
                 }
                 let entry = &mut slot.last_frames[slot.last_frames_len];
@@ -503,7 +504,7 @@ impl<A: WireAggregate> Worker<A> {
 
     /// Seal every pending datagram, sequence the batch through the
     /// reorder pocket, and put it on the wire.
-    // lint:hot — one call per wakeup; sends the whole coalesced batch.
+    // One call per wakeup; sends the whole coalesced batch.
     fn flush_ready(&mut self) {
         for sock in 0..self.n_sockets {
             if !self.coalesce.bufs[sock].is_empty() {

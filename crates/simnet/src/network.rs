@@ -200,8 +200,8 @@ impl<P> SimNetwork<P> {
     /// round according to the loss, bandwidth, and delay models.
     /// `wire_bytes` is the serialized size used for byte accounting.
     /// Returns the message's fate; plain senders may ignore it.
-    // lint:hot — called once per message; a slot without a buffer takes
-    // one from the spare pool before it allocates.
+    // Called once per message; a slot without a buffer takes one from
+    // the spare pool before it allocates.
     pub fn send(
         &mut self,
         round: Round,
@@ -301,8 +301,8 @@ impl<P> SimNetwork<P> {
     /// allocation is kept for future sends. A buffer without capacity
     /// (a fresh `Vec::new()`) is never kept: popping it would save no
     /// send its allocation.
-    // lint:hot — the per-round delivery drain; allocation-free, and
-    // copy-free for a single due bucket.
+    // The per-round delivery drain; allocation-free, and copy-free for
+    // a single due bucket.
     pub fn drain_into(&mut self, round: Round, due: &mut Vec<Envelope<P>>) {
         due.clear();
         if round < self.head_round {
