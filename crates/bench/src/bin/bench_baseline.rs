@@ -70,16 +70,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell as StdCell;
 
 use gridagg_aggregate::Average;
+use gridagg_bench::protocol::Protocol;
 use gridagg_bench::sweep::Sweep;
 use gridagg_bench::{
     base_seed, bench_budget_ms, host_cores, host_json, print_table, runs, time_mean, write_json,
 };
-use gridagg_core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::json::{Json, ToJson};
-use gridagg_core::runner::{
-    run_centralized, run_flatgossip, run_flood, run_hiergossip, run_leader_election,
-};
+use gridagg_core::runner::run_hiergossip;
 use gridagg_core::RunReport;
 
 /// Counts every allocation (and reallocation) on top of the system
@@ -176,35 +174,35 @@ const DEFAULT_MAX_N: usize = 16384;
 /// uniformly with the reason so a grid change never silently narrows
 /// coverage.
 struct ProtocolSpec {
-    name: &'static str,
+    protocol: Protocol,
     max_n: usize,
     cap_reason: &'static str,
 }
 
 const PROTOCOLS: [ProtocolSpec; 5] = [
     ProtocolSpec {
-        name: "hiergossip",
+        protocol: Protocol::HierGossip,
         max_n: 1_048_576,
         cap_reason: "top of the ladder",
     },
     ProtocolSpec {
-        name: "flatgossip",
+        protocol: Protocol::FlatGossip,
         max_n: 65_536,
         cap_reason: "per-member known-vote lists are O(coverage) and message volume O(N*rounds)",
     },
     ProtocolSpec {
-        name: "flood",
+        protocol: Protocol::Flood,
         max_n: 4_096,
         cap_reason: "O(N^2) messages is pathological at larger sizes",
     },
     ProtocolSpec {
-        name: "centralized",
+        protocol: Protocol::Centralized,
         max_n: 16_384,
         cap_reason:
             "duplicate-vote rejection at the leader requires exact, O(N)-bit contributor sets",
     },
     ProtocolSpec {
-        name: "leader",
+        protocol: Protocol::Leader { committee: 1 },
         max_n: 262_144,
         cap_reason: "per-member address-chain slabs dominate memory at larger sizes",
     },
@@ -351,23 +349,16 @@ fn queue_cells(sweep: &mut Sweep<Cell>, n: usize, seed: u64, threads: usize, tim
         if n > spec.max_n {
             eprintln!(
                 "skipping {}/N={n}: max N is {} ({})",
-                spec.name, spec.max_n, spec.cap_reason
+                spec.protocol.name(),
+                spec.max_n,
+                spec.cap_reason
             );
             continue;
         }
-        let name = spec.name;
+        let (protocol, name) = (spec.protocol, spec.protocol.name());
         sweep.push(format!("{name}/n={n}/t={threads}"), move || {
-            measure(name, n, seed, threads, timing, || match name {
-                "hiergossip" => run_hiergossip::<Average>(&cfg, seed),
-                "flatgossip" => run_flatgossip::<Average>(&cfg, seed),
-                "flood" => run_flood::<Average>(&cfg, FloodConfig::default(), seed),
-                "centralized" => {
-                    run_centralized::<Average>(&cfg, CentralizedConfig::for_group(n), seed)
-                }
-                "leader" => {
-                    run_leader_election::<Average>(&cfg, LeaderElectionConfig::default(), seed)
-                }
-                other => unreachable!("unknown protocol {other}"),
+            measure(name, n, seed, threads, timing, || {
+                protocol.run::<Average>(&cfg, seed)
             })
         });
     }
@@ -529,7 +520,7 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
             );
             continue;
         }
-        if let Some(spec) = PROTOCOLS.iter().find(|s| s.name == proto) {
+        if let Some(spec) = PROTOCOLS.iter().find(|s| s.protocol.name() == proto) {
             if n > spec.max_n {
                 eprintln!(
                     "skipping baseline cell {proto}/N={n}: above the protocol's \

@@ -18,13 +18,10 @@
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_aggregate::{Average, Count, Histogram16, Max, MeanVar, Min, Sum, TopK};
+use gridagg_bench::protocol::Protocol;
 use gridagg_bench::sweep::Sweep;
 use gridagg_bench::{print_table, sci};
-use gridagg_core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
 use gridagg_core::config::ExperimentConfig;
-use gridagg_core::runner::{
-    run_centralized, run_flatgossip, run_flood, run_hiergossip, run_leader_election,
-};
 use gridagg_core::summarize;
 
 fn parse_args() -> Result<std::collections::BTreeMap<String, String>, String> {
@@ -67,40 +64,20 @@ fn get<T: std::str::FromStr>(
     }
 }
 
-fn run<A: WireAggregate>(
-    args: &std::collections::BTreeMap<String, String>,
-    cfg: &ExperimentConfig,
-    protocol: &str,
-    runs: usize,
-    seed: u64,
-) -> Result<(), String> {
-    let committee: usize = get(args, "committee")?.unwrap_or(1);
+fn run<A: WireAggregate>(cfg: &ExperimentConfig, protocol: Protocol, runs: usize, seed: u64) {
     let cfg = *cfg;
-    let protocol_owned = protocol.to_string();
     let mut sweep = Sweep::new();
-    sweep.push_seeded(protocol, runs, seed, move |s| {
-        match protocol_owned.as_str() {
-            "hiergossip" => run_hiergossip::<A>(&cfg, s),
-            "flood" => run_flood::<A>(&cfg, FloodConfig::default(), s),
-            "centralized" => run_centralized::<A>(&cfg, CentralizedConfig::for_group(cfg.n), s),
-            "leader" => run_leader_election::<A>(
-                &cfg,
-                LeaderElectionConfig {
-                    committee,
-                    ..Default::default()
-                },
-                s,
-            ),
-            "flatgossip" => run_flatgossip::<A>(&cfg, s),
-            other => panic!("unknown protocol `{other}`"),
-        }
+    sweep.push_seeded(protocol.name(), runs, seed, move |s| {
+        protocol.run::<A>(&cfg, s)
     });
     let reports = sweep.run_or_exit("run_experiment");
     let s = summarize(&reports);
     print_table(
         &format!(
-            "{protocol} at N={} ({} runs, base seed {seed})",
-            cfg.n, runs
+            "{} at N={} ({} runs, base seed {seed})",
+            protocol.name(),
+            cfg.n,
+            runs
         ),
         &["metric", "value"],
         &[
@@ -120,7 +97,6 @@ fn run<A: WireAggregate>(
             vec!["crashed fraction".into(), format!("{:.4}", s.mean_crashed)],
         ],
     );
-    Ok(())
 }
 
 fn main() {
@@ -190,26 +166,27 @@ fn real_main() -> Result<(), String> {
 
     let runs: usize = get(&args, "runs")?.unwrap_or(10);
     let seed: u64 = get(&args, "seed")?.unwrap_or(2001);
-    let protocol = args
-        .get("protocol")
-        .map(String::as_str)
-        .unwrap_or("hiergossip");
-    if !["hiergossip", "flood", "centralized", "leader", "flatgossip"].contains(&protocol) {
-        return Err(format!("unknown protocol `{protocol}`"));
-    }
+    let name = args.get("protocol").map_or("hiergossip", String::as_str);
+    let committee = get(&args, "committee")?.unwrap_or(1);
+    let protocol = match Protocol::from_name(name) {
+        Some(Protocol::Leader { .. }) => Protocol::Leader { committee },
+        Some(protocol) => protocol,
+        None => return Err(format!("unknown protocol `{name}`")),
+    };
     let aggregate = args
         .get("aggregate")
         .map(String::as_str)
         .unwrap_or("average");
     match aggregate {
-        "average" => run::<Average>(&args, &cfg, protocol, runs, seed),
-        "sum" => run::<Sum>(&args, &cfg, protocol, runs, seed),
-        "count" => run::<Count>(&args, &cfg, protocol, runs, seed),
-        "min" => run::<Min>(&args, &cfg, protocol, runs, seed),
-        "max" => run::<Max>(&args, &cfg, protocol, runs, seed),
-        "meanvar" => run::<MeanVar>(&args, &cfg, protocol, runs, seed),
-        "histogram" => run::<Histogram16>(&args, &cfg, protocol, runs, seed),
-        "topk" => run::<TopK>(&args, &cfg, protocol, runs, seed),
-        other => Err(format!("unknown aggregate `{other}`")),
+        "average" => run::<Average>(&cfg, protocol, runs, seed),
+        "sum" => run::<Sum>(&cfg, protocol, runs, seed),
+        "count" => run::<Count>(&cfg, protocol, runs, seed),
+        "min" => run::<Min>(&cfg, protocol, runs, seed),
+        "max" => run::<Max>(&cfg, protocol, runs, seed),
+        "meanvar" => run::<MeanVar>(&cfg, protocol, runs, seed),
+        "histogram" => run::<Histogram16>(&cfg, protocol, runs, seed),
+        "topk" => run::<TopK>(&cfg, protocol, runs, seed),
+        other => return Err(format!("unknown aggregate `{other}`")),
     }
+    Ok(())
 }

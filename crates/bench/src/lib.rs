@@ -1,15 +1,14 @@
 //! # gridagg-bench
 //!
-//! The figure/table regeneration harness: one binary per figure of the
-//! paper's evaluation (§7) plus the complexity table and ablations.
-//! Shared helpers here: run-count control, aligned table printing, and
-//! CSV output under `results/`.
-//!
-//! Every `figNN` binary prints the paper's series (x, incompleteness,
-//! auxiliary columns) and writes `results/figNN.csv`. Absolute values
-//! need not match the 2001 testbed; the *shapes* — directions, rough
-//! factors, crossovers — are the reproduction target (see
-//! EXPERIMENTS.md).
+//! The figure/table regeneration harness. The paper's evaluation (§7),
+//! the complexity table and the ablations are one spec table and one
+//! driver ([`figures`]) behind one `figures` binary; `churn`,
+//! `trace_profile`, `run_experiment`, `bench_baseline` and
+//! `cluster_10k` are binaries of their own, because CI gates call them
+//! by name and they share no shape with that table. Shared helpers
+//! here: run-count control, the protocol dispatch ([`protocol`]), the
+//! sweep executor ([`sweep`]), aligned table printing, and CSV / JSON /
+//! SVG output under `results/`.
 //!
 //! Environment knobs:
 //! * `GRIDAGG_RUNS` — runs per sweep point (default 40; figures in the
@@ -24,23 +23,21 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+pub mod figures;
 pub mod plot;
+pub mod protocol;
 pub mod sweep;
 
-/// Runs per sweep point (`GRIDAGG_RUNS`, default 40).
+/// Runs per sweep point (`GRIDAGG_RUNS`, default 40, at least 1). A
+/// value that is not a count exits with status 2, like the two
+/// variables below: see [`sweep::env_or`].
 pub fn runs() -> usize {
-    std::env::var("GRIDAGG_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40)
+    sweep::env_or("GRIDAGG_RUNS", 40usize).max(1)
 }
 
 /// Base seed (`GRIDAGG_SEED`, default 2001).
 pub fn base_seed() -> u64 {
-    std::env::var("GRIDAGG_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2001)
+    sweep::env_or("GRIDAGG_SEED", 2001)
 }
 
 /// Output directory (`GRIDAGG_OUT`, default `results`), created on
@@ -131,10 +128,7 @@ pub fn host_json() -> gridagg_core::json::Json {
 /// Time budget per benchmark in milliseconds (`GRIDAGG_BENCH_MS`,
 /// default 300).
 pub fn bench_budget_ms() -> u64 {
-    std::env::var("GRIDAGG_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300u64)
+    sweep::env_or("GRIDAGG_BENCH_MS", 300)
 }
 
 /// Calibrated mean wall-clock time of `f`: one warm-up call sizes an

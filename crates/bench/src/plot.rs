@@ -1,7 +1,7 @@
 //! Minimal SVG line plots — figures as visual artifacts, no plotting
 //! dependency.
 //!
-//! Each `figNN` binary can emit `results/figNN.svg` next to its CSV:
+//! `figures` emits `results/figNN.svg` next to a figure's CSV:
 //! log-scale y (incompleteness spans many decades, exactly like the
 //! paper's figures), optional log-scale x, multiple labelled series.
 

@@ -117,7 +117,7 @@ impl<T: Send> Sweep<T> {
 
     /// [`Sweep::run`], but on failure print the error (prefixed with
     /// the binary name) and exit with status 1 — the shared main-path
-    /// error handling of the figure and ablation binaries.
+    /// error handling of the harness binaries.
     pub fn run_or_exit(self, binary: &str) -> Vec<T> {
         self.run().unwrap_or_else(|e| {
             eprintln!("{binary}: {e}");
@@ -224,20 +224,24 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// `v` as a number, or an error naming the flag or variable `name` it
+/// came from: these binaries produce committed numbers, so `--jobs 2x`
+/// must not quietly take every core, nor `GRIDAGG_RUNS=4x` quietly run
+/// the default 40 seeds.
+fn number<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
+    v.trim()
+        .parse()
+        .map_err(|_| format!("{name}: expected a count, got {v:?}"))
+}
+
 /// The count `flag N` / `flag=N` gives in `args`, else the `env`
-/// variable's, with whether the command line gave it; at least 1. A
-/// value that is not a count is an error naming the flag or variable:
-/// these binaries produce committed numbers, so `--jobs 2x` must not
-/// quietly take every core.
+/// variable's, with whether the command line gave it; at least 1.
 fn flag_or_env(
     args: impl IntoIterator<Item = String>,
     flag: &str,
     env: &str,
 ) -> Result<Option<(usize, bool)>, String> {
-    let count = |name: &str, v: &str| match v.trim().parse::<usize>() {
-        Ok(n) => Ok(n.max(1)),
-        Err(_) => Err(format!("{name}: expected a count, got {v:?}")),
-    };
+    let count = |name: &str, v: &str| number::<usize>(name, v).map(|n| n.max(1));
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         let value = if a == flag {
@@ -257,13 +261,25 @@ fn flag_or_env(
     }
 }
 
+/// Print a malformed-value error and exit with status 2.
+fn exit_malformed<T>(e: String) -> T {
+    eprintln!("{e}");
+    std::process::exit(2);
+}
+
 /// [`flag_or_env`] over this process's arguments; a malformed count
 /// prints the error and exits with status 2.
 fn process_count(flag: &str, env: &str) -> Option<(usize, bool)> {
-    flag_or_env(std::env::args(), flag, env).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    flag_or_env(std::env::args(), flag, env).unwrap_or_else(exit_malformed)
+}
+
+/// The `env` variable as a number, else `default`; a value that does
+/// not parse prints an error naming the variable and exits with
+/// status 2 (the rule `--jobs` follows).
+pub fn env_or<T: std::str::FromStr>(env: &str, default: T) -> T {
+    std::env::var(env)
+        .map_or(Ok(default), |v| number(env, &v))
+        .unwrap_or_else(exit_malformed)
 }
 
 /// The sweep worker count: `--jobs N` / `--jobs=N` on the command
@@ -369,6 +385,12 @@ mod tests {
         for bad in ["bin --jobs 2x", "bin --jobs=", "bin --jobs"] {
             let err = read(bad).unwrap_err();
             assert!(err.starts_with("--jobs: expected a count"), "{bad}: {err}");
+        }
+        // GRIDAGG_RUNS / GRIDAGG_SEED / GRIDAGG_BENCH_MS: same rule
+        assert_eq!(number::<u64>("GRIDAGG_SEED", " 2001\n"), Ok(2001));
+        for bad in ["4x", "", "-1", "1.5"] {
+            let err = number::<usize>("GRIDAGG_RUNS", bad).unwrap_err();
+            assert!(err.starts_with("GRIDAGG_RUNS: expected a count"), "{err}");
         }
     }
 }

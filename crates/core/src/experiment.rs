@@ -5,7 +5,6 @@
 //! `base..base+runs` in parallel (std scoped threads) and
 //! [`summarize`] folds the reports into the statistics the figures plot.
 
-use crate::json::{Json, ToJson};
 use crate::metrics::RunReport;
 
 /// Aggregated statistics over a batch of runs at one parameter point.
@@ -27,27 +26,6 @@ pub struct Summary {
     pub mean_value_error: f64,
     /// Mean fraction of members that crashed.
     pub mean_crashed: f64,
-}
-
-impl ToJson for Summary {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("runs".into(), self.runs.to_json()),
-            (
-                "mean_incompleteness".into(),
-                self.mean_incompleteness.to_json(),
-            ),
-            (
-                "std_incompleteness".into(),
-                self.std_incompleteness.to_json(),
-            ),
-            ("mean_completeness".into(), self.mean_completeness.to_json()),
-            ("mean_messages".into(), self.mean_messages.to_json()),
-            ("mean_rounds".into(), self.mean_rounds.to_json()),
-            ("mean_value_error".into(), self.mean_value_error.to_json()),
-            ("mean_crashed".into(), self.mean_crashed.to_json()),
-        ])
-    }
 }
 
 /// Run `f(seed)` for `runs` seeds starting at `base_seed`, in parallel.
@@ -145,47 +123,6 @@ pub fn summarize(reports: &[RunReport]) -> Summary {
     }
 }
 
-/// A labelled series of `(x, summary)` points — one figure curve.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Curve label (e.g. `"K=4,M=2"`).
-    pub label: String,
-    /// Sweep points.
-    pub points: Vec<(f64, Summary)>,
-}
-
-impl Series {
-    /// Create an empty series.
-    pub fn new(label: impl Into<String>) -> Self {
-        Series {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, x: f64, summary: Summary) {
-        self.points.push((x, summary));
-    }
-
-    /// The incompleteness values, in sweep order.
-    pub fn incompleteness(&self) -> Vec<f64> {
-        self.points
-            .iter()
-            .map(|(_, s)| s.mean_incompleteness)
-            .collect()
-    }
-}
-
-impl ToJson for Series {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("label".into(), self.label.to_json()),
-            ("points".into(), self.points.to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,18 +204,5 @@ mod tests {
             s.mean_rounds.is_finite() && s.mean_messages.is_finite(),
             "summary must stay finite when all members crash"
         );
-    }
-
-    #[test]
-    fn series_accumulates() {
-        let cfg = ExperimentConfig::default().with_n(32);
-        let mut series = Series::new("test");
-        for (i, n) in [32usize, 64].iter().enumerate() {
-            let c = cfg.with_n(*n);
-            let reports = run_many(2, i as u64 * 10, |s| run_hiergossip::<Average>(&c, s));
-            series.push(*n as f64, summarize(&reports));
-        }
-        assert_eq!(series.points.len(), 2);
-        assert_eq!(series.incompleteness().len(), 2);
     }
 }

@@ -72,10 +72,6 @@ pub struct HierGossipConfig {
     /// Step 2(b): bump up early once all child aggregates are known
     /// (paper simulations enable this; the analysis disables it).
     pub early_bump: bool,
-    /// Allow phase 1 to end early once votes from every box member are
-    /// known (requires a complete view; off by default, matching the
-    /// paper's fixed-length first phase).
-    pub phase1_early_exit: bool,
     /// Record a [`PhaseTrace`] entry at each phase end. Instrumentation
     /// only — recording never draws randomness or sends messages, so
     /// turning it off changes no protocol behavior — but the entries
@@ -115,7 +111,6 @@ impl Default for HierGossipConfig {
             round_factor: 1.0,
             rounds_per_phase: None,
             early_bump: true,
-            phase1_early_exit: false,
             phase_trace: true,
             exchange: Exchange::Batch,
         }
@@ -635,12 +630,9 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
         if self.done_at.is_some() {
             return;
         }
-        // Step 2(b): bump up as soon as the phase is complete.
-        let early_ok = if self.phase == 1 {
-            self.cfg.phase1_early_exit
-        } else {
-            self.cfg.early_bump
-        };
+        // Step 2(b): bump up as soon as the phase is complete. Phase 1
+        // is fixed-length, as in the paper.
+        let early_ok = self.phase > 1 && self.cfg.early_bump;
         while self.done_at.is_none() && early_ok && self.phase_complete() {
             let me = self.me;
             let round = ctx.round;
@@ -652,9 +644,6 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
             });
             self.finish_phase(ctx.round);
             self.emit_phase_transition(ctx);
-            if !self.cfg.early_bump {
-                break;
-            }
         }
         if self.done_at.is_some() {
             return;
@@ -1252,16 +1241,13 @@ mod tests {
 
     #[test]
     fn early_bump_skips_waiting() {
-        // With phase1_early_exit and a singleton box the member finishes
-        // phase 1 immediately; with all child aggregates present it
-        // cascades upward.
+        // Phase 1 runs its fixed length; with all child aggregates
+        // present the member then cascades upward without waiting out
+        // phase 2.
         let idx = index(4, 2); // depth 1, 2 boxes, 2 phases
         let me = MemberId(0);
-        let cfg = HierGossipConfig {
-            phase1_early_exit: true,
-            ..Default::default()
-        };
-        let mut p: HierGossip<Average> = HierGossip::new(me, 1.0, idx.clone(), cfg);
+        let mut p: HierGossip<Average> =
+            HierGossip::new(me, 1.0, idx.clone(), HierGossipConfig::default());
         // hand it the sibling box aggregate straight away
         let my_box = idx.box_of(me);
         let sibling = my_box
@@ -1304,8 +1290,12 @@ mod tests {
                 &mut out,
             );
         }
-        let mut ctx = Ctx::new(0, &mut rng);
-        p.on_round(&mut ctx, &mut out);
+        let phase1 = u64::from(p.rounds_per_phase());
+        for round in 0..phase1 {
+            p.on_round(&mut Ctx::new(round, &mut rng), &mut out);
+        }
+        assert!(!p.is_done(), "phase 1 timed out into phase 2");
+        p.on_round(&mut Ctx::new(phase1, &mut rng), &mut out);
         assert!(p.is_done(), "early bump should cascade to completion");
         assert_eq!(p.estimate().unwrap().vote_count(), 4);
     }

@@ -442,12 +442,6 @@ impl<T: ToJson> ToJson for [T] {
     }
 }
 
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()

@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use config::ExperimentConfig;
 pub use engine::Simulation;
-pub use experiment::{run_many, summarize, Series, Summary};
+pub use experiment::{run_many, summarize, Summary};
 pub use hiergossip::{HierGossip, HierGossipConfig};
 pub use message::Payload;
 pub use metrics::{MemberOutcome, RunReport};

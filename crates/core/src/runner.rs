@@ -3,7 +3,7 @@
 //! Each function assembles the full stack — group, placement, scope
 //! index, lossy network, failure process, protocol instances — and runs
 //! it to completion. These are the entry points used by the examples and
-//! the figure-regeneration binaries.
+//! the figure-regeneration harness.
 
 use std::sync::Arc;
 

@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use gridagg_core::{
         run_many, summarize, AggregationProtocol, HierGossip, HierGossipConfig, MemberOutcome,
-        RunReport, ScopeIndex, Series, Simulation, Summary,
+        RunReport, ScopeIndex, Simulation, Summary,
     };
     pub use gridagg_group::{
         failure::FailureModel,
