@@ -482,130 +482,6 @@ pub fn decode_tagged<A: WireAggregate, B: Buf>(buf: &mut B) -> Result<crate::Tag
     crate::Tagged::from_parts(agg, crate::VoteSet::counted(count)).map_err(|_| WireError::Malformed)
 }
 
-/// Memoizes the encoded wire form of a value until the value changes.
-///
-/// Protocols re-send the *same* aggregate many times between state
-/// changes (gossip fanout, straggler replies), and re-encoding an
-/// unchanged value is pure waste on the hot path. `EncodeMemo` keeps
-/// the last value alongside its encoded bytes and only re-runs the
-/// encoder when handed something different.
-///
-/// The encoder is passed per call rather than stored, so one memo can
-/// serve any `(value, codec)` pairing — e.g. a full
-/// `Payload` via `codec::encode` — as long as the same encoder is used
-/// consistently for a given memo.
-#[derive(Debug, Clone, Default)]
-pub struct EncodeMemo<T> {
-    last: Option<T>,
-    buf: Vec<u8>,
-}
-
-impl<T: Clone + PartialEq> EncodeMemo<T> {
-    /// An empty memo; the first [`bytes_for`](Self::bytes_for) call
-    /// always encodes.
-    pub fn new() -> Self {
-        EncodeMemo {
-            last: None,
-            buf: Vec::new(),
-        }
-    }
-
-    /// The encoded bytes of `value`, re-encoding via `encode` only if
-    /// `value` differs from the previously memoized one. The returned
-    /// slice is valid until the next call.
-    pub fn bytes_for(&mut self, value: &T, encode: impl FnOnce(&T, &mut Vec<u8>)) -> &[u8] {
-        if self.last.as_ref() != Some(value) {
-            self.buf.clear();
-            encode(value, &mut self.buf);
-            self.last = Some(value.clone());
-        }
-        &self.buf
-    }
-
-    /// Drop the memoized value so the next call re-encodes
-    /// unconditionally (e.g. after the encoder's behavior changed).
-    pub fn invalidate(&mut self) {
-        self.last = None;
-    }
-
-    /// Whether a value is currently memoized.
-    pub fn is_primed(&self) -> bool {
-        self.last.is_some()
-    }
-}
-
-#[cfg(test)]
-mod memo_tests {
-    use super::*;
-    use crate::{Average, Tagged};
-    use std::cell::Cell;
-
-    #[test]
-    fn encodes_once_per_distinct_value() {
-        let calls = Cell::new(0u32);
-        let enc = |t: &Tagged<Average>, buf: &mut Vec<u8>| {
-            calls.set(calls.get() + 1);
-            encode_tagged(t, buf);
-        };
-        let mut memo = EncodeMemo::new();
-        assert!(!memo.is_primed());
-
-        let a = Tagged::<Average>::from_vote(1, 2.0, 64);
-        let first = memo.bytes_for(&a, enc).to_vec();
-        assert_eq!(calls.get(), 1);
-        assert!(memo.is_primed());
-
-        // same value again: no re-encode, same bytes
-        let again = memo.bytes_for(&a, enc).to_vec();
-        assert_eq!(calls.get(), 1);
-        assert_eq!(first, again);
-
-        // a different value re-encodes
-        let mut b = a.clone();
-        b.try_merge(&Tagged::from_vote(9, 4.0, 64)).unwrap();
-        let changed = memo.bytes_for(&b, enc).to_vec();
-        assert_eq!(calls.get(), 2);
-        assert_ne!(first, changed);
-
-        // and the memo tracks the *latest* value, not the first
-        memo.bytes_for(&b, enc);
-        assert_eq!(calls.get(), 2);
-        memo.bytes_for(&a, enc);
-        assert_eq!(calls.get(), 3);
-    }
-
-    #[test]
-    fn memoized_bytes_match_fresh_encoding() {
-        let mut t = Tagged::<Average>::from_vote(3, 10.0, 128);
-        t.try_merge(&Tagged::from_vote(77, 30.0, 128)).unwrap();
-        let mut memo = EncodeMemo::new();
-        let cached = memo.bytes_for(&t, encode_tagged).to_vec();
-        let mut fresh = Vec::new();
-        encode_tagged(&t, &mut fresh);
-        assert_eq!(cached, fresh);
-        // cached bytes decode back to the original value
-        let back: Tagged<Average> = decode_tagged(&mut &cached[..]).unwrap();
-        assert_eq!(back.vote_count(), t.vote_count());
-        assert_eq!(back.aggregate(), t.aggregate());
-    }
-
-    #[test]
-    fn invalidate_forces_reencode() {
-        let calls = Cell::new(0u32);
-        let enc = |t: &Tagged<Average>, buf: &mut Vec<u8>| {
-            calls.set(calls.get() + 1);
-            encode_tagged(t, buf);
-        };
-        let mut memo = EncodeMemo::new();
-        let t = Tagged::<Average>::from_vote(0, 1.0, 64);
-        memo.bytes_for(&t, enc);
-        memo.invalidate();
-        assert!(!memo.is_primed());
-        memo.bytes_for(&t, enc);
-        assert_eq!(calls.get(), 2);
-    }
-}
-
 #[cfg(test)]
 mod tagged_wire_tests {
     use super::*;

@@ -467,26 +467,24 @@ pub mod codec {
                 agg: Arc::new(decode_tagged(buf).map_err(DecodeError::from_wire("final"))?),
             }),
             TAG_VOTE_BATCH => {
+                let truncated = DecodeError::Truncated {
+                    variant: "vote-batch",
+                };
                 if buf.remaining() < 3 {
-                    return Err(DecodeError::Truncated {
-                        variant: "vote-batch",
-                    });
+                    return Err(truncated);
                 }
                 let reply = buf.get_u8() != 0;
                 let count = buf.get_u16() as usize;
-                let mut votes = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    if buf.remaining() < 12 {
-                        return Err(DecodeError::Truncated {
-                            variant: "vote-batch",
-                        });
-                    }
-                    votes.push((MemberId(buf.get_u32()), buf.get_f64()));
+                // every vote is 12 bytes: a count with nothing behind it
+                // fails here, before anything is allocated
+                if buf.remaining() < 12 * count {
+                    return Err(truncated);
                 }
-                Ok(Payload::VoteBatch {
-                    votes: votes.into(),
-                    reply,
-                })
+                // an exact-length iterator: the list is one allocation
+                let votes = (0..count)
+                    .map(|_| (MemberId(buf.get_u32()), buf.get_f64()))
+                    .collect();
+                Ok(Payload::VoteBatch { votes, reply })
             }
             TAG_AGG_BATCH => {
                 if buf.remaining() < 3 {
@@ -784,6 +782,13 @@ pub mod codec {
                 }
             );
             assert!(err.to_string().contains("agg-batch"), "{err}");
+            // a vote batch claiming 65,535 votes with no bytes behind them
+            assert_eq!(
+                decode::<Average, _>(&mut [TAG_VOTE_BATCH, 0, 0xFF, 0xFF].as_slice()).unwrap_err(),
+                DecodeError::Truncated {
+                    variant: "vote-batch"
+                }
+            );
             assert_eq!(
                 decode::<Average, _>(&mut [0xEEu8, 0, 0].as_slice()).unwrap_err(),
                 DecodeError::UnknownTag(0xEE)

@@ -88,6 +88,13 @@ impl<A> Outbox<A> {
         self.msgs.drain(..).map(|(to, payload, _)| (to, payload))
     }
 
+    /// Drain the queued messages, each with whether it is a
+    /// [`Outbox::send_many`] copy of the payload drained just before
+    /// it, so per-payload work (encoding) runs once per fan-out.
+    pub fn drain_shared(&mut self) -> impl Iterator<Item = (MemberId, Payload<A>, bool)> + '_ {
+        self.msgs.drain(..)
+    }
+
     /// Drain the queued messages with their [`Payload::wire_size`],
     /// computed once per [`Outbox::send_many`] fan-out.
     pub fn drain_sized(&mut self) -> impl Iterator<Item = (MemberId, Payload<A>, u32)> + '_

@@ -20,9 +20,10 @@
 //!   members, and fault injection (loss models + reorder) at the socket
 //!   boundary.
 //! - [`multiplex`] — the sharded event loop: each worker thread owns a
-//!   disjoint subset of sockets and the members homed on them, with
-//!   per-member mailboxes, an outbox coalescing frames per destination
-//!   socket, and per-worker counters.
+//!   disjoint subset of sockets and the members homed on them, delivers
+//!   each received frame to its member as it is read, coalesces the
+//!   frames it sends per destination socket, and keeps per-worker
+//!   counters.
 //! - [`timer`] — the epoch-anchored timer wheel driving round and
 //!   linger deadlines, keeping round boundaries aligned across workers.
 //! - [`cluster`] — assembly, outcome collection, graceful teardown, and

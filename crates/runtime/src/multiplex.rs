@@ -1,35 +1,40 @@
 //! The sharded event loop: one worker thread drives many members.
 //!
 //! A `Worker` owns a disjoint subset of the socket pool and, with it,
-//! the shard of members homed on those sockets. Its loop is a batched
-//! multiplexer:
+//! the shard of members homed on those sockets. Its loop:
 //!
-//! 1. **drain** — poll every owned socket non-blocking, demultiplex
-//!    frames into per-member mailboxes ([`FrameIter`] rejects garbage
-//!    as `DecodeError` values, counted not panicked);
-//! 2. **deliver** — run `on_message` for every mailbox in member order,
-//!    collecting gossip into the outbox;
-//! 3. **tick** — pop due round deadlines off the [`TimerWheel`] and run
+//! 1. **drain and deliver** — poll every owned socket non-blocking and
+//!    hand each frame to its member's `on_message` where it lands, once
+//!    it has passed the admission checks ([`FrameIter`] and the codec
+//!    reject garbage as `DecodeError` values, counted not panicked; a
+//!    payload must stay inside the group); the gossip the delivery
+//!    produced is encoded into the coalescer at once;
+//! 2. **tick** — pop due round deadlines off the [`TimerWheel`] and run
 //!    `on_round` (plus termination, linger, and retry-on-silence
 //!    bookkeeping) for each;
-//! 4. **flush** — coalesce queued frames per destination socket into
-//!    few large datagrams, route them through the [`FaultInjector`],
-//!    and put them on the wire;
-//! 5. **sleep** until the next deadline (bounded by a short poll cap so
+//! 3. **flush** — seal the frames coalesced per destination socket into
+//!    datagrams, route them through the [`FaultInjector`], and put them
+//!    on the wire;
+//! 4. **sleep** until the next deadline (bounded by a short poll cap so
 //!    inbound traffic is never stalled a full round).
 //!
-//! Everything a member needs lives in its `MemberSlot`; everything a
-//! worker reuses across wakeups (receive buffer, outbox, datagram
-//! buffers, free list) is preallocated scratch, so the steady-state
-//! loop does not allocate.
+//! Everything a member needs lives in its `MemberSlot`; what a worker
+//! reuses across wakeups (receive buffer, outbox, encode buffer,
+//! datagram buffers, free list) is scratch. The loop still allocates for
+//! what it carries: each decoded payload's `Arc` bodies (an aggregate
+//! batch is one per entry) and the rows and aggregates `on_message` /
+//! `on_round` build. A `udp-sat-4k` run (4096 members on one worker,
+//! 10 % loss, seed 7) makes about 722k allocations, 384k of them
+//! decoded aggregates; it made 906k while frames waited in per-member
+//! queues and a per-member memo kept the last payload sent, and so the
+//! row it was sent from, shared.
 
-use std::collections::VecDeque;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use gridagg_aggregate::wire::{EncodeMemo, WireAggregate};
+use gridagg_aggregate::wire::WireAggregate;
 use gridagg_core::hiergossip::HierGossip;
 use gridagg_core::message::codec;
 use gridagg_core::protocol::{AggregationProtocol, Ctx, Outbox};
@@ -37,7 +42,7 @@ use gridagg_core::Payload;
 use gridagg_group::MemberId;
 use gridagg_simnet::rng::DetRng;
 
-use crate::endpoint::{frame_len, push_frame, FaultInjector, FrameIter};
+use crate::endpoint::{frame_len, push_frame, FaultInjector, Frame, FrameIter};
 use crate::timer::TimerWheel;
 use crate::{MemberOutcome, RuntimeConfig};
 
@@ -71,7 +76,9 @@ pub struct WorkerStats {
     pub bytes_sent: u64,
     /// Event-loop iterations.
     pub wakeups: u64,
-    /// High-water mark of any member mailbox depth.
+    /// Always 0: a frame is delivered where it lands, so no member ever
+    /// has mail waiting. Kept because the benchmark's
+    /// `runtime.mailbox_high_water` and `cluster_10k`'s JSON read it.
     pub mailbox_high_water: u64,
     /// Retry-on-silence frame resends.
     pub retries: u64,
@@ -80,7 +87,8 @@ pub struct WorkerStats {
     /// Datagrams held back and swapped by the reorder injector.
     pub reordered: u64,
     /// Frames or payloads rejected by the decoders (`DecodeError`s), or
-    /// claiming more contributors than the group has members.
+    /// reaching outside the group: a vote of a member id ≥ `n`, or a
+    /// set claiming more contributors than the group has members.
     pub decode_errors: u64,
     /// Well-formed frames addressed to members this worker does not own.
     pub stray_frames: u64,
@@ -114,11 +122,6 @@ struct MemberSlot<A> {
     id: MemberId,
     proto: HierGossip<A>,
     rng: DetRng,
-    /// Memoized wire form of the last payload sent: gossip fans the
-    /// same payload to several peers, so most sends reuse the bytes.
-    memo: EncodeMemo<Payload<A>>,
-    mailbox: VecDeque<(MemberId, Payload<A>)>,
-    in_dirty: bool,
     /// Completed wall-clock rounds.
     round: u64,
     /// Round of the most recent inbound message (for retry-on-silence).
@@ -154,7 +157,9 @@ pub(crate) struct Worker<A> {
 
     // Reused scratch:
     outbox: Outbox<A>,
-    dirty: Vec<u32>,
+    /// Codec bytes of the payload being flushed, shared by the copies
+    /// of one fan-out.
+    encoded: Vec<u8>,
     due: Vec<u32>,
     coalesce: Coalescer,
     /// Datagrams sequenced (possibly reordered) for sending.
@@ -203,17 +208,20 @@ impl Coalescer {
     }
 }
 
-/// The largest contributor count any set carried by `payload` claims.
+/// Whether `payload` stays inside a group of `n` members: every vote it
+/// carries is a member's, and no set claims more contributors than the
+/// group has. Both are the sender's word. A vote of a member id ≥ `n`
+/// would index past the member tables; a count above `n` can only be
+/// forged, and would displace the real subtree aggregate.
 #[deny(clippy::wildcard_enum_match_arm)]
-fn claimed_votes<A: WireAggregate>(payload: &Payload<A>) -> usize {
+fn admissible<A: WireAggregate>(payload: &Payload<A>, n: u32) -> bool {
+    let count_ok = |count: usize| count <= n as usize;
     match payload {
-        Payload::Vote { .. } | Payload::VoteBatch { .. } => 0,
-        Payload::Agg { agg, .. } | Payload::Final { agg } => agg.vote_count(),
-        Payload::AggBatch { slots, .. } => {
-            let aggs = slots.iter().flatten();
-            aggs.map(|a| a.vote_count()).max().unwrap_or(0)
-        }
-        Payload::Flow { influenced, .. } => influenced.len(),
+        Payload::Vote { member, .. } => member.0 < n,
+        Payload::VoteBatch { votes, .. } => votes.iter().all(|(member, _)| member.0 < n),
+        Payload::Agg { agg, .. } | Payload::Final { agg } => count_ok(agg.vote_count()),
+        Payload::AggBatch { slots, .. } => slots.iter().flatten().all(|a| count_ok(a.vote_count())),
+        Payload::Flow { influenced, .. } => count_ok(influenced.len()),
     }
 }
 
@@ -243,9 +251,6 @@ impl<A: WireAggregate> Worker<A> {
                 id,
                 proto,
                 rng: root_rng.fork(0x7275_6E00 ^ u64::from(id.0)), // "run"
-                memo: EncodeMemo::new(),
-                mailbox: VecDeque::new(),
-                in_dirty: false,
                 round: 0,
                 last_rx_round: 0,
                 reported: false,
@@ -291,7 +296,7 @@ impl<A: WireAggregate> Worker<A> {
             live,
             stats: WorkerStats::default(),
             outbox: Outbox::new(),
-            dirty: Vec::new(),
+            encoded: Vec::new(),
             due: Vec::new(),
             coalesce,
             wire: Vec::new(),
@@ -306,7 +311,6 @@ impl<A: WireAggregate> Worker<A> {
         loop {
             self.stats.wakeups += 1;
             self.drain_sockets();
-            self.deliver_mailboxes();
             self.tick_due(Instant::now());
             self.flush_ready();
             if self.live == 0 || self.shutdown.load(Ordering::Relaxed) {
@@ -322,78 +326,56 @@ impl<A: WireAggregate> Worker<A> {
         self.stats
     }
 
-    /// Poll every owned socket dry, demultiplexing frames into member
-    /// mailboxes.
-    // The receive path: every datagram of a 10k-member
-    // cluster crosses this loop; scratch is reused, nothing allocates.
+    /// Poll every owned socket dry, delivering each frame as it is read.
+    // The receive path: every datagram of a 10k-member cluster crosses
+    // this loop.
     fn drain_sockets(&mut self) {
-        for (_, socket) in &self.sockets {
+        // out of `self` while frames borrow it and deliveries need `self`
+        let mut buf = std::mem::take(&mut self.recv_buf);
+        for s in 0..self.sockets.len() {
             // `WouldBlock` (or any transient error) ends this socket's drain.
-            while let Ok((len, _)) = socket.recv_from(&mut self.recv_buf) {
+            while let Ok((len, _)) = self.sockets[s].1.recv_from(&mut buf) {
                 self.stats.datagrams_recv += 1;
-                for frame in FrameIter::new(&self.recv_buf[..len], self.n_members) {
-                    let frame = match frame {
-                        Ok(f) => f,
-                        Err(_) => {
-                            self.stats.decode_errors += 1;
-                            break; // rest of the datagram is unusable
-                        }
+                for frame in FrameIter::new(&buf[..len], self.n_members) {
+                    let Ok(frame) = frame else {
+                        self.stats.decode_errors += 1;
+                        break; // rest of the datagram is unusable
                     };
                     self.stats.frames_recv += 1;
-                    let local = self.local_of[frame.dst as usize];
-                    if local == u32::MAX {
-                        self.stats.stray_frames += 1;
-                        continue;
-                    }
-                    let mut bytes = frame.payload;
-                    // A count is the sender's word; more contributors
-                    // than the group has members can only be forged, and
-                    // would displace the real subtree aggregate.
-                    let payload = match codec::decode::<A, _>(&mut bytes) {
-                        Ok(p) if claimed_votes(&p) <= self.n_members as usize => p,
-                        _ => {
-                            self.stats.decode_errors += 1;
-                            continue;
-                        }
-                    };
-                    let slot = &mut self.slots[local as usize];
-                    if slot.retired {
-                        continue;
-                    }
-                    slot.mailbox.push_back((MemberId(frame.src), payload));
-                    self.stats.mailbox_high_water =
-                        self.stats.mailbox_high_water.max(slot.mailbox.len() as u64);
-                    if !slot.in_dirty {
-                        slot.in_dirty = true;
-                        self.dirty.push(local);
-                    }
+                    self.deliver(frame);
                 }
             }
         }
+        self.recv_buf = buf;
     }
 
-    /// Run `on_message` for every member with mail, in member order, and
-    /// flush the gossip each delivery produced.
-    fn deliver_mailboxes(&mut self) {
-        if self.dirty.is_empty() {
+    /// Admit one received frame and run its member's `on_message`, then
+    /// encode whatever the delivery sent into the coalescer. Called
+    /// from inside [`Worker::flush_ready`]'s send loop too: the replies
+    /// wait in the coalescer for the next flush.
+    fn deliver(&mut self, frame: Frame<'_>) {
+        let local = self.local_of[frame.dst as usize];
+        if local == u32::MAX {
+            self.stats.stray_frames += 1;
             return;
         }
-        self.dirty.sort_unstable();
-        let mut i = 0;
-        while i < self.dirty.len() {
-            let local = self.dirty[i];
-            i += 1;
-            let slot = &mut self.slots[local as usize];
-            slot.in_dirty = false;
-            slot.last_rx_round = slot.round;
-            while let Some((from, payload)) = slot.mailbox.pop_front() {
-                let mut ctx = Ctx::new(slot.round, &mut slot.rng);
-                slot.proto
-                    .on_message(from, payload, &mut ctx, &mut self.outbox);
+        let mut bytes = frame.payload;
+        let payload = match codec::decode::<A, _>(&mut bytes) {
+            Ok(p) if admissible(&p, self.n_members) => p,
+            _ => {
+                self.stats.decode_errors += 1;
+                return;
             }
-            self.flush_outbox(local, false);
+        };
+        let slot = &mut self.slots[local as usize];
+        if slot.retired {
+            return;
         }
-        self.dirty.clear();
+        slot.last_rx_round = slot.round;
+        let mut ctx = Ctx::new(slot.round, &mut slot.rng);
+        slot.proto
+            .on_message(MemberId(frame.src), payload, &mut ctx, &mut self.outbox);
+        self.flush_outbox(local, false);
     }
 
     /// Pop due round deadlines and advance each member's round state.
@@ -459,14 +441,16 @@ impl<A: WireAggregate> Worker<A> {
     // loss-filtered, and coalesced here.
     fn flush_outbox(&mut self, local: u32, retry: bool) {
         let slot = &mut self.slots[local as usize];
-        let fresh = !self.outbox.is_empty();
-        if fresh {
+        if !self.outbox.is_empty() {
             slot.last_frames_len = 0;
         }
-        for (to, payload) in self.outbox.drain() {
-            let bytes = slot
-                .memo
-                .bytes_for(&payload, |p, buf| codec::encode(p, buf));
+        let bytes = &mut self.encoded;
+        for (to, payload, shared) in self.outbox.drain_shared() {
+            // a fan-out is encoded once, for its first destination
+            if !shared {
+                bytes.clear();
+                codec::encode(&payload, bytes);
+            }
             // Remember the frame for retry-on-silence before loss
             // injection: a retry resends what the protocol *tried* to
             // send, whether or not the channel ate it.
@@ -533,8 +517,8 @@ impl<A: WireAggregate> Worker<A> {
             self.coalesce.spare.push(recycled);
             // Backpressure: reading our own sockets mid-burst stops the
             // kernel receive queues from overflowing (see
-            // DRAIN_EVERY_BYTES). Received frames wait in mailboxes for
-            // the next delivery pass.
+            // DRAIN_EVERY_BYTES). The replies those deliveries make go
+            // into the coalescer and leave on the next flush.
             if since_drain >= DRAIN_EVERY_BYTES {
                 since_drain = 0;
                 self.stats.backpressure_drains += 1;
@@ -569,6 +553,61 @@ mod tests {
         assert_eq!(a.mailbox_high_water, 5);
         assert_eq!(a.frames_recv, 9);
         assert_eq!(a.backpressure_drains, 2);
+    }
+
+    #[test]
+    fn every_flushed_frame_carries_its_own_payloads_bytes() {
+        use gridagg_aggregate::Average;
+        use gridagg_core::hiergossip::HierGossipConfig;
+        use gridagg_core::scope::ScopeIndex;
+        use gridagg_group::view::View;
+        use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
+
+        let n = 16;
+        let h = Hierarchy::for_group(4, n).expect("shape");
+        let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 9));
+        let me = MemberId(0);
+        let proto = HierGossip::<Average>::new(me, 1.0, index, HierGossipConfig::default());
+        let (done, _outcomes) = mpsc::channel();
+        let mut worker = Worker::new(
+            0,
+            Vec::new(),
+            Arc::new(Vec::new()),
+            vec![(me, proto)],
+            n as u32,
+            1,
+            RuntimeConfig::default(),
+            Instant::now(),
+            &DetRng::seeded(1),
+            done,
+            Arc::new(AtomicBool::new(false)),
+        );
+        let batch = |k: u32| Payload::<Average>::VoteBatch {
+            votes: (0..k).map(|i| (MemberId(i), f64::from(i))).collect(),
+            reply: false,
+        };
+        // fan-outs of different payloads back to back, singles in between
+        let out = &mut worker.outbox;
+        out.send_many([MemberId(1), MemberId(2), MemberId(3)], batch(4));
+        out.send_many([MemberId(4), MemberId(5)], batch(1));
+        out.send(MemberId(6), batch(9));
+        out.send_many([MemberId(7)], batch(2));
+        out.send_many([], batch(3));
+        worker.flush_outbox(0, false);
+        // then a retry resends the same frames from the member's cache
+        worker.flush_outbox(0, true);
+        let sent = [(1, 4), (2, 4), (3, 4), (4, 1), (5, 1), (6, 9), (7, 2)];
+        let frames: Vec<_> = FrameIter::new(&worker.coalesce.bufs[0], n as u32)
+            .collect::<Result<_, _>>()
+            .expect("well-formed frames");
+        assert_eq!(frames.len(), 2 * sent.len());
+        for (frame, (to, k)) in frames.iter().zip(sent.iter().chain(&sent)) {
+            let mut bytes = Vec::new();
+            codec::encode(&batch(*k), &mut bytes);
+            assert_eq!((frame.dst, frame.src), (*to, 0));
+            assert_eq!(frame.payload, bytes, "frame to {to}");
+        }
+        assert_eq!(worker.stats.retries, sent.len() as u64);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Three properties the multiplexed runtime must hold on a live socket
 //! pool: convergence survives injected loss *and* reorder together,
 //! hostile datagrams (truncated, malformed, junk-payload, forged
-//! contributor counts, forged addresses, forged aggregate batches) are
+//! contributor counts, forged addresses, forged aggregate batches,
+//! votes of members outside the group) are
 //! rejected through the `DecodeError` path or dropped as irrelevant (an
 //! address deeper than the receiver's box, a row of another base) —
 //! counted, never a panic and never a wedge — and frames stay
@@ -209,18 +210,41 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
         bytes
     };
 
+    // (h) `Vote` and `VoteBatch` frames naming a member outside the
+    // group: the codec takes any `u32` as a vote's owner, and a member
+    // that looks an owner up indexes past its tables.
+    let forged_votes: Vec<Vec<u8>> = [u32::MAX, n as u32]
+        .into_iter()
+        .flat_map(|owner| {
+            let (member, value) = (MemberId(owner), 1e9);
+            let votes = [(member, value)].into();
+            [
+                Payload::<Average>::Vote { member, value },
+                Payload::VoteBatch {
+                    votes,
+                    reply: false,
+                },
+            ]
+        })
+        .map(|payload| {
+            let mut bytes = Vec::new();
+            codec::encode(&payload, &mut bytes);
+            bytes
+        })
+        .collect();
+
     // An outsider throws garbage at every pool socket while the
     // cluster is live: truncated headers, out-of-range member ids,
     // well-framed junk payloads the codec must reject, forged
-    // addresses, too-long addresses, forged contributor counts, and
-    // (g) forged batches, each carrying an average of 1e9.
+    // addresses, too-long addresses, forged contributor counts,
+    // (g) forged batches and (h) forged votes, each carrying 1e9.
     let attacker = UdpSocket::bind(("127.0.0.1", 0)).expect("attacker socket");
     let batches = forged_batches();
     let (mut garbage, mut forged_sent) = (0u64, 0u64);
     for burst in 0..5 {
         for member in 0..n as u32 {
             let mut framed = Vec::new();
-            for bytes in &forged {
+            for bytes in forged.iter().chain(&forged_votes) {
                 push_frame(&mut framed, member, 0, bytes);
                 forged_sent += 1;
             }
