@@ -1,4 +1,4 @@
-//! The evaluation as one table: a [`Figure`] per figure, ablation and
+//! The evaluation as one table: a `Figure` spec per figure, ablation and
 //! table of EXPERIMENTS.md, and the one driver ([`run`]) behind the
 //! `figures` binary.
 //!

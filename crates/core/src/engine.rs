@@ -25,11 +25,12 @@
 //! million-member runs affordable once most of the group has finished.
 //!
 //! **One step, two schedules.** Every rule of a round is written once:
-//! `Simulation::step` is the only caller of the protocol, `Schedule`
-//! owns every start / active / settled decision, and `Direct::send`
-//! is the only way a message reaches the network. What varies is *when*
-//! a step's effects are applied. The inline schedule steps members one
-//! after another straight into `Direct`. With
+//! [`protocol::step`](crate::protocol::step) is the only caller of the
+//! protocol (the socket runtime calls it too), `Schedule` owns every
+//! start / active / settled decision, and `Direct::put` is the only
+//! way a message reaches the network. What varies is *when* a step's
+//! effects are applied. The inline schedule steps members one after
+//! another straight into `Direct`. With
 //! [`Simulation::with_engine_jobs`] a phase with enough work is sharded
 //! into contiguous member-id ranges and stepped on scoped threads into
 //! per-shard `Recorder`s; after the join the recorded effects are fed
@@ -51,7 +52,7 @@ use gridagg_simnet::Round;
 
 use crate::message::Payload;
 use crate::metrics::{MemberOutcome, RunReport};
-use crate::protocol::{AggregationProtocol, Ctx, Outbox};
+use crate::protocol::{step, AggregationProtocol, Effects, Outbox};
 use crate::trace::{DynSink, NoTrace, TraceEvent, TraceSink};
 
 /// Hard ceiling on engine threads: the per-envelope shard-owner table
@@ -65,40 +66,34 @@ pub const MAX_ENGINE_JOBS: usize = 64;
 /// latency heuristic.
 const PAR_MIN_ITEMS: usize = 128;
 
-/// Where the effects of one protocol step go. [`Simulation::step`]
-/// decides *what* happens; the target decides *when* it is applied.
-trait Effects<A> {
-    /// Receiver of the step's protocol-level events and `Terminate`.
-    fn sink(&mut self) -> &mut dyn DynSink;
-
-    /// One outgoing message of `bytes` wire bytes.
-    fn send(&mut self, round: Round, from: MemberId, to: MemberId, payload: Payload<A>, bytes: u32);
-}
-
 /// Effects applied at once: the inline schedule, and the ordered replay
 /// of what the workers recorded.
 struct Direct<'a, A, S> {
     net: &'a mut SimNetwork<Payload<A>>,
     sink: &'a mut S,
+    /// [`Payload::wire_size`] of the fan-out being sent.
+    bytes: u32,
 }
 
-impl<A, S: TraceSink> Effects<A> for Direct<'_, A, S> {
-    fn sink(&mut self) -> &mut dyn DynSink {
-        self.sink
+impl<A: WireAggregate, S: TraceSink> Effects<A> for Direct<'_, A, S> {
+    fn sink(&mut self) -> Option<&mut dyn DynSink> {
+        S::ENABLED.then_some(self.sink)
     }
 
+    fn send(&mut self, round: Round, from: MemberId, to: MemberId, msg: Payload<A>, shared: bool) {
+        if !shared {
+            self.bytes = msg.wire_size();
+        }
+        self.put(round, from, to, msg, self.bytes);
+    }
+}
+
+impl<A, S: TraceSink> Direct<'_, A, S> {
     // The only place a message touches the network, so the
     // shared net RNG (loss + delay draws in `SimNetwork::send`) consumes
     // one stream whatever the schedule.
-    fn send(
-        &mut self,
-        round: Round,
-        from: MemberId,
-        to: MemberId,
-        payload: Payload<A>,
-        bytes: u32,
-    ) {
-        let outcome = self.net.send(round, from, to, payload, bytes);
+    fn put(&mut self, round: Round, from: MemberId, to: MemberId, msg: Payload<A>, bytes: u32) {
+        let outcome = self.net.send(round, from, to, msg, bytes);
         if S::ENABLED {
             self.sink.record(TraceEvent::Send {
                 from,
@@ -134,8 +129,13 @@ struct SendRec<A> {
 /// cannot feed back into the protocol.
 #[derive(Debug)]
 struct Recorder<A> {
+    /// Whether the run is traced: events are recorded only then.
+    traced: bool,
     events: Vec<TraceEvent>,
     sends: Vec<SendRec<A>>,
+    /// [`Payload::wire_size`] of the fan-out being sent, computed here
+    /// on the worker thread rather than in the serial replay.
+    bytes: u32,
 }
 
 impl<A> TraceSink for Recorder<A> {
@@ -144,16 +144,19 @@ impl<A> TraceSink for Recorder<A> {
     }
 }
 
-impl<A> Effects<A> for Recorder<A> {
-    fn sink(&mut self) -> &mut dyn DynSink {
-        self
+impl<A: WireAggregate> Effects<A> for Recorder<A> {
+    fn sink(&mut self) -> Option<&mut dyn DynSink> {
+        self.traced.then_some(self)
     }
 
-    fn send(&mut self, _: Round, _: MemberId, to: MemberId, payload: Payload<A>, bytes: u32) {
+    fn send(&mut self, _: Round, _: MemberId, to: MemberId, msg: Payload<A>, shared: bool) {
+        if !shared {
+            self.bytes = msg.wire_size();
+        }
         self.sends.push(SendRec {
             to,
-            bytes,
-            payload: Some(payload),
+            bytes: self.bytes,
+            payload: Some(msg),
         });
     }
 }
@@ -201,14 +204,16 @@ struct ShardBuf<A> {
     send_next: usize,
 }
 
-impl<A> ShardBuf<A> {
-    fn new() -> Self {
+impl<A: WireAggregate> ShardBuf<A> {
+    fn new(traced: bool) -> Self {
         ShardBuf {
             inbox: Vec::new(),
             records: Vec::new(),
             fx: Recorder {
+                traced,
                 events: Vec::new(),
                 sends: Vec::new(),
+                bytes: 0,
             },
             out: Outbox::new(),
             next: 0,
@@ -262,7 +267,7 @@ impl<A> ShardBuf<A> {
         self.ev_next = rec.ev_end as usize;
         for s in &mut self.fx.sends[self.send_next..rec.send_end as usize] {
             let payload = s.payload.take().expect("each recorded send replays once");
-            fx.send(round, rec.member, s.to, payload, s.bytes);
+            fx.put(round, rec.member, s.to, payload, s.bytes);
         }
         self.send_next = rec.send_end as usize;
     }
@@ -283,6 +288,13 @@ impl<'a, P> Members<'a, P> {
             protocols: self.protocols,
             rngs: self.rngs,
         }
+    }
+
+    /// `me`'s protocol instance and random stream.
+    #[inline(always)]
+    fn get(&mut self, me: MemberId) -> (&mut P, &mut DetRng) {
+        let i = me.index() - self.base;
+        (&mut self.protocols[i], &mut self.rngs[i])
     }
 
     /// Split at member id `hi`: `base..hi` and `hi..`.
@@ -615,6 +627,7 @@ where
         let mut fx = Direct {
             net: &mut self.net,
             sink,
+            bytes: 0,
         };
         let mut out = Outbox::new();
         // Delivery and visit scratch, reused every round. `drain_into`
@@ -631,7 +644,7 @@ where
         // run and reused every round.
         let jobs = self.engine_jobs.min(n);
         let mut shards: Vec<ShardBuf<A>> = (0..if jobs > 1 { jobs } else { 0 })
-            .map(|_| ShardBuf::new())
+            .map(|_| ShardBuf::new(S::ENABLED))
             .collect();
         let mut owner: Vec<u8> = Vec::new();
 
@@ -677,15 +690,14 @@ where
                     let mut inbox = std::mem::take(&mut buf.inbox);
                     for env in inbox.drain(..) {
                         let (from, to, sent_at) = (env.from, env.to, env.sent_at);
-                        let done = Self::step::<S, _>(
-                            round,
-                            n,
-                            to,
-                            &mut mine,
-                            Some(env),
-                            &mut buf.out,
-                            &mut buf.fx,
-                        );
+                        // Wrapped before the lookup: an envelope live
+                        // across `get`'s bounds checks is spilled, and its
+                        // payload reaches `on_message` through an
+                        // unaligned re-copy (measured: this phase +20 %
+                        // on `sim-counted-32k` at two engine threads).
+                        let msg = Some(env);
+                        let (proto, rng) = mine.get(to);
+                        let done = step(proto, rng, to, round, n, msg, &mut buf.out, &mut buf.fx);
                         buf.push_record(to, from, sent_at, Visit::Step, done);
                     }
                     buf.inbox = inbox;
@@ -704,8 +716,8 @@ where
                     }
                     let to = env.to;
                     sched.on_delivery(env.from, to, env.sent_at, round, fx.sink);
-                    let done =
-                        Self::step::<S, _>(round, n, to, &mut all, Some(env), &mut out, &mut fx);
+                    let (proto, rng) = all.get(to);
+                    let done = step(proto, rng, to, round, n, Some(env), &mut out, &mut fx);
                     sched.after_step(to, done);
                 }
             }
@@ -726,16 +738,10 @@ where
                     for &iv in chunk(w) {
                         let me = MemberId(iv);
                         let found = Self::probe(failure, &mine, me);
-                        let done = found == Visit::Step
-                            && Self::step::<S, _>(
-                                round,
-                                n,
-                                me,
-                                &mut mine,
-                                None,
-                                &mut buf.out,
-                                &mut buf.fx,
-                            );
+                        let done = found == Visit::Step && {
+                            let (proto, rng) = mine.get(me);
+                            step(proto, rng, me, round, n, None, &mut buf.out, &mut buf.fx)
+                        };
                         buf.push_record(me, me, round, found, done);
                     }
                 });
@@ -751,8 +757,8 @@ where
                 for &iv in &visit {
                     let me = MemberId(iv);
                     if sched.on_visit(me, round, Self::probe(failure, &all, me), fx.sink) {
-                        let done =
-                            Self::step::<S, _>(round, n, me, &mut all, None, &mut out, &mut fx);
+                        let (proto, rng) = all.get(me);
+                        let done = step(proto, rng, me, round, n, None, &mut out, &mut fx);
                         sched.after_step(me, done);
                     }
                 }
@@ -806,51 +812,6 @@ where
         }
     }
 
-    // The one protocol step of both schedules: deliver `msg`
-    // to `me` (or, with `None`, run its round timer), report a
-    // termination, fan the outbox out. Returns the done state after the
-    // call. Always inlined: each call site knows `msg` and the effect
-    // target statically, and the envelope must reach `on_message`
-    // without a copy through a by-value `Option` (measured: +8 % on
-    // `sim-counted-32k` when it is repacked).
-    #[inline(always)]
-    fn step<S: TraceSink, E: Effects<A>>(
-        round: Round,
-        n: usize,
-        me: MemberId,
-        members: &mut Members<'_, P>,
-        msg: Option<Envelope<Payload<A>>>,
-        out: &mut Outbox<A>,
-        fx: &mut E,
-    ) -> bool {
-        let idx = me.index() - members.base;
-        let proto = &mut members.protocols[idx];
-        let was_done = proto.is_done();
-        {
-            let mut ctx = if S::ENABLED {
-                Ctx::traced(round, &mut members.rngs[idx], fx.sink())
-            } else {
-                Ctx::new(round, &mut members.rngs[idx])
-            };
-            match msg {
-                Some(env) => proto.on_message(env.from, env.payload, &mut ctx, out),
-                None => proto.on_round(&mut ctx, out),
-            }
-        }
-        let now_done = proto.is_done();
-        if S::ENABLED && !was_done && now_done {
-            fx.sink().record_dyn(TraceEvent::Terminate {
-                member: me,
-                round,
-                completeness: proto.estimate().map_or(0.0, |est| est.completeness(n)),
-            });
-        }
-        for (to, payload, bytes) in out.drain_sized() {
-            fx.send(round, me, to, payload, bytes);
-        }
-        now_done
-    }
-
     /// Fork-join: worker `w` exclusively owns the members below `hi(w)`
     /// that no earlier worker owns (`split_at_mut`, so no shared state
     /// is touched) and runs `work` over them on a scoped thread.
@@ -889,6 +850,17 @@ mod tests {
     use gridagg_simnet::network::NetworkConfig;
 
     fn hier_sim(n: usize, seed: u64) -> Simulation<Average, HierGossip<Average>> {
+        hier_sim_with(n, seed, 0.0, FailureModel::None)
+    }
+
+    /// Hiergossip over `n` members voting `0..n`, with uniform `loss`
+    /// and the `failures` model.
+    fn hier_sim_with(
+        n: usize,
+        seed: u64,
+        loss: f64,
+        failures: FailureModel,
+    ) -> Simulation<Average, HierGossip<Average>> {
         let group = GroupBuilder::new(n)
             .votes(VoteDistribution::Index)
             .seed(seed)
@@ -900,8 +872,12 @@ mod tests {
             .iter()
             .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
             .collect();
-        let net = SimNetwork::new(NetworkConfig::default(), seed);
-        let failure = FailureProcess::new(FailureModel::None, n, seed);
+        let mut net = NetworkConfig::default();
+        if loss > 0.0 {
+            net = net.with_loss(gridagg_simnet::loss::UniformLoss::new(loss).unwrap());
+        }
+        let net = SimNetwork::new(net, seed);
+        let failure = FailureProcess::new(failures, n, seed);
         let truth = (n as f64 - 1.0) / 2.0; // mean of 0..n-1
         Simulation::new(net, protocols, failure, seed, truth, 10_000)
     }
@@ -961,25 +937,8 @@ mod tests {
         // recover". A recovered member resumes with its state intact
         // (crash-recovery with stable storage) and can still finish.
         let n = 64;
-        let seed = 17;
-        let group = GroupBuilder::new(n)
-            .votes(VoteDistribution::Index)
-            .seed(seed)
-            .build();
-        let h = Hierarchy::for_group(4, n).unwrap();
-        let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, seed));
-        let protocols: Vec<HierGossip<Average>> = group
-            .members()
-            .iter()
-            .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
-            .collect();
-        let net = SimNetwork::new(NetworkConfig::default(), seed);
-        let failure = FailureProcess::new(
-            gridagg_group::failure::FailureModel::PerRoundWithRecovery { pf: 0.05, pr: 0.5 },
-            n,
-            seed,
-        );
-        let report = Simulation::new(net, protocols, failure, seed, 31.5, 10_000).run();
+        let churn = FailureModel::PerRoundWithRecovery { pf: 0.05, pr: 0.5 };
+        let report = hier_sim_with(n, 17, 0.0, churn).run();
         // with fast recovery nearly everyone completes, despite ~5%/round churn
         assert!(
             report.completed() > n * 3 / 4,
@@ -994,23 +953,8 @@ mod tests {
         // members start over a 5-round window (multicast initiation);
         // gossip wakes the rest; completeness stays high
         let n = 64;
-        let group = GroupBuilder::new(n)
-            .votes(VoteDistribution::Index)
-            .seed(8)
-            .build();
-        let h = Hierarchy::for_group(4, n).unwrap();
-        let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 8));
-        let protocols: Vec<HierGossip<Average>> = group
-            .members()
-            .iter()
-            .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
-            .collect();
-        let net = SimNetwork::new(NetworkConfig::default(), 8);
-        let failure = FailureProcess::new(FailureModel::None, n, 8);
         let starts: Vec<Round> = (0..n as u64).map(|i| i % 5).collect();
-        let report = Simulation::new(net, protocols, failure, 8, 31.5, 10_000)
-            .with_start_rounds(starts)
-            .run();
+        let report = hier_sim(n, 8).with_start_rounds(starts).run();
         assert_eq!(report.completed(), n);
         assert!(report.mean_completeness().unwrap() > 0.95);
     }
@@ -1020,24 +964,9 @@ mod tests {
         // one member officially starts absurdly late, but phase-1
         // gossip from its box mates wakes it almost immediately
         let n = 16;
-        let group = GroupBuilder::new(n)
-            .votes(VoteDistribution::Index)
-            .seed(4)
-            .build();
-        let h = Hierarchy::for_group(4, n).unwrap();
-        let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 4));
-        let protocols: Vec<HierGossip<Average>> = group
-            .members()
-            .iter()
-            .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
-            .collect();
-        let net = SimNetwork::new(NetworkConfig::default(), 4);
-        let failure = FailureProcess::new(FailureModel::None, n, 4);
         let mut starts = vec![0 as Round; n];
         starts[3] = 1_000_000; // would never start on its own
-        let report = Simulation::new(net, protocols, failure, 4, 7.5, 10_000)
-            .with_start_rounds(starts)
-            .run();
+        let report = hier_sim(n, 4).with_start_rounds(starts).run();
         // the sleeper finished long before its official start round
         assert!(report.rounds < 1000, "ran {} rounds", report.rounds);
         assert_eq!(report.completed(), n);
@@ -1050,28 +979,11 @@ mod tests {
         // members are visited every round, the never-started member 7
         // exactly never. The dense scan would have touched all 8.
         let n = 8;
-        let group = GroupBuilder::new(n)
-            .votes(VoteDistribution::Index)
-            .seed(2)
-            .build();
-        let h = Hierarchy::for_group(4, n).unwrap();
-        let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 2));
-        let protocols: Vec<HierGossip<Average>> = group
-            .members()
-            .iter()
-            .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
-            .collect();
-        let net = SimNetwork::new(
-            NetworkConfig::default()
-                .with_loss(gridagg_simnet::loss::UniformLoss::new(1.0).unwrap()),
-            2,
-        );
-        let failure = FailureProcess::new(FailureModel::None, n, 2);
         let mut starts = vec![0 as Round; n];
         starts[7] = 1_000_000; // due far beyond the cap: never visited
-        let report = Simulation::new(net, protocols, failure, 2, 3.5, 5)
-            .with_start_rounds(starts)
-            .run();
+        let mut sim = hier_sim_with(n, 2, 1.0, FailureModel::None).with_start_rounds(starts);
+        sim.max_rounds = 5;
+        let report = sim.run();
         assert_eq!(report.rounds, 5);
         assert_eq!(report.protocol_steps, 7 * 5);
     }
@@ -1181,31 +1093,9 @@ mod tests {
         // bookkeeping branches (dead skip, gossip wake-up, official
         // start) — outcomes must match the serial engine exactly.
         let build = || {
-            let n = 256;
-            let seed = 17;
-            let group = GroupBuilder::new(n)
-                .votes(VoteDistribution::Index)
-                .seed(seed)
-                .build();
-            let h = Hierarchy::for_group(4, n).unwrap();
-            let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, seed));
-            let protocols: Vec<HierGossip<Average>> = group
-                .members()
-                .iter()
-                .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
-                .collect();
-            let net = SimNetwork::new(
-                NetworkConfig::default()
-                    .with_loss(gridagg_simnet::loss::UniformLoss::new(0.25).unwrap()),
-                seed,
-            );
-            let failure = FailureProcess::new(
-                FailureModel::PerRoundWithRecovery { pf: 0.02, pr: 0.5 },
-                n,
-                seed,
-            );
-            let starts: Vec<Round> = (0..n as u64).map(|i| i % 7).collect();
-            Simulation::new(net, protocols, failure, seed, 127.5, 10_000).with_start_rounds(starts)
+            let churn = FailureModel::PerRoundWithRecovery { pf: 0.02, pr: 0.5 };
+            let starts: Vec<Round> = (0..256).map(|i| i % 7).collect();
+            hier_sim_with(256, 17, 0.25, churn).with_start_rounds(starts)
         };
         let serial = build().run();
         let par = build().with_engine_jobs(4).run();
@@ -1213,6 +1103,71 @@ mod tests {
         assert_eq!(serial.net, par.net);
         assert_eq!(serial.outcomes, par.outcomes);
         assert_eq!(serial.protocol_steps, par.protocol_steps);
+    }
+
+    fn batch(k: u32) -> Payload<Average> {
+        Payload::VoteBatch {
+            votes: (0..k).map(|i| (MemberId(i), 1.0)).collect(),
+            reply: false,
+        }
+    }
+
+    /// Queues the same fan-outs every round and never finishes.
+    #[derive(Debug)]
+    struct Script;
+
+    impl AggregationProtocol<Average> for Script {
+        // fan-outs of different sizes back to back, singles in between
+        fn on_round(&mut self, _: &mut crate::protocol::Ctx<'_>, out: &mut Outbox<Average>) {
+            out.send_many([MemberId(1), MemberId(2), MemberId(3)], batch(4));
+            out.send_many([MemberId(4), MemberId(5)], batch(1));
+            out.send(MemberId(6), batch(9));
+            out.send_many([MemberId(7)], batch(2));
+            out.send_many([], batch(3));
+        }
+        fn on_message(
+            &mut self,
+            _: MemberId,
+            _: Payload<Average>,
+            _: &mut crate::protocol::Ctx<'_>,
+            _: &mut Outbox<Average>,
+        ) {
+        }
+        fn estimate(&self) -> Option<&gridagg_aggregate::Tagged<Average>> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+        fn completed_at(&self) -> Option<Round> {
+            None
+        }
+    }
+
+    #[test]
+    fn every_fan_out_copy_is_charged_its_own_wire_size() {
+        let sent = [(1, 4), (2, 4), (3, 4), (4, 1), (5, 1), (6, 9), (7, 2)];
+        let charged = sent.map(|(to, k)| (MemberId(to), u64::from(batch(k).wire_size())));
+        assert_eq!(charged.map(|(_, b)| b), [51, 51, 51, 15, 15, 111, 27]);
+        // 128 visits: jobs = 2 takes the recorded-and-replayed path
+        let n = 128;
+        for jobs in [1, 2] {
+            let net = SimNetwork::new(NetworkConfig::default(), 1);
+            let failure = FailureProcess::new(FailureModel::None, n, 1);
+            let mut trace = crate::trace::RunTrace::for_group(n);
+            Simulation::new(net, (0..n).map(|_| Script).collect(), failure, 1, 0.0, 1)
+                .with_engine_jobs(jobs)
+                .run_with(&mut trace);
+            let sends: Vec<_> = trace
+                .events
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::Send { to, bytes, .. } => Some((to, bytes)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(sends, charged.repeat(n), "jobs {jobs}");
+        }
     }
 
     #[test]

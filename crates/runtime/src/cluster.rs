@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_core::hiergossip::{HierGossip, HierGossipConfig};
+use gridagg_core::protocol::AggregationProtocol;
 use gridagg_core::scope::ScopeIndex;
 use gridagg_group::MemberId;
 use gridagg_simnet::rng::DetRng;
@@ -91,16 +92,12 @@ pub struct Cluster<A> {
 }
 
 impl<A: WireAggregate + Send + 'static> Cluster<A> {
-    /// Bind the socket pool, shard `votes.len()` members across worker
-    /// threads, and start every member's round clock at a shared epoch.
+    /// [`Cluster::launch_with`] a Hierarchical Gossiping instance per
+    /// vote: member `i` votes `votes[i]`.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::BudgetExceeded`] when the member count exceeds
-    /// `sockets × members_per_socket` — the configured multiplexing
-    /// budget — and [`RuntimeError::Io`] for socket or thread-spawn
-    /// failures. Failing loudly here is what keeps an over-subscribed
-    /// cluster from hanging half-started.
+    /// As [`Cluster::launch_with`].
     ///
     /// # Panics
     ///
@@ -111,34 +108,61 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
         proto_cfg: HierGossipConfig,
         rt_cfg: RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
-        let n = votes.len();
-        assert_eq!(n, index.len(), "one vote per indexed member");
+        assert_eq!(votes.len(), index.len(), "one vote per indexed member");
+        let protocols = votes.into_iter().enumerate();
+        let protocols = protocols
+            .map(|(i, vote)| HierGossip::new(MemberId(i as u32), vote, index.clone(), proto_cfg));
+        Self::launch_with(protocols, rt_cfg)
+    }
 
+    /// Shard the members across worker threads — member `i` runs the
+    /// `i`-th of `protocols` (a `Vec`, or an iterator that builds each
+    /// straight into its shard) — bind the socket pool, and start every
+    /// member's round clock at a shared epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::BudgetExceeded`] when the member count exceeds
+    /// `sockets × members_per_socket` — the configured multiplexing
+    /// budget — and [`RuntimeError::Io`] for socket or thread-spawn
+    /// failures. Failing loudly here is what keeps an over-subscribed
+    /// cluster from hanging half-started.
+    pub fn launch_with<P>(
+        protocols: impl IntoIterator<Item = P>,
+        rt_cfg: RuntimeConfig,
+    ) -> Result<Self, RuntimeError>
+    where
+        P: AggregationProtocol<A> + Send + 'static,
+    {
         let sockets = rt_cfg.sockets.max(1);
-        let capacity = sockets.saturating_mul(rt_cfg.members_per_socket.max(1));
-        if n > capacity {
+        let workers = rt_cfg.workers.max(1).min(sockets);
+
+        // Shard members: member -> home socket -> owning worker. The
+        // same arithmetic the send path uses, so ownership is exclusive.
+        // The member count is what the iterator yields, not its hint.
+        let protocols = protocols.into_iter();
+        let per_worker = protocols.size_hint().0.div_ceil(workers);
+        let mut shards: Vec<Vec<(MemberId, P)>> = (0..workers)
+            .map(|_| Vec::with_capacity(per_worker))
+            .collect();
+        let mut n = 0;
+        for proto in protocols {
+            let me = MemberId(n as u32);
+            let sock = EndpointPool::home_socket(me.0, sockets);
+            shards[sock % workers].push((me, proto));
+            n += 1;
+        }
+        if n > rt_cfg.capacity() {
             return Err(RuntimeError::BudgetExceeded {
                 members: n,
                 sockets,
                 members_per_socket: rt_cfg.members_per_socket.max(1),
             });
         }
-        let workers = rt_cfg.workers.max(1).min(sockets);
 
         let pool = EndpointPool::bind(sockets)?;
         let addrs = pool.addrs();
         let socket_sets = pool.split(workers);
-
-        // Shard members: member -> home socket -> owning worker. The
-        // same arithmetic the send path uses, so ownership is exclusive.
-        let mut shards: Vec<Vec<(MemberId, HierGossip<A>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, vote) in votes.iter().enumerate() {
-            let me = MemberId(i as u32);
-            let sock = EndpointPool::home_socket(me.0, sockets);
-            let proto = HierGossip::<A>::new(me, *vote, index.clone(), proto_cfg);
-            shards[sock % workers].push((me, proto));
-        }
 
         // Anchor all round clocks at a shared epoch far enough out that
         // every worker is polling before round 0 ends.
@@ -157,7 +181,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
                 addrs.clone(),
                 members,
                 n as u32,
-                sockets,
                 rt_cfg.clone(),
                 epoch,
                 &root_rng,
@@ -200,16 +223,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
     /// Exposed so tests can throw hostile datagrams at a live cluster.
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
-    }
-
-    /// Group size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Worker threads driving the shards.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Collect one outcome per member (bounded by the round budget),
@@ -311,7 +324,7 @@ pub fn run_cluster<A: WireAggregate + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridagg_aggregate::Average;
+    use gridagg_aggregate::{Aggregate, Average};
     use gridagg_group::view::View;
     use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
 
@@ -320,17 +333,77 @@ mod tests {
         ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 9))
     }
 
+    /// Member `i` votes `i`.
+    fn votes(n: usize) -> Vec<f64> {
+        (0..n).map(|i| i as f64).collect()
+    }
+
+    fn run(n: usize, cfg: RuntimeConfig) -> ClusterRun<Average> {
+        run_cluster(votes(n), index(n), HierGossipConfig::default(), cfg).expect("run")
+    }
+
+    #[test]
+    fn udp_group_converges_on_loopback() {
+        let n = 24;
+        let run = run(n, RuntimeConfig::default());
+        assert_eq!(run.outcomes.len(), n);
+        let completeness = run.report.mean_completeness;
+        assert!(
+            completeness > 0.9,
+            "loopback run incomplete: {completeness}"
+        );
+        // fully complete members computed the exact average
+        let truth = (n as f64 - 1.0) / 2.0;
+        for o in run.outcomes.iter().filter(|o| o.completeness(n) == 1.0) {
+            let est = o.estimate.as_ref().and_then(|e| e.aggregate()).unwrap();
+            assert!((est.summary() - truth).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn udp_group_tolerates_injected_loss() {
+        let cfg = RuntimeConfig::default().with_uniform_loss(0.25);
+        let completeness = run(24, cfg).report.mean_completeness;
+        assert!(
+            completeness > 0.7,
+            "lossy loopback run collapsed: {completeness}"
+        );
+    }
+
+    #[test]
+    fn concurrent_groups_do_not_collide() {
+        // ephemeral ports mean two groups can run side by side
+        let run = |seed: u64| {
+            let cfg = RuntimeConfig {
+                seed,
+                sockets: 4,
+                ..Default::default()
+            };
+            run(8, cfg).outcomes
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let ta = s.spawn(|| run(1));
+            let tb = s.spawn(|| run(2));
+            (ta.join().expect("a"), tb.join().expect("b"))
+        });
+        assert_eq!(a.len(), 8);
+        assert_eq!(b.len(), 8);
+    }
+
     #[test]
     fn budget_exceeded_fails_loudly_not_hangs() {
         let n = 40;
-        let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let cfg = RuntimeConfig {
             sockets: 2,
             members_per_socket: 8,
             ..Default::default()
         };
-        let err = Cluster::<Average>::launch(votes, index(n), HierGossipConfig::default(), cfg)
+        let err = Cluster::<Average>::launch(votes(n), index(n), HierGossipConfig::default(), cfg)
             .expect_err("over budget");
+        // the message names the request and does the arithmetic for the
+        // operator
+        assert!(err.to_string().contains("40 members exceed"), "{err}");
+        assert!(err.to_string().contains("(= 16 max)"), "{err}");
         match err {
             RuntimeError::BudgetExceeded {
                 members,
@@ -348,15 +421,12 @@ mod tests {
     #[test]
     fn report_reflects_multiplexed_wire_traffic() {
         let n = 24;
-        let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let cfg = RuntimeConfig {
             sockets: 4,
             workers: 2,
             ..Default::default()
         };
-        let run =
-            run_cluster::<Average>(votes, index(n), HierGossipConfig::default(), cfg).expect("run");
-        let r = &run.report;
+        let r = &run(n, cfg).report;
         assert_eq!(r.n, n);
         assert_eq!(r.sockets, 4);
         assert!(r.workers <= 2);
@@ -370,5 +440,30 @@ mod tests {
         assert!(r.stats.wakeups > 0);
         assert!(r.mean_completeness > 0.9, "got {}", r.mean_completeness);
         assert!(r.wall > Duration::ZERO);
+    }
+
+    #[test]
+    fn flood_runs_on_the_generic_worker() {
+        use gridagg_core::baselines::{Flood, FloodConfig};
+
+        let n = 64;
+        let protocols: Vec<Flood<Average>> = (0..n)
+            .map(|i| Flood::new(MemberId(i as u32), i as f64, n, FloodConfig::default()))
+            .collect();
+        // one worker ticks every member in lockstep, so each vote lands
+        // before any receiver's next round: nothing is lost to timing
+        let cfg = RuntimeConfig {
+            sockets: 4,
+            workers: 1,
+            ..Default::default()
+        };
+        let run = Cluster::launch_with(protocols, cfg).expect("launch").join();
+        assert_eq!(run.report.reported, n, "every member reports");
+        assert_eq!(run.report.mean_completeness, 1.0);
+        let truth = Some((n as f64 - 1.0) / 2.0);
+        for o in &run.outcomes {
+            let value = o.estimate.as_ref().and_then(|e| e.aggregate());
+            assert_eq!(value.map(Aggregate::summary), truth, "{:?}", o.member);
+        }
     }
 }

@@ -1,17 +1,18 @@
 //! # gridagg-runtime
 //!
-//! A **multiplexed real-network runtime** for the Hierarchical
-//! Gossiping protocol: thousands of group members share a small pool of
-//! UDP sockets and worker threads, gossip rounds are wall-clock timer
-//! ticks, and messages are the binary wire form from
+//! A **multiplexed real-network runtime** for any aggregation protocol:
+//! thousands of group members share a small pool of UDP sockets and
+//! worker threads, gossip rounds are wall-clock timer ticks, and
+//! messages are the binary wire form from
 //! `gridagg_core::message::codec` — no simulator in the loop.
 //!
-//! The protocol state machine ([`HierGossip`](gridagg_core::hiergossip::HierGossip)) is *identical* to the
-//! one the simulator drives: `AggregationProtocol` is runtime-agnostic,
-//! so the code path evaluated in the paper's figures is the code path
-//! that runs on sockets here. That separation — pure protocol logic,
-//! swap the harness — is the core design property this crate
-//! demonstrates, now at 10,000-member scale on loopback.
+//! Workers call the simulator's own protocol step,
+//! [`gridagg_core::protocol::step`], with a socket effect target, so the
+//! code path evaluated in the paper's figures is the code path that runs
+//! on sockets here — for Hierarchical Gossiping ([`Cluster::launch`]) or
+//! any `AggregationProtocol` ([`Cluster::launch_with`]). That separation
+//! — pure protocol logic, swap the harness — is the core design property
+//! this crate demonstrates, now at 10,000-member scale on loopback.
 //!
 //! ## Architecture
 //!
@@ -31,25 +32,25 @@
 //!   simulator's `RunReport`.
 //!
 //! ```no_run
-//! use gridagg_runtime::{run_group, RuntimeConfig};
+//! use gridagg_runtime::{run_cluster, RuntimeConfig};
 //! use gridagg_core::hiergossip::HierGossipConfig;
 //! use gridagg_core::scope::ScopeIndex;
 //! use gridagg_group::view::View;
 //! use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
-//! use gridagg_aggregate::{Aggregate, Average};
+//! use gridagg_aggregate::Average;
 //!
 //! # fn demo() -> Result<(), gridagg_runtime::RuntimeError> {
 //! let n = 32;
 //! let h = Hierarchy::for_group(4, n).unwrap();
 //! let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 1));
 //! let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
-//! let outcomes = run_group::<Average>(
+//! let run = run_cluster::<Average>(
 //!     votes,
 //!     index,
 //!     HierGossipConfig::default(),
 //!     RuntimeConfig::default(),
 //! )?;
-//! assert_eq!(outcomes.len(), 32);
+//! assert_eq!(run.outcomes.len(), 32);
 //! # Ok(())
 //! # }
 //! ```
@@ -67,8 +68,6 @@ use std::time::Duration;
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_aggregate::Tagged;
-use gridagg_core::hiergossip::HierGossipConfig;
-use gridagg_core::scope::ScopeIndex;
 use gridagg_group::MemberId;
 use gridagg_simnet::loss::{LossModel, UniformLoss};
 
@@ -223,121 +222,5 @@ impl<A: WireAggregate> MemberOutcome<A> {
     /// member never finished).
     pub fn completeness(&self, n: usize) -> f64 {
         self.estimate.as_ref().map_or(0.0, |e| e.completeness(n))
-    }
-}
-
-/// Run a whole group over localhost UDP and collect every member's
-/// outcome, sorted by member id. Sockets are bound to ephemeral ports
-/// up front, so parallel runs (e.g. concurrent tests) never collide.
-/// Blocks until every member has reported (bounded by `max_rounds`
-/// ticks); teardown joins all worker threads before returning.
-///
-/// This is the outcome-only convenience wrapper over
-/// [`run_cluster`], which additionally returns the
-/// [`RuntimeReport`].
-///
-/// # Errors
-///
-/// See [`Cluster::launch`].
-///
-/// # Panics
-///
-/// Panics if `votes.len()` does not match the index population.
-pub fn run_group<A: WireAggregate + Send + 'static>(
-    votes: Vec<f64>,
-    index: Arc<ScopeIndex>,
-    proto_cfg: HierGossipConfig,
-    rt_cfg: RuntimeConfig,
-) -> Result<Vec<MemberOutcome<A>>, RuntimeError> {
-    Ok(run_cluster(votes, index, proto_cfg, rt_cfg)?.outcomes)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gridagg_aggregate::{Aggregate, Average};
-    use gridagg_group::view::View;
-    use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
-
-    fn index(n: usize) -> Arc<ScopeIndex> {
-        let h = Hierarchy::for_group(4, n).expect("shape");
-        ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 9))
-    }
-
-    #[test]
-    fn udp_group_converges_on_loopback() {
-        let n = 24;
-        let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let truth = (n as f64 - 1.0) / 2.0;
-        let outcomes = run_group::<Average>(
-            votes,
-            index(n),
-            HierGossipConfig::default(),
-            RuntimeConfig::default(),
-        )
-        .expect("run");
-        assert_eq!(outcomes.len(), n);
-        let mean_completeness: f64 =
-            outcomes.iter().map(|o| o.completeness(n)).sum::<f64>() / n as f64;
-        assert!(
-            mean_completeness > 0.9,
-            "loopback run incomplete: {mean_completeness}"
-        );
-        // fully complete members computed the exact average
-        for o in &outcomes {
-            if o.completeness(n) == 1.0 {
-                let est = o.estimate.as_ref().unwrap();
-                assert!((est.aggregate().unwrap().summary() - truth).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn udp_group_tolerates_injected_loss() {
-        let n = 24;
-        let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let cfg = RuntimeConfig::default().with_uniform_loss(0.25);
-        let outcomes =
-            run_group::<Average>(votes, index(n), HierGossipConfig::default(), cfg).expect("run");
-        let mean_completeness: f64 =
-            outcomes.iter().map(|o| o.completeness(n)).sum::<f64>() / n as f64;
-        assert!(
-            mean_completeness > 0.7,
-            "lossy loopback run collapsed: {mean_completeness}"
-        );
-    }
-
-    #[test]
-    fn concurrent_groups_do_not_collide() {
-        // ephemeral ports mean two groups can run side by side
-        let run = |seed: u64| {
-            let n = 8;
-            let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            let cfg = RuntimeConfig {
-                seed,
-                sockets: 4,
-                ..Default::default()
-            };
-            run_group::<Average>(votes, index(n), HierGossipConfig::default(), cfg).expect("run")
-        };
-        let (a, b) = std::thread::scope(|s| {
-            let ta = s.spawn(|| run(1));
-            let tb = s.spawn(|| run(2));
-            (ta.join().expect("a"), tb.join().expect("b"))
-        });
-        assert_eq!(a.len(), 8);
-        assert_eq!(b.len(), 8);
-    }
-
-    #[test]
-    fn budget_error_is_descriptive() {
-        let err = RuntimeError::BudgetExceeded {
-            members: 100,
-            sockets: 4,
-            members_per_socket: 8,
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("100 members"), "got: {msg}");
-        assert!(msg.contains("= 32 max"), "got: {msg}");
     }
 }

@@ -4,19 +4,24 @@
 //! the shard of members homed on those sockets. Its loop:
 //!
 //! 1. **drain and deliver** — poll every owned socket non-blocking and
-//!    hand each frame to its member's `on_message` where it lands, once
-//!    it has passed the admission checks ([`FrameIter`] and the codec
-//!    reject garbage as `DecodeError` values, counted not panicked; a
-//!    payload must stay inside the group); the gossip the delivery
-//!    produced is encoded into the coalescer at once;
+//!    hand each frame to its member's protocol [`step`] where it lands,
+//!    once it has passed the admission checks ([`FrameIter`] and the
+//!    codec reject garbage as `DecodeError` values, counted not
+//!    panicked; a payload must stay inside the group); the gossip the
+//!    delivery produced is encoded into the coalescer at once;
 //! 2. **tick** — pop due round deadlines off the [`TimerWheel`] and run
-//!    `on_round` (plus termination, linger, and retry-on-silence
-//!    bookkeeping) for each;
+//!    each member's round [`step`] (plus termination, linger, and
+//!    retry-on-silence bookkeeping);
 //! 3. **flush** — seal the frames coalesced per destination socket into
 //!    datagrams, route them through the [`FaultInjector`], and put them
 //!    on the wire;
 //! 4. **sleep** until the next deadline (bounded by a short poll cap so
 //!    inbound traffic is never stalled a full round).
+//!
+//! The worker runs any [`AggregationProtocol`]: [`step`] is the
+//! simulator's own protocol step, and what differs on sockets is only
+//! its effect target, `Sends` — encode once per fan-out, keep the frame
+//! for retry-on-silence, inject loss, coalesce.
 //!
 //! Everything a member needs lives in its `MemberSlot`; what a worker
 //! reuses across wakeups (receive buffer, outbox, encode buffer,
@@ -35,12 +40,13 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gridagg_aggregate::wire::WireAggregate;
-use gridagg_core::hiergossip::HierGossip;
 use gridagg_core::message::codec;
-use gridagg_core::protocol::{AggregationProtocol, Ctx, Outbox};
+use gridagg_core::protocol::{step, AggregationProtocol, Effects, Outbox};
 use gridagg_core::Payload;
 use gridagg_group::MemberId;
+use gridagg_simnet::network::Envelope;
 use gridagg_simnet::rng::DetRng;
+use gridagg_simnet::Round;
 
 use crate::endpoint::{frame_len, push_frame, FaultInjector, Frame, FrameIter};
 use crate::timer::TimerWheel;
@@ -118,9 +124,9 @@ impl WorkerStats {
 }
 
 /// Everything one member needs inside its worker's shard.
-struct MemberSlot<A> {
+struct MemberSlot<P> {
     id: MemberId,
-    proto: HierGossip<A>,
+    proto: P,
     rng: DetRng,
     /// Completed wall-clock rounds.
     round: u64,
@@ -129,26 +135,79 @@ struct MemberSlot<A> {
     reported: bool,
     linger_left: u64,
     retired: bool,
-    /// Encoded frames of the most recent non-empty flush, kept for
-    /// retry-on-silence. `(dst, payload bytes)`, entries reused.
-    last_frames: Vec<(u32, Vec<u8>)>,
-    last_frames_len: usize,
+    retry: RetryCache,
+}
+
+/// Encoded frames of a member's most recent step that sent anything,
+/// kept for retry-on-silence: `(dst, payload bytes)`, entries reused.
+#[derive(Default)]
+struct RetryCache {
+    frames: Vec<(u32, Vec<u8>)>,
+    len: usize,
+}
+
+/// The socket side of one member's [`step`]: the send path. Every
+/// protocol message is encoded (once per fan-out), kept for
+/// retry-on-silence, loss-filtered and coalesced here.
+struct Sends<'a> {
+    retry: &'a mut RetryCache,
+    /// Nothing sent yet in this step: the next send restarts `retry`.
+    fresh: bool,
+    /// Codec bytes of the payload being sent, shared by the copies of
+    /// one fan-out.
+    encoded: &'a mut Vec<u8>,
+    faults: &'a mut FaultInjector,
+    coalesce: &'a mut Coalescer,
+    stats: &'a mut WorkerStats,
+}
+
+impl<A: WireAggregate> Effects<A> for Sends<'_> {
+    fn send(&mut self, round: Round, from: MemberId, to: MemberId, msg: Payload<A>, shared: bool) {
+        // a fan-out is encoded once, for its first destination
+        if !shared {
+            self.encoded.clear();
+            codec::encode(&msg, self.encoded);
+        }
+        // Remember the frame for retry-on-silence before loss
+        // injection: a retry resends what the protocol *tried* to send,
+        // whether or not the channel ate it.
+        let cache = &mut *self.retry;
+        if std::mem::take(&mut self.fresh) {
+            cache.len = 0;
+        }
+        if cache.len < RETRY_FRAME_CAP {
+            if cache.frames.len() == cache.len {
+                // one-time growth, bounded by RETRY_FRAME_CAP
+                cache.frames.push((to.0, Vec::new()));
+            }
+            let (dst, bytes) = &mut cache.frames[cache.len];
+            *dst = to.0;
+            bytes.clear();
+            bytes.extend_from_slice(self.encoded);
+            cache.len += 1;
+        }
+        if self.faults.drop_frame(from, to, round) {
+            self.stats.injected_drops += 1;
+            return;
+        }
+        self.coalesce
+            .enqueue_frame(to.0, from.0, self.encoded, self.stats);
+    }
 }
 
 /// One shard-owning worker thread of a [`Cluster`](crate::cluster::Cluster).
-pub(crate) struct Worker<A> {
+pub(crate) struct Worker<A, P> {
     /// Owned sockets, each tagged with its pool index.
     pub(crate) sockets: Vec<(usize, UdpSocket)>,
     pub(crate) addrs: Arc<Vec<SocketAddr>>,
     pub(crate) n_members: u32,
-    pub(crate) n_sockets: usize,
     pub(crate) cfg: RuntimeConfig,
     pub(crate) epoch: Instant,
     pub(crate) done: mpsc::Sender<MemberOutcome<A>>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) faults: FaultInjector,
 
-    slots: Vec<MemberSlot<A>>,
+    slots: Vec<MemberSlot<P>>,
     /// Global member id -> local slot index (`u32::MAX` = not ours).
     local_of: Vec<u32>,
     wheel: TimerWheel,
@@ -157,8 +216,7 @@ pub(crate) struct Worker<A> {
 
     // Reused scratch:
     outbox: Outbox<A>,
-    /// Codec bytes of the payload being flushed, shared by the copies
-    /// of one fan-out.
+    /// [`Sends::encoded`].
     encoded: Vec<u8>,
     due: Vec<u32>,
     coalesce: Coalescer,
@@ -225,18 +283,16 @@ fn admissible<A: WireAggregate>(payload: &Payload<A>, n: u32) -> bool {
     }
 }
 
-impl<A: WireAggregate> Worker<A> {
-    /// Assemble a worker over its sockets and the members homed there.
-    /// `members` is the full per-member constructor output; the worker
-    /// adopts the subset whose home socket it owns.
+impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
+    /// Assemble a worker over its sockets and the members homed there,
+    /// each with its protocol instance.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         worker_id: usize,
         sockets: Vec<(usize, UdpSocket)>,
         addrs: Arc<Vec<SocketAddr>>,
-        members: Vec<(MemberId, HierGossip<A>)>,
+        members: Vec<(MemberId, P)>,
         n_members: u32,
-        n_sockets: usize,
         cfg: RuntimeConfig,
         epoch: Instant,
         root_rng: &DetRng,
@@ -256,8 +312,7 @@ impl<A: WireAggregate> Worker<A> {
                 reported: false,
                 linger_left: cfg.linger_rounds,
                 retired: false,
-                last_frames: Vec::new(),
-                last_frames_len: 0,
+                retry: RetryCache::default(),
             });
         }
         let interval = cfg.round_interval.max(Duration::from_micros(200));
@@ -270,8 +325,8 @@ impl<A: WireAggregate> Worker<A> {
         let live = slots.len();
         let coalesce = Coalescer {
             max_datagram: cfg.max_datagram,
-            bufs: (0..n_sockets).map(|_| Vec::new()).collect(),
-            frames: vec![0; n_sockets],
+            bufs: (0..addrs.len()).map(|_| Vec::new()).collect(),
+            frames: vec![0; addrs.len()],
             ready: Vec::new(),
             spare: Vec::new(),
         };
@@ -284,7 +339,6 @@ impl<A: WireAggregate> Worker<A> {
             sockets,
             addrs,
             n_members,
-            n_sockets,
             cfg,
             epoch,
             done,
@@ -349,10 +403,9 @@ impl<A: WireAggregate> Worker<A> {
         self.recv_buf = buf;
     }
 
-    /// Admit one received frame and run its member's `on_message`, then
-    /// encode whatever the delivery sent into the coalescer. Called
-    /// from inside [`Worker::flush_ready`]'s send loop too: the replies
-    /// wait in the coalescer for the next flush.
+    /// Admit one received frame and step its member with it. Called from
+    /// inside [`Worker::flush_ready`]'s send loop too: the replies wait
+    /// in the coalescer for the next flush.
     fn deliver(&mut self, frame: Frame<'_>) {
         let local = self.local_of[frame.dst as usize];
         if local == u32::MAX {
@@ -372,10 +425,15 @@ impl<A: WireAggregate> Worker<A> {
             return;
         }
         slot.last_rx_round = slot.round;
-        let mut ctx = Ctx::new(slot.round, &mut slot.rng);
-        slot.proto
-            .on_message(MemberId(frame.src), payload, &mut ctx, &mut self.outbox);
-        self.flush_outbox(local, false);
+        // `step` reads only `from` and `payload`; the frame carries no
+        // send round, so `sent_at` is a placeholder (the receive round).
+        let env = Envelope {
+            from: MemberId(frame.src),
+            to: slot.id,
+            sent_at: slot.round,
+            payload,
+        };
+        self.step_member(local, Some(env), false);
     }
 
     /// Pop due round deadlines and advance each member's round state.
@@ -393,8 +451,6 @@ impl<A: WireAggregate> Worker<A> {
             }
             if !slot.reported {
                 if !slot.proto.is_done() && slot.round < self.cfg.max_rounds {
-                    let mut ctx = Ctx::new(slot.round, &mut slot.rng);
-                    slot.proto.on_round(&mut ctx, &mut self.outbox);
                     // Retry-on-silence backs off exponentially: resend
                     // after r, 2r, 4r, ... silent rounds, not every
                     // round — a congested cluster must not answer
@@ -405,7 +461,7 @@ impl<A: WireAggregate> Worker<A> {
                         && silent_rounds >= r
                         && silent_rounds.is_multiple_of(r)
                         && (silent_rounds / r).is_power_of_two();
-                    self.flush_outbox(local, silent);
+                    self.step_member(local, None, silent);
                 }
                 let slot = &mut self.slots[local as usize];
                 slot.round += 1;
@@ -435,52 +491,36 @@ impl<A: WireAggregate> Worker<A> {
         }
     }
 
-    /// Encode and coalesce one member's queued gossip; on `retry`,
-    /// additionally resend the frames of its last non-empty flush.
-    // The send path: every protocol message is encoded,
-    // loss-filtered, and coalesced here.
-    fn flush_outbox(&mut self, local: u32, retry: bool) {
-        let slot = &mut self.slots[local as usize];
-        if !self.outbox.is_empty() {
-            slot.last_frames_len = 0;
-        }
-        let bytes = &mut self.encoded;
-        for (to, payload, shared) in self.outbox.drain_shared() {
-            // a fan-out is encoded once, for its first destination
-            if !shared {
-                bytes.clear();
-                codec::encode(&payload, bytes);
-            }
-            // Remember the frame for retry-on-silence before loss
-            // injection: a retry resends what the protocol *tried* to
-            // send, whether or not the channel ate it.
-            if slot.last_frames_len < RETRY_FRAME_CAP {
-                if slot.last_frames.len() == slot.last_frames_len {
-                    // one-time retry-cache growth, bounded by RETRY_FRAME_CAP
-                    slot.last_frames.push((to.0, Vec::new()));
-                }
-                let entry = &mut slot.last_frames[slot.last_frames_len];
-                entry.0 = to.0;
-                entry.1.clear();
-                entry.1.extend_from_slice(bytes);
-                slot.last_frames_len += 1;
-            }
-            if self.faults.drop_frame(slot.id, to, slot.round) {
-                self.stats.injected_drops += 1;
-                continue;
-            }
-            self.coalesce
-                .enqueue_frame(to.0, slot.id.0, bytes, &mut self.stats);
-        }
-        if retry && !slot.proto.is_done() && slot.last_frames_len > 0 {
-            for i in 0..slot.last_frames_len {
-                let (to, ref bytes) = slot.last_frames[i];
-                if self.faults.drop_frame(slot.id, MemberId(to), slot.round) {
+    /// Run one member's protocol [`step`] into its [`Sends`]: deliver
+    /// `msg`, or with `None` run its round. On `retry`, a member still
+    /// running then resends the frames in its retry cache.
+    fn step_member(&mut self, local: u32, msg: Option<Envelope<Payload<A>>>, retry: bool) {
+        let n = self.n_members as usize;
+        let MemberSlot {
+            id,
+            proto,
+            rng,
+            round,
+            retry: cache,
+            ..
+        } = &mut self.slots[local as usize];
+        let mut fx = Sends {
+            retry: &mut *cache,
+            fresh: true,
+            encoded: &mut self.encoded,
+            faults: &mut self.faults,
+            coalesce: &mut self.coalesce,
+            stats: &mut self.stats,
+        };
+        let done = step(proto, rng, *id, *round, n, msg, &mut self.outbox, &mut fx);
+        if retry && !done {
+            for (to, bytes) in &cache.frames[..cache.len] {
+                if self.faults.drop_frame(*id, MemberId(*to), *round) {
                     self.stats.injected_drops += 1;
                     continue;
                 }
                 self.coalesce
-                    .enqueue_frame(to, slot.id.0, bytes, &mut self.stats);
+                    .enqueue_frame(*to, id.0, bytes, &mut self.stats);
                 self.stats.retries += 1;
             }
         }
@@ -490,7 +530,7 @@ impl<A: WireAggregate> Worker<A> {
     /// reorder pocket, and put it on the wire.
     // One call per wakeup; sends the whole coalesced batch.
     fn flush_ready(&mut self) {
-        for sock in 0..self.n_sockets {
+        for sock in 0..self.addrs.len() {
             if !self.coalesce.bufs[sock].is_empty() {
                 self.coalesce.seal(sock, &mut self.stats);
             }
@@ -533,6 +573,8 @@ impl<A: WireAggregate> Worker<A> {
 mod tests {
     use super::*;
     use crate::endpoint::FRAME_HEADER_LEN;
+    use gridagg_aggregate::{Average, Tagged};
+    use gridagg_core::protocol::Ctx;
 
     #[test]
     fn worker_stats_merge_adds_and_maxes() {
@@ -555,53 +597,71 @@ mod tests {
         assert_eq!(a.backpressure_drains, 2);
     }
 
+    /// Queues the same fan-outs every round and never finishes.
+    #[derive(Debug)]
+    struct Script;
+
+    fn batch(k: u32) -> Payload<Average> {
+        Payload::VoteBatch {
+            votes: (0..k).map(|i| (MemberId(i), f64::from(i))).collect(),
+            reply: false,
+        }
+    }
+
+    impl AggregationProtocol<Average> for Script {
+        // fan-outs of different payloads back to back, singles in between
+        fn on_round(&mut self, _: &mut Ctx<'_>, out: &mut Outbox<Average>) {
+            out.send_many([MemberId(1), MemberId(2), MemberId(3)], batch(4));
+            out.send_many([MemberId(4), MemberId(5)], batch(1));
+            out.send(MemberId(6), batch(9));
+            out.send_many([MemberId(7)], batch(2));
+            out.send_many([], batch(3));
+        }
+        fn on_message(
+            &mut self,
+            _: MemberId,
+            _: Payload<Average>,
+            _: &mut Ctx<'_>,
+            _: &mut Outbox<Average>,
+        ) {
+        }
+        fn estimate(&self) -> Option<&Tagged<Average>> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+        fn completed_at(&self) -> Option<Round> {
+            None
+        }
+    }
+
     #[test]
     fn every_flushed_frame_carries_its_own_payloads_bytes() {
-        use gridagg_aggregate::Average;
-        use gridagg_core::hiergossip::HierGossipConfig;
-        use gridagg_core::scope::ScopeIndex;
-        use gridagg_group::view::View;
-        use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
-
         let n = 16;
-        let h = Hierarchy::for_group(4, n).expect("shape");
-        let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 9));
-        let me = MemberId(0);
-        let proto = HierGossip::<Average>::new(me, 1.0, index, HierGossipConfig::default());
         let (done, _outcomes) = mpsc::channel();
-        let mut worker = Worker::new(
+        let mut worker: Worker<Average, Script> = Worker::new(
             0,
             Vec::new(),
-            Arc::new(Vec::new()),
-            vec![(me, proto)],
-            n as u32,
-            1,
+            Arc::new(vec![SocketAddr::from(([127, 0, 0, 1], 9))]),
+            vec![(MemberId(0), Script)],
+            n,
             RuntimeConfig::default(),
             Instant::now(),
             &DetRng::seeded(1),
             done,
             Arc::new(AtomicBool::new(false)),
         );
-        let batch = |k: u32| Payload::<Average>::VoteBatch {
-            votes: (0..k).map(|i| (MemberId(i), f64::from(i))).collect(),
-            reply: false,
-        };
-        // fan-outs of different payloads back to back, singles in between
-        let out = &mut worker.outbox;
-        out.send_many([MemberId(1), MemberId(2), MemberId(3)], batch(4));
-        out.send_many([MemberId(4), MemberId(5)], batch(1));
-        out.send(MemberId(6), batch(9));
-        out.send_many([MemberId(7)], batch(2));
-        out.send_many([], batch(3));
-        worker.flush_outbox(0, false);
-        // then a retry resends the same frames from the member's cache
-        worker.flush_outbox(0, true);
+        worker.step_member(0, None, false);
+        // a silent round sends afresh, then resends the same frames from
+        // the member's cache
+        worker.step_member(0, None, true);
         let sent = [(1, 4), (2, 4), (3, 4), (4, 1), (5, 1), (6, 9), (7, 2)];
-        let frames: Vec<_> = FrameIter::new(&worker.coalesce.bufs[0], n as u32)
+        let frames: Vec<_> = FrameIter::new(&worker.coalesce.bufs[0], n)
             .collect::<Result<_, _>>()
             .expect("well-formed frames");
-        assert_eq!(frames.len(), 2 * sent.len());
-        for (frame, (to, k)) in frames.iter().zip(sent.iter().chain(&sent)) {
+        assert_eq!(frames.len(), 3 * sent.len());
+        for (frame, (to, k)) in frames.iter().zip(sent.iter().cycle()) {
             let mut bytes = Vec::new();
             codec::encode(&batch(*k), &mut bytes);
             assert_eq!((frame.dst, frame.src), (*to, 0));
