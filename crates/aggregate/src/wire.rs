@@ -40,7 +40,8 @@ pub const MAX_AGGREGATE_WIRE_SIZE: usize = 160;
 pub enum WireError {
     /// The buffer ended before the value was complete.
     Truncated,
-    /// A length or discriminant field was invalid.
+    /// A length, count or discriminant field was invalid, or a value
+    /// was NaN or infinite.
     Malformed,
 }
 
@@ -75,11 +76,17 @@ pub trait WireAggregate: Aggregate {
     fn wire_size(&self) -> usize;
 }
 
+/// Every `f64` field of every aggregate: finite, or the encoding is
+/// malformed. No honest vote or fold is NaN or infinite. The check is
+/// per field: two finite values near `f64::MAX` still merge to ±∞,
+/// which is a sender lying within range and not a decode error.
 fn get_f64<B: Buf>(buf: &mut B) -> Result<f64, WireError> {
     if buf.remaining() < 8 {
         return Err(WireError::Truncated);
     }
-    Ok(buf.get_f64())
+    Some(buf.get_f64())
+        .filter(|v| v.is_finite())
+        .ok_or(WireError::Malformed)
 }
 
 fn get_u64<B: Buf>(buf: &mut B) -> Result<u64, WireError> {
@@ -87,6 +94,15 @@ fn get_u64<B: Buf>(buf: &mut B) -> Result<u64, WireError> {
         return Err(WireError::Truncated);
     }
     Ok(buf.get_u64())
+}
+
+/// A count of votes, at least `min`, and no more than the widest group
+/// (a vote per `u32` member id) holds: adding decoded counts can never
+/// overflow.
+fn get_count<B: Buf>(buf: &mut B, min: u64) -> Result<u64, WireError> {
+    let count = get_u64(buf)?;
+    let in_range = (min..=u64::from(u32::MAX)).contains(&count);
+    in_range.then_some(count).ok_or(WireError::Malformed)
 }
 
 impl WireAggregate for Average {
@@ -97,11 +113,7 @@ impl WireAggregate for Average {
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
         let sum = get_f64(buf)?;
-        let count = get_u64(buf)?;
-        if count == 0 {
-            return Err(WireError::Malformed);
-        }
-        Ok(Average::from_parts(sum, count))
+        Ok(Average::from_parts(sum, get_count(buf, 1)?))
     }
 
     fn wire_size(&self) -> usize {
@@ -159,11 +171,7 @@ impl WireAggregate for Count {
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        let n = get_u64(buf)?;
-        if n == 0 {
-            return Err(WireError::Malformed);
-        }
-        Ok(Count::from_parts(n))
+        Ok(Count::from_parts(get_count(buf, 1)?))
     }
 
     fn wire_size(&self) -> usize {
@@ -181,7 +189,7 @@ impl WireAggregate for Histogram16 {
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
         let mut counts = [0u64; HISTOGRAM_BUCKETS];
         for c in &mut counts {
-            *c = get_u64(buf)?;
+            *c = get_count(buf, 0)?;
         }
         if counts.iter().all(|&c| c == 0) {
             return Err(WireError::Malformed);
@@ -238,10 +246,10 @@ impl WireAggregate for MeanVar {
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        let count = get_u64(buf)?;
+        let count = get_count(buf, 1)?;
         let mean = get_f64(buf)?;
         let m2 = get_f64(buf)?;
-        if count == 0 || m2 < 0.0 || !m2.is_finite() {
+        if m2 < 0.0 {
             return Err(WireError::Malformed);
         }
         Ok(MeanVar::from_parts(count, mean, m2))
@@ -376,18 +384,36 @@ mod tests {
 
     #[test]
     fn malformed_input_errors() {
-        // zero-count average
-        let mut buf = BytesMut::new();
-        buf.put_f64(1.0);
-        buf.put_u64(0);
-        assert_eq!(
-            Average::decode(&mut buf.freeze()),
-            Err(WireError::Malformed)
-        );
+        // an average of no vote, or of more than the widest group holds
+        for count in [0, u64::from(u32::MAX) + 1] {
+            let mut buf = Vec::new();
+            buf.put_f64(1.0);
+            buf.put_u64(count);
+            let got = Average::decode(&mut buf.as_slice()).err();
+            assert_eq!(got, Some(WireError::Malformed), "count {count}");
+        }
         // topk with oversized length
         let mut buf = BytesMut::new();
         buf.put_u8(200);
         assert_eq!(TopK::decode(&mut buf.freeze()), Err(WireError::Malformed));
+        // a NaN or an infinity in any `f64` field, at its byte offset
+        fn rejects<A: WireAggregate>(honest: &A, at: usize) {
+            let mut buf = Vec::new();
+            honest.encode(&mut buf);
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                buf[at..at + 8].copy_from_slice(&bad.to_be_bytes());
+                let got = A::decode(&mut buf.as_slice()).err();
+                assert_eq!(got, Some(WireError::Malformed), "{bad} at byte {at}");
+            }
+        }
+        let (top, mv): (TopK, MeanVar) = (fold(&VOTES), fold(&VOTES));
+        rejects(&fold::<Average>(&VOTES), 0); // the sum
+        rejects(&fold::<Sum>(&VOTES), 0);
+        rejects(&fold::<Min>(&VOTES), 0);
+        rejects(&fold::<Max>(&VOTES), 0);
+        (0..top.items().len()).for_each(|item| rejects(&top, 1 + 8 * item));
+        rejects(&mv, 8); // the mean
+        rejects(&mv, 16); // m2
     }
 
     #[test]

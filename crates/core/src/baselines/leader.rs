@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use gridagg_aggregate::{Aggregate, Tagged};
 use gridagg_group::MemberId;
-use gridagg_hierarchy::{Addr, AddrInterner, AddrSlab};
+use gridagg_hierarchy::{Addr, AddrInterner};
 use gridagg_simnet::rng::splitmix64;
 use gridagg_simnet::Round;
 
@@ -141,10 +141,12 @@ pub struct LeaderElection<A> {
     /// votes gathered as a box-committee member
     votes: Vec<(MemberId, f64)>,
     have_vote: BTreeSet<u32>,
-    /// child-subtree aggregates gathered as a committee member, in a
-    /// dense chain-local slab (every key is a prefix of `my_box` or a
-    /// child of one — O(1) slot lookups, address-ordered iteration)
-    aggs: AddrSlab<Tagged<A>>,
+    /// Child-subtree aggregates gathered as a committee member, and the
+    /// compositions `compose_own` caches: one slot per address of this
+    /// member's chain, the only addresses it ever stores. The root is
+    /// slot 0, and child `d` of the prefix of `my_box` of length `l` is
+    /// slot `1 + l·K + d`: `depth·K + 1` slots in `Addr` order.
+    aggs: Vec<Option<Tagged<A>>>,
     /// `Arc`-shared: the final result fans out along the tree, so every
     /// forwarded `Final` is a reference-count bump, not a deep clone.
     result: Option<Arc<Tagged<A>>>,
@@ -174,7 +176,7 @@ impl<A: Aggregate> LeaderElection<A> {
             my_box,
             votes: vec![(me, vote)],
             have_vote,
-            aggs: AddrSlab::new(my_box),
+            aggs: vec![None; my_box.len() * usize::from(my_box.base()) + 1],
             result: None,
             done_at: None,
             estimate: None,
@@ -194,11 +196,26 @@ impl<A: Aggregate> LeaderElection<A> {
         ((self.phases() + self.depth() + 1) as u32 * self.cfg.phase_len) as Round
     }
 
+    /// The slot of `addr` in `aggs`, or `None` when it is not on this
+    /// member's chain: another base, or a child of a prefix that is not
+    /// a proper ancestor of `my_box`.
+    fn slot(&self, addr: &Addr) -> Option<usize> {
+        let Some((parent, digit)) = addr.split_last() else {
+            return (addr.base() == self.my_box.base()).then_some(0);
+        };
+        let k = usize::from(self.my_box.base());
+        parent
+            .is_proper_prefix_of(&self.my_box)
+            .then(|| 1 + parent.len() * k + usize::from(digit))
+    }
+
     /// Compose (and cache) my aggregate for the prefix of length `len`
     /// in my own address chain.
     fn compose_own(&mut self, len: usize) -> Tagged<A> {
-        let prefix = self.my_box.prefix(len);
-        if let Some(a) = self.aggs.get(&prefix) {
+        let slot = self
+            .slot(&self.my_box.prefix(len))
+            .expect("a prefix of my box is on my chain");
+        if let Some(a) = &self.aggs[slot] {
             return a.clone();
         }
         #[expect(
@@ -213,13 +230,14 @@ impl<A: Aggregate> LeaderElection<A> {
                 composed.try_add_vote(m.index(), v).expect("unique votes");
             }
         } else {
-            for child in prefix.children() {
-                if let Some(a) = self.aggs.get(&child) {
-                    composed.try_merge(a).expect("disjoint children");
-                }
+            // the prefix's `K` children: the row after the slots of the
+            // shorter prefixes
+            let k = usize::from(self.my_box.base());
+            for a in self.aggs[1 + len * k..][..k].iter().flatten() {
+                composed.try_merge(a).expect("disjoint children");
             }
         }
-        self.aggs.insert(prefix, composed.clone());
+        self.aggs[slot] = Some(composed.clone());
         composed
     }
 }
@@ -366,10 +384,10 @@ impl<A: Aggregate> AggregationProtocol<A> for LeaderElection<A> {
                     false
                 }
             }
-            Payload::Agg { subtree, agg } => {
-                // a child of one of my ancestors — exactly the slab's
-                // slot condition, minus the never-gossiped root
-                if !subtree.is_empty() && self.aggs.slot(&subtree).is_some() {
+            Payload::Agg { subtree, agg } => match self.slot(&subtree) {
+                // a child of one of my ancestors (the root is never
+                // gossiped)
+                Some(slot) if !subtree.is_empty() => {
                     // Addr consistency: an adopted child aggregate must
                     // only cover that child's members (see DESIGN.md §11).
                     // (Counted sets carry no identity to check.)
@@ -386,16 +404,14 @@ impl<A: Aggregate> AggregationProtocol<A> for LeaderElection<A> {
                     }
                     // clone out of the shared payload only on first
                     // reception of this subtree
-                    if self.aggs.contains_key(&subtree) {
-                        false
-                    } else {
-                        self.aggs.insert(subtree, (*agg).clone());
-                        true
+                    let first = self.aggs[slot].is_none();
+                    if first {
+                        self.aggs[slot] = Some((*agg).clone());
                     }
-                } else {
-                    false
+                    first
                 }
-            }
+                _ => false,
+            },
             Payload::Final { agg } => {
                 let had = self.result.is_some();
                 self.result.get_or_insert(agg);
@@ -414,7 +430,8 @@ impl<A: Aggregate> AggregationProtocol<A> for LeaderElection<A> {
             let votes = match &self.result {
                 Some(agg) => agg.vote_count() as u64,
                 None => {
-                    let from_aggs: u64 = self.aggs.values().map(|a| a.vote_count() as u64).sum();
+                    let aggs = self.aggs.iter().flatten();
+                    let from_aggs: u64 = aggs.map(|a| a.vote_count() as u64).sum();
                     from_aggs.max(self.votes.len() as u64)
                 }
             };

@@ -264,6 +264,10 @@ mod tests {
 /// [`Payload::wire_size`] by a constant of the message's shape — 9 B
 /// per carried `Tagged` (presence flag + count), 8 B for `Flow`, 1 B
 /// for a batch's reply flag — never by anything that grows with `N`.
+///
+/// [`decode_for`](codec::decode_for) is the one place a payload is
+/// checked against the group, so every payload it returns is in range
+/// by construction, and what is left to a protocol is relevance.
 pub mod codec {
     // Decoding input from outside the program never panics, and no
     // `Payload` variant reaches a `_ =>` arm.
@@ -282,6 +286,7 @@ pub mod codec {
 
     use bytes::{Buf, BufMut};
     use gridagg_aggregate::wire::{decode_tagged, encode_tagged, WireAggregate, WireError};
+    use gridagg_aggregate::Tagged;
     use gridagg_group::MemberId;
     use gridagg_hierarchy::Addr;
 
@@ -309,7 +314,8 @@ pub mod codec {
         },
         /// The named variant's bytes decoded but violated an invariant
         /// (bad address digits, zero-count average, inconsistent
-        /// contributor set, …).
+        /// contributor set, a non-finite value, …) or left the group (a
+        /// vote owner or a contributor count past its size).
         Malformed {
             /// Variant under decode.
             variant: &'static str,
@@ -379,6 +385,22 @@ pub mod codec {
         Ok(addr)
     }
 
+    /// A carried aggregate that claims at most the group's `n`
+    /// contributors: a larger count can only be forged, and would
+    /// displace the real subtree aggregate under "whichever covers more
+    /// votes".
+    fn get_tagged<A: WireAggregate, B: Buf>(
+        n: u32,
+        buf: &mut B,
+        variant: &'static str,
+    ) -> Result<Tagged<A>, DecodeError> {
+        let agg = decode_tagged(buf).map_err(DecodeError::from_wire(variant))?;
+        let in_group = agg.vote_count() <= n as usize;
+        in_group
+            .then_some(agg)
+            .ok_or(DecodeError::Malformed { variant })
+    }
+
     /// Serialize a payload.
     pub fn encode<A: WireAggregate, B: BufMut>(payload: &Payload<A>, buf: &mut B) {
         match payload {
@@ -439,13 +461,33 @@ pub mod codec {
         }
     }
 
-    /// Deserialize a payload written by [`encode`].
+    /// Deserialize a payload written by [`encode`], with no group in
+    /// mind: [`decode_for`] at the widest group a [`MemberId`] can name.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_for`].
+    pub fn decode<A: WireAggregate, B: Buf>(buf: &mut B) -> Result<Payload<A>, DecodeError> {
+        decode_for(u32::MAX, buf)
+    }
+
+    /// Deserialize a payload written by [`encode`] and admit it to a
+    /// group of `n` members. Every vote it returns is owned by a member
+    /// id below `n`, no contributor set claims more than `n` members,
+    /// and every value is finite.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError`] on truncated or malformed input, naming
-    /// the payload variant that failed.
-    pub fn decode<A: WireAggregate, B: Buf>(buf: &mut B) -> Result<Payload<A>, DecodeError> {
+    /// the payload variant that failed. A payload outside the group is
+    /// [`DecodeError::Malformed`].
+    pub fn decode_for<A: WireAggregate, B: Buf>(
+        n: u32,
+        buf: &mut B,
+    ) -> Result<Payload<A>, DecodeError> {
+        // a vote of a member id ≥ `n` would index past the member tables
+        let in_group = |(member, value): (MemberId, f64)| member.0 < n && value.is_finite();
+        let malformed = |variant| DecodeError::Malformed { variant };
         if buf.remaining() < 1 {
             return Err(DecodeError::Truncated { variant: "tag" });
         }
@@ -454,17 +496,16 @@ pub mod codec {
                 if buf.remaining() < 12 {
                     return Err(DecodeError::Truncated { variant: "vote" });
                 }
-                Ok(Payload::Vote {
-                    member: MemberId(buf.get_u32()),
-                    value: buf.get_f64(),
-                })
+                let (member, value) = (MemberId(buf.get_u32()), buf.get_f64());
+                let vote = in_group((member, value)).then_some(Payload::Vote { member, value });
+                vote.ok_or(malformed("vote"))
             }
             TAG_AGG => Ok(Payload::Agg {
                 subtree: get_addr(buf).map_err(DecodeError::from_wire("agg"))?,
-                agg: Arc::new(decode_tagged(buf).map_err(DecodeError::from_wire("agg"))?),
+                agg: Arc::new(get_tagged(n, buf, "agg")?),
             }),
             TAG_FINAL => Ok(Payload::Final {
-                agg: Arc::new(decode_tagged(buf).map_err(DecodeError::from_wire("final"))?),
+                agg: Arc::new(get_tagged(n, buf, "final")?),
             }),
             TAG_VOTE_BATCH => {
                 let truncated = DecodeError::Truncated {
@@ -481,9 +522,17 @@ pub mod codec {
                     return Err(truncated);
                 }
                 // an exact-length iterator: the list is one allocation
+                let mut in_range = true;
                 let votes = (0..count)
-                    .map(|_| (MemberId(buf.get_u32()), buf.get_f64()))
+                    .map(|_| {
+                        let vote = (MemberId(buf.get_u32()), buf.get_f64());
+                        in_range &= in_group(vote);
+                        vote
+                    })
                     .collect();
+                if !in_range {
+                    return Err(malformed("vote-batch"));
+                }
                 Ok(Payload::VoteBatch { votes, reply })
             }
             TAG_AGG_BATCH => {
@@ -499,14 +548,12 @@ pub mod codec {
                 // `count` says). They must be distinct children of one
                 // parent; an empty batch names no parent and is never
                 // sent (a member always knows its own child).
-                let malformed = DecodeError::Malformed {
-                    variant: "agg-batch",
-                };
+                let malformed = malformed("agg-batch");
                 let mut row: Option<(Addr, Arc<[ChildSlot<A>]>)> = None;
                 let (mut known, mut wire) = (0u8, 0);
                 for _ in 0..count {
                     let addr = get_addr(buf).map_err(DecodeError::from_wire("agg-batch"))?;
-                    let agg = decode_tagged(buf).map_err(DecodeError::from_wire("agg-batch"))?;
+                    let agg = get_tagged(n, buf, "agg-batch")?;
                     let (parent, digit) = addr.split_last().ok_or(malformed)?;
                     let (of, slots) = row
                         .get_or_insert_with(|| (parent, (0..addr.base()).map(|_| None).collect()));
@@ -536,7 +583,11 @@ pub mod codec {
                 let flow = buf.get_f64();
                 let estimate = buf.get_f64();
                 let count = usize::try_from(buf.get_u64())
-                    .map_err(|_| DecodeError::Malformed { variant: "flow" })?;
+                    .ok()
+                    .filter(|&count| {
+                        count <= n as usize && flow.is_finite() && estimate.is_finite()
+                    })
+                    .ok_or(malformed("flow"))?;
                 Ok(Payload::Flow {
                     flow,
                     estimate,
@@ -553,19 +604,6 @@ pub mod codec {
         use super::*;
         use gridagg_aggregate::{Average, Tagged};
 
-        /// `sent` must decode as `expect`: the same values, every
-        /// contributor set reduced to its count.
-        fn crosses_as(sent: Payload<Average>, expect: Payload<Average>) {
-            let mut buf = Vec::new();
-            encode(&sent, &mut buf);
-            let back: Payload<Average> = decode(&mut buf.as_slice()).expect("decode");
-            assert_eq!(back, expect);
-        }
-
-        fn roundtrip(p: Payload<Average>) {
-            crosses_as(p.clone(), p);
-        }
-
         /// The base-4 row of `parent` holding `agg` at each of `digits`.
         fn batch(parent: Addr, digits: &[u8], agg: &Arc<Tagged<Average>>) -> Payload<Average> {
             let slots = (0..4)
@@ -574,47 +612,115 @@ pub mod codec {
             Payload::agg_batch(parent, slots, false)
         }
 
+        /// A payload of every variant, its contributor sets exact, and
+        /// what a receiver decodes from it: the same values, every set
+        /// reduced to its count.
+        fn exact_and_counted() -> Vec<(Payload<Average>, Payload<Average>)> {
+            use gridagg_aggregate::VoteSet;
+            let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
+            let mut exact = Tagged::<Average>::from_vote(5, 2.5, 64);
+            exact.try_merge(&Tagged::from_vote(9, 7.5, 64)).unwrap();
+            let counted = Tagged::from_parts(exact.aggregate().cloned(), VoteSet::counted(2));
+            let carrying = |agg: Tagged<Average>, influenced: VoteSet| {
+                let (agg, influenced) = (Arc::new(agg), Arc::new(influenced));
+                let (flow, estimate, reply) = (-3.25, 41.5, true);
+                [
+                    Payload::Agg {
+                        subtree,
+                        agg: agg.clone(),
+                    },
+                    Payload::Final { agg: agg.clone() },
+                    batch(subtree, &[0, 2], &agg),
+                    Payload::Flow {
+                        flow,
+                        estimate,
+                        reply,
+                        influenced,
+                    },
+                ]
+            };
+            let sent = carrying(exact, [2usize, 9, 63].into_iter().collect());
+            let got = carrying(counted.unwrap(), VoteSet::counted(3));
+            let votes = |votes: &[(MemberId, f64)], reply| Payload::VoteBatch {
+                votes: votes.into(),
+                reply,
+            };
+            let (member, value) = (MemberId(7), -1.25);
+            let plain = [
+                Payload::Vote { member, value },
+                votes(&[(MemberId(1), 1.0), (MemberId(2), 2.0)], true),
+                votes(&[], false),
+            ];
+            let plain = plain.into_iter().map(|p| (p.clone(), p));
+            plain.chain(sent.into_iter().zip(got)).collect()
+        }
+
         #[test]
         fn all_variants_roundtrip() {
-            use gridagg_aggregate::VoteSet;
-            let addr = Addr::from_digits(4, &[2, 1]).unwrap();
-            let mut tagged = Tagged::<Average>::from_vote(5, 2.5, 64);
-            tagged.try_merge(&Tagged::from_vote(9, 7.5, 64)).unwrap();
-            // what a receiver gets: value and count, no identity
-            let counted =
-                Tagged::from_parts(tagged.aggregate().cloned(), VoteSet::counted(2)).unwrap();
-            let (tagged, counted) = (Arc::new(tagged), Arc::new(counted));
-            roundtrip(Payload::Vote {
-                member: MemberId(7),
-                value: -1.25,
-            });
-            roundtrip(Payload::VoteBatch {
-                votes: [(MemberId(1), 1.0), (MemberId(2), 2.0)].into(),
-                reply: true,
-            });
-            type Shape = fn(Addr, Arc<Tagged<Average>>) -> Payload<Average>;
-            let carrying: [Shape; 3] = [
-                |subtree, agg| Payload::Agg { subtree, agg },
-                |_, agg| Payload::Final { agg },
-                |subtree, agg| {
-                    let (parent, digit) = subtree.split_last().unwrap();
-                    batch(parent, &[digit], &agg)
-                },
-            ];
-            for shape in carrying {
-                crosses_as(shape(addr, tagged.clone()), shape(addr, counted.clone()));
+            for (sent, expect) in exact_and_counted() {
+                let mut buf = Vec::new();
+                encode(&sent, &mut buf);
+                assert_eq!(decode(&mut buf.as_slice()), Ok(expect), "{sent:?}");
             }
-            for (flow, estimate, reply) in [(-3.25, 41.5, false), (7.5, -0.25, true)] {
-                let with = |influenced: VoteSet| Payload::Flow {
-                    flow,
-                    estimate,
-                    reply,
-                    influenced: Arc::new(influenced),
-                };
-                crosses_as(
-                    with([2usize, 9, 63].into_iter().collect()),
-                    with(VoteSet::counted(3)),
-                );
+        }
+
+        #[test]
+        fn an_empty_vote_batch_roundtrips_and_an_empty_agg_batch_is_malformed() {
+            // the empty vote batch is one of `exact_and_counted`'s; an
+            // empty row names no parent: a member always knows its own
+            // child, so nobody sends this
+            let none = (0..4).map(|_| None).collect();
+            let empty: Payload<Average> = Payload::agg_batch(Addr::root(4).unwrap(), none, true);
+            let mut buf = Vec::new();
+            encode(&empty, &mut buf);
+            assert_eq!(buf, [TAG_AGG_BATCH, 1, 0, 0]);
+            let malformed = DecodeError::Malformed {
+                variant: "agg-batch",
+            };
+            assert_eq!(decode::<Average, _>(&mut buf.as_slice()), Err(malformed));
+        }
+
+        #[test]
+        fn junk_is_rejected_not_panicking() {
+            for len in 0..32 {
+                let junk = vec![0xFFu8; len];
+                let r: Result<Payload<Average>, _> = decode(&mut junk.as_slice());
+                assert!(r.is_err());
+            }
+        }
+
+        /// Fuzz-ish robustness: every variant's encoding, fed back
+        /// truncated at every length, with DetRng-driven byte corruption
+        /// and with random tails after a valid prefix, comes back as `Ok`
+        /// or a `DecodeError` — never a panic.
+        #[test]
+        fn corrupted_bytes_never_panic_any_variant() {
+            use gridagg_simnet::rng::DetRng;
+            let decode = |mut bytes: &[u8]| decode::<Average, _>(&mut bytes);
+            let mut rng = DetRng::seeded(0xC0DEC);
+            for (payload, _) in exact_and_counted() {
+                let mut buf = Vec::new();
+                encode(&payload, &mut buf);
+                for cut in 0..buf.len() {
+                    let r = decode(&buf[..cut]);
+                    assert!(r.is_err(), "truncated-at-{cut} {payload:?} decoded");
+                }
+                // 1–3 flips: `Ok` (a don't-care bit, or another valid
+                // payload) and `Err` are both fine
+                for _ in 0..500 {
+                    let mut corrupted = buf.clone();
+                    for _ in 0..=rng.below(2) {
+                        let i = rng.below(corrupted.len());
+                        corrupted[i] ^= (rng.below(255) + 1) as u8;
+                    }
+                    let _ = decode(&corrupted);
+                }
+                for _ in 0..100 {
+                    let mut extended = buf.clone();
+                    extended.truncate(rng.below(buf.len()));
+                    extended.extend((0..rng.below(16)).map(|_| rng.below(256) as u8));
+                    let _ = decode(&extended);
+                }
             }
         }
 
@@ -694,75 +800,76 @@ pub mod codec {
             assert_eq!(lens[1], lens[2], "frames grew between N = 4096 and 65536");
         }
 
+        /// `decode_for`'s boundaries, in every variant that carries the
+        /// field: owner `n − 1` is admitted and `n` is not, count `n` is
+        /// admitted and `n + 1` is not, and no `f64` may be NaN or ±∞.
         #[test]
-        fn junk_is_rejected_not_panicking() {
-            for len in 0..32 {
-                let junk = vec![0xFFu8; len];
-                let r: Result<Payload<Average>, _> = decode(&mut junk.as_slice());
-                assert!(r.is_err());
+        fn decode_for_admits_exactly_the_group() {
+            use gridagg_aggregate::{Aggregate, VoteSet};
+            let (n, ok, reply) = (16u32, 0.5, false);
+            let group = n as usize;
+            // every variant, in the order vote, vote batch, then the
+            // four that carry a count; `value` is each one's first `f64`
+            let all = |member: MemberId, count: usize, value: f64, estimate: f64| {
+                let agg = Some(Average::from_vote(value));
+                let agg = Arc::new(Tagged::from_parts(agg, VoteSet::counted(count)).unwrap());
+                let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
+                let row = batch(subtree, &[0, 3], &agg);
+                let fin = Payload::Final { agg: agg.clone() };
+                let votes = [(MemberId(0), ok), (member, value)].into();
+                let influenced = Arc::new(VoteSet::counted(count));
+                let flow = value;
+                let flow = Payload::Flow {
+                    flow,
+                    estimate,
+                    reply,
+                    influenced,
+                };
+                [
+                    (Payload::Vote { member, value }, "vote"),
+                    (Payload::VoteBatch { votes, reply }, "vote-batch"),
+                    (Payload::Agg { subtree, agg }, "agg"),
+                    (fin, "final"),
+                    (row, "agg-batch"),
+                    (flow, "flow"),
+                ]
+            };
+            let admits = |(p, variant): (Payload<Average>, &'static str), admitted: bool| {
+                let mut buf = Vec::new();
+                encode(&p, &mut buf);
+                let got = decode_for::<Average, _>(n, &mut buf.as_slice()).map(drop);
+                let malformed = DecodeError::Malformed { variant };
+                assert_eq!(got, admitted.then_some(()).ok_or(malformed), "{p:?}");
+            };
+            for (owner, admitted) in [(n - 1, true), (n, false), (u32::MAX, false)] {
+                for case in all(MemberId(owner), group, ok, ok).into_iter().take(2) {
+                    admits(case, admitted);
+                }
+            }
+            for (count, admitted) in [(group, true), (group + 1, false), (usize::MAX, false)] {
+                for case in all(MemberId(0), count, ok, ok).into_iter().skip(2) {
+                    admits(case, admitted);
+                }
+            }
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for case in all(MemberId(0), group, bad, ok) {
+                    admits(case, false);
+                }
+                let [.., flow] = all(MemberId(0), group, ok, bad);
+                admits(flow, false);
             }
         }
 
         #[test]
-        fn an_empty_vote_batch_roundtrips_and_an_empty_agg_batch_is_malformed() {
-            roundtrip(Payload::VoteBatch {
-                votes: [].into(),
-                reply: false,
-            });
-            // no entry, no parent to name: a member always knows its
-            // own child, so nobody sends this
-            let none = (0..4).map(|_| None).collect();
-            let empty: Payload<Average> = Payload::agg_batch(Addr::root(4).unwrap(), none, true);
+        fn a_nan_vote_from_a_box_mate_is_malformed() {
+            // a member's vote, so some receiver's box-mate's: it used to
+            // decode, and that receiver's estimate, then its box
+            // aggregate up the hierarchy, became NaN
+            let (member, value) = (MemberId(5), f64::NAN);
             let mut buf = Vec::new();
-            encode(&empty, &mut buf);
-            assert_eq!(buf, [TAG_AGG_BATCH, 1, 0, 0]);
-            assert_eq!(
-                decode::<Average, _>(&mut buf.as_slice()),
-                Err(DecodeError::Malformed {
-                    variant: "agg-batch"
-                })
-            );
-        }
-
-        #[test]
-        fn agg_batch_entries_must_be_distinct_children_of_one_parent() {
-            use gridagg_aggregate::VoteSet;
-            let agg = Arc::new(Tagged::<Average>::from_vote(5, 2.5, 64));
-            let entry = |digits: &[u8]| {
-                let mut buf = Vec::new();
-                put_addr(&Addr::from_digits(4, digits).unwrap(), &mut buf);
-                encode_tagged(&agg, &mut buf);
-                buf
-            };
-            let frame = |entries: &[Vec<u8>]| {
-                let mut buf = vec![TAG_AGG_BATCH, 0, 0, entries.len() as u8];
-                buf.extend(entries.concat());
-                decode::<Average, _>(&mut buf.as_slice())
-            };
-            let malformed = Err(DecodeError::Malformed {
-                variant: "agg-batch",
-            });
-            // what an honest sender writes: digit order, one parent
-            let honest = frame(&[entry(&[2, 0]), entry(&[2, 3])]).unwrap();
-            let counted = Arc::new(
-                Tagged::from_parts(agg.aggregate().cloned(), VoteSet::counted(1)).unwrap(),
-            );
-            let parent = Addr::from_digits(4, &[2]).unwrap();
-            assert_eq!(honest, batch(parent, &[0, 3], &counted));
-            // any order decodes to the same row
-            assert_eq!(frame(&[entry(&[2, 3]), entry(&[2, 0])]).unwrap(), honest);
-            // two parents, a repeated digit, the root as a child
-            assert_eq!(frame(&[entry(&[2, 0]), entry(&[1, 3])]), malformed);
-            assert_eq!(frame(&[entry(&[2, 0]), entry(&[2, 0])]), malformed);
-            assert_eq!(frame(&[entry(&[])]), malformed);
-            // a digit that is not below the base
-            let mut bad_digit = entry(&[2, 3]);
-            bad_digit[3] = 4;
-            assert_eq!(frame(&[entry(&[2, 0]), bad_digit]), malformed);
-            // a count past the base cannot be distinct, however many
-            // entries follow: the row allocated is `base` slots
-            let five: Vec<_> = [0, 1, 2, 3, 0].iter().map(|&d| entry(&[2, d])).collect();
-            assert_eq!(frame(&five), malformed);
+            encode(&Payload::<Average>::Vote { member, value }, &mut buf);
+            let malformed = Err(DecodeError::Malformed { variant: "vote" });
+            assert_eq!(decode_for::<Average, _>(64, &mut buf.as_slice()), malformed);
         }
 
         #[test]
@@ -797,81 +904,6 @@ pub mod codec {
                 decode::<Average, _>(&mut [].as_slice()).unwrap_err(),
                 DecodeError::Truncated { variant: "tag" }
             );
-        }
-
-        /// Fuzz-ish robustness: every `Payload` variant's encoding, fed
-        /// back truncated at every length and with DetRng-driven byte
-        /// corruption, must come back as `Ok` or a `DecodeError` — never
-        /// a panic. Deterministic by seed, like everything else here.
-        #[test]
-        fn corrupted_bytes_never_panic_any_variant() {
-            use gridagg_simnet::rng::DetRng;
-
-            let addr = Addr::from_digits(4, &[2, 1]).unwrap();
-            let mut tagged = Tagged::<Average>::from_vote(5, 2.5, 64);
-            tagged.try_merge(&Tagged::from_vote(9, 7.5, 64)).unwrap();
-            let variants: Vec<Payload<Average>> = vec![
-                Payload::Vote {
-                    member: MemberId(7),
-                    value: -1.25,
-                },
-                Payload::Agg {
-                    subtree: addr,
-                    agg: Arc::new(tagged.clone()),
-                },
-                Payload::Final {
-                    agg: Arc::new(tagged.clone()),
-                },
-                Payload::VoteBatch {
-                    votes: [(MemberId(1), 1.0), (MemberId(2), 2.0)].into(),
-                    reply: true,
-                },
-                batch(addr, &[0, 2], &Arc::new(tagged)),
-                Payload::Flow {
-                    flow: 0.5,
-                    estimate: -2.0,
-                    reply: true,
-                    influenced: Arc::new([1usize, 40].into_iter().collect()),
-                },
-            ];
-
-            let mut rng = DetRng::seeded(0xC0DEC);
-            for payload in &variants {
-                let mut buf = Vec::new();
-                encode(payload, &mut buf);
-
-                // every truncation point
-                for cut in 0..buf.len() {
-                    let r = decode::<Average, _>(&mut &buf[..cut]);
-                    assert!(
-                        r.is_err(),
-                        "truncated-at-{cut} encoding of {payload:?} decoded"
-                    );
-                }
-
-                // random byte flips, 1–3 per trial
-                for _ in 0..500 {
-                    let mut corrupted = buf.clone();
-                    for _ in 0..=rng.below(2) {
-                        let i = rng.below(corrupted.len());
-                        corrupted[i] ^= (rng.below(255) + 1) as u8;
-                    }
-                    // Ok (the flip hit a don't-care bit or produced
-                    // another valid payload) and Err are both fine;
-                    // only a panic is a failure.
-                    let _ = decode::<Average, _>(&mut corrupted.as_slice());
-                }
-
-                // random tails appended to a valid prefix
-                for _ in 0..100 {
-                    let mut extended = buf.clone();
-                    extended.truncate(rng.below(buf.len()));
-                    for _ in 0..rng.below(16) {
-                        extended.push(rng.below(256) as u8);
-                    }
-                    let _ = decode::<Average, _>(&mut extended.as_slice());
-                }
-            }
         }
     }
 }

@@ -235,6 +235,14 @@ impl Addr {
         other.index.wrapping_sub(self.index * w) < w
     }
 
+    /// Whether this prefix is a *proper* ancestor of `other`: it
+    /// contains `other` and is shorter. For a member's grid box, these
+    /// are the prefixes whose children the member gossips and stores.
+    #[inline]
+    pub fn is_proper_prefix_of(&self, other: &Addr) -> bool {
+        self.len < other.len && self.contains(other)
+    }
+
     /// The child prefix obtained by appending `digit`.
     ///
     /// # Errors

@@ -42,7 +42,7 @@ pub mod placement;
 pub mod topo;
 
 pub use addr::{Addr, AddrError};
-pub use intern::{AddrInterner, AddrSlab};
+pub use intern::AddrInterner;
 pub use params::Hierarchy;
 pub use placement::{ExplicitPlacement, FairHashPlacement, Placement, PrefixPlacement};
 pub use topo::TopologicalPlacement;

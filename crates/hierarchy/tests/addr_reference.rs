@@ -5,7 +5,7 @@
 //! way `Addr` itself did before. Exhaustive over every address of up to
 //! four digits for `K ∈ {2, 3, 4, 16}`.
 
-use gridagg_hierarchy::{Addr, AddrError, AddrInterner, AddrSlab, Hierarchy};
+use gridagg_hierarchy::{Addr, AddrError, AddrInterner, Hierarchy};
 
 const DEPTH: usize = 4;
 
@@ -48,16 +48,10 @@ impl Reference {
         s
     }
 
-    /// The chain-local slot of `self` for a member in `my_box`.
-    fn slot_for(&self, my_box: &Reference) -> Option<usize> {
-        if self.base != my_box.base {
-            return None;
-        }
-        let Some((&last, parent)) = self.digits.split_last() else {
-            return Some(0);
-        };
-        (self.len <= my_box.len && my_box.digits.starts_with(parent))
-            .then(|| 1 + (self.len - 1) * self.base as usize + last as usize)
+    /// Whether `self` is a proper ancestor of `other`: a shorter prefix
+    /// of its digits in the same base.
+    fn is_proper_prefix_of(&self, other: &Reference) -> bool {
+        self.len < other.len && self.contains(other)
     }
 }
 
@@ -144,7 +138,7 @@ fn order_and_containment_agree_pairwise() {
 }
 
 #[test]
-fn slab_slots_and_interned_ids_agree() {
+fn chain_parents_and_interned_ids_agree() {
     for base in [2u8, 3, 4, 16] {
         let all = universe(base);
         let interner = AddrInterner::new(&Hierarchy::with_depth(base, DEPTH).unwrap());
@@ -159,9 +153,14 @@ fn slab_slots_and_interned_ids_agree() {
         let boxes: Vec<_> = all.iter().filter(|(r, _)| r.len == DEPTH).collect();
         for mine in boxes.iter().step_by(boxes.len().div_ceil(24)) {
             let (my_ref, my_box) = mine;
-            let slab: AddrSlab<()> = AddrSlab::new(*my_box);
+            // the chain: the root and the other proper ancestors, each
+            // one digit longer than the last
+            let chain = all.iter().filter(|(_, a)| a.is_proper_prefix_of(my_box));
+            let lens: Vec<usize> = chain.map(|(r, _)| r.len).collect();
+            assert_eq!(lens, (0..DEPTH).collect::<Vec<_>>(), "{my_ref:?}");
             for (r, a) in &all {
-                assert_eq!(slab.slot(a), r.slot_for(my_ref), "{r:?} for {my_ref:?}");
+                let want = r.is_proper_prefix_of(my_ref);
+                assert_eq!(a.is_proper_prefix_of(my_box), want, "{r:?} for {my_ref:?}");
             }
             // one digit past the depth: the children of a box — the
             // member's own, and a stride of the others — are too long
@@ -169,11 +168,16 @@ fn slab_slots_and_interned_ids_agree() {
                 for (d, child) in a.children().enumerate() {
                     let digits = [r.digits.as_slice(), &[d as u8]].concat();
                     let child_ref = Reference::new(base, &digits);
-                    assert_eq!(child_ref.slot_for(my_ref), None);
-                    assert_eq!(slab.slot(&child), None, "{child_ref:?} for {my_ref:?}");
+                    assert!(!child_ref.is_proper_prefix_of(my_ref));
+                    assert!(!child.is_proper_prefix_of(my_box), "{child_ref:?}");
+                    // ... and a box is a proper ancestor of its children
+                    let want = my_ref.is_proper_prefix_of(&child_ref);
+                    assert_eq!(my_box.is_proper_prefix_of(&child), want, "{child_ref:?}");
                 }
             }
-            assert_eq!(slab.slot(&foreign), None);
+            let root = Addr::root(base).unwrap();
+            assert!(root.is_proper_prefix_of(my_box));
+            assert!(!foreign.is_proper_prefix_of(my_box));
         }
     }
 }

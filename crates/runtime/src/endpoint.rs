@@ -17,10 +17,13 @@
 //! ```
 //!
 //! `payload` is the [`gridagg_core::message::codec`] encoding of one
-//! protocol message. Malformed input at any layer — short header,
-//! clipped payload, out-of-range member id — is reported as a
-//! [`DecodeError`] value, never a panic: the receive path treats the
-//! network as hostile exactly like the codec does.
+//! protocol message. A frame is checked against the group by two
+//! parsers, one per layer: [`FrameIter`] rejects a short header, a
+//! clipped frame or a member id outside the group, and
+//! [`decode_for`](gridagg_core::message::codec::decode_for) rejects a
+//! payload that is malformed or reaches outside the group. Either
+//! reports a [`DecodeError`] value, never a panic: the receive path
+//! treats the network as hostile.
 //!
 //! ## Fault injection
 //!

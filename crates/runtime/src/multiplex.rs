@@ -5,10 +5,11 @@
 //!
 //! 1. **drain and deliver** — poll every owned socket non-blocking and
 //!    hand each frame to its member's protocol [`step`] where it lands,
-//!    once it has passed the admission checks ([`FrameIter`] and the
-//!    codec reject garbage as `DecodeError` values, counted not
-//!    panicked; a payload must stay inside the group); the gossip the
-//!    delivery produced is encoded into the coalescer at once;
+//!    once it has been parsed for the group: [`FrameIter`] the header,
+//!    [`codec::decode_for`] the payload, each rejecting what is garbage
+//!    or outside the group as a `DecodeError` value, counted not
+//!    panicked; the gossip the delivery produced is encoded into the
+//!    coalescer at once;
 //! 2. **tick** — pop due round deadlines off the [`TimerWheel`] and run
 //!    each member's round [`step`] (plus termination, linger, and
 //!    retry-on-silence bookkeeping);
@@ -92,9 +93,7 @@ pub struct WorkerStats {
     pub injected_drops: u64,
     /// Datagrams held back and swapped by the reorder injector.
     pub reordered: u64,
-    /// Frames or payloads rejected by the decoders (`DecodeError`s), or
-    /// reaching outside the group: a vote of a member id ≥ `n`, or a
-    /// set claiming more contributors than the group has members.
+    /// Frames or payloads rejected by the decoders (`DecodeError`s).
     pub decode_errors: u64,
     /// Well-formed frames addressed to members this worker does not own.
     pub stray_frames: u64,
@@ -266,23 +265,6 @@ impl Coalescer {
     }
 }
 
-/// Whether `payload` stays inside a group of `n` members: every vote it
-/// carries is a member's, and no set claims more contributors than the
-/// group has. Both are the sender's word. A vote of a member id ≥ `n`
-/// would index past the member tables; a count above `n` can only be
-/// forged, and would displace the real subtree aggregate.
-#[deny(clippy::wildcard_enum_match_arm)]
-fn admissible<A: WireAggregate>(payload: &Payload<A>, n: u32) -> bool {
-    let count_ok = |count: usize| count <= n as usize;
-    match payload {
-        Payload::Vote { member, .. } => member.0 < n,
-        Payload::VoteBatch { votes, .. } => votes.iter().all(|(member, _)| member.0 < n),
-        Payload::Agg { agg, .. } | Payload::Final { agg } => count_ok(agg.vote_count()),
-        Payload::AggBatch { slots, .. } => slots.iter().flatten().all(|a| count_ok(a.vote_count())),
-        Payload::Flow { influenced, .. } => count_ok(influenced.len()),
-    }
-}
-
 impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
     /// Assemble a worker over its sockets and the members homed there,
     /// each with its protocol instance.
@@ -403,9 +385,9 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         self.recv_buf = buf;
     }
 
-    /// Admit one received frame and step its member with it. Called from
-    /// inside [`Worker::flush_ready`]'s send loop too: the replies wait
-    /// in the coalescer for the next flush.
+    /// Decode one received frame's payload for the group and step its
+    /// member with it. Called from inside [`Worker::flush_ready`]'s send
+    /// loop too: the replies wait in the coalescer for the next flush.
     fn deliver(&mut self, frame: Frame<'_>) {
         let local = self.local_of[frame.dst as usize];
         if local == u32::MAX {
@@ -413,12 +395,9 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             return;
         }
         let mut bytes = frame.payload;
-        let payload = match codec::decode::<A, _>(&mut bytes) {
-            Ok(p) if admissible(&p, self.n_members) => p,
-            _ => {
-                self.stats.decode_errors += 1;
-                return;
-            }
+        let Ok(payload) = codec::decode_for::<A, _>(self.n_members, &mut bytes) else {
+            self.stats.decode_errors += 1;
+            return;
         };
         let slot = &mut self.slots[local as usize];
         if slot.retired {
