@@ -222,6 +222,23 @@ impl VoteSet {
         }
     }
 
+    /// How many of this set's members have their bit set in `mask`, a
+    /// bitmap of 64-member words (member `m` is bit `m % 64` of word
+    /// `m / 64`; past its end the mask is clear): one AND-popcount pass.
+    /// `None` for a counted set, which has no identity to filter by.
+    pub fn count_in(&self, mask: &[u64]) -> Option<usize> {
+        match &self.repr {
+            Repr::Exact { words, .. } => Some(
+                words
+                    .iter()
+                    .zip(mask)
+                    .map(|(w, m)| (w & m).count_ones() as usize)
+                    .sum(),
+            ),
+            Repr::Counted { .. } => None,
+        }
+    }
+
     /// In-place union. The caller is responsible for checking
     /// disjointness first when the no-double-counting constraint applies
     /// (see [`crate::Tagged::try_merge`]). A union involving a counted
@@ -255,8 +272,7 @@ impl VoteSet {
             Repr::Exact { words, .. } => words,
             Repr::Counted { .. } => &[],
         };
-        // walk set bits only: the continuous service enumerates every
-        // publisher's contributors each epoch, mostly over empty words
+        // walk set bits only: a sparse set is mostly empty words
         words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut rest = w;
             std::iter::from_fn(move || {
@@ -445,6 +461,33 @@ mod tests {
         assert!(!VoteSet::counted(5).is_superset(&VoteSet::counted(3)));
         assert!(!VoteSet::counted(5).is_superset(&small));
         assert!(!big.is_superset(&VoteSet::counted(1)));
+    }
+
+    #[test]
+    fn count_in_matches_a_per_member_filter() {
+        let mask_of = |members: &[usize], words: usize| {
+            let mut mask = vec![0u64; words];
+            for &m in members {
+                mask[m / 64] |= 1 << (m % 64);
+            }
+            mask
+        };
+        let sets: [&[usize]; 4] = [&[], &[0, 5, 63, 64, 130], &[1, 2, 700], &[64, 127, 128]];
+        let masks = [
+            mask_of(&[], 0),
+            mask_of(&[0, 63, 64, 127, 700], 11),
+            mask_of(&[1, 2, 5, 128, 130], 3),
+        ];
+        for members in sets {
+            let set: VoteSet = members.iter().copied().collect();
+            for mask in &masks {
+                let inside =
+                    |&&m: &&usize| mask.get(m / 64).is_some_and(|w| w >> (m % 64) & 1 == 1);
+                let expect = members.iter().filter(inside).count();
+                assert_eq!(set.count_in(mask), Some(expect), "{members:?} in {mask:x?}");
+            }
+        }
+        assert_eq!(VoteSet::counted(3).count_in(&[u64::MAX]), None);
     }
 
     #[test]

@@ -479,6 +479,12 @@ fn run_fu_epoch(
 
     acc.rounds = run.rounds;
     acc.messages = run.net.sent;
+    // The members `membership.is_up` answers for as the loop goes: the
+    // epoch's up set, less each crash the loop has noted so far.
+    let mut up_words = vec![0u64; was_up.len().div_ceil(64)];
+    for (i, _) in was_up.iter().enumerate().filter(|(_, &up)| up) {
+        up_words[i / 64] |= 1 << (i % 64);
+    }
     for (i, outcome) in run.outcomes.iter().enumerate() {
         let id = MemberId(i as u32);
         if !was_up[i] {
@@ -490,18 +496,16 @@ fn run_fu_epoch(
                 // a counted contributor set (scale runs) has no identity
                 // to filter by, so fall back to the raw contributor count
                 let votes_in = protocols[i].estimate().map_or(0, |est| {
-                    if est.votes().is_exact() {
-                        est.votes()
-                            .iter()
-                            .filter(|&m| membership.is_up(MemberId(m as u32)))
-                            .count()
-                    } else {
-                        est.vote_count()
-                    }
+                    est.votes()
+                        .count_in(&up_words)
+                        .unwrap_or_else(|| est.vote_count())
                 });
                 acc.publish(*value, votes_in);
             }
-            MemberOutcome::Crashed => membership.note_crash(id),
+            MemberOutcome::Crashed => {
+                membership.note_crash(id);
+                up_words[i / 64] &= !(1 << (i % 64));
+            }
             MemberOutcome::TimedOut => {}
         }
     }

@@ -164,32 +164,35 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
         let addrs = pool.addrs();
         let socket_sets = pool.split(workers);
 
-        // Anchor all round clocks at a shared epoch far enough out that
-        // every worker is polling before round 0 ends.
-        let grace = Duration::from_millis(20 + (n as u64 / 200));
-        let epoch = Instant::now() + grace;
-
         let (done_tx, done_rx) = mpsc::channel::<MemberOutcome<A>>();
         let shutdown = Arc::new(AtomicBool::new(false));
         let root_rng = DetRng::seeded(rt_cfg.seed);
-
-        let mut handles = Vec::with_capacity(workers);
+        let mut built = Vec::with_capacity(workers);
         for (w, (sockets_of, members)) in socket_sets.into_iter().zip(shards).enumerate() {
-            let worker = Worker::new(
+            built.push(Worker::new(
                 w,
                 sockets_of,
                 addrs.clone(),
                 members,
                 n as u32,
                 rt_cfg.clone(),
-                epoch,
                 &root_rng,
                 done_tx.clone(),
                 shutdown.clone(),
-            );
+            ));
+        }
+        drop(done_tx);
+
+        // Every worker exists, so every round clock is anchored at one
+        // epoch read now: round 0 ends one round interval after the last
+        // worker was built, and a thread that starts late runs its due
+        // rounds at once.
+        let epoch = Instant::now();
+        let mut handles = Vec::with_capacity(workers);
+        for (w, worker) in built.into_iter().enumerate() {
             let spawned = std::thread::Builder::new()
                 .name(format!("gridagg-w{w}"))
-                .spawn(move || worker.run());
+                .spawn(move || worker.run(epoch));
             match spawned {
                 Ok(h) => handles.push(h),
                 Err(e) => {
@@ -202,7 +205,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
                 }
             }
         }
-        drop(done_tx);
 
         Ok(Cluster {
             handles,
@@ -440,6 +442,22 @@ mod tests {
         assert!(r.stats.wakeups > 0);
         assert!(r.mean_completeness > 0.9, "got {}", r.mean_completeness);
         assert!(r.wall > Duration::ZERO);
+    }
+
+    #[test]
+    fn round_zero_is_anchored_at_launch() {
+        let n = 64;
+        let cfg = RuntimeConfig {
+            sockets: 8,
+            workers: 2,
+            ..Default::default()
+        };
+        let cluster =
+            Cluster::<Average>::launch(votes(n), index(n), HierGossipConfig::default(), cfg)
+                .expect("launch");
+        // the epoch is read once every worker exists, not set ahead of it
+        assert!(cluster.epoch <= Instant::now());
+        assert_eq!(cluster.join().report.reported, n, "every member reports");
     }
 
     #[test]

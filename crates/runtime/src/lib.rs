@@ -101,8 +101,9 @@ pub struct RuntimeConfig {
     pub members_per_socket: usize,
     /// Byte cap per coalesced datagram (≈ one MTU of frames).
     pub max_datagram: usize,
-    /// Resend the last flushed frames after this many rounds without
-    /// any inbound traffic (0 disables retry-on-silence).
+    /// After this many rounds without any inbound traffic, a round
+    /// resends the frames its own step sent (0 disables
+    /// retry-on-silence).
     pub retry_silent_rounds: u64,
     /// Channel loss injected at the socket boundary — any simulator
     /// [`LossModel`] (`None` = perfect channel).

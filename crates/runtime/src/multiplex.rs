@@ -21,19 +21,19 @@
 //!
 //! The worker runs any [`AggregationProtocol`]: [`step`] is the
 //! simulator's own protocol step, and what differs on sockets is only
-//! its effect target, `Sends` — encode once per fan-out, keep the frame
-//! for retry-on-silence, inject loss, coalesce.
+//! its effect target, `Sends` — encode once per fan-out, inject loss,
+//! coalesce, and on a retry step keep the frame for its resends.
 //!
 //! Everything a member needs lives in its `MemberSlot`; what a worker
-//! reuses across wakeups (receive buffer, outbox, encode buffer,
-//! datagram buffers, free list) is scratch. The loop still allocates for
-//! what it carries: each decoded payload's `Arc` bodies (an aggregate
-//! batch is one per entry) and the rows and aggregates `on_message` /
-//! `on_round` build. A `udp-sat-4k` run (4096 members on one worker,
-//! 10 % loss, seed 7) makes about 722k allocations, 384k of them
-//! decoded aggregates; it made 906k while frames waited in per-member
-//! queues and a per-member memo kept the last payload sent, and so the
-//! row it was sent from, shared.
+//! reuses across wakeups (receive buffer, outbox, encode buffer, resend
+//! buffer, datagram buffers, free list) is scratch. A retry-on-silence
+//! round resends the frames its own step sent, so no member keeps
+//! frames between steps. The loop still allocates for what it carries:
+//! each decoded payload's `Arc` bodies (an aggregate batch is one per
+//! entry) and the rows and aggregates `on_message` / `on_round` build.
+//! Launching and running the `udp-sat-4k` cluster (4096 members on one
+//! worker, 10 % loss, seed 7) makes about 697k allocations; it made
+//! 734k while every member kept up to 16 frame buffers for retries.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,7 +53,7 @@ use crate::endpoint::{frame_len, push_frame, FaultInjector, Frame, FrameIter};
 use crate::timer::TimerWheel;
 use crate::{MemberOutcome, RuntimeConfig};
 
-/// Cap on the frames a member keeps for retry-on-silence resends.
+/// Cap on the frames a retry-on-silence round resends.
 const RETRY_FRAME_CAP: usize = 16;
 
 /// Wire bytes sent between inbound drains. Loopback `send_to` delivers
@@ -134,24 +134,24 @@ struct MemberSlot<P> {
     reported: bool,
     linger_left: u64,
     retired: bool,
-    retry: RetryCache,
 }
 
-/// Encoded frames of a member's most recent step that sent anything,
-/// kept for retry-on-silence: `(dst, payload bytes)`, entries reused.
+/// The frames a retry step sends, kept for its resends: the first
+/// `RETRY_FRAME_CAP` payloads back to back in `bytes`, each listed in
+/// `frames` as `(dst, end offset in bytes)`. Worker scratch, emptied
+/// after every step.
 #[derive(Default)]
-struct RetryCache {
-    frames: Vec<(u32, Vec<u8>)>,
-    len: usize,
+struct Resend {
+    frames: Vec<(u32, usize)>,
+    bytes: Vec<u8>,
 }
 
 /// The socket side of one member's [`step`]: the send path. Every
-/// protocol message is encoded (once per fan-out), kept for
-/// retry-on-silence, loss-filtered and coalesced here.
+/// protocol message is encoded (once per fan-out), loss-filtered and
+/// coalesced here, and on a retry step kept for its resends.
 struct Sends<'a> {
-    retry: &'a mut RetryCache,
-    /// Nothing sent yet in this step: the next send restarts `retry`.
-    fresh: bool,
+    /// The worker's [`Resend`] buffer on a retry step, `None` otherwise.
+    resend: Option<&'a mut Resend>,
     /// Codec bytes of the payload being sent, shared by the copies of
     /// one fan-out.
     encoded: &'a mut Vec<u8>,
@@ -167,23 +167,14 @@ impl<A: WireAggregate> Effects<A> for Sends<'_> {
             self.encoded.clear();
             codec::encode(&msg, self.encoded);
         }
-        // Remember the frame for retry-on-silence before loss
-        // injection: a retry resends what the protocol *tried* to send,
-        // whether or not the channel ate it.
-        let cache = &mut *self.retry;
-        if std::mem::take(&mut self.fresh) {
-            cache.len = 0;
-        }
-        if cache.len < RETRY_FRAME_CAP {
-            if cache.frames.len() == cache.len {
-                // one-time growth, bounded by RETRY_FRAME_CAP
-                cache.frames.push((to.0, Vec::new()));
+        // Keep the frame for the resends before loss injection: a retry
+        // resends what the protocol *tried* to send, whether or not the
+        // channel ate it.
+        if let Some(resend) = self.resend.as_deref_mut() {
+            if resend.frames.len() < RETRY_FRAME_CAP {
+                resend.bytes.extend_from_slice(self.encoded);
+                resend.frames.push((to.0, resend.bytes.len()));
             }
-            let (dst, bytes) = &mut cache.frames[cache.len];
-            *dst = to.0;
-            bytes.clear();
-            bytes.extend_from_slice(self.encoded);
-            cache.len += 1;
         }
         if self.faults.drop_frame(from, to, round) {
             self.stats.injected_drops += 1;
@@ -201,7 +192,6 @@ pub(crate) struct Worker<A, P> {
     pub(crate) addrs: Arc<Vec<SocketAddr>>,
     pub(crate) n_members: u32,
     pub(crate) cfg: RuntimeConfig,
-    pub(crate) epoch: Instant,
     pub(crate) done: mpsc::Sender<MemberOutcome<A>>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) faults: FaultInjector,
@@ -209,7 +199,6 @@ pub(crate) struct Worker<A, P> {
     slots: Vec<MemberSlot<P>>,
     /// Global member id -> local slot index (`u32::MAX` = not ours).
     local_of: Vec<u32>,
-    wheel: TimerWheel,
     live: usize,
     stats: WorkerStats,
 
@@ -217,6 +206,7 @@ pub(crate) struct Worker<A, P> {
     outbox: Outbox<A>,
     /// [`Sends::encoded`].
     encoded: Vec<u8>,
+    resend: Resend,
     due: Vec<u32>,
     coalesce: Coalescer,
     /// Datagrams sequenced (possibly reordered) for sending.
@@ -276,7 +266,6 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         members: Vec<(MemberId, P)>,
         n_members: u32,
         cfg: RuntimeConfig,
-        epoch: Instant,
         root_rng: &DetRng,
         done: mpsc::Sender<MemberOutcome<A>>,
         shutdown: Arc<AtomicBool>,
@@ -294,15 +283,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
                 reported: false,
                 linger_left: cfg.linger_rounds,
                 retired: false,
-                retry: RetryCache::default(),
             });
-        }
-        let interval = cfg.round_interval.max(Duration::from_micros(200));
-        // Slot count ≈ one round of granularity-interval/4 ticks per
-        // lap; laps are handled by the wheel anyway.
-        let mut wheel = TimerWheel::new(epoch, interval / 4, 64);
-        for local in 0..slots.len() as u32 {
-            wheel.schedule(epoch + interval, local);
         }
         let live = slots.len();
         let coalesce = Coalescer {
@@ -322,17 +303,16 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             addrs,
             n_members,
             cfg,
-            epoch,
             done,
             shutdown,
             faults,
             slots,
             local_of,
-            wheel,
             live,
             stats: WorkerStats::default(),
             outbox: Outbox::new(),
             encoded: Vec::new(),
+            resend: Resend::default(),
             due: Vec::new(),
             coalesce,
             wire: Vec::new(),
@@ -340,21 +320,27 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         }
     }
 
-    /// The worker's event loop; returns its counters at exit.
-    pub(crate) fn run(mut self) -> WorkerStats {
+    /// The worker's event loop, with round 0 ending one round interval
+    /// after `epoch`; returns its counters at exit.
+    pub(crate) fn run(mut self, epoch: Instant) -> WorkerStats {
         let interval = self.cfg.round_interval.max(Duration::from_micros(200));
         let poll_cap = (interval / 4).clamp(Duration::from_micros(200), Duration::from_millis(2));
+        // Slot count ≈ one round of granularity-interval/4 ticks per
+        // lap; laps are handled by the wheel anyway.
+        let mut wheel = TimerWheel::new(epoch, interval / 4, 64);
+        for local in 0..self.slots.len() as u32 {
+            wheel.schedule(epoch + interval, local);
+        }
         loop {
             self.stats.wakeups += 1;
             self.drain_sockets();
-            self.tick_due(Instant::now());
+            self.tick_due(&mut wheel, epoch, Instant::now());
             self.flush_ready();
             if self.live == 0 || self.shutdown.load(Ordering::Relaxed) {
                 break;
             }
             let now = Instant::now();
-            let until_deadline = self
-                .wheel
+            let until_deadline = wheel
                 .next_deadline()
                 .map_or(poll_cap, |d| d.saturating_duration_since(now));
             std::thread::sleep(until_deadline.min(poll_cap).max(Duration::from_micros(50)));
@@ -416,10 +402,10 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
     }
 
     /// Pop due round deadlines and advance each member's round state.
-    fn tick_due(&mut self, now: Instant) {
+    fn tick_due(&mut self, wheel: &mut TimerWheel, epoch: Instant, now: Instant) {
         let interval = self.cfg.round_interval.max(Duration::from_micros(200));
         self.due.clear();
-        self.wheel.pop_due(now, &mut self.due);
+        wheel.pop_due(now, &mut self.due);
         let mut k = 0;
         while k < self.due.len() {
             let local = self.due[k];
@@ -465,14 +451,16 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
                 slot.linger_left -= 1;
             }
             let slot = &self.slots[local as usize];
-            let next = self.epoch + interval * u32::try_from(slot.round + 1).unwrap_or(u32::MAX);
-            self.wheel.schedule(next, local);
+            let next = epoch + interval * u32::try_from(slot.round + 1).unwrap_or(u32::MAX);
+            wheel.schedule(next, local);
         }
     }
 
     /// Run one member's protocol [`step`] into its [`Sends`]: deliver
     /// `msg`, or with `None` run its round. On `retry`, a member still
-    /// running then resends the frames in its retry cache.
+    /// running then resends the first `RETRY_FRAME_CAP` frames that
+    /// step sent, in send order; a step that sent nothing resends
+    /// nothing.
     fn step_member(&mut self, local: u32, msg: Option<Envelope<Payload<A>>>, retry: bool) {
         let n = self.n_members as usize;
         let MemberSlot {
@@ -480,12 +468,10 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             proto,
             rng,
             round,
-            retry: cache,
             ..
         } = &mut self.slots[local as usize];
         let mut fx = Sends {
-            retry: &mut *cache,
-            fresh: true,
+            resend: retry.then_some(&mut self.resend),
             encoded: &mut self.encoded,
             faults: &mut self.faults,
             coalesce: &mut self.coalesce,
@@ -493,16 +479,21 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         };
         let done = step(proto, rng, *id, *round, n, msg, &mut self.outbox, &mut fx);
         if retry && !done {
-            for (to, bytes) in &cache.frames[..cache.len] {
-                if self.faults.drop_frame(*id, MemberId(*to), *round) {
+            let mut start = 0;
+            for &(to, end) in &self.resend.frames {
+                let bytes = &self.resend.bytes[start..end];
+                start = end;
+                if self.faults.drop_frame(*id, MemberId(to), *round) {
                     self.stats.injected_drops += 1;
                     continue;
                 }
                 self.coalesce
-                    .enqueue_frame(*to, id.0, bytes, &mut self.stats);
+                    .enqueue_frame(to, id.0, bytes, &mut self.stats);
                 self.stats.retries += 1;
             }
         }
+        self.resend.frames.clear();
+        self.resend.bytes.clear();
     }
 
     /// Seal every pending datagram, sequence the batch through the
@@ -615,25 +606,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_flushed_frame_carries_its_own_payloads_bytes() {
-        let n = 16;
+    /// A socketless worker over one address with member 0 running
+    /// `proto` in a group of `n`: frames stay in `coalesce.bufs[0]`.
+    fn worker<P: AggregationProtocol<Average>>(
+        proto: P,
+        n: u32,
+        cfg: RuntimeConfig,
+    ) -> Worker<Average, P> {
         let (done, _outcomes) = mpsc::channel();
-        let mut worker: Worker<Average, Script> = Worker::new(
+        Worker::new(
             0,
             Vec::new(),
             Arc::new(vec![SocketAddr::from(([127, 0, 0, 1], 9))]),
-            vec![(MemberId(0), Script)],
+            vec![(MemberId(0), proto)],
             n,
-            RuntimeConfig::default(),
-            Instant::now(),
+            cfg,
             &DetRng::seeded(1),
             done,
             Arc::new(AtomicBool::new(false)),
-        );
+        )
+    }
+
+    #[test]
+    fn every_flushed_frame_carries_its_own_payloads_bytes() {
+        let n = 16;
+        let mut worker = worker(Script, n, RuntimeConfig::default());
         worker.step_member(0, None, false);
-        // a silent round sends afresh, then resends the same frames from
-        // the member's cache
+        // a silent round sends afresh, then resends the frames it just
+        // sent
         worker.step_member(0, None, true);
         let sent = [(1, 4), (2, 4), (3, 4), (4, 1), (5, 1), (6, 9), (7, 2)];
         let frames: Vec<_> = FrameIter::new(&worker.coalesce.bufs[0], n)
@@ -647,6 +647,127 @@ mod tests {
             assert_eq!(frame.payload, bytes, "frame to {to}");
         }
         assert_eq!(worker.stats.retries, sent.len() as u64);
+    }
+
+    /// Sends `self.0` single votes, the `i`-th to member `i + 1`, on
+    /// every round and every delivery; never finishes.
+    #[derive(Debug)]
+    struct Votes(u32);
+
+    fn vote(i: u32) -> Payload<Average> {
+        Payload::Vote {
+            member: MemberId(i),
+            value: f64::from(i),
+        }
+    }
+
+    impl Votes {
+        fn send(&self, out: &mut Outbox<Average>) {
+            for i in 0..self.0 {
+                out.send(MemberId(i + 1), vote(i));
+            }
+        }
+    }
+
+    impl AggregationProtocol<Average> for Votes {
+        fn on_round(&mut self, _: &mut Ctx<'_>, out: &mut Outbox<Average>) {
+            self.send(out);
+        }
+        fn on_message(
+            &mut self,
+            _: MemberId,
+            _: Payload<Average>,
+            _: &mut Ctx<'_>,
+            out: &mut Outbox<Average>,
+        ) {
+            self.send(out);
+        }
+        fn estimate(&self) -> Option<&Tagged<Average>> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+        fn completed_at(&self) -> Option<Round> {
+            None
+        }
+    }
+
+    const N: u32 = 32;
+
+    /// Room for every frame of a test step in one datagram.
+    fn roomy() -> RuntimeConfig {
+        RuntimeConfig {
+            max_datagram: 64 * 1024,
+            ..Default::default()
+        }
+    }
+
+    /// `(dst, payload)` of every frame coalesced so far, in send order.
+    fn coalesced<P>(worker: &Worker<Average, P>) -> Vec<(u32, Vec<u8>)> {
+        FrameIter::new(&worker.coalesce.bufs[0], N)
+            .map(|frame| {
+                let frame = frame.expect("well-formed frame");
+                assert_eq!(frame.src, 0);
+                (frame.dst, frame.payload.to_vec())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_silent_round_resends_the_first_frames_its_own_step_sent() {
+        let mut worker = worker(Votes(20), N, roomy());
+        worker.step_member(0, None, true);
+        let frames = coalesced(&worker);
+        assert_eq!(frames.len(), 20 + RETRY_FRAME_CAP);
+        let (fresh, resent) = frames.split_at(20);
+        for (i, (dst, payload)) in (0..).zip(fresh) {
+            let mut bytes = Vec::new();
+            codec::encode(&vote(i), &mut bytes);
+            assert_eq!((*dst, payload), (i + 1, &bytes), "fresh frame {i}");
+        }
+        assert_eq!(resent, &fresh[..RETRY_FRAME_CAP]);
+        assert_eq!(worker.stats.retries, RETRY_FRAME_CAP as u64);
+        assert_eq!(worker.stats.frames_sent, frames.len() as u64);
+    }
+
+    #[test]
+    fn a_silent_round_whose_step_sends_nothing_resends_nothing() {
+        let mut worker = worker(Votes(5), N, roomy());
+        worker.step_member(0, None, false);
+        worker.slots[0].proto.0 = 0;
+        worker.step_member(0, None, true);
+        assert_eq!(coalesced(&worker).len(), 5);
+        assert_eq!(worker.stats.retries, 0);
+    }
+
+    #[test]
+    fn a_delivery_step_keeps_nothing_to_resend() {
+        let mut worker = worker(Votes(5), N, roomy());
+        let env = Envelope {
+            from: MemberId(3),
+            to: MemberId(0),
+            sent_at: 0,
+            payload: vote(3),
+        };
+        worker.step_member(0, Some(env), false);
+        assert_eq!(coalesced(&worker).len(), 5);
+        assert!(worker.resend.frames.is_empty() && worker.resend.bytes.is_empty());
+        // the delivery's frames are not what the next silent round resends
+        worker.slots[0].proto.0 = 0;
+        worker.step_member(0, None, true);
+        assert_eq!(coalesced(&worker).len(), 5);
+        assert_eq!(worker.stats.retries, 0);
+    }
+
+    #[test]
+    fn under_total_loss_each_fresh_and_resent_frame_is_its_own_drop() {
+        let mut worker = worker(Votes(20), N, roomy().with_uniform_loss(1.0));
+        worker.step_member(0, None, true);
+        assert!(coalesced(&worker).is_empty());
+        assert_eq!(worker.stats.injected_drops, (20 + RETRY_FRAME_CAP) as u64);
+        assert_eq!(worker.stats.retries, 0);
+        assert_eq!(worker.stats.frames_sent, 0);
     }
 
     #[test]
