@@ -25,17 +25,26 @@
 //! error, not just the median). A neighbour silent for
 //! [`FlowUpdatingConfig::timeout_rounds`] consecutive missed exchanges
 //! is presumed dead and its flow reclaimed (reset to zero), which
-//! returns the lent mass to `i` — this is what makes the protocol
-//! churn-tolerant without any restart.
+//! returns the lent mass to `i`.
 //!
 //! Unlike the one-shot protocols in this module, Flow Updating never
 //! converges *structurally*: it runs for a fixed round budget per epoch
 //! and the continuous service ([`crate::continuous`]) re-arms it between
 //! epochs with [`FlowUpdating::rearm`], carrying flows across epochs.
+//! Inside that service the timeout never fires: its deadline is
+//! `timeout_rounds × degree` rounds, at least 32 at the default timeout
+//! on any ring-chord overlay of five or more members, an epoch runs 26
+//! rounds at the defaults, and a re-arm forgets when each neighbour was
+//! last heard. Mass lent to a member that crashes mid-epoch comes back
+//! only at the next re-arm, which drops the edge to it: the service
+//! absorbs churn by healing the overlay, not by the timeout.
+//!
 //! Completeness instrumentation rides along as a vote bitset: each
 //! update message carries the set of members whose current-epoch state
 //! has (transitively) influenced the sender, mirroring how
-//! [`Tagged`] tracks contributors in the one-shot protocols.
+//! [`Tagged`] tracks contributors in the one-shot protocols. A set's
+//! bits are slots, not ids: a member's bit is its index in the epoch's
+//! sorted up list, so every set is as wide as the epoch.
 
 use std::sync::Arc;
 
@@ -66,25 +75,25 @@ impl Default for FlowUpdatingConfig {
     }
 }
 
-/// Per-neighbour flow state.
+/// Per-neighbour flow state, 16 bytes: the binary search over a
+/// member's edges and the estimate's sum over their flows walk a few
+/// cache lines, not one per edge.
 #[derive(Debug, Clone, Copy)]
 struct NeighborState {
     id: MemberId,
+    /// One past the round the neighbour was last heard from; 0 if it
+    /// has not been heard since the instance was built or re-armed.
+    heard: u32,
     /// Mass lent to this neighbour (`F_i[j]`).
     flow: f64,
-    /// The neighbour's last reported estimate, if any.
-    estimate: Option<f64>,
-    /// Round the neighbour was last heard from.
-    last_heard: Option<Round>,
 }
 
 impl NeighborState {
     fn fresh(id: MemberId) -> Self {
         NeighborState {
             id,
+            heard: 0,
             flow: 0.0,
-            estimate: None,
-            last_heard: None,
         }
     }
 }
@@ -94,15 +103,16 @@ impl NeighborState {
 #[derive(Debug)]
 pub struct FlowUpdating {
     me: MemberId,
-    /// Size of the stable id universe (bitset width).
-    universe: usize,
     vote: f64,
     cfg: FlowUpdatingConfig,
     /// Overlay neighbours, sorted by id (deterministic iteration).
     neighbors: Vec<NeighborState>,
-    /// Members whose current-epoch state has influenced this estimate:
-    /// the set every message ships by reference, written through
-    /// `Arc::make_mut` when a received set would add a member.
+    /// Members whose current-epoch state has influenced this estimate,
+    /// one bit per slot: the slot [`FlowUpdating::rearm`] was given,
+    /// the member's index in the epoch's sorted up list (an instance
+    /// never re-armed uses its own id). This is the set every message
+    /// ships by reference, written through `Arc::make_mut` when a
+    /// received set would add a member.
     influenced: Arc<VoteSet>,
     rounds: u32,
     done_at: Option<Round>,
@@ -139,12 +149,12 @@ pub fn ring_chord_neighbors(sorted_up: &[MemberId], idx: usize) -> Vec<MemberId>
 
 impl FlowUpdating {
     /// Create the instance for member `me` with the given vote and
-    /// overlay neighbours. `universe` is the stable id space the
-    /// completeness bitset is sized for (≥ all ids that may appear).
+    /// overlay neighbours. Until a [`FlowUpdating::rearm`] assigns a
+    /// slot, the completeness bitset holds `me`'s id, `width` bits wide.
     pub fn new(
         me: MemberId,
         vote: f64,
-        universe: usize,
+        width: usize,
         neighbors: Vec<MemberId>,
         cfg: FlowUpdatingConfig,
     ) -> Self {
@@ -155,11 +165,10 @@ impl FlowUpdating {
         neighbors.retain(|s| s.id != me);
         FlowUpdating {
             me,
-            universe,
             vote,
             cfg,
             neighbors,
-            influenced: Arc::new(VoteSet::singleton(me.index(), universe)),
+            influenced: Arc::new(VoteSet::singleton(me.index(), width)),
             rounds: 0,
             done_at: None,
             published: None,
@@ -173,11 +182,13 @@ impl FlowUpdating {
 
     /// Re-arm for the next epoch of the continuous service: install the
     /// (possibly changed) vote and healed overlay, clear the done marker
-    /// and the per-epoch influence set. Flows towards neighbours that
-    /// survive into the new overlay are *kept* — that continuity is the
-    /// point of the protocol — while flows towards removed neighbours
-    /// are dropped, reclaiming the mass lent to them.
-    pub fn rearm(&mut self, vote: f64, neighbors: Vec<MemberId>) {
+    /// and restart the influence set as this member's `slot` alone, in
+    /// a set `width` bits wide — `slot` is the member's index in the
+    /// epoch's sorted up list of `width` members. Flows towards
+    /// neighbours that survive into the new overlay are *kept* — that
+    /// continuity is the point of the protocol — while flows towards
+    /// removed neighbours are dropped, reclaiming the mass lent to them.
+    pub fn rearm(&mut self, vote: f64, slot: usize, width: usize, neighbors: Vec<MemberId>) {
         self.vote = vote;
         let mut next: Vec<NeighborState> = Vec::with_capacity(neighbors.len());
         let mut ids: Vec<MemberId> = neighbors;
@@ -190,17 +201,16 @@ impl FlowUpdating {
             match self.neighbors.binary_search_by_key(&id, |s| s.id) {
                 Ok(pos) => {
                     let mut kept = self.neighbors[pos];
-                    // estimates and deadlines are stale across the epoch
+                    // when it was last heard is stale across the epoch
                     // boundary; only the flow persists
-                    kept.estimate = None;
-                    kept.last_heard = None;
+                    kept.heard = 0;
                     next.push(kept);
                 }
                 Err(_) => next.push(NeighborState::fresh(id)),
             }
         }
         self.neighbors = next;
-        self.influenced = Arc::new(VoteSet::singleton(self.me.index(), self.universe));
+        self.influenced = Arc::new(VoteSet::singleton(slot, width));
         self.rounds = 0;
         self.done_at = None;
         self.published = None;
@@ -239,14 +249,15 @@ impl AggregationProtocol<Average> for FlowUpdating {
         //    shared edge, so its natural cadence is one message per
         //    ~degree rounds (the overlay is symmetric, degrees match);
         //    the deadline counts `timeout_rounds` missed exchanges, not
-        //    raw rounds.
+        //    raw rounds. Until the round passes the deadline nobody can
+        //    have been silent that long, so there is nothing to scan.
         let deadline = (self.cfg.timeout_rounds as Round).saturating_mul(degree.max(1) as Round);
-        for s in &mut self.neighbors {
-            if let Some(heard) = s.last_heard {
-                if ctx.round.saturating_sub(heard) > deadline {
+        if ctx.round > deadline {
+            let now = ctx.round.saturating_add(1);
+            for s in &mut self.neighbors {
+                if s.heard != 0 && now.saturating_sub(Round::from(s.heard)) > deadline {
                     s.flow = 0.0;
-                    s.estimate = None;
-                    s.last_heard = None;
+                    s.heard = 0;
                 }
             }
         }
@@ -350,8 +361,7 @@ impl FlowUpdating {
                 // the sender lent us `flow`; our matching flow is
                 // its negation (anti-symmetry restores Σe = Σv)
                 s.flow = -flow;
-                s.estimate = Some(estimate);
-                s.last_heard = Some(ctx.round);
+                s.heard = u32::try_from(ctx.round.saturating_add(1)).unwrap_or(u32::MAX);
             }
             // most sets received add nobody: only one that does pays
             // for the write (a copy while a sent message holds ours)
@@ -381,7 +391,6 @@ impl FlowUpdating {
                 let midpoint = (e_here + estimate) / 2.0;
                 let s = &mut self.neighbors[pos];
                 s.flow += e_here - midpoint;
-                s.estimate = Some(midpoint);
                 out.send(
                     from,
                     Payload::Flow {
@@ -589,6 +598,58 @@ mod tests {
     }
 
     #[test]
+    fn edge_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<NeighborState>(), 16);
+    }
+
+    #[test]
+    fn reclaim_fires_the_round_after_the_deadline() {
+        // degree 3 × timeout 2: a deadline of 6 rounds
+        let cfg = FlowUpdatingConfig {
+            rounds_per_epoch: 1000,
+            timeout_rounds: 2,
+        };
+        let neighbors = vec![MemberId(1), MemberId(2), MemberId(3)];
+        let mut p = FlowUpdating::new(MemberId(0), 10.0, 4, neighbors.clone(), cfg);
+        let mut rng = DetRng::seeded(1);
+        let mut out = Outbox::new();
+        let mut hear = |p: &mut FlowUpdating, from: u32, flow: f64, round: Round| {
+            let mut ctx = Ctx::new(round, &mut rng);
+            let payload = Payload::Flow {
+                flow,
+                estimate: 0.0,
+                reply: true,
+                influenced: Arc::new(VoteSet::singleton(from as usize, 4)),
+            };
+            p.on_message(MemberId(from), payload, &mut ctx, &mut out);
+        };
+        // we lend 1, 2 and 3 to the three neighbours, then a re-arm
+        // keeps the flows and forgets when each was heard
+        for from in 1..=3 {
+            hear(&mut p, from, -f64::from(from), 0);
+        }
+        p.rearm(10.0, 0, 4, neighbors);
+        assert_eq!(p.local_estimate(), 4.0);
+        // only neighbour 2 is heard again, at round 1
+        hear(&mut p, 2, -2.0, 1);
+        let mut rng = DetRng::seeded(2);
+        let mut out = Outbox::new();
+        let mut step = |p: &mut FlowUpdating, round: Round| {
+            let mut ctx = Ctx::new(round, &mut rng);
+            p.on_round(&mut ctx, &mut out);
+            out.drain().for_each(drop);
+            p.local_estimate()
+        };
+        for round in 1..=7 {
+            assert_eq!(step(&mut p, round), 4.0, "round {round}: nothing reclaimed");
+        }
+        // silent 7 rounds at round 8: neighbour 2's flow comes back, the
+        // never-heard neighbours keep theirs
+        assert_eq!(step(&mut p, 8), 10.0 - 1.0 - 3.0);
+        assert_eq!(step(&mut p, 9), 10.0 - 1.0 - 3.0);
+    }
+
+    #[test]
     fn influence_set_spreads_transitively() {
         let cfg = FlowUpdatingConfig {
             rounds_per_epoch: 1000,
@@ -714,7 +775,7 @@ mod tests {
         );
         assert_eq!(p.local_estimate(), 10.0 - 3.0 - 2.0);
         // neighbour 2 leaves; 3 joins; vote drifts to 11
-        p.rearm(11.0, vec![MemberId(1), MemberId(3)]);
+        p.rearm(11.0, 0, 8, vec![MemberId(1), MemberId(3)]);
         // flow to 1 kept (−3 owed... +3 towards us), flow to 2 reclaimed
         assert_eq!(p.local_estimate(), 11.0 - 3.0);
         assert!(!p.is_done());

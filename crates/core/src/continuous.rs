@@ -32,8 +32,9 @@
 //!   over the current membership (densely reindexed).
 //! * [`ContinuousProtocol::FlowUpdating`] — the mass-conserving
 //!   baseline ([`crate::baselines::flowupdate`]): protocol state
-//!   *persists across epochs*; churn is absorbed by flow reclaim and
-//!   overlay healing rather than by restart.
+//!   *persists across epochs*; churn is absorbed by overlay healing
+//!   (a re-arm drops the flows to departed neighbours) rather than by
+//!   restart.
 //!
 //! Every epoch publishes a [`ChurnEpochReport`] carrying a
 //! **completeness score**: the mean, over members that published an
@@ -164,12 +165,6 @@ impl ContinuousOutcome {
     }
 }
 
-/// Upper bound on ids the membership process can ever create: the
-/// initial group plus the per-epoch join maximum (`⌊rate⌋ + 1`).
-fn universe_cap(n: usize, epochs: usize, churn: &ChurnModel) -> usize {
-    n + epochs * (churn.join_rate.floor() as usize + 1)
-}
-
 /// Run the continuous aggregation service (averaging) for
 /// `opts.epochs` epochs under churn.
 ///
@@ -193,9 +188,8 @@ pub fn run_continuous(
     let dist: VoteDistribution = cfg.vote.into();
     let mut votes: Vec<f64> = crate::runner::build_group_for(cfg, seed).votes();
 
-    // Flow-Updating instances persist across epochs over the stable id
-    // universe; hiergossip builds fresh dense instances per epoch.
-    let cap = universe_cap(cfg.n, opts.epochs, &opts.churn);
+    // Flow-Updating instances persist across epochs, one per id ever
+    // created; hiergossip builds fresh dense instances per epoch.
     let mut fu_protocols: Vec<FlowUpdating> = Vec::new();
 
     let mut epochs = Vec::with_capacity(opts.epochs);
@@ -264,7 +258,6 @@ pub fn run_continuous(
                     opts,
                     &up,
                     &votes,
-                    cap,
                     epoch_seed,
                     &mut membership,
                     &mut fu_protocols,
@@ -429,31 +422,30 @@ fn run_fu_epoch(
     opts: &ContinuousOptions,
     up: &[MemberId],
     votes: &[f64],
-    cap: usize,
     epoch_seed: u64,
     membership: &mut MembershipProcess,
     protocols: &mut Vec<FlowUpdating>,
     acc: &mut EpochAccumulator,
 ) {
     // grow the instance vector to the current population; dead and
-    // left members keep their (inert) instances
+    // left members keep their (inert) instances, and a joiner is up, so
+    // the re-arm below gives it its slot
     while protocols.len() < membership.population() {
         let id = MemberId(protocols.len() as u32);
         protocols.push(FlowUpdating::new(
             id,
             votes[id.index()],
-            cap,
+            up.len(),
             Vec::new(),
             opts.fu,
         ));
     }
     // heal the overlay: up members get ring-chord neighbours over the
-    // sorted up-membership and their current vote
-    for (idx, &m) in up.iter().enumerate() {
-        let neighbors = ring_chord_neighbors(up, idx);
-        protocols[m.index()].rearm(votes[m.index()], neighbors);
+    // sorted up-membership, their current vote, and their slot in it
+    for (slot, &m) in up.iter().enumerate() {
+        let neighbors = ring_chord_neighbors(up, slot);
+        protocols[m.index()].rearm(votes[m.index()], slot, up.len(), neighbors);
     }
-    let was_up = membership.up_mask();
     let net = SimNetwork::new(crate::runner::network_config_for(cfg, None), epoch_seed);
     // within-epoch crashes only; recoveries happen between epochs via
     // the churn model (a mid-epoch rejoin over the persistent overlay
@@ -463,7 +455,7 @@ fn run_fu_epoch(
     } else {
         FailureModel::None
     };
-    let failure = FailureProcess::with_liveness(model, was_up.clone(), epoch_seed);
+    let failure = FailureProcess::with_liveness(model, membership.up_mask(), epoch_seed);
     let moved = std::mem::take(protocols);
     let (run, returned) = Simulation::new(
         net,
@@ -479,32 +471,26 @@ fn run_fu_epoch(
 
     acc.rounds = run.rounds;
     acc.messages = run.net.sent;
-    // The members `membership.is_up` answers for as the loop goes: the
-    // epoch's up set, less each crash the loop has noted so far.
-    let mut up_words = vec![0u64; was_up.len().div_ceil(64)];
-    for (i, _) in was_up.iter().enumerate().filter(|(_, &up)| up) {
-        up_words[i / 64] |= 1 << (i % 64);
-    }
-    for (i, outcome) in run.outcomes.iter().enumerate() {
-        let id = MemberId(i as u32);
-        if !was_up[i] {
-            continue; // down before the epoch; outcome is not news
-        }
-        match outcome {
+    // Influence sets hold slots, and so does the mask: every slot of the
+    // epoch (no set is wider), less each crash the loop has noted so
+    // far. Slots run in id order, so these are the members
+    // `membership.is_up` answers for as the loop goes.
+    let mut up_slots = vec![u64::MAX; up.len().div_ceil(64)];
+    for (slot, &id) in up.iter().enumerate() {
+        match &run.outcomes[id.index()] {
             MemberOutcome::Completed { value, .. } => {
-                // count only influence from the epoch's true membership;
                 // a counted contributor set (scale runs) has no identity
                 // to filter by, so fall back to the raw contributor count
-                let votes_in = protocols[i].estimate().map_or(0, |est| {
+                let votes_in = protocols[id.index()].estimate().map_or(0, |est| {
                     est.votes()
-                        .count_in(&up_words)
+                        .count_in(&up_slots)
                         .unwrap_or_else(|| est.vote_count())
                 });
                 acc.publish(*value, votes_in);
             }
             MemberOutcome::Crashed => {
                 membership.note_crash(id);
-                up_words[i / 64] &= !(1 << (i % 64));
+                up_slots[slot / 64] &= !(1 << (slot % 64));
             }
             MemberOutcome::TimedOut => {}
         }
@@ -783,7 +769,12 @@ mod tests {
         let mut last_maxerr = f64::INFINITY;
         for epoch in 0..12u64 {
             for (idx, &m) in up.iter().enumerate() {
-                protocols[m.index()].rearm(votes[m.index()], ring_chord_neighbors(&up, idx));
+                protocols[m.index()].rearm(
+                    votes[m.index()],
+                    idx,
+                    n,
+                    ring_chord_neighbors(&up, idx),
+                );
             }
             let epoch_seed = 5u64.wrapping_add(0x1000 + epoch);
             let net = SimNetwork::new(network_config_for(&cfg, None), epoch_seed);

@@ -351,3 +351,47 @@ fn leader_election_matches_seed_behavior() {
         check("leader", n, seed, &report, &golden);
     }
 }
+
+#[test]
+fn flow_updating_continuous_matches_seed_behavior() {
+    // Flow-Updating persists across epochs, so one fingerprint over
+    // every epoch's report pins the whole run: churn between epochs,
+    // crashes inside them, and the completeness tally over both.
+    let mut c = cfg(96);
+    c.pf = 0.01;
+    let mut opts = ContinuousOptions::new(ContinuousProtocol::FlowUpdating);
+    opts.churn = ChurnModel {
+        join_rate: 1.5,
+        leave_prob: 0.02,
+        crash_prob: 0.03,
+        recover_prob: 0.3,
+    };
+    opts.votes = VoteProcess::RandomWalk { sigma: 0.5 };
+    let out = run_continuous(&c, &opts, 5);
+    assert_eq!(out.epochs.len(), 8);
+    // members that went down inside an epoch: the next epoch's up count
+    // less what the churn step between them explains
+    let mid_epoch_crashes: usize = out
+        .epochs
+        .windows(2)
+        .map(|w| w[0].up + w[1].joins + w[1].recoveries - w[1].leaves - w[1].crashes - w[1].up)
+        .sum();
+    assert!(mid_epoch_crashes > 0, "no member crashed mid-epoch");
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in &out.epochs {
+        for word in [
+            e.up as u64,
+            e.messages,
+            e.rounds,
+            e.published as u64,
+            e.completeness.to_bits(),
+            e.estimate.to_bits(),
+        ] {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(hash, 0xf083_4825_d8ac_05f6, "epoch fingerprint {hash:#x}");
+}
