@@ -1,23 +1,23 @@
 //! Deterministic benchmark baseline for the five protocols.
 //!
-//! Times a single simulated run of each protocol at N ∈ {256, 1024,
-//! 4096} — plus N = 16384 for every protocol except `flood` — and
-//! records, next to the (machine-dependent) wall-clock mean, the
-//! **deterministic proxy counters** that make the result comparable
-//! across machines: messages sent, bytes encoded on the wire, peak
-//! in-flight envelopes, deliveries, rounds, and the heap-allocation
-//! count of one run (measured with a counting global allocator).
+//! Runs one simulated run of each protocol per group size and records
+//! only what `(protocol, N, seed)` decides: messages sent, bytes
+//! encoded on the wire, peak in-flight envelopes, deliveries, rounds,
+//! and the heap-allocation count and peak heap of that run (measured
+//! with a counting global allocator). Host time is not measured here;
+//! the `benchmark/` package owns every wall-clock number.
 //!
-//! The proxies are pure functions of `(protocol, N, seed)`, so any
-//! change in them is a behavior or efficiency change, never noise —
-//! which is what lets CI gate on them with a 0% tolerance while
-//! treating wall-clock as informational.
+//! The message and byte counters are pure functions of
+//! `(protocol, N, seed)`, so any change in them is a behavior or
+//! efficiency change, never noise — which is what lets CI gate on them
+//! with a 0% tolerance.
 //!
-//! Cells execute on the [`gridagg_bench::sweep`] worker pool. The
-//! allocation counter is **per-thread** (each cell runs wholly on one
-//! worker), so `allocs_single_run` is exact at any `--jobs`, and the
-//! output cells are merged in declaration order, so the JSON is
-//! byte-identical whether one worker ran or eight did.
+//! Cells execute on the [`gridagg_bench::sweep`] worker pool, each on
+//! the serial round engine. The allocation counter is **per-thread**
+//! and a cell runs wholly on one worker, so `allocs_single_run` and
+//! `peak_heap_bytes` see the whole run at any `--jobs`, and the output
+//! cells are merged in declaration order, so the JSON is byte-identical
+//! whether one worker ran or eight did.
 //!
 //! The grid is a **scale ladder**: N ∈ {256, …, 1048576}. Every
 //! protocol declares the largest N it is benchmarked at (`max_n` in
@@ -27,44 +27,28 @@
 //! N = 16384 so an ordinary CI run stays cheap, while the scale-smoke
 //! and nightly jobs select the big cells explicitly.
 //!
-//! Each cell also records `peak_heap_bytes`: the high-water mark of
-//! live heap bytes over one instrumented run, measured by the counting
-//! allocator. The mark is per-thread and the run is deterministic, so
-//! the value is reproducible for a given toolchain; `--check` gates it
-//! and `allocs_single_run` with a ±25% ratio tolerance (both drift
-//! across toolchains, unlike the exactly-gated message counters).
+//! `peak_heap_bytes` is the high-water mark of live heap bytes over the
+//! run. It and `allocs_single_run` are reproducible for a given
+//! toolchain but drift across toolchains, so `--check` gates them with
+//! a ×1.25 ratio tolerance instead of exactly.
 //!
 //! Usage:
 //!
 //! * `bench_baseline` — measure and write `results/BENCH_protocols.json`
-//!   (`GRIDAGG_OUT` overrides the directory; `GRIDAGG_RUNS` caps timed
-//!   iterations per cell, so `GRIDAGG_RUNS=2` keeps a CI smoke run
-//!   cheap; `GRIDAGG_SEED` sets the seed).
+//!   (`GRIDAGG_OUT` overrides the directory; `GRIDAGG_SEED` sets the
+//!   seed).
 //! * `bench_baseline --jobs <J>` — run cells on `J` workers
 //!   (`GRIDAGG_JOBS` works too; default: all cores).
 //! * `bench_baseline --min-n <N>` / `--max-n <N>` — bound the grid
 //!   sizes this run measures (defaults: 0 and 16384). Baseline cells
 //!   outside the window are skipped by `--check`, not failed.
-//! * `bench_baseline --proxies-only` — skip wall-clock sampling and
-//!   zero the machine-dependent fields (`wall_secs_mean`,
-//!   `timed_iters`), making the whole output file deterministic — this
-//!   is what the CI parallel-determinism gate byte-diffs across
-//!   `--jobs` values.
 //! * `bench_baseline --check <path>` — additionally compare the
-//!   deterministic counters against a committed baseline JSON and exit
-//!   non-zero if `messages_sent` or `bytes_sent` increased — or
-//!   `peak_heap_bytes` or `allocs_single_run` grew by more than 25% —
-//!   for any compared cell.
-//! * `bench_baseline --engine-jobs <T>` — run each cell's round loop
-//!   on `T` fork-join engine threads (`GRIDAGG_ENGINE_JOBS` works too;
-//!   default 1). Every deterministic counter is byte-identical at any
-//!   `T` — only `wall_secs_mean` moves — and the cell records the
-//!   thread count in its `threads` field.
-//! * `bench_baseline --threads-ladder` — measurement mode: instead of
-//!   the protocol grid, run only the hiergossip rungs above the frozen
-//!   grid (intersected with `--min-n`/`--max-n`) at engine threads
-//!   {1, 2, 4}, one cell per thread count. Combine with `--jobs 1` so
-//!   cells run back-to-back and the wall-clock comparison is clean.
+//!   counters against a committed baseline JSON and exit 1 if
+//!   `messages_sent` or `bytes_sent` increased — or `peak_heap_bytes`
+//!   or `allocs_single_run` grew by more than 25% — for any compared
+//!   cell.
+//!
+//! Any other argument exits with status 2.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell as StdCell;
@@ -72,13 +56,9 @@ use std::cell::Cell as StdCell;
 use gridagg_aggregate::Average;
 use gridagg_bench::protocol::Protocol;
 use gridagg_bench::sweep::Sweep;
-use gridagg_bench::{
-    base_seed, bench_budget_ms, host_cores, host_json, print_table, runs, time_mean, write_json,
-};
+use gridagg_bench::{base_seed, host_json, print_table, write_json};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::json::{Json, ToJson};
-use gridagg_core::runner::run_hiergossip;
-use gridagg_core::RunReport;
 
 /// Counts every allocation (and reallocation) on top of the system
 /// allocator. The count is a deterministic proxy for hot-path churn:
@@ -204,42 +184,25 @@ const PROTOCOLS: [ProtocolSpec; 5] = [
     ProtocolSpec {
         protocol: Protocol::Leader { committee: 1 },
         max_n: 262_144,
-        cap_reason: "per-member address-chain slabs dominate memory at larger sizes",
+        cap_reason: "peak heap is already ~616 MB at N=262144: every member keeps \
+                     depth*K + 1 aggregate slots, so the next rung needs over 2 GB",
     },
 ];
 
-/// Engine thread counts the `--threads-ladder` mode measures at each
-/// big hiergossip rung. The counters are identical across the row —
-/// only wall-clock moves — which is exactly what makes the ladder a
-/// speedup measurement rather than a new baseline surface.
-const LADDER_THREADS: [usize; 3] = [1, 2, 4];
-
-/// One `(protocol, N, engine threads)` measurement.
+/// One `(protocol, N)` measurement: every field is decided by
+/// `(protocol, n, seed)` and the toolchain.
 struct Cell {
     protocol: &'static str,
     n: usize,
     seed: u64,
-    /// Fork-join engine threads the run's round loop used. Purely an
-    /// execution knob: every protocol-level counter below is identical
-    /// at any value; only `wall_secs_mean` responds to it. The two
-    /// allocator-derived fields are the exception — the counting
-    /// allocator's tallies are per-thread, so work done on shard
-    /// threads lands on *their* counters — which is why `--check`
-    /// compares cells only at matching thread counts.
-    threads: usize,
-    /// Mean wall-clock seconds per run (machine-dependent).
-    wall_secs_mean: f64,
-    /// Timed iterations behind the mean (capped by `GRIDAGG_RUNS`).
-    timed_iters: u32,
-    // Deterministic proxies, exact for (protocol, n, seed):
     rounds: u64,
     messages_sent: u64,
     bytes_sent: u64,
     peak_in_flight: u64,
     delivered: u64,
     allocs_single_run: u64,
-    /// High-water mark of live heap bytes over the one instrumented
-    /// run (counting-allocator delta, relative to the pre-run mark).
+    /// High-water mark of live heap bytes over the run
+    /// (counting-allocator delta, relative to the pre-run mark).
     peak_heap_bytes: u64,
 }
 
@@ -249,9 +212,6 @@ impl ToJson for Cell {
             ("protocol".into(), Json::Str(self.protocol.into())),
             ("n".into(), Json::Num(self.n as f64)),
             ("seed".into(), Json::Num(self.seed as f64)),
-            ("threads".into(), Json::Num(self.threads as f64)),
-            ("wall_secs_mean".into(), Json::Num(self.wall_secs_mean)),
-            ("timed_iters".into(), Json::Num(f64::from(self.timed_iters))),
             ("rounds".into(), Json::Num(self.rounds as f64)),
             ("messages_sent".into(), Json::Num(self.messages_sent as f64)),
             ("bytes_sent".into(), Json::Num(self.bytes_sent as f64)),
@@ -292,38 +252,18 @@ impl ToJson for Baseline {
     }
 }
 
-fn measure(
-    protocol: &'static str,
-    n: usize,
-    seed: u64,
-    threads: usize,
-    timing: bool,
-    run: impl Fn() -> RunReport,
-) -> Cell {
-    // One instrumented run yields the deterministic proxies, the
-    // allocation count, and the peak-heap high-water mark; only then is
-    // the wall clock sampled. The whole window runs on this worker
-    // thread, so the per-thread counters are exact at any `--jobs`.
+fn measure(protocol: Protocol, cfg: &ExperimentConfig, seed: u64) -> Cell {
+    // The whole run happens on this worker thread, so the per-thread
+    // counters see all of it at any `--jobs`.
     let before = allocs_now();
     let mark = heap_mark();
-    let report = run();
+    let report = protocol.run::<Average>(cfg, seed);
     let allocs_single_run = allocs_now() - before;
     let peak_heap_bytes = heap_peak_since(mark);
-    let (wall_secs_mean, timed_iters) = if timing {
-        let (per, iters) = time_mean(bench_budget_ms(), runs() as u32, || {
-            std::hint::black_box(run());
-        });
-        (per.as_secs_f64(), iters)
-    } else {
-        (0.0, 0)
-    };
     Cell {
-        protocol,
-        n,
+        protocol: protocol.name(),
+        n: cfg.n,
         seed,
-        threads,
-        wall_secs_mean,
-        timed_iters,
         rounds: report.rounds,
         messages_sent: report.net.sent,
         bytes_sent: report.net.bytes_sent,
@@ -336,10 +276,8 @@ fn measure(
 
 /// Queue every protocol's `(protocol, n)` cell, honoring each
 /// protocol's `max_n` cap with a logged reason.
-fn queue_cells(sweep: &mut Sweep<Cell>, n: usize, seed: u64, threads: usize, timing: bool) {
-    let mut cfg = ExperimentConfig::paper_defaults()
-        .with_n(n)
-        .with_engine_jobs(threads);
+fn queue_cells(sweep: &mut Sweep<Cell>, n: usize, seed: u64) {
+    let mut cfg = ExperimentConfig::paper_defaults().with_n(n);
     // Above the frozen grid, per-phase trace recording is pure memory
     // overhead (it never draws randomness or sends): turn it off so
     // the peak-heap ceiling reflects protocol state, not telemetry.
@@ -355,61 +293,21 @@ fn queue_cells(sweep: &mut Sweep<Cell>, n: usize, seed: u64, threads: usize, tim
             );
             continue;
         }
-        let (protocol, name) = (spec.protocol, spec.protocol.name());
-        sweep.push(format!("{name}/n={n}/t={threads}"), move || {
-            measure(name, n, seed, threads, timing, || {
-                protocol.run::<Average>(&cfg, seed)
-            })
+        let protocol = spec.protocol;
+        sweep.push(format!("{}/n={n}", protocol.name()), move || {
+            measure(protocol, &cfg, seed)
         });
     }
 }
 
-/// Queue the `--threads-ladder` cells for one rung: hiergossip at
-/// every [`LADDER_THREADS`] engine thread count. Only the rungs above
-/// the frozen grid carry enough per-round work for the fork-join
-/// engine to matter, so the ladder starts where the default window
-/// ends.
-fn queue_threads_ladder(sweep: &mut Sweep<Cell>, n: usize, seed: u64, timing: bool) {
-    for threads in LADDER_THREADS {
-        let mut cfg = ExperimentConfig::paper_defaults()
-            .with_n(n)
-            .with_engine_jobs(threads);
-        cfg.phase_trace = n <= DEFAULT_MAX_N;
-        cfg.validate().expect("paper defaults are valid");
-        sweep.push(format!("hiergossip/n={n}/t={threads}"), move || {
-            measure("hiergossip", n, seed, threads, timing, || {
-                run_hiergossip::<Average>(&cfg, seed)
-            })
-        });
-    }
-}
-
-fn measure_all(
-    seed: u64,
-    timing: bool,
-    min_n: usize,
-    max_n: usize,
-    engine_jobs: usize,
-    threads_ladder: bool,
-) -> Vec<Cell> {
+fn measure_all(seed: u64, min_n: usize, max_n: usize) -> Vec<Cell> {
     let mut sweep = Sweep::new();
     for n in SIZES {
         if n < min_n || n > max_n {
             eprintln!("skipping N={n} cells: outside this run's --min-n/--max-n window");
             continue;
         }
-        if threads_ladder {
-            if n <= DEFAULT_MAX_N {
-                eprintln!(
-                    "skipping N={n} cells: --threads-ladder measures only the rungs \
-                     above N={DEFAULT_MAX_N}"
-                );
-                continue;
-            }
-            queue_threads_ladder(&mut sweep, n, seed, timing);
-        } else {
-            queue_cells(&mut sweep, n, seed, engine_jobs, timing);
-        }
+        queue_cells(&mut sweep, n, seed);
     }
     eprintln!(
         "measuring {} cells on {} worker(s) ...",
@@ -419,10 +317,6 @@ fn measure_all(
     sweep.run_or_exit("bench_baseline")
 }
 
-fn millis(secs: f64) -> String {
-    format!("{:.3}ms", secs * 1e3)
-}
-
 fn report_table(cells: &[Cell]) {
     let rows: Vec<Vec<String>> = cells
         .iter()
@@ -430,9 +324,6 @@ fn report_table(cells: &[Cell]) {
             vec![
                 c.protocol.to_string(),
                 c.n.to_string(),
-                c.threads.to_string(),
-                millis(c.wall_secs_mean),
-                c.timed_iters.to_string(),
                 c.rounds.to_string(),
                 c.messages_sent.to_string(),
                 c.bytes_sent.to_string(),
@@ -443,13 +334,10 @@ fn report_table(cells: &[Cell]) {
         })
         .collect();
     print_table(
-        "Protocol baseline (wall-clock is machine-dependent; the rest is deterministic)",
+        "Protocol baseline (one run per cell, deterministic per seed)",
         &[
             "protocol",
             "N",
-            "threads",
-            "wall/run",
-            "iters",
             "rounds",
             "msgs sent",
             "bytes sent",
@@ -477,14 +365,6 @@ const HEAP_TOLERANCE: f64 = 1.25;
 /// `--min-n`/`--max-n` window (or a protocol's `max_n` cap) are
 /// skipped with a logged reason, so a windowed run can still check
 /// against the full committed ladder.
-///
-/// Cells are matched on `(protocol, n, threads)` — a baseline recorded
-/// before the fork-join engine has no `threads` field and matches as
-/// `threads = 1`. Baseline cells at an engine thread count this run
-/// did not measure (e.g. the committed threads-ladder rows during an
-/// ordinary serial run) are skipped, not failed: the counters are
-/// identical at every thread count, so checking one count checks all.
-/// So are cells at more threads than this host has cores.
 fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usize {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("bench_baseline: cannot read baseline {path}: {e}"));
@@ -501,7 +381,6 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
             as u64
     };
 
-    let cores = host_cores();
     let mut regressions = 0;
     for base in base_cells {
         let proto = base
@@ -509,10 +388,6 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
             .and_then(Json::as_str)
             .expect("baseline cell has a protocol");
         let n = counter(base, "n") as usize;
-        let threads = base
-            .get("threads")
-            .and_then(Json::as_f64)
-            .map_or(1, |v| v as usize);
         if n < min_n || n > max_n {
             eprintln!(
                 "skipping baseline cell {proto}/N={n}: outside this run's \
@@ -530,27 +405,8 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
                 continue;
             }
         }
-        if threads > cores {
-            // a thread-scaled row says nothing on a host that cannot
-            // run its threads in parallel
-            eprintln!(
-                "skipping baseline cell {proto}/N={n}/threads={threads}: this host has \
-                 {cores} core(s)"
-            );
-            continue;
-        }
-        if !cells.iter().any(|c| c.threads == threads) {
-            eprintln!(
-                "skipping baseline cell {proto}/N={n}/threads={threads}: this run \
-                 measured no cells at that engine-thread count"
-            );
-            continue;
-        }
-        let Some(cur) = cells
-            .iter()
-            .find(|c| c.protocol == proto && c.n == n && c.threads == threads)
-        else {
-            eprintln!("REGRESSION {proto}/N={n}/threads={threads}: cell missing from this run");
+        let Some(cur) = cells.iter().find(|c| c.protocol == proto && c.n == n) else {
+            eprintln!("REGRESSION {proto}/N={n}: cell missing from this run");
             regressions += 1;
             continue;
         };
@@ -634,10 +490,8 @@ fn check_against(cells: &[Cell], path: &str, min_n: usize, max_n: usize) -> usiz
 
 fn main() {
     let mut check_path = None;
-    let mut timing = true;
     let mut min_n: usize = 0;
     let mut max_n: usize = DEFAULT_MAX_N;
-    let mut threads_ladder = false;
     let mut args = std::env::args().skip(1);
     let parse_n = |args: &mut dyn Iterator<Item = String>, flag: &str| -> usize {
         args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -653,23 +507,20 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--proxies-only" => timing = false,
-            "--threads-ladder" => threads_ladder = true,
             "--min-n" => min_n = parse_n(&mut args, "--min-n"),
             "--max-n" => max_n = parse_n(&mut args, "--max-n"),
-            // consumed here; the sweep executor re-reads them from argv
-            "--jobs" | "--engine-jobs" => {
+            // consumed here; the sweep executor re-reads it from argv
+            "--jobs" => {
                 if args.next().is_none() {
-                    eprintln!("bench_baseline: expected a count after {arg}");
+                    eprintln!("bench_baseline: expected a count after --jobs");
                     std::process::exit(2);
                 }
             }
-            other if other.starts_with("--jobs=") || other.starts_with("--engine-jobs=") => {}
+            other if other.starts_with("--jobs=") => {}
             other => {
                 eprintln!(
                     "bench_baseline: unknown argument {other:?} \
-                     (expected --check <path>, --jobs <J>, --engine-jobs <T>, \
-                      --proxies-only, --threads-ladder, --min-n <N>, --max-n <N>)"
+                     (expected --check <path>, --jobs <J>, --min-n <N>, --max-n <N>)"
                 );
                 std::process::exit(2);
             }
@@ -680,10 +531,8 @@ fn main() {
         std::process::exit(2);
     }
 
-    let seed = base_seed();
-    let engine_jobs = gridagg_bench::sweep::engine_jobs(gridagg_bench::sweep::jobs());
     let baseline = Baseline {
-        cells: measure_all(seed, timing, min_n, max_n, engine_jobs, threads_ladder),
+        cells: measure_all(base_seed(), min_n, max_n),
     };
     report_table(&baseline.cells);
     write_json("BENCH_protocols.json", &baseline);

@@ -8,7 +8,10 @@
 //! by name and they share no shape with that table. Shared helpers
 //! here: run-count control, the protocol dispatch ([`protocol`]), the
 //! sweep executor ([`sweep`]), aligned table printing, and CSV / JSON /
-//! SVG output under `results/`.
+//! SVG output under `results/`. Nothing here times a run: what these
+//! binaries write is decided by the seed (and, for `cluster_10k`, by
+//! the loopback schedule), and host time belongs to the separate
+//! `benchmark/` package.
 //!
 //! Environment knobs:
 //! * `GRIDAGG_RUNS` — runs per sweep point (default 40; figures in the
@@ -102,8 +105,8 @@ pub fn host_cores() -> usize {
 }
 
 /// The measuring host as `{cores, cpu, os}`, recorded in both bench
-/// baselines: a wall-clock or thread-scaled row without its host is
-/// not comparable to anything.
+/// baselines: `cluster_10k` rows depend on the worker count the host
+/// allows, and allocation counts on the toolchain built for it.
 pub fn host_json() -> gridagg_core::json::Json {
     use gridagg_core::json::Json;
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
@@ -123,38 +126,6 @@ pub fn host_json() -> gridagg_core::json::Json {
             Json::Str(format!("{} {release}", std::env::consts::OS)),
         ),
     ])
-}
-
-/// Time budget per benchmark in milliseconds (`GRIDAGG_BENCH_MS`,
-/// default 300).
-pub fn bench_budget_ms() -> u64 {
-    sweep::env_or("GRIDAGG_BENCH_MS", 300)
-}
-
-/// Calibrated mean wall-clock time of `f`: one warm-up call sizes an
-/// iteration count targeting `budget_ms` of work (capped at
-/// `max_iters`), then the mean per-iteration duration and the number of
-/// timed iterations are returned.
-///
-/// Callers that *record* timings (e.g. `bench_baseline`) bound cost
-/// with the hard iteration cap — pass [`runs()`] so `GRIDAGG_RUNS=2`
-/// keeps a CI smoke run cheap — and format the result themselves.
-pub fn time_mean(
-    budget_ms: u64,
-    max_iters: u32,
-    mut f: impl FnMut(),
-) -> (std::time::Duration, u32) {
-    use std::time::{Duration, Instant};
-    let start = Instant::now();
-    f();
-    let once = start.elapsed().max(Duration::from_nanos(50));
-    let target = Duration::from_millis(budget_ms);
-    let iters = (target.as_nanos() / once.as_nanos()).clamp(1, u128::from(max_iters.max(1))) as u32;
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    (start.elapsed() / iters, iters)
 }
 
 /// Format a float in compact scientific-ish notation for tables.

@@ -297,11 +297,10 @@ pub fn jobs() -> usize {
 /// oversubscribe: when the sweep itself runs cells concurrently
 /// (`sweep_jobs > 1`), an *environment-derived* engine thread count is
 /// capped at `cores / sweep_jobs`. An explicit `--engine-jobs` flag is
-/// taken at face value — measurement runs (e.g. the wall-clock threads
-/// ladder) must be able to pin exact thread counts.
+/// taken at face value: a thread count named on the command line is the
+/// one the run uses.
 ///
-/// Results are byte-identical at any value either way; this only
-/// affects wall-clock.
+/// Results are byte-identical at any value either way.
 pub fn engine_jobs(sweep_jobs: usize) -> usize {
     match process_count("--engine-jobs", "GRIDAGG_ENGINE_JOBS") {
         Some((n, from_flag)) if from_flag || sweep_jobs <= 1 => n,
@@ -386,7 +385,7 @@ mod tests {
             let err = read(bad).unwrap_err();
             assert!(err.starts_with("--jobs: expected a count"), "{bad}: {err}");
         }
-        // GRIDAGG_RUNS / GRIDAGG_SEED / GRIDAGG_BENCH_MS: same rule
+        // GRIDAGG_RUNS / GRIDAGG_SEED: same rule
         assert_eq!(number::<u64>("GRIDAGG_SEED", " 2001\n"), Ok(2001));
         for bad in ["4x", "", "-1", "1.5"] {
             let err = number::<usize>("GRIDAGG_RUNS", bad).unwrap_err();

@@ -62,11 +62,6 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
-    /// Protocol frames sent per wall-clock second.
-    pub fn frames_per_sec(&self) -> f64 {
-        self.stats.frames_sent as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
     /// Mean frames coalesced into each datagram (the multiplexing win).
     pub fn frames_per_datagram(&self) -> f64 {
         self.stats.frames_sent as f64 / (self.stats.datagrams_sent as f64).max(1.0)

@@ -85,7 +85,7 @@ pub struct WorkerStats {
     pub wakeups: u64,
     /// Always 0: a frame is delivered where it lands, so no member ever
     /// has mail waiting. Kept because the benchmark's
-    /// `runtime.mailbox_high_water` and `cluster_10k`'s JSON read it.
+    /// `runtime.mailbox_high_water` reads it.
     pub mailbox_high_water: u64,
     /// Retry-on-silence frame resends.
     pub retries: u64,
