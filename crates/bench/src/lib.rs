@@ -3,14 +3,13 @@
 //! The figure/table regeneration harness. The paper's evaluation (§7),
 //! the complexity table and the ablations are one spec table and one
 //! driver ([`figures`]) behind one `figures` binary; `churn`,
-//! `trace_profile`, `run_experiment`, `bench_baseline` and
-//! `cluster_10k` are binaries of their own, because CI gates call them
-//! by name and they share no shape with that table. Shared helpers
-//! here: run-count control, the protocol dispatch ([`protocol`]), the
-//! sweep executor ([`sweep`]), aligned table printing, and CSV / JSON /
-//! SVG output under `results/`. Nothing here times a run: what these
-//! binaries write is decided by the seed (and, for `cluster_10k`, by
-//! the loopback schedule), and host time belongs to the separate
+//! `trace_profile`, `run_experiment` and `bench_baseline` are binaries
+//! of their own, because CI gates call them by name and they share no
+//! shape with that table. Shared helpers here: run-count control, the
+//! protocol dispatch ([`protocol`]), the sweep executor ([`sweep`]),
+//! aligned table printing, and CSV / JSON / SVG output under
+//! `results/`. Nothing here times a run: what these binaries write is
+//! decided by the seed, and host time belongs to the separate
 //! `benchmark/` package.
 //!
 //! Environment knobs:
@@ -104,9 +103,8 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
-/// The measuring host as `{cores, cpu, os}`, recorded in both bench
-/// baselines: `cluster_10k` rows depend on the worker count the host
-/// allows, and allocation counts on the toolchain built for it.
+/// The measuring host as `{cores, cpu, os}`, recorded in the bench
+/// baseline: allocation counts depend on the toolchain built for it.
 pub fn host_json() -> gridagg_core::json::Json {
     use gridagg_core::json::Json;
     let cpu = std::fs::read_to_string("/proc/cpuinfo")

@@ -771,6 +771,39 @@ mod tests {
     }
 
     #[test]
+    fn a_member_nobody_answers_retries_at_r_2r_4r_reports_once_then_lingers_and_retires() {
+        let cfg = RuntimeConfig {
+            max_rounds: 20,
+            linger_rounds: 3,
+            retry_silent_rounds: 2,
+            ..roomy()
+        };
+        let interval = cfg.round_interval;
+        let mut worker = worker(Votes(1), N, cfg);
+        let (done, outcomes) = mpsc::channel();
+        worker.done = done;
+        let epoch = Instant::now();
+        let mut wheel = TimerWheel::new(epoch, interval / 4, 64);
+        wheel.schedule(epoch + interval, 0);
+        let mut retried_at = Vec::new();
+        for k in 1..=24 {
+            let retries = worker.stats.retries;
+            worker.tick_due(&mut wheel, epoch, epoch + interval * k);
+            if worker.stats.retries > retries {
+                retried_at.push(k - 1);
+            }
+            let reported = outcomes.try_iter().count();
+            assert_eq!(reported, usize::from(k == 20), "outcomes at tick {k}");
+            assert_eq!(worker.live, usize::from(k < 24), "live after tick {k}");
+        }
+        // silent rounds 2, 4, 8 and 16: one fresh vote a round, plus
+        // one resent on each
+        assert_eq!(retried_at, [2, 4, 8, 16]);
+        assert_eq!(worker.stats.frames_sent, 20 + 4);
+        assert_eq!(wheel.pending(), 0, "a retired member schedules nothing");
+    }
+
+    #[test]
     fn frame_header_constant_matches_format() {
         // dst u32 + src u32 + len u16
         assert_eq!(FRAME_HEADER_LEN, 4 + 4 + 2);

@@ -1,0 +1,161 @@
+//! The socket runtime against the simulator, at matching shape.
+//!
+//! The paper's claim (§2, §7) is that the gossip evaluated in
+//! simulation is what runs on a real network, with every message
+//! constant size. Each test here runs Hierarchical Gossiping on a
+//! multiplexed loopback cluster with 10 % injected loss, then
+//! `run_hiergossip` at the same N, loss and seed, and asserts:
+//!
+//! * every member reports, and no frame fails to decode;
+//! * cluster completeness is at least the simulator's less
+//!   [`SIM_MARGIN`], and at least [`COMPLETENESS_FLOOR`], so a
+//!   simulator regression cannot pull the cluster gate down with it;
+//! * a wire frame is at most the simulator's bytes per message plus
+//!   [`WIRE_OVER_SIM_BYTES`]: no contributor set or other N-sized
+//!   field rides in a frame (with N/8-byte bitmaps in every aggregate
+//!   the smoke shape averaged 165 B a frame);
+//! * datagram coalescing stays at or above [`COALESCE_RATIO_FLOOR`] of
+//!   the frames per datagram recorded for the same worker count on a
+//!   2-core Xeon @ 2.10 GHz.
+//!
+//! Workers are pinned, so the coalescing floor does not depend on the
+//! host's core count. The smoke shape runs with every `cargo test`; the
+//! two 10,000-member shapes are `#[ignore]`d and run in release:
+//! `cargo test --release -p gridagg --test sockets_match_simulator --
+//! --ignored --nocapture --test-threads 1`. Each run prints one line
+//! of its counters.
+
+use std::time::Duration;
+
+use gridagg::core::scope::ScopeIndex;
+use gridagg::group::view::View;
+use gridagg::hierarchy::{FairHashPlacement, Hierarchy};
+use gridagg::prelude::*;
+use gridagg::runtime::endpoint::FRAME_HEADER_LEN;
+use gridagg::runtime::{run_cluster, RuntimeConfig};
+
+/// Grid-box fan-in `K` of the hierarchy every shape runs on.
+const K: u8 = 4;
+const LOSS: f64 = 0.10;
+const SEED: u64 = 2001;
+
+/// Sim-vs-wire byte parity: a frame is the demux header plus what the
+/// simulator charges (`Payload::wire_size`) plus a constant of the
+/// message's shape — at most a batch of `K` aggregates, each carrying a
+/// presence flag and a contributor count (9 B), plus the batch's reply
+/// flag — plus one byte of slack for the means' different message mix.
+const WIRE_OVER_SIM_BYTES: f64 = (FRAME_HEADER_LEN + 9 * K as usize + 2) as f64;
+
+/// Margin for the cluster-vs-simulator completeness gate.
+const SIM_MARGIN: f64 = 0.02;
+
+/// Absolute completeness floor: every shape reached 1.0 on the 2-core
+/// Xeon, less a noise margin for wall-clock scheduling.
+const COMPLETENESS_FLOOR: f64 = 0.95;
+
+/// Frames per datagram may not fall below this fraction of the
+/// recorded figure for the same worker count.
+const COALESCE_RATIO_FLOOR: f64 = 0.7;
+
+/// Runs `n` members over `sockets` sockets and `workers` workers and
+/// holds the run to the simulator; `recorded_frames_per_datagram` is
+/// what this shape read on the 2-core Xeon.
+fn check(
+    n: usize,
+    sockets: usize,
+    workers: usize,
+    round_ms: u64,
+    recorded_frames_per_datagram: f64,
+) {
+    let h = Hierarchy::for_group(K, n).expect("hierarchy shape");
+    let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, SEED));
+    let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let cfg = RuntimeConfig {
+        sockets,
+        workers,
+        round_interval: Duration::from_millis(round_ms),
+        seed: SEED,
+        ..Default::default()
+    }
+    .with_uniform_loss(LOSS);
+    let run = run_cluster::<Average>(votes, index, HierGossipConfig::default(), cfg)
+        .expect("cluster runs");
+    let r = &run.report;
+    let bytes_per_frame = r.stats.bytes_sent as f64 / r.stats.frames_sent.max(1) as f64;
+
+    // Same protocol, N, loss and seed; no process failures, as the
+    // loopback cluster has none.
+    let sim_cfg = ExperimentConfig::paper_defaults()
+        .with_n(n)
+        .with_ucastl(LOSS)
+        .with_pf(0.0);
+    sim_cfg.validate().expect("simulator config is valid");
+    let sim = run_hiergossip::<Average>(&sim_cfg, SEED);
+    let sim_completeness = sim.mean_completeness().unwrap_or(0.0);
+    let sim_bytes_per_msg = sim.net.bytes_sent as f64 / sim.net.sent.max(1) as f64;
+
+    println!(
+        "N={n} sockets={} workers={}: completeness {:.4} (sim {sim_completeness:.4}), \
+         {bytes_per_frame:.1} B/frame (sim {sim_bytes_per_msg:.1} B/msg), \
+         {:.2} frames/datagram, {} retries, {} wakeups, {} mid-burst drains",
+        r.sockets,
+        r.workers,
+        r.mean_completeness,
+        r.frames_per_datagram(),
+        r.stats.retries,
+        r.stats.wakeups,
+        r.stats.backpressure_drains,
+    );
+
+    assert_eq!(r.workers, workers, "worker count is pinned");
+    assert_eq!(r.reported, n, "every member reports an outcome");
+    assert_eq!(r.stats.decode_errors, 0, "every frame decodes");
+    assert!(
+        r.mean_completeness + SIM_MARGIN >= sim_completeness,
+        "cluster completeness {:.4} below the simulator's {sim_completeness:.4} \
+         (margin {SIM_MARGIN})",
+        r.mean_completeness
+    );
+    assert!(
+        r.mean_completeness >= COMPLETENESS_FLOOR,
+        "cluster completeness {:.4} below {COMPLETENESS_FLOOR}",
+        r.mean_completeness
+    );
+    assert!(
+        bytes_per_frame <= sim_bytes_per_msg + WIRE_OVER_SIM_BYTES,
+        "{bytes_per_frame:.1} B per wire frame against {sim_bytes_per_msg:.1} B per \
+         simulated message (allowed gap {WIRE_OVER_SIM_BYTES} B: frames must stay \
+         constant in N)"
+    );
+    let floor = COALESCE_RATIO_FLOOR * recorded_frames_per_datagram;
+    assert!(
+        r.frames_per_datagram() >= floor,
+        "{:.2} frames per datagram, floor {floor:.2} ({COALESCE_RATIO_FLOOR} x {:.2})",
+        r.frames_per_datagram(),
+        recorded_frames_per_datagram
+    );
+}
+
+#[test]
+fn smoke_512_members_over_16_sockets() {
+    check(512, 16, 2, 5, 13.52);
+}
+
+// The 10k round interval is sized so one worker core can tick all
+// 10,000 members (plus deliveries) inside a round: a too-short interval
+// makes rounds fire back to back, messages straddle round boundaries,
+// and members finalize before their aggregates fill.
+
+#[test]
+#[ignore = "10,000 members: run in release with --ignored"]
+fn full_10k_members_over_64_sockets_and_2_workers() {
+    check(10_000, 64, 2, 100, 16.99);
+}
+
+/// Each of 4 workers owns 16 of the 64 sockets: the sharded event
+/// loop's cross-worker handoff paths at scale.
+#[test]
+#[ignore = "10,000 members: run in release with --ignored"]
+fn full_10k_members_over_64_sockets_and_4_workers() {
+    check(10_000, 64, 4, 100, 15.44);
+}
