@@ -6,8 +6,6 @@
 //! messages, so coverage per vote collapses as `N` grows — the
 //! quantitative argument for the hierarchy.
 
-use std::collections::BTreeSet;
-
 use gridagg_aggregate::{Aggregate, Tagged};
 use gridagg_group::MemberId;
 use gridagg_simnet::Round;
@@ -41,8 +39,10 @@ pub struct FlatGossip<A> {
     me: MemberId,
     n: usize,
     cfg: FlatGossipConfig,
+    /// Known votes in the order they arrived (the order `choose` sees).
     known: Vec<(MemberId, f64)>,
-    have: BTreeSet<u32>,
+    /// The owners of `known`, sorted: the dedup.
+    have: Vec<u32>,
     rounds: u32,
     done_at: Option<Round>,
     estimate: Option<Tagged<A>>,
@@ -51,14 +51,12 @@ pub struct FlatGossip<A> {
 impl<A: Aggregate> FlatGossip<A> {
     /// Create the instance for member `me` of a group of `n`.
     pub fn new(me: MemberId, vote: f64, n: usize, cfg: FlatGossipConfig) -> Self {
-        let mut have = BTreeSet::new();
-        have.insert(me.0);
         FlatGossip {
             me,
             n,
             cfg,
             known: vec![(me, vote)],
-            have,
+            have: vec![me.0],
             rounds: 0,
             done_at: None,
             estimate: None,
@@ -131,7 +129,8 @@ impl<A: Aggregate> AggregationProtocol<A> for FlatGossip<A> {
         }
         match payload {
             Payload::Vote { member, value } => {
-                if self.have.insert(member.0) {
+                if let Err(at) = self.have.binary_search(&member.0) {
+                    self.have.insert(at, member.0);
                     self.known.push((member, value));
                     let me = self.me;
                     let round = ctx.round;
@@ -201,7 +200,7 @@ mod tests {
         let mut p: FlatGossip<Average> = FlatGossip::new(MemberId(4), 3.0, 10, cfg);
         let mut rng = DetRng::seeded(1);
         let mut out = Outbox::new();
-        let mut seen = BTreeSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for round in 0..50 {
             let mut ctx = Ctx::new(round, &mut rng);
             p.on_round(&mut ctx, &mut out);
@@ -227,5 +226,16 @@ mod tests {
         p.on_message(MemberId(7), msg.clone(), &mut ctx, &mut out);
         p.on_message(MemberId(7), msg, &mut ctx, &mut out);
         assert_eq!(p.known_votes(), 2);
+        // `known` keeps arrival order, `have` sorts the owners
+        for m in [9, 2, 7, 0, 2] {
+            let msg = Payload::Vote {
+                member: MemberId(m),
+                value: 1.0,
+            };
+            p.on_message(MemberId(m), msg, &mut ctx, &mut out);
+        }
+        let owners: Vec<_> = p.known.iter().map(|(m, _)| m.0).collect();
+        assert_eq!(owners, [0, 7, 9, 2]);
+        assert_eq!(p.have, [0, 2, 7, 9]);
     }
 }

@@ -123,11 +123,16 @@ impl ScopeIndex {
     /// The members of the subtree named by `prefix`, as a contiguous
     /// slice sorted by (box, id).
     pub fn members_in(&self, prefix: &Addr) -> &[MemberId] {
+        let (lo, hi) = self.boxes_in(prefix);
+        &self.sorted[self.offsets[lo] as usize..self.offsets[hi] as usize]
+    }
+
+    /// The box indices `prefix` covers, as a half-open range.
+    fn boxes_in(&self, prefix: &Addr) -> (usize, usize) {
         let span = self.hierarchy.depth() - prefix.len();
         let width = (self.hierarchy.k() as u64).pow(span as u32);
         let lo = prefix.index() * width;
-        let hi = lo + width;
-        &self.sorted[self.offsets[lo as usize] as usize..self.offsets[hi as usize] as usize]
+        (lo as usize, (lo + width) as usize)
     }
 
     /// Number of members in the subtree named by `prefix`.
@@ -138,18 +143,16 @@ impl ScopeIndex {
     /// Position of `id` within [`ScopeIndex::members_in`] of `prefix`,
     /// or `None` if it is not there.
     pub fn position_in(&self, prefix: &Addr, id: MemberId) -> Option<usize> {
-        let slice = self.members_in(prefix);
-        let home = self.box_of(id);
-        if home == *prefix {
-            // `id`'s own box (what every carried vote asks): sorted by id
-            return slice.binary_search(&id).ok();
+        let home = *self.box_of.get(id.index())?;
+        if !prefix.contains(&home) {
+            return None;
         }
-        // Each box slice is sorted by id, and boxes are ordered by index,
-        // so (box index, id) is the sort key.
-        let key = (home.index(), id);
-        slice
-            .binary_search_by(|&m| (self.box_of(m).index(), m).cmp(&key))
-            .ok()
+        // `prefix`'s slice is its boxes' slices in index order, each
+        // sorted by id: the boxes before `id`'s, then its place in its own
+        let home = home.index() as usize;
+        let (start, end) = (self.offsets[home] as usize, self.offsets[home + 1] as usize);
+        let in_box = self.sorted[start..end].binary_search(&id).ok()?;
+        Some(start - self.offsets[self.boxes_in(prefix).0] as usize + in_box)
     }
 
     /// The dense id table for this hierarchy's prefix universe.
@@ -259,6 +262,12 @@ mod tests {
             if addr != b0 {
                 assert_eq!(idx.position_in(&addr, MemberId(0)), None);
             }
+        }
+        // an id past the last indexed member is in no prefix
+        for id in [idx.len(), idx.len() + 1, u32::MAX as usize] {
+            let id = MemberId(id as u32);
+            assert_eq!(idx.position_in(&b0, id), None);
+            assert_eq!(idx.position_in(&Addr::root(2).unwrap(), id), None);
         }
     }
 

@@ -34,13 +34,22 @@
 //! Launching and running the `udp-sat-4k` cluster (4096 members on one
 //! worker, 10 % loss, seed 7) makes about 697k allocations; it made
 //! 734k while every member kept up to 16 frame buffers for retries.
+//!
+//! What members *keep* is shared, as in the simulator: a worker's
+//! `SharedAggs` table answers every decoded aggregate whose wire bytes
+//! it has seen with the `Arc` it handed out before, so members that
+//! hold the same aggregate hold one copy of it. Equal encodings are
+//! equal values, and no protocol compares a `Tagged`'s identity or
+//! writes through a shared one, so every protocol decision is unchanged.
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use gridagg_aggregate::wire::WireAggregate;
+use gridagg_aggregate::wire::{encode_tagged, WireAggregate};
+use gridagg_aggregate::Tagged;
 use gridagg_core::message::codec;
 use gridagg_core::protocol::{step, AggregationProtocol, Effects, Outbox};
 use gridagg_core::Payload;
@@ -64,6 +73,10 @@ const RETRY_FRAME_CAP: usize = 16;
 /// invisible to every counter here. Draining after every 64 KB of
 /// sends keeps each receive queue shallow no matter the burst size.
 const DRAIN_EVERY_BYTES: u64 = 64 * 1024;
+
+/// The shared-aggregate table sweeps on reaching twice what its last
+/// sweep left, and never below `2 × SHARED_FLOOR` entries.
+const SHARED_FLOOR: usize = 1024;
 
 /// Per-worker observability counters, merged into the
 /// [`RuntimeReport`](crate::cluster::RuntimeReport) at teardown.
@@ -100,6 +113,12 @@ pub struct WorkerStats {
     /// Mid-burst receive drains: times a flush had put
     /// `DRAIN_EVERY_BYTES` on the wire since it last read its sockets.
     pub backpressure_drains: u64,
+    /// Aggregates decoded from admitted payloads (an aggregate batch
+    /// counts each entry).
+    pub aggregates_decoded: u64,
+    /// Decoded aggregates replaced by the copy the worker already
+    /// shares with its members (same wire bytes).
+    pub aggregates_shared: u64,
 }
 
 impl WorkerStats {
@@ -119,6 +138,8 @@ impl WorkerStats {
         self.decode_errors += other.decode_errors;
         self.stray_frames += other.stray_frames;
         self.backpressure_drains += other.backpressure_drains;
+        self.aggregates_decoded += other.aggregates_decoded;
+        self.aggregates_shared += other.aggregates_shared;
     }
 }
 
@@ -185,6 +206,65 @@ impl<A: WireAggregate> Effects<A> for Sends<'_> {
     }
 }
 
+/// One copy of each aggregate a worker decodes: wire bytes (as
+/// [`encode_tagged`] writes them) to the `Arc` last decoded with them.
+/// Once the table reaches `sweep_at` it forgets every entry that only
+/// it still holds, and `sweep_at` becomes twice what is left (at least
+/// `2 × SHARED_FLOOR`), so the table stays within about twice what the
+/// worker's members keep.
+struct SharedAggs<A> {
+    /// A `HashMap`: only `get`, `insert` and `retain` touch it, never
+    /// its iteration order.
+    table: HashMap<Box<[u8]>, Arc<Tagged<A>>>,
+    sweep_at: usize,
+    /// Reused key buffer.
+    key: Vec<u8>,
+}
+
+impl<A: WireAggregate> SharedAggs<A> {
+    fn new() -> Self {
+        SharedAggs {
+            table: HashMap::new(),
+            sweep_at: 2 * SHARED_FLOOR,
+            key: Vec::new(),
+        }
+    }
+
+    /// Replace every aggregate of a freshly decoded `payload` with the
+    /// shared copy of its wire bytes, or share it from now on.
+    fn adopt(&mut self, payload: &mut Payload<A>, stats: &mut WorkerStats) {
+        match payload {
+            Payload::Agg { agg, .. } | Payload::Final { agg } => self.share(agg, stats),
+            // the decoder's row, referenced nowhere else yet
+            Payload::AggBatch { slots, .. } => {
+                if let Some(slots) = Arc::get_mut(slots) {
+                    for agg in slots.iter_mut().flatten() {
+                        self.share(agg, stats);
+                    }
+                }
+            }
+            Payload::Vote { .. } | Payload::VoteBatch { .. } | Payload::Flow { .. } => {}
+        }
+    }
+
+    fn share(&mut self, agg: &mut Arc<Tagged<A>>, stats: &mut WorkerStats) {
+        stats.aggregates_decoded += 1;
+        self.key.clear();
+        encode_tagged(agg, &mut self.key);
+        if let Some(kept) = self.table.get(self.key.as_slice()) {
+            *agg = Arc::clone(kept);
+            stats.aggregates_shared += 1;
+            return;
+        }
+        if self.table.len() >= self.sweep_at {
+            self.table.retain(|_, kept| Arc::strong_count(kept) > 1);
+            self.sweep_at = 2 * self.table.len().max(SHARED_FLOOR);
+        }
+        self.table
+            .insert(self.key.as_slice().into(), Arc::clone(agg));
+    }
+}
+
 /// One shard-owning worker thread of a [`Cluster`](crate::cluster::Cluster).
 pub(crate) struct Worker<A, P> {
     /// Owned sockets, each tagged with its pool index.
@@ -201,6 +281,7 @@ pub(crate) struct Worker<A, P> {
     local_of: Vec<u32>,
     live: usize,
     stats: WorkerStats,
+    shared: SharedAggs<A>,
 
     // Reused scratch:
     outbox: Outbox<A>,
@@ -310,6 +391,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             local_of,
             live,
             stats: WorkerStats::default(),
+            shared: SharedAggs::new(),
             outbox: Outbox::new(),
             encoded: Vec::new(),
             resend: Resend::default(),
@@ -381,10 +463,11 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             return;
         }
         let mut bytes = frame.payload;
-        let Ok(payload) = codec::decode_for::<A, _>(self.n_members, &mut bytes) else {
+        let Ok(mut payload) = codec::decode_for::<A, _>(self.n_members, &mut bytes) else {
             self.stats.decode_errors += 1;
             return;
         };
+        self.shared.adopt(&mut payload, &mut self.stats);
         let slot = &mut self.slots[local as usize];
         if slot.retired {
             return;
@@ -558,6 +641,8 @@ mod tests {
             mailbox_high_water: 2,
             frames_recv: 9,
             backpressure_drains: 2,
+            aggregates_decoded: 5,
+            aggregates_shared: 3,
             ..Default::default()
         };
         a.merge(&b);
@@ -565,6 +650,7 @@ mod tests {
         assert_eq!(a.mailbox_high_water, 5);
         assert_eq!(a.frames_recv, 9);
         assert_eq!(a.backpressure_drains, 2);
+        assert_eq!((a.aggregates_decoded, a.aggregates_shared), (5, 3));
     }
 
     /// Queues the same fan-outs every round and never finishes.
@@ -613,12 +699,21 @@ mod tests {
         n: u32,
         cfg: RuntimeConfig,
     ) -> Worker<Average, P> {
+        worker_of(vec![(MemberId(0), proto)], n, cfg)
+    }
+
+    /// [`worker`] over several members.
+    fn worker_of<P: AggregationProtocol<Average>>(
+        members: Vec<(MemberId, P)>,
+        n: u32,
+        cfg: RuntimeConfig,
+    ) -> Worker<Average, P> {
         let (done, _outcomes) = mpsc::channel();
         Worker::new(
             0,
             Vec::new(),
             Arc::new(vec![SocketAddr::from(([127, 0, 0, 1], 9))]),
-            vec![(MemberId(0), proto)],
+            members,
             n,
             cfg,
             &DetRng::seeded(1),
@@ -801,6 +896,154 @@ mod tests {
         assert_eq!(retried_at, [2, 4, 8, 16]);
         assert_eq!(worker.stats.frames_sent, 20 + 4);
         assert_eq!(wheel.pending(), 0, "a retired member schedules nothing");
+    }
+
+    /// Keeps every aggregate delivered to it while `keep` is set;
+    /// sends nothing and never finishes.
+    #[derive(Debug, Default)]
+    struct Keep {
+        keep: bool,
+        kept: Vec<Arc<Tagged<Average>>>,
+    }
+
+    impl AggregationProtocol<Average> for Keep {
+        fn on_round(&mut self, _: &mut Ctx<'_>, _: &mut Outbox<Average>) {}
+        fn on_message(
+            &mut self,
+            _: MemberId,
+            msg: Payload<Average>,
+            _: &mut Ctx<'_>,
+            _: &mut Outbox<Average>,
+        ) {
+            if !self.keep {
+                return;
+            }
+            match msg {
+                Payload::Agg { agg, .. } | Payload::Final { agg } => self.kept.push(agg),
+                Payload::AggBatch { slots, .. } => {
+                    self.kept.extend(slots.iter().flatten().cloned())
+                }
+                Payload::Vote { .. } | Payload::VoteBatch { .. } | Payload::Flow { .. } => {}
+            }
+        }
+        fn estimate(&self) -> Option<&Tagged<Average>> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+        fn completed_at(&self) -> Option<Round> {
+            None
+        }
+    }
+
+    /// An admissible aggregate of member `i`'s vote, distinct for each `i`.
+    fn agg(i: u32) -> Arc<Tagged<Average>> {
+        Arc::new(Tagged::from_vote(
+            (i % N) as usize,
+            f64::from(i),
+            N as usize,
+        ))
+    }
+
+    /// Encode `payload` and hand it to member `dst` as member 9 sent it.
+    fn deliver<P: AggregationProtocol<Average>>(
+        worker: &mut Worker<Average, P>,
+        dst: u32,
+        payload: &Payload<Average>,
+    ) {
+        let mut bytes = Vec::new();
+        codec::encode(payload, &mut bytes);
+        worker.deliver(Frame {
+            dst,
+            src: 9,
+            payload: &bytes,
+        });
+    }
+
+    fn keepers() -> Worker<Average, Keep> {
+        let keeper = || Keep {
+            keep: true,
+            kept: Vec::new(),
+        };
+        worker_of(
+            vec![(MemberId(0), keeper()), (MemberId(1), keeper())],
+            N,
+            roomy(),
+        )
+    }
+
+    /// The table's entry for `agg`'s wire bytes.
+    fn entry(
+        worker: &Worker<Average, Keep>,
+        agg: &Tagged<Average>,
+    ) -> Option<Arc<Tagged<Average>>> {
+        let mut key = Vec::new();
+        encode_tagged(agg, &mut key);
+        worker.shared.table.get(key.as_slice()).cloned()
+    }
+
+    #[test]
+    fn byte_identical_aggregates_delivered_to_two_members_share_one_copy() {
+        let mut worker = keepers();
+        let parent = gridagg_hierarchy::Addr::from_digits(4, &[2]).expect("address");
+        let row = (0..4).map(|d| (d == 1).then(|| agg(5))).collect();
+        deliver(&mut worker, 0, &Payload::agg_batch(parent, row, false));
+        let subtree = parent.child(1).expect("address");
+        deliver(
+            &mut worker,
+            1,
+            &Payload::Agg {
+                subtree,
+                agg: agg(5),
+            },
+        );
+        let (a, b) = (&worker.slots[0].proto.kept, &worker.slots[1].proto.kept);
+        assert_eq!((a.len(), b.len()), (1, 1));
+        assert!(Arc::ptr_eq(&a[0], &b[0]), "one copy for both members");
+        // the receiver's counted form of the value sent
+        let sent = agg(5);
+        assert_eq!(a[0].aggregate(), sent.aggregate());
+        assert_eq!(a[0].vote_count(), 1);
+        assert_eq!(worker.stats.aggregates_decoded, 2);
+        assert_eq!(worker.stats.aggregates_shared, 1);
+    }
+
+    #[test]
+    fn a_sweep_forgets_what_no_member_keeps_and_only_that() {
+        let mut worker = keepers();
+        deliver(&mut worker, 0, &Payload::Final { agg: agg(1) });
+        deliver(&mut worker, 1, &Payload::Final { agg: agg(1) });
+        deliver(&mut worker, 1, &Payload::Final { agg: agg(2) });
+        // both members drop the first aggregate, member 1 keeps the second
+        worker.slots[0].proto.kept.clear();
+        worker.slots[1].proto.kept.remove(0);
+        for slot in &mut worker.slots {
+            slot.proto.keep = false;
+        }
+        assert!(entry(&worker, &agg(1)).is_some(), "no sweep yet");
+        // fill the table to its first sweep, then one more
+        for i in 3..=(2 * SHARED_FLOOR as u32) + 1 {
+            deliver(&mut worker, 0, &Payload::Final { agg: agg(i) });
+        }
+        assert!(entry(&worker, &agg(1)).is_none(), "nobody keeps it");
+        let kept = entry(&worker, &agg(2)).expect("member 1 keeps it");
+        assert!(Arc::ptr_eq(&kept, &worker.slots[1].proto.kept[0]));
+        assert_eq!(worker.shared.table.len(), 2);
+    }
+
+    #[test]
+    fn distinct_aggregates_nobody_keeps_leave_the_table_bounded() {
+        let mut worker = worker(Keep::default(), N, roomy());
+        let mut peak = 0;
+        for i in 0..10_000 {
+            deliver(&mut worker, 0, &Payload::Final { agg: agg(i) });
+            peak = peak.max(worker.shared.table.len());
+        }
+        // without the sweep the table would hold all 10,000
+        assert_eq!(peak, 2 * SHARED_FLOOR);
+        assert_eq!(worker.stats.aggregates_decoded, 10_000);
+        assert_eq!(worker.stats.aggregates_shared, 0);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   [`WIRE_OVER_SIM_BYTES`]: no contributor set or other N-sized
 //!   field rides in a frame (with N/8-byte bitmaps in every aggregate
 //!   the smoke shape averaged 165 B a frame);
+//! * a worker answers decoded aggregates from its shared table, so
+//!   members that keep the same aggregate keep one copy of it;
 //! * datagram coalescing stays at or above [`COALESCE_RATIO_FLOOR`] of
 //!   the frames per datagram recorded for the same worker count on a
 //!   2-core Xeon @ 2.10 GHz.
@@ -97,7 +99,8 @@ fn check(
     println!(
         "N={n} sockets={} workers={}: completeness {:.4} (sim {sim_completeness:.4}), \
          {bytes_per_frame:.1} B/frame (sim {sim_bytes_per_msg:.1} B/msg), \
-         {:.2} frames/datagram, {} retries, {} wakeups, {} mid-burst drains",
+         {:.2} frames/datagram, {} retries, {} wakeups, {} mid-burst drains, \
+         {} aggregates decoded, {} shared",
         r.sockets,
         r.workers,
         r.mean_completeness,
@@ -105,11 +108,17 @@ fn check(
         r.stats.retries,
         r.stats.wakeups,
         r.stats.backpressure_drains,
+        r.stats.aggregates_decoded,
+        r.stats.aggregates_shared,
     );
 
     assert_eq!(r.workers, workers, "worker count is pinned");
     assert_eq!(r.reported, n, "every member reports an outcome");
     assert_eq!(r.stats.decode_errors, 0, "every frame decodes");
+    assert!(
+        r.stats.aggregates_shared > 0,
+        "members share the aggregates they keep"
+    );
     assert!(
         r.mean_completeness + SIM_MARGIN >= sim_completeness,
         "cluster completeness {:.4} below the simulator's {sim_completeness:.4} \
