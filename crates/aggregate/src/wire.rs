@@ -9,9 +9,14 @@
 //!
 //! A contributor [`crate::VoteSet`] is never encoded: it is local
 //! instrumentation and would be O(N) on the wire. [`encode_tagged`]
-//! ships the aggregate value plus the contributor *count* — 9 bytes of
-//! instrumentation per aggregate (presence flag + `u64`), the same at
-//! every group size.
+//! ships the aggregate value plus the contributor *count* — a presence
+//! flag and a [`put_varint`] count, 2 to [`MAX_VARINT_LEN`] + 1 bytes of
+//! instrumentation per aggregate, never more at any group size.
+//!
+//! Ids, lengths and counts on the wire are unsigned LEB128 varints of a
+//! `u32` ([`put_varint`] / [`get_varint`]): seven bits a byte, low bits
+//! first, the high bit set on every byte but the last. Each value has
+//! exactly one accepted encoding, the shortest.
 
 // Decoding input from outside the program never panics.
 #![cfg_attr(
@@ -34,6 +39,10 @@ use crate::Aggregate;
 /// Upper bound (bytes) on any encoded aggregate value: the histogram is
 /// the largest at `2·8 (range) + 16·8 (buckets) = 144`, plus slack.
 pub const MAX_AGGREGATE_WIRE_SIZE: usize = 160;
+
+/// Most bytes a [`put_varint`] encoding takes: a `u32` has 32 bits, 7 a
+/// byte.
+pub const MAX_VARINT_LEN: usize = 5;
 
 /// Errors from decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,18 +98,61 @@ fn get_f64<B: Buf>(buf: &mut B) -> Result<f64, WireError> {
         .ok_or(WireError::Malformed)
 }
 
-fn get_u64<B: Buf>(buf: &mut B) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
+/// Append `value` as an unsigned LEB128 varint: 1 byte below 128, 2
+/// below 16,384, at most [`MAX_VARINT_LEN`].
+pub fn put_varint<B: BufMut>(mut value: u32, buf: &mut B) {
+    while value >= 0x80 {
+        buf.put_u8(value.to_le_bytes()[0] | 0x80);
+        value >>= 7;
     }
-    Ok(buf.get_u64())
+    buf.put_u8(value.to_le_bytes()[0]);
+}
+
+/// Append a length or count as a varint. Nothing a group holds exceeds
+/// `u32::MAX` (a member id is a `u32`), so a larger one, which only a
+/// forger builds, is written as `u32::MAX` and refused by every smaller
+/// group.
+pub fn put_len<B: BufMut>(len: usize, buf: &mut B) {
+    put_varint(u32::try_from(len).unwrap_or(u32::MAX), buf);
+}
+
+/// Read a varint written by [`put_varint`].
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] if the buffer ends inside it, and
+/// [`WireError::Malformed`] if it is overlong (a zero last byte after
+/// the first: a shorter encoding of the same value exists) or worth more
+/// than `u32::MAX`.
+pub fn get_varint<B: Buf>(buf: &mut B) -> Result<u32, WireError> {
+    let mut value = 0u32;
+    for i in 0..MAX_VARINT_LEN {
+        if buf.remaining() < 1 {
+            return Err(WireError::Truncated);
+        }
+        let byte = buf.get_u8();
+        value |= u32::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            // the fifth byte holds the top 4 bits of a `u32`
+            let overlong = byte == 0 && i > 0;
+            let past_u32 = i == MAX_VARINT_LEN - 1 && byte > 0x0F;
+            return (!overlong && !past_u32)
+                .then_some(value)
+                .ok_or(WireError::Malformed);
+        }
+    }
+    // a fifth byte that is not the last
+    Err(WireError::Malformed)
 }
 
 /// A count of votes, at least `min`, and no more than the widest group
 /// (a vote per `u32` member id) holds: adding decoded counts can never
 /// overflow.
 fn get_count<B: Buf>(buf: &mut B, min: u64) -> Result<u64, WireError> {
-    let count = get_u64(buf)?;
+    if buf.remaining() < 8 {
+        return Err(WireError::Truncated);
+    }
+    let count = buf.get_u64();
     let in_range = (min..=u64::from(u32::MAX)).contains(&count);
     in_range.then_some(count).ok_or(WireError::Malformed)
 }
@@ -464,15 +516,21 @@ mod tests {
         encode_tagged(&exact, &mut a);
         encode_tagged(&counted, &mut b);
         assert_eq!(a, b, "one wire form for both representations");
-        assert_eq!(a.len(), 1 + 16 + 8);
-        let back: crate::Tagged<Average> = decode_tagged(&mut a.freeze()).unwrap();
+        // presence flag, value, and the count 100 in one varint byte
+        assert_eq!(a.len(), 1 + 16 + 1);
+        let a = a.freeze();
+        assert_eq!(a.slice(17..18).get_u8(), 100);
+        let back: crate::Tagged<Average> = decode_tagged(&mut a.clone()).unwrap();
         assert_eq!(back, counted);
     }
 }
 
 /// Encode a [`Tagged`](crate::Tagged) aggregate as
-/// `[present u8][value][count u64]`: the constant-size
-/// [`WireAggregate`] value followed by how many votes it contains.
+/// `[present u8][value][count varint]`: the constant-size
+/// [`WireAggregate`] value followed by how many votes it contains. No
+/// group holds more than `u32::MAX` members, so a larger count (which
+/// only a forger builds) is written as `u32::MAX`, and every group
+/// smaller than that refuses it.
 ///
 /// Contributor identity stays with the sender — exact sets are an
 /// instrument of the simulator and of each runtime member's own phase-1
@@ -486,7 +544,7 @@ pub fn encode_tagged<A: WireAggregate, B: BufMut>(tagged: &crate::Tagged<A>, buf
         }
         None => buf.put_u8(0),
     }
-    buf.put_u64(tagged.vote_count() as u64);
+    put_len(tagged.vote_count(), buf);
 }
 
 /// Decode a [`Tagged`](crate::Tagged) aggregate written by
@@ -504,7 +562,7 @@ pub fn decode_tagged<A: WireAggregate, B: Buf>(buf: &mut B) -> Result<crate::Tag
         1 => Some(A::decode(buf)?),
         _ => return Err(WireError::Malformed),
     };
-    let count = usize::try_from(get_u64(buf)?).map_err(|_| WireError::Malformed)?;
+    let count = usize::try_from(get_varint(buf)?).map_err(|_| WireError::Malformed)?;
     crate::Tagged::from_parts(agg, crate::VoteSet::counted(count)).map_err(|_| WireError::Malformed)
 }
 
@@ -542,9 +600,65 @@ mod tagged_wire_tests {
         // fine; a count without a value is rejected by from_parts
         let mut buf = BytesMut::new();
         buf.put_u8(0); // no value
-        buf.put_u64(1); // ...but one contributor
+        put_varint(1, &mut buf); // ...but one contributor
         let r: Result<Tagged<Average>, _> = decode_tagged(&mut buf.freeze());
         assert_eq!(r.unwrap_err(), WireError::Malformed);
+        let valued = Tagged::<Average>::from_vote(0, 1.0, 8);
+        let mut buf = Vec::new();
+        encode_tagged(&valued, &mut buf);
+        *buf.last_mut().unwrap() = 0; // a value of nobody's vote
+        let back: Tagged<Average> = decode_tagged(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            (back.aggregate(), back.vote_count()),
+            (valued.aggregate(), 0)
+        );
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width() {
+        let cases: [(u32, &[u8]); 6] = [
+            (0, &[0x00]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (16_383, &[0xFF, 0x7F]),
+            (16_384, &[0x80, 0x80, 0x01]),
+            (u32::MAX, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+        ];
+        for (value, bytes) in cases {
+            let mut buf = Vec::new();
+            put_varint(value, &mut buf);
+            assert_eq!(buf, bytes, "{value}");
+            let mut rest = buf.as_slice();
+            assert_eq!(get_varint(&mut rest), Ok(value));
+            assert!(rest.is_empty(), "{value} left bytes behind");
+        }
+        assert_eq!(cases[5].1.len(), MAX_VARINT_LEN);
+    }
+
+    #[test]
+    fn overlong_past_u32_and_cut_varints_are_rejected() {
+        let rejected: [(&[u8], WireError); 9] = [
+            // overlong: 0, 127 and 1 with a padding byte, 0 in five bytes
+            (&[0x80, 0x00], WireError::Malformed),
+            (&[0xFF, 0x00], WireError::Malformed),
+            (&[0x81, 0x80, 0x00], WireError::Malformed),
+            (&[0x80, 0x80, 0x80, 0x80, 0x00], WireError::Malformed),
+            // past `u32::MAX`: 2^32, and a sixth byte
+            (&[0x80, 0x80, 0x80, 0x80, 0x10], WireError::Malformed),
+            (&[0xFF, 0xFF, 0xFF, 0xFF, 0x8F, 0x00], WireError::Malformed),
+            // cut mid-varint
+            (&[], WireError::Truncated),
+            (&[0x80], WireError::Truncated),
+            (&[0xFF, 0xFF, 0xFF, 0xFF], WireError::Truncated),
+        ];
+        for (bytes, err) in rejected {
+            assert_eq!(get_varint(&mut &bytes[..]), Err(err), "{bytes:02x?}");
+        }
+        // as an aggregate's count too
+        let mut buf = vec![0];
+        buf.extend_from_slice(&[0x80, 0x00]);
+        let r: Result<Tagged<Average>, _> = decode_tagged(&mut buf.as_slice());
+        assert_eq!(r, Err(WireError::Malformed));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! grid box (expected `K`) — never anything that grows with `N`.
 //! Contributor sets are local instrumentation and are never encoded:
 //! [`Payload::wire_size`] charges the protocol bytes, and [`codec`]
-//! adds each set's *count* (9 B per carried `Tagged`; see
-//! `gridagg_aggregate::wire::encode_tagged`).
+//! adds each set's *count* (a presence flag and a 1–5 B varint per
+//! carried `Tagged`; see `gridagg_aggregate::wire::encode_tagged`).
 //!
 //! **A batch body is the sender's own storage.** [`Payload::VoteBatch`]
 //! holds the `Arc` of the member's known-vote list (a slice: a new vote
@@ -19,8 +19,9 @@
 //! bytes carried beside it), so sending or replying is a
 //! reference-count bump and [`Payload::wire_size`] a field read. The
 //! member writes its row through `Arc::make_mut`: a message in flight
-//! keeps the snapshot it was sent with. On the wire a batch is still
-//! its present entries, one `(address, aggregate)` each, in digit order.
+//! keeps the snapshot it was sent with. On the wire an aggregate batch
+//! is its parent's address once, then its present entries, one
+//! `(last digit, aggregate)` each, in digit order.
 
 use std::sync::Arc;
 
@@ -258,12 +259,29 @@ mod tests {
 }
 
 /// Binary codec for protocol payloads — used by the real-network
-/// runtime (`gridagg-runtime`) and by transport tests. Aggregate values
-/// use their constant-size [`WireAggregate`] form and every contributor
-/// set is written as its `u64` count, so `encode(p).len()` exceeds
-/// [`Payload::wire_size`] by a constant of the message's shape — 9 B
-/// per carried `Tagged` (presence flag + count), 8 B for `Flow`, 1 B
-/// for a batch's reply flag — never by anything that grows with `N`.
+/// runtime (`gridagg-runtime`) and by transport tests. A payload is one
+/// tag byte, holding its variant and (`0x80`) its reply flag, then its
+/// body:
+///
+/// ```text
+/// Vote       member: varint | value: f64
+/// Agg        subtree: addr | tagged
+/// Final      tagged
+/// VoteBatch  len: varint | (member: varint | value: f64) * len
+/// AggBatch   parent: addr | count: u8 | (last digit: u8 | tagged) * count
+/// Flow       flow: f64 | estimate: f64 | influenced count: varint
+///
+/// addr       base: u8 | len: u8 | digit: u8 * len
+/// tagged     present: u8 | value (WireAggregate) | contributor count: varint
+/// ```
+///
+/// Aggregate values keep their constant-size [`WireAggregate`] form,
+/// every contributor set is written as its count, and ids, lengths and
+/// counts are `u32` varints (1 to 5 B; see
+/// [`put_varint`](gridagg_aggregate::wire::put_varint)). So
+/// `encode(p).len()` is [`Payload::wire_size`] plus a constant of the
+/// message's shape plus its varints' widths, and stays under a ceiling
+/// that does not depend on `N`.
 ///
 /// [`decode_for`](codec::decode_for) is the one place a payload is
 /// checked against the group, so every payload it returns is in range
@@ -285,7 +303,9 @@ pub mod codec {
     use std::sync::Arc;
 
     use bytes::{Buf, BufMut};
-    use gridagg_aggregate::wire::{decode_tagged, encode_tagged, WireAggregate, WireError};
+    use gridagg_aggregate::wire::{
+        decode_tagged, encode_tagged, get_varint, put_len, put_varint, WireAggregate, WireError,
+    };
     use gridagg_aggregate::Tagged;
     use gridagg_group::MemberId;
     use gridagg_hierarchy::Addr;
@@ -298,6 +318,9 @@ pub mod codec {
     const TAG_VOTE_BATCH: u8 = 4;
     const TAG_AGG_BATCH: u8 = 5;
     const TAG_FLOW: u8 = 6;
+    /// Set in the tag byte of a batch or `Flow` that is a reply; no other
+    /// variant may carry it.
+    const REPLY: u8 = 0x80;
 
     /// Why a payload failed to decode, with the variant being decoded as
     /// context — a bare [`WireError`] can't tell a clipped vote batch
@@ -314,8 +337,10 @@ pub mod codec {
         },
         /// The named variant's bytes decoded but violated an invariant
         /// (bad address digits, zero-count average, inconsistent
-        /// contributor set, a non-finite value, …) or left the group (a
-        /// vote owner or a contributor count past its size).
+        /// contributor set, a non-finite value, an overlong varint or
+        /// one past `u32::MAX`, a reply flag on a variant that never
+        /// replies, …) or left the group (a vote owner or a contributor
+        /// count past its size).
         Malformed {
             /// Variant under decode.
             variant: &'static str,
@@ -355,16 +380,12 @@ pub mod codec {
     impl std::error::Error for DecodeError {}
 
     /// An address on the wire: base, length, then the digits.
-    fn put_digits<B: BufMut>(base: u8, len: usize, digits: impl Iterator<Item = u8>, buf: &mut B) {
-        buf.put_u8(base);
-        buf.put_u8(len as u8);
-        for d in digits {
+    fn put_addr<B: BufMut>(addr: &Addr, buf: &mut B) {
+        buf.put_u8(addr.base());
+        buf.put_u8(addr.len() as u8);
+        for d in addr.digits() {
             buf.put_u8(d);
         }
-    }
-
-    fn put_addr<B: BufMut>(addr: &Addr, buf: &mut B) {
-        put_digits(addr.base(), addr.len(), addr.digits(), buf);
     }
 
     fn get_addr<B: Buf>(buf: &mut B) -> Result<Addr, WireError> {
@@ -385,6 +406,19 @@ pub mod codec {
         Ok(addr)
     }
 
+    fn put_vote<B: BufMut>(member: MemberId, value: f64, buf: &mut B) {
+        put_varint(member.0, buf);
+        buf.put_f64(value);
+    }
+
+    fn get_vote<B: Buf>(buf: &mut B) -> Result<(MemberId, f64), WireError> {
+        let member = MemberId(get_varint(buf)?);
+        if buf.remaining() < 8 {
+            return Err(WireError::Truncated);
+        }
+        Ok((member, buf.get_f64()))
+    }
+
     /// A carried aggregate that claims at most the group's `n`
     /// contributors: a larger count can only be forged, and would
     /// displace the real subtree aggregate under "whichever covers more
@@ -403,11 +437,11 @@ pub mod codec {
 
     /// Serialize a payload.
     pub fn encode<A: WireAggregate, B: BufMut>(payload: &Payload<A>, buf: &mut B) {
+        let tag = |tag: u8, reply: bool| if reply { tag | REPLY } else { tag };
         match payload {
             Payload::Vote { member, value } => {
                 buf.put_u8(TAG_VOTE);
-                buf.put_u32(member.0);
-                buf.put_f64(*value);
+                put_vote(*member, *value, buf);
             }
             Payload::Agg { subtree, agg } => {
                 buf.put_u8(TAG_AGG);
@@ -419,12 +453,10 @@ pub mod codec {
                 encode_tagged(agg, buf);
             }
             Payload::VoteBatch { votes, reply } => {
-                buf.put_u8(TAG_VOTE_BATCH);
-                buf.put_u8(u8::from(*reply));
-                buf.put_u16(votes.len() as u16);
-                for (m, v) in votes.iter() {
-                    buf.put_u32(m.0);
-                    buf.put_f64(*v);
+                buf.put_u8(tag(TAG_VOTE_BATCH, *reply));
+                put_len(votes.len(), buf);
+                for &(member, value) in votes.iter() {
+                    put_vote(member, value, buf);
                 }
             }
             Payload::AggBatch {
@@ -434,14 +466,12 @@ pub mod codec {
                 reply,
                 ..
             } => {
-                buf.put_u8(TAG_AGG_BATCH);
-                buf.put_u8(u8::from(*reply));
-                buf.put_u16(u16::from(*known));
+                buf.put_u8(tag(TAG_AGG_BATCH, *reply));
+                put_addr(parent, buf);
+                buf.put_u8(*known);
                 for (digit, agg) in slots.iter().enumerate() {
                     if let Some(agg) = agg {
-                        // `parent.child(digit)`, without asking whether it exists
-                        let digits = parent.digits().chain([digit as u8]);
-                        put_digits(parent.base(), parent.len() + 1, digits, buf);
+                        buf.put_u8(digit as u8);
                         encode_tagged(agg, buf);
                     }
                 }
@@ -452,11 +482,10 @@ pub mod codec {
                 reply,
                 influenced,
             } => {
-                buf.put_u8(TAG_FLOW);
-                buf.put_u8(u8::from(*reply));
+                buf.put_u8(tag(TAG_FLOW, *reply));
                 buf.put_f64(*flow);
                 buf.put_f64(*estimate);
-                buf.put_u64(influenced.len() as u64);
+                put_len(influenced.len(), buf);
             }
         }
     }
@@ -491,82 +520,91 @@ pub mod codec {
         if buf.remaining() < 1 {
             return Err(DecodeError::Truncated { variant: "tag" });
         }
-        match buf.get_u8() {
+        let byte = buf.get_u8();
+        let reply = byte & REPLY != 0;
+        // only a batch or a `Flow` answers a push
+        let no_reply = |variant| (!reply).then_some(()).ok_or(malformed(variant));
+        match byte & !REPLY {
             TAG_VOTE => {
-                if buf.remaining() < 12 {
-                    return Err(DecodeError::Truncated { variant: "vote" });
-                }
-                let (member, value) = (MemberId(buf.get_u32()), buf.get_f64());
-                let vote = in_group((member, value)).then_some(Payload::Vote { member, value });
+                no_reply("vote")?;
+                let vote = get_vote(buf).map_err(DecodeError::from_wire("vote"))?;
+                let (member, value) = vote;
+                let vote = in_group(vote).then_some(Payload::Vote { member, value });
                 vote.ok_or(malformed("vote"))
             }
-            TAG_AGG => Ok(Payload::Agg {
-                subtree: get_addr(buf).map_err(DecodeError::from_wire("agg"))?,
-                agg: Arc::new(get_tagged(n, buf, "agg")?),
-            }),
-            TAG_FINAL => Ok(Payload::Final {
-                agg: Arc::new(get_tagged(n, buf, "final")?),
-            }),
+            TAG_AGG => {
+                no_reply("agg")?;
+                Ok(Payload::Agg {
+                    subtree: get_addr(buf).map_err(DecodeError::from_wire("agg"))?,
+                    agg: Arc::new(get_tagged(n, buf, "agg")?),
+                })
+            }
+            TAG_FINAL => {
+                no_reply("final")?;
+                Ok(Payload::Final {
+                    agg: Arc::new(get_tagged(n, buf, "final")?),
+                })
+            }
             TAG_VOTE_BATCH => {
-                let truncated = DecodeError::Truncated {
-                    variant: "vote-batch",
-                };
-                if buf.remaining() < 3 {
-                    return Err(truncated);
-                }
-                let reply = buf.get_u8() != 0;
-                let count = buf.get_u16() as usize;
-                // every vote is 12 bytes: a count with nothing behind it
-                // fails here, before anything is allocated
-                if buf.remaining() < 12 * count {
-                    return Err(truncated);
-                }
-                // an exact-length iterator: the list is one allocation
-                let mut in_range = true;
+                let variant = "vote-batch";
+                let count = get_varint(buf).map_err(DecodeError::from_wire(variant))?;
+                // every vote is at least 9 bytes: a count with nothing
+                // behind it fails here, before anything is allocated
+                let count = usize::try_from(count)
+                    .ok()
+                    .filter(|&count| count <= buf.remaining() / 9)
+                    .ok_or(DecodeError::Truncated { variant })?;
+                // an exact-length iterator, so the list is one
+                // allocation; after the first bad vote nothing is read
+                let mut status = Ok(());
                 let votes = (0..count)
                     .map(|_| {
-                        let vote = (MemberId(buf.get_u32()), buf.get_f64());
-                        in_range &= in_group(vote);
-                        vote
+                        let vote = status.and_then(|()| {
+                            let vote = get_vote(buf).map_err(DecodeError::from_wire(variant))?;
+                            in_group(vote).then_some(vote).ok_or(malformed(variant))
+                        });
+                        vote.unwrap_or_else(|e| {
+                            status = Err(e);
+                            (MemberId(0), 0.0)
+                        })
                     })
                     .collect();
-                if !in_range {
-                    return Err(malformed("vote-batch"));
-                }
-                Ok(Payload::VoteBatch { votes, reply })
+                status.map(|()| Payload::VoteBatch { votes, reply })
             }
             TAG_AGG_BATCH => {
-                if buf.remaining() < 3 {
-                    return Err(DecodeError::Truncated {
-                        variant: "agg-batch",
-                    });
+                let variant = "agg-batch";
+                let truncated = DecodeError::Truncated { variant };
+                let parent = get_addr(buf).map_err(DecodeError::from_wire(variant))?;
+                if buf.remaining() < 1 {
+                    return Err(truncated);
                 }
-                let reply = buf.get_u8() != 0;
-                let count = buf.get_u16();
-                // The entries fill one row, a slot per last digit of
-                // the first entry's base (at most 255 slots whatever
-                // `count` says). They must be distinct children of one
-                // parent; an empty batch names no parent and is never
-                // sent (a member always knows its own child).
-                let malformed = malformed("agg-batch");
-                let mut row: Option<(Addr, Arc<[ChildSlot<A>]>)> = None;
-                let (mut known, mut wire) = (0u8, 0);
-                for _ in 0..count {
-                    let addr = get_addr(buf).map_err(DecodeError::from_wire("agg-batch"))?;
-                    let agg = get_tagged(n, buf, "agg-batch")?;
-                    let (parent, digit) = addr.split_last().ok_or(malformed)?;
-                    let (of, slots) = row
-                        .get_or_insert_with(|| (parent, (0..addr.base()).map(|_| None).collect()));
-                    let slot = Arc::get_mut(slots)
-                        .and_then(|slots| slots.get_mut(usize::from(digit)))
-                        .filter(|slot| *of == parent && slot.is_none())
-                        .ok_or(malformed)?;
-                    // a free slot was found: fewer than `base` are filled
-                    known += 1;
-                    wire += agg_entry_wire(addr.len(), &agg);
+                // An empty batch is never sent: a member always knows
+                // its own child.
+                let known = buf.get_u8();
+                if known == 0 {
+                    return Err(malformed(variant));
+                }
+                // The entries fill the parent's row, a slot per digit
+                // below its base, each slot at most once.
+                let mut slots: Arc<[ChildSlot<A>]> = (0..parent.base()).map(|_| None).collect();
+                let row = Arc::get_mut(&mut slots).ok_or(malformed(variant))?;
+                let mut wire = 0;
+                for _ in 0..known {
+                    if buf.remaining() < 1 {
+                        return Err(truncated);
+                    }
+                    let digit = buf.get_u8();
+                    // a digit ≥ base, or a child past the address
+                    // capacity, names no subtree
+                    let child = parent.child(digit).map_err(|_| malformed(variant))?;
+                    let agg = get_tagged(n, buf, variant)?;
+                    let slot = row
+                        .get_mut(usize::from(digit))
+                        .filter(|slot| slot.is_none())
+                        .ok_or(malformed(variant))?;
+                    wire += agg_entry_wire(child.len(), &agg);
                     *slot = Some(Arc::new(agg));
                 }
-                let (parent, slots) = row.ok_or(malformed)?;
                 Ok(Payload::AggBatch {
                     parent,
                     known,
@@ -576,18 +614,17 @@ pub mod codec {
                 })
             }
             TAG_FLOW => {
-                if buf.remaining() < 25 {
-                    return Err(DecodeError::Truncated { variant: "flow" });
+                let variant = "flow";
+                if buf.remaining() < 16 {
+                    return Err(DecodeError::Truncated { variant });
                 }
-                let reply = buf.get_u8() != 0;
-                let flow = buf.get_f64();
-                let estimate = buf.get_f64();
-                let count = usize::try_from(buf.get_u64())
+                let (flow, estimate) = (buf.get_f64(), buf.get_f64());
+                let count = get_varint(buf).map_err(DecodeError::from_wire(variant))?;
+                let admitted = count <= n && flow.is_finite() && estimate.is_finite();
+                let count = usize::try_from(count)
                     .ok()
-                    .filter(|&count| {
-                        count <= n as usize && flow.is_finite() && estimate.is_finite()
-                    })
-                    .ok_or(malformed("flow"))?;
+                    .filter(|_| admitted)
+                    .ok_or(malformed(variant))?;
                 Ok(Payload::Flow {
                     flow,
                     estimate,
@@ -595,7 +632,7 @@ pub mod codec {
                     influenced: Arc::new(gridagg_aggregate::VoteSet::counted(count)),
                 })
             }
-            tag => Err(DecodeError::UnknownTag(tag)),
+            _ => Err(DecodeError::UnknownTag(byte)),
         }
     }
 
@@ -673,7 +710,8 @@ pub mod codec {
             let empty: Payload<Average> = Payload::agg_batch(Addr::root(4).unwrap(), none, true);
             let mut buf = Vec::new();
             encode(&empty, &mut buf);
-            assert_eq!(buf, [TAG_AGG_BATCH, 1, 0, 0]);
+            // tag and reply flag, the root of base 4, no entries
+            assert_eq!(buf, [TAG_AGG_BATCH | REPLY, 4, 0, 0]);
             let malformed = DecodeError::Malformed {
                 variant: "agg-batch",
             };
@@ -724,20 +762,24 @@ pub mod codec {
             }
         }
 
-        /// The sample after `prev` in declaration order, built for a
-        /// group of `n`, with the bytes its *shape* adds to
-        /// [`Payload::wire_size`]. Exhaustive on purpose: a new variant
-        /// does not compile until it has a sample and a gap here.
+        /// What the length-law samples are built from: the owner of a
+        /// vote, the owners in a vote batch, an aggregate and a
+        /// `Flow`'s contributor set.
+        struct Fields {
+            member: MemberId,
+            voters: Vec<MemberId>,
+            agg: Arc<Tagged<Average>>,
+            influenced: Arc<gridagg_aggregate::VoteSet>,
+        }
+
+        /// The fields of a group of `n`, built as the build's protocols
+        /// build them, with 40 contributors spread over the whole id
+        /// range, so an exact bitmap is as long as it gets at this `n`.
         #[expect(
             clippy::disallowed_methods,
             reason = "the samples must carry the sets the build's protocols carry"
         )]
-        fn next_sample(
-            prev: Option<&Payload<Average>>,
-            n: usize,
-        ) -> Option<(Payload<Average>, usize)> {
-            // contributors spread over the whole id range, so an exact
-            // bitmap is as long as it gets at this `n`
+        fn at_scale(n: usize) -> Fields {
             let members = || (0..40).map(|i| i * (n - 1) / 39);
             let mut agg = Tagged::<Average>::empty_for_scale(n);
             let mut influenced = gridagg_aggregate::VoteSet::for_scale(n);
@@ -746,58 +788,290 @@ pub mod codec {
                     .unwrap();
                 influenced.insert(m);
             }
-            let (agg, influenced) = (Arc::new(agg), Arc::new(influenced));
+            Fields {
+                member: MemberId(n as u32 - 1),
+                voters: members().map(|m| MemberId(m as u32)).collect(),
+                agg: Arc::new(agg),
+                influenced: Arc::new(influenced),
+            }
+        }
+
+        /// The same shapes with every id and count at `u32::MAX`: every
+        /// varint at its widest.
+        fn widest() -> Fields {
+            use gridagg_aggregate::VoteSet;
+            let most = u32::MAX as usize;
+            let value = Some(Average::from_parts(1.0, u64::from(u32::MAX)));
+            let agg = Tagged::from_parts(value, VoteSet::counted(most)).unwrap();
+            Fields {
+                member: MemberId(u32::MAX),
+                voters: vec![MemberId(u32::MAX); 40],
+                agg: Arc::new(agg),
+                influenced: Arc::new(VoteSet::counted(most)),
+            }
+        }
+
+        /// The sample after `prev` in declaration order, with the bytes
+        /// its *shape* adds to [`Payload::wire_size`] before its
+        /// varints. Exhaustive on purpose: a new variant does not
+        /// compile until it has a sample and a constant here.
+        fn next_sample(
+            prev: Option<&Payload<Average>>,
+            fields: &Fields,
+        ) -> Option<(Payload<Average>, isize)> {
+            let (member, value, reply) = (fields.member, -1.25, false);
+            let agg = fields.agg.clone();
             let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
-            let (member, value, reply) = (MemberId(n as u32 - 1), -1.25, false);
             Some(match prev {
-                None => (Payload::Vote { member, value }, 0),
-                Some(Payload::Vote { .. }) => (Payload::Agg { subtree, agg }, 9),
-                Some(Payload::Agg { .. }) => (Payload::Final { agg }, 9),
+                // the simulator charges a 4-byte id
+                None => (Payload::Vote { member, value }, -4),
+                // a presence flag
+                Some(Payload::Vote { .. }) => (Payload::Agg { subtree, agg }, 1),
+                Some(Payload::Agg { .. }) => (Payload::Final { agg }, 1),
+                // a 2-byte length and 4-byte ids charged, none written
                 Some(Payload::Final { .. }) => {
-                    let votes = members().map(|m| (MemberId(m as u32), 1.0)).collect();
-                    (Payload::VoteBatch { votes, reply }, 1)
+                    let votes: Arc<[_]> = fields.voters.iter().map(|&m| (m, 1.0)).collect();
+                    let charged = -2 - 4 * votes.len() as isize;
+                    (Payload::VoteBatch { votes, reply }, charged)
                 }
-                Some(Payload::VoteBatch { .. }) => (batch(subtree, &[0, 1, 2, 3], &agg), 1 + 4 * 9),
+                // the parent's 4 address bytes and an entry count
+                // written once where a 2-byte count is charged; for each
+                // of the 4 entries a digit and a presence flag written
+                // where its 2 + 3 address bytes are charged
+                Some(Payload::VoteBatch { .. }) => {
+                    (batch(subtree, &[0, 1, 2, 3], &agg), 4 + 1 - 2 + 4 * (2 - 5))
+                }
+                // the reply flag rides in the tag
                 Some(Payload::AggBatch { .. }) => {
                     let (flow, estimate) = (0.5, -2.0);
+                    let influenced = fields.influenced.clone();
                     let flow = Payload::Flow {
                         flow,
                         estimate,
                         reply,
                         influenced,
                     };
-                    (flow, 8)
+                    (flow, -1)
                 }
                 Some(Payload::Flow { .. }) => return None,
             })
         }
 
+        /// The values a payload writes as varints, in any order.
+        fn varints(p: &Payload<Average>) -> Vec<u32> {
+            let count = |agg: &Tagged<Average>| u32::try_from(agg.vote_count()).unwrap();
+            match p {
+                Payload::Vote { member, .. } => vec![member.0],
+                Payload::Agg { agg, .. } | Payload::Final { agg } => vec![count(agg)],
+                Payload::VoteBatch { votes, .. } => {
+                    let owners = votes.iter().map(|(m, _)| m.0);
+                    [votes.len() as u32].into_iter().chain(owners).collect()
+                }
+                Payload::AggBatch { slots, .. } => {
+                    slots.iter().flatten().map(|a| count(a)).collect()
+                }
+                Payload::Flow { influenced, .. } => vec![influenced.len() as u32],
+            }
+        }
+
         /// The one place the sim-vs-wire byte relation is written down:
         /// for every variant, `encode(p).len()` is `p.wire_size()` plus
-        /// 9 B per carried `Tagged` (presence flag + count), 8 B for
-        /// `Flow`'s count, 1 B for a batch's reply flag — at every group
-        /// size, on both sides of `EXACT_TRACK_MAX`.
+        /// a constant of its shape plus the widths of its varints — at
+        /// N = 64, 4096 and 65536 (both sides of `EXACT_TRACK_MAX`) and
+        /// with every id and count at `u32::MAX`. With each varint at
+        /// most `MAX_VARINT_LEN` bytes, that is a ceiling per shape that
+        /// is the same at every N, and the widest fields reach it.
         #[test]
-        fn encoded_length_is_wire_size_plus_a_constant_of_the_shape_at_every_n() {
+        fn encoded_length_is_wire_size_plus_a_shape_constant_plus_varint_widths() {
+            use gridagg_aggregate::wire::MAX_VARINT_LEN;
+            let varint_len = |value| {
+                let mut scratch = Vec::new();
+                put_varint(value, &mut scratch);
+                scratch.len()
+            };
             let sizes = [64usize, 4096, 65536];
             assert!(sizes[1] <= gridagg_aggregate::EXACT_TRACK_MAX);
             assert!(sizes[2] > gridagg_aggregate::EXACT_TRACK_MAX);
-            let mut lens: Vec<Vec<usize>> = Vec::new();
-            for n in sizes {
+            let all = sizes.map(|n| (n.to_string(), at_scale(n)));
+            let all = all.into_iter().chain([("u32::MAX".into(), widest())]);
+            let mut ceilings: Vec<Vec<isize>> = Vec::new();
+            for (at, fields) in all {
                 let mut row = Vec::new();
                 let mut prev = None;
-                while let Some((p, gap)) = next_sample(prev.as_ref(), n) {
+                while let Some((p, shape)) = next_sample(prev.as_ref(), &fields) {
                     let mut buf = Vec::new();
                     encode(&p, &mut buf);
-                    assert_eq!(buf.len(), p.wire_size() as usize + gap, "n = {n}: {p:?}");
-                    row.push(buf.len());
+                    let (len, varints) = (buf.len() as isize, varints(&p));
+                    let widths: usize = varints.iter().map(|&v| varint_len(v)).sum();
+                    let fixed = p.wire_size() as isize + shape;
+                    assert_eq!(len, fixed + widths as isize, "at {at}: {p:?}");
+                    let ceiling = fixed + (MAX_VARINT_LEN * varints.len()) as isize;
+                    assert!(len <= ceiling, "at {at}: {p:?}");
+                    if at == "u32::MAX" {
+                        // every varint at its widest but the length of a
+                        // 40-vote batch
+                        let batch = matches!(p, Payload::VoteBatch { .. });
+                        let short = if batch { MAX_VARINT_LEN - 1 } else { 0 };
+                        assert_eq!(len + short as isize, ceiling, "{p:?}");
+                    }
+                    row.push(ceiling);
                     prev = Some(p);
                 }
                 assert_eq!(row.len(), 6, "one sample per variant");
-                lens.push(row);
+                ceilings.push(row);
             }
-            assert_eq!(lens[0], lens[1], "frames grew between N = 64 and 4096");
-            assert_eq!(lens[1], lens[2], "frames grew between N = 4096 and 65536");
+            assert!(
+                ceilings.windows(2).all(|w| w[0] == w[1]),
+                "the ceiling moved with N: {ceilings:?}"
+            );
+        }
+
+        /// One frame of every variant, byte for byte: this freezes the
+        /// layout. Values are chosen to read at a glance: `2.0` is
+        /// `40 00 …`, `1.5` is `3F F8 …`, and 300 is the varint `AC 02`.
+        #[test]
+        fn golden_frames_freeze_the_layout() {
+            use gridagg_aggregate::VoteSet;
+            let counted = |count| {
+                let value = Some(Average::from_parts(2.0, 1));
+                Arc::new(Tagged::from_parts(value, VoteSet::counted(count)).unwrap())
+            };
+            let agg = counted(300);
+            let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
+            // present, the sum 2.0, its one vote, 300 contributors
+            let tagged: &[u8] = &[
+                1, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xAC, 0x02,
+            ];
+            let votes = [(MemberId(1), 1.5), (MemberId(128), -2.0)].into();
+            let row = [None, Some(agg.clone()), None, Some(agg.clone())].into();
+            let flow = Payload::Flow {
+                flow: 0.5,
+                estimate: -2.0,
+                reply: false,
+                influenced: Arc::new(VoteSet::counted(300)),
+            };
+            let cases: [(Payload<Average>, Vec<u8>); 6] = [
+                (
+                    Payload::Vote {
+                        member: MemberId(300),
+                        value: 1.5,
+                    },
+                    vec![0x01, 0xAC, 0x02, 0x3F, 0xF8, 0, 0, 0, 0, 0, 0],
+                ),
+                (
+                    Payload::Agg {
+                        subtree,
+                        agg: agg.clone(),
+                    },
+                    [&[0x02, 4, 2, 2, 1], tagged].concat(),
+                ),
+                (Payload::Final { agg }, [&[0x03], tagged].concat()),
+                (
+                    Payload::VoteBatch { votes, reply: true },
+                    vec![
+                        0x84, 2, 0x01, 0x3F, 0xF8, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0xC0, 0, 0, 0, 0,
+                        0, 0, 0,
+                    ],
+                ),
+                (
+                    Payload::agg_batch(subtree, row, true),
+                    [&[0x85, 4, 2, 2, 1, 2, 1], tagged, &[3], tagged].concat(),
+                ),
+                (
+                    flow,
+                    vec![
+                        0x06, 0x3F, 0xE0, 0, 0, 0, 0, 0, 0, 0xC0, 0, 0, 0, 0, 0, 0, 0, 0xAC, 0x02,
+                    ],
+                ),
+            ];
+            for (payload, golden) in cases {
+                let mut buf = Vec::new();
+                encode(&payload, &mut buf);
+                assert_eq!(buf, golden, "{payload:?}");
+                assert_eq!(decode(&mut golden.as_slice()), Ok(payload));
+            }
+        }
+
+        /// Every varint field, in every variant that has one, is admitted
+        /// in its one encoding only: overlong, past `u32::MAX` or cut
+        /// inside it, it is refused as that variant; and a reply flag on
+        /// a variant that never replies is malformed.
+        #[test]
+        fn varint_fields_admit_one_encoding_and_only_batches_and_flows_reply() {
+            use gridagg_aggregate::VoteSet;
+            let agg = Tagged::from_parts(Some(Average::from_parts(1.5, 1)), VoteSet::counted(5));
+            let agg = Arc::new(agg.unwrap());
+            let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
+            let (member, value, reply) = (MemberId(5), 1.5, false);
+            let votes = [(member, value)].into();
+            let influenced = Arc::new(VoteSet::counted(5));
+            let flow = Payload::Flow {
+                flow: value,
+                estimate: value,
+                reply,
+                influenced,
+            };
+            // each payload with the offset of a one-byte varint in it
+            let fields = [
+                (Payload::Vote { member, value }, "vote", Some(1)),
+                (Payload::VoteBatch { votes, reply }, "vote-batch", Some(1)),
+                (
+                    Payload::VoteBatch {
+                        votes: [(member, value)].into(),
+                        reply,
+                    },
+                    "vote-batch",
+                    Some(2),
+                ),
+                (
+                    Payload::Agg {
+                        subtree,
+                        agg: agg.clone(),
+                    },
+                    "agg",
+                    None,
+                ),
+                (Payload::Final { agg: agg.clone() }, "final", None),
+                (batch(subtree, &[3], &agg), "agg-batch", None),
+                (flow, "flow", None),
+            ];
+            for (payload, variant, at) in fields {
+                let mut honest = Vec::new();
+                encode(&payload, &mut honest);
+                assert_eq!(decode(&mut honest.as_slice()), Ok(payload.clone()));
+                // the count is the last byte
+                let at = at.unwrap_or(honest.len() - 1);
+                let low = honest[at];
+                assert!(low < 0x80, "a one-byte varint at {at} of {payload:?}");
+                let spliced = |with: &[u8]| [&honest[..at], with, &honest[at + 1..]].concat();
+                let malformed = Err(DecodeError::Malformed { variant });
+                for bad in [
+                    spliced(&[low | 0x80, 0x00]),
+                    spliced(&[low | 0x80, 0x80, 0x80, 0x80, 0x00]),
+                    spliced(&[low | 0x80, 0x80, 0x80, 0x80, 0x10]),
+                    spliced(&[low | 0x80, 0x80, 0x80, 0x80, 0x80, 0x00]),
+                ] {
+                    assert_eq!(
+                        decode::<Average, _>(&mut bad.as_slice()),
+                        malformed,
+                        "{bad:02x?}"
+                    );
+                }
+                let cut = [&honest[..at], &[low | 0x80]].concat();
+                let truncated = Err(DecodeError::Truncated { variant });
+                assert_eq!(
+                    decode::<Average, _>(&mut cut.as_slice()),
+                    truncated,
+                    "{cut:02x?}"
+                );
+                honest[0] |= REPLY;
+                let replying = decode::<Average, _>(&mut honest.as_slice());
+                let never_replies = ["vote", "agg", "final"].contains(&variant);
+                assert_eq!(replying.is_err(), never_replies, "{payload:?} as a reply");
+                if never_replies {
+                    assert_eq!(replying, malformed);
+                }
+            }
         }
 
         /// `decode_for`'s boundaries, in every variant that carries the
@@ -889,9 +1163,10 @@ pub mod codec {
                 }
             );
             assert!(err.to_string().contains("agg-batch"), "{err}");
-            // a vote batch claiming 65,535 votes with no bytes behind them
+            // a vote batch claiming `u32::MAX` votes with no bytes behind them
+            let claim = [TAG_VOTE_BATCH, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
             assert_eq!(
-                decode::<Average, _>(&mut [TAG_VOTE_BATCH, 0, 0xFF, 0xFF].as_slice()).unwrap_err(),
+                decode::<Average, _>(&mut claim.as_slice()).unwrap_err(),
                 DecodeError::Truncated {
                     variant: "vote-batch"
                 }

@@ -44,6 +44,9 @@ use gridagg_simnet::rng::DetRng;
 /// Bytes of the per-frame header: dst u32, src u32, len u16.
 pub const FRAME_HEADER_LEN: usize = 10;
 
+/// The longest payload a frame's `u16` length can carry.
+pub const MAX_FRAME_PAYLOAD: usize = u16::MAX as usize;
+
 /// One demultiplexed frame inside a datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame<'a> {
@@ -56,11 +59,18 @@ pub struct Frame<'a> {
 }
 
 /// Append one frame to a datagram under construction.
+///
+/// # Panics
+///
+/// If `payload` is longer than [`MAX_FRAME_PAYLOAD`]: its length would
+/// wrap, and the receiver would misparse the rest of the datagram. A
+/// sender checks first (the runtime counts such a payload as a send
+/// error).
 pub fn push_frame(buf: &mut Vec<u8>, dst: u32, src: u32, payload: &[u8]) {
-    debug_assert!(payload.len() <= u16::MAX as usize, "payload exceeds frame");
+    let len = u16::try_from(payload.len()).expect("payload exceeds a frame");
     buf.extend_from_slice(&dst.to_be_bytes());
     buf.extend_from_slice(&src.to_be_bytes());
-    buf.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+    buf.extend_from_slice(&len.to_be_bytes());
     buf.extend_from_slice(payload);
 }
 
@@ -324,6 +334,12 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r[0].is_ok());
         assert!(r[1].is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload exceeds a frame")]
+    fn a_payload_longer_than_a_frame_is_refused_not_wrapped() {
+        push_frame(&mut Vec::new(), 0, 1, &[0; MAX_FRAME_PAYLOAD + 1]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use gridagg_simnet::network::Envelope;
 use gridagg_simnet::rng::DetRng;
 use gridagg_simnet::Round;
 
-use crate::endpoint::{frame_len, push_frame, FaultInjector, Frame, FrameIter};
+use crate::endpoint::{frame_len, push_frame, FaultInjector, Frame, FrameIter, MAX_FRAME_PAYLOAD};
 use crate::timer::TimerWheel;
 use crate::{MemberOutcome, RuntimeConfig};
 
@@ -82,7 +82,7 @@ const SHARED_FLOOR: usize = 1024;
 /// [`RuntimeReport`](crate::cluster::RuntimeReport) at teardown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Datagrams put on the wire.
+    /// Datagrams the kernel accepted.
     pub datagrams_sent: u64,
     /// Datagrams received off the wire.
     pub datagrams_recv: u64,
@@ -92,7 +92,7 @@ pub struct WorkerStats {
     pub frames_recv: u64,
     /// Datagrams that carried more than one coalesced frame.
     pub batched_sends: u64,
-    /// Wire bytes sent (headers included).
+    /// Wire bytes of the datagrams sent (headers included).
     pub bytes_sent: u64,
     /// Event-loop iterations.
     pub wakeups: u64,
@@ -108,6 +108,9 @@ pub struct WorkerStats {
     pub reordered: u64,
     /// Frames or payloads rejected by the decoders (`DecodeError`s).
     pub decode_errors: u64,
+    /// What the send path lost: datagrams `send_to` refused, and
+    /// payloads too long for a frame, which are never coalesced.
+    pub send_errors: u64,
     /// Well-formed frames addressed to members this worker does not own.
     pub stray_frames: u64,
     /// Mid-burst receive drains: times a flush had put
@@ -136,6 +139,7 @@ impl WorkerStats {
         self.injected_drops += other.injected_drops;
         self.reordered += other.reordered;
         self.decode_errors += other.decode_errors;
+        self.send_errors += other.send_errors;
         self.stray_frames += other.stray_frames;
         self.backpressure_drains += other.backpressure_drains;
         self.aggregates_decoded += other.aggregates_decoded;
@@ -313,6 +317,10 @@ struct Coalescer {
 impl Coalescer {
     // One call per frame sent, fresh or retried.
     fn enqueue_frame(&mut self, to: u32, src: u32, bytes: &[u8], stats: &mut WorkerStats) {
+        if bytes.len() > MAX_FRAME_PAYLOAD {
+            stats.send_errors += 1;
+            return;
+        }
         let sock = to as usize % self.bufs.len();
         let buf = &self.bufs[sock];
         if !buf.is_empty() && buf.len() + frame_len(bytes.len()) > self.max_datagram {
@@ -601,10 +609,13 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         let mut wire = std::mem::take(&mut self.wire);
         let mut since_drain = 0u64;
         for (dest, bytes) in wire.drain(..) {
-            self.stats.datagrams_sent += 1;
-            self.stats.bytes_sent += bytes.len() as u64;
             since_drain += bytes.len() as u64;
-            let _ = self.sockets[0].1.send_to(&bytes, dest);
+            if self.sockets[0].1.send_to(&bytes, dest).is_ok() {
+                self.stats.datagrams_sent += 1;
+                self.stats.bytes_sent += bytes.len() as u64;
+            } else {
+                self.stats.send_errors += 1;
+            }
             let mut recycled = bytes;
             recycled.clear();
             self.coalesce.spare.push(recycled);
@@ -643,6 +654,7 @@ mod tests {
             backpressure_drains: 2,
             aggregates_decoded: 5,
             aggregates_shared: 3,
+            send_errors: 2,
             ..Default::default()
         };
         a.merge(&b);
@@ -651,6 +663,7 @@ mod tests {
         assert_eq!(a.frames_recv, 9);
         assert_eq!(a.backpressure_drains, 2);
         assert_eq!((a.aggregates_decoded, a.aggregates_shared), (5, 3));
+        assert_eq!(a.send_errors, 2);
     }
 
     /// Queues the same fan-outs every round and never finishes.
@@ -1044,6 +1057,72 @@ mod tests {
         assert_eq!(peak, 2 * SHARED_FLOOR);
         assert_eq!(worker.stats.aggregates_decoded, 10_000);
         assert_eq!(worker.stats.aggregates_shared, 0);
+    }
+
+    #[test]
+    fn a_payload_too_long_for_a_frame_is_a_send_error_and_never_coalesced() {
+        let mut worker = worker(Votes(0), N, roomy());
+        let stats = &mut worker.stats;
+        let longest = vec![0; MAX_FRAME_PAYLOAD];
+        worker.coalesce.enqueue_frame(1, 0, &longest, stats);
+        worker
+            .coalesce
+            .enqueue_frame(2, 0, &[0; MAX_FRAME_PAYLOAD + 1], stats);
+        assert_eq!((stats.send_errors, stats.frames_sent), (1, 1));
+        let frames = coalesced(&worker);
+        assert_eq!(frames, [(1, longest)], "the refused frame left no bytes");
+    }
+
+    #[test]
+    fn a_datagram_the_kernel_refuses_is_a_send_error_not_a_send() {
+        // one socket sending to itself: a datagram past the 65,507
+        // bytes a UDP/IPv4 datagram carries fails with `EMSGSIZE`
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("loopback socket");
+        socket.set_nonblocking(true).expect("non-blocking");
+        let addr = socket.local_addr().expect("bound");
+        let cfg = RuntimeConfig {
+            max_datagram: 128 * 1024,
+            ..Default::default()
+        };
+        let (done, _outcomes) = mpsc::channel();
+        let members = vec![(MemberId(0), Votes(0))];
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let rng = DetRng::seeded(1);
+        let sockets = vec![(0, socket)];
+        let mut worker: Worker<Average, Votes> = Worker::new(
+            0,
+            sockets,
+            Arc::new(vec![addr]),
+            members,
+            N,
+            cfg,
+            &rng,
+            done,
+            shutdown,
+        );
+        let half = vec![0; 40_000];
+        for bytes in [&half, &half] {
+            worker
+                .coalesce
+                .enqueue_frame(0, 0, bytes, &mut worker.stats);
+        }
+        worker.flush_ready();
+        let stats = worker.stats;
+        assert_eq!(
+            (stats.send_errors, stats.datagrams_sent, stats.bytes_sent),
+            (1, 0, 0)
+        );
+        // a datagram that fits is sent, and counted as sent
+        worker
+            .coalesce
+            .enqueue_frame(0, 0, &half, &mut worker.stats);
+        worker.flush_ready();
+        let stats = worker.stats;
+        let sent = frame_len(half.len()) as u64;
+        assert_eq!(
+            (stats.send_errors, stats.datagrams_sent, stats.bytes_sent),
+            (1, 1, sent)
+        );
     }
 
     #[test]

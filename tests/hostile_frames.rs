@@ -8,7 +8,9 @@
 //! contributor counts from `[0, n]` plus `n + 1` and `usize::MAX`, every
 //! `f64` from the vote hull plus NaN and ±∞, and addresses in every
 //! relation to the receiver's box. Fixed frames ride along: batches and
-//! addresses no encoder writes, and payloads every protocol must drop.
+//! addresses no encoder writes, varints in other than their one
+//! encoding, reply flags on variants that never reply, counts with
+//! nothing behind them, and payloads every protocol must drop.
 //!
 //! Asserted: a frame decodes, to what was encoded, if and only if its
 //! ids, counts and values are in range (a prefix of it never does, and
@@ -42,10 +44,9 @@ const HULL: (f64, f64) = (-1.0, 1.0);
 const FAR: f64 = 1e9;
 const MAX_ROUNDS: u64 = 200;
 
-/// A frame's payload bytes; the payload `decode_for` must return, or the
-/// variant it must reject them as; and the messages one delivery of that
-/// payload may queue.
-type Frame = (Vec<u8>, Result<Payload<Average>, &'static str>, usize);
+/// A frame's payload bytes; what `decode_for` must return for them; and
+/// the messages one delivery of that payload may queue.
+type Frame = (Vec<u8>, Result<Payload<Average>, DecodeError>, usize);
 
 fn encode(payload: &Payload<Average>) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -189,7 +190,8 @@ impl Gen<'_> {
                 (flow, "flow")
             }
         };
-        let expect = self.in_range.then(|| payload.clone()).ok_or(variant);
+        let expect = self.in_range.then(|| payload.clone());
+        let expect = expect.ok_or(DecodeError::Malformed { variant });
         (encode(&payload), expect, 1)
     }
 }
@@ -205,42 +207,82 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
         let agg = far.clone();
         Payload::Agg { subtree, agg }
     };
-    // an `AggBatch` of hand-made entries, each written as `Agg` writes
-    // its address and aggregate
-    let entry = |digits: &[u8]| encode(&agg_at(4, digits)).split_off(1);
-    let batch = |entries: &[Vec<u8>]| {
-        let mut bytes = encode(&Payload::agg_batch(my_box, row(K, |_| true), false));
-        bytes.truncate(3); // tag, reply flag, high byte of the entry count
-        bytes.push(entries.len() as u8);
-        [bytes, entries.concat()].concat()
+    // an `AggBatch` under `parent` claiming `known` entries, followed by
+    // one hand-made entry per digit: the digit, then the aggregate as
+    // `Final` writes it
+    let tagged = encode(&Payload::Final { agg: far.clone() }).split_off(1);
+    let batch_of = |parent: Addr, known: u8, digits: &[u8]| {
+        let mut bytes = encode(&Payload::agg_batch(
+            parent,
+            row(parent.base(), |_| true),
+            false,
+        ));
+        bytes.truncate(3 + parent.len()); // tag, base, length, digits
+        bytes.push(known);
+        for &digit in digits {
+            bytes.push(digit);
+            bytes.extend_from_slice(&tagged);
+        }
+        bytes
     };
-    let rejected = |bytes, variant| (bytes, Err(variant), 0);
+    let batch = |digits: &[u8]| batch_of(my_box, digits.len() as u8, digits);
+    let rejected = |bytes, variant| (bytes, Err(DecodeError::Malformed { variant }), 0);
+    let cut = |bytes, variant| (bytes, Err(DecodeError::Truncated { variant }), 0);
     let dropped = |payload: Payload<Average>| (encode(&payload), Ok(payload), 0);
     // an `Agg` is its tag, base, length, digits, aggregate
     let valid = encode(&agg_at(4, &[3, 3]));
     let too_wide = [&valid[..1], &[255, 16], &[254; 16], &valid[5..]].concat();
-    let mut bad_digit = valid;
+    let mut bad_digit = valid.clone();
     bad_digit[4] = 4;
-    let mut bad_entry = entry(&[3]);
-    bad_entry[2] = 4;
-    let five = [0, 1, 2, 3, 0].map(|d| entry(&[2, d]));
+    // base 255 holds four digits: this parent's children are past it
+    let full = Addr::from_digits(255, &[0; 4]).expect("at capacity");
     let foreign = (my_box.digit(0) + 1) % K;
-    let any_order = batch(&[entry(&[foreign, 3]), entry(&[foreign, 0])]);
     let parent = Addr::from_digits(K, &[foreign]).expect("foreign");
+    let any_order = batch_of(parent, 2, &[3, 0]);
     let in_order = Payload::agg_batch(parent, row(K, |d| d % 3 == 0), false);
     let past_the_box: Vec<u8> = my_box.digits().chain([0]).collect();
     let root = Addr::root(K + 1).expect("root");
+    // a vote of member 5 is its tag, the id's one varint byte, the value
+    let vote = encode(&Payload::Vote {
+        member: MemberId(5),
+        value: FAR,
+    });
+    let overlong = [&vote[..1], &[0x85, 0x00], &vote[2..]].concat();
+    // one contributor, plus 2^32
+    let final_bytes = encode(&Payload::Final { agg: far.clone() });
+    let (count_at, past) = (final_bytes.len() - 1, [0x81, 0x80, 0x80, 0x80, 0x10]);
+    let past_u32 = [&final_bytes[..count_at], &past].concat();
+    let replying = |mut bytes: Vec<u8>| {
+        bytes[0] |= 0x80;
+        bytes
+    };
+    let one_vote: Arc<[_]> = [(MemberId(5), FAR)].into();
+    let mut three_votes = encode(&Payload::VoteBatch {
+        votes: one_vote,
+        reply: false,
+    });
+    three_votes[1] = 3;
     vec![
         rejected(too_wide, "agg"),
         rejected(bad_digit, "agg"),
-        // two parents, a repeated digit, a digit not below the base, no
-        // entry, the root as a child, more entries than the base
-        rejected(batch(&[entry(&[0]), entry(&[1, 1])]), "agg-batch"),
-        rejected(batch(&[entry(&[2]), entry(&[2])]), "agg-batch"),
-        rejected(batch(&[entry(&[0]), bad_entry]), "agg-batch"),
+        // a repeated digit, a digit not below the base, no entry, more
+        // entries than the base, a parent whose children are past the
+        // address capacity
+        rejected(batch(&[2, 2]), "agg-batch"),
+        rejected(batch(&[0, 4]), "agg-batch"),
         rejected(batch(&[]), "agg-batch"),
-        rejected(batch(&[entry(&[])]), "agg-batch"),
-        rejected(batch(&five), "agg-batch"),
+        rejected(batch(&[0, 1, 2, 3, 0]), "agg-batch"),
+        rejected(batch_of(full, 1, &[0]), "agg-batch"),
+        // an overlong id, a count past `u32::MAX`, a reply flag on each
+        // variant that never replies
+        rejected(overlong, "vote"),
+        rejected(past_u32, "final"),
+        rejected(replying(vote), "vote"),
+        rejected(replying(valid), "agg"),
+        rejected(replying(final_bytes), "final"),
+        // entry counts with their entries missing
+        cut(batch_of(my_box, 3, &[1]), "agg-batch"),
+        cut(three_votes, "vote-batch"),
         // a foreign row, in any entry order; a foreign subtree; the root,
         // whose aggregate is never gossiped; the box plus a digit, deeper
         // than any slot; rows of the box's and of another base's root
@@ -361,6 +403,14 @@ fn generated_hostile_frames_decode_for_the_group_and_every_protocol_survives_the
             in_range,
         };
         let mut frames: Vec<Frame> = (0..FRAMES_PER_SEED).map(|_| gen.frame()).collect();
+        // each frame's decode is asserted below; the balance is the
+        // generator's (most fixed frames are rejections by design)
+        let inside = frames
+            .iter()
+            .filter(|(_, expect, _)| expect.is_ok())
+            .count();
+        admitted += inside;
+        rejected += FRAMES_PER_SEED - inside;
         for fixed in fixed_frames(my_box) {
             frames.insert(gen.rng.below(frames.len() + 1), fixed);
         }
@@ -368,7 +418,6 @@ fn generated_hostile_frames_decode_for_the_group_and_every_protocol_survives_the
         let mut mail = Vec::new();
         for (bytes, expect, replies) in frames {
             let decoded = decode(&bytes);
-            let expect = expect.map_err(|variant| DecodeError::Malformed { variant });
             assert_eq!(decoded, expect, "seed {seed}");
             // one to three flipped bytes, then cut anywhere: any answer
             // but a panic
@@ -379,12 +428,10 @@ fn generated_hostile_frames_decode_for_the_group_and_every_protocol_survives_the
             }
             let _ = decode(&bad[..gen.rng.below(bad.len() + 1)]);
             let Ok(payload) = decoded else {
-                rejected += 1;
                 continue;
             };
             let cut_short = (0..bytes.len()).all(|cut| decode(&bytes[..cut]).is_err());
             assert!(cut_short, "a prefix of {payload:?} decoded (seed {seed})");
-            admitted += 1;
             mail.push((gen.member(), payload, replies));
         }
 
@@ -415,8 +462,11 @@ fn generated_hostile_frames_decode_for_the_group_and_every_protocol_survives_the
         let broken: Vec<String> = broken.collect();
         assert!(broken.is_empty(), "\n{}", broken.join("\n"));
     }
+    // generated frames stay mostly in range: admitted ones outnumber
+    // rejected ones by more than two a seed
+    let margin = 2 * SEEDS.count();
     assert!(
-        rejected > 0 && admitted > rejected,
-        "{admitted} admitted, {rejected} rejected"
+        rejected > 0 && admitted > rejected + margin,
+        "{admitted} generated frames admitted, {rejected} rejected"
     );
 }
