@@ -12,6 +12,9 @@
 //! ships the aggregate value plus the contributor *count* — a presence
 //! flag and a [`put_varint`] count, 2 to [`MAX_VARINT_LEN`] + 1 bytes of
 //! instrumentation per aggregate, never more at any group size.
+//! [`varint_len`] and [`tagged_len`] give the lengths those two write
+//! without writing a byte, so a payload's size can be counted from the
+//! same layout as its encoding.
 //!
 //! Ids, lengths and counts on the wire are unsigned LEB128 varints of a
 //! `u32` ([`put_varint`] / [`get_varint`]): seven bits a byte, low bits
@@ -108,12 +111,25 @@ pub fn put_varint<B: BufMut>(mut value: u32, buf: &mut B) {
     buf.put_u8(value.to_le_bytes()[0]);
 }
 
-/// Append a length or count as a varint. Nothing a group holds exceeds
-/// `u32::MAX` (a member id is a `u32`), so a larger one, which only a
-/// forger builds, is written as `u32::MAX` and refused by every smaller
-/// group.
-pub fn put_len<B: BufMut>(len: usize, buf: &mut B) {
-    put_varint(u32::try_from(len).unwrap_or(u32::MAX), buf);
+/// Bytes [`put_varint`] writes for `value`: one per started 7 bits.
+#[inline]
+pub fn varint_len(value: u32) -> usize {
+    match value {
+        0..=0x7F => 1,
+        0x80..=0x3FFF => 2,
+        0x4000..=0x1F_FFFF => 3,
+        0x20_0000..=0x0FFF_FFFF => 4,
+        _ => MAX_VARINT_LEN,
+    }
+}
+
+/// A length or count as the varint value it is written as. Nothing a
+/// group holds exceeds `u32::MAX` (a member id is a `u32`), so a larger
+/// one, which only a forger builds, is written as `u32::MAX` and refused
+/// by every smaller group.
+#[inline]
+pub fn clamp_len(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
 }
 
 /// Read a varint written by [`put_varint`].
@@ -518,6 +534,7 @@ mod tests {
         assert_eq!(a, b, "one wire form for both representations");
         // presence flag, value, and the count 100 in one varint byte
         assert_eq!(a.len(), 1 + 16 + 1);
+        assert_eq!(tagged_len(&exact), a.len());
         let a = a.freeze();
         assert_eq!(a.slice(17..18).get_u8(), 100);
         let back: crate::Tagged<Average> = decode_tagged(&mut a.clone()).unwrap();
@@ -544,7 +561,14 @@ pub fn encode_tagged<A: WireAggregate, B: BufMut>(tagged: &crate::Tagged<A>, buf
         }
         None => buf.put_u8(0),
     }
-    put_len(tagged.vote_count(), buf);
+    put_varint(clamp_len(tagged.vote_count()), buf);
+}
+
+/// Bytes [`encode_tagged`] writes for `tagged`: the presence flag, the
+/// value's [`WireAggregate::wire_size`] and the count's varint.
+pub fn tagged_len<A: WireAggregate>(tagged: &crate::Tagged<A>) -> usize {
+    let value = tagged.aggregate().map_or(0, WireAggregate::wire_size);
+    1 + value + varint_len(clamp_len(tagged.vote_count()))
 }
 
 /// Decode a [`Tagged`](crate::Tagged) aggregate written by
@@ -589,6 +613,8 @@ mod tagged_wire_tests {
         let t = Tagged::<Average>::empty(64);
         let mut buf = BytesMut::new();
         encode_tagged(&t, &mut buf);
+        // a presence flag and a zero count
+        assert_eq!((buf.len(), tagged_len(&t)), (2, 2));
         let back: Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
         assert!(back.aggregate().is_none());
         assert_eq!(back.vote_count(), 0);
@@ -616,23 +642,28 @@ mod tagged_wire_tests {
 
     #[test]
     fn varints_roundtrip_at_every_width() {
-        let cases: [(u32, &[u8]); 6] = [
+        let cases: [(u32, &[u8]); 10] = [
             (0, &[0x00]),
             (127, &[0x7F]),
             (128, &[0x80, 0x01]),
             (16_383, &[0xFF, 0x7F]),
             (16_384, &[0x80, 0x80, 0x01]),
+            (2_097_151, &[0xFF, 0xFF, 0x7F]),
+            (2_097_152, &[0x80, 0x80, 0x80, 0x01]),
+            (268_435_455, &[0xFF, 0xFF, 0xFF, 0x7F]),
+            (268_435_456, &[0x80, 0x80, 0x80, 0x80, 0x01]),
             (u32::MAX, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
         ];
         for (value, bytes) in cases {
             let mut buf = Vec::new();
             put_varint(value, &mut buf);
             assert_eq!(buf, bytes, "{value}");
+            assert_eq!(varint_len(value), bytes.len(), "{value}");
             let mut rest = buf.as_slice();
             assert_eq!(get_varint(&mut rest), Ok(value));
             assert!(rest.is_empty(), "{value} left bytes behind");
         }
-        assert_eq!(cases[5].1.len(), MAX_VARINT_LEN);
+        assert_eq!(cases[9].1.len(), MAX_VARINT_LEN);
     }
 
     #[test]

@@ -1148,7 +1148,7 @@ mod tests {
     fn every_fan_out_copy_is_charged_its_own_wire_size() {
         let sent = [(1, 4), (2, 4), (3, 4), (4, 1), (5, 1), (6, 9), (7, 2)];
         let charged = sent.map(|(to, k)| (MemberId(to), u64::from(batch(k).wire_size())));
-        assert_eq!(charged.map(|(_, b)| b), [51, 51, 51, 15, 15, 111, 27]);
+        assert_eq!(charged.map(|(_, b)| b), [38, 38, 38, 11, 11, 83, 20]);
         // 128 visits: jobs = 2 takes the recorded-and-replayed path
         let n = 128;
         for jobs in [1, 2] {

@@ -35,7 +35,7 @@
 //! message body. Phase 1's is the `Arc<[_]>` of known votes (a new vote
 //! makes a new list); phase `i ≥ 2`'s is the row of its scope's `K`
 //! children, an `Arc<[Option<Arc<Tagged>>]>` indexed by last digit with
-//! its entry count and wire bytes kept beside it — one row per proper
+//! its entry count and encoded bytes kept beside it — one row per proper
 //! ancestor of the member's box, allocated when the first aggregate is
 //! stored there. A gossip, and a reply at any level, clones the `Arc`;
 //! a learned aggregate is written through `Arc::make_mut`, in place
@@ -53,7 +53,8 @@ use gridagg_hierarchy::Addr;
 use gridagg_simnet::bitset::DenseBitSet;
 use gridagg_simnet::Round;
 
-use crate::message::{agg_entry_wire, ChildSlot, Payload};
+use crate::message::codec::agg_entry_wire;
+use crate::message::{ChildSlot, Payload};
 use crate::protocol::{AggregationProtocol, Ctx, Outbox};
 use crate::scope::ScopeIndex;
 use crate::trace::TraceEvent;
@@ -132,7 +133,7 @@ impl HierGossipConfig {
 
 /// The known aggregates of one subtree's children: storage and gossip
 /// body in one. `slots[d]` is the child with last digit `d`; `known`
-/// and `wire` are the count and the wire bytes of the present entries,
+/// and `wire` are the count and the encoded bytes of the present entries,
 /// kept in step by [`Row::store`] so sending never walks the slots.
 ///
 /// The slice is shared with every [`Payload::AggBatch`] sent from it and
@@ -155,16 +156,15 @@ impl<A: WireAggregate> Row<A> {
         }
     }
 
-    /// Put `agg` in slot `digit` of this row of `child_len`-digit
-    /// subtrees. The `Arc` is cloned: a reference-count bump, shared
-    /// with any in-flight payload.
-    fn store(&mut self, digit: usize, child_len: usize, agg: &Arc<Tagged<A>>) {
+    /// Put `agg` in slot `digit`. The `Arc` is cloned: a
+    /// reference-count bump, shared with any in-flight payload.
+    fn store(&mut self, digit: usize, agg: &Arc<Tagged<A>>) {
         let slot = &mut Arc::make_mut(&mut self.slots)[digit];
         match slot.replace(Arc::clone(agg)) {
-            Some(old) => self.wire -= agg_entry_wire(child_len, &old),
+            Some(old) => self.wire -= agg_entry_wire(&old),
             None => self.known += 1,
         }
-        self.wire += agg_entry_wire(child_len, agg);
+        self.wire += agg_entry_wire(agg);
     }
 
     /// The present aggregates, in digit order.
@@ -588,7 +588,7 @@ impl<A: WireAggregate> HierGossip<A> {
         let k = parent.base();
         self.rows[level]
             .get_or_insert_with(|| Row::empty(k))
-            .store(digit, level + 1, agg);
+            .store(digit, agg);
         true
     }
 
@@ -1021,10 +1021,13 @@ mod tests {
         (p, rng, out)
     }
 
-    /// The old per-entry wire formula, walked over the slots.
-    fn recount(parent: &Addr, slots: &[ChildSlot<Average>]) -> (u8, u32) {
+    /// The row's entry count and bytes, recounted: each present entry
+    /// encoded, its digit and its aggregate.
+    fn recount(slots: &[ChildSlot<Average>]) -> (u8, u32) {
         let entry = |a: &Arc<Tagged<Average>>| {
-            2 + parent.len() as u32 + 1 + a.aggregate().map_or(0, |a| a.wire_size() as u32)
+            let mut digit_and_agg = vec![0];
+            gridagg_aggregate::wire::encode_tagged(a, &mut digit_and_agg);
+            digit_and_agg.len() as u32
         };
         let present = slots.iter().flatten();
         (present.clone().count() as u8, present.map(entry).sum())
@@ -1083,7 +1086,7 @@ mod tests {
         let row = p.current_row().unwrap();
         assert_eq!(Arc::as_ptr(&row.slots), at);
         assert_eq!(row.slots[sibling].as_ref().unwrap().vote_count(), 2);
-        assert_eq!((row.known, row.wire), recount(&p.scope, &row.slots));
+        assert_eq!((row.known, row.wire), recount(&row.slots));
     }
 
     #[test]
@@ -1152,11 +1155,12 @@ mod tests {
             let mut in_flight = Vec::new();
             for step in 0..60 {
                 let mut ctx = Ctx::new(1, &mut rng);
-                // an aggregate of 0..=5 votes (0: the empty aggregate,
-                // which costs no value bytes) for a random child of a
-                // random chain level, alone or in a row
+                // an aggregate whose count varint is 1, 2 or 3 bytes
+                // (0: the empty aggregate, which has no value bytes) for
+                // a random child of a random chain level, alone or in a
+                // row
                 let parent = my_box.prefix(draw.below(my_box.len()));
-                let agg = counted(draw.below(6));
+                let agg = counted([0, 1, 127, 128, 16_383, 16_384][draw.below(6)]);
                 let payload = if draw.below(2) == 0 {
                     let subtree = parent.child(draw.below(4) as u8).unwrap();
                     Payload::Agg { subtree, agg }
@@ -1176,9 +1180,11 @@ mod tests {
                 for (len, row) in p.rows.iter().enumerate() {
                     let Some(row) = row else { continue };
                     let parent = my_box.prefix(len);
-                    assert_eq!((row.known, row.wire), recount(&parent, &row.slots));
+                    assert_eq!((row.known, row.wire), recount(&row.slots));
                     let sent = row.payload(parent, false);
-                    assert_eq!(sent.wire_size(), 1 + 2 + row.wire);
+                    let mut encoded = Vec::new();
+                    crate::message::codec::encode(&sent, &mut encoded);
+                    assert_eq!(sent.wire_size() as usize, encoded.len());
                     assert_eq!(sent, Payload::agg_batch(parent, row.slots.clone(), false));
                 }
             }
@@ -1186,14 +1192,10 @@ mod tests {
             // was sent with
             for sent in &in_flight {
                 if let Payload::AggBatch {
-                    parent,
-                    known,
-                    wire,
-                    slots,
-                    ..
+                    known, wire, slots, ..
                 } = sent
                 {
-                    assert_eq!((*known, *wire), recount(parent, slots));
+                    assert_eq!((*known, *wire), recount(slots));
                 }
             }
         }

@@ -7,17 +7,19 @@
 //! *bounded* batch — at most `K` child aggregates, or the votes of one
 //! grid box (expected `K`) — never anything that grows with `N`.
 //! Contributor sets are local instrumentation and are never encoded:
-//! [`Payload::wire_size`] charges the protocol bytes, and [`codec`]
-//! adds each set's *count* (a presence flag and a 1–5 B varint per
-//! carried `Tagged`; see `gridagg_aggregate::wire::encode_tagged`).
+//! [`codec`] writes each set's *count* (a presence flag and a 1–5 B
+//! varint per carried `Tagged`; see `gridagg_aggregate::wire::encode_tagged`),
+//! and [`Payload::wire_size`], what the simulator charges, is exactly
+//! the length [`codec::encode`] writes.
 //!
 //! **A batch body is the sender's own storage.** [`Payload::VoteBatch`]
 //! holds the `Arc` of the member's known-vote list (a slice: a new vote
 //! makes a new list, a sent one never changes) and
 //! [`Payload::AggBatch`] the `Arc` of its row of child aggregates (one
-//! [`ChildSlot`] per last digit, with the row's entry count and wire
+//! [`ChildSlot`] per last digit, with the row's entry count and encoded
 //! bytes carried beside it), so sending or replying is a
-//! reference-count bump and [`Payload::wire_size`] a field read. The
+//! reference-count bump, and an aggregate batch's
+//! [`Payload::wire_size`] a field read. The
 //! member writes its row through `Arc::make_mut`: a message in flight
 //! keeps the snapshot it was sent with. On the wire an aggregate batch
 //! is its parent's address once, then its present entries, one
@@ -85,7 +87,8 @@ pub enum Payload<A> {
         parent: Addr,
         /// Present slots, the entry count on the wire.
         known: u8,
-        /// Wire bytes of the present entries ([`agg_entry_wire`] each).
+        /// Encoded bytes of the present entries
+        /// ([`codec::agg_entry_wire`] each).
         wire: u32,
         /// One slot per last digit: `slots[d]` is the aggregate of
         /// `parent.child(d)`.
@@ -98,8 +101,8 @@ pub enum Payload<A> {
     /// mass-conserving averaging baseline; see
     /// [`crate::baselines::FlowUpdating`]). Constant-size in `N` — the
     /// `influenced` contributor set is simulation instrumentation for
-    /// completeness scoring; like the `Tagged` sets it is excluded from
-    /// wire accounting and crosses the codec as a count.
+    /// completeness scoring; like the `Tagged` sets it crosses the codec,
+    /// and is charged, as a count.
     Flow {
         /// Flow the sender currently assigns to the (sender → receiver)
         /// edge.
@@ -116,14 +119,6 @@ pub enum Payload<A> {
     },
 }
 
-/// Wire bytes of one `(subtree, aggregate)` entry, `subtree` being
-/// `subtree_len` digits long: base, length, the digits, and the
-/// aggregate's [`WireAggregate::wire_size`]. An empty aggregate (which
-/// a real implementation would never ship) counts nothing.
-pub fn agg_entry_wire<A: WireAggregate>(subtree_len: usize, agg: &Tagged<A>) -> u32 {
-    2 + subtree_len as u32 + agg.aggregate().map_or(0, |a| a.wire_size() as u32)
-}
-
 impl<A: WireAggregate> Payload<A> {
     /// An [`Payload::AggBatch`] over `slots`, the children of `parent`,
     /// with `known` and `wire` counted from the slots: for a caller that
@@ -134,54 +129,25 @@ impl<A: WireAggregate> Payload<A> {
         Payload::AggBatch {
             parent,
             known: u8::try_from(entries().count()).unwrap_or(u8::MAX),
-            wire: entries()
-                .map(|agg| agg_entry_wire(parent.len() + 1, agg))
-                .sum(),
+            wire: entries().map(|agg| codec::agg_entry_wire(agg)).sum(),
             slots,
             reply,
         }
-    }
-
-    /// Serialized size in bytes, for network byte accounting: a one-byte
-    /// discriminant plus the variant body. Aggregate bodies use their
-    /// [`WireAggregate::wire_size`]; empty aggregates (which a real
-    /// implementation would never ship) count the discriminant only.
-    pub fn wire_size(&self) -> u32 {
-        let body = match self {
-            Payload::Vote { .. } => 4 + 8,
-            Payload::Agg { subtree, agg } => agg_entry_wire(subtree.len(), agg),
-            Payload::Final { agg } => agg.aggregate().map_or(0, |a| a.wire_size() as u32),
-            Payload::VoteBatch { votes, .. } => 2 + votes.len() as u32 * 12,
-            Payload::AggBatch { wire, .. } => 2 + wire,
-            Payload::Flow { .. } => 8 + 8 + 1,
-        };
-        1 + body
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridagg_aggregate::wire::MAX_VARINT_LEN;
     use gridagg_aggregate::Average;
-
-    fn addr() -> Addr {
-        Addr::from_digits(4, &[1, 2]).unwrap()
-    }
-
-    #[test]
-    fn vote_size_is_constant() {
-        let p: Payload<Average> = Payload::Vote {
-            member: MemberId(3),
-            value: 1.5,
-        };
-        assert_eq!(p.wire_size(), 13);
-    }
 
     #[test]
     fn agg_size_bounded_regardless_of_votes() {
         let mut t = Tagged::<Average>::from_vote(0, 1.0, 1000);
+        let subtree = Addr::from_digits(4, &[1, 2]).unwrap();
         let one = Payload::Agg {
-            subtree: addr(),
+            subtree,
             agg: Arc::new(t.clone()),
         }
         .wire_size();
@@ -189,32 +155,13 @@ mod tests {
             t.try_merge(&Tagged::from_vote(i, i as f64, 1000)).unwrap();
         }
         let many = Payload::Agg {
-            subtree: addr(),
+            subtree,
             agg: Arc::new(t),
         }
         .wire_size();
-        assert_eq!(one, many, "aggregate wire size must not grow with votes");
+        // only the count varint grows, and never past its widest
+        assert!(one < many && many - one < MAX_VARINT_LEN as u32);
         assert!(many < 64);
-    }
-
-    #[test]
-    fn batch_sizes_bounded_by_entry_count() {
-        let votes: Vec<(MemberId, f64)> = (0..4).map(|i| (MemberId(i), i as f64)).collect();
-        let p: Payload<Average> = Payload::VoteBatch {
-            votes: votes.into(),
-            reply: false,
-        };
-        assert_eq!(p.wire_size(), 1 + 2 + 4 * 12);
-        // two children of `12`: addresses of three digits
-        let slots = [
-            Some(Arc::new(Tagged::<Average>::from_vote(0, 1.0, 8))),
-            None,
-            Some(Arc::new(Tagged::<Average>::from_vote(1, 2.0, 8))),
-            None,
-        ];
-        let p = Payload::agg_batch(addr(), Arc::new(slots), true);
-        assert!(matches!(p, Payload::AggBatch { known: 2, .. }));
-        assert_eq!(p.wire_size(), 1 + 2 + 2 * (2 + 3 + 16));
     }
 
     #[test]
@@ -238,23 +185,13 @@ mod tests {
             reply: true,
             influenced: Arc::new((0..500usize).collect()),
         };
+        // the tag, two `f64`s and a one-byte count
         assert_eq!(small.wire_size(), 18);
-        assert_eq!(
-            small.wire_size(),
-            big.wire_size(),
-            "the contributor set is instrumentation, not wire bytes"
+        let (small, big) = (small.wire_size(), big.wire_size());
+        assert!(
+            small < big && big - small < MAX_VARINT_LEN as u32,
+            "the contributor set is instrumentation: only its count is wire bytes"
         );
-    }
-
-    #[test]
-    fn final_size() {
-        let t = Tagged::<Average>::from_vote(0, 1.0, 10);
-        let p = Payload::Final { agg: Arc::new(t) };
-        assert_eq!(p.wire_size(), 1 + 16);
-        let empty = Payload::Final {
-            agg: Arc::new(Tagged::<Average>::empty(10)),
-        };
-        assert_eq!(empty.wire_size(), 1);
     }
 }
 
@@ -278,10 +215,11 @@ mod tests {
 /// Aggregate values keep their constant-size [`WireAggregate`] form,
 /// every contributor set is written as its count, and ids, lengths and
 /// counts are `u32` varints (1 to 5 B; see
-/// [`put_varint`](gridagg_aggregate::wire::put_varint)). So
-/// `encode(p).len()` is [`Payload::wire_size`] plus a constant of the
-/// message's shape plus its varints' widths, and stays under a ceiling
-/// that does not depend on `N`.
+/// [`put_varint`](gridagg_aggregate::wire::put_varint)). So a payload's
+/// length stays under a ceiling of its shape that does not depend on
+/// `N`. [`Payload::wire_size`] is that length, computed here from the
+/// same layout without writing a byte: the simulator charges what a
+/// socket sends.
 ///
 /// [`decode_for`](codec::decode_for) is the one place a payload is
 /// checked against the group, so every payload it returns is in range
@@ -304,13 +242,14 @@ pub mod codec {
 
     use bytes::{Buf, BufMut};
     use gridagg_aggregate::wire::{
-        decode_tagged, encode_tagged, get_varint, put_len, put_varint, WireAggregate, WireError,
+        clamp_len, decode_tagged, encode_tagged, get_varint, put_varint, tagged_len, varint_len,
+        WireAggregate, WireError,
     };
     use gridagg_aggregate::Tagged;
     use gridagg_group::MemberId;
     use gridagg_hierarchy::Addr;
 
-    use super::{agg_entry_wire, ChildSlot, Payload};
+    use super::{ChildSlot, Payload};
 
     const TAG_VOTE: u8 = 1;
     const TAG_AGG: u8 = 2;
@@ -378,6 +317,45 @@ pub mod codec {
     }
 
     impl std::error::Error for DecodeError {}
+
+    /// Encoded bytes of one [`Payload::AggBatch`] entry: its last digit
+    /// and its aggregate.
+    pub fn agg_entry_wire<A: WireAggregate>(agg: &Tagged<A>) -> u32 {
+        (1 + tagged_len(agg)) as u32
+    }
+
+    impl<A: WireAggregate> Payload<A> {
+        /// Serialized size in bytes, for network byte accounting: exactly
+        /// the length [`encode`] writes, walking only a vote batch's ids
+        /// (an aggregate batch carries its entries' bytes).
+        pub fn wire_size(&self) -> u32 {
+            let body = match self {
+                Payload::Vote { member, .. } => varint_len(member.0) + 8,
+                Payload::Agg { subtree, agg } => addr_len(subtree) + tagged_len(agg),
+                Payload::Final { agg } => tagged_len(agg),
+                Payload::VoteBatch { votes, .. } => {
+                    let ids: usize = votes.iter().map(|(member, _)| varint_len(member.0)).sum();
+                    varint_len(clamp_len(votes.len())) + ids + 8 * votes.len()
+                }
+                Payload::AggBatch { parent, wire, .. } => addr_len(parent) + 1 + *wire as usize,
+                Payload::Flow { influenced, .. } => 16 + varint_len(clamp_len(influenced.len())),
+            };
+            let len = 1 + body;
+            gridagg_aggregate::strict_assert!(
+                len == {
+                    let mut buf = Vec::new();
+                    encode(self, &mut buf);
+                    buf.len()
+                }
+            );
+            len as u32
+        }
+    }
+
+    /// Bytes [`put_addr`] writes for `addr`.
+    fn addr_len(addr: &Addr) -> usize {
+        2 + addr.len()
+    }
 
     /// An address on the wire: base, length, then the digits.
     fn put_addr<B: BufMut>(addr: &Addr, buf: &mut B) {
@@ -454,7 +432,7 @@ pub mod codec {
             }
             Payload::VoteBatch { votes, reply } => {
                 buf.put_u8(tag(TAG_VOTE_BATCH, *reply));
-                put_len(votes.len(), buf);
+                put_varint(clamp_len(votes.len()), buf);
                 for &(member, value) in votes.iter() {
                     put_vote(member, value, buf);
                 }
@@ -485,7 +463,7 @@ pub mod codec {
                 buf.put_u8(tag(TAG_FLOW, *reply));
                 buf.put_f64(*flow);
                 buf.put_f64(*estimate);
-                put_len(influenced.len(), buf);
+                put_varint(clamp_len(influenced.len()), buf);
             }
         }
     }
@@ -596,13 +574,13 @@ pub mod codec {
                     let digit = buf.get_u8();
                     // a digit ≥ base, or a child past the address
                     // capacity, names no subtree
-                    let child = parent.child(digit).map_err(|_| malformed(variant))?;
+                    parent.child(digit).map_err(|_| malformed(variant))?;
                     let agg = get_tagged(n, buf, variant)?;
                     let slot = row
                         .get_mut(usize::from(digit))
                         .filter(|slot| slot.is_none())
                         .ok_or(malformed(variant))?;
-                    wire += agg_entry_wire(child.len(), &agg);
+                    wire += agg_entry_wire(&agg);
                     *slot = Some(Arc::new(agg));
                 }
                 Ok(Payload::AggBatch {
@@ -762,7 +740,7 @@ pub mod codec {
             }
         }
 
-        /// What the length-law samples are built from: the owner of a
+        /// What the byte-count samples are built from: the owner of a
         /// vote, the owners in a vote batch, an aggregate and a
         /// `Flow`'s contributor set.
         struct Fields {
@@ -796,134 +774,101 @@ pub mod codec {
             }
         }
 
-        /// The same shapes with every id and count at `u32::MAX`: every
-        /// varint at its widest.
-        fn widest() -> Fields {
+        /// The shapes of `fields` with every id and count at its widest:
+        /// `u32::MAX`, and a count past it, which is written as
+        /// `u32::MAX`.
+        fn widest(fields: &Fields) -> Fields {
             use gridagg_aggregate::VoteSet;
-            let most = u32::MAX as usize;
             let value = Some(Average::from_parts(1.0, u64::from(u32::MAX)));
-            let agg = Tagged::from_parts(value, VoteSet::counted(most)).unwrap();
+            let agg = Tagged::from_parts(value, VoteSet::counted(usize::MAX)).unwrap();
             Fields {
                 member: MemberId(u32::MAX),
-                voters: vec![MemberId(u32::MAX); 40],
+                voters: vec![MemberId(u32::MAX); fields.voters.len()],
                 agg: Arc::new(agg),
-                influenced: Arc::new(VoteSet::counted(most)),
+                influenced: Arc::new(VoteSet::counted(usize::MAX)),
             }
         }
 
-        /// The sample after `prev` in declaration order, with the bytes
-        /// its *shape* adds to [`Payload::wire_size`] before its
-        /// varints. Exhaustive on purpose: a new variant does not
-        /// compile until it has a sample and a constant here.
+        /// The shapes with nothing in them: no vote in a batch, and every
+        /// aggregate and contributor set empty.
+        fn empty() -> Fields {
+            Fields {
+                member: MemberId(0),
+                voters: Vec::new(),
+                agg: Arc::new(Tagged::empty(64)),
+                influenced: Arc::new(gridagg_aggregate::VoteSet::new(64)),
+            }
+        }
+
+        /// The sample after `prev` in declaration order. Exhaustive on
+        /// purpose: a new variant does not compile until it has a sample.
         fn next_sample(
             prev: Option<&Payload<Average>>,
             fields: &Fields,
-        ) -> Option<(Payload<Average>, isize)> {
+        ) -> Option<Payload<Average>> {
             let (member, value, reply) = (fields.member, -1.25, false);
             let agg = fields.agg.clone();
             let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
             Some(match prev {
-                // the simulator charges a 4-byte id
-                None => (Payload::Vote { member, value }, -4),
-                // a presence flag
-                Some(Payload::Vote { .. }) => (Payload::Agg { subtree, agg }, 1),
-                Some(Payload::Agg { .. }) => (Payload::Final { agg }, 1),
-                // a 2-byte length and 4-byte ids charged, none written
+                None => Payload::Vote { member, value },
+                Some(Payload::Vote { .. }) => Payload::Agg { subtree, agg },
+                Some(Payload::Agg { .. }) => Payload::Final { agg },
                 Some(Payload::Final { .. }) => {
-                    let votes: Arc<[_]> = fields.voters.iter().map(|&m| (m, 1.0)).collect();
-                    let charged = -2 - 4 * votes.len() as isize;
-                    (Payload::VoteBatch { votes, reply }, charged)
+                    let votes = fields.voters.iter().map(|&m| (m, 1.0)).collect();
+                    Payload::VoteBatch { votes, reply }
                 }
-                // the parent's 4 address bytes and an entry count
-                // written once where a 2-byte count is charged; for each
-                // of the 4 entries a digit and a presence flag written
-                // where its 2 + 3 address bytes are charged
-                Some(Payload::VoteBatch { .. }) => {
-                    (batch(subtree, &[0, 1, 2, 3], &agg), 4 + 1 - 2 + 4 * (2 - 5))
-                }
-                // the reply flag rides in the tag
-                Some(Payload::AggBatch { .. }) => {
-                    let (flow, estimate) = (0.5, -2.0);
-                    let influenced = fields.influenced.clone();
-                    let flow = Payload::Flow {
-                        flow,
-                        estimate,
-                        reply,
-                        influenced,
-                    };
-                    (flow, -1)
-                }
+                Some(Payload::VoteBatch { .. }) => batch(subtree, &[0, 1, 2, 3], &agg),
+                Some(Payload::AggBatch { .. }) => Payload::Flow {
+                    flow: 0.5,
+                    estimate: -2.0,
+                    reply,
+                    influenced: fields.influenced.clone(),
+                },
                 Some(Payload::Flow { .. }) => return None,
             })
         }
 
-        /// The values a payload writes as varints, in any order.
-        fn varints(p: &Payload<Average>) -> Vec<u32> {
-            let count = |agg: &Tagged<Average>| u32::try_from(agg.vote_count()).unwrap();
-            match p {
-                Payload::Vote { member, .. } => vec![member.0],
-                Payload::Agg { agg, .. } | Payload::Final { agg } => vec![count(agg)],
-                Payload::VoteBatch { votes, .. } => {
-                    let owners = votes.iter().map(|(m, _)| m.0);
-                    [votes.len() as u32].into_iter().chain(owners).collect()
-                }
-                Payload::AggBatch { slots, .. } => {
-                    slots.iter().flatten().map(|a| count(a)).collect()
-                }
-                Payload::Flow { influenced, .. } => vec![influenced.len() as u32],
-            }
-        }
-
-        /// The one place the sim-vs-wire byte relation is written down:
-        /// for every variant, `encode(p).len()` is `p.wire_size()` plus
-        /// a constant of its shape plus the widths of its varints — at
-        /// N = 64, 4096 and 65536 (both sides of `EXACT_TRACK_MAX`) and
-        /// with every id and count at `u32::MAX`. With each varint at
-        /// most `MAX_VARINT_LEN` bytes, that is a ceiling per shape that
-        /// is the same at every N, and the widest fields reach it.
+        /// The one byte count: for every variant, `wire_size()` is the
+        /// length `encode` writes — at N = 64, 4096 and 65536 (both sides
+        /// of `EXACT_TRACK_MAX`), with every id and count at its widest,
+        /// and with every aggregate and set empty. Each shape's length is
+        /// at most its widest-field length, a ceiling that is the same at
+        /// every N.
         #[test]
-        fn encoded_length_is_wire_size_plus_a_shape_constant_plus_varint_widths() {
-            use gridagg_aggregate::wire::MAX_VARINT_LEN;
-            let varint_len = |value| {
-                let mut scratch = Vec::new();
-                put_varint(value, &mut scratch);
-                scratch.len()
+        fn wire_size_is_the_encoded_length() {
+            let lens = |fields: &Fields| {
+                let mut lens = Vec::new();
+                let mut prev = None;
+                while let Some(p) = next_sample(prev.as_ref(), fields) {
+                    let mut buf = Vec::new();
+                    encode(&p, &mut buf);
+                    assert_eq!(buf.len(), p.wire_size() as usize, "{p:?}");
+                    lens.push(buf.len());
+                    prev = Some(p);
+                }
+                assert_eq!(lens.len(), 6, "one sample per variant");
+                lens
+            };
+            let under = |lens: Vec<usize>, ceiling: &[usize]| {
+                let fits = lens.iter().zip(ceiling).all(|(len, max)| len <= max);
+                assert!(fits, "{lens:?} over {ceiling:?}");
             };
             let sizes = [64usize, 4096, 65536];
             assert!(sizes[1] <= gridagg_aggregate::EXACT_TRACK_MAX);
             assert!(sizes[2] > gridagg_aggregate::EXACT_TRACK_MAX);
-            let all = sizes.map(|n| (n.to_string(), at_scale(n)));
-            let all = all.into_iter().chain([("u32::MAX".into(), widest())]);
-            let mut ceilings: Vec<Vec<isize>> = Vec::new();
-            for (at, fields) in all {
-                let mut row = Vec::new();
-                let mut prev = None;
-                while let Some((p, shape)) = next_sample(prev.as_ref(), &fields) {
-                    let mut buf = Vec::new();
-                    encode(&p, &mut buf);
-                    let (len, varints) = (buf.len() as isize, varints(&p));
-                    let widths: usize = varints.iter().map(|&v| varint_len(v)).sum();
-                    let fixed = p.wire_size() as isize + shape;
-                    assert_eq!(len, fixed + widths as isize, "at {at}: {p:?}");
-                    let ceiling = fixed + (MAX_VARINT_LEN * varints.len()) as isize;
-                    assert!(len <= ceiling, "at {at}: {p:?}");
-                    if at == "u32::MAX" {
-                        // every varint at its widest but the length of a
-                        // 40-vote batch
-                        let batch = matches!(p, Payload::VoteBatch { .. });
-                        let short = if batch { MAX_VARINT_LEN - 1 } else { 0 };
-                        assert_eq!(len + short as isize, ceiling, "{p:?}");
-                    }
-                    row.push(ceiling);
-                    prev = Some(p);
-                }
-                assert_eq!(row.len(), 6, "one sample per variant");
-                ceilings.push(row);
+            let all = sizes.map(at_scale);
+            let all = all.into_iter().chain([widest(&at_scale(64))]);
+            let mut ceilings = Vec::new();
+            for fields in all {
+                let ceiling = lens(&widest(&fields));
+                under(lens(&fields), &ceiling);
+                ceilings.push(ceiling);
             }
             assert!(
                 ceilings.windows(2).all(|w| w[0] == w[1]),
                 "the ceiling moved with N: {ceilings:?}"
             );
+            under(lens(&empty()), &ceilings[0]);
         }
 
         /// One frame of every variant, byte for byte: this freezes the

@@ -14,7 +14,8 @@
 //!
 //! Asserted: a frame decodes, to what was encoded, if and only if its
 //! ids, counts and values are in range (a prefix of it never does, and
-//! a corrupted copy never panics the decoder); delivered between a
+//! a corrupted copy never panics the decoder), and a decoded payload's
+//! `wire_size()` is the frame's length; delivered between a
 //! member's rounds until it terminates, traced or not, to each of the
 //! six protocols, nothing panics, a delivery queues at most one message
 //! (none for a payload to drop), and the final estimate names only
@@ -430,6 +431,10 @@ fn generated_hostile_frames_decode_for_the_group_and_every_protocol_survives_the
             let Ok(payload) = decoded else {
                 continue;
             };
+            // what the simulator would charge for it is what arrived,
+            // the decoder's sum of a batch's entries included
+            let charged = payload.wire_size() as usize;
+            assert_eq!(charged, bytes.len(), "{payload:?} (seed {seed})");
             let cut_short = (0..bytes.len()).all(|cut| decode(&bytes[..cut]).is_err());
             assert!(cut_short, "a prefix of {payload:?} decoded (seed {seed})");
             mail.push((gen.member(), payload, replies));

@@ -12,9 +12,10 @@
 //!   [`SIM_MARGIN`], and at least [`COMPLETENESS_FLOOR`], so a
 //!   simulator regression cannot pull the cluster gate down with it;
 //! * a wire frame is at most the simulator's bytes per message plus
-//!   [`WIRE_OVER_SIM_BYTES`]: no contributor set or other N-sized
-//!   field rides in a frame (with N/8-byte bitmaps in every aggregate
-//!   the smoke shape averaged 165 B a frame);
+//!   the frame header and [`MIX_SLACK_BYTES`]: the simulator charges
+//!   each message its encoded length, so no contributor set or other
+//!   N-sized field rides in a frame (with N/8-byte bitmaps in every
+//!   aggregate the smoke shape averaged 165 B a frame);
 //! * a worker answers decoded aggregates from its shared table, so
 //!   members that keep the same aggregate keep one copy of it;
 //! * datagram coalescing stays at or above [`COALESCE_RATIO_FLOOR`] of
@@ -30,7 +31,6 @@
 
 use std::time::Duration;
 
-use gridagg::aggregate::wire::MAX_VARINT_LEN;
 use gridagg::core::scope::ScopeIndex;
 use gridagg::group::view::View;
 use gridagg::hierarchy::{FairHashPlacement, Hierarchy};
@@ -43,18 +43,11 @@ const K: u8 = 4;
 const LOSS: f64 = 0.10;
 const SEED: u64 = 2001;
 
-/// Sim-vs-wire byte parity: a frame is the demux header plus what the
-/// simulator charges (`Payload::wire_size`) plus at most the largest
-/// per-shape ceiling of the codec's excess over it, which does not
-/// depend on N — plus one byte of slack for the means' different
-/// message mix. The largest is a batch of `K` aggregates under the
-/// root: its parent address and entry count add 1 B over the charged
-/// count, and each entry adds a digit, a presence flag and a count
-/// varint of at most `MAX_VARINT_LEN` B where the simulator charges its
-/// 3-byte address (`MAX_VARINT_LEN − 1` B each). A vote batch's
-/// ceiling is 3 B while ids fit 4 varint bytes (below 2^28).
-const WIRE_OVER_SIM_BYTES: f64 =
-    (FRAME_HEADER_LEN + 1 + (MAX_VARINT_LEN - 1) * K as usize + 1) as f64;
+/// Slack for the two runs' different message mixes in the byte gate:
+/// the cluster's mean payload per frame read 1.9–3.0 B under the
+/// simulator's mean message in release and 0.4–1.3 B over it in a debug
+/// build, whose slower ticks resend and batch more aggregates.
+const MIX_SLACK_BYTES: f64 = 3.0;
 
 /// Margin for the cluster-vs-simulator completeness gate.
 const SIM_MARGIN: f64 = 0.02;
@@ -141,10 +134,10 @@ fn check(
         r.mean_completeness
     );
     assert!(
-        bytes_per_frame <= sim_bytes_per_msg + WIRE_OVER_SIM_BYTES,
+        bytes_per_frame <= sim_bytes_per_msg + FRAME_HEADER_LEN as f64 + MIX_SLACK_BYTES,
         "{bytes_per_frame:.1} B per wire frame against {sim_bytes_per_msg:.1} B per \
-         simulated message (allowed gap {WIRE_OVER_SIM_BYTES} B: frames must stay \
-         constant in N)"
+         simulated message, a {FRAME_HEADER_LEN}-B header and {MIX_SLACK_BYTES} B of \
+         slack: frames must stay constant in N"
     );
     let floor = COALESCE_RATIO_FLOOR * recorded_frames_per_datagram;
     assert!(
