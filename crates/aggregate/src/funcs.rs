@@ -196,6 +196,12 @@ impl MeanVar {
     pub fn count(&self) -> u64 {
         self.count
     }
+
+    /// The sum of squared deviations from the mean: the variance times
+    /// the count, as the wire carries it.
+    pub fn m2(&self) -> f64 {
+        self.m2
+    }
 }
 
 impl Aggregate for MeanVar {

@@ -88,10 +88,11 @@ impl<A: Aggregate> Tagged<A> {
     /// # Errors
     ///
     /// Returns [`DoubleCount`] when the pair is inconsistent (a
-    /// non-empty contributor set without a value) — reusing the crate's
-    /// error type as "invalid vote accounting".
+    /// non-empty contributor set without a value, or a value without
+    /// contributors) — reusing the crate's error type as "invalid vote
+    /// accounting".
     pub fn from_parts(agg: Option<A>, votes: crate::VoteSet) -> Result<Self, DoubleCount> {
-        if agg.is_none() && !votes.is_empty() {
+        if agg.is_none() != votes.is_empty() {
             return Err(DoubleCount);
         }
         Ok(Tagged { agg, votes })

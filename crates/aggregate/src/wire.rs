@@ -9,12 +9,15 @@
 //!
 //! A contributor [`crate::VoteSet`] is never encoded: it is local
 //! instrumentation and would be O(N) on the wire. [`encode_tagged`]
-//! ships the aggregate value plus the contributor *count* — a presence
-//! flag and a [`put_varint`] count, 2 to [`MAX_VARINT_LEN`] + 1 bytes of
-//! instrumentation per aggregate, never more at any group size.
-//! [`varint_len`] and [`tagged_len`] give the lengths those two write
-//! without writing a byte, so a payload's size can be counted from the
-//! same layout as its encoding.
+//! ships the contributor *count* first, as a [`put_varint`] of 1 to
+//! [`MAX_VARINT_LEN`] bytes, then the aggregate value if the count is
+//! above zero. The count is written once: a value that holds it (an
+//! [`Average`]'s weight, a [`Count`], a [`MeanVar`]'s `count`) leaves it
+//! out and [`WireAggregate::decode`] is handed it back, so a receiver
+//! cannot be sent a value whose weight disagrees with the coverage it
+//! ranks the value by. [`varint_len`] and [`tagged_len`] give the
+//! lengths those two write without writing a byte, so a payload's size
+//! can be counted from the same layout as its encoding.
 //!
 //! Ids, lengths and counts on the wire are unsigned LEB128 varints of a
 //! `u32` ([`put_varint`] / [`get_varint`]): seven bits a byte, low bits
@@ -32,6 +35,8 @@
     )
 )]
 
+use std::num::NonZeroU32;
+
 use bytes::{Buf, BufMut};
 
 use crate::funcs::{
@@ -39,13 +44,14 @@ use crate::funcs::{
 };
 use crate::Aggregate;
 
-/// Upper bound (bytes) on any encoded aggregate value: the histogram is
-/// the largest at `2·8 (range) + 16·8 (buckets) = 144`, plus slack.
-pub const MAX_AGGREGATE_WIRE_SIZE: usize = 160;
-
 /// Most bytes a [`put_varint`] encoding takes: a `u32` has 32 bits, 7 a
 /// byte.
 pub const MAX_VARINT_LEN: usize = 5;
+
+/// Upper bound (bytes) on any encoded aggregate value: the histogram's
+/// 16 bucket counts, each a varint, are the widest (a [`TopK`] is at
+/// most 33 B).
+pub const MAX_AGGREGATE_WIRE_SIZE: usize = HISTOGRAM_BUCKETS * MAX_VARINT_LEN;
 
 /// Errors from decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,15 +79,16 @@ impl std::error::Error for WireError {}
 /// Implementations append to any [`BufMut`] and decode from any [`Buf`]
 /// (C-RW-VALUE: pass `&mut buf` when you need to keep using the buffer).
 pub trait WireAggregate: Aggregate {
-    /// Append the encoded value to `buf`.
+    /// Append the encoded value to `buf`, less its count of votes, which
+    /// [`encode_tagged`] writes before it.
     fn encode<B: BufMut>(&self, buf: &mut B);
 
-    /// Decode a value from the front of `buf`.
+    /// Decode the value of `count` votes from the front of `buf`.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] on truncated or malformed input.
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError>;
+    fn decode<B: Buf>(count: NonZeroU32, buf: &mut B) -> Result<Self, WireError>;
 
     /// Exact encoded size in bytes. Must be `<=`
     /// [`MAX_AGGREGATE_WIRE_SIZE`] for every value.
@@ -161,31 +168,18 @@ pub fn get_varint<B: Buf>(buf: &mut B) -> Result<u32, WireError> {
     Err(WireError::Malformed)
 }
 
-/// A count of votes, at least `min`, and no more than the widest group
-/// (a vote per `u32` member id) holds: adding decoded counts can never
-/// overflow.
-fn get_count<B: Buf>(buf: &mut B, min: u64) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let count = buf.get_u64();
-    let in_range = (min..=u64::from(u32::MAX)).contains(&count);
-    in_range.then_some(count).ok_or(WireError::Malformed)
-}
-
 impl WireAggregate for Average {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_f64(self.sum());
-        buf.put_u64(self.count());
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    fn decode<B: Buf>(count: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         let sum = get_f64(buf)?;
-        Ok(Average::from_parts(sum, get_count(buf, 1)?))
+        Ok(Average::from_parts(sum, u64::from(count.get())))
     }
 
     fn wire_size(&self) -> usize {
-        16
+        8
     }
 }
 
@@ -194,7 +188,7 @@ impl WireAggregate for Sum {
         buf.put_f64(self.summary());
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    fn decode<B: Buf>(_: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         Ok(Sum::from_vote(get_f64(buf)?))
     }
 
@@ -208,7 +202,7 @@ impl WireAggregate for Min {
         buf.put_f64(self.summary());
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    fn decode<B: Buf>(_: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         Ok(Min::from_vote(get_f64(buf)?))
     }
 
@@ -222,7 +216,7 @@ impl WireAggregate for Max {
         buf.put_f64(self.summary());
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    fn decode<B: Buf>(_: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         Ok(Max::from_vote(get_f64(buf)?))
     }
 
@@ -232,41 +226,47 @@ impl WireAggregate for Max {
 }
 
 impl WireAggregate for Count {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        // the raw count, not `summary() as u64`: no float round-trip on
-        // the wire
-        buf.put_u64(self.value());
-    }
+    /// Nothing: a count is its count of votes.
+    fn encode<B: BufMut>(&self, _: &mut B) {}
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(Count::from_parts(get_count(buf, 1)?))
+    fn decode<B: Buf>(count: NonZeroU32, _: &mut B) -> Result<Self, WireError> {
+        Ok(Count::from_parts(u64::from(count.get())))
     }
 
     fn wire_size(&self) -> usize {
-        8
+        0
     }
+}
+
+/// A bucket count as the varint it is written as: an honest one is at
+/// most its histogram's count of votes, which is at most `u32::MAX`.
+fn bucket(count: u64) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
 }
 
 impl WireAggregate for Histogram16 {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         for &b in self.buckets() {
-            buf.put_u64(b);
+            put_varint(bucket(b), buf);
         }
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    /// The buckets, which must hold the `count` votes between them.
+    fn decode<B: Buf>(count: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         let mut counts = [0u64; HISTOGRAM_BUCKETS];
         for c in &mut counts {
-            *c = get_count(buf, 0)?;
+            *c = u64::from(get_varint(buf)?);
         }
-        if counts.iter().all(|&c| c == 0) {
+        // 16 `u32`s cannot overflow a `u64`
+        if counts.iter().sum::<u64>() != u64::from(count.get()) {
             return Err(WireError::Malformed);
         }
         Ok(Histogram16::from_parts(counts))
     }
 
     fn wire_size(&self) -> usize {
-        HISTOGRAM_BUCKETS * 8
+        let buckets = self.buckets().iter();
+        buckets.map(|&b| varint_len(bucket(b))).sum()
     }
 }
 
@@ -282,7 +282,7 @@ impl WireAggregate for TopK {
         }
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    fn decode<B: Buf>(_: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated);
         }
@@ -304,27 +304,21 @@ impl WireAggregate for TopK {
 
 impl WireAggregate for MeanVar {
     fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u64(self.count());
         buf.put_f64(self.mean());
-        buf.put_f64(if self.count() == 0 {
-            0.0
-        } else {
-            self.variance() * crate::conv::count_to_f64(self.count())
-        });
+        buf.put_f64(self.m2());
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        let count = get_count(buf, 1)?;
+    fn decode<B: Buf>(count: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         let mean = get_f64(buf)?;
         let m2 = get_f64(buf)?;
         if m2 < 0.0 {
             return Err(WireError::Malformed);
         }
-        Ok(MeanVar::from_parts(count, mean, m2))
+        Ok(MeanVar::from_parts(u64::from(count.get()), mean, m2))
     }
 
     fn wire_size(&self) -> usize {
-        24
+        16
     }
 }
 
@@ -333,7 +327,7 @@ impl WireAggregate for Any {
         buf.put_u8(u8::from(self.holds()));
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    fn decode<B: Buf>(_: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated);
         }
@@ -354,7 +348,7 @@ impl WireAggregate for All {
         buf.put_u8(u8::from(self.holds()));
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+    fn decode<B: Buf>(_: NonZeroU32, buf: &mut B) -> Result<Self, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated);
         }
@@ -373,18 +367,8 @@ impl WireAggregate for All {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Tagged, VoteSet};
     use bytes::BytesMut;
-
-    fn roundtrip<A: WireAggregate>(a: &A) -> A {
-        let mut buf = BytesMut::new();
-        a.encode(&mut buf);
-        assert_eq!(buf.len(), a.wire_size(), "declared size mismatch");
-        assert!(a.wire_size() <= MAX_AGGREGATE_WIRE_SIZE);
-        let mut rd = buf.freeze();
-        let out = A::decode(&mut rd).expect("decode");
-        assert_eq!(rd.remaining(), 0, "trailing bytes");
-        out
-    }
 
     fn fold<A: Aggregate>(votes: &[f64]) -> A {
         let mut acc = A::from_vote(votes[0]);
@@ -395,82 +379,106 @@ mod tests {
     }
 
     const VOTES: [f64; 5] = [3.5, -2.0, 7.25, 0.0, 11.0];
+    const FIVE: NonZeroU32 = NonZeroU32::new(5).unwrap();
 
+    /// Every aggregate, folded from 1 vote and from either side of the
+    /// varint widths of a count, in an exact and in a counted set, comes
+    /// back from the wire as the same value of the same count, in the
+    /// bytes `tagged_len` counts and at most `MAX_AGGREGATE_WIRE_SIZE`
+    /// of value.
     #[test]
-    fn average_roundtrip() {
-        let a: Average = fold(&VOTES);
-        let b = roundtrip(&a);
-        assert_eq!(a.count(), b.count());
-        assert!((a.sum() - b.sum()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scalar_roundtrips() {
-        assert_eq!(roundtrip(&fold::<Sum>(&VOTES)), fold::<Sum>(&VOTES));
-        assert_eq!(roundtrip(&fold::<Min>(&VOTES)), fold::<Min>(&VOTES));
-        assert_eq!(roundtrip(&fold::<Max>(&VOTES)), fold::<Max>(&VOTES));
-        assert_eq!(roundtrip(&fold::<Count>(&VOTES)), fold::<Count>(&VOTES));
-    }
-
-    #[test]
-    fn histogram_roundtrip_preserves_buckets() {
-        let h: Histogram16 = fold(&[5.0, 15.0, 15.0, 95.0]);
-        let h2 = roundtrip(&h);
-        assert_eq!(h.buckets(), h2.buckets());
-    }
-
-    #[test]
-    fn topk_roundtrip() {
-        let t: TopK = fold(&VOTES);
-        assert_eq!(roundtrip(&t), t);
-    }
-
-    #[test]
-    fn meanvar_roundtrip_close() {
-        let mv: MeanVar = fold(&VOTES);
-        let mv2 = roundtrip(&mv);
-        assert_eq!(mv.count(), mv2.count());
-        assert!((mv.mean() - mv2.mean()).abs() < 1e-9, "{mv:?} vs {mv2:?}");
-        assert!(
-            (mv.variance() - mv2.variance()).abs() < 1e-6,
-            "{} vs {}",
-            mv.variance(),
-            mv2.variance()
-        );
+    fn every_honest_aggregate_roundtrips_at_its_count() {
+        fn check<A: WireAggregate>() {
+            for votes in [1, 127, 128, 16_383, 16_384] {
+                let mut exact = Tagged::<A>::empty(votes);
+                let mut counted = Tagged::<A>::from_parts(None, VoteSet::counted(0)).unwrap();
+                for m in 0..votes {
+                    // spread over the histogram's range, zeros included
+                    let vote = (m * 37 % 1000) as f64 / 10.0;
+                    exact.try_add_vote(m, vote).unwrap();
+                    counted.try_add_vote(m, vote).unwrap();
+                }
+                let name = std::any::type_name::<A>();
+                for tagged in [exact, counted] {
+                    let mut buf = Vec::new();
+                    encode_tagged(&tagged, &mut buf);
+                    assert_eq!(tagged_len(&tagged), buf.len(), "{name} of {votes}");
+                    let value = tagged.aggregate().unwrap();
+                    assert!(value.wire_size() <= MAX_AGGREGATE_WIRE_SIZE, "{name}");
+                    let mut rest = buf.as_slice();
+                    let back: Tagged<A> = decode_tagged(&mut rest).unwrap();
+                    assert!(rest.is_empty(), "{name} of {votes} left bytes behind");
+                    assert_eq!(back.aggregate(), Some(value), "{name} of {votes}");
+                    assert_eq!(back.vote_count(), votes);
+                }
+            }
+        }
+        check::<Average>();
+        check::<Sum>();
+        check::<Min>();
+        check::<Max>();
+        check::<Count>();
+        check::<Histogram16>();
+        check::<TopK>();
+        check::<MeanVar>();
+        check::<Any>();
+        check::<All>();
     }
 
     #[test]
     fn truncated_input_errors() {
         let mut buf = BytesMut::new();
         fold::<Average>(&VOTES).encode(&mut buf);
-        let mut short = buf.freeze().slice(0..10);
-        assert_eq!(Average::decode(&mut short), Err(WireError::Truncated));
+        let mut short = buf.freeze().slice(0..5);
+        assert_eq!(Average::decode(FIVE, &mut short), Err(WireError::Truncated));
         let mut empty = bytes::Bytes::new();
-        assert_eq!(Sum::decode(&mut empty), Err(WireError::Truncated));
-        assert_eq!(TopK::decode(&mut empty), Err(WireError::Truncated));
+        assert_eq!(Sum::decode(FIVE, &mut empty), Err(WireError::Truncated));
+        assert_eq!(TopK::decode(FIVE, &mut empty), Err(WireError::Truncated));
+        let mut buf = Vec::new();
+        fold::<Histogram16>(&VOTES).encode(&mut buf);
+        let got = Histogram16::decode(FIVE, &mut &buf[..buf.len() - 1]);
+        assert_eq!(got, Err(WireError::Truncated));
     }
 
     #[test]
     fn malformed_input_errors() {
-        // an average of no vote, or of more than the widest group holds
-        for count in [0, u64::from(u32::MAX) + 1] {
-            let mut buf = Vec::new();
-            buf.put_f64(1.0);
-            buf.put_u64(count);
-            let got = Average::decode(&mut buf.as_slice()).err();
-            assert_eq!(got, Some(WireError::Malformed), "count {count}");
+        // a histogram whose buckets hold other than its count of votes
+        let h: Histogram16 = fold(&VOTES);
+        let mut buf = Vec::new();
+        h.encode(&mut buf);
+        for count in [4, 6] {
+            let count = NonZeroU32::new(count).unwrap();
+            let got = Histogram16::decode(count, &mut buf.as_slice());
+            assert_eq!(got, Err(WireError::Malformed), "at {count}");
         }
-        // topk with oversized length
+        // a bucket count in other than its one encoding
+        buf[0] |= 0x80;
+        buf.insert(1, 0);
+        let got = Histogram16::decode(FIVE, &mut buf.as_slice());
+        assert_eq!(got, Err(WireError::Malformed));
+        // topk with oversized length, a boolean other than 0 or 1
         let mut buf = BytesMut::new();
         buf.put_u8(200);
-        assert_eq!(TopK::decode(&mut buf.freeze()), Err(WireError::Malformed));
+        let buf = buf.freeze();
+        assert_eq!(
+            TopK::decode(FIVE, &mut buf.clone()),
+            Err(WireError::Malformed)
+        );
+        assert_eq!(
+            Any::decode(FIVE, &mut buf.clone()),
+            Err(WireError::Malformed)
+        );
+        assert_eq!(
+            All::decode(FIVE, &mut buf.clone()),
+            Err(WireError::Malformed)
+        );
         // a NaN or an infinity in any `f64` field, at its byte offset
         fn rejects<A: WireAggregate>(honest: &A, at: usize) {
             let mut buf = Vec::new();
             honest.encode(&mut buf);
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 buf[at..at + 8].copy_from_slice(&bad.to_be_bytes());
-                let got = A::decode(&mut buf.as_slice()).err();
+                let got = A::decode(FIVE, &mut buf.as_slice()).err();
                 assert_eq!(got, Some(WireError::Malformed), "{bad} at byte {at}");
             }
         }
@@ -480,29 +488,28 @@ mod tests {
         rejects(&fold::<Min>(&VOTES), 0);
         rejects(&fold::<Max>(&VOTES), 0);
         (0..top.items().len()).for_each(|item| rejects(&top, 1 + 8 * item));
-        rejects(&mv, 8); // the mean
-        rejects(&mv, 16); // m2
+        rejects(&mv, 0); // the mean
+        rejects(&mv, 8); // m2
     }
 
     #[test]
-    fn sizes_are_constant_bounded() {
-        // wire size must not grow with the number of merged votes
-        let small: Average = fold(&VOTES[..2]);
-        let big: Average = fold(&VOTES);
-        assert_eq!(small.wire_size(), big.wire_size());
-        let h_small: Histogram16 = fold(&VOTES[..2]);
-        let h_big: Histogram16 = fold(&VOTES);
-        assert_eq!(h_small.wire_size(), h_big.wire_size());
-    }
-
-    #[test]
-    fn bool_roundtrips() {
-        assert_eq!(roundtrip(&Any::from_vote(1.0)), Any::from_vote(1.0));
-        assert_eq!(roundtrip(&Any::from_vote(0.0)), Any::from_vote(0.0));
-        assert_eq!(roundtrip(&All::from_vote(0.0)), All::from_vote(0.0));
-        let mut buf = BytesMut::new();
-        buf.put_u8(7);
-        assert_eq!(Any::decode(&mut buf.freeze()), Err(WireError::Malformed));
+    fn a_count_is_written_once() {
+        // a count writes nothing but its count, an average its sum, and
+        // a box-sized histogram a byte a bucket
+        let tagged = |votes: &[f64]| {
+            let mut t = Tagged::<Count>::empty(votes.len());
+            votes.iter().enumerate().for_each(|(m, &v)| {
+                t.try_add_vote(m, v).unwrap();
+            });
+            t
+        };
+        let mut buf = Vec::new();
+        encode_tagged(&tagged(&VOTES), &mut buf);
+        assert_eq!(buf, [5]);
+        assert_eq!(fold::<Average>(&VOTES).wire_size(), 8);
+        assert_eq!(fold::<MeanVar>(&VOTES).wire_size(), 16);
+        let h: Histogram16 = fold(&[5.0, 15.0, 15.0, 95.0]);
+        assert_eq!(h.wire_size(), HISTOGRAM_BUCKETS);
     }
 
     #[test]
@@ -513,87 +520,98 @@ mod tests {
 
     #[test]
     fn tagged_roundtrips_exact_and_counted() {
-        // both local representations cross the wire as value + count,
+        // both local representations cross the wire as count + value,
         // in the same bytes, however many contributors there are
         let n = crate::EXACT_TRACK_MAX + 1;
-        let mut counted = crate::Tagged::<Average>::empty_for_scale(n);
-        let mut exact = crate::Tagged::<Average>::empty(n);
+        let mut counted = Tagged::<Average>::empty_for_scale(n);
+        let mut exact = Tagged::<Average>::empty(n);
         for m in 0..100 {
             let vote = m as f64;
             counted
-                .try_merge(&crate::Tagged::from_vote_for_scale(m, vote, n))
+                .try_merge(&Tagged::from_vote_for_scale(m, vote, n))
                 .unwrap();
-            exact
-                .try_merge(&crate::Tagged::from_vote(m, vote, n))
-                .unwrap();
+            exact.try_merge(&Tagged::from_vote(m, vote, n)).unwrap();
         }
         assert!(exact.votes().is_exact() && !counted.votes().is_exact());
         let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
         encode_tagged(&exact, &mut a);
         encode_tagged(&counted, &mut b);
         assert_eq!(a, b, "one wire form for both representations");
-        // presence flag, value, and the count 100 in one varint byte
-        assert_eq!(a.len(), 1 + 16 + 1);
+        // the count 100 in one varint byte, then the sum
+        assert_eq!(a.len(), 1 + 8);
         assert_eq!(tagged_len(&exact), a.len());
         let a = a.freeze();
-        assert_eq!(a.slice(17..18).get_u8(), 100);
-        let back: crate::Tagged<Average> = decode_tagged(&mut a.clone()).unwrap();
+        assert_eq!(a.slice(0..1).get_u8(), 100);
+        let back: Tagged<Average> = decode_tagged(&mut a.clone()).unwrap();
         assert_eq!(back, counted);
     }
 }
 
 /// Encode a [`Tagged`](crate::Tagged) aggregate as
-/// `[present u8][value][count varint]`: the constant-size
-/// [`WireAggregate`] value followed by how many votes it contains. No
-/// group holds more than `u32::MAX` members, so a larger count (which
-/// only a forger builds) is written as `u32::MAX`, and every group
-/// smaller than that refuses it.
+/// `[count varint][value]`: how many votes it contains, then, if that
+/// is above zero, the constant-size [`WireAggregate`] value less what
+/// it shares with the count. No group holds more than `u32::MAX`
+/// members, so a larger count (which only a forger builds) is written
+/// as `u32::MAX`, and every group smaller than that refuses it.
 ///
 /// Contributor identity stays with the sender — exact sets are an
 /// instrument of the simulator and of each runtime member's own phase-1
 /// composition, and a receiver gets [`crate::VoteSet::counted`]. The
 /// frame is therefore the same size at every group size.
 pub fn encode_tagged<A: WireAggregate, B: BufMut>(tagged: &crate::Tagged<A>, buf: &mut B) {
-    match tagged.aggregate() {
-        Some(agg) => {
-            buf.put_u8(1);
-            agg.encode(buf);
-        }
-        None => buf.put_u8(0),
+    let count = clamp_len(tagged.vote_count());
+    put_varint(count, buf);
+    if let Some(agg) = tagged.aggregate() {
+        agg.encode(buf);
+        crate::strict_assert!(
+            decodes_to_itself(agg, count),
+            "strict-invariants: a value of other than its {count} contributors' votes \
+             went on the wire: {agg:?}"
+        );
     }
-    put_varint(clamp_len(tagged.vote_count()), buf);
 }
 
-/// Bytes [`encode_tagged`] writes for `tagged`: the presence flag, the
-/// value's [`WireAggregate::wire_size`] and the count's varint.
+/// Whether `agg`, decoded at `count` votes, is `agg` again — as it is
+/// for every aggregate a protocol folds — or is refused whatever its
+/// count, for a non-finite summary no honest vote makes.
+#[cfg(feature = "strict-invariants")]
+fn decodes_to_itself<A: WireAggregate>(agg: &A, count: u32) -> bool {
+    let mut bytes = Vec::new();
+    agg.encode(&mut bytes);
+    let decoded = NonZeroU32::new(count).map(|count| A::decode(count, &mut bytes.as_slice()));
+    match decoded {
+        Some(Ok(back)) => back == *agg,
+        Some(Err(_)) => !agg.summary().is_finite(),
+        None => false,
+    }
+}
+
+/// Bytes [`encode_tagged`] writes for `tagged`: the count's varint and
+/// the value's [`WireAggregate::wire_size`].
 pub fn tagged_len<A: WireAggregate>(tagged: &crate::Tagged<A>) -> usize {
     let value = tagged.aggregate().map_or(0, WireAggregate::wire_size);
-    1 + value + varint_len(clamp_len(tagged.vote_count()))
+    varint_len(clamp_len(tagged.vote_count())) + value
 }
 
 /// Decode a [`Tagged`](crate::Tagged) aggregate written by
-/// [`encode_tagged`]; its contributor set is counted.
+/// [`encode_tagged`]; its contributor set is counted, and its value is
+/// of exactly that many votes.
 ///
 /// # Errors
 ///
 /// Returns [`WireError`] on truncated or malformed input.
 pub fn decode_tagged<A: WireAggregate, B: Buf>(buf: &mut B) -> Result<crate::Tagged<A>, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    let agg = match buf.get_u8() {
-        0 => None,
-        1 => Some(A::decode(buf)?),
-        _ => return Err(WireError::Malformed),
-    };
-    let count = usize::try_from(get_varint(buf)?).map_err(|_| WireError::Malformed)?;
-    crate::Tagged::from_parts(agg, crate::VoteSet::counted(count)).map_err(|_| WireError::Malformed)
+    let count = get_varint(buf)?;
+    let agg = NonZeroU32::new(count).map(|count| A::decode(count, buf));
+    let votes = usize::try_from(count).map_err(|_| WireError::Malformed)?;
+    crate::Tagged::from_parts(agg.transpose()?, crate::VoteSet::counted(votes))
+        .map_err(|_| WireError::Malformed)
 }
 
 #[cfg(test)]
 mod tagged_wire_tests {
     use super::*;
-    use crate::{Average, Tagged};
+    use crate::{Average, DoubleCount, Tagged, VoteSet};
     use bytes::BytesMut;
 
     #[test]
@@ -613,8 +631,8 @@ mod tagged_wire_tests {
         let t = Tagged::<Average>::empty(64);
         let mut buf = BytesMut::new();
         encode_tagged(&t, &mut buf);
-        // a presence flag and a zero count
-        assert_eq!((buf.len(), tagged_len(&t)), (2, 2));
+        // a zero count and nothing else
+        assert_eq!((buf.len(), tagged_len(&t)), (1, 1));
         let back: Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
         assert!(back.aggregate().is_none());
         assert_eq!(back.vote_count(), 0);
@@ -622,22 +640,35 @@ mod tagged_wire_tests {
 
     #[test]
     fn mismatched_value_and_set_rejected() {
-        // a tagged with a value but a fabricated zero count decodes
-        // fine; a count without a value is rejected by from_parts
-        let mut buf = BytesMut::new();
-        buf.put_u8(0); // no value
-        put_varint(1, &mut buf); // ...but one contributor
-        let r: Result<Tagged<Average>, _> = decode_tagged(&mut buf.freeze());
-        assert_eq!(r.unwrap_err(), WireError::Malformed);
-        let valued = Tagged::<Average>::from_vote(0, 1.0, 8);
-        let mut buf = Vec::new();
-        encode_tagged(&valued, &mut buf);
-        *buf.last_mut().unwrap() = 0; // a value of nobody's vote
-        let back: Tagged<Average> = decode_tagged(&mut buf.as_slice()).unwrap();
+        // a value of nobody's vote, or contributors without a value, is
+        // no `Tagged`: neither is built, so neither is written
+        let one = Some(Average::from_vote(1.0));
         assert_eq!(
-            (back.aggregate(), back.vote_count()),
-            (valued.aggregate(), 0)
+            Tagged::from_parts(one, VoteSet::counted(0)),
+            Err(DoubleCount)
         );
+        let none = Tagged::<Average>::from_parts(None, VoteSet::counted(1));
+        assert_eq!(none, Err(DoubleCount));
+        // on the wire, count 0 is the whole empty aggregate: value bytes
+        // after it are not its own, and are left to the payload decoder,
+        // which refuses them
+        let mut buf = vec![0];
+        Average::from_vote(1.0).encode(&mut buf);
+        let mut rest = buf.as_slice();
+        let back: Tagged<Average> = decode_tagged(&mut rest).unwrap();
+        assert_eq!((back.aggregate(), back.vote_count()), (None, 0));
+        assert_eq!(rest.len(), 8);
+    }
+
+    /// Flow-Updating's published estimate is such a value (one vote's
+    /// over its influence set): it may be held, never sent.
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "contributors' votes")]
+    fn a_value_of_other_than_its_contributors_votes_is_not_written() {
+        let one_vote = Some(Average::from_vote(1.0));
+        let held = Tagged::from_parts(one_vote, VoteSet::counted(2)).unwrap();
+        encode_tagged(&held, &mut Vec::new());
     }
 
     #[test]
@@ -686,8 +717,7 @@ mod tagged_wire_tests {
             assert_eq!(get_varint(&mut &bytes[..]), Err(err), "{bytes:02x?}");
         }
         // as an aggregate's count too
-        let mut buf = vec![0];
-        buf.extend_from_slice(&[0x80, 0x00]);
+        let buf = [0x80, 0x00];
         let r: Result<Tagged<Average>, _> = decode_tagged(&mut buf.as_slice());
         assert_eq!(r, Err(WireError::Malformed));
     }

@@ -221,7 +221,10 @@ impl FlowUpdating {
         // influence set always contains `me`, so the aggregate is
         // present whenever votes are — from_parts cannot fail here, but
         // degrade to "no estimate" rather than panicking in a protocol
-        // handler
+        // handler. The one `Tagged` whose value is not of its
+        // contributors' votes (one estimate over the influence set): no
+        // message carries it, and `encode_tagged` would refuse it under
+        // `strict-invariants`, since the wire writes one count for both.
         self.published = Tagged::from_parts(Some(est), VoteSet::clone(&self.influenced)).ok();
         self.done_at = Some(round);
     }

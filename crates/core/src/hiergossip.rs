@@ -913,11 +913,12 @@ mod tests {
         );
     }
 
-    /// An aggregate as it arrives off the wire: a value and the count of
-    /// its contributors (no identity, so it fits any subtree under
-    /// `strict-invariants` too). Zero votes is the empty aggregate.
+    /// An aggregate as it arrives off the wire: a value of `votes` votes
+    /// of 1.0 and the count of its contributors (no identity, so it fits
+    /// any subtree under `strict-invariants` too). Zero votes is the
+    /// empty aggregate.
     fn counted(votes: usize) -> Arc<Tagged<Average>> {
-        let value = (votes > 0).then(|| Average::from_vote(votes as f64));
+        let value = (votes > 0).then(|| Average::from_parts(votes as f64, votes as u64));
         Arc::new(Tagged::from_parts(value, VoteSet::counted(votes)).unwrap())
     }
 

@@ -7,10 +7,12 @@
 //! *bounded* batch — at most `K` child aggregates, or the votes of one
 //! grid box (expected `K`) — never anything that grows with `N`.
 //! Contributor sets are local instrumentation and are never encoded:
-//! [`codec`] writes each set's *count* (a presence flag and a 1–5 B
-//! varint per carried `Tagged`; see `gridagg_aggregate::wire::encode_tagged`),
-//! and [`Payload::wire_size`], what the simulator charges, is exactly
-//! the length [`codec::encode`] writes.
+//! [`codec`] writes each set's *count*, a 1–5 B varint ahead of every
+//! carried `Tagged`, which is followed by its value iff the count is
+//! above zero and is the only place the value's own vote count is
+//! written (see `gridagg_aggregate::wire::encode_tagged`). And
+//! [`Payload::wire_size`], what the simulator charges, is exactly the
+//! length [`codec::encode`] writes.
 //!
 //! **A batch body is the sender's own storage.** [`Payload::VoteBatch`]
 //! holds the `Arc` of the member's known-vote list (a slice: a new vote
@@ -209,11 +211,12 @@ mod tests {
 /// Flow       flow: f64 | estimate: f64 | influenced count: varint
 ///
 /// addr       base: u8 | len: u8 | digit: u8 * len
-/// tagged     present: u8 | value (WireAggregate) | contributor count: varint
+/// tagged     contributor count: varint | value (WireAggregate), iff count > 0
 /// ```
 ///
-/// Aggregate values keep their constant-size [`WireAggregate`] form,
-/// every contributor set is written as its count, and ids, lengths and
+/// Aggregate values keep their constant-size [`WireAggregate`] form
+/// less their vote count, every contributor set is written as its count,
+/// which is the value's count too, and ids, lengths and
 /// counts are `u32` varints (1 to 5 B; see
 /// [`put_varint`](gridagg_aggregate::wire::put_varint)). So a payload's
 /// length stays under a ceiling of its shape that does not depend on
@@ -486,7 +489,8 @@ pub mod codec {
     /// # Errors
     ///
     /// Returns [`DecodeError`] on truncated or malformed input, naming
-    /// the payload variant that failed. A payload outside the group is
+    /// the payload variant that failed. A payload outside the group, or
+    /// followed by bytes of no field (`buf` holds one payload), is
     /// [`DecodeError::Malformed`].
     pub fn decode_for<A: WireAggregate, B: Buf>(
         n: u32,
@@ -502,7 +506,7 @@ pub mod codec {
         let reply = byte & REPLY != 0;
         // only a batch or a `Flow` answers a push
         let no_reply = |variant| (!reply).then_some(()).ok_or(malformed(variant));
-        match byte & !REPLY {
+        let payload = match byte & !REPLY {
             TAG_VOTE => {
                 no_reply("vote")?;
                 let vote = get_vote(buf).map_err(DecodeError::from_wire("vote"))?;
@@ -611,6 +615,23 @@ pub mod codec {
                 })
             }
             _ => Err(DecodeError::UnknownTag(byte)),
+        }?;
+        // one encoding per payload: no bytes after its last field
+        match buf.remaining() {
+            0 => Ok(payload),
+            _ => Err(malformed(variant_name(&payload))),
+        }
+    }
+
+    /// The name a [`DecodeError`] gives `payload`'s variant.
+    fn variant_name<A>(payload: &Payload<A>) -> &'static str {
+        match payload {
+            Payload::Vote { .. } => "vote",
+            Payload::Agg { .. } => "agg",
+            Payload::Final { .. } => "final",
+            Payload::VoteBatch { .. } => "vote-batch",
+            Payload::AggBatch { .. } => "agg-batch",
+            Payload::Flow { .. } => "flow",
         }
     }
 
@@ -676,6 +697,11 @@ pub mod codec {
                 let mut buf = Vec::new();
                 encode(&sent, &mut buf);
                 assert_eq!(decode(&mut buf.as_slice()), Ok(expect), "{sent:?}");
+                // and nothing may follow it
+                buf.push(0);
+                let variant = variant_name(&sent);
+                let trailing = decode::<Average, _>(&mut buf.as_slice());
+                assert_eq!(trailing, Err(DecodeError::Malformed { variant }));
             }
         }
 
@@ -877,16 +903,11 @@ pub mod codec {
         #[test]
         fn golden_frames_freeze_the_layout() {
             use gridagg_aggregate::VoteSet;
-            let counted = |count| {
-                let value = Some(Average::from_parts(2.0, 1));
-                Arc::new(Tagged::from_parts(value, VoteSet::counted(count)).unwrap())
-            };
-            let agg = counted(300);
+            let value = Some(Average::from_parts(2.0, 300));
+            let agg = Arc::new(Tagged::from_parts(value, VoteSet::counted(300)).unwrap());
             let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
-            // present, the sum 2.0, its one vote, 300 contributors
-            let tagged: &[u8] = &[
-                1, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xAC, 0x02,
-            ];
+            // 300 contributors, then the sum 2.0 of their votes
+            let tagged: &[u8] = &[0xAC, 0x02, 0x40, 0, 0, 0, 0, 0, 0, 0];
             let votes = [(MemberId(1), 1.5), (MemberId(128), -2.0)].into();
             let row = [None, Some(agg.clone()), None, Some(agg.clone())].into();
             let flow = Payload::Flow {
@@ -944,7 +965,7 @@ pub mod codec {
         #[test]
         fn varint_fields_admit_one_encoding_and_only_batches_and_flows_reply() {
             use gridagg_aggregate::VoteSet;
-            let agg = Tagged::from_parts(Some(Average::from_parts(1.5, 1)), VoteSet::counted(5));
+            let agg = Tagged::from_parts(Some(Average::from_parts(1.5, 5)), VoteSet::counted(5));
             let agg = Arc::new(agg.unwrap());
             let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
             let (member, value, reply) = (MemberId(5), 1.5, false);
@@ -956,7 +977,9 @@ pub mod codec {
                 reply,
                 influenced,
             };
-            // each payload with the offset of a one-byte varint in it
+            // each payload with the offset of a one-byte varint in it:
+            // an aggregate's count follows the tag and address (and in a
+            // row its entry count and digit)
             let fields = [
                 (Payload::Vote { member, value }, "vote", Some(1)),
                 (Payload::VoteBatch { votes, reply }, "vote-batch", Some(1)),
@@ -974,17 +997,17 @@ pub mod codec {
                         agg: agg.clone(),
                     },
                     "agg",
-                    None,
+                    Some(5),
                 ),
-                (Payload::Final { agg: agg.clone() }, "final", None),
-                (batch(subtree, &[3], &agg), "agg-batch", None),
+                (Payload::Final { agg: agg.clone() }, "final", Some(1)),
+                (batch(subtree, &[3], &agg), "agg-batch", Some(7)),
                 (flow, "flow", None),
             ];
             for (payload, variant, at) in fields {
                 let mut honest = Vec::new();
                 encode(&payload, &mut honest);
                 assert_eq!(decode(&mut honest.as_slice()), Ok(payload.clone()));
-                // the count is the last byte
+                // a flow's count is its last byte
                 let at = at.unwrap_or(honest.len() - 1);
                 let low = honest[at];
                 assert!(low < 0x80, "a one-byte varint at {at} of {payload:?}");
@@ -1024,13 +1047,13 @@ pub mod codec {
         /// admitted and `n + 1` is not, and no `f64` may be NaN or ±∞.
         #[test]
         fn decode_for_admits_exactly_the_group() {
-            use gridagg_aggregate::{Aggregate, VoteSet};
+            use gridagg_aggregate::VoteSet;
             let (n, ok, reply) = (16u32, 0.5, false);
             let group = n as usize;
             // every variant, in the order vote, vote batch, then the
             // four that carry a count; `value` is each one's first `f64`
             let all = |member: MemberId, count: usize, value: f64, estimate: f64| {
-                let agg = Some(Average::from_vote(value));
+                let agg = Some(Average::from_parts(value, clamp_len(count).into()));
                 let agg = Arc::new(Tagged::from_parts(agg, VoteSet::counted(count)).unwrap());
                 let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
                 let row = batch(subtree, &[0, 3], &agg);

@@ -76,12 +76,14 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
         bytes
     };
 
-    // (d) well-formed `Agg` frames claiming `u64::MAX` contributors,
-    // one per child of the root, so every member finds one relevant:
-    // "whichever covers more votes" would let it displace the real
-    // subtree aggregate.
-    let agg = Tagged::from_parts(Some(Average::from_vote(1e9)), VoteSet::counted(usize::MAX))
-        .expect("value with count");
+    // (d) well-formed `Agg` frames claiming `usize::MAX` contributors
+    // (written as `u32::MAX`, the count their value is of), one per
+    // child of the root, so every member finds one relevant: "whichever
+    // covers more votes" would let it displace the real subtree
+    // aggregate.
+    let value = Average::from_parts(1e9, u64::from(u32::MAX));
+    let agg =
+        Tagged::from_parts(Some(value), VoteSet::counted(usize::MAX)).expect("value with count");
     let agg = Arc::new(agg);
     let forged: Vec<Vec<u8>> = (0..4u8)
         .map(|d| {

@@ -87,7 +87,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 15,
                 sent: 2041,
                 delivered: 1521,
-                bytes_sent: 91761,
+                bytes_sent: 68280,
                 dropped_loss: 520,
                 completed: 64,
                 mean_completeness_bits: 0x3ff0000000000000,
@@ -101,7 +101,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 21,
                 sent: 10964,
                 delivered: 8253,
-                bytes_sent: 519543,
+                bytes_sent: 383859,
                 dropped_loss: 2711,
                 completed: 251,
                 mean_completeness_bits: 0x3fef97d734041466,
@@ -115,7 +115,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 31,
                 sent: 65280,
                 delivered: 48822,
-                bytes_sent: 3388000,
+                bytes_sent: 2408260,
                 dropped_loss: 16458,
                 completed: 997,
                 mean_completeness_bits: 0x3fef28cf786cdee0,
@@ -152,8 +152,8 @@ fn event_driven_engine_trace_is_byte_identical() {
     // per-member scan. Any reordering, added, or dropped event — even
     // two swapped deliveries inside one round — changes the hash.
     for (n, seed, events, fingerprint) in [
-        (256usize, 7u64, 27706usize, 0x65f5_9237_aae2_119cu64),
-        (1024, 11, 159084, 0x9212_0385_7483_551a),
+        (256usize, 7u64, 27706usize, 0x4b90_a536_4930_a1b0u64),
+        (1024, 11, 159084, 0xf962_0d51_6e43_1b9c),
     ] {
         let (_, trace) = run_hiergossip_traced::<Average>(&cfg(n), seed);
         assert_eq!(trace.len(), events, "n={n}: trace event count");
@@ -288,7 +288,7 @@ fn centralized_matches_seed_behavior() {
                 rounds: 16,
                 sent: 189,
                 delivered: 148,
-                bytes_sent: 2457,
+                bytes_sent: 1890,
                 dropped_loss: 41,
                 completed: 63,
                 mean_completeness_bits: 0x3fe930c30c30c30c,
@@ -302,7 +302,7 @@ fn centralized_matches_seed_behavior() {
                 rounds: 106,
                 sent: 3007,
                 delivered: 2234,
-                bytes_sent: 42034,
+                bytes_sent: 32827,
                 dropped_loss: 773,
                 completed: 944,
                 mean_completeness_bits: 0x3fe528e5f75270d0,
@@ -325,7 +325,7 @@ fn leader_election_matches_seed_behavior() {
                 rounds: 14,
                 sent: 252,
                 delivered: 193,
-                bytes_sent: 4012,
+                bytes_sent: 2626,
                 dropped_loss: 59,
                 completed: 64,
                 mean_completeness_bits: 0x3febb00000000000,
@@ -339,7 +339,7 @@ fn leader_election_matches_seed_behavior() {
                 rounds: 18,
                 sent: 1000,
                 delivered: 762,
-                bytes_sent: 16816,
+                bytes_sent: 11254,
                 dropped_loss: 238,
                 completed: 251,
                 mean_completeness_bits: 0x3fe96f0b38187a64,

@@ -10,7 +10,16 @@
 //! relation to the receiver's box. Fixed frames ride along: batches and
 //! addresses no encoder writes, varints in other than their one
 //! encoding, reply flags on variants that never reply, counts with
-//! nothing behind them, and payloads every protocol must drop.
+//! nothing behind them, a byte after a whole payload of each variant,
+//! and payloads every protocol must drop.
+//!
+//! An aggregate's vote count crosses the wire once, as its contributor
+//! count, with a value behind it iff it is above zero. So two frames
+//! can no longer be written: an average weighted other than the
+//! coverage it claims (2³², `u64::MAX`, or 1 beside any count), and a
+//! value beside count 0. What is left of them is fixed frames: a count
+//! above `n` with its value, and count 0 followed by value bytes, which
+//! are bytes after the payload.
 //!
 //! Asserted: a frame decodes, to what was encoded, if and only if its
 //! ids, counts and values are in range (a prefix of it never does, and
@@ -25,6 +34,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use gridagg::aggregate::wire::clamp_len;
 use gridagg::core::baselines::ring_chord_neighbors;
 use gridagg::core::message::codec::{self, DecodeError};
 use gridagg::core::protocol::{step, Effects, Outbox};
@@ -101,16 +111,15 @@ impl Gen<'_> {
         })
     }
 
-    /// A counted aggregate, as every one that crossed a socket is; empty
-    /// only when it claims nobody. Its average is of one vote, or of more
-    /// than any group of `u32` ids holds.
+    /// A counted aggregate, as every one that crossed a socket is: the
+    /// average of as many votes as it claims contributors (of `u32::MAX`
+    /// for a claim past it, which the wire writes as that), empty when it
+    /// claims nobody.
     fn tagged(&mut self) -> Arc<Tagged<Average>> {
         let count = self.count();
-        let agg = (count > 0 || self.rng.chance(0.5)).then(|| {
-            let (sum, votes) = (self.value(), self.draw(&[1 << 32, u64::MAX], |_| 1));
-            Average::from_parts(sum, votes)
-        });
-        Arc::new(Tagged::from_parts(agg, VoteSet::counted(count)).expect("a value, any count"))
+        let votes = u64::from(clamp_len(count));
+        let agg = (count > 0).then(|| Average::from_parts(self.value(), votes));
+        Arc::new(Tagged::from_parts(agg, VoteSet::counted(count)).expect("a value iff a count"))
     }
 
     fn digits(&mut self, base: u8, len: usize) -> Vec<u8> {
@@ -249,20 +258,40 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
         value: FAR,
     });
     let overlong = [&vote[..1], &[0x85, 0x00], &vote[2..]].concat();
-    // one contributor, plus 2^32
+    // a `Final` is its tag, its count of one contributor, the value:
+    // count 2^32 + 1; count 0, leaving the value after the payload
     let final_bytes = encode(&Payload::Final { agg: far.clone() });
-    let (count_at, past) = (final_bytes.len() - 1, [0x81, 0x80, 0x80, 0x80, 0x10]);
-    let past_u32 = [&final_bytes[..count_at], &past].concat();
+    let past = [0x81, 0x80, 0x80, 0x80, 0x10];
+    let past_u32 = [&final_bytes[..1], &past, &final_bytes[2..]].concat();
+    let nobodys = |mut bytes: Vec<u8>, count_at: usize| {
+        bytes[count_at] = 0;
+        bytes
+    };
+    // a value of one more vote than the group holds
+    let over = Average::from_parts(FAR, N as u64 + 1);
+    let over = Tagged::from_parts(Some(over), VoteSet::counted(N + 1)).expect("honest");
+    let over_n = Payload::Final {
+        agg: Arc::new(over),
+    };
     let replying = |mut bytes: Vec<u8>| {
         bytes[0] |= 0x80;
         bytes
     };
     let one_vote: Arc<[_]> = [(MemberId(5), FAR)].into();
-    let mut three_votes = encode(&Payload::VoteBatch {
+    let vote_batch = Payload::VoteBatch {
         votes: one_vote,
         reply: false,
-    });
+    };
+    let mut three_votes = encode(&vote_batch);
     three_votes[1] = 3;
+    // a whole payload of each variant and one byte more
+    let trailing = |bytes: &[u8], variant| rejected([bytes, &[0]].concat(), variant);
+    let flow = Payload::Flow {
+        flow: FAR,
+        estimate: FAR,
+        reply: false,
+        influenced: Arc::new(VoteSet::counted(1)),
+    };
     vec![
         rejected(too_wide, "agg"),
         rejected(bad_digit, "agg"),
@@ -278,6 +307,17 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
         // variant that never replies
         rejected(overlong, "vote"),
         rejected(past_u32, "final"),
+        // a count above the group with its value; count 0 with a value
+        // behind it
+        rejected(encode(&over_n), "final"),
+        rejected(nobodys(final_bytes.clone(), 1), "final"),
+        rejected(nobodys(valid.clone(), 5), "agg"),
+        trailing(&vote, "vote"),
+        trailing(&encode(&agg_at(K, &[foreign, 0])), "agg"),
+        trailing(&final_bytes, "final"),
+        trailing(&encode(&vote_batch), "vote-batch"),
+        trailing(&encode(&in_order), "agg-batch"),
+        trailing(&encode(&flow), "flow"),
         rejected(replying(vote), "vote"),
         rejected(replying(valid), "agg"),
         rejected(replying(final_bytes), "final"),

@@ -3,6 +3,8 @@
 //! case is deterministic and reproducible from the loop index while
 //! still sweeping a wide randomized input space per test.
 
+use std::num::NonZeroU32;
+
 use gridagg::aggregate::wire::WireAggregate;
 use gridagg::analysis;
 use gridagg::prelude::*;
@@ -391,14 +393,15 @@ fn wire_decode_never_panics() {
     for _ in 0..256 {
         let len = rng.below(64);
         let bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
-        let _ = Average::decode(&mut bytes.as_slice());
-        let _ = Sum::decode(&mut bytes.as_slice());
-        let _ = Min::decode(&mut bytes.as_slice());
-        let _ = Max::decode(&mut bytes.as_slice());
-        let _ = Count::decode(&mut bytes.as_slice());
-        let _ = Histogram16::decode(&mut bytes.as_slice());
-        let _ = TopK::decode(&mut bytes.as_slice());
-        let _ = MeanVar::decode(&mut bytes.as_slice());
+        let count = NonZeroU32::new(1 + rng.below(1 << 20) as u32).unwrap();
+        let _ = Average::decode(count, &mut bytes.as_slice());
+        let _ = Sum::decode(count, &mut bytes.as_slice());
+        let _ = Min::decode(count, &mut bytes.as_slice());
+        let _ = Max::decode(count, &mut bytes.as_slice());
+        let _ = Count::decode(count, &mut bytes.as_slice());
+        let _ = Histogram16::decode(count, &mut bytes.as_slice());
+        let _ = TopK::decode(count, &mut bytes.as_slice());
+        let _ = MeanVar::decode(count, &mut bytes.as_slice());
     }
 }
 
@@ -411,8 +414,9 @@ fn wire_roundtrip_average() {
         let mut buf = Vec::new();
         a.encode(&mut buf);
         assert_eq!(buf.len(), a.wire_size());
-        let d = Average::decode(&mut buf.as_slice()).unwrap();
-        assert!((d.summary() - a.summary()).abs() < 1e-9);
+        let count = NonZeroU32::new(votes.len() as u32).unwrap();
+        let d = Average::decode(count, &mut buf.as_slice()).unwrap();
+        assert_eq!(d, a);
     }
 }
 
@@ -424,7 +428,8 @@ fn wire_roundtrip_topk() {
         let t: TopK = fold(&votes);
         let mut buf = Vec::new();
         t.encode(&mut buf);
-        let d = TopK::decode(&mut buf.as_slice()).unwrap();
+        let count = NonZeroU32::new(votes.len() as u32).unwrap();
+        let d = TopK::decode(count, &mut buf.as_slice()).unwrap();
         assert_eq!(d, t);
     }
 }

@@ -198,11 +198,12 @@ mod bytes_roundtrip {
     use gridagg::aggregate::wire::WireAggregate;
     use gridagg::aggregate::{Aggregate, Average};
 
-    pub fn check(mean: f64, count: u64) {
-        let agg = Average::from_parts(mean * count as f64, count);
+    pub fn check(mean: f64, count: u32) {
+        let agg = Average::from_parts(mean * count as f64, count.into());
         let mut buf = Vec::new();
         agg.encode(&mut buf);
-        let decoded = Average::decode(&mut buf.as_slice()).unwrap();
+        let count = std::num::NonZeroU32::new(count).unwrap();
+        let decoded = Average::decode(count, &mut buf.as_slice()).unwrap();
         assert!((decoded.summary() - agg.summary()).abs() < 1e-9);
     }
 }

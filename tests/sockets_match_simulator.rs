@@ -44,9 +44,10 @@ const LOSS: f64 = 0.10;
 const SEED: u64 = 2001;
 
 /// Slack for the two runs' different message mixes in the byte gate:
-/// the cluster's mean payload per frame read 1.9–3.0 B under the
-/// simulator's mean message in release and 0.4–1.3 B over it in a debug
-/// build, whose slower ticks resend and batch more aggregates.
+/// the cluster's mean payload per frame read from 0.3 B under to 0.6 B
+/// over the simulator's mean message in release and 0.4–0.8 B over it
+/// in a debug build, whose slower ticks resend and batch more
+/// aggregates.
 const MIX_SLACK_BYTES: f64 = 3.0;
 
 /// Margin for the cluster-vs-simulator completeness gate.
@@ -150,7 +151,7 @@ fn check(
 
 #[test]
 fn smoke_512_members_over_16_sockets() {
-    check(512, 16, 2, 5, 16.71);
+    check(512, 16, 2, 5, 20.11);
 }
 
 // The 10k round interval is sized so one worker core can tick all
@@ -161,7 +162,7 @@ fn smoke_512_members_over_16_sockets() {
 #[test]
 #[ignore = "10,000 members: run in release with --ignored"]
 fn full_10k_members_over_64_sockets_and_2_workers() {
-    check(10_000, 64, 2, 100, 21.78);
+    check(10_000, 64, 2, 100, 27.10);
 }
 
 /// Each of 4 workers owns 16 of the 64 sockets: the sharded event
@@ -169,5 +170,5 @@ fn full_10k_members_over_64_sockets_and_2_workers() {
 #[test]
 #[ignore = "10,000 members: run in release with --ignored"]
 fn full_10k_members_over_64_sockets_and_4_workers() {
-    check(10_000, 64, 4, 100, 19.24);
+    check(10_000, 64, 4, 100, 23.37);
 }
