@@ -1108,6 +1108,7 @@ mod tests {
     fn batch(k: u32) -> Payload<Average> {
         Payload::VoteBatch {
             votes: (0..k).map(|i| (MemberId(i), 1.0)).collect(),
+            skip: 0,
             reply: false,
         }
     }

@@ -42,7 +42,9 @@
 //! when no sent copy is still in flight and into one copy otherwise, so
 //! a message keeps the snapshot it was sent with. Phase completion,
 //! "do I know more than this push carried" and a payload's wire size
-//! are reads of the counts. See DESIGN.md §6.
+//! are reads of the counts. A reply flags in its `skip` the entries the
+//! push showed the pusher holds at least as well, and crosses the wire
+//! without them. See DESIGN.md §6.
 
 use std::sync::Arc;
 
@@ -54,7 +56,7 @@ use gridagg_simnet::bitset::DenseBitSet;
 use gridagg_simnet::Round;
 
 use crate::message::codec::agg_entry_wire;
-use crate::message::{ChildSlot, Payload};
+use crate::message::{carried, ChildSlot, Payload, SKIP_BITS};
 use crate::protocol::{AggregationProtocol, Ctx, Outbox};
 use crate::scope::ScopeIndex;
 use crate::trace::TraceEvent;
@@ -144,7 +146,7 @@ impl HierGossipConfig {
 struct Row<A> {
     slots: Arc<[ChildSlot<A>]>,
     known: u8,
-    wire: u32,
+    wire: u16,
 }
 
 impl<A: WireAggregate> Row<A> {
@@ -172,12 +174,24 @@ impl<A: WireAggregate> Row<A> {
         self.slots.iter().flatten()
     }
 
-    /// This row as a message body: no copy, no recount.
-    fn payload(&self, parent: Addr, reply: bool) -> Payload<A> {
+    /// This row as a message body, less the present slots flagged in
+    /// `skip`: no copy, and no recount but of the skipped entries.
+    fn payload(&self, parent: Addr, skip: u16, reply: bool) -> Payload<A> {
+        let (mut known, mut wire) = (self.known, self.wire);
+        let mut rest = skip;
+        while rest != 0 {
+            let digit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if let Some(agg) = &self.slots[digit] {
+                known -= 1;
+                wire -= agg_entry_wire(agg);
+            }
+        }
         Payload::AggBatch {
             parent,
-            known: self.known,
-            wire: self.wire,
+            known,
+            wire,
+            skip,
             slots: Arc::clone(&self.slots),
             reply,
         }
@@ -470,6 +484,7 @@ impl<A: WireAggregate> HierGossip<A> {
             }
             (true, Exchange::Batch) => Payload::VoteBatch {
                 votes: Arc::clone(&self.known_votes),
+                skip: 0,
                 reply: false,
             },
             (false, exchange) => {
@@ -478,7 +493,7 @@ impl<A: WireAggregate> HierGossip<A> {
                     return;
                 };
                 match exchange {
-                    Exchange::Batch => row.payload(self.scope, false),
+                    Exchange::Batch => row.payload(self.scope, 0, false),
                     Exchange::One => {
                         // one known child, uniformly: the pick-th present slot
                         let pick = ctx.rng.below(usize::from(row.known));
@@ -671,13 +686,17 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
         // terminate. This is what lets members that progressed (or
         // terminated) early keep rescuing stragglers: without it, phase
         // laggards starve once their peers bump up (see DESIGN.md).
+        //
+        // The reply skips what the push showed the pusher holds: its
+        // counts only grow, so it would drop those entries anyway. By
+        // pigeonhole at least one entry is left to carry.
         let learning = self.done_at.is_none();
         let changed = match payload {
             Payload::Vote { member, value } => learning && self.learn_vote(member, value),
-            Payload::VoteBatch { votes, reply } => {
+            Payload::VoteBatch { votes, skip, reply } => {
                 let mut changed = false;
                 if learning {
-                    for &(member, value) in votes.iter() {
+                    for (_, &(member, value)) in carried(&votes, skip) {
                         changed |= self.learn_vote(member, value);
                     }
                 }
@@ -686,8 +705,21 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
                     && self.known_votes.len() > votes.len()
                     && self.index.box_of(from) == self.my_box
                 {
+                    let mut listed = 0;
+                    for (i, (mine, _)) in self.known_votes.iter().take(SKIP_BITS).enumerate() {
+                        if carried(&votes, skip).any(|(_, (theirs, _))| theirs == mine) {
+                            listed |= 1 << i;
+                        }
+                    }
                     let votes = Arc::clone(&self.known_votes);
-                    out.send(from, Payload::VoteBatch { votes, reply: true });
+                    out.send(
+                        from,
+                        Payload::VoteBatch {
+                            votes,
+                            skip: listed,
+                            reply: true,
+                        },
+                    );
                 }
                 changed
             }
@@ -701,6 +733,7 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
             Payload::AggBatch {
                 parent,
                 known,
+                skip,
                 slots,
                 reply,
                 ..
@@ -712,7 +745,7 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
                 }
                 let mut changed = false;
                 if learning {
-                    for (digit, agg) in slots.iter().enumerate() {
+                    for (digit, agg) in carried(&slots, skip) {
                         if let Some(agg) = agg {
                             changed |= self.learn_agg(parent, digit, agg);
                         }
@@ -722,7 +755,21 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
                 // level; answer only if we share it
                 if let (false, Some(row)) = (reply, &self.rows[parent.len()]) {
                     if row.known > known && parent.contains(&self.index.box_of(from)) {
-                        out.send(from, row.payload(parent, true));
+                        // leave off each entry the push held with at
+                        // least as many votes as ours
+                        let mut pushed_as_well = 0;
+                        for (digit, pushed) in carried(&slots, skip) {
+                            if digit >= SKIP_BITS {
+                                break;
+                            }
+                            let ours = row.slots.get(digit).and_then(Option::as_ref);
+                            if let (Some(ours), Some(pushed)) = (ours, pushed) {
+                                if ours.vote_count() <= pushed.vote_count() {
+                                    pushed_as_well |= 1 << digit;
+                                }
+                            }
+                        }
+                        out.send(from, row.payload(parent, pushed_as_well, true));
                     }
                 }
                 changed
@@ -1022,15 +1069,15 @@ mod tests {
         (p, rng, out)
     }
 
-    /// The row's entry count and bytes, recounted: each present entry
-    /// encoded, its digit and its aggregate.
-    fn recount(slots: &[ChildSlot<Average>]) -> (u8, u32) {
+    /// A row's entry count and bytes, recounted: each present entry that
+    /// `skip` leaves on the wire encoded, its digit and its aggregate.
+    fn recount(slots: &[ChildSlot<Average>], skip: u16) -> (u8, u16) {
         let entry = |a: &Arc<Tagged<Average>>| {
             let mut digit_and_agg = vec![0];
             gridagg_aggregate::wire::encode_tagged(a, &mut digit_and_agg);
-            digit_and_agg.len() as u32
+            digit_and_agg.len() as u16
         };
-        let present = slots.iter().flatten();
+        let present = carried(slots, skip).filter_map(|(_, slot)| slot.as_ref());
         (present.clone().count() as u8, present.map(entry).sum())
     }
 
@@ -1087,7 +1134,7 @@ mod tests {
         let row = p.current_row().unwrap();
         assert_eq!(Arc::as_ptr(&row.slots), at);
         assert_eq!(row.slots[sibling].as_ref().unwrap().vote_count(), 2);
-        assert_eq!((row.known, row.wire), recount(&row.slots));
+        assert_eq!((row.known, row.wire), recount(&row.slots, 0));
     }
 
     #[test]
@@ -1124,11 +1171,13 @@ mod tests {
                     parent: of,
                     known,
                     wire,
+                    skip,
                     slots,
                     reply: true,
                 } => {
                     assert!(Arc::ptr_eq(slots, &stored.slots), "level {len} rebuilt");
                     assert_eq!((*of, *known, *wire), (parent, stored.known, stored.wire));
+                    assert_eq!(*skip, 0, "the push held nothing to skip");
                 }
                 other => panic!("expected a reply row, got {other:?}"),
             }
@@ -1181,8 +1230,8 @@ mod tests {
                 for (len, row) in p.rows.iter().enumerate() {
                     let Some(row) = row else { continue };
                     let parent = my_box.prefix(len);
-                    assert_eq!((row.known, row.wire), recount(&row.slots));
-                    let sent = row.payload(parent, false);
+                    assert_eq!((row.known, row.wire), recount(&row.slots, 0));
+                    let sent = row.payload(parent, 0, false);
                     let mut encoded = Vec::new();
                     crate::message::codec::encode(&sent, &mut encoded);
                     assert_eq!(sent.wire_size() as usize, encoded.len());
@@ -1193,13 +1242,245 @@ mod tests {
             // was sent with
             for sent in &in_flight {
                 if let Payload::AggBatch {
-                    known, wire, slots, ..
+                    known,
+                    wire,
+                    skip,
+                    slots,
+                    ..
                 } = sent
                 {
-                    assert_eq!((*known, *wire), recount(slots));
+                    assert_eq!((*known, *wire), recount(slots, *skip));
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_reply_carries_only_what_the_pusher_lacks() {
+        use crate::message::codec::{decode, encode};
+        // a member whose box's parent has four populated children
+        let idx = index(1024, 4);
+        let me = (0..1024).map(MemberId).find(|&m| {
+            let parent = idx.box_of(m).parent().unwrap();
+            let populated = parent.children().all(|c| idx.count_in(&c) > 0);
+            populated
+        });
+        let me = me.expect("a parent with every child populated");
+        let parent = idx.box_of(me).parent().unwrap();
+        let peer = *idx.members_in(&parent).iter().find(|&&m| m != me).unwrap();
+        let mut p = HierGossip::new(me, 1.0, idx.clone(), HierGossipConfig::default());
+        let mut rng = ctx_rng();
+        let mut out = Outbox::new();
+        let mut ctx = Ctx::new(0, &mut rng);
+        let shared = counted(4);
+        let ours = [shared.clone(), counted(5), counted(3), counted(2)];
+        for (digit, agg) in ours.into_iter().enumerate() {
+            let subtree = parent.child(digit as u8).unwrap();
+            p.on_message(peer, Payload::Agg { subtree, agg }, &mut ctx, &mut out);
+        }
+        // the very same aggregate, one of an equal count, a smaller one,
+        // and none
+        let pushed = [Some(shared), Some(counted(5)), Some(counted(1)), None];
+        let push = Payload::agg_batch(parent, pushed.into(), false);
+        p.on_message(peer, push, &mut ctx, &mut out);
+        let (to, reply) = out.drain().next().expect("p knows more than the push");
+        assert_eq!(to, peer);
+        let stored = p.rows[parent.len()].as_ref().unwrap();
+        let Payload::AggBatch {
+            parent: of,
+            known,
+            wire,
+            skip,
+            slots,
+            reply: true,
+        } = &reply
+        else {
+            panic!("expected a reply row, got {reply:?}");
+        };
+        assert_eq!(*of, parent);
+        assert!(
+            Arc::ptr_eq(slots, &stored.slots),
+            "the reply shares the row"
+        );
+        assert_eq!(*skip, 0b0011);
+        assert_eq!((*known, *wire), recount(slots, *skip));
+        assert_eq!(*known, 2);
+        let mut buf = Vec::new();
+        encode(&reply, &mut buf);
+        assert_eq!(buf.len(), reply.wire_size() as usize);
+        let got = decode::<Average, _>(&mut buf.as_slice()).unwrap();
+        let Payload::AggBatch {
+            known: 2,
+            skip: 0,
+            slots,
+            ..
+        } = got
+        else {
+            panic!("expected the two carried entries, got {got:?}");
+        };
+        let counts: Vec<_> = slots
+            .iter()
+            .map(|s| s.as_ref().map(|a| a.vote_count()))
+            .collect();
+        assert_eq!(counts, [None, None, Some(3), Some(2)]);
+    }
+
+    /// Messages that teach a member aggregates of random counts for
+    /// random children of `parent`, some of them `pool`'s own `Arc`s.
+    fn aggs_for(
+        parent: Addr,
+        pool: &[Arc<Tagged<Average>>],
+        draw: &mut DetRng,
+    ) -> Vec<Payload<Average>> {
+        let len = draw.below(2 * pool.len());
+        (0..len)
+            .map(|_| {
+                let digit = draw.below(pool.len());
+                let subtree = parent.child(digit as u8).unwrap();
+                let agg = match draw.below(2) {
+                    0 => pool[digit].clone(),
+                    _ => counted(draw.below(6)),
+                };
+                Payload::Agg { subtree, agg }
+            })
+            .collect()
+    }
+
+    /// Messages that teach a member random votes of `mates`.
+    fn votes_of(mates: &[MemberId], draw: &mut DetRng) -> Vec<Payload<Average>> {
+        let len = draw.below(mates.len() + 1);
+        (0..len)
+            .map(|_| {
+                let member = mates[draw.below(mates.len())];
+                let value = f64::from(member.0);
+                Payload::Vote { member, value }
+            })
+            .collect()
+    }
+
+    /// Deliver `msgs` from `from` to each member of `to`.
+    fn deliver(
+        to: &mut [&mut HierGossip<Average>],
+        from: MemberId,
+        msgs: Vec<Payload<Average>>,
+        ctx: &mut Ctx<'_>,
+        out: &mut Outbox<Average>,
+    ) {
+        for msg in msgs {
+            for p in to.iter_mut() {
+                p.on_message(from, msg.clone(), ctx, out);
+            }
+        }
+    }
+
+    #[test]
+    fn a_pusher_that_only_gained_learns_the_same_from_a_reply_as_from_the_whole_set() {
+        let (mut skipped, mut past_the_bits) = (0, 0);
+        for k in [2u8, 4, 16, 17] {
+            // K = 2 puts 20 members in a box, more than `SKIP_BITS`
+            let n = (4 * usize::from(k) * usize::from(k)).max(80);
+            let h = Hierarchy::with_depth(k, 2).unwrap();
+            let idx = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 7));
+            let member = |m| {
+                HierGossip::<Average>::new(
+                    m,
+                    f64::from(m.0),
+                    idx.clone(),
+                    HierGossipConfig::default(),
+                )
+            };
+            for seed in 0..60 {
+                let mut draw = DetRng::seeded(0x5C1F + seed);
+                let mut rng = ctx_rng();
+                let mut out = Outbox::new();
+                let mut ctx = Ctx::new(0, &mut rng);
+                // replier `p` and pusher `them`: box-mates exchanging
+                // votes, or members under one chain parent exchanging
+                // its row
+                let me = MemberId(draw.below(n) as u32);
+                let my_box = idx.box_of(me);
+                let mates = idx.members_in(&my_box);
+                let parent = (draw.below(2) == 0).then(|| my_box.prefix(draw.below(my_box.len())));
+                let scope = parent.map_or(mates, |parent| idx.members_in(&parent));
+                let them = scope[draw.below(scope.len())];
+                if them == me {
+                    continue;
+                }
+                let pool: Vec<_> = (0..k).map(|_| counted(draw.below(6))).collect();
+                let mut teach = || match parent {
+                    None => votes_of(mates, &mut draw),
+                    Some(parent) => aggs_for(parent, &pool, &mut draw),
+                };
+                // the pusher twice over: one learns the reply, the other
+                // the whole set it shares
+                let (mut p, mut q) = (member(me), [member(them), member(them)]);
+                deliver(&mut [&mut p], them, teach(), &mut ctx, &mut out);
+                deliver(&mut q.each_mut(), me, teach(), &mut ctx, &mut out);
+                let push = match parent {
+                    None => Payload::VoteBatch {
+                        votes: q[0].known_votes.clone(),
+                        skip: 0,
+                        reply: false,
+                    },
+                    Some(parent) => match &q[0].rows[parent.len()] {
+                        Some(row) => row.payload(parent, 0, false),
+                        None => continue,
+                    },
+                };
+                // the pusher only gains while its push is in flight
+                deliver(&mut q.each_mut(), me, teach(), &mut ctx, &mut out);
+                assert!(out.is_empty(), "no single value is answered");
+                p.on_message(them, push, &mut ctx, &mut out);
+                let Some((_, reply)) = out.drain().next() else {
+                    continue;
+                };
+                let whole = match &reply {
+                    Payload::VoteBatch { votes, skip, .. } => {
+                        assert!(carried(votes, *skip).count() > 0, "an empty reply");
+                        skipped += skip.count_ones();
+                        past_the_bits += usize::from(votes.len() > SKIP_BITS);
+                        Payload::VoteBatch {
+                            votes: votes.clone(),
+                            skip: 0,
+                            reply: true,
+                        }
+                    }
+                    Payload::AggBatch {
+                        parent,
+                        known,
+                        wire,
+                        skip,
+                        slots,
+                        ..
+                    } => {
+                        assert!(*known > 0, "an empty reply");
+                        assert_eq!((*known, *wire), recount(slots, *skip));
+                        skipped += skip.count_ones();
+                        past_the_bits += usize::from(slots.len() > SKIP_BITS);
+                        Payload::agg_batch(*parent, slots.clone(), true)
+                    }
+                    other => panic!("expected a batch reply, got {other:?}"),
+                };
+                let [mut by_reply, mut by_whole] = q;
+                by_reply.on_message(me, reply, &mut ctx, &mut out);
+                by_whole.on_message(me, whole, &mut ctx, &mut out);
+                assert!(out.is_empty(), "a reply is not answered");
+                assert_eq!(
+                    by_reply.known_votes, by_whole.known_votes,
+                    "k {k} seed {seed}"
+                );
+                let (a, b) = (held(&by_reply), held(&by_whole));
+                let same = a.len() == b.len()
+                    && a.iter()
+                        .zip(&b)
+                        .all(|(a, b)| a.0 == b.0 && Arc::ptr_eq(&a.1, &b.1));
+                assert!(same, "k {k} seed {seed} under {parent:?}: {a:?} vs {b:?}");
+            }
+        }
+        assert!(
+            skipped > 0 && past_the_bits > 0,
+            "{skipped} skipped, {past_the_bits} wide"
+        );
     }
 
     #[test]
@@ -1296,9 +1577,10 @@ mod tests {
         p.on_round(&mut ctx, &mut out);
         for (_, payload) in out.drain() {
             match payload {
-                Payload::VoteBatch { votes, reply } => {
+                Payload::VoteBatch { votes, skip, reply } => {
                     assert_eq!(votes.len(), 1, "only own vote known at round 0");
                     assert!(!reply);
+                    assert_eq!(skip, 0);
                 }
                 other => panic!("expected VoteBatch, got {other:?}"),
             }
@@ -1335,6 +1617,7 @@ mod tests {
             mate,
             Payload::VoteBatch {
                 votes: [(mate, 2.0)].into(),
+                skip: 0,
                 reply: false,
             },
             &mut ctx,
@@ -1344,12 +1627,26 @@ mod tests {
         assert_eq!(msgs.len(), 1, "expected exactly one reply");
         assert_eq!(msgs[0].0, mate);
         match &msgs[0].1 {
-            Payload::VoteBatch { votes, reply } => {
+            Payload::VoteBatch { votes, skip, reply } => {
                 assert!(*reply);
-                assert_eq!(votes.len(), 2);
+                // the mate listed its own vote: the reply carries p's
+                assert!(Arc::ptr_eq(votes, &p.known_votes));
+                let carried: Vec<_> = carried(votes, *skip).map(|(_, &vote)| vote).collect();
+                assert_eq!(carried, [(me, 1.0)]);
             }
             other => panic!("expected reply VoteBatch, got {other:?}"),
         }
+        let mut buf = Vec::new();
+        crate::message::codec::encode(&msgs[0].1, &mut buf);
+        assert_eq!(buf.len(), msgs[0].1.wire_size() as usize);
+        let got = crate::message::codec::decode::<Average, _>(&mut buf.as_slice()).unwrap();
+        let own: Arc<[_]> = [(me, 1.0)].into();
+        let expect = Payload::VoteBatch {
+            votes: own,
+            skip: 0,
+            reply: true,
+        };
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -1372,6 +1669,7 @@ mod tests {
             mate,
             Payload::VoteBatch {
                 votes: [].into(),
+                skip: 0,
                 reply: true,
             },
             &mut ctx,
@@ -1410,6 +1708,7 @@ mod tests {
                 mate,
                 Payload::VoteBatch {
                     votes: [].into(),
+                    skip: 0,
                     reply: false,
                 },
                 &mut ctx,

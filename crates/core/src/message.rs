@@ -26,6 +26,13 @@
 //! keeps the snapshot it was sent with. On the wire an aggregate batch
 //! is its parent's address once, then its present entries, one
 //! `(last digit, aggregate)` each, in digit order.
+//!
+//! A reply carries only what its pusher lacks, and still shares the
+//! replier's storage: a batch's `skip` marks the entries at an index
+//! below [`SKIP_BITS`] that are left off the wire (see [`carried`]). A
+//! batch's counts, its length on the wire and what a receiver learns
+//! from it are of the carried entries alone, and [`codec::decode`]
+//! returns only those, with `skip` 0.
 
 use std::sync::Arc;
 
@@ -75,6 +82,9 @@ pub enum Payload<A> {
     VoteBatch {
         /// `(owner, vote)` pairs.
         votes: Arc<[(MemberId, f64)]>,
+        /// The pairs left off the wire: bit `i` set skips `votes[i]`
+        /// (see [`carried`]).
+        skip: u16,
         /// Whether this is a reactive reply to a push (replies are never
         /// answered, so exchanges terminate).
         reply: bool,
@@ -87,11 +97,14 @@ pub enum Payload<A> {
     AggBatch {
         /// The subtree whose children the row describes.
         parent: Addr,
-        /// Present slots, the entry count on the wire.
+        /// Carried present slots, the entry count on the wire.
         known: u8,
-        /// Encoded bytes of the present entries
+        /// Encoded bytes of the carried present entries
         /// ([`codec::agg_entry_wire`] each).
-        wire: u32,
+        wire: u16,
+        /// The slots left off the wire: bit `d` set skips `slots[d]`
+        /// (see [`carried`]).
+        skip: u16,
         /// One slot per last digit: `slots[d]` is the aggregate of
         /// `parent.child(d)`.
         slots: Arc<[ChildSlot<A>]>,
@@ -122,20 +135,36 @@ pub enum Payload<A> {
 }
 
 impl<A: WireAggregate> Payload<A> {
-    /// An [`Payload::AggBatch`] over `slots`, the children of `parent`,
-    /// with `known` and `wire` counted from the slots: for a caller that
-    /// does not already keep the two beside its row. (A row wider than
-    /// any base is nobody's; its count saturates.)
+    /// An [`Payload::AggBatch`] over all of `slots`, the children of
+    /// `parent`, with `known` and `wire` counted from the slots: for a
+    /// caller that does not already keep the two beside its row. (A row
+    /// wider than any base is nobody's; its counts saturate.)
     pub fn agg_batch(parent: Addr, slots: Arc<[ChildSlot<A>]>, reply: bool) -> Self {
         let entries = || slots.iter().flatten();
         Payload::AggBatch {
             parent,
             known: u8::try_from(entries().count()).unwrap_or(u8::MAX),
-            wire: entries().map(|agg| codec::agg_entry_wire(agg)).sum(),
+            wire: entries()
+                .map(|agg| codec::agg_entry_wire(agg))
+                .fold(0, u16::saturating_add),
+            skip: 0,
             slots,
             reply,
         }
     }
+}
+
+/// The entries a batch's `skip` can leave off the wire: those at an index
+/// below this. Every later one is carried, which is correct but not
+/// minimal. No shipped configuration has more than 16 children, and a
+/// grid box holds `K` members on average.
+pub const SKIP_BITS: usize = u16::BITS as usize;
+
+/// The entries of a batch body that cross the wire, with their indices:
+/// all of `entries` but those whose bit is set in `skip`.
+pub fn carried<T>(entries: &[T], skip: u16) -> impl Iterator<Item = (usize, &T)> + Clone {
+    let kept = move |i: usize| i >= SKIP_BITS || skip >> i & 1 == 0;
+    entries.iter().enumerate().filter(move |&(i, _)| kept(i))
 }
 
 #[cfg(test)]
@@ -214,6 +243,10 @@ mod tests {
 /// tagged     contributor count: varint | value (WireAggregate), iff count > 0
 /// ```
 ///
+/// A batch writes only the entries it carries (see [`carried`]), and
+/// `len` or `count` is their number: a reply that skips entries is a
+/// shorter batch of the same layout.
+///
 /// Aggregate values keep their constant-size [`WireAggregate`] form
 /// less their vote count, every contributor set is written as its count,
 /// which is the value's count too, and ids, lengths and
@@ -246,13 +279,13 @@ pub mod codec {
     use bytes::{Buf, BufMut};
     use gridagg_aggregate::wire::{
         clamp_len, decode_tagged, encode_tagged, get_varint, put_varint, tagged_len, varint_len,
-        WireAggregate, WireError,
+        WireAggregate, WireError, MAX_AGGREGATE_WIRE_SIZE, MAX_VARINT_LEN,
     };
     use gridagg_aggregate::Tagged;
     use gridagg_group::MemberId;
     use gridagg_hierarchy::Addr;
 
-    use super::{ChildSlot, Payload};
+    use super::{carried, ChildSlot, Payload};
 
     const TAG_VOTE: u8 = 1;
     const TAG_AGG: u8 = 2;
@@ -323,22 +356,32 @@ pub mod codec {
 
     /// Encoded bytes of one [`Payload::AggBatch`] entry: its last digit
     /// and its aggregate.
-    pub fn agg_entry_wire<A: WireAggregate>(agg: &Tagged<A>) -> u32 {
-        (1 + tagged_len(agg)) as u32
+    pub fn agg_entry_wire<A: WireAggregate>(agg: &Tagged<A>) -> u16 {
+        (1 + tagged_len(agg)) as u16
     }
+
+    // A batch's `wire` holds the bytes of 255 entries at their widest:
+    // 255 × 86 = 21,930 B.
+    const _: () = assert!(
+        u8::MAX as usize * (1 + MAX_VARINT_LEN + MAX_AGGREGATE_WIRE_SIZE) <= u16::MAX as usize
+    );
 
     impl<A: WireAggregate> Payload<A> {
         /// Serialized size in bytes, for network byte accounting: exactly
-        /// the length [`encode`] writes, walking only a vote batch's ids
-        /// (an aggregate batch carries its entries' bytes).
+        /// the length [`encode`] writes, walking only a vote batch's
+        /// carried ids (an aggregate batch carries its entries' bytes).
         pub fn wire_size(&self) -> u32 {
             let body = match self {
                 Payload::Vote { member, .. } => varint_len(member.0) + 8,
                 Payload::Agg { subtree, agg } => addr_len(subtree) + tagged_len(agg),
                 Payload::Final { agg } => tagged_len(agg),
-                Payload::VoteBatch { votes, .. } => {
-                    let ids: usize = votes.iter().map(|(member, _)| varint_len(member.0)).sum();
-                    varint_len(clamp_len(votes.len())) + ids + 8 * votes.len()
+                Payload::VoteBatch { votes, skip, .. } => {
+                    let (mut count, mut ids) = (0, 0);
+                    for (_, (member, _)) in carried(votes, *skip) {
+                        count += 1;
+                        ids += varint_len(member.0);
+                    }
+                    varint_len(clamp_len(count)) + ids + 8 * count
                 }
                 Payload::AggBatch { parent, wire, .. } => addr_len(parent) + 1 + *wire as usize,
                 Payload::Flow { influenced, .. } => 16 + varint_len(clamp_len(influenced.len())),
@@ -433,16 +476,17 @@ pub mod codec {
                 buf.put_u8(TAG_FINAL);
                 encode_tagged(agg, buf);
             }
-            Payload::VoteBatch { votes, reply } => {
+            Payload::VoteBatch { votes, skip, reply } => {
                 buf.put_u8(tag(TAG_VOTE_BATCH, *reply));
-                put_varint(clamp_len(votes.len()), buf);
-                for &(member, value) in votes.iter() {
+                put_varint(clamp_len(carried(votes, *skip).count()), buf);
+                for (_, &(member, value)) in carried(votes, *skip) {
                     put_vote(member, value, buf);
                 }
             }
             Payload::AggBatch {
                 parent,
                 known,
+                skip,
                 slots,
                 reply,
                 ..
@@ -450,7 +494,7 @@ pub mod codec {
                 buf.put_u8(tag(TAG_AGG_BATCH, *reply));
                 put_addr(parent, buf);
                 buf.put_u8(*known);
-                for (digit, agg) in slots.iter().enumerate() {
+                for (digit, agg) in carried(slots, *skip) {
                     if let Some(agg) = agg {
                         buf.put_u8(digit as u8);
                         encode_tagged(agg, buf);
@@ -484,7 +528,8 @@ pub mod codec {
     /// Deserialize a payload written by [`encode`] and admit it to a
     /// group of `n` members. Every vote it returns is owned by a member
     /// id below `n`, no contributor set claims more than `n` members,
-    /// and every value is finite.
+    /// and every value is finite. A batch holds what crossed the wire
+    /// and skips nothing.
     ///
     /// # Errors
     ///
@@ -530,6 +575,13 @@ pub mod codec {
             TAG_VOTE_BATCH => {
                 let variant = "vote-batch";
                 let count = get_varint(buf).map_err(DecodeError::from_wire(variant))?;
+                // An empty batch is never sent: a push carries the
+                // sender's own vote and a reply at least one the pusher
+                // lacked. Answering one would reflect a box's votes to a
+                // frame's claimed source for 2 B.
+                if count == 0 {
+                    return Err(malformed(variant));
+                }
                 // every vote is at least 9 bytes: a count with nothing
                 // behind it fails here, before anything is allocated
                 let count = usize::try_from(count)
@@ -551,7 +603,11 @@ pub mod codec {
                         })
                     })
                     .collect();
-                status.map(|()| Payload::VoteBatch { votes, reply })
+                status.map(|()| Payload::VoteBatch {
+                    votes,
+                    skip: 0,
+                    reply,
+                })
             }
             TAG_AGG_BATCH => {
                 let variant = "agg-batch";
@@ -591,6 +647,7 @@ pub mod codec {
                     parent,
                     known,
                     wire,
+                    skip: 0,
                     slots,
                     reply,
                 })
@@ -648,6 +705,35 @@ pub mod codec {
             Payload::agg_batch(parent, slots, false)
         }
 
+        /// `batch` as a reply that leaves off the entries flagged in
+        /// `skip`, its counts of the carried entries alone; any other
+        /// payload as it is.
+        fn skipping(batch: &Payload<Average>, skip: u16) -> Payload<Average> {
+            match batch.clone() {
+                Payload::VoteBatch { votes, reply, .. } => {
+                    Payload::VoteBatch { votes, skip, reply }
+                }
+                Payload::AggBatch {
+                    parent,
+                    slots,
+                    reply,
+                    ..
+                } => {
+                    let entries = carried(&slots, skip).filter_map(|(_, slot)| slot.as_ref());
+                    let entries: Vec<_> = entries.collect();
+                    Payload::AggBatch {
+                        parent,
+                        known: entries.len() as u8,
+                        wire: entries.iter().map(|agg| agg_entry_wire(agg)).sum(),
+                        skip,
+                        slots,
+                        reply,
+                    }
+                }
+                other => other,
+            }
+        }
+
         /// A payload of every variant, its contributor sets exact, and
         /// what a receiver decodes from it: the same values, every set
         /// reduced to its count.
@@ -679,13 +765,13 @@ pub mod codec {
             let got = carrying(counted.unwrap(), VoteSet::counted(3));
             let votes = |votes: &[(MemberId, f64)], reply| Payload::VoteBatch {
                 votes: votes.into(),
+                skip: 0,
                 reply,
             };
             let (member, value) = (MemberId(7), -1.25);
             let plain = [
                 Payload::Vote { member, value },
                 votes(&[(MemberId(1), 1.0), (MemberId(2), 2.0)], true),
-                votes(&[], false),
             ];
             let plain = plain.into_iter().map(|p| (p.clone(), p));
             plain.chain(sent.into_iter().zip(got)).collect()
@@ -703,13 +789,31 @@ pub mod codec {
                 let trailing = decode::<Average, _>(&mut buf.as_slice());
                 assert_eq!(trailing, Err(DecodeError::Malformed { variant }));
             }
+            // a batch that skips entries decodes to the ones it carried,
+            // skipping none: written again, it is the same bytes
+            for (sent, _) in exact_and_counted() {
+                let batch = matches!(sent, Payload::VoteBatch { .. } | Payload::AggBatch { .. });
+                for skip in [0b1, 0b10, 0b100].into_iter().filter(|_| batch) {
+                    let sent = skipping(&sent, skip);
+                    let mut buf = Vec::new();
+                    encode(&sent, &mut buf);
+                    assert_eq!(buf.len(), sent.wire_size() as usize, "{sent:?}");
+                    let got = decode::<Average, _>(&mut buf.as_slice()).unwrap();
+                    assert!(matches!(
+                        got,
+                        Payload::VoteBatch { skip: 0, .. } | Payload::AggBatch { skip: 0, .. }
+                    ));
+                    let mut again = Vec::new();
+                    encode(&got, &mut again);
+                    assert_eq!(again, buf, "{sent:?}");
+                }
+            }
         }
 
         #[test]
-        fn an_empty_vote_batch_roundtrips_and_an_empty_agg_batch_is_malformed() {
-            // the empty vote batch is one of `exact_and_counted`'s; an
-            // empty row names no parent: a member always knows its own
-            // child, so nobody sends this
+        fn empty_batches_are_malformed() {
+            // nobody sends either: a push carries the member's own vote
+            // or child, and a reply at least one entry its pusher lacks
             let none = (0..4).map(|_| None).collect();
             let empty: Payload<Average> = Payload::agg_batch(Addr::root(4).unwrap(), none, true);
             let mut buf = Vec::new();
@@ -720,6 +824,22 @@ pub mod codec {
                 variant: "agg-batch",
             };
             assert_eq!(decode::<Average, _>(&mut buf.as_slice()), Err(malformed));
+            // count 0, pushed or replied, and a reply that skips its one
+            // vote: the tag and count 0 alike
+            let malformed = DecodeError::Malformed {
+                variant: "vote-batch",
+            };
+            let one: Arc<[_]> = [(MemberId(1), 1.0)].into();
+            for reply in [false, true] {
+                for (votes, skip) in [(Arc::from([]), 0), (one.clone(), 1)] {
+                    let empty = Payload::<Average>::VoteBatch { votes, skip, reply };
+                    let mut buf = Vec::new();
+                    encode(&empty, &mut buf);
+                    let flag = if reply { REPLY } else { 0 };
+                    assert_eq!(buf, [TAG_VOTE_BATCH | flag, 0]);
+                    assert_eq!(decode::<Average, _>(&mut buf.as_slice()), Err(malformed));
+                }
+            }
         }
 
         #[test]
@@ -841,7 +961,11 @@ pub mod codec {
                 Some(Payload::Agg { .. }) => Payload::Final { agg },
                 Some(Payload::Final { .. }) => {
                     let votes = fields.voters.iter().map(|&m| (m, 1.0)).collect();
-                    Payload::VoteBatch { votes, reply }
+                    Payload::VoteBatch {
+                        votes,
+                        skip: 0,
+                        reply,
+                    }
                 }
                 Some(Payload::VoteBatch { .. }) => batch(subtree, &[0, 1, 2, 3], &agg),
                 Some(Payload::AggBatch { .. }) => Payload::Flow {
@@ -857,7 +981,8 @@ pub mod codec {
         /// The one byte count: for every variant, `wire_size()` is the
         /// length `encode` writes — at N = 64, 4096 and 65536 (both sides
         /// of `EXACT_TRACK_MAX`), with every id and count at its widest,
-        /// and with every aggregate and set empty. Each shape's length is
+        /// with every aggregate and set empty, and for a batch with
+        /// entries skipped. Each shape's length is
         /// at most its widest-field length, a ceiling that is the same at
         /// every N.
         #[test]
@@ -870,6 +995,14 @@ pub mod codec {
                     encode(&p, &mut buf);
                     assert_eq!(buf.len(), p.wire_size() as usize, "{p:?}");
                     lens.push(buf.len());
+                    // and a batch that leaves entries off, in and past
+                    // the skippable ones
+                    for skip in [0b1, 0b1010, u16::MAX] {
+                        let reply = skipping(&p, skip);
+                        let mut buf = Vec::new();
+                        encode(&reply, &mut buf);
+                        assert_eq!(buf.len(), reply.wire_size() as usize, "{reply:?}");
+                    }
                     prev = Some(p);
                 }
                 assert_eq!(lens.len(), 6, "one sample per variant");
@@ -933,7 +1066,11 @@ pub mod codec {
                 ),
                 (Payload::Final { agg }, [&[0x03], tagged].concat()),
                 (
-                    Payload::VoteBatch { votes, reply: true },
+                    Payload::VoteBatch {
+                        votes,
+                        skip: 0,
+                        reply: true,
+                    },
                     vec![
                         0x84, 2, 0x01, 0x3F, 0xF8, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0xC0, 0, 0, 0, 0,
                         0, 0, 0,
@@ -970,6 +1107,7 @@ pub mod codec {
             let subtree = Addr::from_digits(4, &[2, 1]).unwrap();
             let (member, value, reply) = (MemberId(5), 1.5, false);
             let votes = [(member, value)].into();
+            let skip = 0;
             let influenced = Arc::new(VoteSet::counted(5));
             let flow = Payload::Flow {
                 flow: value,
@@ -982,10 +1120,15 @@ pub mod codec {
             // row its entry count and digit)
             let fields = [
                 (Payload::Vote { member, value }, "vote", Some(1)),
-                (Payload::VoteBatch { votes, reply }, "vote-batch", Some(1)),
+                (
+                    Payload::VoteBatch { votes, skip, reply },
+                    "vote-batch",
+                    Some(1),
+                ),
                 (
                     Payload::VoteBatch {
                         votes: [(member, value)].into(),
+                        skip,
                         reply,
                     },
                     "vote-batch",
@@ -1069,7 +1212,14 @@ pub mod codec {
                 };
                 [
                     (Payload::Vote { member, value }, "vote"),
-                    (Payload::VoteBatch { votes, reply }, "vote-batch"),
+                    (
+                        Payload::VoteBatch {
+                            votes,
+                            skip: 0,
+                            reply,
+                        },
+                        "vote-batch",
+                    ),
                     (Payload::Agg { subtree, agg }, "agg"),
                     (fin, "final"),
                     (row, "agg-batch"),

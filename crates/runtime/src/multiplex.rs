@@ -673,6 +673,7 @@ mod tests {
     fn batch(k: u32) -> Payload<Average> {
         Payload::VoteBatch {
             votes: (0..k).map(|i| (MemberId(i), f64::from(i))).collect(),
+            skip: 0,
             reply: false,
         }
     }

@@ -104,6 +104,7 @@ fn hostile_datagrams_rejected_via_decode_error_not_panic() {
                 Payload::<Average>::Vote { member, value },
                 Payload::VoteBatch {
                     votes,
+                    skip: 0,
                     reply: false,
                 },
             ]

@@ -14,6 +14,7 @@
 
 use gridagg::core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
 use gridagg::core::runner::run_hiergossip_traced;
+use gridagg::core::trace::TraceEvent;
 use gridagg::core::RunReport;
 use gridagg::prelude::*;
 
@@ -87,7 +88,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 15,
                 sent: 2041,
                 delivered: 1521,
-                bytes_sent: 68280,
+                bytes_sent: 55762,
                 dropped_loss: 520,
                 completed: 64,
                 mean_completeness_bits: 0x3ff0000000000000,
@@ -101,7 +102,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 21,
                 sent: 10964,
                 delivered: 8253,
-                bytes_sent: 383859,
+                bytes_sent: 320884,
                 dropped_loss: 2711,
                 completed: 251,
                 mean_completeness_bits: 0x3fef97d734041466,
@@ -115,7 +116,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 31,
                 sent: 65280,
                 delivered: 48822,
-                bytes_sent: 2408260,
+                bytes_sent: 2060729,
                 dropped_loss: 16458,
                 completed: 997,
                 mean_completeness_bits: 0x3fef28cf786cdee0,
@@ -151,21 +152,56 @@ fn event_driven_engine_trace_is_byte_identical() {
     // rendering of the *complete* trace stream, frozen from the dense
     // per-member scan. Any reordering, added, or dropped event — even
     // two swapped deliveries inside one round — changes the hash.
-    for (n, seed, events, fingerprint) in [
-        (256usize, 7u64, 27706usize, 0x4b90_a536_4930_a1b0u64),
-        (1024, 11, 159084, 0xf962_0d51_6e43_1b9c),
+    //
+    // Beside each, the same hash with every `Send`'s byte count zeroed:
+    // the message flow alone. A change to what a payload costs on the
+    // wire moves the first fingerprint and must leave the second.
+    for (n, seed, events, fingerprint, flow) in [
+        (
+            64usize,
+            3u64,
+            5207usize,
+            0xb516_04d9_ee1e_72cdu64,
+            0x20b6_02c8_645f_e420u64,
+        ),
+        (256, 7, 27706, 0x9569_a2e7_2526_0b37, 0x2d38_ccc4_dc62_72d2),
+        (
+            1024,
+            11,
+            159084,
+            0x76b0_9b10_8418_3499,
+            0x75a4_7c5b_99cf_9b12,
+        ),
     ] {
         let (_, trace) = run_hiergossip_traced::<Average>(&cfg(n), seed);
         assert_eq!(trace.len(), events, "n={n}: trace event count");
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for event in &trace.events {
-            for byte in format!("{event:?}").bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        let hash = fnv(trace.events.iter().copied());
         assert_eq!(hash, fingerprint, "n={n}: trace fingerprint {hash:#x}");
+        let hash = fnv(trace.events.iter().map(|&event| match event {
+            TraceEvent::Send {
+                from, to, round, ..
+            } => TraceEvent::Send {
+                from,
+                to,
+                round,
+                bytes: 0,
+            },
+            other => other,
+        }));
+        assert_eq!(hash, flow, "n={n}: message-flow fingerprint {hash:#x}");
     }
+}
+
+/// FNV-1a over the debug rendering of `events`.
+fn fnv(events: impl Iterator<Item = TraceEvent>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for event in events {
+        for byte in format!("{event:?}").bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    hash
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! contributor counts from `[0, n]` plus `n + 1` and `usize::MAX`, every
 //! `f64` from the vote hull plus NaN and ±∞, and addresses in every
 //! relation to the receiver's box. Fixed frames ride along: batches and
-//! addresses no encoder writes, varints in other than their one
+//! addresses no encoder writes (an empty one of either kind among
+//! them), varints in other than their one
 //! encoding, reply flags on variants that never reply, counts with
 //! nothing behind them, a byte after a whole payload of each variant,
 //! and payloads every protocol must drop.
@@ -165,14 +166,18 @@ impl Gen<'_> {
                 (Payload::Vote { member, value }, "vote")
             }
             1 => {
-                // the honest shape, the receiver's box-mates, or any ids
+                // the honest shape, the receiver's box-mates, or any ids;
+                // none at all is never sent, and answering it would
+                // reflect the receiver's votes
                 let (mates, len) = (self.near[0], self.rng.below(2 * usize::from(K) + 2));
                 let votes = if self.rng.chance(0.5) {
                     mates.iter().map(|&m| (m, self.value())).collect()
                 } else {
+                    self.in_range &= len > 0;
                     (0..len).map(|_| (self.id(), self.value())).collect()
                 };
-                (Payload::VoteBatch { votes, reply }, "vote-batch")
+                let skip = 0;
+                (Payload::VoteBatch { votes, skip, reply }, "vote-batch")
             }
             2 => {
                 let (subtree, agg) = (self.addr(), self.tagged());
@@ -280,6 +285,12 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
     let one_vote: Arc<[_]> = [(MemberId(5), FAR)].into();
     let vote_batch = Payload::VoteBatch {
         votes: one_vote,
+        skip: 0,
+        reply: false,
+    };
+    let no_votes = Payload::VoteBatch {
+        votes: [].into(),
+        skip: 0,
         reply: false,
     };
     let mut three_votes = encode(&vote_batch);
@@ -295,9 +306,10 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
     vec![
         rejected(too_wide, "agg"),
         rejected(bad_digit, "agg"),
-        // a repeated digit, a digit not below the base, no entry, more
-        // entries than the base, a parent whose children are past the
-        // address capacity
+        // no vote; a repeated digit, a digit not below the base, no
+        // entry, more entries than the base, a parent whose children are
+        // past the address capacity
+        rejected(encode(&no_votes), "vote-batch"),
         rejected(batch(&[2, 2]), "agg-batch"),
         rejected(batch(&[0, 4]), "agg-batch"),
         rejected(batch(&[]), "agg-batch"),

@@ -44,10 +44,12 @@ const LOSS: f64 = 0.10;
 const SEED: u64 = 2001;
 
 /// Slack for the two runs' different message mixes in the byte gate:
-/// the cluster's mean payload per frame read from 0.3 B under to 0.6 B
-/// over the simulator's mean message in release and 0.4–0.8 B over it
-/// in a debug build, whose slower ticks resend and batch more
-/// aggregates.
+/// the cluster's mean payload per frame read from 0.9 to 1.7 B over the
+/// simulator's mean message in release and 0.5–0.8 B over it in a debug
+/// build, whose slower ticks resend and batch more aggregates. It read
+/// 0.3 B under to 0.6 B over in release while a reply carried the whole
+/// row; a reply that carries only what its pusher lacks is shorter than
+/// the mean message, so the mixes differ by more bytes.
 const MIX_SLACK_BYTES: f64 = 3.0;
 
 /// Margin for the cluster-vs-simulator completeness gate.
@@ -151,7 +153,7 @@ fn check(
 
 #[test]
 fn smoke_512_members_over_16_sockets() {
-    check(512, 16, 2, 5, 20.11);
+    check(512, 16, 2, 5, 20.19);
 }
 
 // The 10k round interval is sized so one worker core can tick all
@@ -162,7 +164,7 @@ fn smoke_512_members_over_16_sockets() {
 #[test]
 #[ignore = "10,000 members: run in release with --ignored"]
 fn full_10k_members_over_64_sockets_and_2_workers() {
-    check(10_000, 64, 2, 100, 27.10);
+    check(10_000, 64, 2, 100, 29.81);
 }
 
 /// Each of 4 workers owns 16 of the 64 sockets: the sharded event
@@ -170,5 +172,5 @@ fn full_10k_members_over_64_sockets_and_2_workers() {
 #[test]
 #[ignore = "10,000 members: run in release with --ignored"]
 fn full_10k_members_over_64_sockets_and_4_workers() {
-    check(10_000, 64, 4, 100, 23.37);
+    check(10_000, 64, 4, 100, 25.23);
 }
