@@ -54,11 +54,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell as StdCell;
 
 use gridagg_aggregate::Average;
-use gridagg_bench::protocol::Protocol;
 use gridagg_bench::sweep::Sweep;
 use gridagg_bench::{base_seed, host_json, print_table, write_json};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::json::{Json, ToJson};
+use gridagg_core::runner::Protocol;
 
 /// Counts every allocation (and reallocation) on top of the system
 /// allocator. The count is a deterministic proxy for hot-path churn:

@@ -18,10 +18,10 @@
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_aggregate::{Average, Count, Histogram16, Max, MeanVar, Min, Sum, TopK};
-use gridagg_bench::protocol::Protocol;
 use gridagg_bench::sweep::Sweep;
 use gridagg_bench::{print_table, sci};
 use gridagg_core::config::ExperimentConfig;
+use gridagg_core::runner::Protocol;
 use gridagg_core::summarize;
 
 fn parse_args() -> Result<std::collections::BTreeMap<String, String>, String> {

@@ -20,7 +20,7 @@
 use gridagg_aggregate::Average;
 use gridagg_bench::{base_seed, print_table, sci, write_csv, write_json};
 use gridagg_core::config::ExperimentConfig;
-use gridagg_core::runner::run_hiergossip_traced;
+use gridagg_core::runner::Protocol;
 use gridagg_core::trace::RunTrace;
 use gridagg_core::RunReport;
 
@@ -68,7 +68,7 @@ fn profile(n: usize, seed: u64) -> (RunReport, RunTrace) {
     if let Err(e) = cfg.validate() {
         die(&format!("invalid --n {n}: {e}"));
     }
-    run_hiergossip_traced::<Average>(&cfg, seed)
+    Protocol::HierGossip.run_traced::<Average>(&cfg, seed)
 }
 
 fn phase_table(n: usize, trace: &RunTrace) {

@@ -14,10 +14,10 @@
 use gridagg_aggregate::Average;
 use gridagg_analysis::{c1_incompleteness, phases, theorem1_bound};
 use gridagg_core::config::ExperimentConfig;
+use gridagg_core::runner::Protocol;
 use gridagg_core::{summarize, RunReport, Summary};
 
 use crate::plot::{Plot, PlotSeries, Scale};
-use crate::protocol::Protocol;
 use crate::sweep::Sweep;
 use crate::{
     base_seed, is_decreasing, is_decreasing_noisy, print_table, sci, write_csv, write_json,

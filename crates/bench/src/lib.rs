@@ -5,11 +5,12 @@
 //! driver ([`figures`]) behind one `figures` binary; `churn`,
 //! `trace_profile`, `run_experiment` and `bench_baseline` are binaries
 //! of their own, because CI gates call them by name and they share no
-//! shape with that table. Shared helpers here: run-count control, the
-//! protocol dispatch ([`protocol`]), the sweep executor ([`sweep`]),
-//! aligned table printing, and CSV / JSON / SVG output under
-//! `results/`. Nothing here times a run: what these binaries write is
-//! decided by the seed, and host time belongs to the separate
+//! shape with that table. Every binary picks its protocols from
+//! [`gridagg_core::runner::Protocol`], core's one protocol table.
+//! Shared helpers here: run-count control, the sweep executor
+//! ([`sweep`]), aligned table printing, and CSV / JSON / SVG output
+//! under `results/`. Nothing here times a run: what these binaries
+//! write is decided by the seed, and host time belongs to the separate
 //! `benchmark/` package.
 //!
 //! Environment knobs:
@@ -27,7 +28,6 @@ use std::path::PathBuf;
 
 pub mod figures;
 pub mod plot;
-pub mod protocol;
 pub mod sweep;
 
 /// Runs per sweep point (`GRIDAGG_RUNS`, default 40, at least 1). A

@@ -4,7 +4,7 @@
 
 use gridagg_bench::sweep::Sweep;
 use gridagg_core::config::ExperimentConfig;
-use gridagg_core::runner::{run_flatgossip, run_hiergossip};
+use gridagg_core::runner::{run_hiergossip, Protocol};
 use gridagg_core::RunReport;
 
 use gridagg_aggregate::Average;
@@ -17,7 +17,7 @@ fn protocol_cells() -> Sweep<RunReport> {
             run_hiergossip::<Average>(&cfg, seed)
         });
         sweep.push_seeded(&format!("flat/n={n}"), 2, 50, move |seed| {
-            run_flatgossip::<Average>(&cfg, seed)
+            Protocol::FlatGossip.run::<Average>(&cfg, seed)
         });
     }
     sweep

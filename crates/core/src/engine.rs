@@ -776,8 +776,18 @@ where
             .enumerate()
             .map(|(i, p)| {
                 if let (true, Some(est)) = (p.is_done(), p.estimate()) {
+                    // no vote counted twice, checked in every build: a
+                    // counted contributor set cannot see an overlap when
+                    // it merges, but one that lifts its count past the
+                    // group shows here
+                    let completeness = est.completeness(n);
+                    assert!(
+                        completeness <= 1.0,
+                        "member {i} completed with completeness {completeness} above 1: \
+                         a vote was counted twice"
+                    );
                     MemberOutcome::Completed {
-                        completeness: est.completeness(n),
+                        completeness,
                         value: est
                             .aggregate()
                             .map_or(f64::NAN, gridagg_aggregate::Aggregate::summary),
@@ -1113,9 +1123,10 @@ mod tests {
         }
     }
 
-    /// Queues the same fan-outs every round and never finishes.
+    /// Queues the same fan-outs every round and never finishes, or,
+    /// holding an estimate, is done with it from the start.
     #[derive(Debug)]
-    struct Script;
+    struct Script(Option<gridagg_aggregate::Tagged<Average>>);
 
     impl AggregationProtocol<Average> for Script {
         // fan-outs of different sizes back to back, singles in between
@@ -1135,13 +1146,13 @@ mod tests {
         ) {
         }
         fn estimate(&self) -> Option<&gridagg_aggregate::Tagged<Average>> {
-            None
+            self.0.as_ref()
         }
         fn is_done(&self) -> bool {
-            false
+            self.0.is_some()
         }
         fn completed_at(&self) -> Option<Round> {
-            None
+            self.0.as_ref().map(|_| 0)
         }
     }
 
@@ -1156,7 +1167,8 @@ mod tests {
             let net = SimNetwork::new(NetworkConfig::default(), 1);
             let failure = FailureProcess::new(FailureModel::None, n, 1);
             let mut trace = crate::trace::RunTrace::for_group(n);
-            Simulation::new(net, (0..n).map(|_| Script).collect(), failure, 1, 0.0, 1)
+            let members = (0..n).map(|_| Script(None)).collect();
+            Simulation::new(net, members, failure, 1, 0.0, 1)
                 .with_engine_jobs(jobs)
                 .run_with(&mut trace);
             let sends: Vec<_> = trace
@@ -1169,6 +1181,21 @@ mod tests {
                 .collect();
             assert_eq!(sends, charged.repeat(n), "jobs {jobs}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "above 1: a vote was counted twice")]
+    fn completeness_above_one_panics() {
+        let n = 4;
+        let vote = |i| gridagg_aggregate::Tagged::<Average>::from_vote(i, 1.0, n);
+        let mut est = vote(0);
+        for i in 1..=n {
+            est.try_merge(&vote(i)).expect("distinct members");
+        }
+        let net = SimNetwork::new(NetworkConfig::default(), 1);
+        let failure = FailureProcess::new(FailureModel::None, n, 1);
+        let members = (0..n).map(|_| Script(Some(est.clone()))).collect();
+        Simulation::new(net, members, failure, 1, 1.0, 1).run();
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! One-call run functions: config + seed → [`RunReport`].
+//! One-call runs: protocol + config + seed → [`RunReport`].
 //!
-//! Each function assembles the full stack — group, placement, scope
-//! index, lossy network, failure process, protocol instances — and runs
-//! it to completion. These are the entry points used by the examples and
-//! the figure-regeneration harness.
+//! [`Protocol`] is the one table of the paper's protocols. Its
+//! [`Protocol::run`] and [`Protocol::run_traced`] assemble the full
+//! stack — group, placement, scope index, lossy network, failure
+//! process, protocol instances — and run it to completion. Every
+//! harness (examples, figure binaries, tests) runs protocols through it.
 
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ use crate::hiergossip::HierGossip;
 use crate::metrics::RunReport;
 use crate::protocol::AggregationProtocol;
 use crate::scope::ScopeIndex;
-use crate::trace::RunTrace;
+use crate::trace::{NoTrace, RunTrace, TraceSink};
 
 /// Build the group for a config (positions included when the config
 /// needs topology awareness).
@@ -110,45 +111,115 @@ fn assemble<A: WireAggregate, P: AggregationProtocol<A> + Send>(
     .with_engine_jobs(cfg.engine_jobs)
 }
 
-/// Run `sim` with an in-memory [`RunTrace`] recorder attached. The
-/// report is identical to the untraced run of the same simulation —
-/// tracing observes the run without perturbing it.
-fn traced<A: WireAggregate, P: AggregationProtocol<A> + Send>(
-    cfg: &ExperimentConfig,
-    sim: Simulation<A, P>,
-) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = sim.run_with(&mut trace);
-    (report, trace)
+/// One of the paper's aggregation protocols (§4–§6), in the one table
+/// every harness runs them from. The baselines take their default
+/// parameters for a group of `cfg.n`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protocol {
+    /// Hierarchical Gossiping (§6.3), the paper's contribution.
+    HierGossip,
+    /// Leader election over the grid box hierarchy (§6.2) with
+    /// `committee` leaders per subtree (`K′`; 1 = single leader).
+    Leader {
+        /// Committee size `K′`.
+        committee: usize,
+    },
+    /// Everyone reports to one well-known leader (§5).
+    Centralized,
+    /// Fully distributed all-to-all (§4).
+    Flood,
+    /// Gossip with no hierarchy, the structure-free reference.
+    FlatGossip,
+}
+
+impl Protocol {
+    /// Every protocol, in the complexity table's row order (the single
+    /// leader stands for leader election).
+    pub const ALL: [Protocol; 5] = [
+        Protocol::HierGossip,
+        Protocol::Leader { committee: 1 },
+        Protocol::Centralized,
+        Protocol::Flood,
+        Protocol::FlatGossip,
+    ];
+
+    /// The name used on command lines, in CSVs and in the baselines.
+    pub fn name(self) -> &'static str {
+        match self {
+            Protocol::HierGossip => "hiergossip",
+            Protocol::Leader { .. } => "leader",
+            Protocol::Centralized => "centralized",
+            Protocol::Flood => "flood",
+            Protocol::FlatGossip => "flatgossip",
+        }
+    }
+
+    /// The protocol called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Protocol> {
+        Protocol::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    /// Run the protocol once at `cfg` and `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`ExperimentConfig::validate`].
+    pub fn run<A: WireAggregate>(self, cfg: &ExperimentConfig, seed: u64) -> RunReport {
+        self.run_with::<A, _>(cfg, seed, &mut NoTrace)
+    }
+
+    /// [`Protocol::run`] with an in-memory [`RunTrace`] recorder
+    /// attached. The report is identical to the untraced run's:
+    /// tracing observes the run without perturbing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`ExperimentConfig::validate`].
+    pub fn run_traced<A: WireAggregate>(
+        self,
+        cfg: &ExperimentConfig,
+        seed: u64,
+    ) -> (RunReport, RunTrace) {
+        let mut trace = RunTrace::for_group(cfg.n);
+        let report = self.run_with::<A, _>(cfg, seed, &mut trace);
+        (report, trace)
+    }
+
+    fn run_with<A: WireAggregate, S: TraceSink>(
+        self,
+        cfg: &ExperimentConfig,
+        seed: u64,
+        sink: &mut S,
+    ) -> RunReport {
+        match self {
+            Protocol::HierGossip => hiergossip::<A>(cfg, seed).run_with(sink),
+            Protocol::Leader { committee } => {
+                let le_cfg = LeaderElectionConfig {
+                    committee,
+                    ..Default::default()
+                };
+                leader::<A>(cfg, le_cfg, seed).run_with(sink)
+            }
+            Protocol::Centralized => {
+                centralized::<A>(cfg, CentralizedConfig::for_group(cfg.n), seed).run_with(sink)
+            }
+            Protocol::Flood => flood::<A>(cfg, FloodConfig::default(), seed).run_with(sink),
+            Protocol::FlatGossip => flatgossip::<A>(cfg, seed).run_with(sink),
+        }
+    }
 }
 
 /// Run the **Hierarchical Gossiping** protocol (the paper's §6.3
-/// contribution) once.
+/// contribution) once: [`Protocol::HierGossip`]'s row.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`ExperimentConfig::validate`].
 pub fn run_hiergossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> RunReport {
-    build_hiergossip_sim::<A>(cfg, seed).run()
+    Protocol::HierGossip.run::<A>(cfg, seed)
 }
 
-/// [`run_hiergossip`] with an in-memory [`RunTrace`] recorder attached,
-/// returning both the report and the collected trace.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`ExperimentConfig::validate`].
-pub fn run_hiergossip_traced<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> (RunReport, RunTrace) {
-    traced(cfg, build_hiergossip_sim::<A>(cfg, seed))
-}
-
-fn build_hiergossip_sim<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> Simulation<A, HierGossip<A>> {
+fn hiergossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> Simulation<A, HierGossip<A>> {
     let sim = assemble(cfg, seed, |group| {
         let index = build_index(cfg, group, seed);
         let mut view_rng = DetRng::seeded(seed).fork(0x7669_6577); // "view"
@@ -180,7 +251,8 @@ fn build_hiergossip_sim<A: WireAggregate>(
     }
 }
 
-/// Run the §4 fully distributed (flood) baseline once.
+/// Run the §4 fully distributed (flood) baseline once; kept for the
+/// `benchmark/` package, which calls it ([`Protocol::Flood`] otherwise).
 ///
 /// # Panics
 ///
@@ -190,23 +262,10 @@ pub fn run_flood<A: WireAggregate>(
     flood_cfg: FloodConfig,
     seed: u64,
 ) -> RunReport {
-    build_flood_sim::<A>(cfg, flood_cfg, seed).run()
+    flood::<A>(cfg, flood_cfg, seed).run()
 }
 
-/// [`run_flood`] with an in-memory [`RunTrace`] recorder attached.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation.
-pub fn run_flood_traced<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    flood_cfg: FloodConfig,
-    seed: u64,
-) -> (RunReport, RunTrace) {
-    traced(cfg, build_flood_sim::<A>(cfg, flood_cfg, seed))
-}
-
-fn build_flood_sim<A: WireAggregate>(
+fn flood<A: WireAggregate>(
     cfg: &ExperimentConfig,
     flood_cfg: FloodConfig,
     seed: u64,
@@ -222,7 +281,9 @@ fn build_flood_sim<A: WireAggregate>(
     })
 }
 
-/// Run the §5 centralized-leader baseline once.
+/// Run the §5 centralized-leader baseline once; kept for the
+/// `benchmark/` package, which calls it ([`Protocol::Centralized`]
+/// otherwise).
 ///
 /// # Panics
 ///
@@ -232,23 +293,10 @@ pub fn run_centralized<A: WireAggregate>(
     central_cfg: CentralizedConfig,
     seed: u64,
 ) -> RunReport {
-    build_centralized_sim::<A>(cfg, central_cfg, seed).run()
+    centralized::<A>(cfg, central_cfg, seed).run()
 }
 
-/// [`run_centralized`] with an in-memory [`RunTrace`] recorder attached.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation.
-pub fn run_centralized_traced<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    central_cfg: CentralizedConfig,
-    seed: u64,
-) -> (RunReport, RunTrace) {
-    traced(cfg, build_centralized_sim::<A>(cfg, central_cfg, seed))
-}
-
-fn build_centralized_sim<A: WireAggregate>(
+fn centralized<A: WireAggregate>(
     cfg: &ExperimentConfig,
     central_cfg: CentralizedConfig,
     seed: u64,
@@ -263,7 +311,9 @@ fn build_centralized_sim<A: WireAggregate>(
     })
 }
 
-/// Run the §6.2 hierarchical leader-election baseline once.
+/// Run the §6.2 hierarchical leader-election baseline once; kept for
+/// the `benchmark/` package, which calls it ([`Protocol::Leader`]
+/// otherwise).
 ///
 /// # Panics
 ///
@@ -273,24 +323,10 @@ pub fn run_leader_election<A: WireAggregate>(
     le_cfg: LeaderElectionConfig,
     seed: u64,
 ) -> RunReport {
-    build_leader_sim::<A>(cfg, le_cfg, seed).run()
+    leader::<A>(cfg, le_cfg, seed).run()
 }
 
-/// [`run_leader_election`] with an in-memory [`RunTrace`] recorder
-/// attached.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation.
-pub fn run_leader_election_traced<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    le_cfg: LeaderElectionConfig,
-    seed: u64,
-) -> (RunReport, RunTrace) {
-    traced(cfg, build_leader_sim::<A>(cfg, le_cfg, seed))
-}
-
-fn build_leader_sim<A: WireAggregate>(
+fn leader<A: WireAggregate>(
     cfg: &ExperimentConfig,
     le_cfg: LeaderElectionConfig,
     seed: u64,
@@ -309,31 +345,17 @@ fn build_leader_sim<A: WireAggregate>(
 }
 
 /// Run the flat-gossip (no hierarchy) ablation once, with the same round
-/// budget the hierarchical protocol would get.
+/// budget the hierarchical protocol would get; kept for the `benchmark/`
+/// package, which calls it ([`Protocol::FlatGossip`] otherwise).
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails validation.
 pub fn run_flatgossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> RunReport {
-    build_flatgossip_sim::<A>(cfg, seed).run()
+    flatgossip::<A>(cfg, seed).run()
 }
 
-/// [`run_flatgossip`] with an in-memory [`RunTrace`] recorder attached.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation.
-pub fn run_flatgossip_traced<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> (RunReport, RunTrace) {
-    traced(cfg, build_flatgossip_sim::<A>(cfg, seed))
-}
-
-fn build_flatgossip_sim<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> Simulation<A, FlatGossip<A>> {
+fn flatgossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> Simulation<A, FlatGossip<A>> {
     assemble(cfg, seed, |group| {
         let hierarchy = Hierarchy::for_group(cfg.k, cfg.n).expect("validated");
         let budget = hierarchy.phases() as u32 * cfg.hier_config().rounds_per_phase(cfg.n);
@@ -363,46 +385,50 @@ mod tests {
     }
 
     #[test]
+    fn names_round_trip_and_typos_are_none() {
+        for p in Protocol::ALL {
+            assert_eq!(Protocol::from_name(p.name()), Some(p));
+        }
+        assert_eq!(Protocol::from_name("hiergosip"), None);
+    }
+
+    // Flat gossip, the structure-free reference, is not expected to
+    // complete (see `flatgossip_less_complete_than_hier_at_scale`).
+    // Hierarchical gossip has a small residual straggler race even on a
+    // perfect network (a member can time a phase out one round before
+    // the rescuing reply lands), so it may land a hair below exact.
+    #[test]
     fn all_protocols_complete_on_perfect_network() {
         let cfg = perfect(64);
-        // hierarchical gossip has a small residual straggler race even
-        // on a perfect network (a member can time a phase out one round
-        // before the rescuing reply lands), so allow a hair below 1.0
-        let hier = run_hiergossip::<Average>(&cfg, 1);
-        assert!(hier.mean_completeness().unwrap() > 0.99);
-        let flood = run_flood::<Average>(&cfg, FloodConfig::default(), 1);
-        assert_eq!(flood.mean_completeness(), Some(1.0));
-        let central = run_centralized::<Average>(&cfg, CentralizedConfig::for_group(64), 1);
-        assert_eq!(central.mean_completeness(), Some(1.0));
-        let leader = run_leader_election::<Average>(&cfg, LeaderElectionConfig::default(), 1);
-        assert_eq!(leader.mean_completeness(), Some(1.0));
+        for p in Protocol::ALL {
+            let mc = p.run::<Average>(&cfg, 1).mean_completeness().unwrap();
+            match p {
+                Protocol::FlatGossip => {}
+                Protocol::HierGossip => assert!(mc > 0.99, "hiergossip {mc}"),
+                _ => assert_eq!(mc, 1.0, "{}", p.name()),
+            }
+        }
     }
 
     #[test]
     fn all_protocols_compute_the_true_average() {
         let cfg = perfect(32);
-        // deterministic protocols are exact; gossip is near-exact (see
-        // the straggler note above)
-        let hier = run_hiergossip::<Average>(&cfg, 2);
-        assert!(hier.mean_value_error().unwrap() < 1e-2);
-        for report in [
-            run_flood::<Average>(&cfg, FloodConfig::default(), 2),
-            run_centralized::<Average>(&cfg, CentralizedConfig::for_group(32), 2),
-            run_leader_election::<Average>(&cfg, LeaderElectionConfig::default(), 2),
-        ] {
-            assert!(
-                report.mean_value_error().unwrap() < 1e-12,
-                "error {:?}",
-                report.mean_value_error()
-            );
+        for p in Protocol::ALL {
+            let bound = match p {
+                Protocol::FlatGossip => continue,
+                Protocol::HierGossip => 1e-2,
+                _ => 1e-12,
+            };
+            let err = p.run::<Average>(&cfg, 2).mean_value_error().unwrap();
+            assert!(err < bound, "{}: error {err}", p.name());
         }
     }
 
     #[test]
     fn flatgossip_less_complete_than_hier_at_scale() {
         let cfg = ExperimentConfig::default().with_n(400);
-        let hier = run_hiergossip::<Average>(&cfg, 3);
-        let flat = run_flatgossip::<Average>(&cfg, 3);
+        let hier = Protocol::HierGossip.run::<Average>(&cfg, 3);
+        let flat = Protocol::FlatGossip.run::<Average>(&cfg, 3);
         assert!(
             hier.mean_completeness() > flat.mean_completeness(),
             "hier {:?} flat {:?}",
@@ -428,7 +454,7 @@ mod tests {
         let mut cfg = perfect(32);
         cfg.pf = 0.05;
         let wiped = (0..8).any(|seed| {
-            let report = run_centralized::<Average>(&cfg, CentralizedConfig::for_group(32), seed);
+            let report = Protocol::Centralized.run::<Average>(&cfg, seed);
             report.outcomes.iter().any(|o| {
                 matches!(o, MemberOutcome::Completed { completeness, .. }
                     if *completeness <= 2.0 / 32.0)
@@ -449,8 +475,8 @@ mod tests {
 
     /// Tracing perturbs no protocol: a trace-gated block that changed
     /// state or drew from an RNG would move the traced run's counters,
-    /// or a member's random stream, off the plain run's. Over what each
-    /// `run_*` / `run_*_traced` pair wraps; lossy and crashing, as
+    /// or a member's random stream, off the plain run's. Over every
+    /// builder behind [`Protocol::run_with`]; lossy and crashing, as
     /// `tests/engine_forkjoin.rs`.
     #[test]
     fn traced_runner_matches_plain_runner() {
@@ -458,7 +484,7 @@ mod tests {
             name: &str,
             sim: impl Fn() -> Simulation<Average, P>,
         ) {
-            let (plain, plain_streams) = sim().run_with_streams(&mut crate::trace::NoTrace);
+            let (plain, plain_streams) = sim().run_with_streams(&mut NoTrace);
             let mut trace = RunTrace::for_group(plain.n);
             let (traced, traced_streams) = sim().run_with_streams(&mut trace);
             assert_eq!(plain.rounds, traced.rounds, "{name}: rounds");
@@ -472,15 +498,33 @@ mod tests {
             assert!(!trace.is_empty(), "{name}: nothing traced");
         }
         let (cfg, s) = (&ExperimentConfig::default().with_n(192).with_pf(0.01), 41);
-        let (flood, central) = (FloodConfig::default(), CentralizedConfig::for_group(192));
-        let leader = LeaderElectionConfig::default();
-        check("hiergossip", || build_hiergossip_sim::<Average>(cfg, s));
-        check("flatgossip", || build_flatgossip_sim::<Average>(cfg, s));
-        check("flood", || build_flood_sim::<Average>(cfg, flood, s));
-        check("centralized", || {
-            build_centralized_sim::<Average>(cfg, central, s)
-        });
-        check("leader", || build_leader_sim::<Average>(cfg, leader, s));
+        let (fl, central) = (FloodConfig::default(), CentralizedConfig::for_group(192));
+        let le = LeaderElectionConfig::default();
+        check("hiergossip", || hiergossip::<Average>(cfg, s));
+        check("flatgossip", || flatgossip::<Average>(cfg, s));
+        check("flood", || flood::<Average>(cfg, fl, s));
+        check("centralized", || centralized::<Average>(cfg, central, s));
+        check("leader", || leader::<Average>(cfg, le, s));
+    }
+
+    /// The `run_*` functions the `benchmark/` package measures run
+    /// exactly their table rows at the default baseline configs.
+    #[test]
+    fn benchmark_wrappers_run_their_table_rows() {
+        let (cfg, s) = (&ExperimentConfig::default().with_n(192).with_pf(0.01), 41);
+        let wrappers = [
+            run_hiergossip::<Average>(cfg, s),
+            run_leader_election::<Average>(cfg, LeaderElectionConfig::default(), s),
+            run_centralized::<Average>(cfg, CentralizedConfig::for_group(192), s),
+            run_flood::<Average>(cfg, FloodConfig::default(), s),
+            run_flatgossip::<Average>(cfg, s),
+        ];
+        for (p, wrapped) in Protocol::ALL.into_iter().zip(wrappers) {
+            let row = p.run::<Average>(cfg, s);
+            assert_eq!(wrapped.rounds, row.rounds, "{}: rounds", p.name());
+            assert_eq!(wrapped.net, row.net, "{}: net", p.name());
+            assert_eq!(wrapped.outcomes, row.outcomes, "{}: outcomes", p.name());
+        }
     }
 
     #[test]

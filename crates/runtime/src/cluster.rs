@@ -303,21 +303,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
     }
 }
 
-/// Launch a cluster and immediately join it: the one-call entry point
-/// for running a whole group over localhost UDP.
-///
-/// # Errors
-///
-/// See [`Cluster::launch`].
-pub fn run_cluster<A: WireAggregate + Send + 'static>(
-    votes: Vec<f64>,
-    index: Arc<ScopeIndex>,
-    proto_cfg: HierGossipConfig,
-    rt_cfg: RuntimeConfig,
-) -> Result<ClusterRun<A>, RuntimeError> {
-    Ok(Cluster::launch(votes, index, proto_cfg, rt_cfg)?.join())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,7 +321,9 @@ mod tests {
     }
 
     fn run(n: usize, cfg: RuntimeConfig) -> ClusterRun<Average> {
-        run_cluster(votes(n), index(n), HierGossipConfig::default(), cfg).expect("run")
+        Cluster::launch(votes(n), index(n), HierGossipConfig::default(), cfg)
+            .expect("launch")
+            .join()
     }
 
     #[test]

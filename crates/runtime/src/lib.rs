@@ -32,7 +32,7 @@
 //!   simulator's `RunReport`.
 //!
 //! ```no_run
-//! use gridagg_runtime::{run_cluster, RuntimeConfig};
+//! use gridagg_runtime::{Cluster, RuntimeConfig};
 //! use gridagg_core::hiergossip::HierGossipConfig;
 //! use gridagg_core::scope::ScopeIndex;
 //! use gridagg_group::view::View;
@@ -44,12 +44,13 @@
 //! let h = Hierarchy::for_group(4, n).unwrap();
 //! let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 1));
 //! let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
-//! let run = run_cluster::<Average>(
+//! let cluster = Cluster::<Average>::launch(
 //!     votes,
 //!     index,
 //!     HierGossipConfig::default(),
 //!     RuntimeConfig::default(),
 //! )?;
+//! let run = cluster.join();
 //! assert_eq!(run.outcomes.len(), 32);
 //! # Ok(())
 //! # }
@@ -71,7 +72,7 @@ use gridagg_aggregate::Tagged;
 use gridagg_group::MemberId;
 use gridagg_simnet::loss::{LossModel, UniformLoss};
 
-pub use cluster::{run_cluster, Cluster, ClusterRun, RuntimeReport};
+pub use cluster::{Cluster, ClusterRun, RuntimeReport};
 pub use multiplex::WorkerStats;
 
 /// Wall-clock and multiplexing parameters of a real-network cluster.

@@ -16,7 +16,7 @@ use gridagg_core::hiergossip::HierGossipConfig;
 use gridagg_core::scope::ScopeIndex;
 use gridagg_group::view::View;
 use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
-use gridagg_runtime::{run_cluster, RuntimeConfig};
+use gridagg_runtime::{Cluster, RuntimeConfig};
 
 fn index(n: usize) -> Arc<ScopeIndex> {
     let h = Hierarchy::for_group(4, n).expect("shape");
@@ -48,8 +48,9 @@ fn one_run(seed: u64) {
         round_interval: Duration::from_millis(2),
         ..Default::default()
     };
-    let run = run_cluster::<Average>(votes, index(n), HierGossipConfig::default(), cfg)
-        .expect("cluster runs");
+    let run = Cluster::<Average>::launch(votes, index(n), HierGossipConfig::default(), cfg)
+        .expect("cluster launches")
+        .join();
     assert_eq!(run.report.reported, n);
 }
 

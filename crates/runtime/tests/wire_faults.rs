@@ -22,7 +22,7 @@ use gridagg_group::view::View;
 use gridagg_group::MemberId;
 use gridagg_hierarchy::{Addr, FairHashPlacement, Hierarchy};
 use gridagg_runtime::endpoint::push_frame;
-use gridagg_runtime::{run_cluster, Cluster, RuntimeConfig};
+use gridagg_runtime::{Cluster, RuntimeConfig};
 
 fn index(n: usize) -> Arc<ScopeIndex> {
     let h = Hierarchy::for_group(4, n).expect("shape");
@@ -41,8 +41,9 @@ fn converges_under_loss_and_reorder_together() {
         ..Default::default()
     }
     .with_uniform_loss(0.15);
-    let run = run_cluster::<Average>(votes, index(n), HierGossipConfig::default(), cfg)
-        .expect("cluster runs");
+    let run = Cluster::<Average>::launch(votes, index(n), HierGossipConfig::default(), cfg)
+        .expect("cluster launches")
+        .join();
     let r = &run.report;
     assert!(r.stats.injected_drops > 0, "loss model never fired");
     assert!(r.stats.reordered > 0, "reorder pocket never fired");

@@ -25,7 +25,7 @@ fn main() {
             run_hiergossip::<Average>(&cfg, seed)
         }));
         let central = summarize(&run_many(runs, 100, |seed| {
-            run_centralized::<Average>(&cfg, CentralizedConfig::for_group(cfg.n), seed)
+            Protocol::Centralized.run::<Average>(&cfg, seed)
         }));
         println!(
             "{:>8} {:>18.4e} {:>18.4e}",

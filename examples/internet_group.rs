@@ -15,43 +15,15 @@ fn main() {
     println!("N={n} processes, ucastl=0.25, pf=0.001 per round\n");
 
     let runs = 5;
-    let rows: Vec<(&str, Summary)> = vec![
-        (
-            "hierarchical gossip",
-            summarize(&run_many(runs, 1, |s| run_hiergossip::<Average>(&cfg, s))),
-        ),
-        (
-            "flood (all-to-all)",
-            summarize(&run_many(runs, 1, |s| {
-                run_flood::<Average>(&cfg, FloodConfig::default(), s)
-            })),
-        ),
-        (
-            "centralized leader",
-            summarize(&run_many(runs, 1, |s| {
-                run_centralized::<Average>(&cfg, CentralizedConfig::for_group(n), s)
-            })),
-        ),
-        (
-            "leader election",
-            summarize(&run_many(runs, 1, |s| {
-                run_leader_election::<Average>(&cfg, LeaderElectionConfig::default(), s)
-            })),
-        ),
-        (
-            "flat gossip",
-            summarize(&run_many(runs, 1, |s| run_flatgossip::<Average>(&cfg, s))),
-        ),
-    ];
-
     println!(
-        "{:<22} {:>15} {:>10} {:>10} {:>12}",
+        "{:<12} {:>15} {:>10} {:>10} {:>12}",
         "protocol", "incompleteness", "msgs/N", "rounds", "rel. error"
     );
-    for (name, s) in &rows {
+    for p in Protocol::ALL {
+        let s = summarize(&run_many(runs, 1, |seed| p.run::<Average>(&cfg, seed)));
         println!(
-            "{:<22} {:>15.3e} {:>10.1} {:>10.1} {:>12.2e}",
-            name,
+            "{:<12} {:>15.3e} {:>10.1} {:>10.1} {:>12.2e}",
+            p.name(),
             s.mean_incompleteness,
             s.mean_messages / n as f64,
             s.mean_rounds,

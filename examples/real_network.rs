@@ -12,7 +12,7 @@
 use gridagg::aggregate::Aggregate;
 use gridagg::core::scope::ScopeIndex;
 use gridagg::prelude::*;
-use gridagg_runtime::{run_cluster, RuntimeConfig, RuntimeError};
+use gridagg_runtime::{Cluster, RuntimeConfig, RuntimeError};
 
 fn main() -> Result<(), RuntimeError> {
     let n = 64;
@@ -32,7 +32,7 @@ fn main() -> Result<(), RuntimeError> {
         members_per_socket: 16,
         ..Default::default()
     };
-    match run_cluster::<Average>(
+    match Cluster::<Average>::launch(
         votes.clone(),
         index.clone(),
         HierGossipConfig::default(),
@@ -54,7 +54,7 @@ fn main() -> Result<(), RuntimeError> {
         "{n} members multiplexed over {} localhost sockets, 20% injected loss, 5ms rounds\n",
         cfg.sockets
     );
-    let run = run_cluster::<Average>(votes, index, HierGossipConfig::default(), cfg)?;
+    let run = Cluster::<Average>::launch(votes, index, HierGossipConfig::default(), cfg)?.join();
     let outcomes = &run.outcomes;
     let r = &run.report;
 

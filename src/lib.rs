@@ -64,9 +64,7 @@ pub mod prelude {
         run_continuous, ChurnEpochReport, ContinuousOptions, ContinuousOutcome, ContinuousProtocol,
     };
     pub use gridagg_core::periodic::VoteProcess;
-    pub use gridagg_core::runner::{
-        run_centralized, run_flatgossip, run_flood, run_hiergossip, run_leader_election,
-    };
+    pub use gridagg_core::runner::{run_hiergossip, Protocol};
     pub use gridagg_core::{
         run_many, summarize, AggregationProtocol, HierGossip, HierGossipConfig, MemberOutcome,
         RunReport, ScopeIndex, Simulation, Summary,

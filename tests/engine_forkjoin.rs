@@ -15,14 +15,10 @@
 //! just summary aggregates.
 
 use gridagg_aggregate::Average;
-use gridagg_core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::continuous::{run_continuous, ContinuousOptions, ContinuousProtocol};
 use gridagg_core::periodic::VoteProcess;
-use gridagg_core::runner::{
-    run_centralized_traced, run_flatgossip_traced, run_flood_traced, run_hiergossip_traced,
-    run_leader_election_traced,
-};
+use gridagg_core::runner::Protocol;
 use gridagg_core::trace::RunTrace;
 use gridagg_core::RunReport;
 use gridagg_group::membership::ChurnModel;
@@ -75,28 +71,15 @@ fn assert_identical(
 fn all_protocols_byte_identical_across_engine_threads() {
     let n = 192;
     let seed = 41;
-    type Traced = fn(&ExperimentConfig, u64) -> (RunReport, RunTrace);
-    let protocols: [(&str, Traced); 5] = [
-        ("hiergossip", |c, s| run_hiergossip_traced::<Average>(c, s)),
-        ("flatgossip", |c, s| run_flatgossip_traced::<Average>(c, s)),
-        ("flood", |c, s| {
-            run_flood_traced::<Average>(c, FloodConfig::default(), s)
-        }),
-        ("centralized", |c, s| {
-            run_centralized_traced::<Average>(c, CentralizedConfig::for_group(c.n), s)
-        }),
-        ("leader", |c, s| {
-            run_leader_election_traced::<Average>(c, LeaderElectionConfig::default(), s)
-        }),
-    ];
-    for (name, run) in protocols {
-        let serial = run(&cfg(n, 1), seed);
+    for p in Protocol::ALL {
+        let name = p.name();
+        let serial = p.run_traced::<Average>(&cfg(n, 1), seed);
         assert!(
             !serial.1.events.is_empty(),
             "{name}: traced serial run recorded no events — the comparison would be vacuous"
         );
         for jobs in THREADS {
-            let par = run(&cfg(n, jobs), seed);
+            let par = p.run_traced::<Average>(&cfg(n, jobs), seed);
             assert_identical(name, jobs, &serial, &par);
         }
     }

@@ -12,8 +12,6 @@
 //! Floats are compared as `u64` bit patterns (`f64::to_bits`), so even
 //! a last-ulp difference from a reordered fold fails loudly.
 
-use gridagg::core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
-use gridagg::core::runner::run_hiergossip_traced;
 use gridagg::core::trace::TraceEvent;
 use gridagg::core::RunReport;
 use gridagg::prelude::*;
@@ -136,7 +134,7 @@ fn traced_hiergossip_matches_untraced_and_seed_trace_counts() {
     // counts.
     for (n, seed, events) in [(64usize, 3u64, 5207usize), (256, 7, 27706)] {
         let plain = run_hiergossip::<Average>(&cfg(n), seed);
-        let (traced, trace) = run_hiergossip_traced::<Average>(&cfg(n), seed);
+        let (traced, trace) = Protocol::HierGossip.run_traced::<Average>(&cfg(n), seed);
         assert_eq!(plain.rounds, traced.rounds, "n={n}: rounds");
         assert_eq!(plain.net, traced.net, "n={n}: network stats");
         assert_eq!(plain.outcomes, traced.outcomes, "n={n}: outcomes");
@@ -173,7 +171,7 @@ fn event_driven_engine_trace_is_byte_identical() {
             0x75a4_7c5b_99cf_9b12,
         ),
     ] {
-        let (_, trace) = run_hiergossip_traced::<Average>(&cfg(n), seed);
+        let (_, trace) = Protocol::HierGossip.run_traced::<Average>(&cfg(n), seed);
         assert_eq!(trace.len(), events, "n={n}: trace event count");
         let hash = fnv(trace.events.iter().copied());
         assert_eq!(hash, fingerprint, "n={n}: trace fingerprint {hash:#x}");
@@ -272,7 +270,7 @@ fn flatgossip_matches_seed_behavior() {
             },
         ),
     ] {
-        let report = run_flatgossip::<Average>(&cfg(n), seed);
+        let report = Protocol::FlatGossip.run::<Average>(&cfg(n), seed);
         check("flat", n, seed, &report, &golden);
     }
 }
@@ -309,7 +307,7 @@ fn flood_matches_seed_behavior() {
             },
         ),
     ] {
-        let report = run_flood::<Average>(&cfg(n), FloodConfig::default(), seed);
+        let report = Protocol::Flood.run::<Average>(&cfg(n), seed);
         check("flood", n, seed, &report, &golden);
     }
 }
@@ -346,7 +344,7 @@ fn centralized_matches_seed_behavior() {
             },
         ),
     ] {
-        let report = run_centralized::<Average>(&cfg(n), CentralizedConfig::for_group(n), seed);
+        let report = Protocol::Centralized.run::<Average>(&cfg(n), seed);
         check("central", n, seed, &report, &golden);
     }
 }
@@ -383,7 +381,7 @@ fn leader_election_matches_seed_behavior() {
             },
         ),
     ] {
-        let report = run_leader_election::<Average>(&cfg(n), LeaderElectionConfig::default(), seed);
+        let report = Protocol::Leader { committee: 1 }.run::<Average>(&cfg(n), seed);
         check("leader", n, seed, &report, &golden);
     }
 }

@@ -97,14 +97,14 @@ fn larger_k_means_fewer_phases_and_taller_boxes() {
 
 #[test]
 fn all_protocols_agree_on_perfect_network() {
-    let n = 64;
-    let cfg = perfect(n);
-    let reports = [
-        run_hiergossip::<Average>(&cfg, 2),
-        run_flood::<Average>(&cfg, FloodConfig::default(), 2),
-        run_centralized::<Average>(&cfg, CentralizedConfig::for_group(n), 2),
-        run_leader_election::<Average>(&cfg, LeaderElectionConfig::default(), 2),
-    ];
+    let cfg = perfect(64);
+    // flat gossip, the structure-free reference, is not expected to
+    // complete
+    let reports: Vec<RunReport> = Protocol::ALL
+        .into_iter()
+        .filter(|&p| p != Protocol::FlatGossip)
+        .map(|p| p.run::<Average>(&cfg, 2))
+        .collect();
     let truth = reports[0].true_value;
     for r in &reports {
         assert_eq!(r.true_value, truth, "same group, same ground truth");
@@ -122,14 +122,7 @@ fn committee_variant_tolerates_single_leader_crash() {
     cfg.pf = 0.004;
     let avg = |committee: usize| {
         let reports = run_many(12, 77, |seed| {
-            run_leader_election::<Average>(
-                &cfg,
-                LeaderElectionConfig {
-                    committee,
-                    ..Default::default()
-                },
-                seed,
-            )
+            Protocol::Leader { committee }.run::<Average>(&cfg, seed)
         });
         summarize(&reports).mean_incompleteness
     };

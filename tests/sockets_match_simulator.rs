@@ -36,7 +36,7 @@ use gridagg::group::view::View;
 use gridagg::hierarchy::{FairHashPlacement, Hierarchy};
 use gridagg::prelude::*;
 use gridagg::runtime::endpoint::FRAME_HEADER_LEN;
-use gridagg::runtime::{run_cluster, RuntimeConfig};
+use gridagg::runtime::{Cluster, RuntimeConfig};
 
 /// Grid-box fan-in `K` of the hierarchy every shape runs on.
 const K: u8 = 4;
@@ -84,8 +84,9 @@ fn check(
         ..Default::default()
     }
     .with_uniform_loss(LOSS);
-    let run = run_cluster::<Average>(votes, index, HierGossipConfig::default(), cfg)
-        .expect("cluster runs");
+    let run = Cluster::<Average>::launch(votes, index, HierGossipConfig::default(), cfg)
+        .expect("cluster launches")
+        .join();
     let r = &run.report;
     let bytes_per_frame = r.stats.bytes_sent as f64 / r.stats.frames_sent.max(1) as f64;
 
