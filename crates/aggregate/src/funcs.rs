@@ -373,119 +373,6 @@ impl Aggregate for TopK {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fold<A: Aggregate>(votes: &[f64]) -> A {
-        let mut it = votes.iter();
-        let mut acc = A::from_vote(*it.next().expect("non-empty"));
-        for &v in it {
-            acc.merge(&A::from_vote(v));
-        }
-        acc
-    }
-
-    const VOTES: [f64; 6] = [3.0, -1.0, 4.0, 1.0, 5.0, 9.0];
-
-    #[test]
-    fn average_matches_direct() {
-        let a: Average = fold(&VOTES);
-        assert!((a.summary() - 3.5).abs() < 1e-12);
-        assert_eq!(a.count(), 6);
-        assert!((a.sum() - 21.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sum_count_min_max() {
-        assert_eq!(fold::<Sum>(&VOTES).summary(), 21.0);
-        assert_eq!(fold::<Count>(&VOTES).summary(), 6.0);
-        assert_eq!(fold::<Min>(&VOTES).summary(), -1.0);
-        assert_eq!(fold::<Max>(&VOTES).summary(), 9.0);
-    }
-
-    #[test]
-    fn meanvar_matches_two_pass() {
-        let mv: MeanVar = fold(&VOTES);
-        let mean = VOTES.iter().sum::<f64>() / VOTES.len() as f64;
-        let var = VOTES.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / VOTES.len() as f64;
-        assert!((mv.mean() - mean).abs() < 1e-12);
-        assert!((mv.variance() - var).abs() < 1e-9);
-        assert_eq!(mv.count(), 6);
-    }
-
-    #[test]
-    fn meanvar_merge_grouping_invariance() {
-        // ((a b) (c d e f)) == fold in order
-        let left: MeanVar = fold(&VOTES[..2]);
-        let right: MeanVar = fold(&VOTES[2..]);
-        let mut grouped = left;
-        grouped.merge(&right);
-        let folded: MeanVar = fold(&VOTES);
-        assert!((grouped.mean() - folded.mean()).abs() < 1e-12);
-        assert!((grouped.variance() - folded.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_empty_summary_is_nan() {
-        let a = Average { sum: 0.0, count: 0 };
-        assert!(a.summary().is_nan());
-    }
-
-    #[test]
-    fn histogram_counts_and_median() {
-        let h: Histogram16 = fold(&[10.0, 20.0, 30.0, 40.0, 50.0]);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 5);
-        let med = h.quantile(0.5);
-        assert!((25.0..=37.5).contains(&med), "median {med}");
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let h: Histogram16 = fold(&[-50.0, 500.0]);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
-    }
-
-    #[test]
-    fn histogram_quantile_extremes() {
-        let h: Histogram16 = fold(&[50.0]);
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
-    }
-
-    #[test]
-    fn topk_keeps_largest() {
-        let t: TopK = fold(&VOTES);
-        assert_eq!(t.items(), &[9.0, 5.0, 4.0, 3.0]);
-        assert_eq!(t.summary(), 9.0);
-    }
-
-    #[test]
-    fn topk_is_order_insensitive() {
-        let mut shuffled = VOTES;
-        shuffled.reverse();
-        assert_eq!(fold::<TopK>(&VOTES), fold::<TopK>(&shuffled));
-    }
-
-    #[test]
-    fn merge_commutes_for_all() {
-        fn comm<A: Aggregate>(x: f64, y: f64) {
-            let mut ab = A::from_vote(x);
-            ab.merge(&A::from_vote(y));
-            let mut ba = A::from_vote(y);
-            ba.merge(&A::from_vote(x));
-            assert_eq!(ab, ba, "{}", std::any::type_name::<A>());
-        }
-        comm::<Sum>(1.5, -2.0);
-        comm::<Count>(1.5, -2.0);
-        comm::<Min>(1.5, -2.0);
-        comm::<Max>(1.5, -2.0);
-        comm::<Average>(1.5, -2.0);
-        comm::<TopK>(1.5, -2.0);
-        comm::<Histogram16>(15.0, 85.0);
-    }
-}
-
 /// Logical OR over predicate votes: a vote is "true" iff non-zero.
 /// Answers queries like "is *any* sensor above the threshold?" with
 /// one byte of state.
@@ -548,45 +435,137 @@ impl Aggregate for All {
 }
 
 #[cfg(test)]
-mod bool_tests {
+mod tests {
     use super::*;
+    use crate::wire::{
+        decode_tagged, encode_tagged, tagged_len, WireAggregate, WireError, MAX_AGGREGATE_WIRE_SIZE,
+    };
+    use crate::{Tagged, VoteSet};
 
-    #[test]
-    fn any_is_or() {
-        let mut a = Any::from_vote(0.0);
-        assert!(!a.holds());
-        a.merge(&Any::from_vote(0.0));
-        assert!(!a.holds());
-        a.merge(&Any::from_vote(3.5));
-        assert!(a.holds());
-        a.merge(&Any::from_vote(0.0));
-        assert!(a.holds(), "OR is monotone");
-        assert_eq!(a.summary(), 1.0);
-    }
-
-    #[test]
-    fn all_is_and() {
-        let mut a = All::from_vote(1.0);
-        assert!(a.holds());
-        a.merge(&All::from_vote(2.0));
-        assert!(a.holds());
-        a.merge(&All::from_vote(0.0));
-        assert!(!a.holds());
-        a.merge(&All::from_vote(1.0));
-        assert!(!a.holds(), "AND is monotone");
-        assert_eq!(a.summary(), 0.0);
-    }
-
-    #[test]
-    fn bool_duality() {
-        // Any(v) == !All(!v) over the same votes
-        let votes = [0.0, 1.0, 0.0];
-        let mut any = Any::from_vote(votes[0]);
-        let mut all_negated = All::from_vote(if votes[0] == 0.0 { 1.0 } else { 0.0 });
-        for &v in &votes[1..] {
-            any.merge(&Any::from_vote(v));
-            all_negated.merge(&All::from_vote(if v == 0.0 { 1.0 } else { 0.0 }));
+    fn fold<A: Aggregate>(votes: &[f64]) -> A {
+        let mut it = votes.iter();
+        let mut acc = A::from_vote(*it.next().expect("non-empty"));
+        for &v in it {
+            acc.merge(&A::from_vote(v));
         }
-        assert_eq!(any.holds(), !all_negated.holds());
+        acc
+    }
+
+    fn merged<A: Aggregate>(mut a: A, b: &A) -> A {
+        a.merge(b);
+        a
+    }
+
+    fn close(got: f64, want: f64) -> bool {
+        (got - want).abs() < 1e-9
+    }
+
+    /// A zero among them, so `Any` and `All` differ.
+    const VOTES: [f64; 7] = [3.0, -1.0, 0.0, 4.0, 1.0, 5.0, 9.0];
+
+    /// `reads` holds for `A` of `VOTES` however they are ordered and
+    /// grouped: folded forwards and backwards, merged as two parts in
+    /// either order at every split (commutativity and grouping) and as
+    /// three parts both ways (associativity). And a `Tagged<A>`, exact or
+    /// counted, of 1 vote, of `VOTES` and on either side of a count's
+    /// varint widths, crosses the wire in one form: in the bytes
+    /// `tagged_len` counts, at most `MAX_AGGREGATE_WIRE_SIZE` of them its
+    /// value, back as the same value of the same count in a counted set,
+    /// and no shorter prefix of it decodes. An empty one is the one byte
+    /// 0.
+    fn law<A: WireAggregate>(reads: impl Fn(&A)) {
+        let name = std::any::type_name::<A>();
+        let n = VOTES.len();
+        let mut reversed = VOTES;
+        reversed.reverse();
+        reads(&fold::<A>(&VOTES));
+        reads(&fold::<A>(&reversed));
+        for i in 1..n {
+            let (left, right) = (fold::<A>(&VOTES[..i]), fold::<A>(&VOTES[i..]));
+            reads(&merged(left.clone(), &right));
+            reads(&merged(right, &left));
+            for j in i + 1..n {
+                let (mid, right) = (fold::<A>(&VOTES[i..j]), fold::<A>(&VOTES[j..]));
+                reads(&merged(merged(left.clone(), &mid), &right));
+                reads(&merged(left.clone(), &merged(mid, &right)));
+            }
+        }
+        for votes in [1, n, 127, 128, 16_383, 16_384] {
+            let mut exact = Tagged::<A>::empty(votes);
+            let mut counted = Tagged::<A>::from_parts(None, VoteSet::counted(0)).unwrap();
+            for m in 0..votes {
+                // spread over the histogram's range, zeros included
+                let vote = VOTES.get(m).copied().filter(|_| votes == n);
+                let vote = vote.unwrap_or((m * 37 % 1000) as f64 / 10.0);
+                exact.try_add_vote(m, vote).unwrap();
+                counted.try_add_vote(m, vote).unwrap();
+            }
+            let (mut buf, mut other) = (Vec::new(), Vec::new());
+            encode_tagged(&exact, &mut buf);
+            encode_tagged(&counted, &mut other);
+            assert_eq!(buf, other, "{name} of {votes}: one form for both sets");
+            assert_eq!(tagged_len(&exact), buf.len(), "{name} of {votes}");
+            let value = exact.aggregate().unwrap();
+            assert!(value.wire_size() <= MAX_AGGREGATE_WIRE_SIZE, "{name}");
+            let mut rest = buf.as_slice();
+            let back: Tagged<A> = decode_tagged(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{name} of {votes} left bytes behind");
+            assert_eq!(back.aggregate(), Some(value), "{name} of {votes}");
+            assert_eq!(back.vote_count(), votes);
+            assert!(!back.votes().is_exact(), "identity stays with the sender");
+            for cut in 0..buf.len() {
+                let got = decode_tagged::<A, _>(&mut &buf[..cut]).err();
+                assert_eq!(got, Some(WireError::Truncated), "{name} cut at {cut}");
+            }
+        }
+        let empty = Tagged::<A>::empty(64);
+        let mut buf = Vec::new();
+        encode_tagged(&empty, &mut buf);
+        assert_eq!((buf.as_slice(), tagged_len(&empty)), (&[0u8][..], 1));
+        let back: Tagged<A> = decode_tagged(&mut buf.as_slice()).unwrap();
+        assert_eq!((back.aggregate(), back.vote_count()), (None, 0));
+    }
+
+    /// Aggregation is a semigroup: each of the ten reads the same of
+    /// `VOTES` in any order and grouping, and keeps it across the wire.
+    #[test]
+    fn every_aggregate_merges_as_a_semigroup_and_roundtrips_at_its_count() {
+        law::<Average>(|a| {
+            assert!(close(a.summary(), 3.0) && close(a.sum(), 21.0));
+            assert_eq!(a.count(), 7);
+        });
+        law::<Sum>(|a| assert!(close(a.summary(), 21.0)));
+        law::<Count>(|a| assert_eq!(a.summary(), 7.0));
+        law::<Min>(|a| assert_eq!(a.summary(), -1.0));
+        law::<Max>(|a| assert_eq!(a.summary(), 9.0));
+        // the two-pass variance: squared deviations 70 over 7 votes
+        law::<MeanVar>(|a| {
+            assert!(close(a.mean(), 3.0) && close(a.variance(), 10.0));
+            assert_eq!(a.count(), 7);
+        });
+        // six votes below 6.25, the first clamped up into it, and the 9
+        law::<Histogram16>(|a| {
+            assert_eq!(a.buckets()[..2], [6, 1]);
+            assert_eq!(a.buckets().iter().sum::<u64>(), 7);
+            assert!((0.0..6.25).contains(&a.summary()));
+        });
+        law::<TopK>(|a| {
+            assert_eq!(a.items(), &[9.0, 5.0, 4.0, 3.0]);
+            assert_eq!(a.summary(), 9.0);
+        });
+        law::<Any>(|a| assert!(a.holds() && a.summary() == 1.0));
+        law::<All>(|a| assert!(!a.holds() && a.summary() == 0.0));
+        assert!(!fold::<Any>(&[0.0, 0.0]).holds());
+        assert!(fold::<All>(&[1.0, 2.0]).holds());
+        assert!(Average { sum: 0.0, count: 0 }.summary().is_nan());
+        // out of range clamps into the end buckets; the median lies in
+        // the bucket that holds it
+        let h: Histogram16 = fold(&[-50.0, 500.0]);
+        assert_eq!(h.buckets()[0], 1);
+        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+        let h: Histogram16 = fold(&[10.0, 20.0, 30.0, 40.0, 50.0]);
+        assert!((25.0..=37.5).contains(&h.summary()));
+        let h: Histogram16 = fold(&[50.0]);
+        assert!(h.quantile(0.0) <= h.quantile(1.0));
     }
 }

@@ -367,7 +367,7 @@ impl WireAggregate for All {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Tagged, VoteSet};
+    use crate::Tagged;
     use bytes::BytesMut;
 
     fn fold<A: Aggregate>(votes: &[f64]) -> A {
@@ -380,65 +380,6 @@ mod tests {
 
     const VOTES: [f64; 5] = [3.5, -2.0, 7.25, 0.0, 11.0];
     const FIVE: NonZeroU32 = NonZeroU32::new(5).unwrap();
-
-    /// Every aggregate, folded from 1 vote and from either side of the
-    /// varint widths of a count, in an exact and in a counted set, comes
-    /// back from the wire as the same value of the same count, in the
-    /// bytes `tagged_len` counts and at most `MAX_AGGREGATE_WIRE_SIZE`
-    /// of value.
-    #[test]
-    fn every_honest_aggregate_roundtrips_at_its_count() {
-        fn check<A: WireAggregate>() {
-            for votes in [1, 127, 128, 16_383, 16_384] {
-                let mut exact = Tagged::<A>::empty(votes);
-                let mut counted = Tagged::<A>::from_parts(None, VoteSet::counted(0)).unwrap();
-                for m in 0..votes {
-                    // spread over the histogram's range, zeros included
-                    let vote = (m * 37 % 1000) as f64 / 10.0;
-                    exact.try_add_vote(m, vote).unwrap();
-                    counted.try_add_vote(m, vote).unwrap();
-                }
-                let name = std::any::type_name::<A>();
-                for tagged in [exact, counted] {
-                    let mut buf = Vec::new();
-                    encode_tagged(&tagged, &mut buf);
-                    assert_eq!(tagged_len(&tagged), buf.len(), "{name} of {votes}");
-                    let value = tagged.aggregate().unwrap();
-                    assert!(value.wire_size() <= MAX_AGGREGATE_WIRE_SIZE, "{name}");
-                    let mut rest = buf.as_slice();
-                    let back: Tagged<A> = decode_tagged(&mut rest).unwrap();
-                    assert!(rest.is_empty(), "{name} of {votes} left bytes behind");
-                    assert_eq!(back.aggregate(), Some(value), "{name} of {votes}");
-                    assert_eq!(back.vote_count(), votes);
-                }
-            }
-        }
-        check::<Average>();
-        check::<Sum>();
-        check::<Min>();
-        check::<Max>();
-        check::<Count>();
-        check::<Histogram16>();
-        check::<TopK>();
-        check::<MeanVar>();
-        check::<Any>();
-        check::<All>();
-    }
-
-    #[test]
-    fn truncated_input_errors() {
-        let mut buf = BytesMut::new();
-        fold::<Average>(&VOTES).encode(&mut buf);
-        let mut short = buf.freeze().slice(0..5);
-        assert_eq!(Average::decode(FIVE, &mut short), Err(WireError::Truncated));
-        let mut empty = bytes::Bytes::new();
-        assert_eq!(Sum::decode(FIVE, &mut empty), Err(WireError::Truncated));
-        assert_eq!(TopK::decode(FIVE, &mut empty), Err(WireError::Truncated));
-        let mut buf = Vec::new();
-        fold::<Histogram16>(&VOTES).encode(&mut buf);
-        let got = Histogram16::decode(FIVE, &mut &buf[..buf.len() - 1]);
-        assert_eq!(got, Err(WireError::Truncated));
-    }
 
     #[test]
     fn malformed_input_errors() {
@@ -517,34 +458,6 @@ mod tests {
         assert!(WireError::Truncated.to_string().contains("short"));
         assert!(WireError::Malformed.to_string().contains("malformed"));
     }
-
-    #[test]
-    fn tagged_roundtrips_exact_and_counted() {
-        // both local representations cross the wire as count + value,
-        // in the same bytes, however many contributors there are
-        let n = crate::EXACT_TRACK_MAX + 1;
-        let mut counted = Tagged::<Average>::empty_for_scale(n);
-        let mut exact = Tagged::<Average>::empty(n);
-        for m in 0..100 {
-            let vote = m as f64;
-            counted
-                .try_merge(&Tagged::from_vote_for_scale(m, vote, n))
-                .unwrap();
-            exact.try_merge(&Tagged::from_vote(m, vote, n)).unwrap();
-        }
-        assert!(exact.votes().is_exact() && !counted.votes().is_exact());
-        let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
-        encode_tagged(&exact, &mut a);
-        encode_tagged(&counted, &mut b);
-        assert_eq!(a, b, "one wire form for both representations");
-        // the count 100 in one varint byte, then the sum
-        assert_eq!(a.len(), 1 + 8);
-        assert_eq!(tagged_len(&exact), a.len());
-        let a = a.freeze();
-        assert_eq!(a.slice(0..1).get_u8(), 100);
-        let back: Tagged<Average> = decode_tagged(&mut a.clone()).unwrap();
-        assert_eq!(back, counted);
-    }
 }
 
 /// Encode a [`Tagged`](crate::Tagged) aggregate as
@@ -612,31 +525,6 @@ pub fn decode_tagged<A: WireAggregate, B: Buf>(buf: &mut B) -> Result<crate::Tag
 mod tagged_wire_tests {
     use super::*;
     use crate::{Average, DoubleCount, Tagged, VoteSet};
-    use bytes::BytesMut;
-
-    #[test]
-    fn tagged_roundtrip() {
-        let mut t = Tagged::<Average>::from_vote(3, 10.0, 256);
-        t.try_merge(&Tagged::from_vote(200, 30.0, 256)).unwrap();
-        let mut buf = BytesMut::new();
-        encode_tagged(&t, &mut buf);
-        let back: Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
-        assert_eq!(back.vote_count(), 2);
-        assert!(!back.votes().is_exact(), "identity stays with the sender");
-        assert_eq!(back.aggregate().unwrap().summary(), 20.0);
-    }
-
-    #[test]
-    fn empty_tagged_roundtrip() {
-        let t = Tagged::<Average>::empty(64);
-        let mut buf = BytesMut::new();
-        encode_tagged(&t, &mut buf);
-        // a zero count and nothing else
-        assert_eq!((buf.len(), tagged_len(&t)), (1, 1));
-        let back: Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
-        assert!(back.aggregate().is_none());
-        assert_eq!(back.vote_count(), 0);
-    }
 
     #[test]
     fn mismatched_value_and_set_rejected() {
@@ -695,43 +583,5 @@ mod tagged_wire_tests {
             assert!(rest.is_empty(), "{value} left bytes behind");
         }
         assert_eq!(cases[9].1.len(), MAX_VARINT_LEN);
-    }
-
-    #[test]
-    fn overlong_past_u32_and_cut_varints_are_rejected() {
-        let rejected: [(&[u8], WireError); 9] = [
-            // overlong: 0, 127 and 1 with a padding byte, 0 in five bytes
-            (&[0x80, 0x00], WireError::Malformed),
-            (&[0xFF, 0x00], WireError::Malformed),
-            (&[0x81, 0x80, 0x00], WireError::Malformed),
-            (&[0x80, 0x80, 0x80, 0x80, 0x00], WireError::Malformed),
-            // past `u32::MAX`: 2^32, and a sixth byte
-            (&[0x80, 0x80, 0x80, 0x80, 0x10], WireError::Malformed),
-            (&[0xFF, 0xFF, 0xFF, 0xFF, 0x8F, 0x00], WireError::Malformed),
-            // cut mid-varint
-            (&[], WireError::Truncated),
-            (&[0x80], WireError::Truncated),
-            (&[0xFF, 0xFF, 0xFF, 0xFF], WireError::Truncated),
-        ];
-        for (bytes, err) in rejected {
-            assert_eq!(get_varint(&mut &bytes[..]), Err(err), "{bytes:02x?}");
-        }
-        // as an aggregate's count too
-        let buf = [0x80, 0x00];
-        let r: Result<Tagged<Average>, _> = decode_tagged(&mut buf.as_slice());
-        assert_eq!(r, Err(WireError::Malformed));
-    }
-
-    #[test]
-    fn truncated_tagged_rejected() {
-        let t = Tagged::<Average>::from_vote(0, 1.0, 64);
-        let mut buf = BytesMut::new();
-        encode_tagged(&t, &mut buf);
-        let full = buf.freeze();
-        for cut in 0..full.len() {
-            let mut short = full.slice(0..cut);
-            let r: Result<Tagged<Average>, _> = decode_tagged(&mut short);
-            assert!(r.is_err(), "cut at {cut} should fail");
-        }
     }
 }

@@ -838,17 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn starts_in_phase_one_with_own_vote() {
-        let idx = index(16, 2);
-        let p: HierGossip<Average> =
-            HierGossip::new(MemberId(3), 42.0, idx, HierGossipConfig::default());
-        assert_eq!(p.phase(), 1);
-        assert!(!p.is_done());
-        assert!(p.estimate().is_none());
-        assert_eq!(p.known_votes.len(), 1);
-    }
-
-    #[test]
     fn solo_run_times_out_through_all_phases() {
         // Without any delivered messages, the member still terminates
         // after phases × rounds_per_phase rounds with its own vote only.
@@ -857,6 +846,9 @@ mod tests {
         let cfg = HierGossipConfig::default();
         let rpp = cfg.rounds_per_phase(16);
         let mut p: HierGossip<Average> = HierGossip::new(MemberId(0), 5.0, idx, cfg);
+        // it starts in phase 1 knowing its own vote, with no estimate
+        assert_eq!((p.phase(), p.known_votes.len()), (1, 1));
+        assert!(!p.is_done() && p.estimate().is_none());
         let mut rng = ctx_rng();
         let mut out = Outbox::new();
         let mut round = 0;
@@ -874,23 +866,38 @@ mod tests {
 
     #[test]
     fn phase_one_gossip_targets_own_box() {
+        // with no vote delivered, a batch holds only the member's own,
+        // and `One` sends single votes
         let idx = index(64, 4);
         let me = MemberId(0);
         let my_box = idx.box_of(me);
-        let mut p: HierGossip<Average> =
-            HierGossip::new(me, 1.0, idx.clone(), HierGossipConfig::default());
-        let mut rng = ctx_rng();
-        let mut out = Outbox::new();
-        for round in 0..3 {
-            let mut ctx = Ctx::new(round, &mut rng);
-            p.on_round(&mut ctx, &mut out);
-        }
-        for (to, payload) in out.drain() {
-            assert_eq!(idx.box_of(to), my_box, "phase-1 gossip left the box");
-            assert!(matches!(
-                payload,
-                Payload::Vote { .. } | Payload::VoteBatch { .. }
-            ));
+        for exchange in [Exchange::Batch, Exchange::One] {
+            let cfg = HierGossipConfig {
+                exchange,
+                ..Default::default()
+            };
+            let mut p: HierGossip<Average> = HierGossip::new(me, 1.0, idx.clone(), cfg);
+            let mut rng = ctx_rng();
+            let mut out = Outbox::new();
+            for round in 0..3 {
+                let mut ctx = Ctx::new(round, &mut rng);
+                p.on_round(&mut ctx, &mut out);
+            }
+            for (to, payload) in out.drain() {
+                assert_eq!(idx.box_of(to), my_box, "phase-1 gossip left the box");
+                match (exchange, payload) {
+                    (Exchange::One, Payload::Vote { .. }) => {}
+                    (
+                        Exchange::Batch,
+                        Payload::VoteBatch {
+                            votes,
+                            skip: 0,
+                            reply: false,
+                        },
+                    ) => assert_eq!(votes.len(), 1),
+                    (_, other) => panic!("{exchange:?} sent {other:?}"),
+                }
+            }
         }
     }
 
@@ -980,47 +987,6 @@ mod tests {
             }
         }
         held
-    }
-
-    #[test]
-    fn irrelevant_aggregate_rejected() {
-        let idx = index(64, 2); // depth 5
-        let me = MemberId(0);
-        let my_box = idx.box_of(me);
-        // a prefix whose parent does NOT contain my box
-        let other_top = if my_box.digit(0) == 0 { 1 } else { 0 };
-        let foreign = Addr::root(2).unwrap().child(other_top).unwrap();
-        let foreign = foreign.child(0).unwrap();
-        assert!(!foreign.parent().unwrap().contains(&my_box));
-        let mut p: HierGossip<Average> = HierGossip::new(me, 1.0, idx, HierGossipConfig::default());
-        let mut rng = ctx_rng();
-        let mut out = Outbox::new();
-        let mut ctx = Ctx::new(0, &mut rng);
-        let agg = counted(1);
-        let agg_at = |subtree| Payload::Agg {
-            subtree,
-            agg: agg.clone(),
-        };
-        let row_of = |parent: Addr, k: u8| -> Payload<Average> {
-            Payload::agg_batch(parent, (0..k).map(|_| Some(agg.clone())).collect(), false)
-        };
-        let root = Addr::root(2).unwrap();
-        let mut ignored = vec![agg_at(foreign), row_of(foreign.parent().unwrap(), 2)];
-        // my own box plus one digit: its parent contains my box, but it
-        // is deeper than any slot — dropped, not indexed
-        ignored.extend(my_box.children().map(agg_at));
-        ignored.push(row_of(my_box, 2));
-        // the root is nobody's child, and another base is another
-        // hierarchy
-        ignored.extend([agg_at(root), row_of(Addr::root(4).unwrap(), 4)]);
-        for payload in ignored {
-            p.on_message(MemberId(1), payload, &mut ctx, &mut out);
-        }
-        assert!(held(&p).is_empty());
-        assert!(out.is_empty(), "an ignored push is not answered either");
-        // the same push, K wide, to a chain parent is learned
-        p.on_message(MemberId(1), row_of(root, 2), &mut ctx, &mut out);
-        assert_eq!(held(&p).len(), 2);
     }
 
     #[test]
@@ -1545,49 +1511,6 @@ mod tests {
     }
 
     #[test]
-    fn one_mode_sends_single_values() {
-        let cfg = HierGossipConfig {
-            exchange: Exchange::One,
-            ..Default::default()
-        };
-        let idx = index(64, 4);
-        let mut p: HierGossip<Average> = HierGossip::new(MemberId(0), 1.0, idx, cfg);
-        let mut rng = ctx_rng();
-        let mut out = Outbox::new();
-        for round in 0..3 {
-            let mut ctx = Ctx::new(round, &mut rng);
-            p.on_round(&mut ctx, &mut out);
-        }
-        for (_, payload) in out.drain() {
-            assert!(
-                matches!(payload, Payload::Vote { .. }),
-                "One mode must send single votes in phase 1"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_mode_sends_vote_batches() {
-        let idx = index(64, 4);
-        let mut p: HierGossip<Average> =
-            HierGossip::new(MemberId(0), 1.0, idx, HierGossipConfig::default());
-        let mut rng = ctx_rng();
-        let mut out = Outbox::new();
-        let mut ctx = Ctx::new(0, &mut rng);
-        p.on_round(&mut ctx, &mut out);
-        for (_, payload) in out.drain() {
-            match payload {
-                Payload::VoteBatch { votes, skip, reply } => {
-                    assert_eq!(votes.len(), 1, "only own vote known at round 0");
-                    assert!(!reply);
-                    assert_eq!(skip, 0);
-                }
-                other => panic!("expected VoteBatch, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn push_from_behind_peer_gets_reply() {
         let idx = index(64, 4);
         let me = MemberId(0);
@@ -1717,6 +1640,12 @@ mod tests {
             let msgs: Vec<_> = out.drain().collect();
             assert_eq!(msgs.len(), 1, "done member must still serve state");
         }
+        // but its estimate learns nothing more
+        let before = p.estimate().unwrap().vote_count();
+        let (member, value) = (MemberId(1), 5.0);
+        let mut ctx = Ctx::new(12, &mut rng);
+        p.on_message(member, Payload::Vote { member, value }, &mut ctx, &mut out);
+        assert_eq!(p.estimate().unwrap().vote_count(), before);
     }
 
     #[test]
@@ -1774,34 +1703,5 @@ mod tests {
         for w in p.trace.windows(2) {
             assert!(w[1].votes >= w[0].votes);
         }
-    }
-
-    #[test]
-    fn estimate_ignores_messages_after_done() {
-        let idx = index(4, 2);
-        let cfg = HierGossipConfig {
-            rounds_per_phase: Some(1),
-            ..Default::default()
-        };
-        let mut p: HierGossip<Average> = HierGossip::new(MemberId(0), 1.0, idx, cfg);
-        let mut rng = ctx_rng();
-        let mut out = Outbox::new();
-        for round in 0..10 {
-            let mut ctx = Ctx::new(round, &mut rng);
-            p.on_round(&mut ctx, &mut out);
-        }
-        assert!(p.is_done());
-        let before = p.estimate().unwrap().vote_count();
-        let mut ctx = Ctx::new(11, &mut rng);
-        p.on_message(
-            MemberId(1),
-            Payload::Vote {
-                member: MemberId(1),
-                value: 5.0,
-            },
-            &mut ctx,
-            &mut out,
-        );
-        assert_eq!(p.estimate().unwrap().vote_count(), before);
     }
 }

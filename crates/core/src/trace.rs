@@ -569,30 +569,6 @@ impl ToJson for RunTrace {
     }
 }
 
-/// Element-wise mean of several incompleteness curves, extended to the
-/// longest curve's length (shorter runs hold their final value, i.e.
-/// the run had already converged).
-pub fn mean_curve(curves: &[Vec<f64>]) -> Vec<f64> {
-    let len = curves.iter().map(Vec::len).max().unwrap_or(0);
-    if len == 0 {
-        return Vec::new();
-    }
-    let mut out = vec![0.0; len];
-    for curve in curves {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let v = curve
-                .get(i)
-                .or_else(|| curve.last())
-                .copied()
-                .unwrap_or(1.0);
-            *slot += v;
-        }
-    }
-    let n = curves.len().max(1) as f64;
-    out.iter_mut().for_each(|v| *v /= n);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,17 +683,6 @@ mod tests {
         let terms = t.terminations();
         assert_eq!(terms[0], None);
         assert_eq!(terms[1], Some((7, 0.5)));
-    }
-
-    #[test]
-    fn mean_curve_extends_short_runs() {
-        let curves = vec![vec![1.0, 0.0], vec![1.0, 0.5, 0.25]];
-        let mean = mean_curve(&curves);
-        assert_eq!(mean.len(), 3);
-        assert!((mean[0] - 1.0).abs() < 1e-12);
-        assert!((mean[1] - 0.25).abs() < 1e-12);
-        // short run holds its last value 0.0
-        assert!((mean[2] - 0.125).abs() < 1e-12);
     }
 
     #[test]

@@ -175,33 +175,6 @@ impl Hierarchy {
         addr.prefix(self.depth() + 1 - phase)
     }
 
-    /// The child prefixes whose aggregates a phase-`i` member combines:
-    /// the `K` children of the phase scope (length `depth + 2 − i`).
-    /// For phase 1 the "children" are individual member votes, so this is
-    /// only meaningful for `phase >= 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phase < 2` or out of range, or `addr` is not a box
-    /// address.
-    pub fn phase_children(&self, addr: &Addr, phase: usize) -> Vec<Addr> {
-        assert!(phase >= 2, "phase 1 gossips votes, not child aggregates");
-        self.scope(addr, phase).children().collect()
-    }
-
-    /// The child prefix of the phase scope that contains `addr` itself —
-    /// the subtree whose aggregate this member computed in the previous
-    /// phase.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Hierarchy::phase_children`].
-    pub fn own_child(&self, addr: &Addr, phase: usize) -> Addr {
-        assert!(phase >= 2, "phase 1 has no child subtrees");
-        let _ = self.scope(addr, phase); // range-check phase
-        addr.prefix(self.depth() + 2 - phase)
-    }
-
     /// Whether two boxes fall in the same phase-`i` scope.
     pub fn same_scope(&self, a: &Addr, b: &Addr, phase: usize) -> bool {
         self.scope(a, phase).contains(b)
@@ -305,33 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_children_are_scope_children() {
-        let h = Hierarchy::for_group(2, 8).unwrap();
-        let b10 = h.box_at(2);
-        let kids: Vec<String> = h
-            .phase_children(&b10, 2)
-            .iter()
-            .map(|a| a.display_depth(2))
-            .collect();
-        assert_eq!(kids, ["10", "11"]);
-        let kids3: Vec<String> = h
-            .phase_children(&b10, 3)
-            .iter()
-            .map(|a| a.display_depth(2))
-            .collect();
-        assert_eq!(kids3, ["0*", "1*"]);
-    }
-
-    #[test]
-    fn own_child_is_previous_phase_scope() {
-        let h = Hierarchy::for_group(2, 8).unwrap();
-        let b10 = h.box_at(2);
-        for phase in 2..=h.phases() {
-            assert_eq!(h.own_child(&b10, phase), h.scope(&b10, phase - 1));
-        }
-    }
-
-    #[test]
     fn same_scope_symmetry() {
         let h = Hierarchy::for_group(2, 8).unwrap();
         let b00 = h.box_at(0);
@@ -349,14 +295,6 @@ mod tests {
         let h = Hierarchy::for_group(2, 8).unwrap();
         let b = h.box_at(0);
         let _ = h.scope(&b, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "phase 1 gossips votes")]
-    fn phase_children_rejects_phase_one() {
-        let h = Hierarchy::for_group(2, 8).unwrap();
-        let b = h.box_at(0);
-        let _ = h.phase_children(&b, 1);
     }
 
     #[test]

@@ -103,12 +103,6 @@ impl Placement for ExplicitPlacement {
     }
 }
 
-/// Precompute the box of every member in a dense table (protocols call
-/// placement in inner loops; a table lookup is cheaper than re-hashing).
-pub fn placement_table(placement: &dyn Placement, n: usize) -> Vec<Addr> {
-    (0..n).map(|i| placement.place(NodeId(i as u32))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,15 +178,6 @@ mod tests {
         let hier = Hierarchy::for_group(2, 8).unwrap();
         let short = Addr::from_digits(2, &[1]).unwrap();
         let _ = ExplicitPlacement::new(hier, vec![short]);
-    }
-
-    #[test]
-    fn placement_table_matches_place() {
-        let p = FairHashPlacement::new(h(), 3);
-        let t = placement_table(&p, 50);
-        for (i, addr) in t.iter().enumerate() {
-            assert_eq!(*addr, p.place(NodeId(i as u32)));
-        }
     }
 
     #[test]

@@ -32,6 +32,19 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
+/// The thread count once it is back to `want`, or as it reads after
+/// 2 s: a joined thread can still be counted until the kernel reaps it,
+/// while a leaked one never leaves.
+fn thread_count_settled_at(want: usize) -> usize {
+    for _ in 0..200 {
+        if thread_count() == want {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    thread_count()
+}
+
 fn fd_count() -> usize {
     std::fs::read_dir("/proc/self/fd")
         .expect("read /proc/self/fd")
@@ -65,7 +78,7 @@ fn repeated_start_stop_leaks_no_threads_or_sockets() {
     for seed in 0..3 {
         one_run(seed);
         assert_eq!(
-            thread_count(),
+            thread_count_settled_at(threads_before),
             threads_before,
             "worker thread leaked by run {seed}"
         );

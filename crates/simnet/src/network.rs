@@ -59,6 +59,10 @@ pub enum SendOutcome {
     DroppedLoss,
 }
 
+/// Radio range that turns the distance between two positions into a hop
+/// count in the load accounting.
+const HOP_RANGE: f64 = 0.125;
+
 /// Static configuration of a [`SimNetwork`].
 ///
 /// Built with a non-consuming builder per Rust API conventions:
@@ -78,7 +82,6 @@ pub struct NetworkConfig {
     delay: Box<dyn DelayModel>,
     bandwidth_cap: Option<u32>,
     positions: Option<Vec<Position>>,
-    hop_range: f64,
 }
 
 impl Default for NetworkConfig {
@@ -88,7 +91,6 @@ impl Default for NetworkConfig {
             delay: Box::new(NextRound),
             bandwidth_cap: None,
             positions: None,
-            hop_range: 0.125,
         }
     }
 }
@@ -122,12 +124,6 @@ impl NetworkConfig {
     /// Provide node positions, enabling per-distance load accounting.
     pub fn with_positions(mut self, positions: Vec<Position>) -> Self {
         self.positions = Some(positions);
-        self
-    }
-
-    /// Radio range used to convert distance to hop counts in accounting.
-    pub fn with_hop_range(mut self, range: f64) -> Self {
-        self.hop_range = range.max(1e-6);
         self
     }
 
@@ -217,7 +213,7 @@ impl<P> SimNetwork<P> {
             if let (Some(a), Some(b)) = (pos.get(from.index()), pos.get(to.index())) {
                 let d = a.distance(b);
                 self.stats.load_by_distance[distance_bucket(d)] += 1;
-                self.stats.total_hops += hops(d, self.cfg.hop_range) as u64;
+                self.stats.total_hops += hops(d, HOP_RANGE) as u64;
             }
         }
 
@@ -425,13 +421,13 @@ mod tests {
     #[test]
     fn distance_accounting_with_positions() {
         let pos = vec![Position::new(0.0, 0.0), Position::new(1.0, 1.0)];
-        let cfg = NetworkConfig::default()
-            .with_positions(pos)
-            .with_hop_range(0.25);
+        let cfg = NetworkConfig::default().with_positions(pos);
         let mut net: SimNetwork<u32> = SimNetwork::new(cfg, 7);
         net.send(0, NodeId(0), NodeId(1), 1, 8);
         assert_eq!(net.stats().load_by_distance.iter().sum::<u64>(), 1);
-        assert!(net.stats().total_hops >= 5); // sqrt(2)/0.25 ≈ 5.66 → 6 hops
+        // sqrt(2) apart: 11.3 ranges, so 12 hops
+        let ranges = 2f64.sqrt() / HOP_RANGE;
+        assert_eq!(net.stats().total_hops, ranges.ceil() as u64);
     }
 
     #[test]
