@@ -184,8 +184,8 @@ const PROTOCOLS: [ProtocolSpec; 5] = [
     ProtocolSpec {
         protocol: Protocol::Leader { committee: 1 },
         max_n: 262_144,
-        cap_reason: "peak heap is already ~616 MB at N=262144: every member keeps \
-                     depth*K + 1 aggregate slots, so the next rung needs over 2 GB",
+        cap_reason: "peak heap is already ~455 MB at N=262144: every member keeps \
+                     depth*K + 1 aggregate slots, so the next rung needs about 1.8 GB",
     },
 ];
 

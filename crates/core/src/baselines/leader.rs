@@ -22,7 +22,6 @@
 //! rounds each (members retransmit within a phase to tolerate loss),
 //! then `depth + 1` downward dissemination steps of `phase_len` rounds.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use gridagg_aggregate::{Aggregate, Tagged};
@@ -138,9 +137,9 @@ pub struct LeaderElection<A> {
     index: Arc<ScopeIndex>,
     directory: Arc<LeaderDirectory>,
     my_box: Addr,
-    /// votes gathered as a box-committee member
+    /// votes gathered as a box-committee member: one box's, each
+    /// member's once, so the list is also their dedup
     votes: Vec<(MemberId, f64)>,
-    have_vote: BTreeSet<u32>,
     /// Child-subtree aggregates gathered as a committee member, and the
     /// compositions `compose_own` caches: one slot per address of this
     /// member's chain, the only addresses it ever stores. The root is
@@ -164,8 +163,6 @@ impl<A: Aggregate> LeaderElection<A> {
         cfg: LeaderElectionConfig,
     ) -> Self {
         let my_box = index.box_of(me);
-        let mut have_vote = BTreeSet::new();
-        have_vote.insert(me.0);
         LeaderElection {
             me,
             n: index.len(),
@@ -175,7 +172,6 @@ impl<A: Aggregate> LeaderElection<A> {
             directory,
             my_box,
             votes: vec![(me, vote)],
-            have_vote,
             aggs: vec![None; my_box.len() * usize::from(my_box.base()) + 1],
             result: None,
             done_at: None,
@@ -220,7 +216,7 @@ impl<A: Aggregate> LeaderElection<A> {
         }
         #[expect(
             clippy::disallowed_methods,
-            reason = "counted sets are exact here: `have_vote` dedupes committee votes and child slots adopt first-reception-wins, so merges are structurally disjoint"
+            reason = "counted sets are exact here: `on_message` admits a committee vote once and child slots adopt first-reception-wins, so merges are structurally disjoint"
         )]
         let mut composed = Tagged::<A>::empty_for_scale(self.n);
         if len == self.depth() {
@@ -377,7 +373,9 @@ impl<A: Aggregate> AggregationProtocol<A> for LeaderElection<A> {
         }
         let changed = match payload {
             Payload::Vote { member, value } => {
-                if self.index.box_of(member) == self.my_box && self.have_vote.insert(member.0) {
+                if self.index.box_of(member) == self.my_box
+                    && !self.votes.iter().any(|&(m, _)| m == member)
+                {
                     self.votes.push((member, value));
                     true
                 } else {
