@@ -109,14 +109,7 @@ fn summarize_cells(outcomes: &[ContinuousOutcome]) -> CellSummary {
 }
 
 fn main() {
-    // Engine threads compose with the sweep width (cells × engine
-    // threads never oversubscribe); the CSVs are byte-identical at any
-    // value of either knob, and the config artifact never records the
-    // execution knob.
-    let mut cfg = scenario_config();
-    cfg = cfg.with_engine_jobs(gridagg_bench::sweep::engine_jobs(
-        gridagg_bench::sweep::jobs(),
-    ));
+    let cfg = scenario_config();
     let protocols = [
         ("hiergossip", ContinuousProtocol::HierGossipRestart),
         ("flowupdate", ContinuousProtocol::FlowUpdating),

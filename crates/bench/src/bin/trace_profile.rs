@@ -8,12 +8,8 @@
 //! observability layer's output is a first-class artifact next to the
 //! figure CSVs.
 //!
-//! Usage: `trace_profile [--n <size>]... [--engine-jobs <T>]` — each
-//! `--n` adds a group size; with no arguments the paper-bracketing
-//! pair 64 and 1024 runs. `--engine-jobs` (or `GRIDAGG_ENGINE_JOBS`)
-//! sets the fork-join engine thread count; the full trace — every
-//! event, in order — is byte-identical at any value, which is what the
-//! CI engine-determinism gate diffs.
+//! Usage: `trace_profile [--n <size>]...` — each `--n` adds a group
+//! size; with no arguments the paper-bracketing pair 64 and 1024 runs.
 //!
 //! [`RunTrace`]: gridagg_core::trace::RunTrace
 
@@ -36,16 +32,7 @@ fn parse_sizes() -> Vec<usize> {
                     .unwrap_or_else(|| die("expected a group size after --n"));
                 sizes.push(v);
             }
-            // consumed here; sweep::engine_jobs re-reads it from argv
-            "--engine-jobs" => {
-                if args.next().is_none() {
-                    die("expected a thread count after --engine-jobs");
-                }
-            }
-            other if other.starts_with("--engine-jobs=") => {}
-            other => die(&format!(
-                "unknown argument {other:?} (expected --n <size>, --engine-jobs <T>)"
-            )),
+            other => die(&format!("unknown argument {other:?} (expected --n <size>)")),
         }
     }
     if sizes.is_empty() {
@@ -60,11 +47,7 @@ fn die(msg: &str) -> ! {
 }
 
 fn profile(n: usize, seed: u64) -> (RunReport, RunTrace) {
-    // trace_profile runs its sizes serially, so the engine thread
-    // count composes with a sweep width of 1 (env value uncapped).
-    let cfg = ExperimentConfig::paper_defaults()
-        .with_n(n)
-        .with_engine_jobs(gridagg_bench::sweep::engine_jobs(1));
+    let cfg = ExperimentConfig::paper_defaults().with_n(n);
     if let Err(e) = cfg.validate() {
         die(&format!("invalid --n {n}: {e}"));
     }

@@ -235,12 +235,12 @@ fn number<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
 }
 
 /// The count `flag N` / `flag=N` gives in `args`, else the `env`
-/// variable's, with whether the command line gave it; at least 1.
+/// variable's; at least 1.
 fn flag_or_env(
     args: impl IntoIterator<Item = String>,
     flag: &str,
     env: &str,
-) -> Result<Option<(usize, bool)>, String> {
+) -> Result<Option<usize>, String> {
     let count = |name: &str, v: &str| number::<usize>(name, v).map(|n| n.max(1));
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
@@ -252,11 +252,11 @@ fn flag_or_env(
                 .map(str::to_string)
         };
         if let Some(v) = value {
-            return count(flag, &v).map(|n| Some((n, true)));
+            return count(flag, &v).map(Some);
         }
     }
     match std::env::var(env) {
-        Ok(v) => count(env, &v).map(|n| Some((n, false))),
+        Ok(v) => count(env, &v).map(Some),
         Err(_) => Ok(None),
     }
 }
@@ -269,7 +269,7 @@ fn exit_malformed<T>(e: String) -> T {
 
 /// [`flag_or_env`] over this process's arguments; a malformed count
 /// prints the error and exits with status 2.
-fn process_count(flag: &str, env: &str) -> Option<(usize, bool)> {
+fn process_count(flag: &str, env: &str) -> Option<usize> {
     flag_or_env(std::env::args(), flag, env).unwrap_or_else(exit_malformed)
 }
 
@@ -286,27 +286,7 @@ pub fn env_or<T: std::str::FromStr>(env: &str, default: T) -> T {
 /// line, else the `GRIDAGG_JOBS` environment variable, else
 /// [`std::thread::available_parallelism`]. Always at least 1.
 pub fn jobs() -> usize {
-    process_count("--jobs", "GRIDAGG_JOBS").map_or_else(crate::host_cores, |(n, _)| n)
-}
-
-/// In-run engine thread count: `--engine-jobs N` / `--engine-jobs=N`
-/// on the command line, else the `GRIDAGG_ENGINE_JOBS` environment
-/// variable, else 1 (serial round loop).
-///
-/// Composes with the sweep executor so cells × engine threads never
-/// oversubscribe: when the sweep itself runs cells concurrently
-/// (`sweep_jobs > 1`), an *environment-derived* engine thread count is
-/// capped at `cores / sweep_jobs`. An explicit `--engine-jobs` flag is
-/// taken at face value: a thread count named on the command line is the
-/// one the run uses.
-///
-/// Results are byte-identical at any value either way.
-pub fn engine_jobs(sweep_jobs: usize) -> usize {
-    match process_count("--engine-jobs", "GRIDAGG_ENGINE_JOBS") {
-        Some((n, from_flag)) if from_flag || sweep_jobs <= 1 => n,
-        Some((n, _)) => n.min((crate::host_cores() / sweep_jobs).max(1)),
-        None => 1,
-    }
+    process_count("--jobs", "GRIDAGG_JOBS").unwrap_or_else(crate::host_cores)
 }
 
 #[cfg(test)]
@@ -378,9 +358,9 @@ mod tests {
     fn a_count_comes_from_the_flag_then_the_environment_and_must_parse() {
         let args = |line: &str| line.split(' ').map(str::to_string).collect::<Vec<_>>();
         let read = |line: &str| flag_or_env(args(line), "--jobs", "GRIDAGG_NO_SUCH_VAR");
-        assert_eq!(read("bin --check x --jobs 3"), Ok(Some((3, true))));
-        assert_eq!(read("bin --jobs=0"), Ok(Some((1, true))));
-        assert_eq!(read("bin --jobs-extra=4 --engine-jobs 2"), Ok(None));
+        assert_eq!(read("bin --check x --jobs 3"), Ok(Some(3)));
+        assert_eq!(read("bin --jobs=0"), Ok(Some(1)));
+        assert_eq!(read("bin --jobs-extra=4 --n 2"), Ok(None));
         for bad in ["bin --jobs 2x", "bin --jobs=", "bin --jobs"] {
             let err = read(bad).unwrap_err();
             assert!(err.starts_with("--jobs: expected a count"), "{bad}: {err}");

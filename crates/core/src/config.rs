@@ -145,14 +145,8 @@ pub struct ExperimentConfig {
     /// O(phases) heap per member, so the scale bench turns it off above
     /// the frozen grid (N = 16384).
     pub phase_trace: bool,
-    /// Engine threads *inside* each run: the round loop forks the
-    /// delivery and visit phases across this many scoped threads and
-    /// serially replays their outcomes, so results — trace bytes
-    /// included — are byte-identical at any value (see
-    /// [`crate::engine::Simulation::with_engine_jobs`]). An execution
-    /// knob like `GRIDAGG_JOBS`, not an experiment parameter: it is
-    /// deliberately **not** serialized, so recorded configs and result
-    /// artifacts are identical at any thread count.
+    /// Ignored; kept only so `benchmark/` compiles; deleted with
+    /// ROADMAP item 1. Never serialized.
     pub engine_jobs: usize,
     /// Vote distribution.
     pub vote: VoteSpec,
@@ -233,7 +227,6 @@ impl FromJson for ExperimentConfig {
             max_delay: opt_field(value, "max_delay")?,
             // absent in configs recorded before the scale ladder: default on
             phase_trace: opt_field(value, "phase_trace")?.unwrap_or(true),
-            // execution knob, never serialized: always starts serial
             engine_jobs: 1,
             vote: field(value, "vote")?,
         })
@@ -264,10 +257,9 @@ impl ExperimentConfig {
         self
     }
 
-    /// Set the in-run engine thread count (see
-    /// [`crate::engine::Simulation::with_engine_jobs`]).
-    pub fn with_engine_jobs(mut self, jobs: usize) -> Self {
-        self.engine_jobs = jobs.max(1);
+    /// Ignored; kept only so `benchmark/` compiles; deleted with
+    /// ROADMAP item 1.
+    pub fn with_engine_jobs(self, _jobs: usize) -> Self {
         self
     }
 

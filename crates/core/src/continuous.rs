@@ -388,7 +388,6 @@ fn run_hier_epoch(
         0.0, // truth tracked by the caller
         cfg.max_rounds(),
     )
-    .with_engine_jobs(cfg.engine_jobs)
     .run();
 
     acc.rounds = run.rounds;
@@ -465,7 +464,6 @@ fn run_fu_epoch(
         0.0,
         u64::from(opts.fu.rounds_per_epoch) + 2,
     )
-    .with_engine_jobs(cfg.engine_jobs)
     .run_returning();
     *protocols = returned;
 

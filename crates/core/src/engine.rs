@@ -24,21 +24,15 @@
 //! and not-yet-due members cost nothing per round, which is what makes
 //! million-member runs affordable once most of the group has finished.
 //!
-//! **One step, two schedules.** Every rule of a round is written once:
+//! **One step, one schedule.** Every rule of a round is written once:
 //! [`protocol::step`](crate::protocol::step) is the only caller of the
 //! protocol (the socket runtime calls it too), `Schedule` owns every
-//! start / active / settled decision, and `Direct::put` is the only
-//! way a message reaches the network. What varies is *when* a step's
-//! effects are applied. The inline schedule steps members one after
-//! another straight into `Direct`. With
-//! [`Simulation::with_engine_jobs`] a phase with enough work is sharded
-//! into contiguous member-id ranges and stepped on scoped threads into
-//! per-shard `Recorder`s; after the join the recorded effects are fed
-//! through the same `Schedule` and `Direct` *in exactly the inline
-//! order*, so the single shared network RNG (loss and delay draws live
-//! inside `SimNetwork::send`) consumes an identical stream and the
-//! whole run — trace bytes included — is byte-identical at any thread
-//! count. See DESIGN.md §16.
+//! start / active / settled decision, and `Direct::send` is the only
+//! way a message reaches the network. Members are stepped one after
+//! another in the order above, so the single shared network RNG (loss
+//! and delay draws live inside `SimNetwork::send`) consumes one stream
+//! per seed and the whole run — trace bytes included — is a function
+//! of the configuration and the seed. See DESIGN.md §16.
 
 use std::collections::BTreeMap;
 
@@ -46,7 +40,7 @@ use gridagg_aggregate::wire::WireAggregate;
 use gridagg_group::failure::{FailureProcess, LivenessEvent};
 use gridagg_group::MemberId;
 use gridagg_simnet::bitset::DenseBitSet;
-use gridagg_simnet::network::{Envelope, SendOutcome, SimNetwork};
+use gridagg_simnet::network::{SendOutcome, SimNetwork};
 use gridagg_simnet::rng::DetRng;
 use gridagg_simnet::Round;
 
@@ -55,19 +49,8 @@ use crate::metrics::{MemberOutcome, RunReport};
 use crate::protocol::{step, AggregationProtocol, Effects, Outbox};
 use crate::trace::{DynSink, NoTrace, TraceEvent, TraceSink};
 
-/// Hard ceiling on engine threads: the per-envelope shard-owner table
-/// stores worker indices as `u8`, and beyond this width the fork-join
-/// barriers cost more than the shards win.
-pub const MAX_ENGINE_JOBS: usize = 64;
-
-/// Below this many work items (deliveries or visits) a round phase runs
-/// inline: spawning scoped threads costs more than stepping a handful
-/// of members. Both schedules are byte-identical, so this is purely a
-/// latency heuristic.
-const PAR_MIN_ITEMS: usize = 128;
-
-/// Effects applied at once: the inline schedule, and the ordered replay
-/// of what the workers recorded.
+/// Effects applied as the step makes them: straight into the network
+/// and the trace.
 struct Direct<'a, A, S> {
     net: &'a mut SimNetwork<Payload<A>>,
     sink: &'a mut S,
@@ -80,19 +63,14 @@ impl<A: WireAggregate, S: TraceSink> Effects<A> for Direct<'_, A, S> {
         S::ENABLED.then_some(self.sink)
     }
 
+    // The only place a message touches the network, so the shared net
+    // RNG (loss + delay draws in `SimNetwork::send`) consumes one
+    // stream per seed.
     fn send(&mut self, round: Round, from: MemberId, to: MemberId, msg: Payload<A>, shared: bool) {
         if !shared {
             self.bytes = msg.wire_size();
         }
-        self.put(round, from, to, msg, self.bytes);
-    }
-}
-
-impl<A, S: TraceSink> Direct<'_, A, S> {
-    // The only place a message touches the network, so the
-    // shared net RNG (loss + delay draws in `SimNetwork::send`) consumes
-    // one stream whatever the schedule.
-    fn put(&mut self, round: Round, from: MemberId, to: MemberId, msg: Payload<A>, bytes: u32) {
+        let bytes = self.bytes;
         let outcome = self.net.send(round, from, to, msg, bytes);
         if S::ENABLED {
             self.sink.record(TraceEvent::Send {
@@ -115,52 +93,6 @@ impl<A, S: TraceSink> Direct<'_, A, S> {
     }
 }
 
-/// One outgoing message buffered by a worker. `payload` is taken
-/// exactly once, by the replay.
-#[derive(Debug)]
-struct SendRec<A> {
-    to: MemberId,
-    bytes: u32,
-    payload: Option<Payload<A>>,
-}
-
-/// Effects buffered on a worker thread until the ordered replay. Pure
-/// output — nothing reads it back during the phase, so recording
-/// cannot feed back into the protocol.
-#[derive(Debug)]
-struct Recorder<A> {
-    /// Whether the run is traced: events are recorded only then.
-    traced: bool,
-    events: Vec<TraceEvent>,
-    sends: Vec<SendRec<A>>,
-    /// [`Payload::wire_size`] of the fan-out being sent, computed here
-    /// on the worker thread rather than in the serial replay.
-    bytes: u32,
-}
-
-impl<A> TraceSink for Recorder<A> {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
-
-impl<A: WireAggregate> Effects<A> for Recorder<A> {
-    fn sink(&mut self) -> Option<&mut dyn DynSink> {
-        self.traced.then_some(self)
-    }
-
-    fn send(&mut self, _: Round, _: MemberId, to: MemberId, msg: Payload<A>, shared: bool) {
-        if !shared {
-            self.bytes = msg.wire_size();
-        }
-        self.sends.push(SendRec {
-            to,
-            bytes: self.bytes,
-            payload: Some(msg),
-        });
-    }
-}
-
 /// What a round visit finds at a member, before any protocol call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Visit {
@@ -172,158 +104,8 @@ enum Visit {
     Step,
 }
 
-/// What a worker did for one delivery or visit; the replay hands it to
-/// the [`Schedule`] in the inline order.
-#[derive(Debug, Clone, Copy)]
-struct StepRecord {
-    member: MemberId,
-    /// Delivery only: sender and send round for the `Deliver` event.
-    from: MemberId,
-    sent_at: Round,
-    /// Always `Step` for a delivery.
-    visit: Visit,
-    /// Done state after the protocol call.
-    now_done: bool,
-    /// Ends of this step's slices of the recorder's events and sends.
-    ev_end: u32,
-    send_end: u32,
-}
-
-/// One worker's per-round scratch, owned by `drive` and reused across
-/// rounds so the steady state allocates nothing.
-#[derive(Debug)]
-struct ShardBuf<A> {
-    /// Delivery worklist, enqueued in global envelope order.
-    inbox: Vec<Envelope<Payload<A>>>,
-    records: Vec<StepRecord>,
-    fx: Recorder<A>,
-    out: Outbox<A>,
-    /// Replay cursors into `records`, `fx.events` and `fx.sends`.
-    next: usize,
-    ev_next: usize,
-    send_next: usize,
-}
-
-impl<A: WireAggregate> ShardBuf<A> {
-    fn new(traced: bool) -> Self {
-        ShardBuf {
-            inbox: Vec::new(),
-            records: Vec::new(),
-            fx: Recorder {
-                traced,
-                events: Vec::new(),
-                sends: Vec::new(),
-                bytes: 0,
-            },
-            out: Outbox::new(),
-            next: 0,
-            ev_next: 0,
-            send_next: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.records.clear();
-        self.fx.events.clear();
-        self.fx.sends.clear();
-        (self.next, self.ev_next, self.send_next) = (0, 0, 0);
-    }
-
-    fn push_record(
-        &mut self,
-        member: MemberId,
-        from: MemberId,
-        sent_at: Round,
-        visit: Visit,
-        now_done: bool,
-    ) {
-        self.records.push(StepRecord {
-            member,
-            from,
-            sent_at,
-            visit,
-            now_done,
-            ev_end: self.fx.events.len() as u32,
-            send_end: self.fx.sends.len() as u32,
-        });
-    }
-
-    /// The next recorded step, in this shard's order.
-    fn next_record(&mut self) -> Option<StepRecord> {
-        let rec = self.records.get(self.next).copied();
-        self.next += 1;
-        rec
-    }
-
-    // Ordered replay: feed one recorded step's events, then
-    // its sends, through `Direct`, exactly as the inline schedule would
-    // have applied them.
-    fn replay<S: TraceSink>(&mut self, round: Round, rec: StepRecord, fx: &mut Direct<'_, A, S>) {
-        if S::ENABLED {
-            for ev in &self.fx.events[self.ev_next..rec.ev_end as usize] {
-                fx.sink.record(*ev);
-            }
-        }
-        self.ev_next = rec.ev_end as usize;
-        for s in &mut self.fx.sends[self.send_next..rec.send_end as usize] {
-            let payload = s.payload.take().expect("each recorded send replays once");
-            fx.put(round, rec.member, s.to, payload, s.bytes);
-        }
-        self.send_next = rec.send_end as usize;
-    }
-}
-
-/// The contiguous member range `base..base + protocols.len()` that one
-/// schedule thread owns exclusively (the inline schedule owns `0..n`).
-struct Members<'a, P> {
-    base: usize,
-    protocols: &'a mut [P],
-    rngs: &'a mut [DetRng],
-}
-
-impl<'a, P> Members<'a, P> {
-    fn reborrow(&mut self) -> Members<'_, P> {
-        Members {
-            base: self.base,
-            protocols: self.protocols,
-            rngs: self.rngs,
-        }
-    }
-
-    /// `me`'s protocol instance and random stream.
-    #[inline(always)]
-    fn get(&mut self, me: MemberId) -> (&mut P, &mut DetRng) {
-        let i = me.index() - self.base;
-        (&mut self.protocols[i], &mut self.rngs[i])
-    }
-
-    /// Split at member id `hi`: `base..hi` and `hi..`.
-    fn split_at(self, hi: usize) -> (Members<'a, P>, Members<'a, P>) {
-        let Members {
-            base,
-            protocols,
-            rngs,
-        } = self;
-        let (protocols, prot_rest) = protocols.split_at_mut(hi - base);
-        let (rngs, rng_rest) = rngs.split_at_mut(hi - base);
-        let rest = Members {
-            base: hi,
-            protocols: prot_rest,
-            rngs: rng_rest,
-        };
-        let mine = Members {
-            base,
-            protocols,
-            rngs,
-        };
-        (mine, rest)
-    }
-}
-
 /// Event-driven scheduling state: every rule deciding which members a
-/// round has work for and when the run has settled. Both schedules call
-/// the same methods in the same order; the threaded one passes what its
-/// workers recorded.
+/// round has work for and when the run has settled.
 #[derive(Debug)]
 struct Schedule {
     /// Started and not yet done: the members an `on_round` visit can do
@@ -489,14 +271,9 @@ pub struct Simulation<A, P> {
     max_rounds: Round,
     start_rounds: Option<Vec<Round>>,
     started: DenseBitSet,
-    engine_jobs: usize,
 }
 
-impl<A, P> Simulation<A, P>
-where
-    A: WireAggregate + Send + Sync,
-    P: AggregationProtocol<A> + Send,
-{
+impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
     /// Assemble a simulation.
     ///
     /// `protocols[i]` is member `i`'s instance; `seed` drives the
@@ -530,18 +307,13 @@ where
             max_rounds,
             start_rounds: None,
             started,
-            engine_jobs: 1,
         }
     }
 
-    /// Step members on `jobs` scoped threads inside each round
-    /// (fork-join over contiguous member-id shards with an ordered
-    /// replay). The run — report, proxy counters, and every trace byte
-    /// — is identical at any value; `1` (the default) steps every
-    /// member inline. Values are clamped to `1..=`[`MAX_ENGINE_JOBS`].
+    /// Ignored; kept only so `benchmark/` compiles; deleted with
+    /// ROADMAP item 1.
     #[must_use]
-    pub fn with_engine_jobs(mut self, jobs: usize) -> Self {
-        self.engine_jobs = jobs.clamp(1, MAX_ENGINE_JOBS);
+    pub fn with_engine_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -619,11 +391,7 @@ where
             self.protocols[i].is_done()
         });
         let failure = &mut self.failure;
-        let mut all = Members {
-            base: 0,
-            protocols: &mut self.protocols[..],
-            rngs: &mut self.rngs[..],
-        };
+        let (protocols, rngs) = (&mut self.protocols[..], &mut self.rngs[..]);
         let mut fx = Direct {
             net: &mut self.net,
             sink,
@@ -638,15 +406,6 @@ where
         let mut delivery = Vec::new();
         let mut visit: Vec<u32> = Vec::new();
         let mut round: Round = 0;
-
-        // Threaded-schedule scratch: one buffer set per engine thread
-        // plus the per-envelope shard-owner table, allocated once per
-        // run and reused every round.
-        let jobs = self.engine_jobs.min(n);
-        let mut shards: Vec<ShardBuf<A>> = (0..if jobs > 1 { jobs } else { 0 })
-            .map(|_| ShardBuf::new(S::ENABLED))
-            .collect();
-        let mut owner: Vec<u8> = Vec::new();
 
         if S::ENABLED {
             for i in self.started.iter() {
@@ -671,96 +430,25 @@ where
 
             // 2. deliver due messages to alive members
             fx.net.drain_into(round, &mut delivery);
-            if jobs > 1 && delivery.len() >= PAR_MIN_ITEMS {
-                // Partition by destination shard (`owner` keeps the
-                // global envelope order), step each shard's inbox on
-                // its own thread, replay in envelope order.
-                shards.iter_mut().for_each(ShardBuf::reset);
-                owner.clear();
-                for env in delivery.drain(..) {
-                    if !failure.is_alive(env.to) {
-                        continue;
-                    }
-                    let w = env.to.index() * jobs / n;
-                    owner.push(w as u8);
-                    shards[w].inbox.push(env);
+            for env in delivery.drain(..) {
+                if !failure.is_alive(env.to) {
+                    continue;
                 }
-                let hi = |w: usize| ((w + 1) * n).div_ceil(jobs);
-                Self::fork(all.reborrow(), &mut shards, hi, |_, mut mine, buf| {
-                    let mut inbox = std::mem::take(&mut buf.inbox);
-                    for env in inbox.drain(..) {
-                        let (from, to, sent_at) = (env.from, env.to, env.sent_at);
-                        // Wrapped before the lookup: an envelope live
-                        // across `get`'s bounds checks is spilled, and its
-                        // payload reaches `on_message` through an
-                        // unaligned re-copy (measured: this phase +20 %
-                        // on `sim-counted-32k` at two engine threads).
-                        let msg = Some(env);
-                        let (proto, rng) = mine.get(to);
-                        let done = step(proto, rng, to, round, n, msg, &mut buf.out, &mut buf.fx);
-                        buf.push_record(to, from, sent_at, Visit::Step, done);
-                    }
-                    buf.inbox = inbox;
-                });
-                for &w in &owner {
-                    let buf = &mut shards[w as usize];
-                    let rec = buf.next_record().expect("one record per owned envelope");
-                    sched.on_delivery(rec.from, rec.member, rec.sent_at, round, fx.sink);
-                    buf.replay(round, rec, &mut fx);
-                    sched.after_step(rec.member, rec.now_done);
-                }
-            } else {
-                for env in delivery.drain(..) {
-                    if !failure.is_alive(env.to) {
-                        continue;
-                    }
-                    let to = env.to;
-                    sched.on_delivery(env.from, to, env.sent_at, round, fx.sink);
-                    let (proto, rng) = all.get(to);
-                    let done = step(proto, rng, to, round, n, Some(env), &mut out, &mut fx);
-                    sched.after_step(to, done);
-                }
+                let to = env.to;
+                sched.on_delivery(env.from, to, env.sent_at, round, fx.sink);
+                let (proto, rng) = (&mut protocols[to.index()], &mut rngs[to.index()]);
+                let done = step(proto, rng, to, round, n, Some(env), &mut out, &mut fx);
+                sched.after_step(to, done);
             }
 
             // 3.+4. step alive, started, unfinished members
             sched.begin_visits(failure, &mut visit);
-            if jobs > 1 && visit.len() >= PAR_MIN_ITEMS {
-                // Chunk the ascending visit set evenly by count; a
-                // chunk's range runs to just past its last id, the
-                // final chunk takes the rest of the group.
-                shards.iter_mut().for_each(ShardBuf::reset);
-                let chunk = |w: usize| &visit[w * visit.len() / jobs..(w + 1) * visit.len() / jobs];
-                let hi = |w: usize| match chunk(w).last() {
-                    Some(&last) if w + 1 < jobs => last as usize + 1,
-                    _ => n,
-                };
-                Self::fork(all.reborrow(), &mut shards, hi, |w, mut mine, buf| {
-                    for &iv in chunk(w) {
-                        let me = MemberId(iv);
-                        let found = Self::probe(failure, &mine, me);
-                        let done = found == Visit::Step && {
-                            let (proto, rng) = mine.get(me);
-                            step(proto, rng, me, round, n, None, &mut buf.out, &mut buf.fx)
-                        };
-                        buf.push_record(me, me, round, found, done);
-                    }
-                });
-                for buf in &mut shards {
-                    while let Some(rec) = buf.next_record() {
-                        if sched.on_visit(rec.member, round, rec.visit, fx.sink) {
-                            buf.replay(round, rec, &mut fx);
-                            sched.after_step(rec.member, rec.now_done);
-                        }
-                    }
-                }
-            } else {
-                for &iv in &visit {
-                    let me = MemberId(iv);
-                    if sched.on_visit(me, round, Self::probe(failure, &all, me), fx.sink) {
-                        let (proto, rng) = all.get(me);
-                        let done = step(proto, rng, me, round, n, None, &mut out, &mut fx);
-                        sched.after_step(me, done);
-                    }
+            for &iv in &visit {
+                let me = MemberId(iv);
+                if sched.on_visit(me, round, Self::probe(failure, protocols, me), fx.sink) {
+                    let (proto, rng) = (&mut protocols[me.index()], &mut rngs[me.index()]);
+                    let done = step(proto, rng, me, round, n, None, &mut out, &mut fx);
+                    sched.after_step(me, done);
                 }
             }
 
@@ -812,38 +500,14 @@ where
     }
 
     /// What the round's visit finds at `me`.
-    fn probe(failure: &FailureProcess, members: &Members<'_, P>, me: MemberId) -> Visit {
+    fn probe(failure: &FailureProcess, protocols: &[P], me: MemberId) -> Visit {
         if !failure.is_alive(me) {
             Visit::Dead
-        } else if members.protocols[me.index() - members.base].is_done() {
+        } else if protocols[me.index()].is_done() {
             Visit::Done
         } else {
             Visit::Step
         }
-    }
-
-    /// Fork-join: worker `w` exclusively owns the members below `hi(w)`
-    /// that no earlier worker owns (`split_at_mut`, so no shared state
-    /// is touched) and runs `work` over them on a scoped thread.
-    fn fork(
-        members: Members<'_, P>,
-        shards: &mut [ShardBuf<A>],
-        hi: impl Fn(usize) -> usize,
-        work: impl Fn(usize, Members<'_, P>, &mut ShardBuf<A>) + Sync,
-    ) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "scoped fork-join over disjoint member ranges; the ordered replay keeps every run byte-identical at any thread count (tests/engine_forkjoin.rs)"
-        )]
-        std::thread::scope(|scope| {
-            let mut rest = members;
-            for (w, buf) in shards.iter_mut().enumerate() {
-                let (mine, tail) = rest.split_at(hi(w));
-                rest = tail;
-                let work = &work;
-                scope.spawn(move || work(w, mine, buf));
-            }
-        });
     }
 }
 
@@ -1061,60 +725,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fork_join_run_is_byte_identical_to_serial() {
-        // N=256 keeps rounds above PAR_MIN_ITEMS, so the parallel
-        // phases genuinely engage; the whole trace stream — every
-        // event, in order — and the report must match the serial run
-        // at any thread count.
-        let mut serial_trace = crate::trace::RunTrace::for_group(256);
-        let serial = hier_sim(256, 7).run_with(&mut serial_trace);
-        for jobs in [2, 4] {
-            let mut par_trace = crate::trace::RunTrace::for_group(256);
-            let par = hier_sim(256, 7)
-                .with_engine_jobs(jobs)
-                .run_with(&mut par_trace);
-            assert_eq!(serial.rounds, par.rounds, "jobs={jobs}");
-            assert_eq!(serial.net, par.net, "jobs={jobs}");
-            assert_eq!(serial.outcomes, par.outcomes, "jobs={jobs}");
-            assert_eq!(serial.protocol_steps, par.protocol_steps, "jobs={jobs}");
-            assert_eq!(
-                serial_trace.events, par_trace.events,
-                "jobs={jobs}: full trace streams must be identical"
-            );
-        }
-    }
-
-    #[test]
-    fn fork_join_untraced_matches_serial_untraced() {
-        // The untraced (NoTrace) path skips all event buffering in the
-        // workers; proxy counters must still be identical.
-        let serial = hier_sim(300, 11).run();
-        let par = hier_sim(300, 11).with_engine_jobs(3).run();
-        assert_eq!(serial.rounds, par.rounds);
-        assert_eq!(serial.net, par.net);
-        assert_eq!(serial.outcomes, par.outcomes);
-        assert_eq!(serial.protocol_steps, par.protocol_steps);
-    }
-
-    #[test]
-    fn fork_join_handles_churn_and_staggered_starts() {
-        // Dead members and due-to-start members exercise the replay's
-        // bookkeeping branches (dead skip, gossip wake-up, official
-        // start) — outcomes must match the serial engine exactly.
-        let build = || {
-            let churn = FailureModel::PerRoundWithRecovery { pf: 0.02, pr: 0.5 };
-            let starts: Vec<Round> = (0..256).map(|i| i % 7).collect();
-            hier_sim_with(256, 17, 0.25, churn).with_start_rounds(starts)
-        };
-        let serial = build().run();
-        let par = build().with_engine_jobs(4).run();
-        assert_eq!(serial.rounds, par.rounds);
-        assert_eq!(serial.net, par.net);
-        assert_eq!(serial.outcomes, par.outcomes);
-        assert_eq!(serial.protocol_steps, par.protocol_steps);
-    }
-
     fn batch(k: u32) -> Payload<Average> {
         Payload::VoteBatch {
             votes: (0..k).map(|i| (MemberId(i), 1.0)).collect(),
@@ -1161,26 +771,21 @@ mod tests {
         let sent = [(1, 4), (2, 4), (3, 4), (4, 1), (5, 1), (6, 9), (7, 2)];
         let charged = sent.map(|(to, k)| (MemberId(to), u64::from(batch(k).wire_size())));
         assert_eq!(charged.map(|(_, b)| b), [38, 38, 38, 11, 11, 83, 20]);
-        // 128 visits: jobs = 2 takes the recorded-and-replayed path
         let n = 128;
-        for jobs in [1, 2] {
-            let net = SimNetwork::new(NetworkConfig::default(), 1);
-            let failure = FailureProcess::new(FailureModel::None, n, 1);
-            let mut trace = crate::trace::RunTrace::for_group(n);
-            let members = (0..n).map(|_| Script(None)).collect();
-            Simulation::new(net, members, failure, 1, 0.0, 1)
-                .with_engine_jobs(jobs)
-                .run_with(&mut trace);
-            let sends: Vec<_> = trace
-                .events
-                .iter()
-                .filter_map(|ev| match *ev {
-                    TraceEvent::Send { to, bytes, .. } => Some((to, bytes)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(sends, charged.repeat(n), "jobs {jobs}");
-        }
+        let net = SimNetwork::new(NetworkConfig::default(), 1);
+        let failure = FailureProcess::new(FailureModel::None, n, 1);
+        let mut trace = crate::trace::RunTrace::for_group(n);
+        let members = (0..n).map(|_| Script(None)).collect();
+        Simulation::new(net, members, failure, 1, 0.0, 1).run_with(&mut trace);
+        let sends: Vec<_> = trace
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::Send { to, bytes, .. } => Some((to, bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sends, charged.repeat(n));
     }
 
     #[test]
@@ -1196,14 +801,6 @@ mod tests {
         let failure = FailureProcess::new(FailureModel::None, n, 1);
         let members = (0..n).map(|_| Script(Some(est.clone()))).collect();
         Simulation::new(net, members, failure, 1, 1.0, 1).run();
-    }
-
-    #[test]
-    fn engine_jobs_clamped_to_limits() {
-        let sim = hier_sim(8, 1).with_engine_jobs(0);
-        assert_eq!(sim.engine_jobs, 1);
-        let sim = hier_sim(8, 1).with_engine_jobs(10_000);
-        assert_eq!(sim.engine_jobs, MAX_ENGINE_JOBS);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use gridagg_simnet::Round;
 use crate::message::Payload;
 use crate::trace::{DynSink, TraceEvent};
 
-/// Messages a member wants to send this round. The engine (and each of
-/// its workers) keeps one and hands it to every step, so scratch that
+/// Messages a member wants to send this round. The engine (and each
+/// socket worker) keeps one and hands it to every step, so scratch that
 /// would otherwise sit in each of `N` members lives here.
 #[derive(Debug)]
 pub struct Outbox<A> {
@@ -189,8 +189,8 @@ pub trait AggregationProtocol<A>: std::fmt::Debug {
     fn completed_at(&self) -> Option<Round>;
 }
 
-/// Where the effects of one [`step`] go: the simulator's network, a
-/// buffer for an ordered replay, or a socket worker's encoder.
+/// Where the effects of one [`step`] go: the simulator's network or a
+/// socket worker's encoder.
 pub trait Effects<A> {
     /// Receiver of the step's protocol-level events and `Terminate`;
     /// `None`, the default, runs the step untraced.

@@ -88,9 +88,9 @@ fn build_index(cfg: &ExperimentConfig, group: &Group, seed: u64) -> Arc<ScopeInd
 
 /// Assemble the stack every runner shares: validate the config, build
 /// the group, let `members` turn it into the protocol instances and
-/// their round cap, and wire them to the configured network, failure
-/// process and engine thread count.
-fn assemble<A: WireAggregate, P: AggregationProtocol<A> + Send>(
+/// their round cap, and wire them to the configured network and failure
+/// process.
+fn assemble<A: WireAggregate, P: AggregationProtocol<A>>(
     cfg: &ExperimentConfig,
     seed: u64,
     members: impl FnOnce(&Group) -> (Vec<P>, Round),
@@ -108,7 +108,6 @@ fn assemble<A: WireAggregate, P: AggregationProtocol<A> + Send>(
         group.true_aggregate::<A>().summary(),
         max_rounds,
     )
-    .with_engine_jobs(cfg.engine_jobs)
 }
 
 /// One of the paper's aggregation protocols (§4–§6), in the one table
@@ -476,11 +475,11 @@ mod tests {
     /// Tracing perturbs no protocol: a trace-gated block that changed
     /// state or drew from an RNG would move the traced run's counters,
     /// or a member's random stream, off the plain run's. Over every
-    /// builder behind [`Protocol::run_with`]; lossy and crashing, as
-    /// `tests/engine_forkjoin.rs`.
+    /// builder behind [`Protocol::run_with`], on a lossy, crashing
+    /// run.
     #[test]
     fn traced_runner_matches_plain_runner() {
-        fn check<P: AggregationProtocol<Average> + Send>(
+        fn check<P: AggregationProtocol<Average>>(
             name: &str,
             sim: impl Fn() -> Simulation<Average, P>,
         ) {

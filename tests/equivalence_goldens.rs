@@ -64,16 +64,7 @@ fn check(label: &str, n: usize, seed: u64, report: &RunReport, golden: &Golden) 
 }
 
 fn cfg(n: usize) -> ExperimentConfig {
-    // The goldens hold at any fork-join engine width: `engine_jobs` is
-    // a pure execution knob (DESIGN.md §16), so CI reruns this whole
-    // suite — frozen values untouched — with GRIDAGG_ENGINE_JOBS=4.
-    let jobs = std::env::var("GRIDAGG_ENGINE_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1);
-    ExperimentConfig::paper_defaults()
-        .with_n(n)
-        .with_engine_jobs(jobs)
+    ExperimentConfig::paper_defaults().with_n(n)
 }
 
 #[test]

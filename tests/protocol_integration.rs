@@ -365,7 +365,7 @@ fn deduping_protocols_report_counted_sets_unless_built_strict() {
     use gridagg::core::scope::ScopeIndex;
     use gridagg::group::failure::FailureProcess;
 
-    fn check<P: AggregationProtocol<Average> + Send>(name: &str, protocols: Vec<P>, truth: f64) {
+    fn check<P: AggregationProtocol<Average>>(name: &str, protocols: Vec<P>, truth: f64) {
         let n = protocols.len();
         let (report, protocols) = Simulation::new(
             SimNetwork::new(NetworkConfig::default(), 9),
