@@ -8,20 +8,26 @@
 //! observability layer's output is a first-class artifact next to the
 //! figure CSVs.
 //!
-//! Usage: `trace_profile [--n <size>]...` — each `--n` adds a group
-//! size; with no arguments the paper-bracketing pair 64 and 1024 runs.
+//! Usage: `trace_profile [--n <size>]... [--bytes]` — each `--n` adds a
+//! group size; with no sizes the paper-bracketing pair 64 and 1024 runs.
+//! `--bytes` replaces the trace with a byte census of an untraced run:
+//! messages and bytes by payload kind and field (see
+//! [`gridagg_bench::census`]), checked to sum to the run's
+//! `bytes_sent`; it writes no file. `GRIDAGG_SEED` sets the seed.
 //!
 //! [`RunTrace`]: gridagg_core::trace::RunTrace
 
 use gridagg_aggregate::Average;
+use gridagg_bench::census::{self, FIELDS, KINDS};
 use gridagg_bench::{base_seed, print_table, sci, write_csv, write_json};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::runner::Protocol;
 use gridagg_core::trace::RunTrace;
 use gridagg_core::RunReport;
 
-fn parse_sizes() -> Vec<usize> {
-    let mut sizes = Vec::new();
+/// The group sizes asked for, and whether `--bytes` was.
+fn parse_args() -> (Vec<usize>, bool) {
+    let (mut sizes, mut bytes) = (Vec::new(), false);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -32,13 +38,16 @@ fn parse_sizes() -> Vec<usize> {
                     .unwrap_or_else(|| die("expected a group size after --n"));
                 sizes.push(v);
             }
-            other => die(&format!("unknown argument {other:?} (expected --n <size>)")),
+            "--bytes" => bytes = true,
+            other => die(&format!(
+                "unknown argument {other:?} (expected --n <size> or --bytes)"
+            )),
         }
     }
     if sizes.is_empty() {
         sizes = vec![64, 1024];
     }
-    sizes
+    (sizes, bytes)
 }
 
 fn die(msg: &str) -> ! {
@@ -46,12 +55,63 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn profile(n: usize, seed: u64) -> (RunReport, RunTrace) {
+fn config(n: usize) -> ExperimentConfig {
     let cfg = ExperimentConfig::paper_defaults().with_n(n);
     if let Err(e) = cfg.validate() {
         die(&format!("invalid --n {n}: {e}"));
     }
-    Protocol::HierGossip.run_traced::<Average>(&cfg, seed)
+    cfg
+}
+
+fn profile(n: usize, seed: u64) -> (RunReport, RunTrace) {
+    Protocol::HierGossip.run_traced::<Average>(&config(n), seed)
+}
+
+/// Print one run's bytes by payload kind and field, the kinds it never
+/// sent left out, with each field's share of the whole.
+fn byte_census(n: usize, seed: u64) {
+    let (report, census) = census::run::<Average>(&config(n), seed);
+    let total = census.total();
+    let row = |name: &str, messages: u64, bytes: &[u64]| {
+        let sum = bytes.iter().sum::<u64>();
+        let cells = bytes.iter().chain([&sum]).map(u64::to_string);
+        [name.to_string(), messages.to_string()]
+            .into_iter()
+            .chain(cells)
+            .collect::<Vec<_>>()
+    };
+    let mut rows: Vec<Vec<String>> = KINDS
+        .iter()
+        .zip(census.messages.iter().zip(&census.bytes))
+        .filter(|(_, (&messages, _))| messages > 0)
+        .map(|(kind, (&messages, bytes))| row(kind, messages, bytes))
+        .collect();
+    let by_field: Vec<u64> = (0..FIELDS.len())
+        .map(|f| census.bytes.iter().map(|kind| kind[f]).sum())
+        .collect();
+    rows.push(row("all", report.net.sent, &by_field));
+    let share = by_field.iter().chain([&total]);
+    let share = share.map(|&b| format!("{:.1} %", 100.0 * b as f64 / total as f64));
+    rows.push(
+        ["share".to_string(), String::new()]
+            .into_iter()
+            .chain(share)
+            .collect(),
+    );
+    let header: Vec<&str> = ["kind", "messages"]
+        .into_iter()
+        .chain(FIELDS)
+        .chain(["bytes"])
+        .collect();
+    print_table(
+        &format!("Bytes by payload kind and field (N={n}, seed {seed})"),
+        &header,
+        &rows,
+    );
+    println!(
+        "census sum {total} B = bytes_sent {} B over {} messages",
+        report.net.bytes_sent, report.net.sent
+    );
 }
 
 fn phase_table(n: usize, trace: &RunTrace) {
@@ -152,7 +212,12 @@ fn round_table(n: usize, trace: &RunTrace) {
 
 fn main() {
     let seed = base_seed();
-    for n in parse_sizes() {
+    let (sizes, bytes) = parse_args();
+    for n in sizes {
+        if bytes {
+            byte_census(n, seed);
+            continue;
+        }
         let (report, trace) = profile(n, seed);
         println!(
             "\n#### N={n}: {} rounds, {} messages sent, {} trace events",

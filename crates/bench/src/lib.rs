@@ -26,6 +26,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+pub mod census;
 pub mod figures;
 pub mod plot;
 pub mod sweep;

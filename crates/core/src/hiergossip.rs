@@ -35,7 +35,8 @@
 //! message body. Phase 1's is the `Arc<[_]>` of known votes (a new vote
 //! makes a new list); phase `i ≥ 2`'s is the row of its scope's `K`
 //! children, an `Arc<[Option<Arc<Tagged>>]>` indexed by last digit with
-//! its entry count and encoded bytes kept beside it — one row per proper
+//! its entry count and encoded bytes (the batch's address and mask
+//! included) kept beside it — one row per proper
 //! ancestor of the member's box, allocated when the first aggregate is
 //! stored there. A gossip, and a reply at any level, clones the `Arc`;
 //! a learned aggregate is written through `Arc::make_mut`, in place
@@ -54,7 +55,7 @@ use gridagg_group::MemberId;
 use gridagg_hierarchy::Addr;
 use gridagg_simnet::Round;
 
-use crate::message::codec::agg_entry_wire;
+use crate::message::codec::{agg_batch_head, agg_entry_wire};
 use crate::message::{carried, ChildSlot, Payload, SKIP_BITS};
 use crate::protocol::{AggregationProtocol, Ctx, Outbox};
 use crate::scope::ScopeIndex;
@@ -134,7 +135,9 @@ impl HierGossipConfig {
 
 /// The known aggregates of one subtree's children: storage and gossip
 /// body in one. `slots[d]` is the child with last digit `d`; `known`
-/// and `wire` are the count and the encoded bytes of the present entries,
+/// is the count of the present entries and `wire` the bytes of the row
+/// as a batch after its tag (the parent's address and the presence
+/// mask, counted once when the row is made, then the present entries),
 /// kept in step by [`Row::store`] so sending never walks the slots.
 ///
 /// The slice is shared with every [`Payload::AggBatch`] sent from it and
@@ -149,11 +152,11 @@ struct Row<A> {
 }
 
 impl<A: WireAggregate> Row<A> {
-    fn empty(k: u8) -> Self {
+    fn empty(parent: &Addr) -> Self {
         Row {
-            slots: (0..k).map(|_| None).collect(),
+            slots: (0..parent.base()).map(|_| None).collect(),
             known: 0,
-            wire: 0,
+            wire: agg_batch_head(parent),
         }
     }
 
@@ -597,9 +600,8 @@ impl<A: WireAggregate> HierGossip<A> {
                 );
             }
         }
-        let k = parent.base();
         self.rows[level]
-            .get_or_insert_with(|| Row::empty(k))
+            .get_or_insert_with(|| Row::empty(&parent))
             .store(digit, agg);
         true
     }
@@ -1032,16 +1034,24 @@ mod tests {
         (p, rng, out)
     }
 
-    /// A row's entry count and bytes, recounted: each present entry that
-    /// `skip` leaves on the wire encoded, its digit and its aggregate.
-    fn recount(slots: &[ChildSlot<Average>], skip: u16) -> (u8, u16) {
-        let entry = |a: &Arc<Tagged<Average>>| {
-            let mut digit_and_agg = vec![0];
-            gridagg_aggregate::wire::encode_tagged(a, &mut digit_and_agg);
-            digit_and_agg.len() as u16
+    /// A row's entry count and bytes after the tag, recounted from its
+    /// encoding as the batch of `parent` less what `skip` flags.
+    fn recount(parent: Addr, slots: &Arc<[ChildSlot<Average>]>, skip: u16) -> (u8, u16) {
+        let (known, wire, reply, slots) = (0, 0, false, Arc::clone(slots));
+        let present = carried(&slots, skip)
+            .filter(|(_, slot)| slot.is_some())
+            .count();
+        let batch = Payload::AggBatch {
+            parent,
+            known,
+            wire,
+            skip,
+            slots,
+            reply,
         };
-        let present = carried(slots, skip).filter_map(|(_, slot)| slot.as_ref());
-        (present.clone().count() as u8, present.map(entry).sum())
+        let mut encoded = Vec::new();
+        crate::message::codec::encode(&batch, &mut encoded);
+        (present as u8, encoded.len() as u16 - 1)
     }
 
     #[test]
@@ -1061,6 +1071,7 @@ mod tests {
         else {
             panic!("expected the own child alone, got {sent:?}");
         };
+        let parent = *parent;
         assert!(Arc::ptr_eq(slots, &p.current_row().unwrap().slots));
 
         // a sibling arrives while `sent` is still in flight
@@ -1097,7 +1108,7 @@ mod tests {
         let row = p.current_row().unwrap();
         assert_eq!(Arc::as_ptr(&row.slots), at);
         assert_eq!(row.slots[sibling].as_ref().unwrap().vote_count(), 2);
-        assert_eq!((row.known, row.wire), recount(&row.slots, 0));
+        assert_eq!((row.known, row.wire), recount(parent, &row.slots, 0));
     }
 
     #[test]
@@ -1193,7 +1204,7 @@ mod tests {
                 for (len, row) in p.rows.iter().enumerate() {
                     let Some(row) = row else { continue };
                     let parent = my_box.prefix(len);
-                    assert_eq!((row.known, row.wire), recount(&row.slots, 0));
+                    assert_eq!((row.known, row.wire), recount(parent, &row.slots, 0));
                     let sent = row.payload(parent, 0, false);
                     let mut encoded = Vec::new();
                     crate::message::codec::encode(&sent, &mut encoded);
@@ -1205,6 +1216,7 @@ mod tests {
             // was sent with
             for sent in &in_flight {
                 if let Payload::AggBatch {
+                    parent,
                     known,
                     wire,
                     skip,
@@ -1212,7 +1224,7 @@ mod tests {
                     ..
                 } = sent
                 {
-                    assert_eq!((*known, *wire), recount(slots, *skip));
+                    assert_eq!((*known, *wire), recount(*parent, slots, *skip));
                 }
             }
         }
@@ -1266,7 +1278,7 @@ mod tests {
             "the reply shares the row"
         );
         assert_eq!(*skip, 0b0011);
-        assert_eq!((*known, *wire), recount(slots, *skip));
+        assert_eq!((*known, *wire), recount(*of, slots, *skip));
         assert_eq!(*known, 2);
         let mut buf = Vec::new();
         encode(&reply, &mut buf);
@@ -1417,7 +1429,7 @@ mod tests {
                         ..
                     } => {
                         assert!(*known > 0, "an empty reply");
-                        assert_eq!((*known, *wire), recount(slots, *skip));
+                        assert_eq!((*known, *wire), recount(*parent, slots, *skip));
                         skipped += skip.count_ones();
                         past_the_bits += usize::from(slots.len() > SKIP_BITS);
                         Payload::agg_batch(*parent, slots.clone(), true)

@@ -24,8 +24,10 @@
 //! [`Payload::wire_size`] a field read. The
 //! member writes its row through `Arc::make_mut`: a message in flight
 //! keeps the snapshot it was sent with. On the wire an aggregate batch
-//! is its parent's address once, then its present entries, one
-//! `(last digit, aggregate)` each, in digit order.
+//! is its parent's address once, a presence mask of one bit per child
+//! slot, then the aggregates of the slots the mask names, in digit
+//! order; an address is its base and one varint, [`Addr::code`], which
+//! names its length and digits together.
 //!
 //! A reply carries only what its pusher lacks, and still shares the
 //! replier's storage: a batch's `skip` marks the entries at an index
@@ -97,10 +99,11 @@ pub enum Payload<A> {
     AggBatch {
         /// The subtree whose children the row describes.
         parent: Addr,
-        /// Carried present slots, the entry count on the wire.
+        /// Carried present slots: the bits set in the mask on the wire.
         known: u8,
-        /// Encoded bytes of the carried present entries
-        /// ([`codec::agg_entry_wire`] each).
+        /// Encoded bytes after the tag: the parent's address and the
+        /// mask ([`codec::agg_batch_head`]), then the carried present
+        /// entries ([`codec::agg_entry_wire`] each).
         wire: u16,
         /// The slots left off the wire: bit `d` set skips `slots[d]`
         /// (see [`carried`]).
@@ -146,7 +149,7 @@ impl<A: WireAggregate> Payload<A> {
             known: u8::try_from(entries().count()).unwrap_or(u8::MAX),
             wire: entries()
                 .map(|agg| codec::agg_entry_wire(agg))
-                .fold(0, u16::saturating_add),
+                .fold(codec::agg_batch_head(&parent), u16::saturating_add),
             skip: 0,
             slots,
             reply,
@@ -230,16 +233,22 @@ mod tests {
 /// Agg        subtree: addr | tagged
 /// Final      tagged
 /// VoteBatch  len: varint | (member: varint | value: f64) * len
-/// AggBatch   parent: addr | count: u8 | (last digit: u8 | tagged) * count
+/// AggBatch   parent: addr | mask: u8 * ⌈base/8⌉ | tagged * (bits set in mask)
 /// Flow       flow: f64 | estimate: f64 | influenced count: varint
 ///
-/// addr       base: u8 | len: u8 | digit: u8 * len
+/// addr       base: u8 | code: varint
 /// tagged     contributor count: varint | value (WireAggregate), iff count > 0
 /// ```
 ///
-/// A batch writes only the entries it carries (see [`carried`]), and
-/// `len` or `count` is their number: a reply that skips entries is a
-/// shorter batch of the same layout.
+/// An address's `code` is [`Addr::code`]: `(base^len − 1)/(base − 1) +
+/// index`, the number of the address when all of its base are counted
+/// breadth first, so one varint names both the length and the digits.
+/// The capacity keeps it below `u32::MAX`. An aggregate batch's `mask`
+/// has bit `d % 8` of byte `d / 8` set iff the slot of last digit `d`
+/// is carried, and the carried entries follow in digit order. A batch
+/// writes only the entries it carries (see [`carried`]), and a vote
+/// batch's `len` or an aggregate batch's mask says which: a reply that
+/// skips entries is a shorter batch of the same layout.
 ///
 /// Aggregate values keep their constant-size [`WireAggregate`] form
 /// less their vote count, every contributor set is written as its count,
@@ -348,16 +357,23 @@ pub mod codec {
 
     impl std::error::Error for DecodeError {}
 
-    /// Encoded bytes of one [`Payload::AggBatch`] entry: its last digit
-    /// and its aggregate.
+    /// Encoded bytes of one [`Payload::AggBatch`] entry: its aggregate.
     pub fn agg_entry_wire<A: WireAggregate>(agg: &Tagged<A>) -> u16 {
-        (1 + tagged_len(agg)) as u16
+        tagged_len(agg) as u16
     }
 
-    // A batch's `wire` holds the bytes of 255 entries at their widest:
-    // 255 × 86 = 21,930 B.
+    /// Encoded bytes of a [`Payload::AggBatch`] before its entries: the
+    /// parent's address and the presence mask. A member keeps them with
+    /// its row, so a send adds nothing to them.
+    pub fn agg_batch_head(parent: &Addr) -> u16 {
+        (addr_len(parent) + mask_len(parent.base())) as u16
+    }
+
+    // A batch's `wire` holds its head and 255 entries at their widest:
+    // 1 + 5 + 32 + 255 × 85 = 21,713 B.
     const _: () = assert!(
-        u8::MAX as usize * (1 + MAX_VARINT_LEN + MAX_AGGREGATE_WIRE_SIZE) <= u16::MAX as usize
+        1 + MAX_VARINT_LEN + 32 + u8::MAX as usize * (MAX_VARINT_LEN + MAX_AGGREGATE_WIRE_SIZE)
+            <= u16::MAX as usize
     );
 
     impl<A: WireAggregate> Payload<A> {
@@ -377,7 +393,7 @@ pub mod codec {
                     }
                     varint_len(clamp_len(count)) + ids + 8 * count
                 }
-                Payload::AggBatch { parent, wire, .. } => addr_len(parent) + 1 + *wire as usize,
+                Payload::AggBatch { wire, .. } => usize::from(*wire),
                 Payload::Flow { influenced, .. } => 16 + varint_len(clamp_len(influenced.len())),
             };
             let len = 1 + body;
@@ -392,36 +408,31 @@ pub mod codec {
         }
     }
 
-    /// Bytes [`put_addr`] writes for `addr`.
-    fn addr_len(addr: &Addr) -> usize {
-        2 + addr.len()
+    /// Bytes an address takes on the wire: its base and its code.
+    pub fn addr_len(addr: &Addr) -> usize {
+        1 + varint_len(addr.code())
     }
 
-    /// An address on the wire: base, length, then the digits.
+    /// Bytes of an aggregate batch's presence mask under a parent of
+    /// `base`: a bit per child slot.
+    pub fn mask_len(base: u8) -> usize {
+        usize::from(base).div_ceil(8)
+    }
+
+    /// An address on the wire: base, then its code.
     fn put_addr<B: BufMut>(addr: &Addr, buf: &mut B) {
         buf.put_u8(addr.base());
-        buf.put_u8(addr.len() as u8);
-        for d in addr.digits() {
-            buf.put_u8(d);
-        }
+        put_varint(addr.code(), buf);
     }
 
     fn get_addr<B: Buf>(buf: &mut B) -> Result<Addr, WireError> {
-        if buf.remaining() < 2 {
+        if buf.remaining() < 1 {
             return Err(WireError::Truncated);
         }
         let base = buf.get_u8();
-        let len = buf.get_u8() as usize;
-        if buf.remaining() < len {
-            return Err(WireError::Truncated);
-        }
-        // fold the digits straight into the address: a bad base, a
-        // digit >= base or an address past capacity is malformed
-        let mut addr = Addr::root(base).map_err(|_| WireError::Malformed)?;
-        for _ in 0..len {
-            addr = addr.child(buf.get_u8()).map_err(|_| WireError::Malformed)?;
-        }
-        Ok(addr)
+        // a bad base, or a code past the base's capacity, is malformed
+        let code = get_varint(buf)?;
+        Addr::from_code(base, code).map_err(|_| WireError::Malformed)
     }
 
     fn put_vote<B: BufMut>(member: MemberId, value: f64, buf: &mut B) {
@@ -479,7 +490,6 @@ pub mod codec {
             }
             Payload::AggBatch {
                 parent,
-                known,
                 skip,
                 slots,
                 reply,
@@ -487,12 +497,14 @@ pub mod codec {
             } => {
                 buf.put_u8(tag(TAG_AGG_BATCH, *reply));
                 put_addr(parent, buf);
-                buf.put_u8(*known);
-                for (digit, agg) in carried(slots, *skip) {
-                    if let Some(agg) = agg {
-                        buf.put_u8(digit as u8);
-                        encode_tagged(agg, buf);
-                    }
+                let entries = carried(slots, *skip).filter_map(|(d, agg)| Some((d, agg.as_ref()?)));
+                let mut mask = [0u8; 32];
+                for (digit, _) in entries.clone() {
+                    mask[digit / 8] |= 1 << (digit % 8);
+                }
+                buf.put_slice(&mask[..mask_len(parent.base())]);
+                for (_, agg) in entries {
+                    encode_tagged(agg, buf);
                 }
             }
             Payload::Flow {
@@ -605,35 +617,31 @@ pub mod codec {
             }
             TAG_AGG_BATCH => {
                 let variant = "agg-batch";
-                let truncated = DecodeError::Truncated { variant };
                 let parent = get_addr(buf).map_err(DecodeError::from_wire(variant))?;
-                if buf.remaining() < 1 {
-                    return Err(truncated);
+                // a parent at the address capacity has no child to carry
+                parent.child(0).map_err(|_| malformed(variant))?;
+                let mut mask = [0u8; 32];
+                let mask = &mut mask[..mask_len(parent.base())];
+                if buf.remaining() < mask.len() {
+                    return Err(DecodeError::Truncated { variant });
                 }
+                buf.copy_to_slice(mask);
                 // An empty batch is never sent: a member always knows
-                // its own child.
-                let known = buf.get_u8();
-                if known == 0 {
+                // its own child. A bit at or above the base names no
+                // child.
+                let base = usize::from(parent.base());
+                let carried = |d: usize| mask[d / 8] >> (d % 8) & 1 == 1;
+                if !(0..base).any(carried) || (base..8 * mask.len()).any(carried) {
                     return Err(malformed(variant));
                 }
                 // The entries fill the parent's row, a slot per digit
-                // below its base, each slot at most once.
-                let mut slots: Arc<[ChildSlot<A>]> = (0..parent.base()).map(|_| None).collect();
+                // below its base, in digit order.
+                let mut slots: Arc<[ChildSlot<A>]> = (0..base).map(|_| None).collect();
                 let row = Arc::get_mut(&mut slots).ok_or(malformed(variant))?;
-                let mut wire = 0;
-                for _ in 0..known {
-                    if buf.remaining() < 1 {
-                        return Err(truncated);
-                    }
-                    let digit = buf.get_u8();
-                    // a digit ≥ base, or a child past the address
-                    // capacity, names no subtree
-                    parent.child(digit).map_err(|_| malformed(variant))?;
+                let (mut known, mut wire) = (0, agg_batch_head(&parent));
+                for (_, slot) in row.iter_mut().enumerate().filter(|&(d, _)| carried(d)) {
                     let agg = get_tagged(n, buf, variant)?;
-                    let slot = row
-                        .get_mut(usize::from(digit))
-                        .filter(|slot| slot.is_none())
-                        .ok_or(malformed(variant))?;
+                    known += 1;
                     wire += agg_entry_wire(&agg);
                     *slot = Some(Arc::new(agg));
                 }
@@ -715,10 +723,11 @@ pub mod codec {
                 } => {
                     let entries = carried(&slots, skip).filter_map(|(_, slot)| slot.as_ref());
                     let entries: Vec<_> = entries.collect();
+                    let head = agg_batch_head(&parent);
                     Payload::AggBatch {
                         parent,
                         known: entries.len() as u8,
-                        wire: entries.iter().map(|agg| agg_entry_wire(agg)).sum(),
+                        wire: head + entries.iter().map(|agg| agg_entry_wire(agg)).sum::<u16>(),
                         skip,
                         slots,
                         reply,
@@ -736,7 +745,7 @@ pub mod codec {
             let empty: Payload<Average> = Payload::agg_batch(Addr::root(4).unwrap(), none, true);
             let mut buf = Vec::new();
             encode(&empty, &mut buf);
-            // tag and reply flag, the root of base 4, no entries
+            // tag and reply flag, the root of base 4 (code 0), mask 0
             assert_eq!(buf, [TAG_AGG_BATCH | REPLY, 4, 0, 0]);
             let malformed = DecodeError::Malformed {
                 variant: "agg-batch",
@@ -907,6 +916,9 @@ pub mod codec {
         /// One frame of every variant, byte for byte: this freezes the
         /// layout. Values are chosen to read at a glance: `2.0` is
         /// `40 00 …`, `1.5` is `3F F8 …`, and 300 is the varint `AC 02`.
+        /// The address `21` in base 4 is code `0E`: the root and the four
+        /// one-digit addresses come before the two-digit ones, where it
+        /// is index 9. Slots 1 and 3 carried is the mask `0A`.
         #[test]
         fn golden_frames_freeze_the_layout() {
             use gridagg_aggregate::VoteSet;
@@ -936,7 +948,7 @@ pub mod codec {
                         subtree,
                         agg: agg.clone(),
                     },
-                    [&[0x02, 4, 2, 2, 1], tagged].concat(),
+                    [&[0x02, 4, 0x0E], tagged].concat(),
                 ),
                 (Payload::Final { agg }, [&[0x03], tagged].concat()),
                 (
@@ -952,7 +964,7 @@ pub mod codec {
                 ),
                 (
                     Payload::agg_batch(subtree, row, true),
-                    [&[0x85, 4, 2, 2, 1, 2, 1], tagged, &[3], tagged].concat(),
+                    [&[0x85, 4, 0x0E, 0x0A], tagged, tagged].concat(),
                 ),
                 (
                     flow,
@@ -990,8 +1002,8 @@ pub mod codec {
                 influenced,
             };
             // each payload with the offset of a one-byte varint in it:
-            // an aggregate's count follows the tag and address (and in a
-            // row its entry count and digit)
+            // an address's code follows the tag and base, an aggregate's
+            // count the tag and address (and in a row the mask)
             let fields = [
                 (Payload::Vote { member, value }, "vote", Some(1)),
                 (
@@ -1014,10 +1026,19 @@ pub mod codec {
                         agg: agg.clone(),
                     },
                     "agg",
-                    Some(5),
+                    Some(2),
+                ),
+                (
+                    Payload::Agg {
+                        subtree,
+                        agg: agg.clone(),
+                    },
+                    "agg",
+                    Some(3),
                 ),
                 (Payload::Final { agg: agg.clone() }, "final", Some(1)),
-                (batch(subtree, &[3], &agg), "agg-batch", Some(7)),
+                (batch(subtree, &[3], &agg), "agg-batch", Some(2)),
+                (batch(subtree, &[3], &agg), "agg-batch", Some(4)),
                 (flow, "flow", None),
             ];
             for (payload, variant, at) in fields {
@@ -1056,6 +1077,64 @@ pub mod codec {
                 if never_replies {
                     assert_eq!(replying, malformed);
                 }
+            }
+        }
+
+        /// An address is admitted only as a code within its base's
+        /// capacity (an overlong code is one of the varints above), and
+        /// an aggregate batch's mask only with a bit set and none at or
+        /// above the base. Each is checked under a parent of base 4 (one
+        /// mask byte) and of base 10 (two).
+        #[test]
+        fn address_codes_and_batch_masks_are_checked() {
+            let agg = Arc::new(Tagged::<Average>::from_vote(5, 2.5, 64));
+            let malformed = Err(DecodeError::Malformed {
+                variant: "agg-batch",
+            });
+            let truncated = Err(DecodeError::Truncated {
+                variant: "agg-batch",
+            });
+            for (base, top) in [(4u8, 15), (10, 9)] {
+                let parent = Addr::from_digits(base, &[2, 1]).unwrap();
+                let slots = (0..base).map(|d| (d == 1).then(|| agg.clone())).collect();
+                let mut honest = Vec::new();
+                encode(&Payload::agg_batch(parent, slots, false), &mut honest);
+                // tag, base, one code byte, then the mask
+                let (head, mask) = (3, mask_len(base));
+                assert_eq!(honest[head], 0b10);
+                let decode = |bytes: &[u8]| decode::<Average, _>(&mut &bytes[..]);
+                assert!(decode(&honest).is_ok());
+                let with_mask = |m: &[u8]| [&honest[..head], m, &honest[head + mask..]].concat();
+                let mut empty = vec![0; mask];
+                assert_eq!(decode(&with_mask(&empty)), malformed, "mask 0");
+                // the first bit past the base, with and without slot 1
+                let past = usize::from(base);
+                empty[past / 8] |= 1 << (past % 8);
+                assert_eq!(decode(&with_mask(&empty)), malformed, "bit {past}");
+                empty[0] |= 0b10;
+                assert_eq!(decode(&with_mask(&empty)), malformed, "bits 1, {past}");
+                // a mask cut short is a frame cut short
+                assert_eq!(decode(&honest[..head + mask - 1]), truncated);
+                // the first code past the base's deepest address
+                let deepest = Addr::from_index(base, top, u64::from(base).pow(top as u32) - 1);
+                let past = deepest.unwrap().code() + 1;
+                let mut code = Vec::new();
+                put_varint(past, &mut code);
+                let bytes = [&honest[..2], &code, &honest[head..]].concat();
+                assert_eq!(decode(&bytes), malformed, "code {past}");
+                // the same code for a lone aggregate's subtree
+                let mut lone = Vec::new();
+                encode(
+                    &Payload::Agg {
+                        subtree: parent,
+                        agg: agg.clone(),
+                    },
+                    &mut lone,
+                );
+                assert!(decode(&lone).is_ok());
+                let lone = [&lone[..2], &code, &lone[3..]].concat();
+                let malformed_agg = Err(DecodeError::Malformed { variant: "agg" });
+                assert_eq!(decode(&lone), malformed_agg, "code {past}");
             }
         }
 

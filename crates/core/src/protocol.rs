@@ -91,6 +91,13 @@ impl<A> Outbox<A> {
         self.msgs.drain(..).map(|(to, payload, _)| (to, payload))
     }
 
+    /// The queued messages, in queue order, left queued: for a wrapper
+    /// that reads what a step sends (see
+    /// [`run_hiergossip_wrapped`](crate::runner::run_hiergossip_wrapped)).
+    pub fn iter(&self) -> impl Iterator<Item = (MemberId, &Payload<A>)> {
+        self.msgs.iter().map(|(to, payload, _)| (*to, payload))
+    }
+
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.msgs.len()

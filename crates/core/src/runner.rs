@@ -191,7 +191,7 @@ impl Protocol {
         sink: &mut S,
     ) -> RunReport {
         match self {
-            Protocol::HierGossip => hiergossip::<A>(cfg, seed).run_with(sink),
+            Protocol::HierGossip => hiergossip::<A, _>(cfg, seed, |p| p).run_with(sink),
             Protocol::Leader { committee } => {
                 let le_cfg = LeaderElectionConfig {
                     committee,
@@ -218,7 +218,28 @@ pub fn run_hiergossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> Ru
     Protocol::HierGossip.run::<A>(cfg, seed)
 }
 
-fn hiergossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> Simulation<A, HierGossip<A>> {
+/// [`Protocol::HierGossip`]'s run with each member's instance handed to
+/// `wrap` first: for a harness that watches what members do, such as a
+/// wrapper that reads each step's [`Outbox`](crate::protocol::Outbox)
+/// before the engine sends it. A wrapper that forwards every call leaves
+/// the run, and its report, the row's own.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`ExperimentConfig::validate`].
+pub fn run_hiergossip_wrapped<A: WireAggregate, P: AggregationProtocol<A>>(
+    cfg: &ExperimentConfig,
+    seed: u64,
+    wrap: impl FnMut(HierGossip<A>) -> P,
+) -> RunReport {
+    hiergossip(cfg, seed, wrap).run()
+}
+
+fn hiergossip<A: WireAggregate, P: AggregationProtocol<A>>(
+    cfg: &ExperimentConfig,
+    seed: u64,
+    mut wrap: impl FnMut(HierGossip<A>) -> P,
+) -> Simulation<A, P> {
     let sim = assemble(cfg, seed, |group| {
         let index = build_index(cfg, group, seed);
         let mut view_rng = DetRng::seeded(seed).fork(0x7669_6577); // "view"
@@ -227,13 +248,13 @@ fn hiergossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> Simulation
             .iter()
             .map(|m| {
                 let p = HierGossip::new(m.id, m.vote, index.clone(), cfg.hier_config());
-                match cfg.partial_view {
+                wrap(match cfg.partial_view {
                     Some(size) => {
                         let view = View::sampled(m.id, cfg.n, size, &mut view_rng);
                         p.with_view(view.members().to_vec())
                     }
                     None => p,
-                }
+                })
             })
             .collect();
         (protocols, cfg.max_rounds())
@@ -499,7 +520,7 @@ mod tests {
         let (cfg, s) = (&ExperimentConfig::default().with_n(192).with_pf(0.01), 41);
         let (fl, central) = (FloodConfig::default(), CentralizedConfig::for_group(192));
         let le = LeaderElectionConfig::default();
-        check("hiergossip", || hiergossip::<Average>(cfg, s));
+        check("hiergossip", || hiergossip::<Average, _>(cfg, s, |p| p));
         check("flatgossip", || flatgossip::<Average>(cfg, s));
         check("flood", || flood::<Average>(cfg, fl, s));
         check("centralized", || centralized::<Average>(cfg, central, s));

@@ -13,7 +13,8 @@
 //! is a field read, a prefix or a digit one divide by a power of the
 //! base, a containment test one multiply. The `u32` index bounds the
 //! capacity: `len <= MAX_DEPTH` **and** `base^len <= u32::MAX`. On the
-//! wire an address is still its digits, one byte each (see
+//! wire an address is its base and one number, [`Addr::code`], which
+//! counts the addresses breadth first (see
 //! `gridagg_core::message::codec`).
 
 /// Maximum supported address depth (digits). `K^16` boxes at `K = 2` is
@@ -181,6 +182,47 @@ impl Addr {
         Addr { base, len, index }
     }
 
+    /// This address's number among all addresses of its base, breadth
+    /// first: the root is 0, then the `base` one-digit addresses, then
+    /// the two-digit ones, each length in index order. That is
+    /// `(base^len − 1) / (base − 1) + index`, one number for the length
+    /// and the digits, and the wire writes an address as its base and
+    /// this code (see `gridagg_core::message::codec`). The capacity keeps
+    /// every code in a `u32`: the largest, 4,244,897,280, is base 255's
+    /// last four-digit address, and [`MAX_DEPTH`] stops base 3 at 16
+    /// digits, where 20 would pass `u32::MAX`.
+    pub fn code(&self) -> u32 {
+        // the addresses shorter than this one, then its index
+        (self.pow(self.len()) - 1) / (self.base as u32 - 1) + self.index
+    }
+
+    /// The address whose [`Addr::code`] in `base` is `code`: the inverse
+    /// of [`Addr::code`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AddrError::BadBase`] for `base < 2`, and
+    /// [`AddrError::TooDeep`] for a code past the last address the base
+    /// holds.
+    pub fn from_code(base: u8, code: u32) -> Result<Self, AddrError> {
+        check(base, 0)?;
+        // skip whole lengths: `width` addresses have `len` digits
+        let (mut len, mut index, mut width) = (0, u64::from(code), 1u64);
+        while index >= width {
+            index -= width;
+            width *= u64::from(base);
+            len += 1;
+            check(base, len)?;
+        }
+        // below `width`, which is `base^len` and fits the index
+        let index = index as u32;
+        Ok(Addr {
+            base,
+            len: len as u8,
+            index,
+        })
+    }
+
     /// The digits, most significant first.
     pub fn digits(&self) -> impl Iterator<Item = u8> {
         let (base, mut rest) = (self.base as u32, self.index);
@@ -346,6 +388,36 @@ mod tests {
                 assert_eq!(Addr::from_index(base, len, 0).is_ok(), fits, "{base}^{len}");
             }
         }
+    }
+
+    #[test]
+    fn codes_count_addresses_breadth_first_up_to_capacity() {
+        let code = |base, digits: &[u8]| Addr::from_digits(base, digits).unwrap().code();
+        assert_eq!(code(4, &[]), 0);
+        assert_eq!(code(4, &[3]), 4);
+        assert_eq!(code(4, &[0, 0]), 5);
+        assert_eq!(code(4, &[2, 1]), 5 + 9);
+        for base in 2..=255u8 {
+            // the last address of each length, then the first of the next
+            let max_len = MAX_LEN[usize::from(base)] as usize;
+            let mut next = 0;
+            for len in 0..=max_len {
+                let first = Addr::from_index(base, len, 0).unwrap();
+                let last = (base as u64).pow(len as u32) - 1;
+                let last = Addr::from_index(base, len, last).unwrap();
+                assert_eq!(first.code(), next, "{base}^{len}");
+                for addr in [first, last] {
+                    assert_eq!(Addr::from_code(base, addr.code()), Ok(addr));
+                }
+                next = last.code().checked_add(1).expect("a code past the last");
+            }
+            let past = Err(AddrError::TooDeep { len: max_len + 1 });
+            assert_eq!(Addr::from_code(base, next), past, "base {base}");
+            assert_eq!(Addr::from_code(base, u32::MAX), past, "base {base}");
+        }
+        let widest = Addr::from_digits(255, &[254; 4]).unwrap();
+        assert_eq!(widest.code(), 4_244_897_280);
+        assert_eq!(Addr::from_code(1, 0), Err(AddrError::BadBase { base: 1 }));
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 15,
                 sent: 2041,
                 delivered: 1521,
-                bytes_sent: 55762,
+                bytes_sent: 53305,
                 dropped_loss: 520,
                 completed: 64,
                 mean_completeness_bits: 0x3ff0000000000000,
@@ -91,7 +91,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 21,
                 sent: 10964,
                 delivered: 8253,
-                bytes_sent: 320884,
+                bytes_sent: 303613,
                 dropped_loss: 2711,
                 completed: 251,
                 mean_completeness_bits: 0x3fef97d734041466,
@@ -105,7 +105,7 @@ fn hiergossip_matches_seed_behavior() {
                 rounds: 31,
                 sent: 65280,
                 delivered: 48822,
-                bytes_sent: 2060729,
+                bytes_sent: 1921443,
                 dropped_loss: 16458,
                 completed: 997,
                 mean_completeness_bits: 0x3fef28cf786cdee0,
@@ -150,15 +150,15 @@ fn event_driven_engine_trace_is_byte_identical() {
             64usize,
             3u64,
             5207usize,
-            0xb516_04d9_ee1e_72cdu64,
+            0xecef_792f_3d9b_7f22u64,
             0x20b6_02c8_645f_e420u64,
         ),
-        (256, 7, 27706, 0x9569_a2e7_2526_0b37, 0x2d38_ccc4_dc62_72d2),
+        (256, 7, 27706, 0x9e03_09d4_6419_2332, 0x2d38_ccc4_dc62_72d2),
         (
             1024,
             11,
             159084,
-            0x76b0_9b10_8418_3499,
+            0x448d_ed63_8fae_d895,
             0x75a4_7c5b_99cf_9b12,
         ),
     ] {
@@ -350,7 +350,7 @@ fn leader_election_matches_seed_behavior() {
                 rounds: 14,
                 sent: 252,
                 delivered: 193,
-                bytes_sent: 2626,
+                bytes_sent: 2576,
                 dropped_loss: 59,
                 completed: 64,
                 mean_completeness_bits: 0x3febb00000000000,
@@ -364,7 +364,7 @@ fn leader_election_matches_seed_behavior() {
                 rounds: 18,
                 sent: 1000,
                 delivered: 762,
-                bytes_sent: 11254,
+                bytes_sent: 10930,
                 dropped_loss: 238,
                 completed: 251,
                 mean_completeness_bits: 0x3fe96f0b38187a64,

@@ -8,11 +8,12 @@
 //! contributor counts from `[0, n]` plus `n + 1` and `usize::MAX`, every
 //! `f64` from the vote hull plus NaN and ±∞, and addresses in every
 //! relation to the receiver's box. Fixed frames ride along: batches and
-//! addresses no encoder writes (an empty one of either kind among
+//! addresses no encoder writes (an empty batch of either kind, a mask
+//! bit at or above the base, a code past its base's capacity among
 //! them), varints in other than their one
-//! encoding, reply flags on variants that never reply, counts with
-//! nothing behind them, a byte after a whole payload of each variant,
-//! and payloads every protocol must drop.
+//! encoding, reply flags on variants that never reply, masks and counts
+//! with nothing behind them, a byte after a whole payload of each
+//! variant, and payloads every protocol must drop.
 //!
 //! An aggregate's vote count crosses the wire once, as its contributor
 //! count, with a value behind it iff it is above zero. So two frames
@@ -222,38 +223,53 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
         let agg = far.clone();
         Payload::Agg { subtree, agg }
     };
-    // an `AggBatch` under `parent` claiming `known` entries, followed by
-    // one hand-made entry per digit: the digit, then the aggregate as
+    // an `AggBatch` under `parent` with the presence mask `mask`,
+    // followed by `entries` hand-made entries, each the aggregate as
     // `Final` writes it
     let tagged = encode(&Payload::Final { agg: far.clone() }).split_off(1);
-    let batch_of = |parent: Addr, known: u8, digits: &[u8]| {
+    let batch_of = |parent: Addr, mask: &[u8], entries: usize| {
         let mut bytes = encode(&Payload::agg_batch(
             parent,
             row(parent.base(), |_| true),
             false,
         ));
-        bytes.truncate(3 + parent.len()); // tag, base, length, digits
-        bytes.push(known);
-        for &digit in digits {
-            bytes.push(digit);
+        bytes.truncate(1 + codec::addr_len(&parent)); // tag, base, code
+        bytes.extend_from_slice(mask);
+        for _ in 0..entries {
             bytes.extend_from_slice(&tagged);
         }
         bytes
     };
-    let batch = |digits: &[u8]| batch_of(my_box, digits.len() as u8, digits);
+    let batch = |mask: u8, entries| batch_of(my_box, &[mask], entries);
     let rejected = |bytes, variant| (bytes, Err(DecodeError::Malformed { variant }), 0);
     let cut = |bytes, variant| (bytes, Err(DecodeError::Truncated { variant }), 0);
     let dropped = |payload: Payload<Average>| (encode(&payload), Ok(payload), 0);
-    // an `Agg` is its tag, base, length, digits, aggregate
+    // an `Agg` is its tag, base, one-byte code, aggregate; the box's
+    // code is one byte too (21 shorter codes come first), so either
+    // payload takes another base and code at byte 1
     let valid = encode(&agg_at(4, &[3, 3]));
-    let too_wide = [&valid[..1], &[255, 16], &[254; 16], &valid[5..]].concat();
-    let mut bad_digit = valid.clone();
-    bad_digit[4] = 4;
+    let with_code =
+        |bytes: &[u8], base: u8, code: &[u8]| [&bytes[..1], &[base], code, &bytes[3..]].concat();
+    // the first code past base 255's four digits, and base 4's fifteen
+    let past_capacity = |base: u8, top: usize| {
+        let deepest = u64::from(base).pow(top as u32) - 1;
+        let deepest = Addr::from_index(base, top, deepest).expect("at capacity");
+        let mut code = Vec::new();
+        gridagg::aggregate::wire::put_varint(deepest.code() + 1, &mut code);
+        code
+    };
+    let too_wide = with_code(&valid, 255, &past_capacity(255, 4));
+    let bad_base = with_code(&valid, 1, &valid[2..3]);
+    let overlong_code = with_code(&valid, 4, &[valid[2] | 0x80, 0x00]);
+    let my_row = encode(&Payload::agg_batch(my_box, row(K, |_| true), false));
+    let row_too_deep = with_code(&my_row, K, &past_capacity(K, 15));
+    let row_overlong = with_code(&my_row, K, &[my_row[2] | 0x80, 0x00]);
     // base 255 holds four digits: this parent's children are past it
     let full = Addr::from_digits(255, &[0; 4]).expect("at capacity");
+    let one_of_255 = [&[1][..], &[0; 31]].concat();
     let foreign = (my_box.digit(0) + 1) % K;
     let parent = Addr::from_digits(K, &[foreign]).expect("foreign");
-    let any_order = batch_of(parent, 2, &[3, 0]);
+    let by_hand = batch_of(parent, &[0b1001], 2);
     let in_order = Payload::agg_batch(parent, row(K, |d| d % 3 == 0), false);
     let past_the_box: Vec<u8> = my_box.digits().chain([0]).collect();
     let root = Addr::root(K + 1).expect("root");
@@ -304,17 +320,22 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
         influenced: Arc::new(VoteSet::counted(1)),
     };
     vec![
+        // an address code past its base's capacity, a base below 2, an
+        // overlong code; in a batch, past capacity and overlong
         rejected(too_wide, "agg"),
-        rejected(bad_digit, "agg"),
-        // no vote; a repeated digit, a digit not below the base, no
-        // entry, more entries than the base, a parent whose children are
-        // past the address capacity
+        rejected(bad_base, "agg"),
+        rejected(overlong_code, "agg"),
+        rejected(row_too_deep, "agg-batch"),
+        rejected(row_overlong, "agg-batch"),
+        // no vote; mask 0, a mask bit at the base alone and beside a
+        // child, more entries than the mask names, a parent whose
+        // children are past the address capacity
         rejected(encode(&no_votes), "vote-batch"),
-        rejected(batch(&[2, 2]), "agg-batch"),
-        rejected(batch(&[0, 4]), "agg-batch"),
-        rejected(batch(&[]), "agg-batch"),
-        rejected(batch(&[0, 1, 2, 3, 0]), "agg-batch"),
-        rejected(batch_of(full, 1, &[0]), "agg-batch"),
+        rejected(batch(0, 0), "agg-batch"),
+        rejected(batch(1 << K, 1), "agg-batch"),
+        rejected(batch(1 << K | 1, 1), "agg-batch"),
+        rejected(batch(0b1111, 5), "agg-batch"),
+        rejected(batch_of(full, &one_of_255, 1), "agg-batch"),
         // an overlong id, a count past `u32::MAX`, a reply flag on each
         // variant that never replies
         rejected(overlong, "vote"),
@@ -323,7 +344,7 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
         // behind it
         rejected(encode(&over_n), "final"),
         rejected(nobodys(final_bytes.clone(), 1), "final"),
-        rejected(nobodys(valid.clone(), 5), "agg"),
+        rejected(nobodys(valid.clone(), 3), "agg"),
         trailing(&vote, "vote"),
         trailing(&encode(&agg_at(K, &[foreign, 0])), "agg"),
         trailing(&final_bytes, "final"),
@@ -333,13 +354,14 @@ fn fixed_frames(my_box: Addr) -> Vec<Frame> {
         rejected(replying(vote), "vote"),
         rejected(replying(valid), "agg"),
         rejected(replying(final_bytes), "final"),
-        // entry counts with their entries missing
-        cut(batch_of(my_box, 3, &[1]), "agg-batch"),
+        // a mask cut short; entries named with their bytes missing
+        cut(batch_of(my_box, &[], 0), "agg-batch"),
+        cut(batch(0b1011, 1), "agg-batch"),
         cut(three_votes, "vote-batch"),
-        // a foreign row, in any entry order; a foreign subtree; the root,
+        // a foreign row, written by hand; a foreign subtree; the root,
         // whose aggregate is never gossiped; the box plus a digit, deeper
         // than any slot; rows of the box's and of another base's root
-        (any_order, Ok(in_order), 0),
+        (by_hand, Ok(in_order), 0),
         dropped(agg_at(K, &[foreign, 0])),
         dropped(agg_at(K, &[])),
         dropped(agg_at(K, &past_the_box)),
