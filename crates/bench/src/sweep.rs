@@ -5,12 +5,16 @@
 //! function of its inputs. [`Sweep`] fans those cells across a scoped
 //! std-thread worker pool and merges the results **in declaration
 //! order**, so the output of a sweep is byte-identical no matter how
-//! many workers ran it (proven by the `sweep_parallel_determinism`
-//! test and the CI `jobs=1` vs `jobs=4` diff gate). Threads are legal
-//! here: `bench` carries no `clippy.toml` thread/clock ban, because
-//! nothing in this crate is protocol state — determinism is preserved
-//! structurally, by keying every cell with a stable id and never
-//! letting completion order reach the output.
+//! many workers ran it. One worker is a pool of one, not a second code
+//! path. `results_in_declaration_order_any_jobs` (below) holds the
+//! merge to that; `same_bytes_at_any_worker_count` in the `figures`
+//! and `baseline` tests holds whole binaries' output to it; and CI
+//! regenerates the committed results on one worker, against files
+//! written on every core. Threads are legal here: `bench` carries no
+//! `clippy.toml` thread/clock ban, because nothing in this crate is
+//! protocol state — determinism is preserved structurally, by keying
+//! every cell with a stable id and never letting completion order
+//! reach the output.
 //!
 //! Failure handling is loud: a panicking cell fails the whole sweep,
 //! and the [`SweepError`] names each failed cell id and its panic
@@ -125,8 +129,8 @@ impl<T: Send> Sweep<T> {
         })
     }
 
-    /// Execute every cell with an explicit worker count (`<= 1` runs
-    /// serially on the calling thread). Results are in declaration
+    /// Execute every cell with an explicit worker count (at least one
+    /// worker thread; `0` counts as 1). Results are in declaration
     /// order regardless of `jobs` — the cell → result mapping is by
     /// index, never by completion order.
     ///
@@ -135,23 +139,6 @@ impl<T: Send> Sweep<T> {
     /// Returns a [`SweepError`] naming each panicked cell.
     pub fn run_with_jobs(self, jobs: usize) -> Result<Vec<T>, SweepError> {
         let n = self.cells.len();
-        if jobs <= 1 || n <= 1 {
-            // serial fast path: same catch-unwind semantics, no pool
-            let mut results = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            for cell in self.cells {
-                match catch_unwind(AssertUnwindSafe(cell.task)) {
-                    Ok(v) => results.push(v),
-                    Err(p) => failures.push((cell.id, panic_message(&*p))),
-                }
-            }
-            return if failures.is_empty() {
-                Ok(results)
-            } else {
-                Err(SweepError { failures })
-            };
-        }
-
         // Each slot is claimed by exactly one worker via the shared
         // cursor; the mutexes are uncontended and only exist to hand
         // tasks out and results back across the scope safely.
@@ -166,7 +153,7 @@ impl<T: Send> Sweep<T> {
         let failed = AtomicBool::new(false);
 
         std::thread::scope(|scope| {
-            for _ in 0..jobs.min(n) {
+            for _ in 0..jobs.max(1).min(n) {
                 scope.spawn(|| loop {
                     if failed.load(Ordering::Relaxed) {
                         break;

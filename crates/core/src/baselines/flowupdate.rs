@@ -672,41 +672,6 @@ mod tests {
         assert_eq!(protos[0].influenced.len(), 3);
     }
 
-    /// Tracing perturbs nothing: the engine's traced run of a lossy,
-    /// crashing group reports what its untraced run does and leaves
-    /// every member's random stream where that leaves it.
-    #[test]
-    fn traced_run_matches_untraced_run() {
-        use crate::engine::Simulation;
-        use gridagg_group::failure::{FailureModel, FailureProcess};
-        use gridagg_simnet::loss::UniformLoss;
-        use gridagg_simnet::network::{NetworkConfig, SimNetwork};
-
-        let n = 96;
-        let up: Vec<MemberId> = (0..n as u32).map(MemberId).collect();
-        let sim = || {
-            let fu = FlowUpdatingConfig::default();
-            let protocols = (0..n)
-                .map(|i| FlowUpdating::new(up[i], i as f64, n, ring_chord_neighbors(&up, i), fu))
-                .collect();
-            let net = SimNetwork::new(
-                NetworkConfig::default().with_loss(UniformLoss::new(0.25).unwrap()),
-                23,
-            );
-            let failure = FailureProcess::new(FailureModel::PerRound { pf: 0.01 }, n, 23);
-            Simulation::new(net, protocols, failure, 23, 0.0, 26)
-        };
-        let (plain, plain_streams) = sim().run_with_streams(&mut crate::trace::NoTrace);
-        let mut trace = crate::trace::RunTrace::for_group(n);
-        let (traced, traced_streams) = sim().run_with_streams(&mut trace);
-        assert_eq!(plain.rounds, traced.rounds);
-        assert_eq!(plain.net, traced.net);
-        assert_eq!(plain.outcomes, traced.outcomes);
-        assert!(plain_streams == traced_streams, "a random stream moved");
-        assert!(plain.crashed() > 0 && plain.net.dropped_loss > 0);
-        assert!(!trace.is_empty());
-    }
-
     #[test]
     fn influence_set_is_shipped_by_reference_and_copied_only_to_grow() {
         let cfg = FlowUpdatingConfig::default();

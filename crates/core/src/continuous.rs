@@ -507,15 +507,6 @@ mod tests {
         c
     }
 
-    fn churny() -> ChurnModel {
-        ChurnModel {
-            join_rate: 1.5,
-            leave_prob: 0.02,
-            crash_prob: 0.03,
-            recover_prob: 0.3,
-        }
-    }
-
     #[test]
     fn no_churn_hier_is_the_periodic_mode() {
         // fixed votes keep the truth fixed, a drift moves it up ~rate per
@@ -605,24 +596,6 @@ mod tests {
             assert_eq!(acc.median_estimate(), median);
         }
         assert!(EpochAccumulator::new(4).median_estimate().is_nan());
-    }
-
-    #[test]
-    fn churn_run_is_deterministic() {
-        let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
-        opts.epochs = 6;
-        opts.churn = churny();
-        opts.votes = VoteProcess::RandomWalk { sigma: 0.5 };
-        let cfg = base(48);
-        let a = run_continuous(&cfg, &opts, 9);
-        let b = run_continuous(&cfg, &opts, 9);
-        assert_eq!(a.epochs.len(), b.epochs.len());
-        for (x, y) in a.epochs.iter().zip(&b.epochs) {
-            assert_eq!(x.up, y.up);
-            assert_eq!(x.messages, y.messages);
-            assert_eq!(x.estimate.to_bits(), y.estimate.to_bits());
-            assert_eq!(x.completeness.to_bits(), y.completeness.to_bits());
-        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Multi-run experiments: parameter sweeps with parallel seeds.
+//! Multi-run experiments: the statistics over several seeds.
 //!
 //! "Each point in these plots is the average of several runs of the
-//! protocol" (§7). [`run_many`] executes a run function over seeds
-//! `base..base+runs` in parallel (std scoped threads) and
-//! [`summarize`] folds the reports into the statistics the figures plot.
+//! protocol" (§7). [`summarize`] folds the reports of one parameter
+//! point into the statistics the figures plot. A run is a pure function
+//! of its config and seed, so the caller picks how to run the seeds:
+//! a plain map, or the bench crate's `Sweep` pool, which returns its
+//! results in declaration order.
 
 use crate::metrics::RunReport;
 
@@ -26,57 +28,6 @@ pub struct Summary {
     pub mean_value_error: f64,
     /// Mean fraction of members that crashed.
     pub mean_crashed: f64,
-}
-
-/// Run `f(seed)` for `runs` seeds starting at `base_seed`, in parallel.
-///
-/// Reports come back ordered by seed, so the result is independent of
-/// thread scheduling.
-///
-/// ```
-/// use gridagg_core::{run_many, summarize};
-/// use gridagg_core::config::ExperimentConfig;
-/// use gridagg_core::runner::run_hiergossip;
-/// use gridagg_aggregate::Average;
-///
-/// let cfg = ExperimentConfig::paper_defaults().with_n(32);
-/// let reports = run_many(4, 1, |seed| run_hiergossip::<Average>(&cfg, seed));
-/// let summary = summarize(&reports);
-/// assert_eq!(summary.runs, 4);
-/// assert!(summary.mean_completeness > 0.5);
-/// ```
-pub fn run_many<F>(runs: usize, base_seed: u64, f: F) -> Vec<RunReport>
-where
-    F: Fn(u64) -> RunReport + Sync,
-{
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "thread count only partitions seed-ordered work; results are scheduling-independent (run_many_matches_sequential_execution)"
-    )]
-    let threads = std::thread::available_parallelism()
-        .map_or(4, std::num::NonZero::get)
-        .min(runs.max(1));
-    let mut reports: Vec<Option<RunReport>> = (0..runs).map(|_| None).collect();
-    let chunk = runs.div_ceil(threads.max(1));
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "scoped fan-out over per-seed runs; each run is a pure function of its seed"
-    )]
-    std::thread::scope(|scope| {
-        for (t, slot) in reports.chunks_mut(chunk.max(1)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, s) in slot.iter_mut().enumerate() {
-                    let seed = base_seed + (t * chunk + i) as u64;
-                    *s = Some(f(seed));
-                }
-            });
-        }
-    });
-    reports
-        .into_iter()
-        .map(|r| r.expect("all runs filled"))
-        .collect()
 }
 
 /// Fold a batch of reports into a [`Summary`].
@@ -131,43 +82,15 @@ mod tests {
     use gridagg_aggregate::Average;
 
     #[test]
-    fn run_many_is_ordered_and_deterministic() {
-        let cfg = ExperimentConfig::default().with_n(32);
-        let a = run_many(4, 100, |seed| run_hiergossip::<Average>(&cfg, seed));
-        let b = run_many(4, 100, |seed| run_hiergossip::<Average>(&cfg, seed));
-        assert_eq!(a.len(), 4);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.net.sent, y.net.sent);
-            assert_eq!(x.mean_incompleteness(), y.mean_incompleteness());
-        }
-    }
-
-    #[test]
-    fn run_many_matches_sequential_execution() {
-        // Thread count and chunking must not affect results: the
-        // parallel batch must equal a plain sequential loop over the
-        // same seeds, report by report.
-        let cfg = ExperimentConfig::default().with_n(32);
-        let parallel = run_many(5, 300, |seed| run_hiergossip::<Average>(&cfg, seed));
-        let sequential: Vec<_> = (300..305)
-            .map(|seed| run_hiergossip::<Average>(&cfg, seed))
-            .collect();
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.rounds, s.rounds);
-            assert_eq!(p.net, s.net);
-            assert_eq!(p.outcomes, s.outcomes);
-        }
-    }
-
-    #[test]
     fn summarize_folds() {
         let cfg = {
             let mut c = ExperimentConfig::default().with_n(32).with_ucastl(0.0);
             c.pf = 0.0;
             c
         };
-        let reports = run_many(3, 7, |seed| run_hiergossip::<Average>(&cfg, seed));
+        let reports: Vec<_> = (7..10)
+            .map(|seed| run_hiergossip::<Average>(&cfg, seed))
+            .collect();
         let s = summarize(&reports);
         assert_eq!(s.runs, 3);
         assert_eq!(s.mean_incompleteness, 0.0);
@@ -190,7 +113,9 @@ mod tests {
     fn summarize_total_when_every_member_crashes() {
         // pf = 1.0: every member crashes in round 0 of every run
         let cfg = ExperimentConfig::default().with_n(32).with_pf(1.0);
-        let reports = run_many(3, 17, |seed| run_hiergossip::<Average>(&cfg, seed));
+        let reports: Vec<_> = (17..20)
+            .map(|seed| run_hiergossip::<Average>(&cfg, seed))
+            .collect();
         for r in &reports {
             assert_eq!(r.completed(), 0, "nobody can complete at pf=1.0");
         }

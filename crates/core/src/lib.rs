@@ -18,7 +18,7 @@
 //!   flat gossip (no hierarchy) as an ablation.
 //! * [`engine`] — the round-driven simulator loop; [`metrics`] — the
 //!   completeness / message / time measurements; [`experiment`] —
-//!   parallel multi-seed sweeps; [`runner`] — one-call entry points;
+//!   statistics over several seeds; [`runner`] — one-call entry points;
 //!   [`config`] — the §7 parameter set with the paper's defaults.
 //!
 //! ## Quickstart
@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use config::ExperimentConfig;
 pub use engine::Simulation;
-pub use experiment::{run_many, summarize, Summary};
+pub use experiment::{summarize, Summary};
 pub use hiergossip::{HierGossip, HierGossipConfig};
 pub use message::Payload;
 pub use metrics::{MemberOutcome, RunReport};

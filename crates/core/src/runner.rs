@@ -395,6 +395,7 @@ fn flatgossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> Simulation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{ring_chord_neighbors, FlowUpdating, FlowUpdatingConfig};
     use crate::metrics::MemberOutcome;
     use gridagg_aggregate::Average;
 
@@ -483,21 +484,11 @@ mod tests {
         assert!(wiped, "no run showed the leader-failure pathology");
     }
 
-    #[test]
-    fn hiergossip_deterministic_per_seed() {
-        let cfg = ExperimentConfig::default();
-        let a = run_hiergossip::<Average>(&cfg, 11);
-        let b = run_hiergossip::<Average>(&cfg, 11);
-        assert_eq!(a.mean_completeness(), b.mean_completeness());
-        assert_eq!(a.net.sent, b.net.sent);
-        assert_eq!(a.rounds, b.rounds);
-    }
-
     /// Tracing perturbs no protocol: a trace-gated block that changed
     /// state or drew from an RNG would move the traced run's counters,
     /// or a member's random stream, off the plain run's. Over every
-    /// builder behind [`Protocol::run_with`], on a lossy, crashing
-    /// run.
+    /// builder behind [`Protocol::run_with`] and a Flow-Updating epoch,
+    /// on a lossy, crashing run.
     #[test]
     fn traced_runner_matches_plain_runner() {
         fn check<P: AggregationProtocol<Average>>(
@@ -525,6 +516,21 @@ mod tests {
         check("flood", || flood::<Average>(cfg, fl, s));
         check("centralized", || centralized::<Average>(cfg, central, s));
         check("leader", || leader::<Average>(cfg, le, s));
+        check("flowupdate", || {
+            assemble(cfg, s, |group| {
+                let fu = FlowUpdatingConfig::default();
+                let up: Vec<_> = group.members().iter().map(|m| m.id).collect();
+                let protocols = group
+                    .members()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, m)| {
+                        FlowUpdating::new(m.id, m.vote, cfg.n, ring_chord_neighbors(&up, i), fu)
+                    })
+                    .collect();
+                (protocols, Round::from(fu.rounds_per_epoch) + 2)
+            })
+        });
     }
 
     /// The `run_*` functions the `benchmark/` package measures run

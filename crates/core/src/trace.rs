@@ -8,7 +8,7 @@
 //! are built inside closures that are never called when tracing is off.
 //! A traced run and an untraced run of the same seed therefore execute
 //! the same protocol decisions and produce byte-identical reports (see
-//! the `traced_run_matches_untraced_run` test in `engine`).
+//! the `traced_runner_matches_plain_runner` test in `runner`).
 //!
 //! [`RunTrace`] is the batteries-included sink: it records every event
 //! in memory and derives the figures-of-merit the paper discusses over

@@ -21,12 +21,15 @@ fn main() {
     for partl in [0.3, 0.5, 0.7, 0.9] {
         let cfg = ExperimentConfig::paper_defaults().with_partl(partl);
         let runs = 10;
-        let hier = summarize(&run_many(runs, 100, |seed| {
-            run_hiergossip::<Average>(&cfg, seed)
-        }));
-        let central = summarize(&run_many(runs, 100, |seed| {
-            Protocol::Centralized.run::<Average>(&cfg, seed)
-        }));
+        let seeds = 100..100 + runs;
+        let hier: Vec<_> = seeds
+            .clone()
+            .map(|seed| run_hiergossip::<Average>(&cfg, seed))
+            .collect();
+        let central: Vec<_> = seeds
+            .map(|seed| Protocol::Centralized.run::<Average>(&cfg, seed))
+            .collect();
+        let (hier, central) = (summarize(&hier), summarize(&central));
         println!(
             "{:>8} {:>18.4e} {:>18.4e}",
             partl, hier.mean_incompleteness, central.mean_incompleteness

@@ -20,7 +20,10 @@ fn main() {
         "protocol", "incompleteness", "msgs/N", "rounds", "rel. error"
     );
     for p in Protocol::ALL {
-        let s = summarize(&run_many(runs, 1, |seed| p.run::<Average>(&cfg, seed)));
+        let reports: Vec<_> = (1..=runs)
+            .map(|seed| p.run::<Average>(&cfg, seed))
+            .collect();
+        let s = summarize(&reports);
         println!(
             "{:<12} {:>15.3e} {:>10.1} {:>10.1} {:>12.2e}",
             p.name(),

@@ -66,8 +66,8 @@ pub mod prelude {
     pub use gridagg_core::periodic::VoteProcess;
     pub use gridagg_core::runner::{run_hiergossip, Protocol};
     pub use gridagg_core::{
-        run_many, summarize, AggregationProtocol, HierGossip, HierGossipConfig, MemberOutcome,
-        RunReport, ScopeIndex, Simulation, Summary,
+        summarize, AggregationProtocol, HierGossip, HierGossipConfig, MemberOutcome, RunReport,
+        ScopeIndex, Simulation, Summary,
     };
     pub use gridagg_group::{
         failure::FailureModel,

@@ -119,21 +119,6 @@ fn hiergossip_matches_seed_behavior() {
 }
 
 #[test]
-fn traced_hiergossip_matches_untraced_and_seed_trace_counts() {
-    // Tracing must not perturb a run, and the trace itself is part of
-    // the frozen behavior: the seed tree recorded exactly these event
-    // counts.
-    for (n, seed, events) in [(64usize, 3u64, 5207usize), (256, 7, 27706)] {
-        let plain = run_hiergossip::<Average>(&cfg(n), seed);
-        let (traced, trace) = Protocol::HierGossip.run_traced::<Average>(&cfg(n), seed);
-        assert_eq!(plain.rounds, traced.rounds, "n={n}: rounds");
-        assert_eq!(plain.net, traced.net, "n={n}: network stats");
-        assert_eq!(plain.outcomes, traced.outcomes, "n={n}: outcomes");
-        assert_eq!(trace.len(), events, "n={n}: trace event count");
-    }
-}
-
-#[test]
 fn event_driven_engine_trace_is_byte_identical() {
     // The struct-of-arrays engine rewrite (event-driven round loop,
     // bitset vote sets, ring-buffered message queue) must not move a
@@ -379,44 +364,69 @@ fn leader_election_matches_seed_behavior() {
 
 #[test]
 fn flow_updating_continuous_matches_seed_behavior() {
-    // Flow-Updating persists across epochs, so one fingerprint over
-    // every epoch's report pins the whole run: churn between epochs,
-    // crashes inside them, and the completeness tally over both.
-    let mut c = cfg(96);
-    c.pf = 0.01;
-    let mut opts = ContinuousOptions::new(ContinuousProtocol::FlowUpdating);
-    opts.churn = ChurnModel {
+    // One fingerprint over every epoch's report pins a whole continuous
+    // run: churn between epochs, crashes inside them, and the
+    // completeness tally over both. One row per driver: Flow-Updating,
+    // which persists across epochs, and the §2 restart driver on the
+    // `churn` grid's harshest cell (high churn, within-epoch crashes
+    // with recovery). The strict build runs the restart driver on exact
+    // contributor sets and the default build on counts; both must read
+    // the same fingerprint.
+    let mut fu_cfg = cfg(96);
+    fu_cfg.pf = 0.01;
+    let mut fu = ContinuousOptions::new(ContinuousProtocol::FlowUpdating);
+    fu.churn = ChurnModel {
         join_rate: 1.5,
         leave_prob: 0.02,
         crash_prob: 0.03,
         recover_prob: 0.3,
     };
-    opts.votes = VoteProcess::RandomWalk { sigma: 0.5 };
-    let out = run_continuous(&c, &opts, 5);
-    assert_eq!(out.epochs.len(), 8);
-    // members that went down inside an epoch: the next epoch's up count
-    // less what the churn step between them explains
-    let mid_epoch_crashes: usize = out
-        .epochs
-        .windows(2)
-        .map(|w| w[0].up + w[1].joins + w[1].recoveries - w[1].leaves - w[1].crashes - w[1].up)
-        .sum();
-    assert!(mid_epoch_crashes > 0, "no member crashed mid-epoch");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in &out.epochs {
-        for word in [
-            e.up as u64,
-            e.messages,
-            e.rounds,
-            e.published as u64,
-            e.completeness.to_bits(),
-            e.estimate.to_bits(),
-        ] {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
+    fu.votes = VoteProcess::RandomWalk { sigma: 0.5 };
+    let mut hier_cfg = cfg(96);
+    hier_cfg.pf = 0.002;
+    let mut hier = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
+    hier.churn = ChurnModel {
+        join_rate: 2.0,
+        leave_prob: 0.02,
+        crash_prob: 0.05,
+        recover_prob: 0.5,
+    };
+    hier.votes = VoteProcess::RandomWalk { sigma: 0.5 };
+    hier.recovery = 0.3;
+    for (c, opts, fingerprint) in [
+        (fu_cfg, fu, 0xf083_4825_d8ac_05f6),
+        (hier_cfg, hier, 0x8efd_3d02_c0d0_1034),
+    ] {
+        let name = opts.protocol;
+        let out = run_continuous(&c, &opts, 5);
+        assert_eq!(out.epochs.len(), 8, "{name:?}");
+        // members that went down inside an epoch: the next epoch's up
+        // count less what the churn step between them explains
+        let mid_epoch_crashes: usize = out
+            .epochs
+            .windows(2)
+            .map(|w| w[0].up + w[1].joins + w[1].recoveries - w[1].leaves - w[1].crashes - w[1].up)
+            .sum();
+        assert!(
+            mid_epoch_crashes > 0,
+            "{name:?}: no member crashed mid-epoch"
+        );
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in &out.epochs {
+            for word in [
+                e.up as u64,
+                e.messages,
+                e.rounds,
+                e.published as u64,
+                e.completeness.to_bits(),
+                e.estimate.to_bits(),
+            ] {
+                for byte in word.to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x100_0000_01b3);
+                }
             }
         }
+        assert_eq!(hash, fingerprint, "{name:?}: epoch fingerprint {hash:#x}");
     }
-    assert_eq!(hash, 0xf083_4825_d8ac_05f6, "epoch fingerprint {hash:#x}");
 }

@@ -121,9 +121,9 @@ fn committee_variant_tolerates_single_leader_crash() {
         .with_ucastl(0.0);
     cfg.pf = 0.004;
     let avg = |committee: usize| {
-        let reports = run_many(12, 77, |seed| {
-            Protocol::Leader { committee }.run::<Average>(&cfg, seed)
-        });
+        let reports: Vec<_> = (77..89)
+            .map(|seed| Protocol::Leader { committee }.run::<Average>(&cfg, seed))
+            .collect();
         summarize(&reports).mean_incompleteness
     };
     let single = avg(1);
@@ -137,7 +137,9 @@ fn committee_variant_tolerates_single_leader_crash() {
 #[test]
 fn soft_partition_degrades_gracefully() {
     let cfg = ExperimentConfig::paper_defaults().with_partl(0.7);
-    let reports = run_many(10, 5, |seed| run_hiergossip::<Average>(&cfg, seed));
+    let reports: Vec<_> = (5..15)
+        .map(|seed| run_hiergossip::<Average>(&cfg, seed))
+        .collect();
     let s = summarize(&reports);
     // Figure 9's qualitative claim: no collapse even at partl = 0.7
     assert!(
@@ -211,31 +213,22 @@ fn bandwidth_cap_limits_but_does_not_break_gossip() {
 }
 
 #[test]
-fn reports_are_reproducible_across_identical_runs() {
-    let cfg = ExperimentConfig::paper_defaults();
-    let a = run_hiergossip::<Average>(&cfg, 31337);
-    let b = run_hiergossip::<Average>(&cfg, 31337);
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.net.sent, b.net.sent);
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x, y);
-    }
-}
-
-#[test]
 fn partial_views_degrade_gracefully() {
     // §2 relaxation: smaller views → lower completeness, never a crash
     let mut small = ExperimentConfig::paper_defaults();
     small.partial_view = Some(40);
     let mut large = ExperimentConfig::paper_defaults();
     large.partial_view = Some(150);
-    let s = summarize(&run_many(6, 3, |seed| {
-        run_hiergossip::<Average>(&small, seed)
-    }));
-    let l = summarize(&run_many(6, 3, |seed| {
-        run_hiergossip::<Average>(&large, seed)
-    }));
+    let s = summarize(
+        &(3..9)
+            .map(|seed| run_hiergossip::<Average>(&small, seed))
+            .collect::<Vec<_>>(),
+    );
+    let l = summarize(
+        &(3..9)
+            .map(|seed| run_hiergossip::<Average>(&large, seed))
+            .collect::<Vec<_>>(),
+    );
     assert!(
         l.mean_incompleteness < s.mean_incompleteness,
         "larger views must help: {} vs {}",
@@ -251,9 +244,11 @@ fn approximate_n_estimate_suffices() {
     for est in [64usize, 500] {
         let mut cfg = ExperimentConfig::paper_defaults();
         cfg.n_estimate = Some(est);
-        let s = summarize(&run_many(6, 9, |seed| {
-            run_hiergossip::<Average>(&cfg, seed)
-        }));
+        let s = summarize(
+            &(9..15)
+                .map(|seed| run_hiergossip::<Average>(&cfg, seed))
+                .collect::<Vec<_>>(),
+        );
         assert!(
             s.mean_incompleteness < 0.1,
             "estimate {est}: incompleteness {}",
@@ -266,9 +261,11 @@ fn approximate_n_estimate_suffices() {
 fn staggered_multicast_initiation_works() {
     let mut cfg = ExperimentConfig::paper_defaults();
     cfg.start_spread = Some(8);
-    let s = summarize(&run_many(6, 21, |seed| {
-        run_hiergossip::<Average>(&cfg, seed)
-    }));
+    let s = summarize(
+        &(21..27)
+            .map(|seed| run_hiergossip::<Average>(&cfg, seed))
+            .collect::<Vec<_>>(),
+    );
     assert!(
         s.mean_incompleteness < 0.1,
         "staggered start incompleteness {}",
