@@ -11,20 +11,19 @@
 //!   simulation; we compute the sum directly in log space), Postulate 1,
 //!   and Theorem 1's `1 − 1/N` bound.
 //!
-//! These curves are the analytic series in Figures 4, 5, and 11.
+//! These curves are the analytic series in Figures 4, 5, and 11. The
+//! schedule's shape has one home each: the phase count is
+//! `gridagg_hierarchy::Hierarchy::phases` and the rounds per phase
+//! `gridagg_core::HierGossipConfig::rounds_per_phase`.
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 pub mod completeness;
-pub mod complexity;
 pub mod epidemic;
 pub mod special;
 
 pub use completeness::{
     c1, c1_incompleteness, ci_lower_bound, effective_contact_rate, protocol_completeness_bound,
     theorem1_bound,
-};
-pub use complexity::{
-    expected_messages, expected_rounds, phases, rounds_per_phase, suboptimality_factor,
 };
 pub use epidemic::{infected_fraction, noninfected};

@@ -12,10 +12,11 @@
 //! rough factors, crossovers — are the reproduction target.
 
 use gridagg_aggregate::Average;
-use gridagg_analysis::{c1_incompleteness, phases, theorem1_bound};
+use gridagg_analysis::{c1_incompleteness, theorem1_bound};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::runner::Protocol;
 use gridagg_core::{summarize, RunReport, Summary};
+use gridagg_hierarchy::Hierarchy;
 
 use crate::plot::{Plot, PlotSeries, Scale};
 use crate::sweep::Sweep;
@@ -908,7 +909,8 @@ static GRID_K: Figure = Figure {
     points: |runs| sweep(runs, &[2.0, 4.0, 8.0, 16.0], |c, k| c.k = k as u8),
     rows: |cells| {
         each(cells, |c| {
-            let phases = phases(c.p.cfg.n, c.p.cfg.k).to_string();
+            let h = Hierarchy::for_group(c.p.cfg.k, c.p.cfg.n).expect("K ≥ 2, N ≥ 2");
+            let phases = h.phases().to_string();
             vec![c.label(), phases, c.inc(), c.messages(), c.rounds()]
         })
     },
@@ -954,7 +956,7 @@ fn phase_profile() -> (Vec<Vec<String>>, f64) {
     use gridagg_group::failure::{FailureModel, FailureProcess};
     use gridagg_group::view::View;
     use gridagg_group::{GroupBuilder, VoteDistribution};
-    use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
+    use gridagg_hierarchy::FairHashPlacement;
     use gridagg_simnet::loss::UniformLoss;
     use gridagg_simnet::network::{NetworkConfig, SimNetwork};
 

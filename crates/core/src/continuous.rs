@@ -42,9 +42,11 @@
 //! reached that estimate. Both drivers are scored against the same
 //! membership, so the hiergossip-vs-Flow-Updating comparison in
 //! `gridagg-bench` is apples-to-apples.
+//!
+//! [`FailureModel::PerRoundWithRecovery`]: gridagg_group::failure::FailureModel::PerRoundWithRecovery
 
 use gridagg_aggregate::{Aggregate, Average};
-use gridagg_group::failure::{FailureModel, FailureProcess};
+use gridagg_group::failure::FailureProcess;
 use gridagg_group::membership::{ChurnModel, MembershipEvent, MembershipProcess};
 use gridagg_group::view::View;
 use gridagg_group::{MemberId, VoteDistribution};
@@ -89,6 +91,8 @@ pub struct ContinuousOptions {
     /// hiergossip driver, `pf > 0` and `pr > 0` select
     /// [`FailureModel::PerRoundWithRecovery`]; `pr = 0` keeps the
     /// paper's crash-without-recovery model.
+    ///
+    /// [`FailureModel::PerRoundWithRecovery`]: gridagg_group::failure::FailureModel::PerRoundWithRecovery
     pub recovery: f64,
     /// Flow-Updating parameters (ignored by the hiergossip driver).
     pub fu: FlowUpdatingConfig,
@@ -449,11 +453,7 @@ fn run_fu_epoch(
     // within-epoch crashes only; recoveries happen between epochs via
     // the churn model (a mid-epoch rejoin over the persistent overlay
     // would silently resurrect stale flows)
-    let model = if cfg.pf > 0.0 {
-        FailureModel::PerRound { pf: cfg.pf }
-    } else {
-        FailureModel::None
-    };
+    let model = MembershipProcess::within_epoch_model(cfg.pf, 0.0);
     let failure = FailureProcess::with_liveness(model, membership.up_mask(), epoch_seed);
     let moved = std::mem::take(protocols);
     let (run, returned) = Simulation::new(
@@ -498,6 +498,7 @@ fn run_fu_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridagg_group::failure::FailureModel;
 
     fn base(n: usize) -> ExperimentConfig {
         let mut c = ExperimentConfig::paper_defaults()

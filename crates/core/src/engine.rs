@@ -46,7 +46,7 @@ use gridagg_simnet::Round;
 
 use crate::message::Payload;
 use crate::metrics::{MemberOutcome, RunReport};
-use crate::protocol::{step, AggregationProtocol, Effects, Outbox};
+use crate::protocol::{member_streams, step, AggregationProtocol, Effects, Outbox};
 use crate::trace::{DynSink, NoTrace, TraceEvent, TraceSink};
 
 /// Effects applied as the step makes them: straight into the network
@@ -295,7 +295,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
         assert!(!protocols.is_empty(), "simulation needs members");
         let mut net = net;
         net.reserve_nodes(protocols.len());
-        let root = DetRng::seeded(seed).fork(0x6D62_7273); // "mbrs"
+        let root = member_streams(seed);
         let rngs = (0..protocols.len()).map(|i| root.fork(i as u64)).collect();
         let started = (0..protocols.len()).collect();
         Simulation {

@@ -211,6 +211,14 @@ pub trait Effects<A> {
     fn send(&mut self, round: Round, from: MemberId, to: MemberId, msg: Payload<A>, shared: bool);
 }
 
+/// The root of a run's member random streams, on any substrate: member
+/// `i` of a run seeded `seed` draws from `member_streams(seed).fork(i)`,
+/// in the simulator and on sockets alike. A harness forks it once per
+/// member, so it computes the root once per run.
+pub fn member_streams(seed: u64) -> DetRng {
+    DetRng::seeded(seed).fork(0x6D62_7273) // "mbrs"
+}
+
 /// One protocol step at member `me`, on any substrate: deliver `msg`
 /// (or, with `None`, run the round timer), report a termination, and
 /// hand the outbox to `fx`. Returns whether the member is done after.

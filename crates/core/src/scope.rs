@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use gridagg_group::view::View;
 use gridagg_group::MemberId;
-use gridagg_hierarchy::{Addr, AddrInterner, Hierarchy, Placement};
+use gridagg_hierarchy::{Addr, Hierarchy, Placement};
 
 /// Immutable, shareable index of the hierarchy population.
 #[derive(Debug)]
@@ -26,9 +26,7 @@ pub struct ScopeIndex {
     offsets: Vec<u32>,
     /// box address of each member, indexed by member id
     box_of: Vec<Addr>,
-    /// dense ids for the fixed prefix universe (see `hierarchy::intern`)
-    interner: AddrInterner,
-    /// non-empty children per non-leaf prefix, indexed by interned id
+    /// non-empty children per non-leaf prefix, indexed by `Addr::code`
     /// (leaf prefixes share one trailing empty slot)
     children: Vec<Vec<Addr>>,
 }
@@ -67,32 +65,22 @@ impl ScopeIndex {
             sorted[cursor[b] as usize] = m;
             cursor[b] += 1;
         }
-        let interner = AddrInterner::new(&hierarchy);
         let mut index = ScopeIndex {
             hierarchy,
             sorted,
             offsets,
             box_of,
-            interner,
             children: Vec::new(),
         };
         // Precompute non-empty children for every non-leaf prefix (leaf
         // prefixes have no children; they all alias the final empty Vec
-        // so `nonempty_children` stays total over the universe). The
-        // first leaf id bounds the non-leaf prefix range.
-        let first_leaf = index.interner.intern(&hierarchy.box_at(0)) as usize;
-        let mut children = Vec::with_capacity(first_leaf + 1);
-        for id in 0..first_leaf {
-            let prefix = index.interner.resolve(id as u32);
-            children.push(
-                prefix
-                    .children()
-                    .filter(|c| !index.members_in(c).is_empty())
-                    .collect(),
-            );
-        }
-        children.push(Vec::new());
-        index.children = children;
+        // so `nonempty_children` stays total over the universe). Codes
+        // run breadth first, so the first box's counts the inner prefixes.
+        let inner = hierarchy
+            .prefixes()
+            .take(hierarchy.box_at(0).code() as usize);
+        let children = inner.map(|p| p.children().filter(|c| index.count_in(c) > 0).collect());
+        index.children = children.chain([Vec::new()]).collect();
         Arc::new(index)
     }
 
@@ -155,17 +143,12 @@ impl ScopeIndex {
         Some(start - self.offsets[self.boxes_in(prefix).0] as usize + in_box)
     }
 
-    /// The dense id table for this hierarchy's prefix universe.
-    pub fn interner(&self) -> &AddrInterner {
-        &self.interner
-    }
-
     /// The non-empty children of `prefix` (subtrees that actually have
     /// members — a box can be empty under a random hash). Precomputed
     /// once per run; leaf prefixes return the empty slice.
     pub fn nonempty_children(&self, prefix: &Addr) -> &[Addr] {
-        let id = self.interner.intern(prefix) as usize;
-        &self.children[id.min(self.children.len() - 1)]
+        let code = prefix.code() as usize;
+        &self.children[code.min(self.children.len() - 1)]
     }
 }
 
@@ -240,8 +223,7 @@ mod tests {
     #[test]
     fn position_in_agrees_with_a_linear_scan_for_every_member_and_prefix() {
         let idx = index(200, 4);
-        let universe = idx.interner();
-        for prefix in (0..universe.len() as u32).map(|id| universe.resolve(id)) {
+        for prefix in idx.hierarchy().prefixes() {
             let slice = idx.members_in(&prefix);
             for m in (0..200).map(MemberId) {
                 let scan = slice.iter().position(|&x| x == m);

@@ -34,13 +34,10 @@ fn scope_index_partitions_at_every_level() {
         let salt = rng.raw().next_u64();
         let index = index_for(n, k, salt);
         let h = *index.hierarchy();
-        for len in 0..h.depth() {
-            for i in 0..(h.k() as u64).pow(len as u32) {
-                let parent = Addr::from_index(h.k(), len, i).expect("prefix");
-                let parent_count = index.count_in(&parent);
-                let child_sum: usize = parent.children().map(|c| index.count_in(&c)).sum();
-                assert_eq!(parent_count, child_sum, "prefix {parent} at len {len}");
-            }
+        for parent in h.prefixes().filter(|p| p.len() < h.depth()) {
+            let parent_count = index.count_in(&parent);
+            let child_sum: usize = parent.children().map(|c| index.count_in(&c)).sum();
+            assert_eq!(parent_count, child_sum, "prefix {parent}");
         }
         let root = Addr::root(h.k()).expect("root");
         assert_eq!(index.count_in(&root), n);
@@ -89,21 +86,18 @@ fn leader_committees_nest_and_belong() {
             ..Default::default()
         };
         let dir = LeaderDirectory::build(&index, &cfg);
-        for len in 0..=h.depth() {
-            for i in 0..(h.k() as u64).pow(len as u32) {
-                let p = Addr::from_index(h.k(), len, i).expect("prefix");
-                let c = dir.committee(&p);
-                let population = index.count_in(&p);
-                assert_eq!(c.len(), committee.min(population), "prefix {p}");
-                for &m in c {
-                    assert!(p.contains(&index.box_of(m)));
-                    if len < h.depth() {
-                        let child = index.box_of(m).prefix(len + 1);
-                        assert!(
-                            dir.is_committee(&child, m),
-                            "{m} leads {p} but not its child {child}"
-                        );
-                    }
+        for p in h.prefixes() {
+            let c = dir.committee(&p);
+            let population = index.count_in(&p);
+            assert_eq!(c.len(), committee.min(population), "prefix {p}");
+            for &m in c {
+                assert!(p.contains(&index.box_of(m)));
+                if p.len() < h.depth() {
+                    let child = index.box_of(m).prefix(p.len() + 1);
+                    assert!(
+                        dir.is_committee(&child, m),
+                        "{m} leads {p} but not its child {child}"
+                    );
                 }
             }
         }

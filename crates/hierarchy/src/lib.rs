@@ -36,13 +36,11 @@
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 pub mod addr;
-pub mod intern;
 pub mod params;
 pub mod placement;
 pub mod topo;
 
 pub use addr::{Addr, AddrError};
-pub use intern::AddrInterner;
 pub use params::Hierarchy;
 pub use placement::{ExplicitPlacement, FairHashPlacement, Placement, PrefixPlacement};
 pub use topo::TopologicalPlacement;

@@ -122,6 +122,15 @@ impl Hierarchy {
         (self.k as u64).pow(self.depth as u32)
     }
 
+    /// Every prefix of this hierarchy in [`Addr::code`] order, from the
+    /// root to the last box: the `c`-th is the prefix whose code is `c`,
+    /// so a table over prefixes indexes by code, and every prefix comes
+    /// before its children.
+    pub fn prefixes(&self) -> impl DoubleEndedIterator<Item = Addr> + ExactSizeIterator {
+        let (k, last) = (self.k, self.box_at(self.num_boxes() - 1).code());
+        (0..last + 1).map(move |code| Addr::from_code(k, code).expect("a code of this hierarchy"))
+    }
+
     /// Number of protocol phases, `depth + 1` (the paper's `log_K N`).
     pub fn phases(&self) -> usize {
         self.depth as usize + 1

@@ -5,7 +5,7 @@
 //! way `Addr` itself did before. Exhaustive over every address of up to
 //! four digits for `K ∈ {2, 3, 4, 16}`.
 
-use gridagg_hierarchy::{Addr, AddrError, AddrInterner, Hierarchy};
+use gridagg_hierarchy::{Addr, AddrError, Hierarchy};
 
 const DEPTH: usize = 4;
 
@@ -138,16 +138,19 @@ fn order_and_containment_agree_pairwise() {
 }
 
 #[test]
-fn chain_parents_and_interned_ids_agree() {
+fn chain_parents_and_codes_agree() {
     for base in [2u8, 3, 4, 16] {
         let all = universe(base);
-        let interner = AddrInterner::new(&Hierarchy::with_depth(base, DEPTH).unwrap());
-        assert_eq!(interner.len(), all.len());
+        // the last box's code counts every prefix of the hierarchy, and
+        // the hierarchy lists them in code order
+        let h = Hierarchy::with_depth(base, DEPTH).unwrap();
+        assert_eq!(h.box_at(h.num_boxes() - 1).code() as usize + 1, all.len());
+        assert!(h.prefixes().eq(all.iter().map(|(_, a)| *a)));
         // the universe is enumerated in the reference's order
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-        for (id, (r, a)) in all.iter().enumerate() {
-            assert_eq!(interner.intern(a), id as u32, "{r:?}");
-            assert_eq!(interner.resolve(id as u32), *a, "{r:?}");
+        for (rank, (r, a)) in all.iter().enumerate() {
+            assert_eq!(a.code(), rank as u32, "{r:?}");
+            assert_eq!(Addr::from_code(base, rank as u32), Ok(*a), "{r:?}");
         }
         let foreign = Addr::root(base + 1).unwrap();
         let boxes: Vec<_> = all.iter().filter(|(r, _)| r.len == DEPTH).collect();

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_core::hiergossip::{HierGossip, HierGossipConfig};
-use gridagg_core::protocol::AggregationProtocol;
+use gridagg_core::protocol::{member_streams, AggregationProtocol};
 use gridagg_core::scope::ScopeIndex;
 use gridagg_group::MemberId;
 use gridagg_simnet::rng::DetRng;
@@ -81,9 +81,8 @@ pub struct Cluster<A> {
     sockets: usize,
     workers: usize,
     epoch: Instant,
-    interval: Duration,
-    max_rounds: u64,
-    linger_rounds: u64,
+    /// When [`Cluster::join`] stops waiting for outcomes.
+    deadline: Instant,
 }
 
 impl<A: WireAggregate + Send + 'static> Cluster<A> {
@@ -129,6 +128,10 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
     where
         P: AggregationProtocol<A> + Send + 'static,
     {
+        // the one floor on the round length, for the workers and the
+        // collector alike
+        let mut rt_cfg = rt_cfg;
+        rt_cfg.round_interval = rt_cfg.round_interval.max(Duration::from_micros(200));
         let sockets = rt_cfg.sockets.max(1);
         let workers = rt_cfg.workers.max(1).min(sockets);
 
@@ -162,6 +165,7 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
         let (done_tx, done_rx) = mpsc::channel::<MemberOutcome<A>>();
         let shutdown = Arc::new(AtomicBool::new(false));
         let root_rng = DetRng::seeded(rt_cfg.seed);
+        let streams = member_streams(rt_cfg.seed);
         let mut built = Vec::with_capacity(workers);
         for (w, (sockets_of, members)) in socket_sets.into_iter().zip(shards).enumerate() {
             built.push(Worker::new(
@@ -172,6 +176,7 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
                 n as u32,
                 rt_cfg.clone(),
                 &root_rng,
+                &streams,
                 done_tx.clone(),
                 shutdown.clone(),
             ));
@@ -183,6 +188,10 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
         // worker was built, and a thread that starts late runs its due
         // rounds at once.
         let epoch = Instant::now();
+        let budget = rt_cfg
+            .max_rounds
+            .saturating_add(rt_cfg.linger_rounds)
+            .saturating_add(16);
         let mut handles = Vec::with_capacity(workers);
         for (w, worker) in built.into_iter().enumerate() {
             let spawned = std::thread::Builder::new()
@@ -210,9 +219,11 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
             sockets,
             workers,
             epoch,
-            interval: rt_cfg.round_interval.max(Duration::from_micros(200)),
-            max_rounds: rt_cfg.max_rounds,
-            linger_rounds: rt_cfg.linger_rounds,
+            // the full round budget plus linger and slack: a wedged
+            // worker must not hang the collector forever
+            deadline: epoch
+                + rt_cfg.round_interval * u32::try_from(budget).unwrap_or(u32::MAX)
+                + Duration::from_secs(5),
         })
     }
 
@@ -235,17 +246,9 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
             sockets,
             workers,
             epoch,
-            interval,
-            max_rounds,
-            linger_rounds,
+            deadline,
             ..
         } = self;
-
-        // Hard deadline: the full round budget plus linger and slack —
-        // a wedged worker must not hang the collector forever.
-        let budget = max_rounds.saturating_add(linger_rounds).saturating_add(16);
-        let deadline =
-            epoch + interval * u32::try_from(budget).unwrap_or(u32::MAX) + Duration::from_secs(5);
 
         let mut outcomes: Vec<MemberOutcome<A>> = Vec::with_capacity(n);
         let mut last_done = epoch;

@@ -25,8 +25,9 @@
 //!   each received frame to its member as it is read, coalesces the
 //!   frames it sends per destination socket, and keeps per-worker
 //!   counters.
-//! - [`timer`] — the epoch-anchored timer wheel driving round and
-//!   linger deadlines, keeping round boundaries aligned across workers.
+//! - [`timer`] — a timer wheel only the benchmark package reads; each
+//!   worker times its rounds with one round count anchored at the
+//!   cluster's epoch, so round boundaries align across workers.
 //! - [`cluster`] — assembly, outcome collection, graceful teardown, and
 //!   the [`cluster::RuntimeReport`] mirroring the
 //!   simulator's `RunReport`.
@@ -78,7 +79,8 @@ pub use multiplex::WorkerStats;
 /// Wall-clock and multiplexing parameters of a real-network cluster.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Length of one gossip round.
+    /// Length of one gossip round; a cluster raises a shorter one to
+    /// 200 µs.
     pub round_interval: Duration,
     /// Safety cap: a member gives up after this many rounds even if the
     /// protocol has not terminated.

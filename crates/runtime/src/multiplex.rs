@@ -10,13 +10,13 @@
 //!    or outside the group as a `DecodeError` value, counted not
 //!    panicked; the gossip the delivery produced is encoded into the
 //!    coalescer at once;
-//! 2. **tick** — pop due round deadlines off the [`TimerWheel`] and run
-//!    each member's round [`step`] (plus termination, linger, and
-//!    retry-on-silence bookkeeping);
+//! 2. **tick** — once the round's deadline has passed, run every live
+//!    member's round [`step`] in local order (plus termination, linger,
+//!    and retry-on-silence bookkeeping);
 //! 3. **flush** — seal the frames coalesced per destination socket into
 //!    datagrams, route them through the [`FaultInjector`], and put them
 //!    on the wire;
-//! 4. **sleep** until the next deadline (bounded by a short poll cap so
+//! 4. **sleep** until the round deadline (bounded by a short poll cap so
 //!    inbound traffic is never stalled a full round).
 //!
 //! The worker runs any [`AggregationProtocol`]: [`step`] is the
@@ -59,7 +59,6 @@ use gridagg_simnet::rng::DetRng;
 use gridagg_simnet::Round;
 
 use crate::endpoint::{frame_len, push_frame, FaultInjector, Frame, FrameIter, MAX_FRAME_PAYLOAD};
-use crate::timer::TimerWheel;
 use crate::{MemberOutcome, RuntimeConfig};
 
 /// Cap on the frames a retry-on-silence round resends.
@@ -152,8 +151,6 @@ struct MemberSlot<P> {
     id: MemberId,
     proto: P,
     rng: DetRng,
-    /// Completed wall-clock rounds.
-    round: u64,
     /// Round of the most recent inbound message (for retry-on-silence).
     last_rx_round: u64,
     reported: bool,
@@ -284,6 +281,9 @@ pub(crate) struct Worker<A, P> {
     /// Global member id -> local slot index (`u32::MAX` = not ours).
     local_of: Vec<u32>,
     live: usize,
+    /// Completed wall-clock rounds. Rounds are synchronous: round `r`
+    /// ends at every live member `r + 1` intervals after the epoch.
+    round: u64,
     stats: WorkerStats,
     shared: SharedAggs<A>,
 
@@ -292,7 +292,6 @@ pub(crate) struct Worker<A, P> {
     /// [`Sends::encoded`].
     encoded: Vec<u8>,
     resend: Resend,
-    due: Vec<u32>,
     coalesce: Coalescer,
     /// Datagrams sequenced (possibly reordered) for sending.
     wire: Vec<(SocketAddr, Vec<u8>)>,
@@ -346,7 +345,10 @@ impl Coalescer {
 
 impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
     /// Assemble a worker over its sockets and the members homed there,
-    /// each with its protocol instance.
+    /// each with its protocol instance. Member `i` draws from
+    /// `streams.fork(i)`, where `streams` is the run's
+    /// [`member_streams`](gridagg_core::protocol::member_streams) root;
+    /// the fault injector forks `root_rng`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         worker_id: usize,
@@ -356,6 +358,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         n_members: u32,
         cfg: RuntimeConfig,
         root_rng: &DetRng,
+        streams: &DetRng,
         done: mpsc::Sender<MemberOutcome<A>>,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
@@ -366,8 +369,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             slots.push(MemberSlot {
                 id,
                 proto,
-                rng: root_rng.fork(0x7275_6E00 ^ u64::from(id.0)), // "run"
-                round: 0,
+                rng: streams.fork(u64::from(id.0)),
                 last_rx_round: 0,
                 reported: false,
                 linger_left: cfg.linger_rounds,
@@ -398,12 +400,12 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             slots,
             local_of,
             live,
+            round: 0,
             stats: WorkerStats::default(),
             shared: SharedAggs::new(),
             outbox: Outbox::new(),
             encoded: Vec::new(),
             resend: Resend::default(),
-            due: Vec::new(),
             coalesce,
             wire: Vec::new(),
             recv_buf: vec![0u8; 64 * 1024],
@@ -413,29 +415,27 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
     /// The worker's event loop, with round 0 ending one round interval
     /// after `epoch`; returns its counters at exit.
     pub(crate) fn run(mut self, epoch: Instant) -> WorkerStats {
-        let interval = self.cfg.round_interval.max(Duration::from_micros(200));
+        let interval = self.cfg.round_interval;
         let poll_cap = (interval / 4).clamp(Duration::from_micros(200), Duration::from_millis(2));
-        // Slot count ≈ one round of granularity-interval/4 ticks per
-        // lap; laps are handled by the wheel anyway.
-        let mut wheel = TimerWheel::new(epoch, interval / 4, 64);
-        for local in 0..self.slots.len() as u32 {
-            wheel.schedule(epoch + interval, local);
-        }
         loop {
             self.stats.wakeups += 1;
             self.drain_sockets();
-            self.tick_due(&mut wheel, epoch, Instant::now());
+            self.tick(epoch, Instant::now());
             self.flush_ready();
             if self.live == 0 || self.shutdown.load(Ordering::Relaxed) {
                 break;
             }
-            let now = Instant::now();
-            let until_deadline = wheel
-                .next_deadline()
-                .map_or(poll_cap, |d| d.saturating_duration_since(now));
+            let until_deadline = self
+                .deadline(epoch)
+                .saturating_duration_since(Instant::now());
             std::thread::sleep(until_deadline.min(poll_cap).max(Duration::from_micros(50)));
         }
         self.stats
+    }
+
+    /// When the current round ends: `round + 1` intervals after `epoch`.
+    fn deadline(&self, epoch: Instant) -> Instant {
+        epoch + self.cfg.round_interval * u32::try_from(self.round + 1).unwrap_or(u32::MAX)
     }
 
     /// Poll every owned socket dry, delivering each frame as it is read.
@@ -480,71 +480,69 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         if slot.retired {
             return;
         }
-        slot.last_rx_round = slot.round;
+        slot.last_rx_round = self.round;
         // `step` reads only `from` and `payload`; the frame carries no
         // send round, so `sent_at` is a placeholder (the receive round).
         let env = Envelope {
             from: MemberId(frame.src),
             to: slot.id,
-            sent_at: slot.round,
+            sent_at: self.round,
             payload,
         };
         self.step_member(local, Some(env), false);
     }
 
-    /// Pop due round deadlines and advance each member's round state.
-    fn tick_due(&mut self, wheel: &mut TimerWheel, epoch: Instant, now: Instant) {
-        let interval = self.cfg.round_interval.max(Duration::from_micros(200));
-        self.due.clear();
-        wheel.pop_due(now, &mut self.due);
-        let mut k = 0;
-        while k < self.due.len() {
-            let local = self.due[k];
-            k += 1;
-            let slot = &mut self.slots[local as usize];
+    /// Once the round's deadline has passed at `now`, end it at every
+    /// live member in local order: a running member takes its round
+    /// step, then reports if done or out of rounds; a reported one
+    /// lingers, then retires. At most one round a call, so a worker that
+    /// fell behind catches up one round a wakeup.
+    fn tick(&mut self, epoch: Instant, now: Instant) {
+        if now < self.deadline(epoch) {
+            return;
+        }
+        let round = self.round;
+        for local in 0..self.slots.len() {
+            let slot = &mut self.slots[local];
             if slot.retired {
                 continue;
             }
-            if !slot.reported {
-                if !slot.proto.is_done() && slot.round < self.cfg.max_rounds {
-                    // Retry-on-silence backs off exponentially: resend
-                    // after r, 2r, 4r, ... silent rounds, not every
-                    // round — a congested cluster must not answer
-                    // silence with a retry storm.
-                    let silent_rounds = slot.round.saturating_sub(slot.last_rx_round);
-                    let r = self.cfg.retry_silent_rounds;
-                    let silent = r > 0
-                        && silent_rounds >= r
-                        && silent_rounds.is_multiple_of(r)
-                        && (silent_rounds / r).is_power_of_two();
-                    self.step_member(local, None, silent);
-                }
-                let slot = &mut self.slots[local as usize];
-                slot.round += 1;
-                if slot.proto.is_done() || slot.round >= self.cfg.max_rounds {
-                    slot.reported = true;
-                    let outcome = MemberOutcome {
-                        member: slot.id,
-                        estimate: slot.proto.estimate().cloned(),
-                        rounds: slot.round,
-                    };
-                    // The collector may already have what it needs and
-                    // hung up; lingering members keep serving either way.
-                    let _ = self.done.send(outcome);
-                }
-            } else {
-                slot.round += 1;
+            if slot.reported {
                 if slot.linger_left == 0 {
                     slot.retired = true;
                     self.live -= 1;
-                    continue;
+                } else {
+                    slot.linger_left -= 1;
                 }
-                slot.linger_left -= 1;
+                continue;
             }
-            let slot = &self.slots[local as usize];
-            let next = epoch + interval * u32::try_from(slot.round + 1).unwrap_or(u32::MAX);
-            wheel.schedule(next, local);
+            if !slot.proto.is_done() && round < self.cfg.max_rounds {
+                // Retry-on-silence backs off exponentially: resend
+                // after r, 2r, 4r, ... silent rounds, not every round —
+                // a congested cluster must not answer silence with a
+                // retry storm.
+                let silent_rounds = round.saturating_sub(slot.last_rx_round);
+                let r = self.cfg.retry_silent_rounds;
+                let silent = r > 0
+                    && silent_rounds >= r
+                    && silent_rounds.is_multiple_of(r)
+                    && (silent_rounds / r).is_power_of_two();
+                self.step_member(local as u32, None, silent);
+            }
+            let slot = &mut self.slots[local];
+            if slot.proto.is_done() || round + 1 >= self.cfg.max_rounds {
+                slot.reported = true;
+                let outcome = MemberOutcome {
+                    member: slot.id,
+                    estimate: slot.proto.estimate().cloned(),
+                    rounds: round + 1,
+                };
+                // The collector may already have what it needs and hung
+                // up; lingering members keep serving either way.
+                let _ = self.done.send(outcome);
+            }
         }
+        self.round = round + 1;
     }
 
     /// Run one member's protocol [`step`] into its [`Sends`]: deliver
@@ -553,14 +551,8 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
     /// step sent, in send order; a step that sent nothing resends
     /// nothing.
     fn step_member(&mut self, local: u32, msg: Option<Envelope<Payload<A>>>, retry: bool) {
-        let n = self.n_members as usize;
-        let MemberSlot {
-            id,
-            proto,
-            rng,
-            round,
-            ..
-        } = &mut self.slots[local as usize];
+        let (n, round) = (self.n_members as usize, self.round);
+        let MemberSlot { id, proto, rng, .. } = &mut self.slots[local as usize];
         let mut fx = Sends {
             resend: retry.then_some(&mut self.resend),
             encoded: &mut self.encoded,
@@ -568,13 +560,13 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             coalesce: &mut self.coalesce,
             stats: &mut self.stats,
         };
-        let done = step(proto, rng, *id, *round, n, msg, &mut self.outbox, &mut fx);
+        let done = step(proto, rng, *id, round, n, msg, &mut self.outbox, &mut fx);
         if retry && !done {
             let mut start = 0;
             for &(to, end) in &self.resend.frames {
                 let bytes = &self.resend.bytes[start..end];
                 start = end;
-                if self.faults.drop_frame(*id, MemberId(to), *round) {
+                if self.faults.drop_frame(*id, MemberId(to), round) {
                     self.stats.injected_drops += 1;
                     continue;
                 }
@@ -638,7 +630,7 @@ mod tests {
     use super::*;
     use crate::endpoint::FRAME_HEADER_LEN;
     use gridagg_aggregate::{Average, Tagged};
-    use gridagg_core::protocol::Ctx;
+    use gridagg_core::protocol::{member_streams, Ctx};
 
     #[test]
     fn worker_stats_merge_adds_and_maxes() {
@@ -731,6 +723,7 @@ mod tests {
             n,
             cfg,
             &DetRng::seeded(1),
+            &member_streams(1),
             done,
             Arc::new(AtomicBool::new(false)),
         )
@@ -892,12 +885,10 @@ mod tests {
         let (done, outcomes) = mpsc::channel();
         worker.done = done;
         let epoch = Instant::now();
-        let mut wheel = TimerWheel::new(epoch, interval / 4, 64);
-        wheel.schedule(epoch + interval, 0);
         let mut retried_at = Vec::new();
         for k in 1..=24 {
             let retries = worker.stats.retries;
-            worker.tick_due(&mut wheel, epoch, epoch + interval * k);
+            worker.tick(epoch, epoch + interval * k);
             if worker.stats.retries > retries {
                 retried_at.push(k - 1);
             }
@@ -909,7 +900,61 @@ mod tests {
         // one resent on each
         assert_eq!(retried_at, [2, 4, 8, 16]);
         assert_eq!(worker.stats.frames_sent, 20 + 4);
-        assert_eq!(wheel.pending(), 0, "a retired member schedules nothing");
+        worker.tick(epoch, epoch + interval * 25);
+        assert_eq!(worker.live, 0, "a retired member is no longer live");
+        assert_eq!(worker.stats.frames_sent, 20 + 4, "nor stepped");
+    }
+
+    /// Records the first draws of its member's random stream.
+    #[derive(Debug, Default)]
+    struct Draws(Vec<u64>);
+
+    impl AggregationProtocol<Average> for Draws {
+        fn on_round(&mut self, ctx: &mut Ctx<'_>, _: &mut Outbox<Average>) {
+            self.0.extend((0..4).map(|_| ctx.rng.below(1 << 30) as u64));
+        }
+        fn on_message(
+            &mut self,
+            _: MemberId,
+            _: Payload<Average>,
+            _: &mut Ctx<'_>,
+            _: &mut Outbox<Average>,
+        ) {
+        }
+        fn estimate(&self) -> Option<&Tagged<Average>> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+        fn completed_at(&self) -> Option<Round> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_workers_member_draws_the_stream_the_simulator_gives_it() {
+        use gridagg_core::Simulation;
+        use gridagg_group::failure::{FailureModel, FailureProcess};
+        use gridagg_simnet::network::{NetworkConfig, SimNetwork};
+
+        // one round of a group of 8 on seed 1, as `worker_of` seeds it
+        let members = (0..8).map(|_| Draws::default()).collect();
+        let net = SimNetwork::new(NetworkConfig::default(), 1);
+        let failure = FailureProcess::new(FailureModel::None, 8, 1);
+        let (_, simulated) = Simulation::new(net, members, failure, 1, 0.0, 1).run_returning();
+        // a worker homing members 3 and 6 of the same group
+        let shard = vec![
+            (MemberId(3), Draws::default()),
+            (MemberId(6), Draws::default()),
+        ];
+        let mut worker = worker_of(shard, 8, roomy());
+        for (local, id) in [(0, 3), (1, 6)] {
+            worker.step_member(local, None, false);
+            let drawn = &worker.slots[local as usize].proto.0;
+            assert_eq!(drawn.len(), 4);
+            assert_eq!(*drawn, simulated[id].0, "member {id}");
+        }
     }
 
     /// Keeps every aggregate delivered to it while `keep` is set;
@@ -1085,22 +1130,9 @@ mod tests {
             max_datagram: 128 * 1024,
             ..Default::default()
         };
-        let (done, _outcomes) = mpsc::channel();
-        let members = vec![(MemberId(0), Votes(0))];
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let rng = DetRng::seeded(1);
-        let sockets = vec![(0, socket)];
-        let mut worker: Worker<Average, Votes> = Worker::new(
-            0,
-            sockets,
-            Arc::new(vec![addr]),
-            members,
-            N,
-            cfg,
-            &rng,
-            done,
-            shutdown,
-        );
+        let mut worker = worker(Votes(0), N, cfg);
+        worker.sockets = vec![(0, socket)];
+        worker.addrs = Arc::new(vec![addr]);
         let half = vec![0; 40_000];
         for bytes in [&half, &half] {
             worker

@@ -1,13 +1,11 @@
-//! A hashed timer wheel driving round and linger deadlines.
+//! A hashed timer wheel over member-local deadlines.
 //!
-//! Each [`Worker`](crate::multiplex) owns one wheel. Members schedule
-//! their next round tick (and retry / linger expiries) as absolute
-//! deadlines; the worker advances the wheel once per wakeup and
-//! processes whatever fell due. The wheel is anchored at a cluster-wide
-//! epoch so that members sharing a cadence land in the same slot and
-//! round boundaries stay aligned across workers — the property that
-//! makes the wall-clock runtime behave like the synchronous simulator
-//! plus channel faults.
+//! The runtime does not use it: rounds are synchronous, so every live
+//! member of a worker falls due at once, and a worker keeps one round
+//! count anchored at the cluster's epoch instead (see
+//! [`multiplex`](crate::multiplex)). Only the benchmark package reads
+//! this module, for its `timer.schedule_pop_ns` metric; the module goes
+//! when that metric does.
 //!
 //! The wheel is deliberately simple: `SLOTS` buckets of `tick`-sized
 //! granularity, entries carry their absolute tick index so a slot can
@@ -74,8 +72,9 @@ impl TimerWheel {
     }
 
     /// Advance the wheel to `now`, appending every due member to `out`
-    /// (in slot order; members due in the same slot pop in scheduling
-    /// order). Returns the number popped.
+    /// in slot order. Within a slot a pop swaps the slot's last entry
+    /// into the popped one's place, so entries `e0, e1, …, e_last` due
+    /// together pop as `e0, e_last, …, e1`. Returns the number popped.
     pub fn pop_due(&mut self, now: Instant, out: &mut Vec<u32>) -> usize {
         let target = self.tick_of(now);
         let mask = self.slots.len() as u64 - 1;
@@ -99,18 +98,6 @@ impl TimerWheel {
         self.cursor = target + 1;
         self.pending -= popped;
         popped
-    }
-
-    /// Earliest pending deadline, if any — what the worker sleeps
-    /// towards. O(slots + pending); called once per wakeup.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        let mut best: Option<u64> = None;
-        for slot in &self.slots {
-            for e in slot {
-                best = Some(best.map_or(e.abs_tick, |b: u64| b.min(e.abs_tick)));
-            }
-        }
-        best.map(|t| self.epoch + self.tick * u32::try_from(t).unwrap_or(u32::MAX))
     }
 
     /// Number of scheduled, not-yet-popped timers.
@@ -168,17 +155,6 @@ mod tests {
         assert_eq!(w.pending(), 1);
         w.pop_due(epoch + Duration::from_millis(30), &mut due);
         assert_eq!(due, vec![1, 2]);
-    }
-
-    #[test]
-    fn next_deadline_tracks_earliest() {
-        let (mut w, epoch) = wheel(2);
-        assert!(w.next_deadline().is_none());
-        w.schedule(epoch + Duration::from_millis(8), 1);
-        w.schedule(epoch + Duration::from_millis(4), 2);
-        let next = w.next_deadline().expect("pending");
-        assert!(next <= epoch + Duration::from_millis(4));
-        assert!(next >= epoch + Duration::from_millis(2));
     }
 
     #[test]

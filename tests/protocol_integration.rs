@@ -331,11 +331,12 @@ fn periodic_epochs_survive_failures_end_to_end() {
 
 #[test]
 fn complexity_predictions_bracket_measurements() {
-    use gridagg::analysis;
     let cfg = perfect(256);
     let report = run_hiergossip::<Average>(&cfg, 5);
-    let predicted_rounds = analysis::expected_rounds(256, 4, 2, 1.0);
-    let predicted_msgs = analysis::expected_messages(256, 4, 2, 1.0);
+    // §6.3: phases × ⌈C·log_M N⌉ rounds, each member pushing M a round
+    let phases = Hierarchy::for_group(cfg.k, cfg.n).unwrap().phases() as u64;
+    let predicted_rounds = phases * u64::from(cfg.hier_config().rounds_per_phase(cfg.n));
+    let predicted_msgs = cfg.n as u64 * predicted_rounds * u64::from(cfg.fanout);
     // early bump finishes below the synchronous schedule; replies at
     // most double the push count
     assert!(report.rounds <= predicted_rounds + 8);
