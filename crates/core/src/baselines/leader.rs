@@ -472,6 +472,32 @@ mod tests {
     }
 
     #[test]
+    fn committee_chains_nest() {
+        // a parent-committee member is a committee member of its own child
+        let (index, dir) = setup(256, 4, 2);
+        let h = *index.hierarchy();
+        for p in h.prefixes().filter(|p| p.len() < h.depth()) {
+            for &m in dir.committee(&p) {
+                let child = index.box_of(m).prefix(p.len() + 1);
+                assert!(
+                    dir.is_committee(&child, m),
+                    "{m} leads {p} but not its child {child}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn committee_members_belong_to_subtree() {
+        let (index, dir) = setup(64, 2, 1);
+        for p in index.hierarchy().prefixes() {
+            for &m in dir.committee(&p) {
+                assert!(p.contains(&index.box_of(m)));
+            }
+        }
+    }
+
+    #[test]
     fn directory_is_deterministic() {
         let (_, d1) = setup(64, 4, 1);
         let (_, d2) = setup(64, 4, 1);

@@ -213,8 +213,8 @@ pub trait Effects<A> {
 
 /// The root of a run's member random streams, on any substrate: member
 /// `i` of a run seeded `seed` draws from `member_streams(seed).fork(i)`,
-/// in the simulator and on sockets alike. A harness forks it once per
-/// member, so it computes the root once per run.
+/// in the simulator and on sockets alike. A harness computes the root
+/// once (a socket worker, once for its shard) and forks it per member.
 pub fn member_streams(seed: u64) -> DetRng {
     DetRng::seeded(seed).fork(0x6D62_7273) // "mbrs"
 }

@@ -16,10 +16,9 @@ use std::time::{Duration, Instant};
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_core::hiergossip::{HierGossip, HierGossipConfig};
-use gridagg_core::protocol::{member_streams, AggregationProtocol};
+use gridagg_core::protocol::AggregationProtocol;
 use gridagg_core::scope::ScopeIndex;
 use gridagg_group::MemberId;
-use gridagg_simnet::rng::DetRng;
 
 use crate::endpoint::EndpointPool;
 use crate::multiplex::{Worker, WorkerStats};
@@ -164,8 +163,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
 
         let (done_tx, done_rx) = mpsc::channel::<MemberOutcome<A>>();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let root_rng = DetRng::seeded(rt_cfg.seed);
-        let streams = member_streams(rt_cfg.seed);
         let mut built = Vec::with_capacity(workers);
         for (w, (sockets_of, members)) in socket_sets.into_iter().zip(shards).enumerate() {
             built.push(Worker::new(
@@ -175,8 +172,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
                 members,
                 n as u32,
                 rt_cfg.clone(),
-                &root_rng,
-                &streams,
                 done_tx.clone(),
                 shutdown.clone(),
             ));
@@ -185,8 +180,8 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
 
         // Every worker exists, so every round clock is anchored at one
         // epoch read now: round 0 ends one round interval after the last
-        // worker was built, and a thread that starts late runs its due
-        // rounds at once.
+        // worker was built, and a thread that starts late catches up on
+        // its due rounds, one a quarter interval.
         let epoch = Instant::now();
         let budget = rt_cfg
             .max_rounds

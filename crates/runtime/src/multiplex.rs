@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use gridagg_aggregate::wire::{encode_tagged, WireAggregate};
 use gridagg_aggregate::Tagged;
 use gridagg_core::message::codec;
-use gridagg_core::protocol::{step, AggregationProtocol, Effects, Outbox};
+use gridagg_core::protocol::{member_streams, step, AggregationProtocol, Effects, Outbox};
 use gridagg_core::Payload;
 use gridagg_group::MemberId;
 use gridagg_simnet::network::Envelope;
@@ -284,6 +284,10 @@ pub(crate) struct Worker<A, P> {
     /// Completed wall-clock rounds. Rounds are synchronous: round `r`
     /// ends at every live member `r + 1` intervals after the epoch.
     round: u64,
+    /// When the last round ended: the next ends no sooner than a
+    /// quarter interval later, so a worker that fell behind catches up
+    /// at that pace, not back to back.
+    last_end: Option<Instant>,
     stats: WorkerStats,
     shared: SharedAggs<A>,
 
@@ -345,10 +349,10 @@ impl Coalescer {
 
 impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
     /// Assemble a worker over its sockets and the members homed there,
-    /// each with its protocol instance. Member `i` draws from
-    /// `streams.fork(i)`, where `streams` is the run's
-    /// [`member_streams`](gridagg_core::protocol::member_streams) root;
-    /// the fault injector forks `root_rng`.
+    /// each with its protocol instance. Member `i` draws the stream the
+    /// simulator gives member `i`, a fork of
+    /// [`member_streams`](gridagg_core::protocol::member_streams)`(cfg.seed)`;
+    /// the fault injector forks the seed's root stream by worker.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         worker_id: usize,
@@ -357,11 +361,10 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         members: Vec<(MemberId, P)>,
         n_members: u32,
         cfg: RuntimeConfig,
-        root_rng: &DetRng,
-        streams: &DetRng,
         done: mpsc::Sender<MemberOutcome<A>>,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
+        let streams = member_streams(cfg.seed);
         let mut local_of = vec![u32::MAX; n_members as usize];
         let mut slots = Vec::with_capacity(members.len());
         for (id, proto) in members {
@@ -387,7 +390,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         let faults = FaultInjector::new(
             cfg.loss.clone(),
             cfg.reorder,
-            root_rng.fork(0x6661_756C ^ worker_id as u64), // "faul"
+            DetRng::seeded(cfg.seed).fork(0x6661_756C ^ worker_id as u64), // "faul"
         );
         Worker {
             sockets,
@@ -401,6 +404,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             local_of,
             live,
             round: 0,
+            last_end: None,
             stats: WorkerStats::default(),
             shared: SharedAggs::new(),
             outbox: Outbox::new(),
@@ -433,9 +437,12 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
         self.stats
     }
 
-    /// When the current round ends: `round + 1` intervals after `epoch`.
+    /// When the current round ends: `round + 1` intervals after `epoch`,
+    /// and a quarter interval or more after the last round ended.
     fn deadline(&self, epoch: Instant) -> Instant {
-        epoch + self.cfg.round_interval * u32::try_from(self.round + 1).unwrap_or(u32::MAX)
+        let interval = self.cfg.round_interval;
+        let due = epoch + interval * u32::try_from(self.round + 1).unwrap_or(u32::MAX);
+        self.last_end.map_or(due, |end| due.max(end + interval / 4))
     }
 
     /// Poll every owned socket dry, delivering each frame as it is read.
@@ -495,8 +502,8 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
     /// Once the round's deadline has passed at `now`, end it at every
     /// live member in local order: a running member takes its round
     /// step, then reports if done or out of rounds; a reported one
-    /// lingers, then retires. At most one round a call, so a worker that
-    /// fell behind catches up one round a wakeup.
+    /// lingers, then retires. At most one round a call, and a worker
+    /// that fell behind catches up one round a quarter interval.
     fn tick(&mut self, epoch: Instant, now: Instant) {
         if now < self.deadline(epoch) {
             return;
@@ -543,6 +550,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Worker<A, P> {
             }
         }
         self.round = round + 1;
+        self.last_end = Some(now);
     }
 
     /// Run one member's protocol [`step`] into its [`Sends`]: deliver
@@ -630,7 +638,7 @@ mod tests {
     use super::*;
     use crate::endpoint::FRAME_HEADER_LEN;
     use gridagg_aggregate::{Average, Tagged};
-    use gridagg_core::protocol::{member_streams, Ctx};
+    use gridagg_core::protocol::Ctx;
 
     #[test]
     fn worker_stats_merge_adds_and_maxes() {
@@ -722,8 +730,6 @@ mod tests {
             members,
             n,
             cfg,
-            &DetRng::seeded(1),
-            &member_streams(1),
             done,
             Arc::new(AtomicBool::new(false)),
         )
@@ -905,6 +911,21 @@ mod tests {
         assert_eq!(worker.stats.frames_sent, 20 + 4, "nor stepped");
     }
 
+    #[test]
+    fn a_worker_that_fell_behind_catches_up_one_round_a_quarter_interval() {
+        let quarter = roomy().round_interval / 4;
+        let mut worker = worker(Votes(1), N, roomy());
+        let epoch = Instant::now();
+        let late = epoch + quarter * 40; // ten rounds due
+        worker.tick(epoch, late);
+        worker.tick(epoch, late);
+        assert_eq!(worker.round, 1, "one round a call");
+        worker.tick(epoch, late + quarter / 2);
+        assert_eq!(worker.round, 1, "not within a quarter interval");
+        worker.tick(epoch, late + quarter);
+        assert_eq!(worker.round, 2);
+    }
+
     /// Records the first draws of its member's random stream.
     #[derive(Debug, Default)]
     struct Draws(Vec<u64>);
@@ -938,7 +959,7 @@ mod tests {
         use gridagg_group::failure::{FailureModel, FailureProcess};
         use gridagg_simnet::network::{NetworkConfig, SimNetwork};
 
-        // one round of a group of 8 on seed 1, as `worker_of` seeds it
+        // one round of a group of 8 on seed 1, the runtime's default
         let members = (0..8).map(|_| Draws::default()).collect();
         let net = SimNetwork::new(NetworkConfig::default(), 1);
         let failure = FailureProcess::new(FailureModel::None, 8, 1);

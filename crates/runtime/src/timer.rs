@@ -26,8 +26,6 @@ pub struct TimerWheel {
     slots: Vec<Vec<Entry>>,
     /// The next absolute tick the wheel will inspect.
     cursor: u64,
-    /// Scheduled-but-not-yet-popped entries.
-    pending: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +47,6 @@ impl TimerWheel {
             tick,
             slots: (0..slots).map(|_| Vec::new()).collect(),
             cursor: 0,
-            pending: 0,
         }
     }
 
@@ -68,7 +65,6 @@ impl TimerWheel {
         let abs_tick = self.tick_of(deadline).max(self.cursor);
         let mask = self.slots.len() as u64 - 1;
         self.slots[(abs_tick & mask) as usize].push(Entry { abs_tick, member });
-        self.pending += 1;
     }
 
     /// Advance the wheel to `now`, appending every due member to `out`
@@ -96,13 +92,7 @@ impl TimerWheel {
             }
         }
         self.cursor = target + 1;
-        self.pending -= popped;
         popped
-    }
-
-    /// Number of scheduled, not-yet-popped timers.
-    pub fn pending(&self) -> usize {
-        self.pending
     }
 }
 
@@ -129,7 +119,6 @@ mod tests {
         assert_eq!(due, vec![2]);
         w.pop_due(epoch + Duration::from_millis(20), &mut due);
         assert_eq!(due, vec![2, 1, 3]);
-        assert_eq!(w.pending(), 0);
     }
 
     #[test]
@@ -152,7 +141,6 @@ mod tests {
         let mut due = Vec::new();
         w.pop_due(epoch + Duration::from_millis(4), &mut due);
         assert_eq!(due, vec![1]);
-        assert_eq!(w.pending(), 1);
         w.pop_due(epoch + Duration::from_millis(30), &mut due);
         assert_eq!(due, vec![1, 2]);
     }
@@ -169,6 +157,5 @@ mod tests {
             w.pop_due(epoch + Duration::from_millis(lap + 1), &mut due);
             assert_eq!(due.len(), 8, "lap {lap}");
         }
-        assert_eq!(w.pending(), 0);
     }
 }
