@@ -166,6 +166,26 @@ fn event_driven_engine_trace_is_byte_identical() {
     }
 }
 
+#[test]
+fn staggered_start_trace_is_byte_identical() {
+    // The §2 multicast initiation: members start over 8 rounds, gossip
+    // wakes the late ones earlier, and 2 % crash per round, so starts
+    // land at official rounds, on deliveries and on dead members. Pins
+    // the engine's start schedule to its exact event stream.
+    let mut c = cfg(256);
+    c.start_spread = Some(8);
+    c.pf = 0.02;
+    let (_, trace) = Protocol::HierGossip.run_traced::<Average>(&c, 13);
+    let late = trace
+        .events
+        .iter()
+        .filter(|event| matches!(event, TraceEvent::Start { round, .. } if *round > 0));
+    assert!(late.count() > 100, "most members start late");
+    assert_eq!(trace.len(), 23150, "trace event count");
+    let hash = fnv(trace.events.iter().copied());
+    assert_eq!(hash, 0xf3ad_6832_f7bf_c455, "trace fingerprint {hash:#x}");
+}
+
 /// FNV-1a over the debug rendering of `events`.
 fn fnv(events: impl Iterator<Item = TraceEvent>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
