@@ -169,7 +169,6 @@ fn round_table(n: usize, trace: &RunTrace) {
                 m.sent.to_string(),
                 m.delivered.to_string(),
                 m.dropped_loss.to_string(),
-                m.dropped_bandwidth.to_string(),
                 sci(curve.get(round).copied().unwrap_or(f64::NAN)),
             ]
         })
@@ -178,7 +177,7 @@ fn round_table(n: usize, trace: &RunTrace) {
     // and leave the full series to the CSV.
     let shown: Vec<Vec<String>> = if rows.len() > 24 {
         let mut s: Vec<Vec<String>> = rows.iter().take(12).cloned().collect();
-        s.push(vec!["...".into(); 6]);
+        s.push(vec!["...".into(); 5]);
         s.extend(rows.iter().skip(rows.len() - 12).cloned());
         s
     } else {
@@ -191,7 +190,6 @@ fn round_table(n: usize, trace: &RunTrace) {
             "sent",
             "delivered",
             "dropped loss",
-            "dropped bw",
             "mean incompleteness",
         ],
         &shown,
@@ -203,7 +201,6 @@ fn round_table(n: usize, trace: &RunTrace) {
             "sent",
             "delivered",
             "dropped_loss",
-            "dropped_bandwidth",
             "mean_incompleteness",
         ],
         &rows,

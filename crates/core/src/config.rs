@@ -117,8 +117,6 @@ pub struct ExperimentConfig {
     /// accounting) even when the placement itself is the fair hash.
     /// Implied by `topo_aware`.
     pub positioned: bool,
-    /// Per-member per-round send cap (`None` = uncapped).
-    pub bandwidth_cap: Option<u32>,
     /// Batch gossip exchange (see [`crate::hiergossip::Exchange`]);
     /// `false` reverts to paper-literal one-value-per-message push.
     pub batch_exchange: bool,
@@ -166,7 +164,6 @@ impl Default for ExperimentConfig {
             early_bump: true,
             topo_aware: false,
             positioned: false,
-            bandwidth_cap: None,
             batch_exchange: true,
             partial_view: None,
             n_estimate: None,
@@ -193,7 +190,6 @@ impl ToJson for ExperimentConfig {
             ("early_bump".into(), self.early_bump.to_json()),
             ("topo_aware".into(), self.topo_aware.to_json()),
             ("positioned".into(), self.positioned.to_json()),
-            ("bandwidth_cap".into(), self.bandwidth_cap.to_json()),
             ("batch_exchange".into(), self.batch_exchange.to_json()),
             ("partial_view".into(), self.partial_view.to_json()),
             ("n_estimate".into(), self.n_estimate.to_json()),
@@ -219,7 +215,6 @@ impl FromJson for ExperimentConfig {
             early_bump: field(value, "early_bump")?,
             topo_aware: field(value, "topo_aware")?,
             positioned: field(value, "positioned")?,
-            bandwidth_cap: opt_field(value, "bandwidth_cap")?,
             batch_exchange: field(value, "batch_exchange")?,
             partial_view: opt_field(value, "partial_view")?,
             n_estimate: opt_field(value, "n_estimate")?,

@@ -14,27 +14,28 @@
 //! 4. submission of all emitted gossip to the lossy network.
 //!
 //! The protocol is "started simultaneously at all members" (round 0);
-//! thereafter members proceed asynchronously.
+//! thereafter members proceed asynchronously. A staggered start
+//! ([`Simulation::with_start_rounds`]) gives member `i` its own start
+//! round, and the first message to reach it starts it sooner.
 //!
 //! The round loop is **event-driven**: instead of scanning all `N`
-//! members every round, it visits only members with pending work — the
-//! union of *active* members (started, not yet done) and members whose
-//! staggered start round has arrived — walked in ascending member-id
-//! order, which is exactly the order the dense scan visited them. Done
-//! and not-yet-due members cost nothing per round, which is what makes
-//! million-member runs affordable once most of the group has finished.
+//! members every round, it visits only the *active* members — started,
+//! or with their staggered start round arrived, and not yet done —
+//! walked in ascending member-id order, which is exactly the order the
+//! dense scan visited them. Done and not-yet-due members cost nothing
+//! per round, which is what makes million-member runs affordable once
+//! most of the group has finished.
 //!
 //! **One step, one schedule.** Every rule of a round is written once:
 //! [`protocol::step`](crate::protocol::step) is the only caller of the
 //! protocol (the socket runtime calls it too), `Schedule` owns every
-//! start / active / settled decision, and `Direct::send` is the only
-//! way a message reaches the network. Members are stepped one after
-//! another in the order above, so the single shared network RNG (loss
-//! and delay draws live inside `SimNetwork::send`) consumes one stream
-//! per seed and the whole run — trace bytes included — is a function
-//! of the configuration and the seed. See DESIGN.md §16.
-
-use std::collections::BTreeMap;
+//! start / active / settled decision from two member sets (active, not
+//! yet started) and the start rounds, and `Direct::send` is the only way
+//! a message reaches the network. Members are stepped one after another
+//! in the order above, so the single shared network RNG (loss and delay
+//! draws live inside `SimNetwork::send`) consumes one stream per seed
+//! and the whole run — trace bytes included — is a function of the
+//! configuration and the seed. See DESIGN.md §16.
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_group::failure::{FailureProcess, LivenessEvent};
@@ -79,46 +80,24 @@ impl<A: WireAggregate, S: TraceSink> Effects<A> for Direct<'_, A, S> {
                 round,
                 bytes: u64::from(bytes),
             });
-            match outcome {
-                SendOutcome::Queued { .. } => {}
-                SendOutcome::DroppedLoss => {
-                    self.sink.record(TraceEvent::DropLoss { from, to, round });
-                }
-                SendOutcome::DroppedBandwidth => {
-                    self.sink
-                        .record(TraceEvent::DropBandwidth { from, to, round });
-                }
+            if outcome == SendOutcome::DroppedLoss {
+                self.sink.record(TraceEvent::DropLoss { from, to, round });
             }
         }
     }
-}
-
-/// What a round visit finds at a member, before any protocol call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Visit {
-    /// Crashed: no call; stays active/due and resumes on recovery.
-    Dead,
-    /// Alive but already terminated: drops out of the visit set.
-    Done,
-    /// Alive and unfinished: `on_round` runs.
-    Step,
 }
 
 /// Event-driven scheduling state: every rule deciding which members a
 /// round has work for and when the run has settled.
 #[derive(Debug)]
 struct Schedule {
-    /// Started and not yet done: the members an `on_round` visit can do
-    /// anything for.
+    /// Started, or with their start round arrived, and not yet done:
+    /// the members a round visits.
     active: DenseBitSet,
-    /// Waiting for their start round, or an earlier gossip wake-up.
+    /// Not started yet: waiting for their start round, or an earlier
+    /// gossip wake-up. A member whose start round has arrived starts at
+    /// its next alive visit.
     unstarted: DenseBitSet,
-    /// Unstarted members whose start round has arrived; they start at
-    /// their next alive visit.
-    due: DenseBitSet,
-    /// Unstarted members by start round: feeds `due` without per-round
-    /// scans.
-    start_buckets: BTreeMap<Round, Vec<u32>>,
     /// Nobody alive has anything left to do this round.
     all_settled: bool,
     protocol_steps: u64,
@@ -131,30 +110,18 @@ struct Schedule {
     clippy::unreachable
 )]
 impl Schedule {
-    fn new(
-        n: usize,
-        started: &DenseBitSet,
-        start_rounds: Option<&[Round]>,
-        is_done: impl Fn(usize) -> bool,
-    ) -> Self {
+    /// Members with a start round above 0 wait in `unstarted`; the rest
+    /// start in round 0 and are active unless already done.
+    fn new(n: usize, starts: &[Round], is_done: impl Fn(usize) -> bool) -> Self {
         let mut sched = Schedule {
             active: DenseBitSet::with_capacity(n),
             unstarted: DenseBitSet::with_capacity(n),
-            due: DenseBitSet::with_capacity(n),
-            start_buckets: BTreeMap::new(),
             all_settled: false,
             protocol_steps: 0,
         };
         for i in 0..n {
-            if !started.contains(i) {
+            if starts.get(i).is_some_and(|&r| r > 0) {
                 sched.unstarted.insert(i);
-                if let Some(starts) = start_rounds {
-                    sched
-                        .start_buckets
-                        .entry(starts[i])
-                        .or_default()
-                        .push(i as u32);
-                }
             } else if !is_done(i) {
                 sched.active.insert(i);
             }
@@ -162,31 +129,11 @@ impl Schedule {
         sched
     }
 
-    /// Members whose official start round has arrived become due; they
-    /// actually start at their next alive visit.
-    fn begin_round(&mut self, round: Round) {
-        while let Some(bucket) = self
-            .start_buckets
-            .first_entry()
-            .filter(|bucket| *bucket.key() <= round)
-        {
-            for id in bucket.remove() {
-                // skip anyone gossip already woke up
-                if self.unstarted.contains(id as usize) {
-                    self.due.insert(id as usize);
-                }
-            }
-        }
-    }
-
     /// `member` starts now if it has not yet: at its official round, or
     /// earlier because a protocol message reached it.
     fn start<S: TraceSink>(&mut self, member: MemberId, round: Round, sink: &mut S) {
-        if self.unstarted.remove(member.index()) {
-            self.due.remove(member.index());
-            if S::ENABLED {
-                sink.record(TraceEvent::Start { member, round });
-            }
+        if self.unstarted.remove(member.index()) && S::ENABLED {
+            sink.record(TraceEvent::Start { member, round });
         }
     }
 
@@ -211,35 +158,48 @@ impl Schedule {
         self.start(to, round, sink);
     }
 
-    /// Open the visit phase: the ascending union of active and due
-    /// members (the order the dense scan used), materialised so the
-    /// sets can be edited while visiting.
-    fn begin_visits(&mut self, failure: &FailureProcess, visit: &mut Vec<u32>) {
-        // an alive member still waiting for its start round keeps the
-        // run open, even though nothing visits it yet
-        self.all_settled = !self
-            .unstarted
-            .iter()
-            .any(|i| !self.due.contains(i) && failure.is_alive(MemberId(i as u32)));
+    /// Open the visit phase: unstarted members whose start round has
+    /// come join `active`, and the visit set is `active` in ascending
+    /// order (the order the dense scan used), materialised so the sets
+    /// can be edited while visiting.
+    fn begin_visits(
+        &mut self,
+        round: Round,
+        starts: &[Round],
+        failure: &FailureProcess,
+        visit: &mut Vec<u32>,
+    ) {
+        self.all_settled = true;
+        for i in self.unstarted.iter() {
+            if starts[i] <= round {
+                self.active.insert(i);
+            } else if failure.is_alive(MemberId(i as u32)) {
+                // an alive member still waiting for its start round
+                // keeps the run open, even though nothing visits it yet
+                self.all_settled = false;
+            }
+        }
         visit.clear();
-        visit.extend(self.active.iter_union(&self.due).map(|i| i as u32));
+        visit.extend(self.active.iter().map(|i| i as u32));
     }
 
     /// The round's visit reaches `member`; returns whether `on_round`
-    /// runs there.
+    /// runs there. A crashed member is not called and stays active, to
+    /// resume on recovery; a done one drops out of the visit set.
     fn on_visit<S: TraceSink>(
         &mut self,
         member: MemberId,
         round: Round,
-        visit: Visit,
+        alive: bool,
+        done: bool,
         sink: &mut S,
     ) -> bool {
-        if visit == Visit::Dead {
+        if !alive {
             return false;
         }
-        // a due member starting at its official round
+        // a due member starting at its start round
         self.start(member, round, sink);
-        if visit == Visit::Done {
+        if done {
             self.active.remove(member.index());
             return false;
         }
@@ -269,8 +229,8 @@ pub struct Simulation<A, P> {
     rngs: Vec<DetRng>,
     true_value: f64,
     max_rounds: Round,
-    start_rounds: Option<Vec<Round>>,
-    started: DenseBitSet,
+    /// Member `i` starts at `start_rounds[i]`; empty: all in round 0.
+    start_rounds: Vec<Round>,
 }
 
 impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
@@ -293,11 +253,8 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
         max_rounds: Round,
     ) -> Self {
         assert!(!protocols.is_empty(), "simulation needs members");
-        let mut net = net;
-        net.reserve_nodes(protocols.len());
         let root = member_streams(seed);
         let rngs = (0..protocols.len()).map(|i| root.fork(i as u64)).collect();
-        let started = (0..protocols.len()).collect();
         Simulation {
             net,
             protocols,
@@ -305,8 +262,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
             rngs,
             true_value,
             max_rounds,
-            start_rounds: None,
-            started,
+            start_rounds: Vec::new(),
         }
     }
 
@@ -336,13 +292,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
             self.protocols.len(),
             "one start round per member"
         );
-        self.started = start_rounds
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r == 0)
-            .map(|(i, _)| i)
-            .collect();
-        self.start_rounds = Some(start_rounds);
+        self.start_rounds = start_rounds;
         self
     }
 
@@ -387,9 +337,8 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
     // round, so allocations must be per-run scratch, not per-round.
     fn drive<S: TraceSink>(&mut self, sink: &mut S) -> RunReport {
         let n = self.protocols.len();
-        let mut sched = Schedule::new(n, &self.started, self.start_rounds.as_deref(), |i| {
-            self.protocols[i].is_done()
-        });
+        let starts = &self.start_rounds[..];
+        let mut sched = Schedule::new(n, starts, |i| self.protocols[i].is_done());
         let failure = &mut self.failure;
         let (protocols, rngs) = (&mut self.protocols[..], &mut self.rngs[..]);
         let mut fx = Direct {
@@ -408,7 +357,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
         let mut round: Round = 0;
 
         if S::ENABLED {
-            for i in self.started.iter() {
+            for i in (0..n).filter(|&i| !sched.unstarted.contains(i)) {
                 fx.sink.record(TraceEvent::Start {
                     member: MemberId(i as u32),
                     round: 0,
@@ -426,7 +375,6 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
                     });
                 }
             }
-            sched.begin_round(round);
 
             // 2. deliver due messages to alive members
             fx.net.drain_into(round, &mut delivery);
@@ -442,10 +390,11 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
             }
 
             // 3.+4. step alive, started, unfinished members
-            sched.begin_visits(failure, &mut visit);
+            sched.begin_visits(round, starts, failure, &mut visit);
             for &iv in &visit {
                 let me = MemberId(iv);
-                if sched.on_visit(me, round, Self::probe(failure, protocols, me), fx.sink) {
+                let (alive, done) = (failure.is_alive(me), protocols[me.index()].is_done());
+                if sched.on_visit(me, round, alive, done, fx.sink) {
                     let (proto, rng) = (&mut protocols[me.index()], &mut rngs[me.index()]);
                     let done = step(proto, rng, me, round, n, None, &mut out, &mut fx);
                     sched.after_step(me, done);
@@ -496,17 +445,6 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
             true_value: self.true_value,
             net: self.net.stats().clone(),
             protocol_steps: sched.protocol_steps,
-        }
-    }
-
-    /// What the round's visit finds at `me`.
-    fn probe(failure: &FailureProcess, protocols: &[P], me: MemberId) -> Visit {
-        if !failure.is_alive(me) {
-            Visit::Dead
-        } else if protocols[me.index()].is_done() {
-            Visit::Done
-        } else {
-            Visit::Step
         }
     }
 }
@@ -635,6 +573,41 @@ mod tests {
         // the sleeper finished long before its official start round
         assert!(report.rounds < 1000, "ran {} rounds", report.rounds);
         assert_eq!(report.completed(), n);
+    }
+
+    #[test]
+    fn members_start_at_their_start_round_or_on_an_earlier_delivery() {
+        // total loss: nobody is woken, so every member starts exactly at
+        // its own round; some loss: gossip wakes some members early
+        let n = 64;
+        let starts: Vec<Round> = (0..n as u64).map(|i| i * 7 % 6).collect();
+        for (loss, seed) in [(1.0, 9), (0.25, 9)] {
+            let mut sim =
+                hier_sim_with(n, seed, loss, FailureModel::None).with_start_rounds(starts.clone());
+            sim.max_rounds = 12;
+            let mut trace = crate::trace::RunTrace::for_group(n);
+            sim.run_with(&mut trace);
+            let mut delivered = vec![Round::MAX; n];
+            let mut started = vec![None; n];
+            for event in &trace.events {
+                match *event {
+                    TraceEvent::Deliver { to, round, .. } => {
+                        delivered[to.index()] = delivered[to.index()].min(round);
+                    }
+                    TraceEvent::Start { member, round } => {
+                        assert_eq!(started[member.index()], None, "{member} started twice");
+                        started[member.index()] = Some(round);
+                    }
+                    _ => {}
+                }
+            }
+            for i in 0..n {
+                let want = starts[i].min(delivered[i]);
+                assert_eq!(started[i], Some(want), "loss {loss}: member {i}");
+            }
+            let woken = (0..n).filter(|&i| delivered[i] < starts[i]).count();
+            assert_eq!(woken > 0, loss < 1.0, "loss {loss}: {woken} woken early");
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub(crate) fn build_group_for(cfg: &ExperimentConfig, seed: u64) -> Group {
     b.build()
 }
 
-/// Network configuration for an experiment (loss model, bandwidth cap,
-/// optional positions for distance accounting).
+/// Network configuration for an experiment (loss model, delay, optional
+/// positions for distance accounting).
 pub(crate) fn network_config_for(
     cfg: &ExperimentConfig,
     positions: Option<Vec<gridagg_simnet::topology::Position>>,
@@ -59,9 +59,6 @@ pub(crate) fn network_config_for(
         }
         None => net_cfg.with_loss(Perfect),
     };
-    if let Some(cap) = cfg.bandwidth_cap {
-        net_cfg = net_cfg.with_bandwidth_cap(cap);
-    }
     if let Some(max_delay) = cfg.max_delay {
         net_cfg = net_cfg.with_delay(gridagg_simnet::delay::UniformDelay::new(1, max_delay));
     }

@@ -70,15 +70,6 @@ pub enum TraceEvent {
         /// Round of the drop.
         round: Round,
     },
-    /// A message was dropped by the per-member bandwidth cap.
-    DropBandwidth {
-        /// Sender.
-        from: MemberId,
-        /// Intended destination.
-        to: MemberId,
-        /// Round of the drop.
-        round: Round,
-    },
     /// A message was delivered to its destination.
     Deliver {
         /// Sender.
@@ -140,7 +131,6 @@ impl TraceEvent {
             | TraceEvent::Recover { round, .. }
             | TraceEvent::Send { round, .. }
             | TraceEvent::DropLoss { round, .. }
-            | TraceEvent::DropBandwidth { round, .. }
             | TraceEvent::Deliver { round, .. }
             | TraceEvent::PhaseEnter { round, .. }
             | TraceEvent::EarlyBump { round, .. }
@@ -157,7 +147,6 @@ impl TraceEvent {
             TraceEvent::Recover { .. } => "recover",
             TraceEvent::Send { .. } => "send",
             TraceEvent::DropLoss { .. } => "drop_loss",
-            TraceEvent::DropBandwidth { .. } => "drop_bandwidth",
             TraceEvent::Deliver { .. } => "deliver",
             TraceEvent::PhaseEnter { .. } => "phase_enter",
             TraceEvent::EarlyBump { .. } => "early_bump",
@@ -185,7 +174,7 @@ impl ToJson for TraceEvent {
                 member("to", to);
                 fields.push(("bytes".into(), bytes.to_json()));
             }
-            TraceEvent::DropLoss { from, to, .. } | TraceEvent::DropBandwidth { from, to, .. } => {
+            TraceEvent::DropLoss { from, to, .. } => {
                 member("from", from);
                 member("to", to);
             }
@@ -288,8 +277,6 @@ pub struct RoundMessages {
     pub delivered: u64,
     /// Messages dropped by the loss model this round.
     pub dropped_loss: u64,
-    /// Messages dropped by the bandwidth cap this round.
-    pub dropped_bandwidth: u64,
 }
 
 /// In-memory trace collector with derived per-round observables.
@@ -343,7 +330,6 @@ impl RunTrace {
                 | TraceEvent::Terminate { member, .. } => member.index() + 1,
                 TraceEvent::Send { from, to, .. }
                 | TraceEvent::DropLoss { from, to, .. }
-                | TraceEvent::DropBandwidth { from, to, .. }
                 | TraceEvent::Deliver { from, to, .. } => from.index().max(to.index()) + 1,
             })
             .max()
@@ -407,7 +393,6 @@ impl RunTrace {
                 TraceEvent::Send { .. } => slot.sent += 1,
                 TraceEvent::Deliver { .. } => slot.delivered += 1,
                 TraceEvent::DropLoss { .. } => slot.dropped_loss += 1,
-                TraceEvent::DropBandwidth { .. } => slot.dropped_bandwidth += 1,
                 _ => {}
             }
         }
@@ -471,13 +456,12 @@ impl RunTrace {
 
     /// Count of events of each kind, in a stable order.
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
-        const KINDS: [&str; 11] = [
+        const KINDS: [&str; 10] = [
             "start",
             "crash",
             "recover",
             "send",
             "drop_loss",
-            "drop_bandwidth",
             "deliver",
             "phase_enter",
             "early_bump",
@@ -530,7 +514,6 @@ impl ToJson for RunTrace {
                         ("sent".into(), m.sent.to_json()),
                         ("delivered".into(), m.delivered.to_json()),
                         ("dropped_loss".into(), m.dropped_loss.to_json()),
-                        ("dropped_bandwidth".into(), m.dropped_bandwidth.to_json()),
                     ])
                 })
                 .collect(),

@@ -13,9 +13,10 @@
 //!   topologically-aware experiments.
 //! * **Delay models** ([`delay`]) — next-round delivery by default, with
 //!   uniform/geometric jitter available for asynchrony experiments.
-//! * **Bandwidth caps** — the paper assumes "a maximum network bandwidth
-//!   constraint" per member; [`network::SimNetwork`] enforces a per-node,
-//!   per-round send cap.
+//! * **No bandwidth cap** — the paper assumes "a maximum network
+//!   bandwidth constraint" per member; each protocol keeps it itself
+//!   (its gossip fanout, or its own per-round caps), so the network
+//!   counts every send and drops only what the loss model drops.
 //! * **Determinism** — all randomness flows from a seeded, splittable
 //!   [`rng::DetRng`], so every run is exactly reproducible from its seed.
 //!

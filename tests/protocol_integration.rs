@@ -204,15 +204,6 @@ mod bytes_roundtrip {
 }
 
 #[test]
-fn bandwidth_cap_limits_but_does_not_break_gossip() {
-    let mut cfg = ExperimentConfig::paper_defaults();
-    // fanout 2 pushes + replies per round; cap at 4 sends/round
-    cfg.bandwidth_cap = Some(4);
-    let report = run_hiergossip::<Average>(&cfg, 6);
-    assert!(report.mean_completeness().unwrap() > 0.9);
-}
-
-#[test]
 fn partial_views_degrade_gracefully() {
     // §2 relaxation: smaller views → lower completeness, never a crash
     let mut small = ExperimentConfig::paper_defaults();
