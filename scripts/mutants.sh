@@ -119,10 +119,13 @@ run_build() {
         return 1
     fi
     # a shared target dir can reuse a stale artefact: each patched
-    # package must have been rebuilt
+    # package must have been rebuilt. The last grep reads to the end:
+    # `grep -q` would exit at the first match, and the grep feeding it
+    # (a package with many targets writes more than one pipe buffer)
+    # could then die of SIGPIPE, which pipefail reports as no match
     for p in $1; do
         if ! grep '"reason":"compiler-artifact"' "$work/build.json" \
-            | grep "#$p@" | grep -q '"fresh":false'; then
+            | grep "#$p@" | grep '"fresh":false' >/dev/null; then
             echo "did not recompile $p"
             return 1
         fi
