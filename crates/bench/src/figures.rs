@@ -21,7 +21,8 @@ use gridagg_hierarchy::Hierarchy;
 use crate::plot::{Plot, PlotSeries, Scale};
 use crate::sweep::Sweep;
 use crate::{
-    base_seed, is_decreasing, is_decreasing_noisy, print_table, sci, write_csv, write_json,
+    base_seed, is_decreasing, is_decreasing_noisy, is_decreasing_within_noise, print_table, sci,
+    write_csv, write_json,
 };
 
 /// One sweep point: `runs` seeded runs of `protocol` at `cfg`.
@@ -792,10 +793,17 @@ static VIEWS: Figure = Figure {
         points
     },
     rows: |cells| each(cells, |c| vec![c.label(), c.inc(), c.std(), c.runs()]),
+    // the last steps differ by less than one standard error at 40
+    // runs, so a step up within the noise is not a rise
     check: |cells| {
-        let improves = ys(cells).windows(2).all(|w| w[1] <= w[0] + 1e-9);
-        let line =
-            format!("shape check: completeness improves monotonically with view size = {improves}");
+        let points: Vec<_> = cells
+            .iter()
+            .map(|c| (c.y(), c.s.std_incompleteness, c.s.runs))
+            .collect();
+        let improves = is_decreasing_within_noise(&points);
+        let line = format!(
+            "shape check: completeness improves with view size, within two standard errors = {improves}"
+        );
         (improves, line)
     },
     ..TABLE

@@ -188,6 +188,19 @@ pub fn is_decreasing_noisy(values: &[f64]) -> bool {
     steps_ok && overall
 }
 
+/// Shape check helper for means of seeded runs, each point `(mean,
+/// std, runs)` with `std` the sample standard deviation over `runs`:
+/// each step may rise above its predecessor by at most two standard
+/// errors of their difference, `2·√(s₀²/n₀ + s₁²/n₁)`. A rise that
+/// small is sampling noise; a larger one is real.
+pub fn is_decreasing_within_noise(points: &[(f64, f64, usize)]) -> bool {
+    let var_of_mean = |&(_, std, runs): &(f64, f64, usize)| std * std / runs.max(1) as f64;
+    points.windows(2).all(|w| {
+        let noise = 2.0 * (var_of_mean(&w[0]) + var_of_mean(&w[1])).sqrt();
+        w[1].0 <= w[0].0 + noise + 1e-9
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +229,36 @@ mod tests {
         // large upward jump rejected
         assert!(!is_decreasing_noisy(&[0.1, 0.2, 0.001]));
         assert!(is_decreasing_noisy(&[1.0]));
+    }
+
+    #[test]
+    fn decreasing_within_noise_check() {
+        // ablation_views' last two cells, 40 runs each: a step up of
+        // 1.3e-3 against a spread of 6e-3 and 0.018 is 0.4 standard
+        // errors of the difference
+        let view_150 = (5.603e-3, 6.198e-3, 40);
+        assert!(is_decreasing_within_noise(&[
+            view_150,
+            (6.868e-3, 0.0182, 40)
+        ]));
+        // a rise of 40 % over view 100's cell, same spread: 3.5 errors
+        let view_100 = (0.0415, 0.0217, 40);
+        assert!(!is_decreasing_within_noise(&[
+            view_100,
+            (0.0581, 0.0217, 40)
+        ]));
+        // a 2 % rise over 1,000 runs is 2.2 errors, and a flat spread
+        // leaves no room at all
+        assert!(!is_decreasing_within_noise(&[
+            (0.05, 0.01, 1000),
+            (0.051, 0.01, 1000)
+        ]));
+        assert!(!is_decreasing_within_noise(&[
+            (0.5, 0.0, 40),
+            (0.5001, 0.0, 40)
+        ]));
+        assert!(is_decreasing_within_noise(&[(1.0, 0.0, 1)]));
+        assert!(is_decreasing_within_noise(&[]));
     }
 
     #[test]

@@ -114,6 +114,11 @@ fn network_healing_mid_run_recovers_completeness() {
     assert!(black.mean_completeness().unwrap() < 2.0 / n as f64 + 1e-9);
 }
 
+/// Seeds the multi-seed scenarios below run at. One seed is a coin flip
+/// for the statistical claims; each claim here holds per seed over the
+/// range, or as a count or mean over it.
+const SCENARIO_SEEDS: std::ops::RangeInclusive<u64> = 1..=40;
+
 #[test]
 fn crash_recovery_through_healing_blackout_never_double_counts() {
     // The paper's crash-recovery model (members "arbitrarily suffer
@@ -124,101 +129,126 @@ fn crash_recovery_through_healing_blackout_never_double_counts() {
     // those paths must keep contributor sets disjoint — `try_merge`
     // would refuse a double merge, so the observable invariant is that
     // no member's completeness ever exceeds 1.0 and fully-complete
-    // members compute the exact truth.
+    // members compute the exact truth. The invariants hold at every
+    // seed; whether some member ends fully complete is luck (about
+    // half the seeds), so that path is required at a quarter of them.
+    const FULLY_COMPLETE_SEEDS_AT_LEAST: usize = 10;
     let n = 128;
-    let seed = 17;
-    let (protocols, _, truth) = build_protocols(n, seed, 4);
-    let loss = SwitchLoss::new(
-        Box::new(UniformLoss::new(0.6).unwrap()),
-        Box::new(UniformLoss::new(0.05).unwrap()),
-        8,
-    );
-    let net = SimNetwork::new(
-        NetworkConfig::default().with_boxed_loss(Box::new(loss)),
-        seed,
-    );
-    let failure = gridagg::group::failure::FailureProcess::new(
-        FailureModel::PerRoundWithRecovery { pf: 0.02, pr: 0.3 },
-        n,
-        seed,
-    );
-    let report = run_with(protocols, net, failure, seed, truth);
+    let mut seeds_with_a_complete_member = 0;
+    for seed in SCENARIO_SEEDS {
+        let (protocols, _, truth) = build_protocols(n, seed, 4);
+        let loss = SwitchLoss::new(
+            Box::new(UniformLoss::new(0.6).unwrap()),
+            Box::new(UniformLoss::new(0.05).unwrap()),
+            8,
+        );
+        let net = SimNetwork::new(
+            NetworkConfig::default().with_boxed_loss(Box::new(loss)),
+            seed,
+        );
+        let failure = gridagg::group::failure::FailureProcess::new(
+            FailureModel::PerRoundWithRecovery { pf: 0.02, pr: 0.3 },
+            n,
+            seed,
+        );
+        let report = run_with(protocols, net, failure, seed, truth);
 
-    let mut complete_members = 0;
-    for o in &report.outcomes {
-        if let MemberOutcome::Completed {
-            completeness,
-            value,
-            ..
-        } = o
-        {
-            assert!(
-                *completeness <= 1.0 + 1e-12,
-                "completeness {completeness} > 1: a vote was counted twice"
-            );
-            if (*completeness - 1.0).abs() < 1e-12 {
-                complete_members += 1;
+        let mut complete_members = 0;
+        for o in &report.outcomes {
+            if let MemberOutcome::Completed {
+                completeness,
+                value,
+                ..
+            } = o
+            {
                 assert!(
-                    (*value - truth).abs() < 1e-9,
-                    "fully complete member off truth: {value} vs {truth}"
+                    *completeness <= 1.0 + 1e-12,
+                    "seed {seed}: completeness {completeness} > 1: a vote was counted twice"
                 );
+                if (*completeness - 1.0).abs() < 1e-12 {
+                    complete_members += 1;
+                    assert!(
+                        (*value - truth).abs() < 1e-9,
+                        "seed {seed}: fully complete member off truth: {value} vs {truth}"
+                    );
+                }
             }
         }
+        // the run must actually exercise the interesting paths: members
+        // completed despite the blackout, and recovery kept the crash
+        // model from simply shrinking the group
+        assert!(
+            report.completed() > n / 2,
+            "seed {seed}: too few completed to be meaningful"
+        );
+        let mean = report.mean_completeness().unwrap();
+        assert!(mean > 0.5, "seed {seed}: mean completeness {mean}");
+        seeds_with_a_complete_member += usize::from(complete_members > 0);
     }
-    // the run must actually exercise the interesting paths: members
-    // completed despite the blackout, and recovery kept the crash model
-    // from simply shrinking the group
     assert!(
-        report.completed() > n / 2,
-        "too few completed to be meaningful"
+        seeds_with_a_complete_member >= FULLY_COMPLETE_SEEDS_AT_LEAST,
+        "a fully complete member at only {seeds_with_a_complete_member} of {} seeds",
+        SCENARIO_SEEDS.count()
     );
-    assert!(complete_members > 0, "nobody achieved full completeness");
-    assert!(report.mean_completeness().unwrap() > 0.5);
 }
 
 #[test]
 fn distance_loss_favours_topological_placement() {
     // multihop radio: per-hop loss makes far links unreliable. The
-    // topologically-aware hash keeps early phases local, so it should
-    // beat the fair hash on the same field.
+    // topologically-aware hash keeps early phases local (§6.1), so its
+    // messages cross fewer hops than the fair hash's on the same field,
+    // at every seed. Completeness is a coin flip between the two at
+    // this loss (either wins about half the seeds, and their means lie
+    // 1e-4 apart), so topo's mean need only stay within
+    // `COMPLETENESS_SLACK` of fair's.
+    const COMPLETENESS_SLACK: f64 = 1e-3;
     let n = 256;
-    let seed = 12;
-    let field = make_field(FieldKind::UniformRandom, n, &mut DetRng::seeded(seed));
     let h = Hierarchy::for_group(4, n).unwrap();
-    let group = GroupBuilder::new(n)
-        .votes(VoteDistribution::Index)
-        .seed(seed)
-        .build();
     let truth = (n as f64 - 1.0) / 2.0;
-
-    let run = |topo: bool| {
-        let index = if topo {
-            ScopeIndex::build(&View::complete(n), &TopologicalPlacement::new(h, &field))
-        } else {
-            ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, seed))
+    let (mut fair_sum, mut topo_sum) = (0.0, 0.0);
+    for seed in SCENARIO_SEEDS {
+        let field = make_field(FieldKind::UniformRandom, n, &mut DetRng::seeded(seed));
+        let group = GroupBuilder::new(n)
+            .votes(VoteDistribution::Index)
+            .seed(seed)
+            .build();
+        let run = |topo: bool| {
+            let index = if topo {
+                ScopeIndex::build(&View::complete(n), &TopologicalPlacement::new(h, &field))
+            } else {
+                ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, seed))
+            };
+            let protocols: Vec<HierGossip<Average>> = group
+                .members()
+                .iter()
+                .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
+                .collect();
+            let loss = DistanceLoss::new(field.clone(), 0.25, 0.15).unwrap();
+            let net = SimNetwork::new(
+                NetworkConfig::default()
+                    .with_loss(loss)
+                    .with_positions(field.clone()),
+                seed,
+            );
+            let failure = gridagg::group::failure::FailureProcess::new(FailureModel::None, n, seed);
+            run_with(protocols, net, failure, seed, truth)
         };
-        let protocols: Vec<HierGossip<Average>> = group
-            .members()
-            .iter()
-            .map(|m| HierGossip::new(m.id, m.vote, index.clone(), HierGossipConfig::default()))
-            .collect();
-        let loss = DistanceLoss::new(field.clone(), 0.25, 0.15).unwrap();
-        let net = SimNetwork::new(
-            NetworkConfig::default()
-                .with_loss(loss)
-                .with_positions(field.clone()),
-            seed,
+        let (fair, topo) = (run(false), run(true));
+        let hops = |r: &RunReport| r.net.total_hops as f64 / r.net.sent as f64;
+        assert!(
+            hops(&topo) < hops(&fair),
+            "seed {seed}: topo sends {:.3} hops per message, fair {:.3}",
+            hops(&topo),
+            hops(&fair)
         );
-        let failure = gridagg::group::failure::FailureProcess::new(FailureModel::None, n, seed);
-        run_with(protocols, net, failure, seed, truth)
-    };
-    let fair = run(false);
-    let topo = run(true);
+        fair_sum += fair.mean_completeness().unwrap();
+        topo_sum += topo.mean_completeness().unwrap();
+    }
+    let seeds = SCENARIO_SEEDS.count() as f64;
+    let (fair, topo) = (fair_sum / seeds, topo_sum / seeds);
     assert!(
-        topo.mean_completeness().unwrap() >= fair.mean_completeness().unwrap(),
-        "topo {:?} should not lose to fair {:?} under radio loss",
-        topo.mean_completeness(),
-        fair.mean_completeness()
+        topo >= fair - COMPLETENESS_SLACK,
+        "topo's mean completeness {topo:.5} fell more than {COMPLETENESS_SLACK} below fair's {fair:.5}"
     );
 }
 
