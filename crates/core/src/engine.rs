@@ -20,11 +20,23 @@
 //!
 //! The round loop is **event-driven**: instead of scanning all `N`
 //! members every round, it visits only the *active* members — started,
-//! or with their staggered start round arrived, and not yet done —
-//! walked in ascending member-id order, which is exactly the order the
-//! dense scan visited them. Done and not-yet-due members cost nothing
-//! per round, which is what makes million-member runs affordable once
-//! most of the group has finished.
+//! or with their staggered start round arrived, and not yet done. Done
+//! and not-yet-due members cost nothing per round, which is what makes
+//! million-member runs affordable once most of the group has finished.
+//!
+//! **Step order is home order after round 0.** Within a round members
+//! step one after another, and any order is a valid execution of the
+//! round: the order is the simulator's choice, not the protocol's. A
+//! protocol may announce a home key for its member
+//! ([`Ctx::home`](crate::protocol::Ctx::home)); hiergossip announces its
+//! rank in (box, id) order, since its phases gossip inside subtrees. If
+//! any member announced one during round 0, the engine lays members out
+//! once when round 0 ends: announced members by key (ties by id), then
+//! the rest in id order. Member state is stored, and each round visited,
+//! in that slot order from round 1 on, so a subtree's gossip touches
+//! neighbouring memory. Before that, and for protocols that announce
+//! nothing, the order is ascending member id. Outcomes and returned
+//! protocols are in member-id order either way.
 //!
 //! **One step, one schedule.** Every rule of a round is written once:
 //! [`protocol::step`](crate::protocol::step) is the only caller of the
@@ -32,7 +44,7 @@
 //! start / active / settled decision from two member sets (active, not
 //! yet started) and the start rounds, and `Direct::send` is the only way
 //! a message reaches the network. Members are stepped one after another
-//! in the order above, so the single shared network RNG (loss and delay
+//! in slot order, so the single shared network RNG (loss and delay
 //! draws live inside `SimNetwork::send`) consumes one stream per seed
 //! and the whole run — trace bytes included — is a function of the
 //! configuration and the seed. See DESIGN.md §16.
@@ -57,6 +69,11 @@ struct Direct<'a, A, S> {
     sink: &'a mut S,
     /// [`Payload::wire_size`] of the fan-out being sent.
     bytes: u32,
+    /// Home keys announced in round 0, by member id ([`NO_HOME`] for
+    /// none); empty until the first.
+    homes: Vec<u32>,
+    /// Members in the run while round 0 records homes; 0 after.
+    recording: usize,
 }
 
 impl<A: WireAggregate, S: TraceSink> Effects<A> for Direct<'_, A, S> {
@@ -85,10 +102,123 @@ impl<A: WireAggregate, S: TraceSink> Effects<A> for Direct<'_, A, S> {
             }
         }
     }
+
+    // The layout is made once, from round 0's keys.
+    fn home(&mut self, member: MemberId, key: u32) {
+        if self.recording == 0 {
+            return;
+        }
+        if self.homes.is_empty() {
+            self.homes = vec![NO_HOME; self.recording];
+        }
+        self.homes[member.index()] = key;
+    }
+}
+
+/// No home key announced.
+const NO_HOME: u32 = u32::MAX;
+
+/// Where members are stored, and so the order a round visits them in.
+/// Empty tables are the identity: slot `i` holds member `i`.
+#[derive(Debug, Default)]
+struct Layout {
+    /// The member in each slot.
+    order: Vec<u32>,
+    /// Each member's slot.
+    slot: Vec<u32>,
+}
+
+impl Layout {
+    #[inline]
+    fn slot(&self, member: MemberId) -> usize {
+        match self.slot.get(member.index()) {
+            Some(&at) => at as usize,
+            None => member.index(),
+        }
+    }
+
+    #[inline]
+    fn member(&self, at: usize) -> MemberId {
+        MemberId(self.order.get(at).copied().unwrap_or(at as u32))
+    }
+
+    /// Lay members out by the keys `homes[id]` announced in round 0
+    /// ([`NO_HOME`] for none): announced members by key, ties by id,
+    /// then the rest in id order. `protocols` and `rngs` are rearranged
+    /// in place, `sched`'s sets relabelled, and `homes` becomes the slot
+    /// table. Distinct keys below `n` (ranks, as hiergossip announces)
+    /// are placed directly; any other set of keys is sorted.
+    fn from_homes<P>(
+        mut homes: Vec<u32>,
+        protocols: &mut [P],
+        rngs: &mut [DetRng],
+        sched: &mut Schedule,
+    ) -> Self {
+        let n = homes.len();
+        let mut order = vec![NO_HOME; n];
+        let ranks = homes.iter().enumerate().all(|(id, &key)| {
+            key == NO_HOME
+                || match order.get_mut(key as usize) {
+                    Some(at) if *at == NO_HOME => {
+                        *at = id as u32;
+                        true
+                    }
+                    _ => false,
+                }
+        });
+        if ranks {
+            order.retain(|&id| id != NO_HOME);
+        } else {
+            order.clear();
+            order.extend((0..n as u32).filter(|&id| homes[id as usize] != NO_HOME));
+            order.sort_unstable_by_key(|&id| (homes[id as usize], id));
+        }
+        order.extend((0..n as u32).filter(|&id| homes[id as usize] == NO_HOME));
+        permute(&order, &mut homes, |a, b| {
+            protocols.swap(a, b);
+            rngs.swap(a, b);
+        });
+        let mut slot = homes;
+        for (at, &id) in order.iter().enumerate() {
+            slot[id as usize] = at as u32;
+        }
+        sched.relabel(&slot);
+        Layout { order, slot }
+    }
+
+    /// Put `items`, stored by slot, back in member-id order, and become
+    /// the identity.
+    fn restore<T>(&mut self, items: &mut [T]) {
+        if !self.slot.is_empty() {
+            permute(&self.slot, &mut self.order, |a, b| items.swap(a, b));
+            *self = Layout::default();
+        }
+    }
+}
+
+/// Rearrange a slice in place so that position `s` takes what was at
+/// `from[s]`, by calling `swap` along each cycle of the permutation;
+/// `seen` is scratch as long as `from`, overwritten.
+fn permute(from: &[u32], seen: &mut [u32], mut swap: impl FnMut(usize, usize)) {
+    seen.fill(0);
+    for start in 0..from.len() {
+        if seen[start] != 0 {
+            continue;
+        }
+        seen[start] = 1;
+        let mut at = start;
+        while from[at] as usize != start {
+            let src = from[at] as usize;
+            swap(at, src);
+            seen[src] = 1;
+            at = src;
+        }
+    }
 }
 
 /// Event-driven scheduling state: every rule deciding which members a
-/// round has work for and when the run has settled.
+/// round has work for and when the run has settled. Both sets hold
+/// slots (see [`Layout`]).
 #[derive(Debug)]
 struct Schedule {
     /// Started, or with their start round arrived, and not yet done:
@@ -129,20 +259,20 @@ impl Schedule {
         sched
     }
 
-    /// `member` starts now if it has not yet: at its official round, or
-    /// earlier because a protocol message reached it.
-    fn start<S: TraceSink>(&mut self, member: MemberId, round: Round, sink: &mut S) {
-        if self.unstarted.remove(member.index()) && S::ENABLED {
+    /// `member`, in slot `at`, starts now if it has not yet: at its
+    /// official round, or earlier because a protocol message reached it.
+    fn start<S: TraceSink>(&mut self, member: MemberId, at: usize, round: Round, sink: &mut S) {
+        if self.unstarted.remove(at) && S::ENABLED {
             sink.record(TraceEvent::Start { member, round });
         }
     }
 
-    /// A message reaches an alive member, waking it if it has not
-    /// started yet.
+    /// A message reaches an alive member, in slot `at`, waking it if it
+    /// has not started yet.
     fn on_delivery<S: TraceSink>(
         &mut self,
         from: MemberId,
-        to: MemberId,
+        (to, at): (MemberId, usize),
         sent_at: Round,
         round: Round,
         sink: &mut S,
@@ -155,25 +285,26 @@ impl Schedule {
                 sent_at,
             });
         }
-        self.start(to, round, sink);
+        self.start(to, at, round, sink);
     }
 
     /// Open the visit phase: unstarted members whose start round has
     /// come join `active`, and the visit set is `active` in ascending
-    /// order (the order the dense scan used), materialised so the sets
-    /// can be edited while visiting.
+    /// slot order, materialised so the sets can be edited while
+    /// visiting.
     fn begin_visits(
         &mut self,
         round: Round,
         starts: &[Round],
-        failure: &FailureProcess,
+        (failure, layout): (&FailureProcess, &Layout),
         visit: &mut Vec<u32>,
     ) {
         self.all_settled = true;
-        for i in self.unstarted.iter() {
-            if starts[i] <= round {
-                self.active.insert(i);
-            } else if failure.is_alive(MemberId(i as u32)) {
+        for at in self.unstarted.iter() {
+            let member = layout.member(at);
+            if starts[member.index()] <= round {
+                self.active.insert(at);
+            } else if failure.is_alive(member) {
                 // an alive member still waiting for its start round
                 // keeps the run open, even though nothing visits it yet
                 self.all_settled = false;
@@ -183,12 +314,13 @@ impl Schedule {
         visit.extend(self.active.iter().map(|i| i as u32));
     }
 
-    /// The round's visit reaches `member`; returns whether `on_round`
-    /// runs there. A crashed member is not called and stays active, to
-    /// resume on recovery; a done one drops out of the visit set.
+    /// The round's visit reaches `member`, in slot `at`; returns
+    /// whether `on_round` runs there. A crashed member is not called and
+    /// stays active, to resume on recovery; a done one drops out of the
+    /// visit set.
     fn on_visit<S: TraceSink>(
         &mut self,
-        member: MemberId,
+        (member, at): (MemberId, usize),
         round: Round,
         alive: bool,
         done: bool,
@@ -198,9 +330,9 @@ impl Schedule {
             return false;
         }
         // a due member starting at its start round
-        self.start(member, round, sink);
+        self.start(member, at, round, sink);
         if done {
-            self.active.remove(member.index());
+            self.active.remove(at);
             return false;
         }
         self.all_settled = false;
@@ -208,14 +340,26 @@ impl Schedule {
         true
     }
 
-    /// A protocol call can finish a member (drop it from the visit set)
-    /// or, for a message, re-arm a finished one (put it back).
+    /// A protocol call can finish the member in slot `at` (drop it from
+    /// the visit set) or, for a message, re-arm a finished one (put it
+    /// back).
     #[inline]
-    fn after_step(&mut self, member: MemberId, now_done: bool) {
+    fn after_step(&mut self, at: usize, now_done: bool) {
         if now_done {
-            self.active.remove(member.index());
+            self.active.remove(at);
         } else {
-            self.active.insert(member.index());
+            self.active.insert(at);
+        }
+    }
+
+    /// Move both sets from member ids to the slots `slot[id]`.
+    fn relabel(&mut self, slot: &[u32]) {
+        for set in [&mut self.active, &mut self.unstarted] {
+            let mut moved = DenseBitSet::with_capacity(slot.len());
+            for id in set.iter() {
+                moved.insert(slot[id] as usize);
+            }
+            *set = moved;
         }
     }
 }
@@ -224,9 +368,11 @@ impl Schedule {
 #[derive(Debug)]
 pub struct Simulation<A, P> {
     net: SimNetwork<Payload<A>>,
+    /// Member state by slot ([`Layout`]), as are `rngs`.
     protocols: Vec<P>,
     failure: FailureProcess,
     rngs: Vec<DetRng>,
+    layout: Layout,
     true_value: f64,
     max_rounds: Round,
     /// Member `i` starts at `start_rounds[i]`; empty: all in round 0.
@@ -260,6 +406,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
             protocols,
             failure,
             rngs,
+            layout: Layout::default(),
             true_value,
             max_rounds,
             start_rounds: Vec::new(),
@@ -320,6 +467,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
     #[cfg(test)]
     pub(crate) fn run_with_streams<S: TraceSink>(mut self, sink: &mut S) -> (RunReport, Vec<u64>) {
         let report = self.drive(sink);
+        self.layout.restore(&mut self.rngs);
         let streams = self.rngs.iter_mut().map(|r| r.raw().next_u64());
         (report, streams.collect())
     }
@@ -330,6 +478,7 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
     /// state (e.g. Flow-Updating flows) across epoch boundaries.
     pub fn run_returning(mut self) -> (RunReport, Vec<P>) {
         let report = self.drive(&mut NoTrace);
+        self.layout.restore(&mut self.protocols);
         (report, self.protocols)
     }
 
@@ -339,12 +488,14 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
         let n = self.protocols.len();
         let starts = &self.start_rounds[..];
         let mut sched = Schedule::new(n, starts, |i| self.protocols[i].is_done());
-        let failure = &mut self.failure;
+        let (failure, layout) = (&mut self.failure, &mut self.layout);
         let (protocols, rngs) = (&mut self.protocols[..], &mut self.rngs[..]);
         let mut fx = Direct {
             net: &mut self.net,
             sink,
             bytes: 0,
+            homes: Vec::new(),
+            recording: n,
         };
         let mut out = Outbox::new();
         // Delivery and visit scratch, reused every round. `drain_into`
@@ -382,22 +533,29 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
                 if !failure.is_alive(env.to) {
                     continue;
                 }
-                let to = env.to;
-                sched.on_delivery(env.from, to, env.sent_at, round, fx.sink);
-                let (proto, rng) = (&mut protocols[to.index()], &mut rngs[to.index()]);
+                let (to, at) = (env.to, layout.slot(env.to));
+                sched.on_delivery(env.from, (to, at), env.sent_at, round, fx.sink);
+                let (proto, rng) = (&mut protocols[at], &mut rngs[at]);
                 let done = step(proto, rng, to, round, n, Some(env), &mut out, &mut fx);
-                sched.after_step(to, done);
+                sched.after_step(at, done);
             }
 
-            // 3.+4. step alive, started, unfinished members
-            sched.begin_visits(round, starts, failure, &mut visit);
-            for &iv in &visit {
-                let me = MemberId(iv);
-                let (alive, done) = (failure.is_alive(me), protocols[me.index()].is_done());
-                if sched.on_visit(me, round, alive, done, fx.sink) {
-                    let (proto, rng) = (&mut protocols[me.index()], &mut rngs[me.index()]);
+            // 3.+4. step alive, started, unfinished members, by slot
+            sched.begin_visits(round, starts, (failure, layout), &mut visit);
+            for &at in &visit {
+                let (me, at) = (layout.member(at as usize), at as usize);
+                let (alive, done) = (failure.is_alive(me), protocols[at].is_done());
+                if sched.on_visit((me, at), round, alive, done, fx.sink) {
+                    let (proto, rng) = (&mut protocols[at], &mut rngs[at]);
                     let done = step(proto, rng, me, round, n, None, &mut out, &mut fx);
-                    sched.after_step(me, done);
+                    sched.after_step(at, done);
+                }
+            }
+            if round == 0 {
+                fx.recording = 0;
+                if !fx.homes.is_empty() {
+                    let homes = std::mem::take(&mut fx.homes);
+                    *layout = Layout::from_homes(homes, protocols, rngs, &mut sched);
                 }
             }
 
@@ -407,11 +565,9 @@ impl<A: WireAggregate, P: AggregationProtocol<A>> Simulation<A, P> {
             }
         }
 
-        let outcomes = self
-            .protocols
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
+        let outcomes = (0..n)
+            .map(|i| {
+                let p = &self.protocols[self.layout.slot(MemberId(i as u32))];
                 if let (true, Some(est)) = (p.is_done(), p.estimate()) {
                     // no vote counted twice, checked in every build: a
                     // counted contributor set cannot see an overlap when
@@ -738,6 +894,143 @@ mod tests {
             })
             .collect();
         assert_eq!(sends, charged.repeat(n));
+    }
+
+    /// Announces `key` in round 0 (if any), sends one vote to member 0
+    /// every round, and finishes with its own vote after `rounds`.
+    #[derive(Debug)]
+    struct Homed {
+        id: u32,
+        key: Option<u32>,
+        rounds: Round,
+        est: Option<gridagg_aggregate::Tagged<Average>>,
+    }
+
+    impl AggregationProtocol<Average> for Homed {
+        fn on_round(&mut self, ctx: &mut crate::protocol::Ctx<'_>, out: &mut Outbox<Average>) {
+            if let (0, Some(key)) = (ctx.round, self.key) {
+                ctx.home(key);
+            }
+            out.send(MemberId(0), batch(1));
+            if ctx.round + 1 >= self.rounds {
+                let id = self.id as usize;
+                self.est = Some(gridagg_aggregate::Tagged::from_vote(id, 1.0, 8));
+            }
+        }
+        fn on_message(
+            &mut self,
+            _: MemberId,
+            _: Payload<Average>,
+            _: &mut crate::protocol::Ctx<'_>,
+            _: &mut Outbox<Average>,
+        ) {
+        }
+        fn estimate(&self) -> Option<&gridagg_aggregate::Tagged<Average>> {
+            self.est.as_ref()
+        }
+        fn is_done(&self) -> bool {
+            self.est.is_some()
+        }
+        fn completed_at(&self) -> Option<Round> {
+            self.est.as_ref().map(|_| self.rounds - 1)
+        }
+    }
+
+    /// Eight [`Homed`] members, member `i` announcing `keys[i]` and
+    /// finishing after `2 + i % 3` rounds.
+    fn homed(keys: [Option<u32>; 8]) -> Simulation<Average, Homed> {
+        let n = keys.len();
+        let members = (0..n as u32)
+            .map(|id| Homed {
+                id,
+                key: keys[id as usize],
+                rounds: 2 + Round::from(id % 3),
+                est: None,
+            })
+            .collect();
+        let net = SimNetwork::new(NetworkConfig::default(), 1);
+        let failure = FailureProcess::new(FailureModel::None, n, 1);
+        Simulation::new(net, members, failure, 1, 1.0, 10)
+    }
+
+    /// The senders of each round's sends, in step order.
+    fn step_order(trace: &crate::trace::RunTrace) -> Vec<Vec<u32>> {
+        let mut rounds: Vec<Vec<u32>> = Vec::new();
+        for event in &trace.events {
+            if let TraceEvent::Send { from, round, .. } = *event {
+                rounds.resize_with(rounds.len().max(round as usize + 1), Vec::new);
+                rounds[round as usize].push(from.0);
+            }
+        }
+        rounds
+    }
+
+    #[test]
+    fn members_step_in_home_order_from_round_one() {
+        let none = None;
+        // reverse ranks; some members silent; keys tied or past n
+        let cases = [
+            ([7, 6, 5, 4, 3, 2, 1, 0].map(Some), [7, 6, 5, 4, 3, 2, 1, 0]),
+            (
+                [none, Some(7), none, Some(5), none, Some(3), none, Some(1)],
+                [7, 5, 3, 1, 0, 2, 4, 6],
+            ),
+            (
+                [Some(9), Some(9), none, Some(3), none, none, none, Some(40)],
+                [3, 0, 1, 7, 2, 4, 5, 6],
+            ),
+        ];
+        for (keys, order) in cases {
+            let mut trace = crate::trace::RunTrace::for_group(8);
+            homed(keys).run_with(&mut trace);
+            let rounds = step_order(&trace);
+            assert_eq!(
+                rounds[0],
+                [0, 1, 2, 3, 4, 5, 6, 7],
+                "{keys:?}: round 0 by id"
+            );
+            assert_eq!(rounds[1], order, "{keys:?}: round 1 by key");
+            // members finish after 2, 3 or 4 rounds; the rest keep the order
+            let left: Vec<u32> = order.into_iter().filter(|id| id % 3 != 0).collect();
+            assert_eq!(rounds[2], left, "{keys:?}: round 2");
+        }
+        // nothing announced: id order throughout
+        let mut trace = crate::trace::RunTrace::for_group(8);
+        homed([None; 8]).run_with(&mut trace);
+        assert_eq!(step_order(&trace)[1], [0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn outcomes_and_returned_members_are_in_id_order() {
+        let keys = [7, 6, 5, 4, 3, 2, 1, 0].map(Some);
+        let (report, members) = homed(keys).run_returning();
+        let ids: Vec<u32> = members.iter().map(|m| m.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 5, 6, 7]);
+        let at: Vec<Round> = report
+            .outcomes
+            .iter()
+            .map(|o| match *o {
+                MemberOutcome::Completed { at, .. } => at,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(at, [1, 2, 3, 1, 2, 3, 1, 2]);
+        assert_eq!(report.outcomes, homed(keys).run().outcomes);
+    }
+
+    #[test]
+    fn a_traced_run_reports_what_the_untraced_run_does() {
+        // hiergossip announces homes: the layout must not see the sink
+        let sim = || hier_sim_with(96, 5, 0.2, FailureModel::PerRound { pf: 0.002 });
+        let (plain, plain_streams) = sim().run_with_streams(&mut NoTrace);
+        let mut trace = crate::trace::RunTrace::for_group(96);
+        let (traced, traced_streams) = sim().run_with_streams(&mut trace);
+        assert_eq!(plain.rounds, traced.rounds);
+        assert_eq!(plain.net, traced.net);
+        assert_eq!(plain.outcomes, traced.outcomes);
+        assert_eq!(plain.protocol_steps, traced.protocol_steps);
+        assert_eq!(plain_streams, traced_streams);
+        assert!(plain.crashed() > 0 && plain.net.dropped_loss > 0);
     }
 
     #[test]

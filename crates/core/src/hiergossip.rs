@@ -235,9 +235,11 @@ pub struct HierGossip<A> {
     /// `rows[scope.len()]`. First reception wins unless a later
     /// evaluation covers more votes (see [`Self::learn_agg`]); values
     /// are `Arc`-shared with in-flight payloads, so adopting one never
-    /// copies a contributor bitmap. A level is allocated when the first
-    /// aggregate is stored there. The root aggregate is never gossiped:
-    /// it is the member's `estimate`.
+    /// copies a contributor bitmap. Empty until the first aggregate is
+    /// stored, so the levels are allocated in step order, not build
+    /// order; a level is allocated when the first aggregate is stored
+    /// there. The root aggregate is never gossiped: it is the member's
+    /// `estimate`.
     rows: Vec<Option<Row<A>>>,
 
     /// Current phase (1-based); `phases + 1` means terminated.
@@ -292,7 +294,7 @@ impl<A: WireAggregate> HierGossip<A> {
             cfg,
             my_box,
             known_votes: [(me, vote)].into(),
-            rows: (0..my_box.len()).map(|_| None).collect(),
+            rows: Vec::new(),
             view: None,
             phase: 1,
             rounds_in_phase: 0,
@@ -568,8 +570,10 @@ impl<A: WireAggregate> HierGossip<A> {
     /// convergence rule Astrolabe-style systems use.
     fn learn_agg(&mut self, parent: Addr, digit: usize, agg: &Arc<Tagged<A>>) -> bool {
         let level = parent.len();
-        let held = self.rows[level]
-            .as_ref()
+        let held = self
+            .rows
+            .get(level)
+            .and_then(Option::as_ref)
             .and_then(|row| row.slots[digit].as_ref());
         if held.is_some_and(|held| agg.vote_count() <= held.vote_count()) {
             return false;
@@ -599,6 +603,9 @@ impl<A: WireAggregate> HierGossip<A> {
                      outside that subtree"
                 );
             }
+        }
+        if self.rows.is_empty() {
+            self.rows = (0..self.my_box.len()).map(|_| None).collect();
         }
         self.rows[level]
             .get_or_insert_with(|| Row::empty(&parent))
@@ -643,6 +650,13 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
     fn on_round(&mut self, ctx: &mut Ctx<'_>, out: &mut Outbox<A>) {
         if self.done_at.is_some() {
             return;
+        }
+        if self.phase == 1 && self.rounds_in_phase == 0 {
+            // the first round: phases gossip inside subtrees, so the
+            // member's home is its place in (box, id) order
+            if let Some(rank) = self.index.rank(self.me).and_then(|r| u32::try_from(r).ok()) {
+                ctx.home(rank);
+            }
         }
         // Step 2(b): bump up as soon as the phase is complete. Phase 1
         // is fixed-length, as in the paper.
@@ -752,7 +766,8 @@ impl<A: WireAggregate> AggregationProtocol<A> for HierGossip<A> {
                 }
                 // the sender gossips within its own scope at this
                 // level; answer only if we share it
-                if let (false, Some(row)) = (reply, &self.rows[parent.len()]) {
+                let row = self.rows.get(parent.len()).and_then(Option::as_ref);
+                if let (false, Some(row)) = (reply, row) {
                     if row.known > known && parent.contains(&self.index.box_of(from)) {
                         // leave off each entry the push held with at
                         // least as many votes as ours
@@ -1139,7 +1154,7 @@ mod tests {
             p.on_message(peer, push, &mut ctx, &mut out);
             let (to, reply) = out.drain().next().expect("a reply at every level");
             assert_eq!(to, peer);
-            let stored = p.rows[len].as_ref().unwrap();
+            let stored = p.rows.get(len).and_then(Option::as_ref).unwrap();
             match &reply {
                 Payload::AggBatch {
                     parent: of,
@@ -1260,7 +1275,7 @@ mod tests {
         p.on_message(peer, push, &mut ctx, &mut out);
         let (to, reply) = out.drain().next().expect("p knows more than the push");
         assert_eq!(to, peer);
-        let stored = p.rows[parent.len()].as_ref().unwrap();
+        let stored = p.rows.get(parent.len()).and_then(Option::as_ref).unwrap();
         let Payload::AggBatch {
             parent: of,
             known,
@@ -1397,7 +1412,7 @@ mod tests {
                         skip: 0,
                         reply: false,
                     },
-                    Some(parent) => match &q[0].rows[parent.len()] {
+                    Some(parent) => match q[0].rows.get(parent.len()).and_then(Option::as_ref) {
                         Some(row) => row.payload(parent, 0, false),
                         None => continue,
                     },

@@ -125,6 +125,8 @@ pub struct Ctx<'a> {
     /// `None` on the untraced path, so [`Ctx::emit`]'s event-building
     /// closure is never even called there.
     trace: Option<&'a mut dyn DynSink>,
+    /// The key set by [`Ctx::home`] during this call.
+    home: Option<u32>,
 }
 
 impl std::fmt::Debug for Ctx<'_> {
@@ -143,6 +145,7 @@ impl<'a> Ctx<'a> {
             round,
             rng,
             trace: None,
+            home: None,
         }
     }
 
@@ -152,6 +155,7 @@ impl<'a> Ctx<'a> {
             round,
             rng,
             trace: Some(sink),
+            home: None,
         }
     }
 
@@ -167,6 +171,14 @@ impl<'a> Ctx<'a> {
     /// Whether this context forwards events anywhere.
     pub fn is_traced(&self) -> bool {
         self.trace.is_some()
+    }
+
+    /// Tell the harness where this member lives: members with close
+    /// keys exchange most of their messages, so a harness may store and
+    /// step them side by side ([`Effects::home`]). A hint only; no
+    /// outcome may depend on whether a harness follows it.
+    pub fn home(&mut self, key: u32) {
+        self.home = Some(key);
     }
 }
 
@@ -209,6 +221,10 @@ pub trait Effects<A> {
     /// copy of the payload sent just before it, so per-payload work (a
     /// wire size, an encoding) runs once per fan-out.
     fn send(&mut self, round: Round, from: MemberId, to: MemberId, msg: Payload<A>, shared: bool);
+
+    /// `member`'s step set its home key ([`Ctx::home`]). The default
+    /// ignores it.
+    fn home(&mut self, _member: MemberId, _key: u32) {}
 }
 
 /// The root of a run's member random streams, on any substrate: member
@@ -220,9 +236,10 @@ pub fn member_streams(seed: u64) -> DetRng {
 }
 
 /// One protocol step at member `me`, on any substrate: deliver `msg`
-/// (or, with `None`, run the round timer), report a termination, and
-/// hand the outbox to `fx`. Returns whether the member is done after.
-/// Of the envelope, only `from` and `payload` are read.
+/// (or, with `None`, run the round timer), pass on a home key the
+/// protocol set, report a termination, and hand the outbox to `fx`.
+/// Returns whether the member is done after. Of the envelope, only
+/// `from` and `payload` are read.
 ///
 /// The only caller of `on_message` and `on_round`. Always inlined, and
 /// the envelope reaches `on_message` whole: repacking it into a by-value
@@ -245,7 +262,7 @@ where
     E: Effects<A>,
 {
     let was_done = proto.is_done();
-    {
+    let home = {
         let mut ctx = match fx.sink() {
             Some(sink) => Ctx::traced(round, rng, sink),
             None => Ctx::new(round, rng),
@@ -254,6 +271,10 @@ where
             Some(env) => proto.on_message(env.from, env.payload, &mut ctx, out),
             None => proto.on_round(&mut ctx, out),
         }
+        ctx.home
+    };
+    if let Some(key) = home {
+        fx.home(me, key);
     }
     let now_done = proto.is_done();
     if let Some(sink) = fx.sink().filter(|_| !was_done && now_done) {

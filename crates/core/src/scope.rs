@@ -128,19 +128,23 @@ impl ScopeIndex {
         self.members_in(prefix).len()
     }
 
+    /// Position of `id` in the (box, id) order of every indexed member,
+    /// a permutation of `0..len()`, or `None` if it is not indexed.
+    pub fn rank(&self, id: MemberId) -> Option<usize> {
+        // the boxes before `id`'s, then its place in its own
+        let home = self.box_of.get(id.index())?.index() as usize;
+        let (start, end) = (self.offsets[home] as usize, self.offsets[home + 1] as usize);
+        Some(start + self.sorted[start..end].binary_search(&id).ok()?)
+    }
+
     /// Position of `id` within [`ScopeIndex::members_in`] of `prefix`,
     /// or `None` if it is not there.
     pub fn position_in(&self, prefix: &Addr, id: MemberId) -> Option<usize> {
-        let home = *self.box_of.get(id.index())?;
-        if !prefix.contains(&home) {
+        if !prefix.contains(self.box_of.get(id.index())?) {
             return None;
         }
-        // `prefix`'s slice is its boxes' slices in index order, each
-        // sorted by id: the boxes before `id`'s, then its place in its own
-        let home = home.index() as usize;
-        let (start, end) = (self.offsets[home] as usize, self.offsets[home + 1] as usize);
-        let in_box = self.sorted[start..end].binary_search(&id).ok()?;
-        Some(start - self.offsets[self.boxes_in(prefix).0] as usize + in_box)
+        // `prefix`'s slice is its boxes' slices in index order
+        Some(self.rank(id)? - self.offsets[self.boxes_in(prefix).0] as usize)
     }
 
     /// The non-empty children of `prefix` (subtrees that actually have
@@ -223,6 +227,10 @@ mod tests {
     #[test]
     fn position_in_agrees_with_a_linear_scan_for_every_member_and_prefix() {
         let idx = index(200, 4);
+        let root = Addr::root(4).unwrap();
+        for m in (0..200).map(MemberId) {
+            assert_eq!(idx.rank(m), idx.position_in(&root, m));
+        }
         for prefix in idx.hierarchy().prefixes() {
             let slice = idx.members_in(&prefix);
             for m in (0..200).map(MemberId) {

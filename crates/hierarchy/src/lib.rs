@@ -42,5 +42,5 @@ pub mod topo;
 
 pub use addr::{Addr, AddrError};
 pub use params::Hierarchy;
-pub use placement::{ExplicitPlacement, FairHashPlacement, Placement, PrefixPlacement};
+pub use placement::{ExplicitPlacement, FairHashPlacement, Placement};
 pub use topo::TopologicalPlacement;

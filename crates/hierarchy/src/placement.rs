@@ -189,105 +189,3 @@ mod tests {
         }
     }
 }
-
-/// CIDR-style placement for Internet process groups (§6.1).
-///
-/// "In the Internet, IP addresses usually reflect the geographical/
-/// network locations of group members, eg., CIDR … allocates different
-/// subnet headers to addresses in Europe than those in the Americas,
-/// and then different subnets inside Europe…"
-///
-/// Identifiers are treated as addresses in a contiguous space of
-/// `id_space` values; the *high-order* part of the identifier selects
-/// the grid box, so numerically adjacent identifiers (same subnet)
-/// share boxes and low subtrees — topology awareness without physical
-/// coordinates.
-#[derive(Debug, Clone, Copy)]
-pub struct PrefixPlacement {
-    hierarchy: Hierarchy,
-    id_space: u64,
-}
-
-impl PrefixPlacement {
-    /// Create a prefix placement over identifiers `0..id_space`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id_space == 0`.
-    pub fn new(hierarchy: Hierarchy, id_space: u64) -> Self {
-        assert!(id_space > 0, "identifier space must be non-empty");
-        PrefixPlacement {
-            hierarchy,
-            id_space,
-        }
-    }
-}
-
-impl Placement for PrefixPlacement {
-    fn place(&self, id: NodeId) -> Addr {
-        let clamped = (id.0 as u64).min(self.id_space - 1);
-        self.hierarchy
-            .box_of_unit(clamped as f64 / self.id_space as f64)
-    }
-
-    fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-}
-
-#[cfg(test)]
-mod prefix_tests {
-    use super::*;
-
-    #[test]
-    fn contiguous_ids_share_boxes() {
-        let hier = Hierarchy::for_group(4, 256).unwrap(); // 64 boxes
-        let p = PrefixPlacement::new(hier, 256);
-        // each box covers a contiguous run of 4 ids
-        for id in 0..256u32 {
-            let expect = hier.box_at(id as u64 / 4);
-            assert_eq!(p.place(NodeId(id)), expect, "id {id}");
-        }
-    }
-
-    #[test]
-    fn subnet_structure_matches_subtrees() {
-        // ids in the same "subnet" (same high bits) share the same
-        // high-order address digits — the CIDR property
-        let hier = Hierarchy::for_group(2, 64).unwrap(); // depth 5
-        let p = PrefixPlacement::new(hier, 64);
-        let a = p.place(NodeId(0));
-        let b = p.place(NodeId(1));
-        let far = p.place(NodeId(63));
-        assert_eq!(a.prefix(3), b.prefix(3), "same subnet, same subtree");
-        assert_ne!(a.digit(0), far.digit(0), "opposite ends of the space");
-    }
-
-    #[test]
-    fn ids_beyond_space_clamp() {
-        let hier = Hierarchy::for_group(4, 16).unwrap();
-        let p = PrefixPlacement::new(hier, 16);
-        assert_eq!(p.place(NodeId(1000)), p.place(NodeId(15)));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn zero_space_panics() {
-        let hier = Hierarchy::for_group(4, 16).unwrap();
-        let _ = PrefixPlacement::new(hier, 0);
-    }
-
-    #[test]
-    fn balanced_occupancy_for_dense_ids() {
-        let hier = Hierarchy::for_group(4, 256).unwrap();
-        let p = PrefixPlacement::new(hier, 256);
-        let mut counts = vec![0usize; hier.num_boxes() as usize];
-        for id in 0..256u32 {
-            counts[p.place(NodeId(id)).index() as usize] += 1;
-        }
-        assert!(
-            counts.iter().all(|&c| c == 4),
-            "dense ids → exactly K per box"
-        );
-    }
-}

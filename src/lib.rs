@@ -76,8 +76,7 @@ pub mod prelude {
         GroupBuilder, MemberId, VoteDistribution,
     };
     pub use gridagg_hierarchy::{
-        Addr, ExplicitPlacement, FairHashPlacement, Hierarchy, Placement, PrefixPlacement,
-        TopologicalPlacement,
+        Addr, ExplicitPlacement, FairHashPlacement, Hierarchy, Placement, TopologicalPlacement,
     };
     pub use gridagg_simnet::{
         loss::{PartitionLoss, Perfect, UniformLoss},

@@ -74,11 +74,11 @@ fn hiergossip_matches_seed_behavior() {
             64,
             3,
             Golden {
-                rounds: 15,
-                sent: 2041,
-                delivered: 1521,
-                bytes_sent: 53305,
-                dropped_loss: 520,
+                rounds: 16,
+                sent: 2105,
+                delivered: 1568,
+                bytes_sent: 55026,
+                dropped_loss: 537,
                 completed: 64,
                 mean_completeness_bits: 0x3ff0000000000000,
                 mean_value_bits: 0x3cb4c076cde21a9c,
@@ -88,28 +88,28 @@ fn hiergossip_matches_seed_behavior() {
             256,
             7,
             Golden {
-                rounds: 21,
-                sent: 10964,
-                delivered: 8253,
-                bytes_sent: 303613,
-                dropped_loss: 2711,
+                rounds: 22,
+                sent: 11102,
+                delivered: 8348,
+                bytes_sent: 305922,
+                dropped_loss: 2754,
                 completed: 251,
-                mean_completeness_bits: 0x3fef97d734041466,
-                mean_value_bits: 0x3f6a92c4baad445d,
+                mean_completeness_bits: 0x3fefa00000000000,
+                mean_value_bits: 0x3f6a16edb50d6c6b,
             },
         ),
         (
             1024,
             11,
             Golden {
-                rounds: 31,
-                sent: 65280,
-                delivered: 48822,
-                bytes_sent: 1921443,
-                dropped_loss: 16458,
+                rounds: 30,
+                sent: 65664,
+                delivered: 49117,
+                bytes_sent: 1933869,
+                dropped_loss: 16547,
                 completed: 997,
-                mean_completeness_bits: 0x3fef28cf786cdee0,
-                mean_value_bits: 0x3f6128e0b35ff2b9,
+                mean_completeness_bits: 0x3fef122a9fb60cd7,
+                mean_value_bits: 0x3f62791a9741e598,
             },
         ),
     ] {
@@ -134,17 +134,17 @@ fn event_driven_engine_trace_is_byte_identical() {
         (
             64usize,
             3u64,
-            5207usize,
-            0xecef_792f_3d9b_7f22u64,
-            0x20b6_02c8_645f_e420u64,
+            5345usize,
+            0x57f9_5a6b_c832_a228u64,
+            0x45a1_2424_b0aa_0842u64,
         ),
-        (256, 7, 27706, 0x9e03_09d4_6419_2332, 0x2d38_ccc4_dc62_72d2),
+        (256, 7, 27990, 0xa843_768c_96a0_b69c, 0x1366_a8f7_89db_1abb),
         (
             1024,
             11,
-            159084,
-            0x448d_ed63_8fae_d895,
-            0x75a4_7c5b_99cf_9b12,
+            159848,
+            0xe777_b0a9_dec8_4029,
+            0x64c7_5281_fde1_b198,
         ),
     ] {
         let (_, trace) = Protocol::HierGossip.run_traced::<Average>(&cfg(n), seed);
@@ -181,9 +181,9 @@ fn staggered_start_trace_is_byte_identical() {
         .iter()
         .filter(|event| matches!(event, TraceEvent::Start { round, .. } if *round > 0));
     assert!(late.count() > 100, "most members start late");
-    assert_eq!(trace.len(), 23150, "trace event count");
+    assert_eq!(trace.len(), 23277, "trace event count");
     let hash = fnv(trace.events.iter().copied());
-    assert_eq!(hash, 0xf3ad_6832_f7bf_c455, "trace fingerprint {hash:#x}");
+    assert_eq!(hash, 0xda5b_d3ac_6880_2d13, "trace fingerprint {hash:#x}");
 }
 
 /// FNV-1a over the debug rendering of `events`.
@@ -415,7 +415,7 @@ fn flow_updating_continuous_matches_seed_behavior() {
     hier.recovery = 0.3;
     for (c, opts, fingerprint) in [
         (fu_cfg, fu, 0xf083_4825_d8ac_05f6),
-        (hier_cfg, hier, 0x8efd_3d02_c0d0_1034),
+        (hier_cfg, hier, 0x32ef_d246_d0fe_f942),
     ] {
         let name = opts.protocol;
         let out = run_continuous(&c, &opts, 5);
