@@ -115,7 +115,7 @@ impl<A: WireAggregate, S: TraceSink> Effects<A> for Direct<'_, A, S> {
     }
 }
 
-/// No home key announced.
+/// No home key announced (a key of `u32::MAX` reads as none).
 const NO_HOME: u32 = u32::MAX;
 
 /// Where members are stored, and so the order a round visits them in.
