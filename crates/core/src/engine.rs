@@ -31,12 +31,13 @@
 //! ([`Ctx::home`](crate::protocol::Ctx::home)); hiergossip announces its
 //! rank in (box, id) order, since its phases gossip inside subtrees. If
 //! any member announced one during round 0, the engine lays members out
-//! once when round 0 ends: announced members by key (ties by id), then
-//! the rest in id order. Member state is stored, and each round visited,
-//! in that slot order from round 1 on, so a subtree's gossip touches
-//! neighbouring memory. Before that, and for protocols that announce
-//! nothing, the order is ascending member id. Outcomes and returned
-//! protocols are in member-id order either way.
+//! once when round 0 ends: announced members by key, then the rest in
+//! id order (keys that collide or reach N leave id order). Member state
+//! is stored, and each round visited, in that slot order from round 1
+//! on, so a subtree's gossip touches neighbouring memory. Before that,
+//! and for protocols that announce nothing, the order is ascending
+//! member id. Outcomes and returned protocols are in member-id order
+//! either way.
 //!
 //! **One step, one schedule.** Every rule of a round is written once:
 //! [`protocol::step`](crate::protocol::step) is the only caller of the
@@ -143,11 +144,12 @@ impl Layout {
     }
 
     /// Lay members out by the keys `homes[id]` announced in round 0
-    /// ([`NO_HOME`] for none): announced members by key, ties by id,
-    /// then the rest in id order. `protocols` and `rngs` are rearranged
+    /// ([`NO_HOME`] for none): announced members by key, then the rest
+    /// in id order. Keys are distinct ranks below `n` (hiergossip's), so
+    /// each is placed directly; if two collide or one is `n` or more, the
+    /// layout stays the identity. `protocols` and `rngs` are rearranged
     /// in place, `sched`'s sets relabelled, and `homes` becomes the slot
-    /// table. Distinct keys below `n` (ranks, as hiergossip announces)
-    /// are placed directly; any other set of keys is sorted.
+    /// table.
     fn from_homes<P>(
         mut homes: Vec<u32>,
         protocols: &mut [P],
@@ -156,23 +158,16 @@ impl Layout {
     ) -> Self {
         let n = homes.len();
         let mut order = vec![NO_HOME; n];
-        let ranks = homes.iter().enumerate().all(|(id, &key)| {
-            key == NO_HOME
-                || match order.get_mut(key as usize) {
-                    Some(at) if *at == NO_HOME => {
-                        *at = id as u32;
-                        true
-                    }
-                    _ => false,
-                }
-        });
-        if ranks {
-            order.retain(|&id| id != NO_HOME);
-        } else {
-            order.clear();
-            order.extend((0..n as u32).filter(|&id| homes[id as usize] != NO_HOME));
-            order.sort_unstable_by_key(|&id| (homes[id as usize], id));
+        for (id, &key) in homes.iter().enumerate() {
+            if key == NO_HOME {
+                continue;
+            }
+            match order.get_mut(key as usize) {
+                Some(at) if *at == NO_HOME => *at = id as u32,
+                _ => return Layout::default(),
+            }
         }
+        order.retain(|&id| id != NO_HOME);
         order.extend((0..n as u32).filter(|&id| homes[id as usize] == NO_HOME));
         permute(&order, &mut homes, |a, b| {
             protocols.swap(a, b);
@@ -968,16 +963,12 @@ mod tests {
     #[test]
     fn members_step_in_home_order_from_round_one() {
         let none = None;
-        // reverse ranks; some members silent; keys tied or past n
+        // reverse ranks; some members silent
         let cases = [
             ([7, 6, 5, 4, 3, 2, 1, 0].map(Some), [7, 6, 5, 4, 3, 2, 1, 0]),
             (
                 [none, Some(7), none, Some(5), none, Some(3), none, Some(1)],
                 [7, 5, 3, 1, 0, 2, 4, 6],
-            ),
-            (
-                [Some(9), Some(9), none, Some(3), none, none, none, Some(40)],
-                [3, 0, 1, 7, 2, 4, 5, 6],
             ),
         ];
         for (keys, order) in cases {
@@ -994,10 +985,14 @@ mod tests {
             let left: Vec<u32> = order.into_iter().filter(|id| id % 3 != 0).collect();
             assert_eq!(rounds[2], left, "{keys:?}: round 2");
         }
-        // nothing announced: id order throughout
-        let mut trace = crate::trace::RunTrace::for_group(8);
-        homed([None; 8]).run_with(&mut trace);
-        assert_eq!(step_order(&trace)[1], [0, 1, 2, 3, 4, 5, 6, 7]);
+        // nothing announced, or keys that are not ranks: id order
+        let tied = [Some(3), Some(3), none, none, none, none, none, Some(1)];
+        let past_n = [none, none, Some(8), none, none, none, none, none];
+        for keys in [[None; 8], tied, past_n] {
+            let mut trace = crate::trace::RunTrace::for_group(8);
+            homed(keys).run_with(&mut trace);
+            assert_eq!(step_order(&trace)[1], [0, 1, 2, 3, 4, 5, 6, 7], "{keys:?}");
+        }
     }
 
     #[test]

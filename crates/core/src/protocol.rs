@@ -175,8 +175,12 @@ impl<'a> Ctx<'a> {
 
     /// Tell the harness where this member lives: members with close
     /// keys exchange most of their messages, so a harness may store and
-    /// step them side by side ([`Effects::home`]). A hint only; no
-    /// outcome may depend on whether a harness follows it.
+    /// step them side by side ([`Effects::home`]). `u32::MAX` means no
+    /// home. The simulator follows the hint only when the keys are
+    /// distinct and below the group size (ranks). Following it changes
+    /// the order members step in within a round, and so which network
+    /// draws each send gets: a seeded run's outcomes may change, their
+    /// distribution does not (DESIGN.md §14.6, §16.1).
     pub fn home(&mut self, key: u32) {
         self.home = Some(key);
     }
